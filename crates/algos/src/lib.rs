@@ -54,8 +54,6 @@ pub use ppr::{
     personalized_pagerank_many_with_unified_engine, personalized_pagerank_on,
     personalized_pagerank_with_unified_engine,
 };
-#[allow(deprecated)]
-pub use propagate::PropagationEngine;
 pub use propagate::{propagation_engine, run_to_fixpoint, FixpointResult};
 pub use sssp::{sssp, sssp_on, sssp_with_engine};
 pub use wpr::{weighted_pagerank, weighted_pagerank_on, weighted_pagerank_with_unified_engine};

@@ -79,52 +79,7 @@ pub fn run_to_fixpoint<A: Algebra>(
     })
 }
 
-/// A reusable PCPM pipeline for a fixed graph and algebra.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `propagation_engine` / `Engine::builder` and `run_to_fixpoint`"
-)]
-pub struct PropagationEngine<A: Algebra> {
-    engine: Engine<A>,
-}
-
-#[allow(deprecated)]
-impl<A: Algebra> PropagationEngine<A> {
-    /// Builds the PNG layout and bins for `graph`; `weights` enables the
-    /// algebra's weighted extension (e.g. `(min, +)` for SSSP).
-    pub fn new(
-        graph: &Csr,
-        cfg: &PcpmConfig,
-        weights: Option<&EdgeWeights>,
-    ) -> Result<Self, PcpmError> {
-        Ok(Self {
-            engine: propagation_engine(graph, cfg, weights, BackendKind::Pcpm)?,
-        })
-    }
-
-    /// The PNG compression ratio of the built layout.
-    pub fn compression_ratio(&self) -> f64 {
-        self.engine.report().compression_ratio.unwrap_or(1.0)
-    }
-
-    /// One propagation round: `y[t] = ⊕_{(s,t) ∈ E} extend(x[s])`, with
-    /// `y` initialized to the algebra's identity.
-    pub fn step(&mut self, x: &[A::T], y: &mut [A::T]) -> Result<(), PcpmError> {
-        self.engine.step(x, y).map(|_| ())
-    }
-
-    /// Iterates to a fixpoint (see [`run_to_fixpoint`]).
-    pub fn run_to_fixpoint(
-        &mut self,
-        state: Vec<A::T>,
-        max_rounds: usize,
-    ) -> Result<FixpointResult<A::T>, PcpmError> {
-        run_to_fixpoint(&mut self.engine, state, max_rounds)
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use pcpm_core::algebra::{MinLabel, OrBool, PlusF32};
@@ -134,11 +89,15 @@ mod tests {
         Csr::from_edges(n, &edges).unwrap()
     }
 
+    fn pcpm_engine<A: Algebra>(g: &Csr, cfg: &PcpmConfig) -> Engine<A> {
+        propagation_engine(g, cfg, None, BackendKind::Pcpm).unwrap()
+    }
+
     #[test]
     fn plus_step_is_transposed_spmv() {
         let g = Csr::from_edges(3, &[(0, 1), (0, 2), (2, 1)]).unwrap();
         let cfg = PcpmConfig::default().with_partition_bytes(8);
-        let mut eng = PropagationEngine::<PlusF32>::new(&g, &cfg, None).unwrap();
+        let mut eng = pcpm_engine::<PlusF32>(&g, &cfg);
         let mut y = vec![0.0f32; 3];
         eng.step(&[1.0, 10.0, 100.0], &mut y).unwrap();
         assert_eq!(y, vec![0.0, 101.0, 1.0]);
@@ -148,9 +107,9 @@ mod tests {
     fn min_label_fixpoint_on_chain() {
         let g = chain(10).symmetrize();
         let cfg = PcpmConfig::default().with_partition_bytes(16);
-        let mut eng = PropagationEngine::<MinLabel>::new(&g, &cfg, None).unwrap();
+        let mut eng = pcpm_engine::<MinLabel>(&g, &cfg);
         let init: Vec<u32> = (0..10).collect();
-        let r = eng.run_to_fixpoint(init, 100).unwrap();
+        let r = run_to_fixpoint(&mut eng, init, 100).unwrap();
         assert!(r.converged);
         assert!(r.state.iter().all(|&l| l == 0), "{:?}", r.state);
         // A 10-node chain needs ~9 rounds for label 0 to reach the end.
@@ -179,10 +138,10 @@ mod tests {
         // 0 -> 1 -> 2, 3 isolated.
         let g = Csr::from_edges(4, &[(0, 1), (1, 2)]).unwrap();
         let cfg = PcpmConfig::default().with_partition_bytes(8);
-        let mut eng = PropagationEngine::<OrBool>::new(&g, &cfg, None).unwrap();
+        let mut eng = pcpm_engine::<OrBool>(&g, &cfg);
         let mut init = vec![false; 4];
         init[0] = true;
-        let r = eng.run_to_fixpoint(init, 10).unwrap();
+        let r = run_to_fixpoint(&mut eng, init, 10).unwrap();
         assert!(r.converged);
         assert_eq!(r.state, vec![true, true, true, false]);
     }
@@ -191,9 +150,9 @@ mod tests {
     fn round_cap_reports_non_convergence() {
         let g = chain(50).symmetrize();
         let cfg = PcpmConfig::default().with_partition_bytes(16);
-        let mut eng = PropagationEngine::<MinLabel>::new(&g, &cfg, None).unwrap();
+        let mut eng = pcpm_engine::<MinLabel>(&g, &cfg);
         let init: Vec<u32> = (0..50).collect();
-        let r = eng.run_to_fixpoint(init, 3).unwrap();
+        let r = run_to_fixpoint(&mut eng, init, 3).unwrap();
         assert!(!r.converged);
         assert_eq!(r.rounds, 3);
     }
@@ -202,7 +161,7 @@ mod tests {
     fn dimension_mismatch_rejected() {
         let g = chain(4);
         let cfg = PcpmConfig::default();
-        let mut eng = PropagationEngine::<MinLabel>::new(&g, &cfg, None).unwrap();
+        let mut eng = pcpm_engine::<MinLabel>(&g, &cfg);
         let mut y = vec![0u32; 4];
         assert!(eng.step(&[0u32; 2], &mut y).is_err());
     }

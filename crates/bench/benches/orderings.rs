@@ -4,8 +4,9 @@
 //! compression ratio).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pcpm_core::pagerank::{pagerank_with_engine, PcpmVariant};
-use pcpm_core::{PcpmConfig, PcpmPipeline};
+use pcpm_core::algebra::PlusF32;
+use pcpm_core::pagerank::pagerank_with_unified_engine;
+use pcpm_core::{Engine, PcpmConfig};
 use pcpm_graph::gen::datasets::{standin_at, Dataset};
 use pcpm_graph::order::{reorder, OrderingKind};
 
@@ -26,12 +27,12 @@ fn bench_orderings(c: &mut Criterion) {
             OrderingKind::Random,
         ] {
             let (rg, _) = reorder(&g, kind, 7).expect("reorder");
-            let mut engine: PcpmPipeline = PcpmPipeline::new(&rg, &cfg).expect("engine");
+            let mut engine = Engine::<PlusF32>::builder(&rg)
+                .config(cfg)
+                .build()
+                .expect("engine");
             group.bench_with_input(BenchmarkId::new(kind.name(), d.name()), &rg, |b, rg| {
-                b.iter(|| {
-                    pagerank_with_engine(rg, &cfg, PcpmVariant::default(), &mut engine)
-                        .expect("run")
-                });
+                b.iter(|| pagerank_with_unified_engine(rg, &cfg, &mut engine, None).expect("run"));
             });
         }
     }

@@ -3,8 +3,9 @@
 //! subcommands sweep all six datasets.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pcpm_core::pagerank::{pagerank_with_engine, PcpmVariant};
-use pcpm_core::{PcpmConfig, PcpmPipeline};
+use pcpm_core::algebra::PlusF32;
+use pcpm_core::pagerank::pagerank_with_unified_engine;
+use pcpm_core::{Engine, PcpmConfig};
 use pcpm_graph::gen::datasets::{standin_at, Dataset};
 
 const SCALE: u32 = 13;
@@ -19,14 +20,15 @@ fn bench_partition_sweep(c: &mut Criterion) {
         let cfg = PcpmConfig::default()
             .with_partition_bytes(bytes)
             .with_iterations(1);
-        let mut engine: PcpmPipeline = PcpmPipeline::new(&g, &cfg).expect("engine");
+        let mut engine = Engine::<PlusF32>::builder(&g)
+            .config(cfg)
+            .build()
+            .expect("engine");
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{}KB", bytes / 1024)),
             &g,
             |b, g| {
-                b.iter(|| {
-                    pagerank_with_engine(g, &cfg, PcpmVariant::default(), &mut engine).expect("run")
-                });
+                b.iter(|| pagerank_with_unified_engine(g, &cfg, &mut engine, None).expect("run"));
             },
         );
     }

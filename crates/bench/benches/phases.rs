@@ -7,11 +7,12 @@
 //!   §3.4 branch-avoidance ablation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use pcpm_core::algebra::PlusF32;
 use pcpm_core::format::{BinFormat, WideFormat};
-use pcpm_core::gather::{gather_branch_avoiding, gather_branchy};
 use pcpm_core::partition::Partitioner;
 use pcpm_core::png::{EdgeView, Png};
 use pcpm_core::scatter::{csr_scatter, png_scatter};
+use pcpm_core::KernelKind;
 use pcpm_graph::gen::datasets::{standin_at, Dataset};
 
 const SCALE: u32 = 13;
@@ -40,11 +41,13 @@ fn bench_phases(c: &mut Criterion) {
             BenchmarkId::new("gather_branch_avoiding", d.name()),
             &g,
             |b, _| {
-                b.iter(|| gather_branch_avoiding(&png, &bins, &mut y));
+                b.iter(|| {
+                    WideFormat::gather_from::<PlusF32>(&png, &bins, &mut y, KernelKind::Scalar)
+                });
             },
         );
         group.bench_with_input(BenchmarkId::new("gather_branchy", d.name()), &g, |b, _| {
-            b.iter(|| gather_branchy(&png, &bins, &mut y));
+            b.iter(|| WideFormat::gather_branchy_from::<PlusF32>(&png, &bins, &mut y));
         });
     }
     group.finish();

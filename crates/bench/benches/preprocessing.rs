@@ -5,7 +5,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pcpm_baselines::BvgasRunner;
-use pcpm_core::{PcpmConfig, PcpmPipeline};
+use pcpm_core::algebra::PlusF32;
+use pcpm_core::{Engine, PcpmConfig};
 use pcpm_graph::gen::datasets::{standin_at, Dataset};
 
 const SCALE: u32 = 13;
@@ -18,7 +19,12 @@ fn bench_preprocessing(c: &mut Criterion) {
         let g = standin_at(d, SCALE).expect("standin");
         group.throughput(Throughput::Elements(g.num_edges()));
         group.bench_with_input(BenchmarkId::new("pcpm_png_build", d.name()), &g, |b, g| {
-            b.iter(|| PcpmPipeline::<pcpm_core::algebra::PlusF32>::new(g, &cfg).expect("engine"));
+            b.iter(|| {
+                Engine::<PlusF32>::builder(g)
+                    .config(cfg)
+                    .build()
+                    .expect("engine")
+            });
         });
         group.bench_with_input(BenchmarkId::new("bvgas_layout", d.name()), &g, |b, g| {
             b.iter(|| BvgasRunner::new(g, &cfg).expect("bvgas"));

@@ -516,15 +516,7 @@ fn fig13_14(suite: &SuiteConfig) {
                 .with_partition_bytes(bytes)
                 .with_iterations(iters);
             cfg.threads = suite.threads;
-            let mut engine: pcpm_core::PcpmPipeline =
-                pcpm_core::PcpmPipeline::new(&g, &cfg).expect("engine");
-            let r = pcpm_core::pagerank::pagerank_with_engine(
-                &g,
-                &cfg,
-                Default::default(),
-                &mut engine,
-            )
-            .expect("run");
+            let r = pcpm_core::pagerank::pagerank(&g, &cfg).expect("run");
             times.push(r.timings.total().as_secs_f64());
             phase_rows.push((
                 bytes,
@@ -594,7 +586,7 @@ fn ablation(suite: &SuiteConfig) {
             },
         )
         .expect("branchy");
-        let compact_cfg = cfg.with_compact_bins();
+        let compact_cfg = cfg.with_bin_format(pcpm_core::BinFormatKind::Compact);
         let compact =
             pagerank_with_variant(&g, &compact_cfg, PcpmVariant::default()).expect("compact");
         let delta_cfg = cfg.with_bin_format(pcpm_core::BinFormatKind::Delta);
@@ -665,8 +657,10 @@ fn table8(suite: &SuiteConfig) {
     ]);
     let cfg = PcpmConfig::default().with_partition_bytes(TIMING_PARTITION_BYTES);
     for (d, g) in suite.all_graphs() {
-        let engine: pcpm_core::PcpmPipeline =
-            pcpm_core::PcpmPipeline::new(&g, &cfg).expect("engine");
+        let engine = pcpm_core::Engine::<pcpm_core::algebra::PlusF32>::builder(&g)
+            .config(cfg)
+            .build()
+            .expect("engine");
         let bv = pcpm_baselines::BvgasRunner::new(&g, &cfg).expect("bvgas");
         // One-iteration time for amortization context.
         let mut suite1 = suite.clone();
@@ -674,7 +668,7 @@ fn table8(suite: &SuiteConfig) {
         let one = time_pcpm(&g, &suite1);
         t.row(vec![
             d.name().into(),
-            f3(engine.preprocess_time().as_secs_f64()),
+            f3(engine.report().preprocess.as_secs_f64()),
             f3(bv.preprocess_time().as_secs_f64()),
             "0.000".into(),
             f3(one.timings.total().as_secs_f64()),

@@ -48,9 +48,12 @@ use crate::algebra::Algebra;
 use crate::config::PcpmConfig;
 use crate::engine::{FormatPipeline, GatherKind, ScatterKind};
 use crate::error::{PcpmError, SnapshotError};
-use crate::format::{BinFormat, BinFormatKind, CompactFormat, DeltaFormat, WideFormat};
+use crate::format::{
+    BinFormat, BinFormatKind, CompactFormat, DeltaFormat, WideFormat, BRANCHY_NEEDS_WIDE,
+};
 use crate::kernel::KernelKind;
 use crate::partition::split_by_lens;
+use crate::png::EdgeView;
 use crate::pr::PhaseTimings;
 use crate::snapshot::{BinState, BinStateInner, DataplaneState, Snapshot};
 use crate::update::{RepairStats, UpdateBatch, UpdateOutcome};
@@ -92,6 +95,12 @@ impl PrepareSpec<'_> {
             Some(arc) => Arc::clone(arc),
             None => Arc::new(self.graph.clone()),
         }
+    }
+
+    /// The adjacency handle the PCPM dataplane retains: only the
+    /// CSR-traversal scatter ablation reads the graph after `prepare`.
+    fn scatter_graph(&self) -> Option<Arc<Csr>> {
+        (self.scatter == ScatterKind::CsrTraversal).then(|| self.graph_arc())
     }
 }
 
@@ -396,6 +405,15 @@ struct BuildRecipe {
     weighted: bool,
 }
 
+/// Every vector on one side of a step must span the engine's dimension.
+fn check_lens(expected: u32, lens: impl IntoIterator<Item = usize>) -> Result<(), PcpmError> {
+    let expected = expected as usize;
+    match lens.into_iter().find(|&len| len != expected) {
+        Some(got) => Err(PcpmError::DimensionMismatch { expected, got }),
+        None => Ok(()),
+    }
+}
+
 /// Builds the engine-owned pool for an explicit thread count.
 fn build_pool(threads: Option<usize>) -> Result<Option<Arc<rayon::ThreadPool>>, PcpmError> {
     threads
@@ -545,18 +563,8 @@ impl<A: Algebra> Engine<A> {
     /// setup); otherwise on the caller's ambient pool. Inside
     /// [`Engine::run`] the round inherits the already-installed pool.
     pub fn step(&mut self, x: &[A::T], y: &mut [A::T]) -> Result<PhaseTimings, PcpmError> {
-        if x.len() != self.num_src as usize {
-            return Err(PcpmError::DimensionMismatch {
-                expected: self.num_src as usize,
-                got: x.len(),
-            });
-        }
-        if y.len() != self.num_dst as usize {
-            return Err(PcpmError::DimensionMismatch {
-                expected: self.num_dst as usize,
-                got: y.len(),
-            });
-        }
+        check_lens(self.num_src, [x.len()])?;
+        check_lens(self.num_dst, [y.len()])?;
         let _span = crate::telemetry::span_n("step", self.steps as u64);
         let tm = crate::telemetry::counters();
         let jobs0 = tm.is_enabled().then(rayon::diagnostics::jobs_dispatched);
@@ -594,22 +602,8 @@ impl<A: Algebra> Engine<A> {
                 "step_many requires one output vector per input vector",
             ));
         }
-        for x in xs {
-            if x.len() != self.num_src as usize {
-                return Err(PcpmError::DimensionMismatch {
-                    expected: self.num_src as usize,
-                    got: x.len(),
-                });
-            }
-        }
-        for y in ys.iter() {
-            if y.len() != self.num_dst as usize {
-                return Err(PcpmError::DimensionMismatch {
-                    expected: self.num_dst as usize,
-                    got: y.len(),
-                });
-            }
-        }
+        check_lens(self.num_src, xs.iter().map(|x| x.len()))?;
+        check_lens(self.num_dst, ys.iter().map(|y| y.len()))?;
         if xs.is_empty() {
             return Ok(PhaseTimings::default());
         }
@@ -640,7 +634,7 @@ impl<A: Algebra> Engine<A> {
     /// The PCPM dataplanes repair in place — only source partitions with
     /// a changed adjacency are re-scattered, everything else is
     /// block-copied (see
-    /// [`PcpmPipeline::repair`](crate::engine::PcpmPipeline::repair)).
+    /// [`FormatPipeline::repair`](crate::engine::FormatPipeline::repair)).
     /// Backends without a repair path are re-`prepare`d from the build
     /// recipe; engines wrapping an external backend
     /// ([`Engine::from_backend`]) cannot be rebuilt here and return
@@ -842,20 +836,20 @@ pub struct EngineBuilder<'g, A: Algebra> {
     _algebra: std::marker::PhantomData<A>,
 }
 
-/// Prepares a boxed built-in backend of the given kind, dispatching the
-/// PCPM dataplane on the configured bin format.
+/// Prepares a boxed built-in backend of the given kind.
 fn prepare_builtin<A: Algebra>(
     kind: BackendKind,
     spec: &PrepareSpec<'_>,
 ) -> Result<Box<dyn Backend<A>>, PcpmError> {
     Ok(match kind {
-        BackendKind::Pcpm => match spec.cfg.bin_format {
-            BinFormatKind::Wide => {
-                Box::new(PcpmBackend::<A, WideFormat>::prepare(spec)?) as Box<dyn Backend<A>>
-            }
-            BinFormatKind::Compact => Box::new(PcpmBackend::<A, CompactFormat>::prepare(spec)?),
-            BinFormatKind::Delta => Box::new(PcpmBackend::<A, DeltaFormat>::prepare(spec)?),
-        },
+        BackendKind::Pcpm => boxed_pcpm_backend(
+            EdgeView::from_csr(spec.graph),
+            &spec.cfg,
+            spec.weights,
+            spec.scatter,
+            spec.gather,
+            spec.scatter_graph(),
+        )?,
         BackendKind::Pull => Box::new(PullBackend::prepare(spec)?),
         BackendKind::Push => Box::new(PushBackend::prepare(spec)?),
         BackendKind::EdgeCentric => Box::new(EdgeCentricBackend::prepare(spec)?),
@@ -895,17 +889,6 @@ impl<'g, A: Algebra> EngineBuilder<'g, A> {
         self
     }
 
-    /// Selects 16-bit partition-local destination bins (§6 future work).
-    /// Shorthand for `.bin_format(BinFormatKind::Compact)` (`false`
-    /// restores the wide default).
-    pub fn compact_bins(self, compact: bool) -> Self {
-        self.bin_format(if compact {
-            BinFormatKind::Compact
-        } else {
-            BinFormatKind::Wide
-        })
-    }
-
     /// Selects the scatter variant (PCPM backend only).
     pub fn scatter(mut self, scatter: ScatterKind) -> Self {
         self.scatter = scatter;
@@ -936,9 +919,7 @@ impl<'g, A: Algebra> EngineBuilder<'g, A> {
     pub fn build(self) -> Result<Engine<A>, PcpmError> {
         self.cfg.validate()?;
         if self.cfg.bin_format != BinFormatKind::Wide && self.gather == GatherKind::Branchy {
-            return Err(PcpmError::BadConfig(
-                "the branchy gather ablation requires the wide bin format",
-            ));
+            return Err(PcpmError::BadConfig(BRANCHY_NEEDS_WIDE));
         }
         if self.backend != BackendKind::Pcpm {
             if self.cfg.bin_format != BinFormatKind::Wide {
@@ -1105,7 +1086,7 @@ impl<A: Algebra> SnapshotEngineBuilder<A> {
         let n = graph.num_nodes();
         let weighted = weights.is_some();
         let pool = build_pool(cfg.threads)?;
-        let backend = boxed_backend_from_state::<A>(n, png, bins, load, self.kernel)?;
+        let backend = boxed_backend_from_state::<A>(n, png, bins, load, self.kernel);
         Ok(Engine {
             backend,
             num_src: n,
@@ -1130,35 +1111,48 @@ impl<A: Algebra> SnapshotEngineBuilder<A> {
 }
 
 /// Adopts deserialized PNG + bins into the right statically-typed PCPM
-/// backend; the update stream is scratch, allocated fresh at `|E'|`.
+/// backend (the load-time `BinFormatKind` → format-type dispatch); the
+/// update stream is scratch, allocated fresh at `|E'|`.
 fn boxed_backend_from_state<A: Algebra>(
     num_nodes: u32,
     png: crate::png::Png,
     bins: BinState,
     load: Duration,
     kernel: KernelKind,
-) -> Result<Box<dyn Backend<A>>, PcpmError> {
-    let updates_len = png.num_compressed_edges() as usize;
-    Ok(match bins.0 {
+) -> Box<dyn Backend<A>> {
+    fn adopt<A: Algebra, F: BinFormat>(
+        n: u32,
+        png: crate::png::Png,
+        bins: F::Bins<A::T>,
+        load: Duration,
+        kernel: KernelKind,
+    ) -> Box<dyn Backend<A>> {
+        let pipeline = FormatPipeline::<A, F>::from_loaded(n, n, png, bins, load, kernel);
+        Box::new(PcpmBackend {
+            pipeline,
+            scatter: ScatterKind::Png,
+            gather: GatherKind::BranchAvoiding,
+            graph: None,
+        })
+    }
+    let n = num_nodes;
+    let updates = vec![A::T::default(); png.num_compressed_edges() as usize];
+    match bins.0 {
         BinStateInner::Wide { dest_ids, weights } => {
-            let bins = crate::bins::BinSpace {
-                updates: vec![A::T::default(); updates_len],
+            let bins = crate::bins::FixedBins {
+                updates,
                 dest_ids,
                 weights,
             };
-            Box::new(PcpmBackend::<A, WideFormat>::from_pipeline(
-                FormatPipeline::from_loaded(num_nodes, num_nodes, png, bins, load, kernel),
-            )) as Box<dyn Backend<A>>
+            adopt::<A, WideFormat>(n, png, bins, load, kernel)
         }
         BinStateInner::Compact { dest_ids, weights } => {
-            let bins = crate::compact::CompactBinSpace {
-                updates: vec![A::T::default(); updates_len],
+            let bins = crate::bins::FixedBins {
+                updates,
                 dest_ids,
                 weights,
             };
-            Box::new(PcpmBackend::<A, CompactFormat>::from_pipeline(
-                FormatPipeline::from_loaded(num_nodes, num_nodes, png, bins, load, kernel),
-            ))
+            adopt::<A, CompactFormat>(n, png, bins, load, kernel)
         }
         BinStateInner::Delta {
             dest_bytes,
@@ -1167,16 +1161,39 @@ fn boxed_backend_from_state<A: Algebra>(
             weights,
         } => {
             let bins = crate::delta::DeltaPackedBins::from_loaded(
-                updates_len,
+                updates,
                 dest_bytes,
                 byte_region,
                 seg_off,
                 weights,
             );
-            Box::new(PcpmBackend::<A, DeltaFormat>::from_pipeline(
-                FormatPipeline::from_loaded(num_nodes, num_nodes, png, bins, load, kernel),
-            ))
+            adopt::<A, DeltaFormat>(n, png, bins, load, kernel)
         }
+    }
+}
+
+/// Builds the PCPM dataplane over a raw (possibly rectangular) edge view
+/// in the configured bin format — the build-time `BinFormatKind` →
+/// format-type dispatch. `graph` is the adjacency the CSR-traversal
+/// scatter reads.
+pub(crate) fn boxed_pcpm_backend<A: Algebra>(
+    view: EdgeView<'_>,
+    cfg: &PcpmConfig,
+    weights: Option<&[f32]>,
+    scatter: ScatterKind,
+    gather: GatherKind,
+    graph: Option<Arc<Csr>>,
+) -> Result<Box<dyn Backend<A>>, PcpmError> {
+    Ok(match cfg.bin_format {
+        BinFormatKind::Wide => Box::new(PcpmBackend::<A, WideFormat>::build(
+            view, cfg, weights, scatter, gather, graph,
+        )?) as Box<dyn Backend<A>>,
+        BinFormatKind::Compact => Box::new(PcpmBackend::<A, CompactFormat>::build(
+            view, cfg, weights, scatter, gather, graph,
+        )?),
+        BinFormatKind::Delta => Box::new(PcpmBackend::<A, DeltaFormat>::build(
+            view, cfg, weights, scatter, gather, graph,
+        )?),
     })
 }
 
@@ -1199,24 +1216,14 @@ pub struct PcpmBackend<A: Algebra, F: BinFormat = WideFormat> {
 
 impl<A: Algebra, F: BinFormat> Backend<A> for PcpmBackend<A, F> {
     fn prepare(spec: &PrepareSpec<'_>) -> Result<Self, PcpmError> {
-        spec.cfg.validate()?;
-        if F::KIND != BinFormatKind::Wide && spec.gather == GatherKind::Branchy {
-            return Err(PcpmError::BadConfig(
-                "the branchy gather ablation requires the wide bin format",
-            ));
-        }
-        let pipeline = FormatPipeline::from_view(
-            crate::png::EdgeView::from_csr(spec.graph),
+        Self::build(
+            EdgeView::from_csr(spec.graph),
             &spec.cfg,
             spec.weights,
-        )?;
-        let graph = (spec.scatter == ScatterKind::CsrTraversal).then(|| spec.graph_arc());
-        Ok(Self {
-            pipeline,
-            scatter: spec.scatter,
-            gather: spec.gather,
-            graph,
-        })
+            spec.scatter,
+            spec.gather,
+            spec.scatter_graph(),
+        )
     }
 
     fn step(&mut self, x: &[A::T], y: &mut [A::T]) -> Result<PhaseTimings, PcpmError> {
@@ -1261,11 +1268,9 @@ impl<A: Algebra, F: BinFormat> Backend<A> for PcpmBackend<A, F> {
         // backends (Engine::from_backend).
         let q = self.pipeline.png().src_parts().partition_size();
         let touched = batch.touched_src_partitions(q);
-        let stats = self.pipeline.repair(
-            crate::png::EdgeView::from_csr(spec.graph),
-            spec.weights,
-            &touched,
-        )?;
+        let stats = self
+            .pipeline
+            .repair(EdgeView::from_csr(spec.graph), spec.weights, &touched)?;
         if self.graph.is_some() {
             // The CSR-traversal ablation scans the adjacency directly:
             // swap in the post-update handle.
@@ -1293,15 +1298,26 @@ impl<A: Algebra, F: BinFormat> Backend<A> for PcpmBackend<A, F> {
 }
 
 impl<A: Algebra, F: BinFormat> PcpmBackend<A, F> {
-    /// Wraps an already-built pipeline (used by the rectangular SpMV
-    /// front end, whose edge view has no `Csr`).
-    pub(crate) fn from_pipeline(pipeline: FormatPipeline<A, F>) -> Self {
-        Self {
-            pipeline,
-            scatter: ScatterKind::Png,
-            gather: GatherKind::BranchAvoiding,
-            graph: None,
+    /// Builds the dataplane over a raw edge view (the rectangular SpMV
+    /// front end has no `Csr`) with explicit phase variants.
+    fn build(
+        view: EdgeView<'_>,
+        cfg: &PcpmConfig,
+        weights: Option<&[f32]>,
+        scatter: ScatterKind,
+        gather: GatherKind,
+        graph: Option<Arc<Csr>>,
+    ) -> Result<Self, PcpmError> {
+        cfg.validate()?;
+        if F::KIND != BinFormatKind::Wide && gather == GatherKind::Branchy {
+            return Err(PcpmError::BadConfig(BRANCHY_NEEDS_WIDE));
         }
+        Ok(Self {
+            pipeline: FormatPipeline::from_view(view, cfg, weights)?,
+            scatter,
+            gather,
+            graph,
+        })
     }
 
     /// The underlying pipeline (PNG inspection, memory replays).
@@ -1690,6 +1706,26 @@ mod tests {
     }
 
     #[test]
+    fn every_format_integer_algebra_matches_wide() {
+        use crate::algebra::MinLevel;
+        let g = rmat(&RmatConfig::graph500(9, 6, 23)).unwrap();
+        let x: Vec<u32> = (0..g.num_nodes()).map(|v| v % 11).collect();
+        let mut outputs = Vec::new();
+        for format in BinFormatKind::ALL {
+            let mut engine = Engine::<MinLevel>::builder(&g)
+                .partition_bytes(128 * 4)
+                .bin_format(format)
+                .build()
+                .unwrap();
+            let mut y = vec![0u32; g.num_nodes() as usize];
+            engine.step(&x, &mut y).unwrap();
+            outputs.push(y);
+        }
+        assert_eq!(outputs[0], outputs[1], "compact");
+        assert_eq!(outputs[0], outputs[2], "delta");
+    }
+
+    #[test]
     fn compact_and_csr_traversal_variants_agree() {
         let g = rmat(&RmatConfig::graph500(9, 8, 19)).unwrap();
         let x = int_x(g.num_nodes());
@@ -1697,7 +1733,7 @@ mod tests {
         let variants: Vec<Engine<PlusF32>> = vec![
             Engine::builder(&g)
                 .partition_bytes(512 * 4)
-                .compact_bins(true)
+                .bin_format(BinFormatKind::Compact)
                 .build()
                 .unwrap(),
             Engine::builder(&g)
@@ -1725,7 +1761,7 @@ mod tests {
         assert!(matches!(
             Engine::<PlusF32>::builder(&g)
                 .partition_bytes(256)
-                .compact_bins(true)
+                .bin_format(BinFormatKind::Compact)
                 .gather(GatherKind::Branchy)
                 .build(),
             Err(PcpmError::BadConfig(_))
@@ -1733,7 +1769,7 @@ mod tests {
         // Non-wide bin formats on a non-PCPM backend.
         assert!(Engine::<PlusF32>::builder(&g)
             .partition_bytes(256)
-            .compact_bins(true)
+            .bin_format(BinFormatKind::Compact)
             .backend(BackendKind::Pull)
             .build()
             .is_err());
@@ -1756,11 +1792,17 @@ mod tests {
             .backend(BackendKind::Push)
             .build()
             .is_err());
-        // Oversized compact partitions still rejected by config validation.
+        // Oversized compact partitions (the default 256 KB holds 64 Ki
+        // nodes > 2^15) still rejected by config validation; delta has
+        // no partition-size restriction.
         assert!(Engine::<PlusF32>::builder(&g)
-            .compact_bins(true)
+            .bin_format(BinFormatKind::Compact)
             .build()
             .is_err());
+        assert!(Engine::<PlusF32>::builder(&g)
+            .bin_format(BinFormatKind::Delta)
+            .build()
+            .is_ok());
     }
 
     #[test]
@@ -1834,7 +1876,13 @@ mod tests {
         let g = erdos_renyi(10, 30, 1).unwrap();
         let mut engine = Engine::<PlusF32>::builder(&g).build().unwrap();
         let mut y = vec![0.0f32; 10];
-        assert!(engine.step(&[0.0; 3], &mut y).is_err());
+        assert!(matches!(
+            engine.step(&[0.0; 3], &mut y),
+            Err(PcpmError::DimensionMismatch {
+                expected: 10,
+                got: 3
+            })
+        ));
         let x = vec![0.0f32; 10];
         let mut y_bad = vec![0.0f32; 2];
         assert!(engine.step(&x, &mut y_bad).is_err());

@@ -14,47 +14,45 @@
 //! marking where the next update value begins (§3.2). For weighted SpMV
 //! the edge weights ride alongside the destination IDs (§3.5).
 //!
-//! [`BinSpace`] is the **wide** (32-bit global ID) encoding — the
-//! [`WideFormat`](crate::format::WideFormat) storage of the
-//! [`BinFormat`](crate::format::BinFormat) axis. The build/repair logic
-//! lives in the shared skeleton of [`crate::format`]; this module only
-//! keeps the storage type and its memory accounting.
+//! [`FixedBins`] is the storage of both fixed-width encodings of the
+//! [`BinFormat`](crate::format::BinFormat) axis: [`BinSpace`], the
+//! **wide** 32-bit global IDs of
+//! [`WideFormat`](crate::format::WideFormat), and
+//! [`CompactBinSpace`](crate::compact::CompactBinSpace), the 16-bit
+//! partition-local IDs of [`CompactFormat`](crate::format::CompactFormat).
+//! The build/repair logic lives in the shared skeleton of
+//! [`crate::format`]; this module only keeps the storage type and its
+//! memory accounting.
 
-use crate::format::{BinFormat, BinScalar, WideFormat};
-use crate::png::{EdgeView, Png};
-
-/// The statically pre-allocated message bins for one PNG layout.
+/// The statically pre-allocated message bins for one PNG layout, one
+/// `U` per destination ID.
 ///
 /// Generic over the update scalar `T`: PageRank uses `f32`, the algebra
 /// layer (connected components, BFS levels) uses integer labels. The
 /// destination-ID stream and optional weights are scalar-independent.
+/// Construct through the format axis (`WideFormat::build`, or the engine
+/// builder's `.bin_format(..)`); only the [`BinSpace`] (`u32`) and
+/// [`CompactBinSpace`](crate::compact::CompactBinSpace) (`u16`)
+/// instantiations have a format.
 #[derive(Clone, Debug)]
-pub struct BinSpace<T = f32> {
+pub struct FixedBins<U, T = f32> {
     /// Update values, source-partition-major (`|E'|` entries).
     pub updates: Vec<T>,
     /// Destination IDs with MSB demarcation, source-partition-major
     /// (`|E|` entries). Written once at construction.
-    pub dest_ids: Vec<u32>,
+    pub dest_ids: Vec<U>,
     /// Optional edge weights parallel to [`Self::dest_ids`].
     pub weights: Option<Vec<f32>>,
 }
 
-impl<T: BinScalar> BinSpace<T> {
-    /// Allocates the bins and writes the destination-ID (and weight)
-    /// streams for `png`, in parallel over source partitions.
-    #[deprecated(
-        since = "0.3.0",
-        note = "construct through the format axis: `WideFormat::build` \
-                (or the engine builder's `.bin_format(BinFormatKind::Wide)`)"
-    )]
-    pub fn build(view: EdgeView<'_>, png: &Png, edge_weights: Option<&[f32]>) -> Self {
-        WideFormat::build(view, png, edge_weights)
-    }
+/// The wide bins: 32-bit global destination IDs (§3.2).
+pub type BinSpace<T = f32> = FixedBins<u32, T>;
 
+impl<U, T> FixedBins<U, T> {
     /// Heap bytes held by the bins (for the communication accounting).
     pub fn memory_bytes(&self) -> u64 {
         (self.updates.len() * std::mem::size_of::<T>()
-            + self.dest_ids.len() * 4
+            + self.dest_ids.len() * std::mem::size_of::<U>()
             + self.weights.as_ref().map_or(0, |w| w.len() * 4)) as u64
     }
 }
@@ -62,7 +60,9 @@ impl<T: BinScalar> BinSpace<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::{BinFormat, WideFormat};
     use crate::partition::Partitioner;
+    use crate::png::{EdgeView, Png};
     use crate::{ID_MASK, MSB_FLAG};
     use pcpm_graph::Csr;
 
@@ -119,16 +119,6 @@ mod tests {
         // Bin 2 receives from partition 0: 2 -> {8}; from partition 2: 7 -> {8}.
         assert_eq!(decode(&png, &bins, 0, 2), vec![vec![8]]);
         assert_eq!(decode(&png, &bins, 2, 2), vec![vec![8]]);
-    }
-
-    #[test]
-    fn deprecated_direct_construction_still_works() {
-        // The 0.2 entry point remains callable for one release.
-        let (g, png) = setup(3);
-        #[allow(deprecated)]
-        let old = BinSpace::<f32>::build(EdgeView::from_csr(&g), &png, None);
-        let new = build(&g, &png, None);
-        assert_eq!(old.dest_ids, new.dest_ids);
     }
 
     #[test]

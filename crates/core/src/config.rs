@@ -115,13 +115,6 @@ impl PcpmConfig {
         self
     }
 
-    /// Returns a copy with compact 16-bit destination bins enabled
-    /// (shorthand for `with_bin_format(BinFormatKind::Compact)`).
-    pub fn with_compact_bins(mut self) -> Self {
-        self.bin_format = BinFormatKind::Compact;
-        self
-    }
-
     /// Validates field ranges.
     pub fn validate(&self) -> Result<(), PcpmError> {
         if self.partition_bytes < VALUE_BYTES {

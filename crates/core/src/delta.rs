@@ -28,10 +28,9 @@
 //! stream reuse the shared layouts, so scatter and weighted gather are
 //! unchanged.
 
-use crate::algebra::Algebra;
-use crate::format::{build_weight_stream, repair_weight_stream, BinScalar, DestCursor};
+use crate::format::{build_weight_stream, repair_weight_stream, BinScalar};
+use crate::gather::{EntrySink, Segment, SegmentDecode};
 use crate::kernel::{prefetch, KernelKind};
-use crate::partition::split_by_lens;
 use crate::png::{for_each_run, EdgeView, Png};
 use rayon::prelude::*;
 
@@ -379,17 +378,17 @@ impl<T: BinScalar> DeltaPackedBins<T> {
         )
     }
 
-    /// Reassembles bins from deserialized state; the update stream is
-    /// scratch, so it is freshly allocated at the identity-sized length.
+    /// Reassembles bins from deserialized state around a fresh (scratch)
+    /// update stream.
     pub(crate) fn from_loaded(
-        updates_len: usize,
+        updates: Vec<T>,
         dest_bytes: Vec<u8>,
         byte_region: Vec<u64>,
         seg_off: Vec<Vec<u64>>,
         weights: Option<Vec<f32>>,
     ) -> Self {
         Self {
-            updates: vec![T::default(); updates_len],
+            updates,
             dest_bytes,
             byte_region,
             seg_off,
@@ -421,306 +420,63 @@ impl<T: BinScalar> DeltaPackedBins<T> {
         let hi = base + self.seg_off[s][p + 1] as usize;
         &self.dest_bytes[lo..hi]
     }
-
-    /// A [`DestCursor`] over segment `(s, p)`.
-    pub(crate) fn cursor(&self, png: &Png, s: u32, p: u32) -> DeltaCursor<'_> {
-        DeltaCursor {
-            bytes: self.segment(s as usize, p as usize),
-            pos: 0,
-            p_base: p * png.dst_parts().partition_size(),
-            prev: 0,
-        }
-    }
 }
 
-/// Streaming varint decoder over one `(s, p)` segment.
-pub struct DeltaCursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    p_base: u32,
-    prev: u32,
-}
+/// The varint stream decodes with one of two strategies:
+/// [`KernelKind::Unrolled`] decodes the whole segment into the scratch
+/// buffer in one pass ([`decode_segment_into`]) and yields from there;
+/// any other kernel decodes each varint inline as the apply loop asks
+/// for it, paying a data-dependent branch per encoded byte.
+impl<T: BinScalar> SegmentDecode for DeltaPackedBins<T> {
+    /// Decoded varints of one segment; capacity converges to the largest
+    /// segment of the destination partition (cleared, never reallocated
+    /// per segment).
+    type Scratch = Vec<u64>;
 
-impl DestCursor for DeltaCursor<'_> {
-    #[inline]
-    fn next_entry(&mut self) -> Option<(u32, bool)> {
-        if self.pos >= self.bytes.len() {
-            return None;
-        }
-        let v = read_varint(self.bytes, &mut self.pos);
-        let first = v & 1 == 1;
-        if first {
-            self.prev = self.p_base + (v >> 1) as u32;
+    #[inline(always)]
+    fn decode(
+        &self,
+        seg: &Segment,
+        kernel: KernelKind,
+        scratch: &mut Vec<u64>,
+        sink: &mut impl EntrySink,
+    ) {
+        let bytes = self.segment(seg.s, seg.p);
+        // LSB = message start: the payload is the partition-local
+        // offset; otherwise it is the gap to the previous destination.
+        let mut local = 0usize;
+        let entry = move |v: u64| {
+            let first = v & 1 == 1;
+            let d = (v >> 1) as usize;
+            local = if first { d } else { local + d };
+            (local, first)
+        };
+        if kernel == KernelKind::Unrolled {
+            decode_segment_into(bytes, scratch);
+            sink.units(scratch, entry);
         } else {
-            self.prev += (v >> 1) as u32;
+            let (mut pos, mut entry) = (0usize, entry);
+            sink.entries(std::iter::from_fn(|| {
+                (pos < bytes.len()).then(|| entry(read_varint(bytes, &mut pos)))
+            }));
         }
-        Some((self.prev, first))
     }
-}
 
-/// Branch-avoiding gather over delta bins for an arbitrary
-/// [`Algebra`]: the same segment walk as the wide/compact gathers, with
-/// the pointer-arithmetic MSB trick carried in the varint's LSB. Decodes
-/// entries in identical order, so output is bit-identical to the wide
-/// format for any algebra.
-///
-/// `kernel` picks the decode strategy. [`KernelKind::Unrolled`] decodes
-/// each segment into a per-partition scratch buffer in one pass
-/// ([`decode_segment_into`]), prefetches the next segment, and applies
-/// the decoded entries 4-at-a-time; any other value runs the original
-/// scalar decode-in-loop. Both apply entries in exactly the same order,
-/// so f32 output is bit-identical across kernels.
-pub fn gather_delta_algebra<A: Algebra>(
-    png: &Png,
-    bins: &DeltaPackedBins<A::T>,
-    y: &mut [A::T],
-    kernel: KernelKind,
-) {
-    assert_eq!(y.len(), png.dst_parts().num_nodes() as usize, "y length");
-    let lens = png.dst_parts().lens();
-    let slices = split_by_lens(y, &lens);
-    let k_src = png.src_parts().num_partitions();
-    let unrolled = kernel == KernelKind::Unrolled;
-    slices.into_par_iter().enumerate().for_each(|(p, ys)| {
-        ys.fill(A::identity());
-        // One scratch buffer per destination partition, reused across
-        // every source partition's segment (capacity converges to the
-        // largest segment; cleared, never reallocated per segment).
-        let mut scratch: Vec<u64> = Vec::new();
-        for s in 0..k_src {
-            let su = s as usize;
-            let part = png.part(s);
-            let ubase = png.upd_region()[su] as usize;
-            let ulo = ubase + part.upd_off[p] as usize;
-            let uhi = ubase + part.upd_off[p + 1] as usize;
-            let us = &bins.updates[ulo..uhi];
-            let bytes = bins.segment(su, p);
-            if unrolled && s + 1 < k_src {
-                prefetch(bins.segment(su + 1, p));
-            }
-            match &bins.weights {
-                None if unrolled => {
-                    decode_segment_into(bytes, &mut scratch);
-                    let mut up = usize::MAX;
-                    let mut local = 0usize;
-                    macro_rules! step {
-                        ($v:expr) => {{
-                            let v = $v;
-                            up = up.wrapping_add((v & 1) as usize);
-                            let d = (v >> 1) as usize;
-                            local = if v & 1 == 1 { d } else { local + d };
-                            let slot = &mut ys[local];
-                            *slot = A::combine(*slot, A::extend(us[up]));
-                        }};
-                    }
-                    let mut chunks = scratch.chunks_exact(4);
-                    for c in &mut chunks {
-                        step!(c[0]);
-                        step!(c[1]);
-                        step!(c[2]);
-                        step!(c[3]);
-                    }
-                    for &v in chunks.remainder() {
-                        step!(v);
-                    }
-                }
-                None => {
-                    let mut up = usize::MAX;
-                    let mut local = 0usize;
-                    let mut pos = 0usize;
-                    while pos < bytes.len() {
-                        let v = read_varint(bytes, &mut pos);
-                        // LSB = message start: advances the update
-                        // pointer and resets the local offset; otherwise
-                        // the payload is the gap to the previous dest.
-                        up = up.wrapping_add((v & 1) as usize);
-                        let d = (v >> 1) as usize;
-                        local = if v & 1 == 1 { d } else { local + d };
-                        let slot = &mut ys[local];
-                        *slot = A::combine(*slot, A::extend(us[up]));
-                    }
-                }
-                Some(w) if unrolled => {
-                    let dbase = png.did_region()[su] as usize;
-                    let dlo = dbase + part.did_off[p] as usize;
-                    let dhi = dbase + part.did_off[p + 1] as usize;
-                    let ws = &w[dlo..dhi];
-                    decode_segment_into(bytes, &mut scratch);
-                    let mut up = usize::MAX;
-                    let mut local = 0usize;
-                    let mut edge = 0usize;
-                    macro_rules! step {
-                        ($v:expr) => {{
-                            let v = $v;
-                            up = up.wrapping_add((v & 1) as usize);
-                            let d = (v >> 1) as usize;
-                            local = if v & 1 == 1 { d } else { local + d };
-                            let slot = &mut ys[local];
-                            *slot = A::combine(*slot, A::extend_weighted(ws[edge], us[up]));
-                            edge += 1;
-                        }};
-                    }
-                    let mut chunks = scratch.chunks_exact(4);
-                    for c in &mut chunks {
-                        step!(c[0]);
-                        step!(c[1]);
-                        step!(c[2]);
-                        step!(c[3]);
-                    }
-                    for &v in chunks.remainder() {
-                        step!(v);
-                    }
-                }
-                Some(w) => {
-                    let dbase = png.did_region()[su] as usize;
-                    let dlo = dbase + part.did_off[p] as usize;
-                    let dhi = dbase + part.did_off[p + 1] as usize;
-                    let ws = &w[dlo..dhi];
-                    let mut up = usize::MAX;
-                    let mut local = 0usize;
-                    let mut pos = 0usize;
-                    let mut edge = 0usize;
-                    while pos < bytes.len() {
-                        let v = read_varint(bytes, &mut pos);
-                        up = up.wrapping_add((v & 1) as usize);
-                        let d = (v >> 1) as usize;
-                        local = if v & 1 == 1 { d } else { local + d };
-                        let slot = &mut ys[local];
-                        *slot = A::combine(*slot, A::extend_weighted(ws[edge], us[up]));
-                        edge += 1;
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// Multi-query gather over delta bins: each varint is decoded **once**
-/// per batch and the resulting `(update pointer, local offset)` pair is
-/// applied to every query's accumulator — the whole point of the SpMM
-/// path for this format, since the per-edge LEB128 decode is its gather
-/// cost. `updates[q]` must share the `png_scatter` layout; per-query
-/// output is bit-identical to [`gather_delta_algebra`].
-pub fn gather_delta_algebra_many<A: Algebra>(
-    png: &Png,
-    bins: &DeltaPackedBins<A::T>,
-    updates: &[&[A::T]],
-    ys: &mut [&mut [A::T]],
-    kernel: KernelKind,
-) {
-    assert_eq!(updates.len(), ys.len(), "one update stream per output");
-    for y in ys.iter() {
-        assert_eq!(y.len(), png.dst_parts().num_nodes() as usize, "y length");
+    #[inline(always)]
+    fn prefetch(&self, seg: &Segment) {
+        prefetch(self.segment(seg.s, seg.p));
     }
-    let lens = png.dst_parts().lens();
-    let per_part = crate::gather::split_queries_by_parts(ys, &lens);
-    let k_src = png.src_parts().num_partitions();
-    let unrolled = kernel == KernelKind::Unrolled;
-    per_part
-        .into_par_iter()
-        .enumerate()
-        .for_each(|(p, mut ys_q)| {
-            for ys in ys_q.iter_mut() {
-                ys.fill(A::identity());
-            }
-            let mut scratch: Vec<u64> = Vec::new();
-            for s in 0..k_src {
-                let su = s as usize;
-                let part = png.part(s);
-                let ubase = png.upd_region()[su] as usize;
-                let ulo = ubase + part.upd_off[p] as usize;
-                let bytes = bins.segment(su, p);
-                if unrolled && s + 1 < k_src {
-                    prefetch(bins.segment(su + 1, p));
-                }
-                match &bins.weights {
-                    None if unrolled => {
-                        decode_segment_into(bytes, &mut scratch);
-                        let mut up = usize::MAX;
-                        let mut local = 0usize;
-                        for &v in scratch.iter() {
-                            up = up.wrapping_add((v & 1) as usize);
-                            let d = (v >> 1) as usize;
-                            local = if v & 1 == 1 { d } else { local + d };
-                            for (q, ys) in ys_q.iter_mut().enumerate() {
-                                let slot = &mut ys[local];
-                                *slot = A::combine(*slot, A::extend(updates[q][ulo + up]));
-                            }
-                        }
-                    }
-                    None => {
-                        let mut up = usize::MAX;
-                        let mut local = 0usize;
-                        let mut pos = 0usize;
-                        while pos < bytes.len() {
-                            let v = read_varint(bytes, &mut pos);
-                            up = up.wrapping_add((v & 1) as usize);
-                            let d = (v >> 1) as usize;
-                            local = if v & 1 == 1 { d } else { local + d };
-                            for (q, ys) in ys_q.iter_mut().enumerate() {
-                                let slot = &mut ys[local];
-                                *slot = A::combine(*slot, A::extend(updates[q][ulo + up]));
-                            }
-                        }
-                    }
-                    Some(w) if unrolled => {
-                        let dbase = png.did_region()[su] as usize;
-                        let dlo = dbase + part.did_off[p] as usize;
-                        let dhi = dbase + part.did_off[p + 1] as usize;
-                        let ws = &w[dlo..dhi];
-                        decode_segment_into(bytes, &mut scratch);
-                        let mut up = usize::MAX;
-                        let mut local = 0usize;
-                        for (edge, &v) in scratch.iter().enumerate() {
-                            up = up.wrapping_add((v & 1) as usize);
-                            let d = (v >> 1) as usize;
-                            local = if v & 1 == 1 { d } else { local + d };
-                            for (q, ys) in ys_q.iter_mut().enumerate() {
-                                let slot = &mut ys[local];
-                                *slot = A::combine(
-                                    *slot,
-                                    A::extend_weighted(ws[edge], updates[q][ulo + up]),
-                                );
-                            }
-                        }
-                    }
-                    Some(w) => {
-                        let dbase = png.did_region()[su] as usize;
-                        let dlo = dbase + part.did_off[p] as usize;
-                        let dhi = dbase + part.did_off[p + 1] as usize;
-                        let ws = &w[dlo..dhi];
-                        let mut up = usize::MAX;
-                        let mut local = 0usize;
-                        let mut pos = 0usize;
-                        let mut edge = 0usize;
-                        while pos < bytes.len() {
-                            let v = read_varint(bytes, &mut pos);
-                            up = up.wrapping_add((v & 1) as usize);
-                            let d = (v >> 1) as usize;
-                            local = if v & 1 == 1 { d } else { local + d };
-                            for (q, ys) in ys_q.iter_mut().enumerate() {
-                                let slot = &mut ys[local];
-                                *slot = A::combine(
-                                    *slot,
-                                    A::extend_weighted(ws[edge], updates[q][ulo + up]),
-                                );
-                            }
-                            edge += 1;
-                        }
-                    }
-                }
-            }
-        });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algebra::PlusF32;
     use crate::format::{BinFormat, DeltaFormat, WideFormat};
     use crate::partition::Partitioner;
     use crate::scatter::png_scatter;
-    use pcpm_graph::gen::{erdos_renyi, rmat, RmatConfig};
-    use pcpm_graph::{Csr, EdgeWeights};
+    use pcpm_graph::gen::{rmat, RmatConfig};
+    use pcpm_graph::Csr;
 
     fn setup(g: &Csr, q: u32) -> Png {
         let parts = Partitioner::new(g.num_nodes(), q).unwrap();
@@ -751,34 +507,14 @@ mod tests {
     }
 
     #[test]
-    fn delta_gather_equals_wide_gather() {
-        let g = rmat(&RmatConfig::graph500(9, 8, 61)).unwrap();
-        for q in [1u32, 16, 100, 512, 100_000] {
-            let png = setup(&g, q);
-            let x: Vec<f32> = (0..g.num_nodes()).map(|v| (v as f32).sin()).collect();
-            let mut wide = WideFormat::build::<f32>(EdgeView::from_csr(&g), &png, None);
-            let mut delta = DeltaFormat::build::<f32>(EdgeView::from_csr(&g), &png, None);
-            png_scatter(&png, &x, &mut wide.updates);
-            png_scatter(&png, &x, &mut delta.updates);
-            let n = g.num_nodes() as usize;
-            let (mut yw, mut yd) = (vec![0.0f32; n], vec![0.0f32; n]);
-            crate::gather::gather_branch_avoiding(&png, &wide, &mut yw);
-            for kernel in [KernelKind::Scalar, KernelKind::Unrolled] {
-                gather_delta_algebra::<crate::algebra::PlusF32>(&png, &delta, &mut yd, kernel);
-                assert_eq!(yw, yd, "q={q} kernel={kernel}");
-            }
-        }
-    }
-
-    #[test]
     fn batched_decode_matches_read_varint() {
-        // Deterministic LCG over value magnitudes that cross every
+        // Deterministic xorshift over value magnitudes that cross every
         // varint length boundary, including max-length (10-byte) ones.
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
             state
         };
         for trial in 0..200 {
@@ -835,43 +571,6 @@ mod tests {
         assert_eq!(out, vec![5]);
         decode_segment_into(&[], &mut out);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn delta_weighted_gather_equals_wide() {
-        let g = erdos_renyi(200, 1500, 3).unwrap();
-        let w = EdgeWeights::random(&g, 8);
-        let png = setup(&g, 64);
-        let x: Vec<f32> = (0..200).map(|v| v as f32 * 0.25).collect();
-        let mut wide = WideFormat::build::<f32>(EdgeView::from_csr(&g), &png, Some(w.as_slice()));
-        let mut delta = DeltaFormat::build::<f32>(EdgeView::from_csr(&g), &png, Some(w.as_slice()));
-        png_scatter(&png, &x, &mut wide.updates);
-        png_scatter(&png, &x, &mut delta.updates);
-        let (mut yw, mut yd) = (vec![0.0f32; 200], vec![0.0f32; 200]);
-        crate::gather::gather_branch_avoiding(&png, &wide, &mut yw);
-        for kernel in [KernelKind::Scalar, KernelKind::Unrolled] {
-            gather_delta_algebra::<crate::algebra::PlusF32>(&png, &delta, &mut yd, kernel);
-            assert_eq!(yw, yd, "kernel={kernel}");
-        }
-    }
-
-    #[test]
-    fn delta_integer_algebra_matches_wide() {
-        use crate::algebra::MinLabel;
-        let g = rmat(&RmatConfig::graph500(9, 6, 23)).unwrap();
-        let png = setup(&g, 128);
-        let mut wide = WideFormat::build::<u32>(EdgeView::from_csr(&g), &png, None);
-        let mut delta = DeltaFormat::build::<u32>(EdgeView::from_csr(&g), &png, None);
-        let x: Vec<u32> = (0..g.num_nodes()).map(|v| v % 11).collect();
-        png_scatter(&png, &x, &mut wide.updates);
-        png_scatter(&png, &x, &mut delta.updates);
-        let n = g.num_nodes() as usize;
-        let (mut yw, mut yd) = (vec![0u32; n], vec![0u32; n]);
-        crate::gather::gather_algebra::<MinLabel>(&png, &wide, &mut yw);
-        for kernel in [KernelKind::Scalar, KernelKind::Unrolled] {
-            gather_delta_algebra::<MinLabel>(&png, &delta, &mut yd, kernel);
-            assert_eq!(yw, yd, "kernel={kernel}");
-        }
     }
 
     #[test]
@@ -932,9 +631,9 @@ mod tests {
         png_scatter(&png, &x, &mut wide.updates);
         png_scatter(&png, &x, &mut delta.updates);
         let (mut yw, mut yd) = (vec![0.0f32; 4], vec![0.0f32; 4]);
-        crate::gather::gather_branch_avoiding(&png, &wide, &mut yw);
+        WideFormat::gather_from::<PlusF32>(&png, &wide, &mut yw, KernelKind::Scalar);
         for kernel in [KernelKind::Scalar, KernelKind::Unrolled] {
-            gather_delta_algebra::<crate::algebra::PlusF32>(&png, &delta, &mut yd, kernel);
+            DeltaFormat::gather_from::<PlusF32>(&png, &delta, &mut yd, kernel);
             assert_eq!(yw, yd, "kernel={kernel}");
             assert_eq!(yd[1], 2.0, "duplicate edge (0,1) counted twice");
             assert_eq!(yd[3], 8.0, "duplicate edge (2,3) counted twice");
@@ -949,111 +648,7 @@ mod tests {
         assert_eq!(bins.dest_stream_bytes(), 0);
         let mut y: Vec<f32> = vec![];
         for kernel in [KernelKind::Scalar, KernelKind::Unrolled] {
-            gather_delta_algebra::<crate::algebra::PlusF32>(&png, &bins, &mut y, kernel);
-        }
-    }
-}
-
-#[cfg(test)]
-mod perf_probe {
-    use super::*;
-    use crate::partition::Partitioner;
-    use pcpm_graph::gen::{rmat, RmatConfig};
-    use std::time::Instant;
-
-    fn best_of<F: FnMut() -> u64>(mut f: F, edges: u64) -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..5 {
-            let t0 = Instant::now();
-            let reps = 60u64;
-            for _ in 0..reps {
-                std::hint::black_box(f());
-            }
-            best = best.min(t0.elapsed().as_nanos() as f64 / (reps * edges) as f64);
-        }
-        best
-    }
-
-    #[test]
-    #[ignore]
-    fn probe_decode_cost() {
-        let g = rmat(&RmatConfig::graph500(12, 8, 42)).unwrap();
-        for q in [256u32, 512, 1024, 2048] {
-            let parts = Partitioner::new(g.num_nodes(), q).unwrap();
-            let png = Png::build(EdgeView::from_csr(&g), parts, parts);
-            let bins = DeltaPackedBins::<f32>::build(EdgeView::from_csr(&g), &png, None);
-            let k = png.src_parts().num_partitions() as usize;
-            let edges: u64 = png.num_raw_edges();
-            let total_bytes: usize = (0..k)
-                .flat_map(|s| (0..k).map(move |p| (s, p)))
-                .map(|(s, p)| bins.segment(s, p).len())
-                .sum();
-            let us = &bins.updates;
-            let mut ys = vec![0.0f32; q as usize + 8];
-            let mut scratch = Vec::new();
-
-            let a = best_of(
-                || {
-                    for p in 0..k {
-                        for s in 0..k {
-                            let bytes = bins.segment(s, p);
-                            let mut up = usize::MAX;
-                            let mut local = 0usize;
-                            let mut pos = 0usize;
-                            while pos < bytes.len() {
-                                let v = read_varint(bytes, &mut pos);
-                                up = up.wrapping_add((v & 1) as usize);
-                                let d = (v >> 1) as usize;
-                                local = if v & 1 == 1 { d } else { local + d };
-                                ys[local] += us[up];
-                            }
-                        }
-                    }
-                    ys[0] as u64
-                },
-                edges,
-            );
-
-            let b = best_of(
-                || {
-                    let mut sink = 0u64;
-                    for p in 0..k {
-                        for s in 0..k {
-                            decode_segment_into(bins.segment(s, p), &mut scratch);
-                            sink = sink.wrapping_add(scratch.len() as u64);
-                        }
-                    }
-                    sink
-                },
-                edges,
-            );
-
-            let c = best_of(
-                || {
-                    for p in 0..k {
-                        for s in 0..k {
-                            decode_segment_into(bins.segment(s, p), &mut scratch);
-                            let mut up = usize::MAX;
-                            let mut local = 0usize;
-                            for &v in scratch.iter() {
-                                up = up.wrapping_add((v & 1) as usize);
-                                let d = (v >> 1) as usize;
-                                local = if v & 1 == 1 { d } else { local + d };
-                                ys[local] += us[up];
-                            }
-                        }
-                    }
-                    ys[0] as u64
-                },
-                edges,
-            );
-
-            println!(
-                "q={q:5} parts={k:3} bytes/edge={:.3} scalar={a:.3} decode={b:.3} \
-                 batched={c:.3} ratio={:.2}x",
-                total_bytes as f64 / edges as f64,
-                a / c
-            );
+            DeltaFormat::gather_from::<PlusF32>(&png, &bins, &mut y, kernel);
         }
     }
 }

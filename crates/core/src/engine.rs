@@ -4,24 +4,18 @@
 //!
 //! [`FormatPipeline<A, F>`] is the statically-typed dataplane: PNG layout
 //! plus `F`'s bin storage, with one shared implementation of build,
-//! incremental repair and the scatter→gather round — the skeleton that
-//! used to be copy-pasted per encoding. [`PcpmPipeline<A>`] wraps it in a
-//! runtime-selected enum (one variant per [`BinFormatKind`]) for callers
-//! that pick the format from a [`PcpmConfig`], and is the type the
-//! ablation benches switch scatter/gather variants on per call.
+//! incremental repair and the scatter→gather round.
 //!
-//! Most callers should not touch either type directly: the unified
-//! [`Engine`](crate::backend::Engine) builder wraps them as the
-//! [`BackendKind::Pcpm`](crate::backend::BackendKind) dataplane and fixes
-//! the phase variants at build time.
+//! Callers do not construct it directly: the unified
+//! [`Engine`](crate::backend::Engine) builder wraps it as the
+//! [`BackendKind::Pcpm`](crate::backend::BackendKind) dataplane, picks
+//! `F` from [`PcpmConfig::bin_format`] and fixes the phase variants at
+//! build time.
 
-use crate::algebra::{Algebra, PlusF32};
-use crate::bins::BinSpace;
+use crate::algebra::Algebra;
 use crate::config::PcpmConfig;
 use crate::error::PcpmError;
-use crate::format::{
-    dest_compression, BinFormat, BinFormatKind, CompactFormat, DeltaFormat, WideFormat,
-};
+use crate::format::{dest_compression, BinFormat, BinFormatKind};
 use crate::kernel::KernelKind;
 use crate::partition::Partitioner;
 use crate::png::{EdgeView, Png};
@@ -272,8 +266,9 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
     ///
     /// `graph` is required when `scatter` is [`ScatterKind::CsrTraversal`]
     /// (the ablation needs the original adjacency); the branchy gather is
-    /// implemented only by the wide format.
-    pub fn spmv_with(
+    /// implemented only by the wide format. Lengths are validated by
+    /// [`Engine::step`](crate::backend::Engine::step).
+    pub(crate) fn spmv_with(
         &mut self,
         x: &[A::T],
         y: &mut [A::T],
@@ -281,18 +276,6 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
         gather: GatherKind,
         graph: Option<&Csr>,
     ) -> Result<PhaseTimings, PcpmError> {
-        if x.len() != self.num_src as usize {
-            return Err(PcpmError::DimensionMismatch {
-                expected: self.num_src as usize,
-                got: x.len(),
-            });
-        }
-        if y.len() != self.num_dst as usize {
-            return Err(PcpmError::DimensionMismatch {
-                expected: self.num_dst as usize,
-                got: y.len(),
-            });
-        }
         let t0 = crate::telemetry::stopwatch();
         {
             let _span = crate::telemetry::span("scatter");
@@ -323,21 +306,7 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
             }
         }
         let gather_t = t1.elapsed();
-        // Phase-call-granularity counters from analytically known
-        // quantities: one relaxed add each, nothing per edge. The gather
-        // scans the whole destID stream once; the delta format decodes
-        // one varint per destID entry (= raw edge).
-        let tm = crate::telemetry::counters();
-        if tm.is_enabled() {
-            tm.add_scatter_ns(scatter_t.as_nanos() as u64);
-            tm.add_gather_ns(gather_t.as_nanos() as u64);
-            tm.add_dest_stream_bytes_read(F::dest_stream_bytes(&self.bins));
-            tm.add_bins_decoded(u64::from(self.png.dst_parts().num_partitions()));
-            if F::KIND == BinFormatKind::Delta {
-                tm.add_varint_decodes(self.png.num_raw_edges());
-            }
-            self.record_kernel_counters(gather_t);
-        }
+        self.record_pass(scatter_t, gather_t);
         Ok(PhaseTimings {
             scatter: scatter_t,
             gather: gather_t,
@@ -355,38 +324,16 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
     /// amortized across the batch. Per-query output is bit-identical to
     /// `Q` sequential [`FormatPipeline::spmv_with`] calls. The branchy
     /// gather ablation has no batched kernel; callers route it through
-    /// the sequential path.
-    pub fn spmv_many_with(
+    /// the sequential path. Batch shape and lengths are validated by
+    /// [`Engine::step_many`](crate::backend::Engine::step_many), which
+    /// also skips empty batches.
+    pub(crate) fn spmv_many_with(
         &mut self,
         xs: &[&[A::T]],
         ys: &mut [&mut [A::T]],
         scatter: ScatterKind,
         graph: Option<&Csr>,
     ) -> Result<PhaseTimings, PcpmError> {
-        if xs.len() != ys.len() {
-            return Err(PcpmError::BadConfig(
-                "spmv_many_with requires one output vector per input vector",
-            ));
-        }
-        for x in xs {
-            if x.len() != self.num_src as usize {
-                return Err(PcpmError::DimensionMismatch {
-                    expected: self.num_src as usize,
-                    got: x.len(),
-                });
-            }
-        }
-        for y in ys.iter() {
-            if y.len() != self.num_dst as usize {
-                return Err(PcpmError::DimensionMismatch {
-                    expected: self.num_dst as usize,
-                    got: y.len(),
-                });
-            }
-        }
-        if xs.is_empty() {
-            return Ok(PhaseTimings::default());
-        }
         let ne = self.png.num_compressed_edges() as usize;
         let t0 = crate::telemetry::stopwatch();
         // One scratch update stream per query, all in png_scatter's
@@ -414,20 +361,7 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
             F::gather_many_from::<A>(&self.png, &self.bins, &upd_refs, ys, self.kernel);
         }
         let gather_t = t1.elapsed();
-        // The batched pass scans the destID stream (and decodes delta
-        // varints) exactly once however many queries it carries — that
-        // is the amortization these counters make observable.
-        let tm = crate::telemetry::counters();
-        if tm.is_enabled() {
-            tm.add_scatter_ns(scatter_t.as_nanos() as u64);
-            tm.add_gather_ns(gather_t.as_nanos() as u64);
-            tm.add_dest_stream_bytes_read(F::dest_stream_bytes(&self.bins));
-            tm.add_bins_decoded(u64::from(self.png.dst_parts().num_partitions()));
-            if F::KIND == BinFormatKind::Delta {
-                tm.add_varint_decodes(self.png.num_raw_edges());
-            }
-            self.record_kernel_counters(gather_t);
-        }
+        self.record_pass(scatter_t, gather_t);
         Ok(PhaseTimings {
             scatter: scatter_t,
             gather: gather_t,
@@ -435,13 +369,26 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
         })
     }
 
-    /// Per-kernel telemetry, recorded once per gather pass from
-    /// analytically known quantities (the caller has already checked
-    /// `is_enabled`). The unrolled delta kernel decodes one segment per
+    /// Telemetry of one scatter→gather pass at phase-call granularity,
+    /// from analytically known quantities: one relaxed add each, nothing
+    /// per edge. A pass scans the whole destID stream (and, for the delta
+    /// format, decodes one varint per raw edge) exactly once however
+    /// many queries it carries — the amortization these counters make
+    /// observable. The unrolled delta kernel decodes one segment per
     /// (src, dst) partition pair into an 8-bytes-per-entry scratch
     /// buffer; the fixed-width and scalar paths touch no scratch.
-    fn record_kernel_counters(&self, gather_t: Duration) {
+    fn record_pass(&self, scatter_t: Duration, gather_t: Duration) {
         let tm = crate::telemetry::counters();
+        if !tm.is_enabled() {
+            return;
+        }
+        tm.add_scatter_ns(scatter_t.as_nanos() as u64);
+        tm.add_gather_ns(gather_t.as_nanos() as u64);
+        tm.add_dest_stream_bytes_read(F::dest_stream_bytes(&self.bins));
+        tm.add_bins_decoded(u64::from(self.png.dst_parts().num_partitions()));
+        if F::KIND == BinFormatKind::Delta {
+            tm.add_varint_decodes(self.png.num_raw_edges());
+        }
         match self.kernel {
             KernelKind::Unrolled => {
                 tm.add_gather_unrolled_ns(gather_t.as_nanos() as u64);
@@ -459,402 +406,27 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
     }
 }
 
-/// The runtime-selected pipeline: one [`FormatPipeline`] variant per
-/// [`BinFormatKind`], chosen from [`PcpmConfig::bin_format`].
-enum AnyPipeline<A: Algebra> {
-    Wide(FormatPipeline<A, WideFormat>),
-    Compact(FormatPipeline<A, CompactFormat>),
-    Delta(FormatPipeline<A, DeltaFormat>),
-}
-
-/// Dispatches a method call to whichever format variant is live.
-macro_rules! with_pipeline {
-    ($self:expr, $p:ident => $body:expr) => {
-        match &$self.inner {
-            AnyPipeline::Wide($p) => $body,
-            AnyPipeline::Compact($p) => $body,
-            AnyPipeline::Delta($p) => $body,
-        }
-    };
-}
-
-macro_rules! with_pipeline_mut {
-    ($self:expr, $p:ident => $body:expr) => {
-        match &mut $self.inner {
-            AnyPipeline::Wide($p) => $body,
-            AnyPipeline::Compact($p) => $body,
-            AnyPipeline::Delta($p) => $body,
-        }
-    };
-}
-
-/// A built PCPM dataplane with the bin format selected at runtime,
-/// generic over the gather algebra.
-pub struct PcpmPipeline<A: Algebra = PlusF32> {
-    inner: AnyPipeline<A>,
-}
-
-/// The original f32 PCPM engine, now an alias of the algebra-generic
-/// pipeline specialized to the `(+, ×)` semiring.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `pcpm_core::Engine::builder(..)` (or `PcpmPipeline<PlusF32>` for per-call variant switching)"
-)]
-pub type PcpmEngine = PcpmPipeline<PlusF32>;
-
-impl<A: Algebra> PcpmPipeline<A> {
-    /// Builds the pipeline for a square graph.
-    pub fn new(graph: &Csr, cfg: &PcpmConfig) -> Result<Self, PcpmError> {
-        cfg.validate()?;
-        Self::from_view(EdgeView::from_csr(graph), cfg, None)
-    }
-
-    /// Builds the pipeline for a square graph with per-edge weights
-    /// (parallel to the CSR targets array).
-    pub fn new_weighted(
-        graph: &Csr,
-        weights: &pcpm_graph::EdgeWeights,
-        cfg: &PcpmConfig,
-    ) -> Result<Self, PcpmError> {
-        cfg.validate()?;
-        Self::from_view(EdgeView::from_csr(graph), cfg, Some(weights.as_slice()))
-    }
-
-    /// Builds the pipeline from a raw (possibly rectangular) edge view,
-    /// selecting the format from `cfg.bin_format`.
-    pub(crate) fn from_view(
-        view: EdgeView<'_>,
-        cfg: &PcpmConfig,
-        weights: Option<&[f32]>,
-    ) -> Result<Self, PcpmError> {
-        let inner = match cfg.bin_format {
-            BinFormatKind::Wide => {
-                AnyPipeline::Wide(FormatPipeline::from_view(view, cfg, weights)?)
-            }
-            BinFormatKind::Compact => {
-                AnyPipeline::Compact(FormatPipeline::from_view(view, cfg, weights)?)
-            }
-            BinFormatKind::Delta => {
-                AnyPipeline::Delta(FormatPipeline::from_view(view, cfg, weights)?)
-            }
-        };
-        Ok(Self { inner })
-    }
-
-    /// Dissolves into the statically-typed wide pipeline, when the wide
-    /// format is live (the memory replays inspect wide bins directly).
-    pub fn as_wide(&self) -> Option<&FormatPipeline<A, WideFormat>> {
-        match &self.inner {
-            AnyPipeline::Wide(p) => Some(p),
-            _ => None,
-        }
-    }
-
-    /// Number of source nodes (length of `x`).
-    pub fn num_src(&self) -> u32 {
-        with_pipeline!(self, p => p.num_src())
-    }
-
-    /// Number of destination nodes (length of `y`).
-    pub fn num_dst(&self) -> u32 {
-        with_pipeline!(self, p => p.num_dst())
-    }
-
-    /// The PNG layout (for inspection and the memory replays).
-    pub fn png(&self) -> &Png {
-        with_pipeline!(self, p => p.png())
-    }
-
-    /// The wide bins, when the pipeline uses the 32-bit encoding.
-    pub fn bins(&self) -> Option<&BinSpace<A::T>> {
-        self.as_wide().map(|p| p.bins())
-    }
-
-    /// Heap bytes held by the message bins (any format).
-    pub fn bin_memory_bytes(&self) -> u64 {
-        with_pipeline!(self, p => p.bin_memory_bytes())
-    }
-
-    /// Destination-ID compression relative to the wide baseline.
-    pub fn bin_compression(&self) -> f64 {
-        with_pipeline!(self, p => p.bin_compression())
-    }
-
-    /// Physical bytes of the destination-ID bin stream.
-    pub fn dest_stream_bytes(&self) -> u64 {
-        with_pipeline!(self, p => p.dest_stream_bytes())
-    }
-
-    /// PNG compression ratio `r = |E| / |E'|`.
-    pub fn compression_ratio(&self) -> f64 {
-        with_pipeline!(self, p => p.compression_ratio())
-    }
-
-    /// Pre-processing wall-clock time (PNG build + bin writing), Table 8.
-    pub fn preprocess_time(&self) -> Duration {
-        with_pipeline!(self, p => p.preprocess_time())
-    }
-
-    /// The physical bin format this pipeline built.
-    pub fn bin_format(&self) -> BinFormatKind {
-        match &self.inner {
-            AnyPipeline::Wide(_) => BinFormatKind::Wide,
-            AnyPipeline::Compact(_) => BinFormatKind::Compact,
-            AnyPipeline::Delta(_) => BinFormatKind::Delta,
-        }
-    }
-
-    /// Whether the pipeline built the compact 16-bit bins.
-    pub fn is_compact(&self) -> bool {
-        self.bin_format() == BinFormatKind::Compact
-    }
-
-    /// The concrete gather kernel this pipeline runs (`Auto` already
-    /// resolved at build time).
-    pub fn kernel(&self) -> KernelKind {
-        with_pipeline!(self, p => p.kernel())
-    }
-
-    /// Whether the pipeline carries per-edge weights in its bins.
-    pub fn is_weighted(&self) -> bool {
-        with_pipeline!(self, p => p.is_weighted())
-    }
-
-    /// Incrementally repairs the prepared state after an edge-set
-    /// change — see [`FormatPipeline::repair`].
-    pub fn repair(
-        &mut self,
-        view: EdgeView<'_>,
-        weights: Option<&[f32]>,
-        touched_parts: &[u32],
-    ) -> Result<RepairStats, PcpmError> {
-        with_pipeline_mut!(self, p => p.repair(view, weights, touched_parts))
-    }
-
-    /// One `y = ⊕ Aᵀ·x` round with the default (paper) scatter and
-    /// gather.
-    pub fn spmv(&mut self, x: &[A::T], y: &mut [A::T]) -> Result<PhaseTimings, PcpmError> {
-        self.spmv_with(x, y, ScatterKind::Png, GatherKind::BranchAvoiding, None)
-    }
-
-    /// One round with explicit phase variants — see
-    /// [`FormatPipeline::spmv_with`].
-    pub fn spmv_with(
-        &mut self,
-        x: &[A::T],
-        y: &mut [A::T],
-        scatter: ScatterKind,
-        gather: GatherKind,
-        graph: Option<&Csr>,
-    ) -> Result<PhaseTimings, PcpmError> {
-        with_pipeline_mut!(self, p => p.spmv_with(x, y, scatter, gather, graph))
-    }
-
-    /// One column-blocked SpMM round — see
-    /// [`FormatPipeline::spmv_many_with`].
-    pub fn spmv_many_with(
-        &mut self,
-        xs: &[&[A::T]],
-        ys: &mut [&mut [A::T]],
-        scatter: ScatterKind,
-        graph: Option<&Csr>,
-    ) -> Result<PhaseTimings, PcpmError> {
-        with_pipeline_mut!(self, p => p.spmv_many_with(xs, ys, scatter, graph))
-    }
-
-    /// Boxes the live variant as a [`Backend`](crate::backend::Backend)
-    /// (the rectangular SpMV front end plugs in through this).
-    pub(crate) fn into_boxed_backend(self) -> Box<dyn crate::backend::Backend<A>> {
-        match self.inner {
-            AnyPipeline::Wide(p) => Box::new(crate::backend::PcpmBackend::from_pipeline(p)),
-            AnyPipeline::Compact(p) => Box::new(crate::backend::PcpmBackend::from_pipeline(p)),
-            AnyPipeline::Delta(p) => Box::new(crate::backend::PcpmBackend::from_pipeline(p)),
-        }
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use pcpm_graph::gen::{erdos_renyi, rmat, RmatConfig};
-
-    fn reference(g: &Csr, x: &[f32]) -> Vec<f32> {
-        let mut y = vec![0.0f32; g.num_nodes() as usize];
-        for (s, t) in g.edges() {
-            y[t as usize] += x[s as usize];
-        }
-        y
-    }
-
-    #[test]
-    fn engine_spmv_matches_reference() {
-        let g = erdos_renyi(300, 2400, 8).unwrap();
-        let cfg = PcpmConfig::default().with_partition_bytes(64 * 4); // q = 64
-        let mut eng = PcpmEngine::new(&g, &cfg).unwrap();
-        let x: Vec<f32> = (0..300).map(|v| (v as f32).sqrt()).collect();
-        let mut y = vec![0.0f32; 300];
-        eng.spmv(&x, &mut y).unwrap();
-        let want = reference(&g, &x);
-        for (a, b) in y.iter().zip(&want) {
-            assert!((a - b).abs() < 1e-3, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn all_variant_combinations_agree() {
-        let g = rmat(&RmatConfig::graph500(8, 6, 77)).unwrap();
-        let cfg = PcpmConfig::default().with_partition_bytes(40 * 4);
-        let x: Vec<f32> = (0..g.num_nodes()).map(|v| (v % 17) as f32).collect();
-        let mut outputs = Vec::new();
-        for scatter in [ScatterKind::Png, ScatterKind::CsrTraversal] {
-            for gather in [GatherKind::BranchAvoiding, GatherKind::Branchy] {
-                let mut eng = PcpmEngine::new(&g, &cfg).unwrap();
-                let mut y = vec![0.0f32; g.num_nodes() as usize];
-                eng.spmv_with(&x, &mut y, scatter, gather, Some(&g))
-                    .unwrap();
-                outputs.push(y);
-            }
-        }
-        for other in &outputs[1..] {
-            assert_eq!(&outputs[0], other);
-        }
-    }
-
-    #[test]
-    fn dimension_mismatch_is_reported() {
-        let g = erdos_renyi(10, 30, 1).unwrap();
-        let mut eng = PcpmEngine::new(&g, &PcpmConfig::default()).unwrap();
-        let mut y = vec![0.0f32; 10];
-        assert!(matches!(
-            eng.spmv(&[0.0; 3], &mut y),
-            Err(PcpmError::DimensionMismatch {
-                expected: 10,
-                got: 3
-            })
-        ));
-        let x = vec![0.0f32; 10];
-        let mut y_bad = vec![0.0f32; 4];
-        assert!(eng.spmv(&x, &mut y_bad).is_err());
-    }
+    use crate::algebra::PlusF32;
+    use crate::format::WideFormat;
 
     #[test]
     fn csr_traversal_without_graph_errors() {
-        let g = erdos_renyi(10, 30, 1).unwrap();
-        let mut eng = PcpmEngine::new(&g, &PcpmConfig::default()).unwrap();
+        let g = pcpm_graph::gen::erdos_renyi(10, 30, 1).unwrap();
+        let mut pipe = FormatPipeline::<PlusF32, WideFormat>::from_view(
+            EdgeView::from_csr(&g),
+            &PcpmConfig::default(),
+            None,
+        )
+        .unwrap();
         let x = vec![0.0f32; 10];
         let mut y = vec![0.0f32; 10];
-        assert!(eng
-            .spmv_with(
-                &x,
-                &mut y,
-                ScatterKind::CsrTraversal,
-                GatherKind::BranchAvoiding,
-                None
-            )
+        let (scatter, gather) = (ScatterKind::CsrTraversal, GatherKind::BranchAvoiding);
+        assert!(pipe.spmv_with(&x, &mut y, scatter, gather, None).is_err());
+        assert!(pipe
+            .spmv_many_with(&[&x], &mut [&mut y], scatter, None)
             .is_err());
-    }
-
-    #[test]
-    fn repeated_spmv_reuses_bins() {
-        let g = erdos_renyi(100, 500, 4).unwrap();
-        let mut eng = PcpmEngine::new(&g, &PcpmConfig::default()).unwrap();
-        let x: Vec<f32> = vec![1.0; 100];
-        let mut y1 = vec![0.0f32; 100];
-        let mut y2 = vec![0.0f32; 100];
-        eng.spmv(&x, &mut y1).unwrap();
-        eng.spmv(&x, &mut y2).unwrap();
-        assert_eq!(y1, y2);
-    }
-
-    #[test]
-    fn compression_ratio_exposed() {
-        let g = rmat(&RmatConfig::graph500(8, 8, 5)).unwrap();
-        let eng = PcpmEngine::new(&g, &PcpmConfig::default()).unwrap();
-        assert!(eng.compression_ratio() >= 1.0);
-    }
-
-    #[test]
-    fn integer_algebra_pipeline_runs_min_label() {
-        use crate::algebra::MinLabel;
-        let g = Csr::from_edges(4, &[(0, 1), (1, 2), (3, 2)]).unwrap();
-        let cfg = PcpmConfig::default().with_partition_bytes(8);
-        let mut pipe = PcpmPipeline::<MinLabel>::new(&g, &cfg).unwrap();
-        let x: Vec<u32> = vec![0, 1, 2, 3];
-        let mut y = vec![u32::MAX; 4];
-        pipe.spmv(&x, &mut y).unwrap();
-        assert_eq!(y, vec![u32::MAX, 0, 1, u32::MAX]);
-    }
-
-    #[test]
-    fn every_format_integer_algebra_matches_wide() {
-        use crate::algebra::MinLevel;
-        let g = rmat(&RmatConfig::graph500(9, 6, 23)).unwrap();
-        let wide_cfg = PcpmConfig::default().with_partition_bytes(128 * 4);
-        let mut wide = PcpmPipeline::<MinLevel>::new(&g, &wide_cfg).unwrap();
-        let x: Vec<u32> = (0..g.num_nodes()).map(|v| v % 11).collect();
-        let n = g.num_nodes() as usize;
-        let mut yw = vec![0u32; n];
-        wide.spmv(&x, &mut yw).unwrap();
-        for format in [BinFormatKind::Compact, BinFormatKind::Delta] {
-            let cfg = wide_cfg.with_bin_format(format);
-            let mut pipe = PcpmPipeline::<MinLevel>::new(&g, &cfg).unwrap();
-            let mut y = vec![0u32; n];
-            pipe.spmv(&x, &mut y).unwrap();
-            assert_eq!(yw, y, "format {format}");
-        }
-    }
-
-    #[test]
-    fn every_format_engine_matches_wide_engine() {
-        let g = rmat(&RmatConfig::graph500(9, 8, 41)).unwrap();
-        let wide_cfg = PcpmConfig::default().with_partition_bytes(512 * 4);
-        let mut wide = PcpmEngine::new(&g, &wide_cfg).unwrap();
-        let x: Vec<f32> = (0..g.num_nodes()).map(|v| (v as f32).cos()).collect();
-        let mut yw = vec![0.0f32; g.num_nodes() as usize];
-        wide.spmv(&x, &mut yw).unwrap();
-        assert!(wide.bins().is_some());
-        assert!((wide.bin_compression() - 1.0).abs() < 1e-12);
-        for format in [BinFormatKind::Compact, BinFormatKind::Delta] {
-            let cfg = wide_cfg.with_bin_format(format);
-            let mut pipe = PcpmEngine::new(&g, &cfg).unwrap();
-            let mut y = vec![0.0f32; g.num_nodes() as usize];
-            pipe.spmv(&x, &mut y).unwrap();
-            assert_eq!(yw, y, "format {format}");
-            // Every non-wide destination stream is smaller.
-            assert!(pipe.bin_memory_bytes() < wide.bin_memory_bytes());
-            assert!(pipe.bin_compression() > 1.9, "format {format}");
-            assert!(pipe.bins().is_none());
-            assert_eq!(pipe.bin_format(), format);
-        }
-    }
-
-    #[test]
-    fn compact_with_oversized_partition_is_rejected() {
-        let g = erdos_renyi(100, 400, 2).unwrap();
-        // Default 256 KB partitions are 64 Ki nodes > 2^15.
-        let cfg = PcpmConfig::default().with_compact_bins();
-        assert!(PcpmEngine::new(&g, &cfg).is_err());
-        // Delta has no partition-size restriction.
-        let delta = PcpmConfig::default().with_bin_format(BinFormatKind::Delta);
-        assert!(PcpmEngine::new(&g, &delta).is_ok());
-    }
-
-    #[test]
-    fn non_wide_formats_reject_branchy_gather() {
-        let g = erdos_renyi(100, 400, 2).unwrap();
-        for format in [BinFormatKind::Compact, BinFormatKind::Delta] {
-            let cfg = PcpmConfig::default()
-                .with_partition_bytes(256)
-                .with_bin_format(format);
-            let mut eng = PcpmEngine::new(&g, &cfg).unwrap();
-            let x = vec![0.0f32; 100];
-            let mut y = vec![0.0f32; 100];
-            assert!(
-                eng.spmv_with(&x, &mut y, ScatterKind::Png, GatherKind::Branchy, None)
-                    .is_err(),
-                "format {format}"
-            );
-        }
     }
 }

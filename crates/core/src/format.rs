@@ -11,8 +11,8 @@
 //!
 //! - how one PNG message run is **encoded** into the destination stream
 //!   ([`BinFormat::build`] / [`BinFormat::repair`]),
-//! - how the gather **decodes** it back ([`BinFormat::gather_from`],
-//!   or entry-by-entry through a [`DestCursor`]),
+//! - how the gather **decodes** it back ([`BinFormat::gather_from`] —
+//!   a per-format segment decoder feeding the one loop in `gather.rs`),
 //! - how much auxiliary memory the encoding costs
 //!   ([`BinFormat::aux_memory_bytes`], [`BinFormat::dest_stream_bytes`]).
 //!
@@ -23,14 +23,18 @@
 //! The runtime selector is [`BinFormatKind`]
 //! ([`PcpmConfig::bin_format`](crate::PcpmConfig::bin_format), the CLI's
 //! `--format` flag); the statically-typed entry points are the three
-//! marker types [`WideFormat`], [`CompactFormat`] and [`DeltaFormat`].
+//! marker types [`WideFormat`], [`CompactFormat`] (the two
+//! instantiations of the fixed-width [`FixedFormat`]) and
+//! [`DeltaFormat`].
 
 use crate::algebra::Algebra;
-use crate::bins::BinSpace;
-use crate::compact::CompactBinSpace;
+use crate::bins::FixedBins;
 use crate::delta::DeltaPackedBins;
 use crate::error::PcpmError;
-use crate::kernel::KernelKind;
+use crate::gather::{
+    gather, gather_solo, BranchAvoiding, Branchy, EntrySink, Many, Segment, SegmentDecode,
+};
+use crate::kernel::{prefetch, KernelKind};
 use crate::partition::split_by_lens;
 use crate::png::{for_each_run, EdgeView, Png};
 use rayon::prelude::*;
@@ -94,19 +98,6 @@ impl std::str::FromStr for BinFormatKind {
     }
 }
 
-/// Streaming decoder over one `(source partition, destination partition)`
-/// destination-ID segment: yields each raw edge's destination in bin
-/// order, flagging the first entry of every message.
-///
-/// Every format can decode itself through this interface (the format
-/// round-trip tests and debugging helpers use it); the hot gather loops
-/// are specialized per format but produce the identical entry sequence.
-pub trait DestCursor {
-    /// The next `(global destination ID, starts_new_message)` entry, or
-    /// `None` at the end of the segment.
-    fn next_entry(&mut self) -> Option<(u32, bool)>;
-}
-
 /// A physical bin encoding: storage type, build/repair, scatter/gather
 /// and memory accounting.
 ///
@@ -117,9 +108,6 @@ pub trait DestCursor {
 pub trait BinFormat: Send + Sync + 'static {
     /// The bin storage built over a PNG, generic over the update scalar.
     type Bins<T: BinScalar>: Send + Sync + Clone + std::fmt::Debug;
-
-    /// The segment decoder (see [`DestCursor`]).
-    type Cursor<'a>: DestCursor;
 
     /// The runtime tag of this format.
     const KIND: BinFormatKind;
@@ -192,9 +180,7 @@ pub trait BinFormat: Send + Sync + 'static {
         y: &mut [A::T],
     ) -> Result<(), PcpmError> {
         let _ = (png, bins, y);
-        Err(PcpmError::BadConfig(
-            "the branchy gather ablation requires the wide bin format",
-        ))
+        Err(PcpmError::BadConfig(BRANCHY_NEEDS_WIDE))
     }
 
     /// Mutable access to the update stream (the CSR-traversal scatter
@@ -212,19 +198,15 @@ pub trait BinFormat: Send + Sync + 'static {
     /// compete on; the wide format spends `4·|E|`).
     fn dest_stream_bytes<T: BinScalar>(bins: &Self::Bins<T>) -> u64;
 
-    /// A [`DestCursor`] over segment `(s, p)`.
-    fn cursor<'a, T: BinScalar>(
-        bins: &'a Self::Bins<T>,
-        png: &Png,
-        s: u32,
-        p: u32,
-    ) -> Self::Cursor<'a>;
-
     /// Clones the serializable part of the bins (destination stream +
     /// optional weight stream) for the engine-snapshot writer; the
     /// update stream is scratch and excluded.
     fn export_state<T: BinScalar>(bins: &Self::Bins<T>) -> crate::snapshot::BinState;
 }
+
+/// Why a non-wide format refuses the branchy gather.
+pub(crate) const BRANCHY_NEEDS_WIDE: &str =
+    "the branchy gather ablation requires the wide bin format";
 
 /// Destination-ID compression relative to the wide baseline
 /// (`4·|E| / dest_stream_bytes`); 1.0 for an edgeless graph.
@@ -240,36 +222,59 @@ pub fn dest_compression(raw_edges: u64, dest_bytes: u64) -> f64 {
 // Shared fixed-width build/repair skeleton (wide + compact)
 // ---------------------------------------------------------------------------
 
-/// A fixed-width destination encoding: one storage unit per raw edge.
-/// Captures the only difference between the wide and compact dataplanes'
-/// build/repair code — everything else (region splitting, parallel fill,
-/// block-copy repair, weight streams) is the shared skeleton below.
-pub(crate) trait FixedDestEncode: Send + Sync + 'static {
-    /// Storage unit (`u32` wide, `u16` compact).
-    type Unit: Copy + Default + Send + Sync;
+/// A fixed-width destination encoding: one storage unit per raw edge
+/// (`u32` wide, `u16` compact). Captures the only differences between
+/// the wide and compact dataplanes — how a message run becomes units and
+/// back; everything else (region splitting, parallel fill, block-copy
+/// repair, weight streams, the [`BinFormat`] impl) is shared below.
+pub(crate) trait FixedDestEncode:
+    Copy + Default + Send + Sync + std::fmt::Debug + 'static
+{
+    /// The runtime tag of the format storing this unit.
+    const KIND: BinFormatKind;
+
+    /// Largest destination partition (in nodes) a unit can address.
+    const MAX_PARTITION: u32;
 
     /// Encodes one message run (`out.len() == run.len()`, first entry
     /// carries the demarcation flag). `p_base` is the destination
     /// partition's first node ID.
-    fn encode_run(out: &mut [Self::Unit], run: &[u32], p_base: u32);
+    fn encode_run(out: &mut [Self], run: &[u32], p_base: u32);
+
+    /// The inverse for one unit: `(partition-local offset, starts a
+    /// message)`.
+    fn decode(self, p_base: u32) -> (usize, bool);
+
+    /// Wraps a destination stream as this format's snapshot state.
+    fn export_state(dest_ids: Vec<Self>, weights: Option<Vec<f32>>) -> crate::snapshot::BinState;
 }
 
-pub(crate) struct WideEncode;
-
-impl FixedDestEncode for WideEncode {
-    type Unit = u32;
+impl FixedDestEncode for u32 {
+    const KIND: BinFormatKind = BinFormatKind::Wide;
+    const MAX_PARTITION: u32 = u32::MAX;
 
     #[inline]
     fn encode_run(out: &mut [u32], run: &[u32], _p_base: u32) {
         out[0] = run[0] | crate::MSB_FLAG;
         out[1..].copy_from_slice(&run[1..]);
     }
+
+    #[inline(always)]
+    fn decode(self, p_base: u32) -> (usize, bool) {
+        (
+            (self & crate::ID_MASK) as usize - p_base as usize,
+            self >> 31 != 0,
+        )
+    }
+
+    fn export_state(dest_ids: Vec<u32>, weights: Option<Vec<f32>>) -> crate::snapshot::BinState {
+        crate::snapshot::BinState::wide(dest_ids, weights)
+    }
 }
 
-pub(crate) struct CompactEncode;
-
-impl FixedDestEncode for CompactEncode {
-    type Unit = u16;
+impl FixedDestEncode for u16 {
+    const KIND: BinFormatKind = BinFormatKind::Compact;
+    const MAX_PARTITION: u32 = crate::compact::MAX_COMPACT_PARTITION;
 
     #[inline]
     fn encode_run(out: &mut [u16], run: &[u32], p_base: u32) {
@@ -278,16 +283,41 @@ impl FixedDestEncode for CompactEncode {
             *slot = (t - p_base) as u16;
         }
     }
+
+    #[inline(always)]
+    fn decode(self, _p_base: u32) -> (usize, bool) {
+        ((self & crate::compact::ID_MASK16) as usize, self >> 15 != 0)
+    }
+
+    fn export_state(dest_ids: Vec<u16>, weights: Option<Vec<f32>>) -> crate::snapshot::BinState {
+        crate::snapshot::BinState::compact(dest_ids, weights)
+    }
+}
+
+/// A fixed-width destination stream decodes unit by unit.
+impl<U: FixedDestEncode> SegmentDecode for [U] {
+    type Scratch = ();
+
+    #[inline(always)]
+    fn decode(&self, seg: &Segment, _kernel: KernelKind, _: &mut (), sink: &mut impl EntrySink) {
+        let p_base = seg.p_base;
+        sink.units(&self[seg.raw.clone()], |id: U| id.decode(p_base));
+    }
+
+    #[inline(always)]
+    fn prefetch(&self, seg: &Segment) {
+        prefetch(&self[seg.raw.start..]);
+    }
 }
 
 /// Writes the destination segments (and, when weighted, the weight
 /// segments — one combined scan) of source partition `s` into its
 /// region through `E`.
-fn fill_fixed_partition<E: FixedDestEncode>(
+fn fill_fixed_partition<U: FixedDestEncode>(
     view: EdgeView<'_>,
     png: &Png,
     s: u32,
-    region: &mut [E::Unit],
+    region: &mut [U],
     weights: Option<(&mut [f32], &[f32])>,
 ) {
     let q = png.dst_parts().partition_size();
@@ -302,7 +332,7 @@ fn fill_fixed_partition<E: FixedDestEncode>(
         s,
         |_v, p, run, base| {
             let c = cursor[p as usize] as usize;
-            E::encode_run(&mut region[c..c + run.len()], run, p * q);
+            U::encode_run(&mut region[c..c + run.len()], run, p * q);
             if let Some((wregion, ew)) = wsplit.as_mut() {
                 wregion[c..c + run.len()]
                     .copy_from_slice(&ew[base as usize..base as usize + run.len()]);
@@ -313,14 +343,13 @@ fn fill_fixed_partition<E: FixedDestEncode>(
 }
 
 /// The shared fixed-width build: allocate, split, fill in parallel.
-/// Returns `(updates, dest_stream, weights)`.
-pub(crate) fn build_fixed<E: FixedDestEncode, T: BinScalar>(
+fn build_fixed<U: FixedDestEncode, T: BinScalar>(
     view: EdgeView<'_>,
     png: &Png,
     edge_weights: Option<&[f32]>,
-) -> (Vec<T>, Vec<E::Unit>, Option<Vec<f32>>) {
+) -> FixedBins<U, T> {
     let updates = vec![T::default(); png.num_compressed_edges() as usize];
-    let mut dest = vec![E::Unit::default(); png.num_raw_edges() as usize];
+    let mut dest = vec![U::default(); png.num_raw_edges() as usize];
     let mut weights = edge_weights.map(|_| vec![0.0f32; png.num_raw_edges() as usize]);
     let did_lens = png.did_region_lens();
     let regions = split_by_lens(&mut dest, &did_lens);
@@ -332,32 +361,36 @@ pub(crate) fn build_fixed<E: FixedDestEncode, T: BinScalar>(
                 .zip(wregions)
                 .enumerate()
                 .for_each(|(s, (region, wregion))| {
-                    fill_fixed_partition::<E>(view, png, s as u32, region, Some((wregion, ew)));
+                    fill_fixed_partition::<U>(view, png, s as u32, region, Some((wregion, ew)));
                 });
         }
         _ => {
             regions.into_par_iter().enumerate().for_each(|(s, region)| {
-                fill_fixed_partition::<E>(view, png, s as u32, region, None);
+                fill_fixed_partition::<U>(view, png, s as u32, region, None);
             });
         }
     }
-    (updates, dest, weights)
+    FixedBins {
+        updates,
+        dest_ids: dest,
+        weights,
+    }
 }
 
 /// The shared fixed-width repair: touched partitions are re-encoded,
 /// untouched segments block-copied from `old_dest` / `old_weights` at
 /// their pre-repair offsets.
-pub(crate) fn repair_fixed<E: FixedDestEncode, T: BinScalar>(
-    old_dest: &[E::Unit],
+fn repair_fixed<U: FixedDestEncode, T: BinScalar>(
+    old_dest: &[U],
     old_weights: Option<&[f32]>,
     view: EdgeView<'_>,
     png: &Png,
     old_did_region: &[u64],
     touched: &[bool],
     edge_weights: Option<&[f32]>,
-) -> (Vec<T>, Vec<E::Unit>, Option<Vec<f32>>) {
+) -> FixedBins<U, T> {
     let updates = vec![T::default(); png.num_compressed_edges() as usize];
-    let mut dest = vec![E::Unit::default(); png.num_raw_edges() as usize];
+    let mut dest = vec![U::default(); png.num_raw_edges() as usize];
     let mut weights = edge_weights.map(|_| vec![0.0f32; png.num_raw_edges() as usize]);
     let did_lens = png.did_region_lens();
     let regions = split_by_lens(&mut dest, &did_lens);
@@ -371,7 +404,7 @@ pub(crate) fn repair_fixed<E: FixedDestEncode, T: BinScalar>(
                 .enumerate()
                 .for_each(|(s, (region, wregion))| {
                     if touched[s] {
-                        fill_fixed_partition::<E>(view, png, s as u32, region, Some((wregion, ew)));
+                        fill_fixed_partition::<U>(view, png, s as u32, region, Some((wregion, ew)));
                     } else {
                         let lo = old_did_region[s] as usize;
                         region.copy_from_slice(&old_dest[lo..lo + region.len()]);
@@ -382,7 +415,7 @@ pub(crate) fn repair_fixed<E: FixedDestEncode, T: BinScalar>(
         _ => {
             regions.into_par_iter().enumerate().for_each(|(s, region)| {
                 if touched[s] {
-                    fill_fixed_partition::<E>(view, png, s as u32, region, None);
+                    fill_fixed_partition::<U>(view, png, s as u32, region, None);
                 } else {
                     let lo = old_did_region[s] as usize;
                     region.copy_from_slice(&old_dest[lo..lo + region.len()]);
@@ -390,7 +423,11 @@ pub(crate) fn repair_fixed<E: FixedDestEncode, T: BinScalar>(
             });
         }
     }
-    (updates, dest, weights)
+    FixedBins {
+        updates,
+        dest_ids: dest,
+        weights,
+    }
 }
 
 /// Writes the per-edge weight stream in raw-edge bin order (the layout
@@ -451,153 +488,24 @@ fn fill_weight_partition(view: EdgeView<'_>, png: &Png, s: u32, region: &mut [f3
 // The three formats
 // ---------------------------------------------------------------------------
 
+/// A fixed-width format: one `U` per raw edge. Implements [`BinFormat`]
+/// for the two unit types the crate encodes — use it through the
+/// [`WideFormat`] and [`CompactFormat`] aliases.
+pub struct FixedFormat<U>(std::marker::PhantomData<U>);
+
 /// 32-bit global destination IDs (the paper's §3.2 layout).
-pub struct WideFormat;
-
-/// Cursor over a wide segment.
-pub struct WideCursor<'a> {
-    ids: std::slice::Iter<'a, u32>,
-}
-
-impl DestCursor for WideCursor<'_> {
-    #[inline]
-    fn next_entry(&mut self) -> Option<(u32, bool)> {
-        self.ids
-            .next()
-            .map(|&id| (id & crate::ID_MASK, id & crate::MSB_FLAG != 0))
-    }
-}
-
-impl BinFormat for WideFormat {
-    type Bins<T: BinScalar> = BinSpace<T>;
-    type Cursor<'a> = WideCursor<'a>;
-
-    const KIND: BinFormatKind = BinFormatKind::Wide;
-
-    fn build<T: BinScalar>(view: EdgeView<'_>, png: &Png, weights: Option<&[f32]>) -> BinSpace<T> {
-        let (updates, dest_ids, weights) = build_fixed::<WideEncode, T>(view, png, weights);
-        BinSpace {
-            updates,
-            dest_ids,
-            weights,
-        }
-    }
-
-    fn repair<T: BinScalar>(
-        bins: &mut BinSpace<T>,
-        view: EdgeView<'_>,
-        png: &Png,
-        old_did_region: &[u64],
-        touched: &[bool],
-        weights: Option<&[f32]>,
-    ) {
-        let (updates, dest_ids, new_weights) = repair_fixed::<WideEncode, T>(
-            &bins.dest_ids,
-            bins.weights.as_deref(),
-            view,
-            png,
-            old_did_region,
-            touched,
-            weights,
-        );
-        bins.updates = updates;
-        bins.dest_ids = dest_ids;
-        bins.weights = new_weights;
-    }
-
-    fn gather_from<A: Algebra>(
-        png: &Png,
-        bins: &BinSpace<A::T>,
-        y: &mut [A::T],
-        kernel: KernelKind,
-    ) {
-        crate::gather::gather_algebra_kernel::<A>(png, bins, y, kernel);
-    }
-
-    fn gather_many_from<A: Algebra>(
-        png: &Png,
-        bins: &BinSpace<A::T>,
-        updates: &[&[A::T]],
-        ys: &mut [&mut [A::T]],
-        kernel: KernelKind,
-    ) {
-        crate::gather::gather_algebra_many::<A>(png, bins, updates, ys, kernel);
-    }
-
-    fn gather_branchy_from<A: Algebra>(
-        png: &Png,
-        bins: &BinSpace<A::T>,
-        y: &mut [A::T],
-    ) -> Result<(), PcpmError> {
-        crate::gather::gather_algebra_branchy::<A>(png, bins, y);
-        Ok(())
-    }
-
-    fn updates_mut<T: BinScalar>(bins: &mut BinSpace<T>) -> &mut [T] {
-        &mut bins.updates
-    }
-
-    fn has_weights<T: BinScalar>(bins: &BinSpace<T>) -> bool {
-        bins.weights.is_some()
-    }
-
-    fn aux_memory_bytes<T: BinScalar>(bins: &BinSpace<T>) -> u64 {
-        bins.memory_bytes()
-    }
-
-    fn dest_stream_bytes<T: BinScalar>(bins: &BinSpace<T>) -> u64 {
-        bins.dest_ids.len() as u64 * 4
-    }
-
-    fn cursor<'a, T: BinScalar>(
-        bins: &'a BinSpace<T>,
-        png: &Png,
-        s: u32,
-        p: u32,
-    ) -> WideCursor<'a> {
-        let part = png.part(s);
-        let base = png.did_region()[s as usize];
-        let lo = (base + part.did_off[p as usize]) as usize;
-        let hi = (base + part.did_off[p as usize + 1]) as usize;
-        WideCursor {
-            ids: bins.dest_ids[lo..hi].iter(),
-        }
-    }
-
-    fn export_state<T: BinScalar>(bins: &BinSpace<T>) -> crate::snapshot::BinState {
-        crate::snapshot::BinState::wide(bins.dest_ids.clone(), bins.weights.clone())
-    }
-}
+pub type WideFormat = FixedFormat<u32>;
 
 /// 16-bit partition-local destination IDs (§6 future work).
-pub struct CompactFormat;
+pub type CompactFormat = FixedFormat<u16>;
 
-/// Cursor over a compact segment.
-pub struct CompactCursor<'a> {
-    ids: std::slice::Iter<'a, u16>,
-    p_base: u32,
-}
+impl<U: FixedDestEncode> BinFormat for FixedFormat<U> {
+    type Bins<T: BinScalar> = FixedBins<U, T>;
 
-impl DestCursor for CompactCursor<'_> {
-    #[inline]
-    fn next_entry(&mut self) -> Option<(u32, bool)> {
-        self.ids.next().map(|&id| {
-            (
-                self.p_base + u32::from(id & crate::compact::ID_MASK16),
-                id & crate::compact::MSB_FLAG16 != 0,
-            )
-        })
-    }
-}
-
-impl BinFormat for CompactFormat {
-    type Bins<T: BinScalar> = CompactBinSpace<T>;
-    type Cursor<'a> = CompactCursor<'a>;
-
-    const KIND: BinFormatKind = BinFormatKind::Compact;
+    const KIND: BinFormatKind = U::KIND;
 
     fn validate_layout(png: &Png) -> Result<(), PcpmError> {
-        if png.dst_parts().partition_size() > crate::compact::MAX_COMPACT_PARTITION {
+        if png.dst_parts().partition_size() > U::MAX_PARTITION {
             return Err(PcpmError::BadConfig(
                 "compact bins require partitions of at most 2^15 nodes (128 KB of values)",
             ));
@@ -609,29 +517,26 @@ impl BinFormat for CompactFormat {
         view: EdgeView<'_>,
         png: &Png,
         weights: Option<&[f32]>,
-    ) -> CompactBinSpace<T> {
+    ) -> FixedBins<U, T> {
         let q = png.dst_parts().partition_size();
         assert!(
-            q <= crate::compact::MAX_COMPACT_PARTITION,
-            "partition size {q} exceeds the 15-bit compact range"
+            q <= U::MAX_PARTITION,
+            "partition size {q} exceeds the {} format's {}-node range",
+            U::KIND,
+            U::MAX_PARTITION
         );
-        let (updates, dest_ids, weights) = build_fixed::<CompactEncode, T>(view, png, weights);
-        CompactBinSpace {
-            updates,
-            dest_ids,
-            weights,
-        }
+        build_fixed(view, png, weights)
     }
 
     fn repair<T: BinScalar>(
-        bins: &mut CompactBinSpace<T>,
+        bins: &mut FixedBins<U, T>,
         view: EdgeView<'_>,
         png: &Png,
         old_did_region: &[u64],
         touched: &[bool],
         weights: Option<&[f32]>,
     ) {
-        let (updates, dest_ids, new_weights) = repair_fixed::<CompactEncode, T>(
+        *bins = repair_fixed(
             &bins.dest_ids,
             bins.weights.as_deref(),
             view,
@@ -640,64 +545,62 @@ impl BinFormat for CompactFormat {
             touched,
             weights,
         );
-        bins.updates = updates;
-        bins.dest_ids = dest_ids;
-        bins.weights = new_weights;
     }
 
     fn gather_from<A: Algebra>(
         png: &Png,
-        bins: &CompactBinSpace<A::T>,
+        bins: &FixedBins<U, A::T>,
         y: &mut [A::T],
         kernel: KernelKind,
     ) {
-        crate::compact::gather_compact_algebra::<A>(png, bins, y, kernel);
+        let (dest, weights) = (&bins.dest_ids[..], bins.weights.as_deref());
+        gather_solo::<A, _, BranchAvoiding>(png, dest, weights, &bins.updates, y, kernel);
     }
 
     fn gather_many_from<A: Algebra>(
         png: &Png,
-        bins: &CompactBinSpace<A::T>,
+        bins: &FixedBins<U, A::T>,
         updates: &[&[A::T]],
         ys: &mut [&mut [A::T]],
         kernel: KernelKind,
     ) {
-        crate::compact::gather_compact_algebra_many::<A>(png, bins, updates, ys, kernel);
+        let (dest, weights) = (&bins.dest_ids[..], bins.weights.as_deref());
+        gather::<A, _, Many<_>, BranchAvoiding>(png, dest, weights, updates, ys, kernel);
     }
 
-    fn updates_mut<T: BinScalar>(bins: &mut CompactBinSpace<T>) -> &mut [T] {
+    fn gather_branchy_from<A: Algebra>(
+        png: &Png,
+        bins: &FixedBins<U, A::T>,
+        y: &mut [A::T],
+    ) -> Result<(), PcpmError> {
+        if U::KIND != BinFormatKind::Wide {
+            return Err(PcpmError::BadConfig(BRANCHY_NEEDS_WIDE));
+        }
+        // Always the plain loop: the ablation exists to measure the
+        // per-entry branch, which unrolling would blur.
+        let (dest, weights) = (&bins.dest_ids[..], bins.weights.as_deref());
+        gather_solo::<A, _, Branchy>(png, dest, weights, &bins.updates, y, KernelKind::Scalar);
+        Ok(())
+    }
+
+    fn updates_mut<T: BinScalar>(bins: &mut FixedBins<U, T>) -> &mut [T] {
         &mut bins.updates
     }
 
-    fn has_weights<T: BinScalar>(bins: &CompactBinSpace<T>) -> bool {
+    fn has_weights<T: BinScalar>(bins: &FixedBins<U, T>) -> bool {
         bins.weights.is_some()
     }
 
-    fn aux_memory_bytes<T: BinScalar>(bins: &CompactBinSpace<T>) -> u64 {
+    fn aux_memory_bytes<T: BinScalar>(bins: &FixedBins<U, T>) -> u64 {
         bins.memory_bytes()
     }
 
-    fn dest_stream_bytes<T: BinScalar>(bins: &CompactBinSpace<T>) -> u64 {
-        bins.dest_ids.len() as u64 * 2
+    fn dest_stream_bytes<T: BinScalar>(bins: &FixedBins<U, T>) -> u64 {
+        (bins.dest_ids.len() * std::mem::size_of::<U>()) as u64
     }
 
-    fn cursor<'a, T: BinScalar>(
-        bins: &'a CompactBinSpace<T>,
-        png: &Png,
-        s: u32,
-        p: u32,
-    ) -> CompactCursor<'a> {
-        let part = png.part(s);
-        let base = png.did_region()[s as usize];
-        let lo = (base + part.did_off[p as usize]) as usize;
-        let hi = (base + part.did_off[p as usize + 1]) as usize;
-        CompactCursor {
-            ids: bins.dest_ids[lo..hi].iter(),
-            p_base: p * png.dst_parts().partition_size(),
-        }
-    }
-
-    fn export_state<T: BinScalar>(bins: &CompactBinSpace<T>) -> crate::snapshot::BinState {
-        crate::snapshot::BinState::compact(bins.dest_ids.clone(), bins.weights.clone())
+    fn export_state<T: BinScalar>(bins: &FixedBins<U, T>) -> crate::snapshot::BinState {
+        U::export_state(bins.dest_ids.clone(), bins.weights.clone())
     }
 }
 
@@ -706,7 +609,6 @@ pub struct DeltaFormat;
 
 impl BinFormat for DeltaFormat {
     type Bins<T: BinScalar> = DeltaPackedBins<T>;
-    type Cursor<'a> = crate::delta::DeltaCursor<'a>;
 
     const KIND: BinFormatKind = BinFormatKind::Delta;
 
@@ -735,7 +637,8 @@ impl BinFormat for DeltaFormat {
         y: &mut [A::T],
         kernel: KernelKind,
     ) {
-        crate::delta::gather_delta_algebra::<A>(png, bins, y, kernel);
+        let weights = bins.weights.as_deref();
+        gather_solo::<A, _, BranchAvoiding>(png, bins, weights, &bins.updates, y, kernel);
     }
 
     fn gather_many_from<A: Algebra>(
@@ -745,7 +648,8 @@ impl BinFormat for DeltaFormat {
         ys: &mut [&mut [A::T]],
         kernel: KernelKind,
     ) {
-        crate::delta::gather_delta_algebra_many::<A>(png, bins, updates, ys, kernel);
+        let weights = bins.weights.as_deref();
+        gather::<A, _, Many<_>, BranchAvoiding>(png, bins, weights, updates, ys, kernel);
     }
 
     fn updates_mut<T: BinScalar>(bins: &mut DeltaPackedBins<T>) -> &mut [T] {
@@ -762,15 +666,6 @@ impl BinFormat for DeltaFormat {
 
     fn dest_stream_bytes<T: BinScalar>(bins: &DeltaPackedBins<T>) -> u64 {
         bins.dest_stream_bytes()
-    }
-
-    fn cursor<'a, T: BinScalar>(
-        bins: &'a DeltaPackedBins<T>,
-        png: &Png,
-        s: u32,
-        p: u32,
-    ) -> crate::delta::DeltaCursor<'a> {
-        bins.cursor(png, s, p)
     }
 
     fn export_state<T: BinScalar>(bins: &DeltaPackedBins<T>) -> crate::snapshot::BinState {
@@ -790,22 +685,47 @@ mod tests {
         Png::build(EdgeView::from_csr(g), parts, parts)
     }
 
-    /// Decodes every `(s, p)` segment of `F` into message lists through
-    /// the cursor interface.
-    fn decode_all<F: BinFormat>(png: &Png, bins: &F::Bins<f32>) -> Vec<Vec<Vec<u32>>> {
+    /// Collects one segment's entries as global-ID message lists.
+    struct Messages {
+        p_base: u32,
+        msgs: Vec<Vec<u32>>,
+    }
+
+    impl EntrySink for Messages {
+        fn entries(&mut self, entries: impl Iterator<Item = (usize, bool)>) {
+            for (local, first) in entries {
+                let dst = self.p_base + local as u32;
+                if first {
+                    self.msgs.push(vec![dst]);
+                } else {
+                    self.msgs.last_mut().expect("first entry flagged").push(dst);
+                }
+            }
+        }
+
+        fn units<R: Copy>(&mut self, raw: &[R], decode: impl FnMut(R) -> (usize, bool)) {
+            self.entries(raw.iter().copied().map(decode));
+        }
+    }
+
+    /// Decodes every `(s, p)` segment of `dest` into message lists
+    /// through the gather's own decoder.
+    fn decode_all<D: SegmentDecode + ?Sized>(
+        png: &Png,
+        dest: &D,
+        kernel: KernelKind,
+    ) -> Vec<Vec<Vec<u32>>> {
         let mut all = Vec::new();
+        let mut scratch = D::Scratch::default();
         for s in png.src_parts().iter() {
             for p in png.dst_parts().iter() {
-                let mut cur = F::cursor(bins, png, s, p);
-                let mut msgs: Vec<Vec<u32>> = Vec::new();
-                while let Some((dst, first)) = cur.next_entry() {
-                    if first {
-                        msgs.push(vec![dst]);
-                    } else {
-                        msgs.last_mut().expect("first entry flagged").push(dst);
-                    }
-                }
-                all.push(msgs);
+                let (seg, _) = Segment::locate(png, s, p as usize);
+                let mut sink = Messages {
+                    p_base: seg.p_base,
+                    msgs: Vec::new(),
+                };
+                dest.decode(&seg, kernel, &mut scratch, &mut sink);
+                all.push(sink.msgs);
             }
         }
         all
@@ -820,12 +740,21 @@ mod tests {
             let wide = WideFormat::build::<f32>(view, &png, None);
             let compact = CompactFormat::build::<f32>(view, &png, None);
             let delta = DeltaFormat::build::<f32>(view, &png, None);
-            let want = decode_all::<WideFormat>(&png, &wide);
-            assert_eq!(want, decode_all::<CompactFormat>(&png, &compact), "q={q}");
-            assert_eq!(want, decode_all::<DeltaFormat>(&png, &delta), "q={q}");
-            // Entry counts: one decoded entry per raw edge.
-            let total: usize = want.iter().flatten().map(Vec::len).sum();
-            assert_eq!(total as u64, g.num_edges());
+            for kernel in [KernelKind::Scalar, KernelKind::Unrolled] {
+                let want = decode_all(&png, &wide.dest_ids[..], kernel);
+                assert_eq!(
+                    want,
+                    decode_all(&png, &compact.dest_ids[..], kernel),
+                    "q={q}"
+                );
+                assert_eq!(want, decode_all(&png, &delta, kernel), "q={q} {kernel}");
+                // The messages are the PNG's rows: one per compressed
+                // edge, one decoded entry per raw edge.
+                let msgs: usize = want.iter().map(Vec::len).sum();
+                assert_eq!(msgs as u64, png.num_compressed_edges());
+                let total: usize = want.iter().flatten().map(Vec::len).sum();
+                assert_eq!(total as u64, g.num_edges());
+            }
         }
     }
 
@@ -841,6 +770,7 @@ mod tests {
         let c = CompactFormat::dest_stream_bytes(&compact);
         let d = DeltaFormat::dest_stream_bytes(&delta);
         assert_eq!(c * 2, w);
+        assert!(compact.memory_bytes() < wide.memory_bytes());
         assert!(d < c, "delta ({d}) must beat compact ({c})");
         assert!(dest_compression(g.num_edges(), d) > 2.0);
     }

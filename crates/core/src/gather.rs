@@ -1,82 +1,334 @@
-//! PCPM gather phase.
+//! PCPM gather phase: the one gather inner loop.
 //!
-//! Two implementations of the same reduction, both generic over the
-//! gather [`Algebra`] (f32 PageRank sums, min-label, min-plus, …):
+//! The paper's gather (Algorithm 4) is a single idea: walk a bin segment,
+//! *add* each entry's demarcation bit to the update pointer instead of
+//! branching on it (§3.4), and reduce into the partition-local slice of
+//! the output. Every bin format, kernel variant and batch width runs
+//! that idea through the three pieces of this module:
 //!
-//! - [`gather_algebra`] — Algorithm 4: the MSB of each destination ID is
-//!   *added* to the update pointer instead of being branched on, so the
-//!   inner loop has no unpredictable control flow (§3.4).
-//! - [`gather_algebra_branchy`] — Algorithm 2's gather: `if MSB(id) != 0
-//!   { pop update }`. Mispredicts on every message boundary; kept for the
-//!   branch-avoidance ablation benches.
+//! - [`gather`] — the partition/segment walker. Parallel over
+//!   destination partitions: worker `p` owns partition `p`'s slice of
+//!   every output exclusively, so the phase is lock-free. It streams the
+//!   `k_src` segments `(s, p)`, each contiguous in the bins.
+//! - [`SegmentDecode`] — one implementation per bin format, turning a
+//!   segment into `(partition-local offset, starts a message)` entries in
+//!   bin order (fixed-width units in [`crate::format`], varints in
+//!   [`crate::delta`]).
+//! - `Apply` — the loop itself, generic over the [`Accumulator`]
+//!   ([`Solo`]: one output over the bins' own update stream; [`Many`]:
+//!   `Q` outputs over `Q` streams, so the destination bytes are read and
+//!   decoded once per batch), the weight source and the [`Advance`]
+//!   policy ([`BranchAvoiding`], or [`Branchy`] — Algorithm 2's
+//!   `if MSB(id) != 0 { pop update }`, kept for the ablation benches).
 //!
-//! [`gather_branch_avoiding`] and [`gather_branchy`] are the `(+, ×)` /
-//! `f32` specializations the PageRank driver uses.
-//!
-//! Both are parallel over destination partitions: worker `p` owns the
-//! partial-sum slice of partition `p` exclusively, so the phase is
-//! lock-free. Updates and destination IDs are streamed segment by segment
-//! (one segment per source partition, each contiguous).
+//! Entries are applied in bin order on every path, so output is
+//! bit-identical across formats, kernels and batch widths for any
+//! [`Algebra`].
 
 use crate::algebra::Algebra;
-use crate::bins::BinSpace;
-use crate::kernel::{prefetch, KernelKind};
+use crate::kernel::KernelKind;
 use crate::partition::split_by_lens;
 use crate::png::Png;
-use crate::ID_MASK;
 use rayon::prelude::*;
+use std::ops::Range;
 
-/// Algorithm 4 over the `(+, ×)` semiring: branch-avoiding gather.
-/// Accumulates all messages into `y` (which is zeroed first). `y.len()`
-/// must equal the destination node count.
-pub fn gather_branch_avoiding(png: &Png, bins: &BinSpace, y: &mut [f32]) {
-    gather_algebra::<crate::algebra::PlusF32>(png, bins, y);
+/// One `(source partition, destination partition)` bin segment.
+pub(crate) struct Segment {
+    /// Source partition.
+    pub s: usize,
+    /// Destination partition.
+    pub p: usize,
+    /// The segment's raw-edge range in the source-partition-major
+    /// destination-ID and weight streams.
+    pub raw: Range<usize>,
+    /// First node ID of destination partition `p`.
+    pub p_base: u32,
 }
 
-/// Algorithm 2 gather over the `(+, ×)` semiring: branch on the MSB flag
-/// (ablation baseline).
-pub fn gather_branchy(png: &Png, bins: &BinSpace, y: &mut [f32]) {
-    gather_algebra_branchy::<crate::algebra::PlusF32>(png, bins, y);
+impl Segment {
+    /// Where segment `(s, p)` lies in the destination streams and, second,
+    /// in the update streams.
+    pub fn locate(png: &Png, s: u32, p: usize) -> (Self, Range<usize>) {
+        let part = png.part(s);
+        let ubase = png.upd_region()[s as usize] as usize;
+        let dbase = png.did_region()[s as usize] as usize;
+        let seg = Segment {
+            s: s as usize,
+            p,
+            raw: dbase + part.did_off[p] as usize..dbase + part.did_off[p + 1] as usize,
+            p_base: png.dst_parts().range(p as u32).start,
+        };
+        let upd = ubase + part.upd_off[p] as usize..ubase + part.upd_off[p + 1] as usize;
+        (seg, upd)
+    }
 }
 
-/// Branch-avoiding gather (Algorithm 4) over an arbitrary [`Algebra`].
-///
-/// The reduction into `y` starts from `A::identity()` per node; callers
-/// that need "keep my own value" semantics (label propagation, BFS)
-/// combine `y` with the previous vertex state afterwards.
-pub fn gather_algebra<A: Algebra>(png: &Png, bins: &BinSpace<A::T>, y: &mut [A::T]) {
-    run_gather::<A>(png, bins, y, false, KernelKind::Scalar);
+/// Consumer of one decoded segment — `(partition-local offset, starts a
+/// message)` entries in bin order, through exactly one of the two
+/// methods. The apply loop; the format round-trip tests collect instead.
+pub(crate) trait EntrySink {
+    /// Takes the segment's entries, decoded on demand.
+    fn entries(&mut self, entries: impl Iterator<Item = (usize, bool)>);
+
+    /// Takes the segment's entries as the units `raw`, to be run through
+    /// `decode` in order (`decode` may carry state from one unit to the
+    /// next). A count known up front is what lets the apply loop take
+    /// four entries per trip.
+    fn units<R: Copy>(&mut self, raw: &[R], decode: impl FnMut(R) -> (usize, bool));
 }
 
-/// [`gather_algebra`] with an explicit kernel variant.
-/// [`KernelKind::Unrolled`] applies entries 4-at-a-time (in exactly the
-/// scalar order, so f32 output stays bit-identical) and prefetches the
-/// next destID segment; any other value runs the scalar loop.
-pub fn gather_algebra_kernel<A: Algebra>(
-    png: &Png,
-    bins: &BinSpace<A::T>,
-    y: &mut [A::T],
-    kernel: KernelKind,
-) {
-    run_gather::<A>(png, bins, y, false, kernel);
+/// A bin format's destination stream, as the gather reads it.
+pub(crate) trait SegmentDecode: Sync {
+    /// Per-worker decode state, reused across every segment of one
+    /// destination partition.
+    type Scratch: Default;
+
+    /// Decodes `seg` and hands its entries to `sink`, exactly once.
+    /// `kernel` picks the decode strategy where the format has more than
+    /// one; every strategy yields the identical entry sequence.
+    fn decode(
+        &self,
+        seg: &Segment,
+        kernel: KernelKind,
+        scratch: &mut Self::Scratch,
+        sink: &mut impl EntrySink,
+    );
+
+    /// Touches the head of `seg`, so its first cache line is in flight
+    /// while the segment before it finishes.
+    fn prefetch(&self, seg: &Segment);
 }
 
-/// Branchy gather (Algorithm 2) over an arbitrary [`Algebra`] — the
-/// branch-avoidance ablation, byte-identical output to
-/// [`gather_algebra`]. Always scalar: the ablation exists to measure
-/// the per-entry branch, which unrolling would blur.
-pub fn gather_algebra_branchy<A: Algebra>(png: &Png, bins: &BinSpace<A::T>, y: &mut [A::T]) {
-    run_gather::<A>(png, bins, y, true, KernelKind::Scalar);
+/// How the update pointer moves at a message boundary.
+pub(crate) trait Advance {
+    /// Steps `up` to the entry's update value; `first` is the entry's
+    /// demarcation bit.
+    fn advance(up: &mut usize, first: bool);
+}
+
+/// Algorithm 4: the demarcation bit is added to the pointer, so the
+/// loop carries no data-dependent branch.
+pub(crate) struct BranchAvoiding;
+
+impl Advance for BranchAvoiding {
+    #[inline(always)]
+    fn advance(up: &mut usize, first: bool) {
+        *up = up.wrapping_add(first as usize);
+    }
+}
+
+/// Algorithm 2: branch on the demarcation bit. Mispredicts on every
+/// message boundary; the branch-avoidance ablation.
+pub(crate) struct Branchy;
+
+impl Advance for Branchy {
+    #[inline(always)]
+    fn advance(up: &mut usize, first: bool) {
+        if first {
+            *up = up.wrapping_add(1);
+        }
+    }
+}
+
+/// What an edge contributes besides its update value.
+pub(crate) trait Weight: Copy {
+    /// The contribution of an edge whose source propagated `u`.
+    fn extend<A: Algebra>(self, u: A::T) -> A::T;
+}
+
+/// An unweighted edge. Zero-sized, so a slice of them parallel to a
+/// segment costs nothing.
+#[derive(Clone, Copy)]
+struct Unweighted;
+
+impl Weight for Unweighted {
+    #[inline(always)]
+    fn extend<A: Algebra>(self, u: A::T) -> A::T {
+        A::extend(u)
+    }
+}
+
+impl Weight for f32 {
+    #[inline(always)]
+    fn extend<A: Algebra>(self, u: A::T) -> A::T {
+        A::extend_weighted(self, u)
+    }
+}
+
+/// One destination partition's slice of the outputs, with the update
+/// streams that feed it.
+pub(crate) trait Accumulator<'a, A: Algebra> {
+    /// Whether four-at-a-time iteration pays: it trims the loop overhead
+    /// around a single combine, which a `Q`-wide inner loop already
+    /// amortizes.
+    const UNROLL: bool;
+
+    /// Takes partition `p`'s slice of every output (reset to the
+    /// algebra's identity) and the whole update streams.
+    fn new(updates: &'a [&'a [A::T]], ys: Vec<&'a mut [A::T]>) -> Self;
+
+    /// Moves to the segment whose updates occupy `upd` in every stream.
+    fn seek(&mut self, upd: Range<usize>);
+
+    /// Reduces the segment's `up`-th update into offset `local`.
+    fn add<W: Weight>(&mut self, local: usize, up: usize, w: W);
+}
+
+/// Width 1: the solo gather.
+pub(crate) struct Solo<'a, T> {
+    updates: &'a [T],
+    /// The current segment's updates.
+    seg: &'a [T],
+    y: &'a mut [T],
+}
+
+impl<'a, A: Algebra> Accumulator<'a, A> for Solo<'a, A::T> {
+    const UNROLL: bool = true;
+
+    fn new(updates: &'a [&'a [A::T]], mut ys: Vec<&'a mut [A::T]>) -> Self {
+        let y = ys.pop().expect("one output");
+        assert!(ys.is_empty(), "the solo gather takes one output");
+        y.fill(A::identity());
+        Self {
+            updates: updates[0],
+            seg: &[],
+            y,
+        }
+    }
+
+    #[inline]
+    fn seek(&mut self, upd: Range<usize>) {
+        self.seg = &self.updates[upd];
+    }
+
+    #[inline(always)]
+    fn add<W: Weight>(&mut self, local: usize, up: usize, w: W) {
+        let slot = &mut self.y[local];
+        *slot = A::combine(*slot, w.extend::<A>(self.seg[up]));
+    }
+}
+
+/// Width `Q`: the multi-query gather (the SpMM inner loop).
+pub(crate) struct Many<'a, T> {
+    updates: &'a [&'a [T]],
+    /// Start of the current segment's updates in every stream.
+    ulo: usize,
+    ys: Vec<&'a mut [T]>,
+}
+
+impl<'a, A: Algebra> Accumulator<'a, A> for Many<'a, A::T> {
+    const UNROLL: bool = false;
+
+    fn new(updates: &'a [&'a [A::T]], mut ys: Vec<&'a mut [A::T]>) -> Self {
+        for y in ys.iter_mut() {
+            y.fill(A::identity());
+        }
+        Self {
+            updates,
+            ulo: 0,
+            ys,
+        }
+    }
+
+    #[inline]
+    fn seek(&mut self, upd: Range<usize>) {
+        self.ulo = upd.start;
+    }
+
+    #[inline(always)]
+    fn add<W: Weight>(&mut self, local: usize, up: usize, w: W) {
+        for (y, us) in self.ys.iter_mut().zip(self.updates) {
+            let slot = &mut y[local];
+            *slot = A::combine(*slot, w.extend::<A>(us[self.ulo + up]));
+        }
+    }
+}
+
+/// The apply loop of one segment: every entry advances the update
+/// pointer by its demarcation bit and reduces into the accumulator.
+struct Apply<'s, A, Acc, P> {
+    acc: &'s mut Acc,
+    /// The segment's slice of the weight stream.
+    weights: Option<&'s [f32]>,
+    /// Take the entries four per trip, in exactly the plain order.
+    chunked: bool,
+    _variant: std::marker::PhantomData<(A, P)>,
+}
+
+impl<'a, A: Algebra, Acc: Accumulator<'a, A>, P: Advance> Apply<'_, A, Acc, P> {
+    #[inline(always)]
+    fn step<W: Weight>(&mut self, up: &mut usize, (local, first): (usize, bool), w: W) {
+        P::advance(up, first);
+        self.acc.add(local, *up, w);
+    }
+
+    /// The loop, from update pointer `up` on. A `for`, not `for_each`: an
+    /// adapter's `fold` is not reliably inlined here, and out of line it
+    /// keeps `up` in memory.
+    #[inline(always)]
+    fn drain<W: Weight>(
+        &mut self,
+        up: &mut usize,
+        entries: impl Iterator<Item = ((usize, bool), W)>,
+    ) {
+        for (entry, w) in entries {
+            self.step(up, entry, w);
+        }
+    }
+
+    /// The loop over units and their weights: four per trip while
+    /// `chunked` has four left, then [`Self::drain`] for the rest.
+    #[inline(always)]
+    fn units_with<R: Copy, W: Weight>(
+        &mut self,
+        mut raw: &[R],
+        mut ws: &[W],
+        mut decode: impl FnMut(R) -> (usize, bool),
+    ) {
+        let mut up = FIRST_UP;
+        if self.chunked {
+            let (mut raw4, mut ws4) = (raw.chunks_exact(4), ws.chunks_exact(4));
+            for (r, w) in (&mut raw4).zip(&mut ws4) {
+                for i in 0..4 {
+                    self.step(&mut up, decode(r[i]), w[i]);
+                }
+            }
+            (raw, ws) = (raw4.remainder(), ws4.remainder());
+        }
+        self.drain(&mut up, raw.iter().zip(ws).map(|(&r, &w)| (decode(r), w)));
+    }
+}
+
+/// The update pointer starts one before the segment: the first entry
+/// always starts a message and advances it to 0.
+const FIRST_UP: usize = usize::MAX;
+
+impl<'a, A: Algebra, Acc: Accumulator<'a, A>, P: Advance> EntrySink for Apply<'_, A, Acc, P> {
+    #[inline(always)]
+    fn units<R: Copy>(&mut self, raw: &[R], decode: impl FnMut(R) -> (usize, bool)) {
+        match self.weights {
+            // A `Vec` of zero-sized values never allocates: the slice is
+            // only a length, there so both arms zip through one loop.
+            None => self.units_with(raw, &vec![Unweighted; raw.len()], decode),
+            Some(ws) => self.units_with(raw, ws, decode),
+        }
+    }
+
+    #[inline(always)]
+    fn entries(&mut self, entries: impl Iterator<Item = (usize, bool)>) {
+        let mut up = FIRST_UP;
+        match self.weights {
+            None => self.drain(&mut up, entries.map(|entry| (entry, Unweighted))),
+            Some(ws) => self.drain(&mut up, entries.zip(ws.iter().copied())),
+        }
+    }
 }
 
 /// Splits each of the `Q` output vectors by destination-partition `lens`
 /// and transposes the result: `out[p][q]` is query `q`'s slice of
-/// partition `p`. Shared by every format's multi-query gather so worker
-/// `p` owns its region of *all* `Q` outputs in fully safe code.
-pub(crate) fn split_queries_by_parts<'a, T>(
-    ys: &'a mut [&mut [T]],
-    lens: &[usize],
-) -> Vec<Vec<&'a mut [T]>> {
+/// partition `p`, so worker `p` owns its region of *all* `Q` outputs in
+/// fully safe code.
+fn split_queries_by_parts<'a, T>(ys: &'a mut [&mut [T]], lens: &[usize]) -> Vec<Vec<&'a mut [T]>> {
     let mut per_part: Vec<Vec<&'a mut [T]>> =
         lens.iter().map(|_| Vec::with_capacity(ys.len())).collect();
     for y in ys.iter_mut() {
@@ -87,342 +339,281 @@ pub(crate) fn split_queries_by_parts<'a, T>(
     per_part
 }
 
-/// Multi-query branch-avoiding gather (the SpMM inner loop): one pass
-/// over the MSB-demarcated destID stream applies each decoded entry to
-/// every query's accumulator, so the bin-stream bytes are read once per
-/// batch instead of once per query. `updates[q]` must share the layout
-/// `png_scatter` produces; each query's output is bit-identical to a
-/// solo [`gather_algebra`] over the same update stream.
-pub fn gather_algebra_many<A: Algebra>(
+/// One gather round: `ys[q] = ⊕ Aᵀ·(what was scattered into updates[q])`
+/// for every query, reading and decoding the destination stream `dest`
+/// once. `updates[q]` must have the layout `png_scatter` writes;
+/// `weights` is the raw-edge-order weight stream of weighted bins.
+///
+/// [`KernelKind::Unrolled`] keeps the next segment's head in flight and
+/// lets the accumulator iterate four entries per trip; any other value
+/// runs the plain loop.
+///
+/// # Panics
+///
+/// Panics unless there is one update stream of `|E'|` values per output
+/// and every output spans the destination nodes.
+pub(crate) fn gather<'a, A, D, Acc, P>(
     png: &Png,
-    bins: &BinSpace<A::T>,
-    updates: &[&[A::T]],
-    ys: &mut [&mut [A::T]],
+    dest: &D,
+    weights: Option<&[f32]>,
+    updates: &'a [&'a [A::T]],
+    ys: &'a mut [&mut [A::T]],
     kernel: KernelKind,
-) {
+) where
+    A: Algebra,
+    D: SegmentDecode + ?Sized,
+    Acc: Accumulator<'a, A>,
+    P: Advance,
+{
     assert_eq!(updates.len(), ys.len(), "one update stream per output");
     for y in ys.iter() {
         assert_eq!(y.len(), png.dst_parts().num_nodes() as usize, "y length");
     }
-    let lens = png.dst_parts().lens();
-    let per_part = split_queries_by_parts(ys, &lens);
-    let k_src = png.src_parts().num_partitions();
+    for us in updates {
+        assert_eq!(
+            us.len() as u64,
+            png.num_compressed_edges(),
+            "update stream length"
+        );
+    }
     let unrolled = kernel == KernelKind::Unrolled;
-    per_part
+    let k_src = png.src_parts().num_partitions();
+    split_queries_by_parts(ys, &png.dst_parts().lens())
         .into_par_iter()
         .enumerate()
-        .for_each(|(p, mut ys_q)| {
-            for ys in ys_q.iter_mut() {
-                ys.fill(A::identity());
-            }
-            let base = png.dst_parts().range(p as u32).start as usize;
+        .for_each(|(p, ys_p)| {
+            let mut acc = Acc::new(updates, ys_p);
+            let mut scratch = D::Scratch::default();
             for s in 0..k_src {
-                let part = png.part(s);
-                let ubase = png.upd_region()[s as usize] as usize;
-                let dbase = png.did_region()[s as usize] as usize;
-                let ulo = ubase + part.upd_off[p] as usize;
-                let dlo = dbase + part.did_off[p] as usize;
-                let dhi = dbase + part.did_off[p + 1] as usize;
-                let ds = &bins.dest_ids[dlo..dhi];
-                // The entry loop already amortizes over Q accumulators;
-                // the unrolled kernel's win here is keeping the next
-                // segment's head in flight.
+                let (seg, upd) = Segment::locate(png, s, p);
                 if unrolled && s + 1 < k_src {
-                    let np = png.part(s + 1);
-                    let nb = png.did_region()[s as usize + 1] as usize;
-                    prefetch(&bins.dest_ids[nb + np.did_off[p] as usize..]);
+                    dest.prefetch(&Segment::locate(png, s + 1, p).0);
                 }
-                match &bins.weights {
-                    None => {
-                        let mut up = usize::MAX;
-                        for &id in ds {
-                            up = up.wrapping_add((id >> 31) as usize);
-                            let local = (id & ID_MASK) as usize - base;
-                            for (q, ys) in ys_q.iter_mut().enumerate() {
-                                let slot = &mut ys[local];
-                                *slot = A::combine(*slot, A::extend(updates[q][ulo + up]));
-                            }
-                        }
-                    }
-                    Some(w) => {
-                        let ws = &w[dlo..dhi];
-                        let mut up = usize::MAX;
-                        for (&id, &wt) in ds.iter().zip(ws) {
-                            up = up.wrapping_add((id >> 31) as usize);
-                            let local = (id & ID_MASK) as usize - base;
-                            for (q, ys) in ys_q.iter_mut().enumerate() {
-                                let slot = &mut ys[local];
-                                *slot =
-                                    A::combine(*slot, A::extend_weighted(wt, updates[q][ulo + up]));
-                            }
-                        }
-                    }
-                }
+                acc.seek(upd);
+                let mut sink = Apply::<A, Acc, P> {
+                    acc: &mut acc,
+                    weights: weights.map(|w| &w[seg.raw.clone()]),
+                    chunked: unrolled && Acc::UNROLL,
+                    _variant: std::marker::PhantomData,
+                };
+                dest.decode(&seg, kernel, &mut scratch, &mut sink);
             }
         });
 }
 
-fn run_gather<A: Algebra>(
+/// The width-1 round: `y = ⊕ Aᵀ·(what was scattered into updates)`.
+pub(crate) fn gather_solo<A: Algebra, D: SegmentDecode + ?Sized, P: Advance>(
     png: &Png,
-    bins: &BinSpace<A::T>,
+    dest: &D,
+    weights: Option<&[f32]>,
+    updates: &[A::T],
     y: &mut [A::T],
-    branchy: bool,
     kernel: KernelKind,
 ) {
-    assert_eq!(y.len(), png.dst_parts().num_nodes() as usize, "y length");
-    let lens = png.dst_parts().lens();
-    let slices = split_by_lens(y, &lens);
-    let k_src = png.src_parts().num_partitions();
-    let unrolled = kernel == KernelKind::Unrolled;
-    slices.into_par_iter().enumerate().for_each(|(p, ys)| {
-        ys.fill(A::identity());
-        let base = png.dst_parts().range(p as u32).start as usize;
-        for s in 0..k_src {
-            let part = png.part(s);
-            let ubase = png.upd_region()[s as usize] as usize;
-            let dbase = png.did_region()[s as usize] as usize;
-            let ulo = ubase + part.upd_off[p] as usize;
-            let uhi = ubase + part.upd_off[p + 1] as usize;
-            let dlo = dbase + part.did_off[p] as usize;
-            let dhi = dbase + part.did_off[p + 1] as usize;
-            let us = &bins.updates[ulo..uhi];
-            let ds = &bins.dest_ids[dlo..dhi];
-            if unrolled && s + 1 < k_src {
-                let np = png.part(s + 1);
-                let nb = png.did_region()[s as usize + 1] as usize;
-                prefetch(&bins.dest_ids[nb + np.did_off[p] as usize..]);
-            }
-            match (branchy, &bins.weights) {
-                (false, None) if unrolled => {
-                    let mut up = usize::MAX;
-                    macro_rules! step {
-                        ($id:expr) => {{
-                            let id = $id;
-                            up = up.wrapping_add((id >> 31) as usize);
-                            let slot = &mut ys[(id & ID_MASK) as usize - base];
-                            *slot = A::combine(*slot, A::extend(us[up]));
-                        }};
-                    }
-                    let mut chunks = ds.chunks_exact(4);
-                    for c in &mut chunks {
-                        step!(c[0]);
-                        step!(c[1]);
-                        step!(c[2]);
-                        step!(c[3]);
-                    }
-                    for &id in chunks.remainder() {
-                        step!(id);
-                    }
-                }
-                (false, None) => {
-                    // `up` starts one before the segment; the first entry
-                    // always carries the MSB flag and advances it to 0.
-                    let mut up = usize::MAX;
-                    for &id in ds {
-                        up = up.wrapping_add((id >> 31) as usize);
-                        let slot = &mut ys[(id & ID_MASK) as usize - base];
-                        *slot = A::combine(*slot, A::extend(us[up]));
-                    }
-                }
-                (false, Some(w)) if unrolled => {
-                    let ws = &w[dlo..dhi];
-                    let mut up = usize::MAX;
-                    macro_rules! step {
-                        ($id:expr, $wt:expr) => {{
-                            let id = $id;
-                            up = up.wrapping_add((id >> 31) as usize);
-                            let slot = &mut ys[(id & ID_MASK) as usize - base];
-                            *slot = A::combine(*slot, A::extend_weighted($wt, us[up]));
-                        }};
-                    }
-                    let mut dc = ds.chunks_exact(4);
-                    let mut wc = ws.chunks_exact(4);
-                    for (c, cw) in (&mut dc).zip(&mut wc) {
-                        step!(c[0], cw[0]);
-                        step!(c[1], cw[1]);
-                        step!(c[2], cw[2]);
-                        step!(c[3], cw[3]);
-                    }
-                    for (&id, &wt) in dc.remainder().iter().zip(wc.remainder()) {
-                        step!(id, wt);
-                    }
-                }
-                (false, Some(w)) => {
-                    let ws = &w[dlo..dhi];
-                    let mut up = usize::MAX;
-                    for (&id, &wt) in ds.iter().zip(ws) {
-                        up = up.wrapping_add((id >> 31) as usize);
-                        let slot = &mut ys[(id & ID_MASK) as usize - base];
-                        *slot = A::combine(*slot, A::extend_weighted(wt, us[up]));
-                    }
-                }
-                (true, None) => {
-                    let mut up = usize::MAX;
-                    for &id in ds {
-                        if id >> 31 != 0 {
-                            up = up.wrapping_add(1);
-                        }
-                        let slot = &mut ys[(id & ID_MASK) as usize - base];
-                        *slot = A::combine(*slot, A::extend(us[up]));
-                    }
-                }
-                (true, Some(w)) => {
-                    let ws = &w[dlo..dhi];
-                    let mut up = usize::MAX;
-                    for (&id, &wt) in ds.iter().zip(ws) {
-                        if id >> 31 != 0 {
-                            up = up.wrapping_add(1);
-                        }
-                        let slot = &mut ys[(id & ID_MASK) as usize - base];
-                        *slot = A::combine(*slot, A::extend_weighted(wt, us[up]));
-                    }
-                }
-            }
-        }
-    });
+    gather::<A, D, Solo<A::T>, P>(png, dest, weights, &[updates], &mut [y], kernel);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::{BinFormat, WideFormat};
+    use crate::algebra::{MinLabel, PlusF32};
+    use crate::compact::MAX_COMPACT_PARTITION;
+    use crate::format::{BinFormat, BinFormatKind, CompactFormat, DeltaFormat, WideFormat};
     use crate::partition::Partitioner;
     use crate::png::EdgeView;
     use crate::scatter::png_scatter;
+    use pcpm_graph::gen::{erdos_renyi, rmat, RmatConfig};
     use pcpm_graph::{Csr, EdgeWeights};
 
-    fn full_spmv(g: &Csr, q: u32, x: &[f32], branchy: bool) -> Vec<f32> {
+    const KERNELS: [KernelKind; 2] = [KernelKind::Scalar, KernelKind::Unrolled];
+
+    fn layout(g: &Csr, q: u32) -> Png {
         let parts = Partitioner::new(g.num_nodes(), q).unwrap();
-        let png = Png::build(EdgeView::from_csr(g), parts, parts);
-        let mut bins = WideFormat::build(EdgeView::from_csr(g), &png, None);
-        png_scatter(&png, x, &mut bins.updates);
-        let mut y = vec![0.0f32; g.num_nodes() as usize];
-        if branchy {
-            gather_branchy(&png, &bins, &mut y);
-        } else {
-            gather_branch_avoiding(&png, &bins, &mut y);
+        Png::build(EdgeView::from_csr(g), parts, parts)
+    }
+
+    /// Dense reference: `y[t] = ⊕ extend(w(s,t), x[s])` over the edges in
+    /// CSR order — the order every gather path reduces a destination in
+    /// (source partitions ascending, sources ascending within a segment),
+    /// so even f32 sums must match bit for bit.
+    fn reference<A: Algebra>(g: &Csr, w: Option<&EdgeWeights>, x: &[A::T]) -> Vec<A::T> {
+        let mut y = vec![A::identity(); g.num_nodes() as usize];
+        for (i, (s, t)) in g.edges().enumerate() {
+            let contribution = match w {
+                None => A::extend(x[s as usize]),
+                Some(w) => A::extend_weighted(w.as_slice()[i], x[s as usize]),
+            };
+            y[t as usize] = A::combine(y[t as usize], contribution);
         }
         y
     }
 
-    /// Dense reference: y[t] = sum over edges (s -> t) of x[s].
-    fn reference(g: &Csr, x: &[f32]) -> Vec<f32> {
-        let mut y = vec![0.0f32; g.num_nodes() as usize];
-        for (s, t) in g.edges() {
-            y[t as usize] += x[s as usize];
-        }
-        y
-    }
-
-    #[test]
-    fn gather_computes_transposed_spmv() {
-        let g = pcpm_graph::gen::erdos_renyi(200, 1500, 5).unwrap();
-        let x: Vec<f32> = (0..200).map(|v| (v as f32 * 0.37).cos()).collect();
-        for q in [1u32, 7, 50, 200, 1000] {
-            let y = full_spmv(&g, q, &x, false);
-            let want = reference(&g, &x);
-            for (i, (a, b)) in y.iter().zip(&want).enumerate() {
-                assert!((a - b).abs() < 1e-4, "q={q} node {i}: {a} vs {b}");
+    /// Runs every gather path of format `F` — each kernel solo (Q = 1)
+    /// and batched (Q = 3), plus the branchy ablation where the format
+    /// has one — and checks every output against `want`. Outputs start
+    /// as `stale` garbage: the gather must overwrite, not accumulate.
+    fn check_format<A: Algebra, F: BinFormat>(
+        g: &Csr,
+        png: &Png,
+        w: Option<&EdgeWeights>,
+        xs: &[Vec<A::T>; 3],
+        want: &[Vec<A::T>; 3],
+        stale: A::T,
+    ) {
+        let n = g.num_nodes() as usize;
+        let label = |path: &str| format!("{} {path} weighted={}", F::KIND, w.is_some());
+        let mut bins = F::build::<A::T>(EdgeView::from_csr(g), png, w.map(|w| w.as_slice()));
+        for (x, want) in xs.iter().zip(want) {
+            F::scatter_into(png, x, &mut bins);
+            for kernel in KERNELS {
+                let mut y = vec![stale; n];
+                F::gather_from::<A>(png, &bins, &mut y, kernel);
+                assert_eq!(&y, want, "{}", label(&format!("solo {kernel}")));
+            }
+            let mut y = vec![stale; n];
+            match F::gather_branchy_from::<A>(png, &bins, &mut y) {
+                Ok(()) => assert_eq!(&y, want, "{}", label("branchy")),
+                Err(_) => assert_ne!(F::KIND, BinFormatKind::Wide),
             }
         }
-    }
-
-    #[test]
-    fn unrolled_kernel_bit_identical_to_scalar() {
-        let g = pcpm_graph::gen::rmat(&pcpm_graph::gen::RmatConfig::graph500(9, 7, 17)).unwrap();
-        let x: Vec<f32> = (0..g.num_nodes())
-            .map(|v| (v as f32 * 0.61).sin())
+        let streams: Vec<Vec<A::T>> = xs
+            .iter()
+            .map(|x| {
+                let mut updates = vec![A::T::default(); png.num_compressed_edges() as usize];
+                png_scatter(png, x, &mut updates);
+                updates
+            })
             .collect();
-        for q in [1u32, 13, 128, 4096] {
-            let parts = Partitioner::new(g.num_nodes(), q).unwrap();
-            let png = Png::build(EdgeView::from_csr(&g), parts, parts);
-            let mut bins = WideFormat::build(EdgeView::from_csr(&g), &png, None);
-            png_scatter(&png, &x, &mut bins.updates);
-            let n = g.num_nodes() as usize;
-            let (mut ys, mut yu) = (vec![0.0f32; n], vec![0.0f32; n]);
-            gather_algebra_kernel::<crate::algebra::PlusF32>(
-                &png,
-                &bins,
-                &mut ys,
-                KernelKind::Scalar,
-            );
-            gather_algebra_kernel::<crate::algebra::PlusF32>(
-                &png,
-                &bins,
-                &mut yu,
-                KernelKind::Unrolled,
-            );
-            assert_eq!(ys, yu, "q={q}");
+        let updates: Vec<&[A::T]> = streams.iter().map(Vec::as_slice).collect();
+        for kernel in KERNELS {
+            let mut ys = vec![vec![stale; n]; 3];
+            let mut outs: Vec<&mut [A::T]> = ys.iter_mut().map(Vec::as_mut_slice).collect();
+            F::gather_many_from::<A>(png, &bins, &updates, &mut outs, kernel);
+            assert_eq!(&ys[..], &want[..], "{}", label(&format!("many {kernel}")));
         }
     }
 
-    #[test]
-    fn unrolled_weighted_kernel_bit_identical_to_scalar() {
-        let g = pcpm_graph::gen::erdos_renyi(300, 2500, 9).unwrap();
-        let w = EdgeWeights::random(&g, 4);
-        let parts = Partitioner::new(300, 64).unwrap();
-        let png = Png::build(EdgeView::from_csr(&g), parts, parts);
-        let mut bins = WideFormat::build(EdgeView::from_csr(&g), &png, Some(w.as_slice()));
-        let x: Vec<f32> = (0..300).map(|v| (v as f32 * 0.11).cos()).collect();
-        png_scatter(&png, &x, &mut bins.updates);
-        let (mut ys, mut yu) = (vec![0.0f32; 300], vec![0.0f32; 300]);
-        gather_algebra_kernel::<crate::algebra::PlusF32>(&png, &bins, &mut ys, KernelKind::Scalar);
-        gather_algebra_kernel::<crate::algebra::PlusF32>(
-            &png,
-            &bins,
-            &mut yu,
-            KernelKind::Unrolled,
-        );
-        assert_eq!(ys, yu);
+    /// {wide, compact, delta} × {scalar, unrolled} × {Q = 1, Q = 3}
+    /// (+ branchy on wide) × {unweighted, weighted} over one layout,
+    /// against the dense reference and therefore each other.
+    fn check_layout<A: Algebra>(g: &Csr, q: u32, xs: &[Vec<A::T>; 3], stale: A::T) -> Png {
+        let png = layout(g, q);
+        let weights = EdgeWeights::random(g, 8);
+        for w in [None, Some(&weights)] {
+            let want = [0, 1, 2].map(|i| reference::<A>(g, w, &xs[i]));
+            check_format::<A, WideFormat>(g, &png, w, xs, &want, stale);
+            if q <= MAX_COMPACT_PARTITION {
+                check_format::<A, CompactFormat>(g, &png, w, xs, &want, stale);
+            }
+            check_format::<A, DeltaFormat>(g, &png, w, xs, &want, stale);
+        }
+        png
+    }
+
+    fn real_inputs(n: u32) -> [Vec<f32>; 3] {
+        [0.37f32, 0.61, 1.3].map(|f| (0..n).map(|v| (v as f32 * f).sin()).collect())
     }
 
     #[test]
-    fn branchy_equals_branch_avoiding() {
-        let g = pcpm_graph::gen::rmat(&pcpm_graph::gen::RmatConfig::graph500(9, 6, 2)).unwrap();
-        let x: Vec<f32> = (0..g.num_nodes()).map(|v| v as f32 + 1.0).collect();
-        let a = full_spmv(&g, 37, &x, false);
-        let b = full_spmv(&g, 37, &x, true);
-        assert_eq!(a, b);
+    fn every_path_matches_the_reference_on_skewed_graphs() {
+        let g = rmat(&RmatConfig::graph500(9, 8, 61)).unwrap();
+        let n = g.num_nodes();
+        // q = n is the single-partition layout (k = 1).
+        for q in [13, 128, n] {
+            check_layout::<PlusF32>(&g, q, &real_inputs(n), 99.0);
+        }
+        let labels = [7u32, 11, 13].map(|m| (0..n).map(|v| (v * 31 + 3) % m).collect());
+        check_layout::<MinLabel>(&g, 100, &labels, 0);
+    }
+
+    #[test]
+    fn every_segment_length_residue_and_empty_segments() {
+        // 8 partitions of 8 nodes; segment (s, p) holds (3s + 5p) mod 10
+        // distinct edges, so lengths cover 0..=9: every 4k + r tail of
+        // the chunked loop with k = 0, 1 and 2, and empty segments.
+        let (k, q) = (8u32, 8u32);
+        let mut edges = Vec::new();
+        for s in 0..k {
+            for p in 0..k {
+                for i in 0..(3 * s + 5 * p) % 10 {
+                    edges.push((s * q + i % q, p * q + (i / q + i) % q));
+                }
+            }
+        }
+        let g = Csr::from_edges(k * q, &edges).unwrap();
+        let png = check_layout::<PlusF32>(&g, q, &real_inputs(k * q), 99.0);
+        let mut lens = std::collections::BTreeSet::new();
+        for s in 0..k {
+            lens.extend(png.part(s).did_off.windows(2).map(|w| w[1] - w[0]));
+        }
+        assert_eq!(lens, (0..10).collect());
+    }
+
+    #[test]
+    fn compact_boundary_and_long_varints() {
+        // Exactly 2^15-node partitions: compact offsets use all 15 bits,
+        // and first offsets >= 2^13 / gaps >= 2^13 need >= 3-byte varints
+        // (the payload is shifted left by the demarcation bit).
+        let q = MAX_COMPACT_PARTITION;
+        let n = 2 * q;
+        let edges = [
+            (0, q - 1),
+            (0, n - 1),
+            (1, 0),
+            (5, 10),
+            (5, 9_010),
+            (5, 29_010),
+            (7, 30_000),
+            (q + 3, 8_192),
+            (q + 3, q + 8_192),
+            (q + 3, q + 30_000),
+        ];
+        let g = Csr::from_edges(n, &edges).unwrap();
+        let png = check_layout::<PlusF32>(&g, q, &real_inputs(n), 99.0);
+        let delta = DeltaFormat::build::<f32>(EdgeView::from_csr(&g), &png, None);
+        assert!(
+            DeltaFormat::dest_stream_bytes(&delta) >= 3 * 8,
+            "eight of the ten destinations take three bytes"
+        );
     }
 
     #[test]
     fn weighted_gather_scales_by_edge_weight() {
         let g = Csr::from_edges(4, &[(0, 1), (0, 3), (2, 1), (2, 3)]).unwrap();
         let w = EdgeWeights::new(&g, vec![2.0, 4.0, 8.0, 16.0]).unwrap();
-        let parts = Partitioner::new(4, 2).unwrap();
-        let png = Png::build(EdgeView::from_csr(&g), parts, parts);
+        let png = layout(&g, 2);
         let mut bins = WideFormat::build(EdgeView::from_csr(&g), &png, Some(w.as_slice()));
-        let x = vec![1.0f32, 0.0, 10.0, 0.0];
-        png_scatter(&png, &x, &mut bins.updates);
+        WideFormat::scatter_into(&png, &[1.0f32, 0.0, 10.0, 0.0], &mut bins);
         let mut y = vec![0.0f32; 4];
-        gather_branch_avoiding(&png, &bins, &mut y);
+        WideFormat::gather_from::<PlusF32>(&png, &bins, &mut y, KernelKind::Scalar);
         // y[1] = 2*x[0] + 8*x[2] = 82; y[3] = 4*x[0] + 16*x[2] = 164.
         assert_eq!(y, vec![0.0, 82.0, 0.0, 164.0]);
-        let mut yb = vec![0.0f32; 4];
-        gather_branchy(&png, &bins, &mut yb);
-        assert_eq!(y, yb);
-    }
-
-    #[test]
-    fn gather_zeroes_stale_output() {
-        let g = Csr::from_edges(2, &[(0, 1)]).unwrap();
-        let parts = Partitioner::new(2, 1).unwrap();
-        let png = Png::build(EdgeView::from_csr(&g), parts, parts);
-        let mut bins = WideFormat::build(EdgeView::from_csr(&g), &png, None);
-        png_scatter(&png, &[3.0, 0.0], &mut bins.updates);
-        let mut y = vec![99.0f32; 2];
-        gather_branch_avoiding(&png, &bins, &mut y);
-        assert_eq!(y, vec![0.0, 3.0]);
     }
 
     #[test]
     #[should_panic(expected = "y length")]
     fn wrong_output_length_panics() {
         let g = Csr::from_edges(2, &[(0, 1)]).unwrap();
-        let parts = Partitioner::new(2, 1).unwrap();
-        let png = Png::build(EdgeView::from_csr(&g), parts, parts);
-        let bins = WideFormat::build(EdgeView::from_csr(&g), &png, None);
+        let png = layout(&g, 1);
+        let bins = WideFormat::build::<f32>(EdgeView::from_csr(&g), &png, None);
         let mut y = vec![0.0f32; 5];
-        gather_branch_avoiding(&png, &bins, &mut y);
+        WideFormat::gather_from::<PlusF32>(&png, &bins, &mut y, KernelKind::Scalar);
+    }
+
+    #[test]
+    #[should_panic(expected = "update stream length")]
+    fn short_update_stream_panics_at_the_entry_point() {
+        let g = erdos_renyi(40, 200, 3).unwrap();
+        let png = layout(&g, 8);
+        let bins = DeltaFormat::build::<f32>(EdgeView::from_csr(&g), &png, None);
+        let full = vec![0.0f32; png.num_compressed_edges() as usize];
+        let (mut y0, mut y1) = (vec![0.0f32; 40], vec![0.0f32; 40]);
+        DeltaFormat::gather_many_from::<PlusF32>(
+            &png,
+            &bins,
+            &[&full, &full[1..]],
+            &mut [&mut y0, &mut y1],
+            KernelKind::Unrolled,
+        );
     }
 }

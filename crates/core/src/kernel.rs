@@ -1,16 +1,17 @@
 //! Runtime-dispatched gather/decode kernel variants.
 //!
-//! The gather inner loops come in two implementations per bin format:
+//! The one gather loop (`gather.rs`) runs in two variants on every bin
+//! format:
 //!
-//! - [`KernelKind::Scalar`] — the original one-entry-at-a-time loops.
-//!   For the delta format this decodes each varint inline inside the
-//!   apply loop, paying a data-dependent branch per encoded byte.
-//! - [`KernelKind::Unrolled`] — batched kernels. The delta path first
-//!   decodes a whole bin segment into a reusable scratch buffer with a
-//!   branch-reduced 1–2-byte fast path, then applies the decoded
-//!   entries in a 4-wide unrolled loop; the fixed-width paths unroll
-//!   the apply loop 4×. Entries are always applied in exactly the
-//!   scalar order, so f32 results are bit-identical by construction.
+//! - [`KernelKind::Scalar`] — one entry per trip. On the delta format
+//!   each varint is decoded inline as the loop asks for it, paying a
+//!   data-dependent branch per encoded byte.
+//! - [`KernelKind::Unrolled`] — batched. The delta path first decodes a
+//!   whole bin segment into a reusable scratch buffer with a
+//!   branch-reduced 1–2-byte fast path; every format then takes the
+//!   entries four per trip and keeps the next segment's head in
+//!   flight. Entries are always applied in exactly the scalar order, so
+//!   f32 results are bit-identical by construction.
 //!
 //! [`KernelKind::Auto`] (the default) resolves to one of the concrete
 //! kernels at pipeline-build time via [`resolve_auto`], a closed-form

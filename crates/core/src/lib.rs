@@ -68,7 +68,7 @@ pub mod delta;
 pub mod engine;
 pub mod error;
 pub mod format;
-pub mod gather;
+mod gather;
 pub mod kernel;
 pub mod pagerank;
 pub mod partition;
@@ -85,12 +85,10 @@ pub use backend::{
 };
 pub use config::PcpmConfig;
 pub use delta::DeltaPackedBins;
-#[allow(deprecated)]
-pub use engine::PcpmEngine;
-pub use engine::{FormatPipeline, GatherKind, PcpmPipeline, ScatterKind};
+pub use engine::{FormatPipeline, GatherKind, ScatterKind};
 pub use error::PcpmError;
 pub use error::SnapshotError;
-pub use format::{BinFormat, BinFormatKind, CompactFormat, DeltaFormat, DestCursor, WideFormat};
+pub use format::{BinFormat, BinFormatKind, CompactFormat, DeltaFormat, WideFormat};
 pub use kernel::KernelKind;
 pub use partition::Partitioner;
 pub use png::Png;

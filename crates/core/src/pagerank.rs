@@ -15,7 +15,7 @@
 use crate::algebra::PlusF32;
 use crate::backend::{BackendKind, Engine};
 use crate::config::PcpmConfig;
-use crate::engine::{GatherKind, PcpmPipeline, ScatterKind};
+use crate::engine::{GatherKind, ScatterKind};
 use crate::error::PcpmError;
 use crate::pr::{PhaseTimings, PrResult};
 use pcpm_graph::Csr;
@@ -144,33 +144,6 @@ pub fn pagerank_with_unified_engine(
     // dangling phases share it, keeping thread-pinned runs deterministic.
     let core = engine.run(|engine| iterate(graph, cfg, initial, |x, y| engine.step(x, y)))?;
     Ok(assemble(core, report.preprocess, report.compression_ratio))
-}
-
-/// Runs PageRank on a pre-built PCPM pipeline with per-call phase
-/// variants (the benches time phases in isolation through this).
-pub fn pagerank_with_engine(
-    graph: &Csr,
-    cfg: &PcpmConfig,
-    variant: PcpmVariant,
-    engine: &mut PcpmPipeline<PlusF32>,
-) -> Result<PrResult, PcpmError> {
-    let n = graph.num_nodes() as usize;
-    if engine.num_src() as usize != n || engine.num_dst() as usize != n {
-        return Err(PcpmError::DimensionMismatch {
-            expected: n,
-            got: engine.num_src() as usize,
-        });
-    }
-    cfg.validate()?;
-    let preprocess = engine.preprocess_time();
-    let ratio = engine.compression_ratio();
-    let threads = cfg.threads;
-    let core = crate::config::run_with_threads(threads, || {
-        iterate(graph, cfg, None, |x, y| {
-            engine.spmv_with(x, y, variant.scatter, variant.gather, Some(graph))
-        })
-    })?;
-    Ok(assemble(core, preprocess, Some(ratio)))
 }
 
 /// Everything the iteration loop produces before the engine report is
@@ -479,15 +452,5 @@ mod tests {
         // Same deterministic per-partition accumulation order regardless
         // of thread count.
         assert_eq!(r1.scores, r2.scores);
-    }
-
-    #[test]
-    fn prebuilt_pipeline_entry_still_works() {
-        let g = erdos_renyi(200, 1200, 2).unwrap();
-        let cfg = PcpmConfig::default().with_iterations(5);
-        let mut pipeline = PcpmPipeline::new(&g, &cfg).unwrap();
-        let a = pagerank_with_engine(&g, &cfg, PcpmVariant::default(), &mut pipeline).unwrap();
-        let b = pagerank(&g, &cfg).unwrap();
-        assert_eq!(a.scores, b.scores);
     }
 }

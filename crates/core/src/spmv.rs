@@ -11,12 +11,11 @@
 //! scatter/gather round.
 
 use crate::algebra::PlusF32;
-use crate::backend::Engine;
+use crate::backend::{boxed_pcpm_backend, Engine};
 use crate::config::PcpmConfig;
-use crate::engine::PcpmPipeline;
+use crate::engine::{GatherKind, ScatterKind};
 use crate::error::PcpmError;
 use crate::png::EdgeView;
-use crate::pr::PhaseTimings;
 
 /// A sparse matrix in column-major (CSC) form with `f32` values.
 ///
@@ -132,8 +131,8 @@ impl SpmvMatrix {
         // One engine-owned pool for prepare and every step (the old
         // run_with_threads + with_threads pairing built two pools).
         Engine::from_backend_with(cfg.threads, self.num_cols, self.num_rows, || {
-            PcpmPipeline::from_view(self.view(), cfg, Some(&self.values))
-                .map(PcpmPipeline::into_boxed_backend)
+            let (scatter, gather) = (ScatterKind::default(), GatherKind::default());
+            boxed_pcpm_backend(self.view(), cfg, Some(&self.values), scatter, gather, None)
         })
     }
 
@@ -150,37 +149,7 @@ impl SpmvMatrix {
     }
 }
 
-/// A PCPM pipeline specialized for repeated products with a fixed matrix.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `SpmvMatrix::engine(&cfg)` — the unified `Engine` front end"
-)]
-pub struct SpmvEngine {
-    engine: PcpmPipeline<PlusF32>,
-}
-
-#[allow(deprecated)]
-impl SpmvEngine {
-    /// Builds the PCPM layout for `matrix`.
-    pub fn new(matrix: &SpmvMatrix, cfg: &PcpmConfig) -> Result<Self, PcpmError> {
-        cfg.validate()?;
-        let engine = PcpmPipeline::from_view(matrix.view(), cfg, Some(&matrix.values))?;
-        Ok(Self { engine })
-    }
-
-    /// Computes `y = A·x` via partition-centric scatter/gather.
-    pub fn apply(&mut self, x: &[f32], y: &mut [f32]) -> Result<PhaseTimings, PcpmError> {
-        self.engine.spmv(x, y)
-    }
-
-    /// The underlying pipeline (compression ratio, pre-processing time).
-    pub fn engine(&self) -> &PcpmPipeline<PlusF32> {
-        &self.engine
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
@@ -217,10 +186,12 @@ mod tests {
     fn pcpm_matches_reference_square() {
         let m = random_matrix(128, 128, 2000, 3);
         let x: Vec<f32> = (0..128).map(|i| (i as f32 * 0.1).sin()).collect();
-        let mut eng =
-            SpmvEngine::new(&m, &PcpmConfig::default().with_partition_bytes(32 * 4)).unwrap();
+        let mut eng = m
+            .engine(&PcpmConfig::default().with_partition_bytes(32 * 4))
+            .unwrap();
         let mut y = vec![0.0f32; 128];
-        eng.apply(&x, &mut y).unwrap();
+        eng.step(&x, &mut y).unwrap();
+        assert_eq!(eng.report().backend, "pcpm");
         let want = m.reference_apply(&x);
         for (a, b) in y.iter().zip(&want) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");
@@ -233,10 +204,11 @@ mod tests {
         for (rows, cols) in [(300u32, 50u32), (50, 300)] {
             let m = random_matrix(rows, cols, 1500, 7);
             let x: Vec<f32> = (0..cols).map(|i| 1.0 + (i % 5) as f32).collect();
-            let mut eng =
-                SpmvEngine::new(&m, &PcpmConfig::default().with_partition_bytes(64 * 4)).unwrap();
+            let mut eng = m
+                .engine(&PcpmConfig::default().with_partition_bytes(64 * 4))
+                .unwrap();
             let mut y = vec![0.0f32; rows as usize];
-            eng.apply(&x, &mut y).unwrap();
+            eng.step(&x, &mut y).unwrap();
             let want = m.reference_apply(&x);
             for (i, (a, b)) in y.iter().zip(&want).enumerate() {
                 assert!((a - b).abs() < 1e-3, "{rows}x{cols} row {i}: {a} vs {b}");
@@ -245,26 +217,11 @@ mod tests {
     }
 
     #[test]
-    fn unified_engine_matches_deprecated_front_end() {
-        let m = random_matrix(150, 90, 1800, 5);
-        let cfg = PcpmConfig::default().with_partition_bytes(32 * 4);
-        let x: Vec<f32> = (0..90).map(|i| ((i % 9) as f32) - 4.0).collect();
-        let mut old = SpmvEngine::new(&m, &cfg).unwrap();
-        let mut new = m.engine(&cfg).unwrap();
-        let mut y_old = vec![0.0f32; 150];
-        let mut y_new = vec![0.0f32; 150];
-        old.apply(&x, &mut y_old).unwrap();
-        new.step(&x, &mut y_new).unwrap();
-        assert_eq!(y_old, y_new);
-        assert_eq!(new.report().backend, "pcpm");
-    }
-
-    #[test]
     fn empty_matrix() {
         let m = SpmvMatrix::from_triplets(4, 4, &[]).unwrap();
-        let mut eng = SpmvEngine::new(&m, &PcpmConfig::default()).unwrap();
+        let mut eng = m.engine(&PcpmConfig::default()).unwrap();
         let mut y = vec![1.0f32; 4];
-        eng.apply(&[0.0; 4], &mut y).unwrap();
+        eng.step(&[0.0; 4], &mut y).unwrap();
         assert_eq!(y, vec![0.0; 4]);
     }
 
@@ -275,11 +232,11 @@ mod tests {
         let m =
             SpmvMatrix::from_triplets(2, 2, &[(0, 0, 0.9), (1, 0, 0.1), (0, 1, 0.5), (1, 1, 0.5)])
                 .unwrap();
-        let mut eng = SpmvEngine::new(&m, &PcpmConfig::default()).unwrap();
+        let mut eng = m.engine(&PcpmConfig::default()).unwrap();
         let mut x = vec![0.5f32, 0.5];
         let mut y = vec![0.0f32; 2];
         for _ in 0..100 {
-            eng.apply(&x, &mut y).unwrap();
+            eng.step(&x, &mut y).unwrap();
             let norm: f32 = y.iter().sum();
             x.iter_mut().zip(&y).for_each(|(xv, &yv)| *xv = yv / norm);
         }

@@ -1,13 +1,11 @@
 //! In-crate property tests for the PCPM pipeline internals.
 
 use pcpm_core::algebra::{MinLabel, PlusF32};
-use pcpm_core::bins::BinSpace;
-use pcpm_core::compact::gather_compact_branch_avoiding;
-use pcpm_core::format::{BinFormat, CompactFormat, WideFormat};
-use pcpm_core::gather::{gather_algebra, gather_branch_avoiding, gather_branchy};
+use pcpm_core::format::{BinFormat, CompactFormat, DeltaFormat, WideFormat};
 use pcpm_core::partition::{split_by_lens, Partitioner};
 use pcpm_core::png::{EdgeView, Png};
 use pcpm_core::scatter::{csr_scatter, png_scatter};
+use pcpm_core::KernelKind;
 use pcpm_graph::{Csr, GraphBuilder};
 use proptest::prelude::*;
 
@@ -70,21 +68,24 @@ proptest! {
     }
 
     #[test]
-    fn three_gathers_agree(g in arb_graph(), q in 1u32..60) {
+    fn gathers_agree_across_formats_and_variants(g in arb_graph(), q in 1u32..60) {
         let parts = Partitioner::new(g.num_nodes(), q).unwrap();
         let png = Png::build(EdgeView::from_csr(&g), parts, parts);
         let x: Vec<f32> = (0..g.num_nodes()).map(|v| (v % 13) as f32 + 0.5).collect();
-        let mut wide: BinSpace = WideFormat::build(EdgeView::from_csr(&g), &png, None);
-        let mut compact = CompactFormat::build(EdgeView::from_csr(&g), &png, None);
-        png_scatter(&png, &x, &mut wide.updates);
-        png_scatter(&png, &x, &mut compact.updates);
+        let view = EdgeView::from_csr(&g);
+        let mut wide = WideFormat::build::<f32>(view, &png, None);
+        let mut compact = CompactFormat::build::<f32>(view, &png, None);
+        let mut delta = DeltaFormat::build::<f32>(view, &png, None);
+        WideFormat::scatter_into(&png, &x, &mut wide);
+        CompactFormat::scatter_into(&png, &x, &mut compact);
+        DeltaFormat::scatter_into(&png, &x, &mut delta);
         let n = g.num_nodes() as usize;
         let (mut y1, mut y2, mut y3, mut y4) =
             (vec![0.0f32; n], vec![0.0f32; n], vec![0.0f32; n], vec![0.0f32; n]);
-        gather_branch_avoiding(&png, &wide, &mut y1);
-        gather_branchy(&png, &wide, &mut y2);
-        gather_compact_branch_avoiding(&png, &compact, &mut y3);
-        gather_algebra::<PlusF32>(&png, &wide, &mut y4);
+        WideFormat::gather_from::<PlusF32>(&png, &wide, &mut y1, KernelKind::Scalar);
+        WideFormat::gather_branchy_from::<PlusF32>(&png, &wide, &mut y2).unwrap();
+        CompactFormat::gather_from::<PlusF32>(&png, &compact, &mut y3, KernelKind::Unrolled);
+        DeltaFormat::gather_from::<PlusF32>(&png, &delta, &mut y4, KernelKind::Unrolled);
         prop_assert_eq!(&y1, &y2);
         prop_assert_eq!(&y1, &y3);
         prop_assert_eq!(&y1, &y4);
@@ -95,10 +96,10 @@ proptest! {
         let parts = Partitioner::new(g.num_nodes(), q).unwrap();
         let png = Png::build(EdgeView::from_csr(&g), parts, parts);
         let labels: Vec<u32> = (0..g.num_nodes()).map(|v| (v * 7 + 3) % 101).collect();
-        let mut bins: BinSpace<u32> = WideFormat::build(EdgeView::from_csr(&g), &png, None);
-        png_scatter(&png, &labels, &mut bins.updates);
+        let mut bins = WideFormat::build::<u32>(EdgeView::from_csr(&g), &png, None);
+        WideFormat::scatter_into(&png, &labels, &mut bins);
         let mut y = vec![0u32; g.num_nodes() as usize];
-        gather_algebra::<MinLabel>(&png, &bins, &mut y);
+        WideFormat::gather_from::<MinLabel>(&png, &bins, &mut y, KernelKind::Scalar);
         // Reference: min over in-neighbors, identity when none.
         let mut want = vec![u32::MAX; g.num_nodes() as usize];
         for (s, t) in g.edges() {
@@ -116,10 +117,10 @@ proptest! {
         let png = Png::build(EdgeView::from_csr(&g), src, dst);
         prop_assert_eq!(png.num_raw_edges(), g.num_edges());
         let x: Vec<f32> = (0..g.num_nodes()).map(|v| v as f32).collect();
-        let mut bins: BinSpace = WideFormat::build(EdgeView::from_csr(&g), &png, None);
-        png_scatter(&png, &x, &mut bins.updates);
+        let mut bins = WideFormat::build::<f32>(EdgeView::from_csr(&g), &png, None);
+        WideFormat::scatter_into(&png, &x, &mut bins);
         let mut y = vec![0.0f32; g.num_nodes() as usize];
-        gather_branch_avoiding(&png, &bins, &mut y);
+        WideFormat::gather_from::<PlusF32>(&png, &bins, &mut y, KernelKind::Scalar);
         let mut want = vec![0.0f32; g.num_nodes() as usize];
         for (s, t) in g.edges() {
             want[t as usize] += x[s as usize];

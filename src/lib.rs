@@ -57,7 +57,7 @@
 //! let mut engine = Engine::<PlusF32>::builder(&g)
 //!     .partition_bytes(16 * 1024)
 //!     .weights(&w)
-//!     .compact_bins(true)
+//!     .bin_format(BinFormatKind::Compact)
 //!     .scatter(ScatterKind::Png)
 //!     .gather(GatherKind::BranchAvoiding)
 //!     .build()
@@ -117,12 +117,4 @@ pub mod prelude {
         gen_updates, read_updates_auto, replay, write_updates_binary, DeltaGraph, ReplayConfig,
         UpdateGenConfig, UpdateLog,
     };
-
-    // Pre-redesign entry points, kept one release for migration.
-    #[allow(deprecated)]
-    pub use pcpm_algos::PropagationEngine;
-    #[allow(deprecated)]
-    pub use pcpm_core::spmv::SpmvEngine;
-    #[allow(deprecated)]
-    pub use pcpm_core::PcpmEngine;
 }

@@ -28,9 +28,9 @@ pub fn format_matrix() -> Vec<BinFormatKind> {
     }
 }
 
-/// Gather kernels under test (`PCPM_TEST_KERNELS` env, e.g.
-/// `PCPM_TEST_KERNELS=scalar,unrolled`; default: `auto` only — the CI
-/// kernel leg widens this to the full scalar/unrolled matrix).
+/// Gather kernels under test (`PCPM_TEST_KERNELS` env, e.g. `=auto`;
+/// default: both concrete kernels — `auto` never resolves to `scalar`
+/// at test scales, so alone it would leave that kernel untested here).
 pub fn kernel_matrix() -> Vec<KernelKind> {
     match std::env::var("PCPM_TEST_KERNELS") {
         Ok(v) => v
@@ -41,7 +41,7 @@ pub fn kernel_matrix() -> Vec<KernelKind> {
                     .unwrap_or_else(|e| panic!("PCPM_TEST_KERNELS: {e}"))
             })
             .collect(),
-        Err(_) => vec![KernelKind::Auto],
+        Err(_) => vec![KernelKind::Scalar, KernelKind::Unrolled],
     }
 }
 

@@ -13,10 +13,15 @@
 use pcpm::core::algebra::{MinLabel, PlusF32};
 use pcpm::core::engine::ScatterKind;
 use pcpm::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 mod common;
 use common::{format_matrix, kernel_matrix, thread_matrix};
+
+/// `rayon::diagnostics::workers_spawned` is process-wide and every test
+/// here builds pools: `baseline_drivers_reuse_one_shared_pool` holds
+/// this exclusively around its spawn bound, the other tests shared.
+static SPAWN_COUNTER: RwLock<()> = RwLock::new(());
 
 /// Exact integer-valued input (as in kernel_agreement): every f32 sum of
 /// these is exactly representable, so reduction order cannot matter.
@@ -82,6 +87,7 @@ fn step_outputs(g: &Csr, threads: usize, q_bytes: usize) -> Vec<(String, Vec<f32
 
 #[test]
 fn step_bit_identical_across_thread_counts() {
+    let _shared = SPAWN_COUNTER.read().unwrap_or_else(PoisonError::into_inner);
     let graphs = [
         pcpm::graph::gen::rmat(&RmatConfig::graph500(9, 8, 3)).unwrap(),
         pcpm::graph::gen::erdos_renyi(700, 5600, 11).unwrap(),
@@ -125,6 +131,7 @@ fn step_many_outputs(g: &Csr, threads: usize, q_bytes: usize) -> Vec<(String, Ve
 /// axis).
 #[test]
 fn step_many_bit_identical_across_thread_counts() {
+    let _shared = SPAWN_COUNTER.read().unwrap_or_else(PoisonError::into_inner);
     let graphs = [
         pcpm::graph::gen::rmat(&RmatConfig::graph500(9, 8, 3)).unwrap(),
         pcpm::graph::gen::erdos_renyi(700, 5600, 11).unwrap(),
@@ -158,6 +165,7 @@ fn step_many_bit_identical_across_thread_counts() {
 
 #[test]
 fn baseline_runner_backends_bit_identical_across_thread_counts() {
+    let _shared = SPAWN_COUNTER.read().unwrap_or_else(PoisonError::into_inner);
     use pcpm::baselines::{bvgas_engine, edge_centric_engine, grid_engine, pdpr_engine};
     let g = pcpm::graph::gen::rmat(&RmatConfig::graph500(9, 8, 55)).unwrap();
     let x = int_x(g.num_nodes());
@@ -191,6 +199,7 @@ fn baseline_runner_backends_bit_identical_across_thread_counts() {
 
 #[test]
 fn integer_algebra_bit_identical_across_thread_counts() {
+    let _shared = SPAWN_COUNTER.read().unwrap_or_else(PoisonError::into_inner);
     let g = pcpm::graph::gen::rmat(&RmatConfig::graph500(8, 6, 11)).unwrap();
     let xl: Vec<u32> = (0..g.num_nodes()).collect();
     let n = g.num_nodes() as usize;
@@ -221,6 +230,7 @@ fn integer_algebra_bit_identical_across_thread_counts() {
 /// on every bin format.
 #[test]
 fn streaming_repair_bit_identical_across_thread_counts() {
+    let _shared = SPAWN_COUNTER.read().unwrap_or_else(PoisonError::into_inner);
     let g = pcpm::graph::gen::rmat(&RmatConfig::graph500(9, 8, 77)).unwrap();
     let x = int_x(g.num_nodes());
     // Edit: drop the first edge of a few sources, insert a couple.
@@ -273,6 +283,7 @@ fn streaming_repair_bit_identical_across_thread_counts() {
 /// higher — the `>=` deltas stay sound.
 #[test]
 fn threads_knob_spawns_workers_and_dispatches_jobs() {
+    let _shared = SPAWN_COUNTER.read().unwrap_or_else(PoisonError::into_inner);
     let g = pcpm::graph::gen::rmat(&RmatConfig::graph500(9, 8, 5)).unwrap();
     let spawned_before = rayon::diagnostics::workers_spawned();
     let mut engine = Engine::<PlusF32>::builder(&g)
@@ -317,6 +328,9 @@ fn threads_knob_spawns_workers_and_dispatches_jobs() {
 /// a generous spawn bound over 50 driver runs backs it end to end.
 #[test]
 fn baseline_drivers_reuse_one_shared_pool() {
+    let _alone = SPAWN_COUNTER
+        .write()
+        .unwrap_or_else(PoisonError::into_inner);
     let p1 = pcpm::core::config::shared_pool(3);
     let p2 = pcpm::core::config::shared_pool(3);
     assert!(
