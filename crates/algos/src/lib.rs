@@ -28,7 +28,7 @@
 //!
 //! Every algorithm also has an `*_on` variant taking a
 //! [`pcpm_core::BackendKind`], running the identical apply/convergence
-//! logic over the PCPM, pull, push or edge-centric dataplane — the
+//! logic over the PCPM or the pull dataplane — the
 //! backend-agnostic programming model of the paper's §6.
 
 #![forbid(unsafe_code)]

@@ -18,22 +18,31 @@
 //! Unlike PCPM, every edge carries its own message, so scatter traffic is
 //! `Θ(m)` regardless of graph locality — the redundancy PCPM removes.
 
-use crate::pdpr::{dangling_bonus, empty_result};
-use pcpm_core::config::{run_with_threads, PcpmConfig};
+use crate::baseline_engine;
+use pcpm_core::algebra::PlusF32;
+use pcpm_core::backend::{balanced_bounds, Backend, BackendMetrics, Engine, PrepareSpec};
+use pcpm_core::config::PcpmConfig;
 use pcpm_core::error::PcpmError;
+use pcpm_core::pagerank::pagerank_with_unified_engine;
 use pcpm_core::partition::split_by_lens;
 use pcpm_core::pr::{PhaseTimings, PrResult};
 use pcpm_graph::Csr;
 use rayon::prelude::*;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Entries per write-combining buffer: 128 bytes of 4-byte updates, the
 /// buffer size used in §5.2.
 const WC_ENTRIES: usize = 32;
 
-/// Pre-processed BVGAS state: bin sizing, per-(worker, bin) write offsets
-/// and the destination-ID stream.
-pub struct BvgasRunner {
+/// The BVGAS dataplane behind the [`Backend`] trait: bin sizing,
+/// per-(worker, bin) write offsets, the destination-ID stream written
+/// once, and the update stream re-written every round. An `f32` PageRank
+/// kernel without edge-weight support: `prepare` rejects a weighted spec
+/// rather than silently dropping the weights.
+pub struct BvgasBackend {
+    /// The adjacency the vertex-centric scatter traverses.
+    graph: Arc<Csr>,
     num_nodes: u32,
     /// Bin width `q` in nodes.
     bin_width: u32,
@@ -49,24 +58,16 @@ pub struct BvgasRunner {
     seg_off: Vec<u64>,
     /// Destination IDs, written once (thread-major, bin-minor layout).
     dest_ids: Vec<u32>,
-    out_deg: Vec<u32>,
+    /// One update per edge, parallel to [`Self::dest_ids`].
+    updates: Vec<f32>,
     preprocess: Duration,
 }
 
-impl BvgasRunner {
-    /// Builds the runner with the default bin width (the config's
-    /// partition byte budget) and one worker range per rayon thread.
-    pub fn new(graph: &Csr, cfg: &PcpmConfig) -> Result<Self, PcpmError> {
-        cfg.validate()?;
-        Self::with_layout(
-            graph,
-            cfg.partition_nodes(),
-            rayon::current_num_threads().max(1),
-        )
-    }
-
-    /// Builds the runner with an explicit bin width and worker count.
-    pub fn with_layout(graph: &Csr, bin_width: u32, workers: usize) -> Result<Self, PcpmError> {
+impl BvgasBackend {
+    /// Builds the dataplane with an explicit bin width and worker count
+    /// ([`Backend::prepare`] uses the config's partition byte budget and
+    /// one worker range per rayon thread).
+    pub fn with_layout(graph: Arc<Csr>, bin_width: u32, workers: usize) -> Result<Self, PcpmError> {
         if bin_width == 0 {
             return Err(PcpmError::PartitionTooSmall);
         }
@@ -79,7 +80,8 @@ impl BvgasRunner {
         let shift = bin_width
             .is_power_of_two()
             .then(|| bin_width.trailing_zeros());
-        let bounds = balanced_out_bounds(graph, workers);
+        // Worker vertex ranges balanced by out-edge count (scatter work).
+        let bounds = balanced_bounds(&graph, workers);
         let t = bounds.len() - 1;
         let b = num_bins as usize;
 
@@ -130,6 +132,8 @@ impl BvgasRunner {
             });
 
         Ok(Self {
+            updates: vec![0.0f32; dest_ids.len()],
+            graph,
             num_nodes: n,
             bin_width,
             num_bins,
@@ -137,34 +141,8 @@ impl BvgasRunner {
             bounds,
             seg_off,
             dest_ids,
-            out_deg: graph.out_degrees(),
             preprocess: t0.elapsed(),
         })
-    }
-
-    /// Bin width in nodes.
-    pub fn bin_width(&self) -> u32 {
-        self.bin_width
-    }
-
-    /// Number of bins.
-    pub fn num_bins(&self) -> u32 {
-        self.num_bins
-    }
-
-    /// Pre-processing time (bin sizing + offsets + destination IDs).
-    pub fn preprocess_time(&self) -> Duration {
-        self.preprocess
-    }
-
-    /// Heap bytes of pre-processed state (destination-ID stream plus
-    /// segment offsets), for cross-backend memory accounting. The
-    /// per-iteration update stream is the caller's and counted there.
-    pub fn aux_memory_bytes(&self) -> u64 {
-        (self.dest_ids.len() * 4
-            + self.seg_off.len() * 8
-            + self.bounds.len() * 4
-            + self.out_deg.len() * 4) as u64
     }
 
     #[inline]
@@ -175,138 +153,9 @@ impl BvgasRunner {
         }
     }
 
-    /// One scatter+gather round over pre-scaled source values: appends
-    /// every edge's message through the write-combining buffers, then
-    /// drains the bins into `sums`. `updates` must hold `num_edges`
-    /// entries and is reused across rounds. Returns (scatter, gather)
-    /// wall-clock times. Shared by [`BvgasRunner::run`] and the unified
-    /// `Backend` implementation.
-    pub fn propagate_once(
-        &self,
-        graph: &Csr,
-        x: &[f32],
-        updates: &mut [f32],
-        sums: &mut [f32],
-    ) -> (Duration, Duration) {
-        let b = self.num_bins as usize;
-        let t = self.bounds.len() - 1;
-        let t0 = Instant::now();
-        let region_lens: Vec<usize> = (0..t)
-            .map(|ti| (self.seg_off[(ti + 1) * b] - self.seg_off[ti * b]) as usize)
-            .collect();
-        let regions = split_by_lens(updates, &region_lens);
-        regions
-            .into_par_iter()
-            .enumerate()
-            .for_each(|(ti, region)| {
-                self.scatter_worker(graph, ti, region, x);
-            });
-        let scatter_t = t0.elapsed();
-
-        let t1 = Instant::now();
-        let bin_lens: Vec<usize> = (0..self.num_bins)
-            .map(|bi| {
-                let lo = bi * self.bin_width;
-                (self.num_nodes.min(lo + self.bin_width) - lo) as usize
-            })
-            .collect();
-        let slices = split_by_lens(sums, &bin_lens);
-        let updates = &*updates;
-        slices.into_par_iter().enumerate().for_each(|(bi, ys)| {
-            ys.fill(0.0);
-            let bin_base = bi * self.bin_width as usize;
-            for ti in 0..t {
-                let lo = self.seg_off[ti * b + bi] as usize;
-                let hi = self.seg_off[ti * b + bi + 1] as usize;
-                for (&dest, &upd) in self.dest_ids[lo..hi].iter().zip(&updates[lo..hi]) {
-                    ys[dest as usize - bin_base] += upd;
-                }
-            }
-        });
-        (scatter_t, t1.elapsed())
-    }
-
-    /// Runs PageRank with the BVGAS schedule.
-    pub fn run(&self, graph: &Csr, cfg: &PcpmConfig) -> Result<PrResult, PcpmError> {
-        cfg.validate()?;
-        let n = self.num_nodes as usize;
-        if graph.num_nodes() != self.num_nodes {
-            return Err(PcpmError::DimensionMismatch {
-                expected: n,
-                got: graph.num_nodes() as usize,
-            });
-        }
-        if n == 0 {
-            return Ok(empty_result());
-        }
-        let damping = cfg.damping as f32;
-        let base_add = ((1.0 - cfg.damping) / n as f64) as f32;
-        let inv_deg: Vec<f32> = self
-            .out_deg
-            .iter()
-            .map(|&d| if d == 0 { 0.0 } else { 1.0 / d as f32 })
-            .collect();
-        let mut pr: Vec<f32> = vec![1.0 / n as f32; n];
-        let mut x: Vec<f32> = pr.iter().zip(&inv_deg).map(|(&p, &i)| p * i).collect();
-        let mut updates = vec![0.0f32; graph.num_edges() as usize];
-        let mut timings = PhaseTimings::default();
-        let mut iterations = 0usize;
-        let mut converged = false;
-        let mut last_delta = f64::INFINITY;
-
-        run_with_threads(cfg.threads, || {
-            let mut sums = vec![0.0f32; n];
-            for _ in 0..cfg.iterations {
-                // Scatter messages through the write-combining buffers,
-                // then drain the bins.
-                let (scatter_t, gather_t) = self.propagate_once(graph, &x, &mut updates, &mut sums);
-                timings.scatter += scatter_t;
-                timings.gather += gather_t;
-
-                // Apply.
-                let t2 = Instant::now();
-                let bonus = dangling_bonus(cfg, &pr, &self.out_deg, n);
-                let delta: f64 = pr
-                    .par_iter_mut()
-                    .zip(&sums)
-                    .map(|(p, &s)| {
-                        let new = base_add + damping * s + bonus;
-                        let d = f64::from((new - *p).abs());
-                        *p = new;
-                        d
-                    })
-                    .sum();
-                x.par_iter_mut()
-                    .zip(&pr)
-                    .zip(&inv_deg)
-                    .for_each(|((xv, &p), &i)| *xv = p * i);
-                timings.apply += t2.elapsed();
-
-                iterations += 1;
-                last_delta = delta;
-                if let Some(tol) = cfg.tolerance {
-                    if delta < tol {
-                        converged = true;
-                        break;
-                    }
-                }
-            }
-        });
-
-        Ok(PrResult {
-            scores: pr,
-            iterations,
-            converged,
-            last_delta,
-            timings,
-            preprocess: self.preprocess,
-            compression_ratio: None,
-        })
-    }
-
     /// Scatter for one worker: vertex-centric traversal with per-bin
     /// write-combining buffers flushed one cache line at a time.
-    fn scatter_worker(&self, graph: &Csr, ti: usize, region: &mut [f32], x: &[f32]) {
+    fn scatter_worker(&self, ti: usize, region: &mut [f32], x: &[f32]) {
         let b = self.num_bins as usize;
         let base = self.seg_off[ti * b];
         let mut cursor: Vec<usize> = (0..b)
@@ -317,7 +166,7 @@ impl BvgasRunner {
         let mut fill = vec![0usize; b];
         for v in self.bounds[ti]..self.bounds[ti + 1] {
             let val = x[v as usize];
-            for &u in graph.neighbors(v) {
+            for &u in self.graph.neighbors(v) {
                 let bi = self.bin_of(u);
                 buf[bi][fill[bi]] = val;
                 fill[bi] += 1;
@@ -336,28 +185,107 @@ impl BvgasRunner {
     }
 }
 
-/// Vertex chunk boundaries balanced by out-edge count (scatter work).
-fn balanced_out_bounds(graph: &Csr, chunks: usize) -> Vec<u32> {
-    let n = graph.num_nodes();
-    let m = graph.num_edges();
-    let chunks = chunks.max(1) as u64;
-    let offsets = graph.offsets();
-    let mut bounds = vec![0u32];
-    for c in 1..chunks {
-        let target = m * c / chunks;
-        let v = (offsets.partition_point(|&o| o < target) as u32).clamp(*bounds.last().unwrap(), n);
-        bounds.push(v);
+impl Backend<PlusF32> for BvgasBackend {
+    fn prepare(spec: &PrepareSpec<'_>) -> Result<Self, PcpmError> {
+        if spec.weights.is_some() {
+            return Err(PcpmError::BadConfig(
+                "the bvgas baseline does not support edge weights",
+            ));
+        }
+        spec.cfg.validate()?;
+        Self::with_layout(
+            spec.graph_arc(),
+            spec.cfg.partition_nodes(),
+            rayon::current_num_threads().max(1),
+        )
     }
-    bounds.push(n);
-    bounds
+
+    /// Appends every edge's message through the write-combining buffers,
+    /// then drains the bins into `y`.
+    fn step(&mut self, x: &[f32], y: &mut [f32]) -> Result<PhaseTimings, PcpmError> {
+        let b = self.num_bins as usize;
+        let t = self.bounds.len() - 1;
+        let t0 = Instant::now();
+        let region_lens: Vec<usize> = (0..t)
+            .map(|ti| (self.seg_off[(ti + 1) * b] - self.seg_off[ti * b]) as usize)
+            .collect();
+        let mut updates = std::mem::take(&mut self.updates);
+        split_by_lens(&mut updates, &region_lens)
+            .into_par_iter()
+            .enumerate()
+            .for_each(|(ti, region)| self.scatter_worker(ti, region, x));
+        self.updates = updates;
+        let scatter = t0.elapsed();
+
+        let t1 = Instant::now();
+        let bin_lens: Vec<usize> = (0..self.num_bins)
+            .map(|bi| {
+                let lo = bi * self.bin_width;
+                (self.num_nodes.min(lo + self.bin_width) - lo) as usize
+            })
+            .collect();
+        split_by_lens(y, &bin_lens)
+            .into_par_iter()
+            .enumerate()
+            .for_each(|(bi, ys)| {
+                ys.fill(0.0);
+                let bin_base = bi * self.bin_width as usize;
+                for ti in 0..t {
+                    let lo = self.seg_off[ti * b + bi] as usize;
+                    let hi = self.seg_off[ti * b + bi + 1] as usize;
+                    for (&dest, &upd) in self.dest_ids[lo..hi].iter().zip(&self.updates[lo..hi]) {
+                        ys[dest as usize - bin_base] += upd;
+                    }
+                }
+            });
+        Ok(PhaseTimings {
+            scatter,
+            gather: t1.elapsed(),
+            apply: Duration::ZERO,
+        })
+    }
+
+    fn metrics(&self) -> BackendMetrics {
+        BackendMetrics {
+            name: "bvgas",
+            preprocess: self.preprocess,
+            aux_memory_bytes: self.graph.memory_bytes()
+                + ((self.dest_ids.len() + self.updates.len() + self.bounds.len()) * 4
+                    + self.seg_off.len() * 8) as u64,
+            compression_ratio: None,
+            bin_format: None,
+            bin_compression: None,
+            dest_stream_bytes: None,
+            kernel: None,
+        }
+    }
 }
 
-/// One-shot convenience wrapper: builds a [`BvgasRunner`] and runs it.
-/// Prepare runs on the same shared pool the iterations use (one pool
-/// per thread count, process-wide), so the worker-private bin layout
-/// matches the pool that executes the scatter.
+/// Builds a unified [`Engine`] over the BVGAS dataplane.
+///
+/// # Examples
+///
+/// ```
+/// use pcpm_graph::gen::erdos_renyi;
+/// use pcpm_baselines::bvgas_engine;
+/// use pcpm_core::PcpmConfig;
+///
+/// let g = erdos_renyi(100, 600, 1).unwrap();
+/// let mut engine = bvgas_engine(&g, &PcpmConfig::default().with_partition_bytes(64 * 4)).unwrap();
+/// let x = vec![1.0f32; 100];
+/// let mut y = vec![0.0f32; 100];
+/// engine.step(&x, &mut y).unwrap();
+/// assert_eq!(engine.report().backend, "bvgas");
+/// ```
+pub fn bvgas_engine(graph: &Csr, cfg: &PcpmConfig) -> Result<Engine<PlusF32>, PcpmError> {
+    baseline_engine::<BvgasBackend>(graph, cfg)
+}
+
+/// Runs PageRank with the BVGAS schedule. The worker-private bin layout
+/// is prepared on the engine-owned pool that executes the scatter.
 pub fn bvgas(graph: &Csr, cfg: &PcpmConfig) -> Result<PrResult, PcpmError> {
-    run_with_threads(cfg.threads, || BvgasRunner::new(graph, cfg))?.run(graph, cfg)
+    let mut engine = bvgas_engine(graph, cfg)?;
+    pagerank_with_unified_engine(graph, cfg, &mut engine, None)
 }
 
 #[cfg(test)]
@@ -365,6 +293,19 @@ mod tests {
     use super::*;
     use crate::reference::assert_matches_oracle;
     use pcpm_graph::gen::{erdos_renyi, rmat, RmatConfig};
+
+    fn layout(g: &Csr, bin_width: u32, workers: usize) -> BvgasBackend {
+        BvgasBackend::with_layout(Arc::new(g.clone()), bin_width, workers).unwrap()
+    }
+
+    /// PageRank scores over an explicit (bin width, worker count) layout.
+    fn scores(g: &Csr, cfg: &PcpmConfig, bin_width: u32, workers: usize) -> Vec<f32> {
+        let n = g.num_nodes();
+        let mut engine = Engine::from_backend(Box::new(layout(g, bin_width, workers)), n, n);
+        pagerank_with_unified_engine(g, cfg, &mut engine, None)
+            .unwrap()
+            .scores
+    }
 
     #[test]
     fn matches_oracle_skewed() {
@@ -379,9 +320,7 @@ mod tests {
         let g = erdos_renyi(500, 4000, 4).unwrap();
         let cfg = PcpmConfig::default().with_iterations(6);
         for (q, workers) in [(1u32, 1usize), (17, 3), (64, 4), (1024, 2)] {
-            let runner = BvgasRunner::with_layout(&g, q, workers).unwrap();
-            let r = runner.run(&g, &cfg).unwrap();
-            assert_matches_oracle(&r.scores, &g, &cfg, 1e-3);
+            assert_matches_oracle(&scores(&g, &cfg, q, workers), &g, &cfg, 1e-3);
         }
     }
 
@@ -389,37 +328,21 @@ mod tests {
     fn power_of_two_shift_equals_division() {
         let g = erdos_renyi(300, 2000, 11).unwrap();
         let cfg = PcpmConfig::default().with_iterations(4);
-        let pow2 = BvgasRunner::with_layout(&g, 64, 2)
-            .unwrap()
-            .run(&g, &cfg)
-            .unwrap();
-        let div = BvgasRunner::with_layout(&g, 65, 2)
-            .unwrap()
-            .run(&g, &cfg)
-            .unwrap();
         // Different binning, same mathematical result.
-        for (a, b) in pow2.scores.iter().zip(&div.scores) {
+        for (a, b) in scores(&g, &cfg, 64, 2).iter().zip(&scores(&g, &cfg, 65, 2)) {
             assert!((a - b).abs() < 1e-5);
         }
-        assert!(BvgasRunner::with_layout(&g, 64, 2).unwrap().shift.is_some());
-        assert!(BvgasRunner::with_layout(&g, 65, 2).unwrap().shift.is_none());
+        assert!(layout(&g, 64, 2).shift.is_some());
+        assert!(layout(&g, 65, 2).shift.is_none());
     }
 
     #[test]
     fn worker_count_does_not_change_result() {
         let g = rmat(&RmatConfig::graph500(8, 6, 3)).unwrap();
         let cfg = PcpmConfig::default().with_iterations(5);
-        let r1 = BvgasRunner::with_layout(&g, 32, 1)
-            .unwrap()
-            .run(&g, &cfg)
-            .unwrap();
-        let r8 = BvgasRunner::with_layout(&g, 32, 8)
-            .unwrap()
-            .run(&g, &cfg)
-            .unwrap();
         // Gather order within a bin changes with worker layout, but f32
         // addition differences stay tiny at this scale.
-        for (a, b) in r1.scores.iter().zip(&r8.scores) {
+        for (a, b) in scores(&g, &cfg, 32, 1).iter().zip(&scores(&g, &cfg, 32, 8)) {
             assert!((a - b).abs() < 1e-6);
         }
     }
@@ -427,11 +350,11 @@ mod tests {
     #[test]
     fn message_stream_covers_every_edge() {
         let g = erdos_renyi(100, 700, 8).unwrap();
-        let runner = BvgasRunner::with_layout(&g, 16, 3).unwrap();
-        assert_eq!(runner.dest_ids.len() as u64, g.num_edges());
+        let backend = layout(&g, 16, 3);
+        assert_eq!(backend.dest_ids.len() as u64, g.num_edges());
         // Every destination must appear with its exact in-degree.
         let mut counts = vec![0u32; 100];
-        for &d in &runner.dest_ids {
+        for &d in &backend.dest_ids {
             counts[d as usize] += 1;
         }
         assert_eq!(counts, g.in_degrees());
@@ -439,8 +362,8 @@ mod tests {
 
     #[test]
     fn zero_bin_width_rejected() {
-        let g = erdos_renyi(10, 20, 1).unwrap();
-        assert!(BvgasRunner::with_layout(&g, 0, 1).is_err());
+        let g = Arc::new(erdos_renyi(10, 20, 1).unwrap());
+        assert!(BvgasBackend::with_layout(g, 0, 1).is_err());
     }
 
     #[test]

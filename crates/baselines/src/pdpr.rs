@@ -1,214 +1,55 @@
 //! Pull-Direction PageRank (paper Algorithm 1).
 //!
 //! Each vertex pulls the scaled values of its in-neighbors — a column-major
-//! traversal of the adjacency matrix over the CSC (here: the transpose
-//! CSR). Columns own their outputs, so the traversal is embarrassingly
-//! parallel and needs no partial-sum storage; the cost is fine-grained
-//! random reads into the source-value vector, the paper's Fig. 1 traffic
-//! culprit.
+//! traversal of the adjacency matrix over the CSC (the transpose CSR).
+//! Columns own their outputs, so the traversal is embarrassingly parallel
+//! and needs no partial-sum storage; the cost is fine-grained random reads
+//! into the source-value vector, the paper's Fig. 1 traffic culprit.
 //!
-//! Parallelization matches §5.2: vertices are statically divided into
-//! chunks balanced by *in-edge count* (the work driver), one chunk per
-//! worker slot.
+//! The kernel itself is [`pcpm_core::backend::PullBackend`] — the same
+//! dataplane `BackendKind::Pull` selects, with the §5.2 edge-balanced
+//! static split — so PDPR is this crate's name for it, not a second copy.
 
-use pcpm_core::config::{run_with_threads, PcpmConfig};
+use crate::baseline_engine;
+use pcpm_core::algebra::PlusF32;
+use pcpm_core::backend::{Engine, PullBackend};
+use pcpm_core::config::PcpmConfig;
 use pcpm_core::error::PcpmError;
-use pcpm_core::pr::{PhaseTimings, PrResult};
+use pcpm_core::pagerank::pagerank_with_unified_engine;
+use pcpm_core::pr::PrResult;
 use pcpm_graph::Csr;
-use rayon::prelude::*;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Pre-processed state for repeated PDPR runs: the transpose (CSC) and
-/// edge-balanced chunk boundaries.
+/// Builds a unified [`Engine`] over the PDPR pull dataplane.
+///
+/// # Examples
+///
+/// ```
+/// use pcpm_graph::gen::erdos_renyi;
+/// use pcpm_baselines::pdpr_engine;
+/// use pcpm_core::PcpmConfig;
+///
+/// let g = erdos_renyi(100, 600, 1).unwrap();
+/// let mut engine = pdpr_engine(&g, &PcpmConfig::default()).unwrap();
+/// let x = vec![1.0f32; 100];
+/// let mut y = vec![0.0f32; 100];
+/// engine.step(&x, &mut y).unwrap();
+/// assert_eq!(y.iter().sum::<f32>(), g.num_edges() as f32);
+/// ```
+pub fn pdpr_engine(graph: &Csr, cfg: &PcpmConfig) -> Result<Engine<PlusF32>, PcpmError> {
+    baseline_engine::<PullBackend<PlusF32>>(graph, cfg)
+}
+
+/// Runs PageRank in the pull direction.
 ///
 /// The paper assumes CSR and CSC are both available as inputs, so
 /// [`PrResult::preprocess`] is reported as zero for this kernel; the
-/// transpose cost is visible via [`PdprRunner::transpose_time`].
-pub struct PdprRunner {
-    csc: Csr,
-    out_deg: Vec<u32>,
-    /// Chunk boundaries over vertices (length `chunks + 1`).
-    bounds: Vec<u32>,
-    transpose_time: Duration,
-}
-
-impl PdprRunner {
-    /// Transposes the graph and computes edge-balanced chunk boundaries.
-    pub fn new(graph: &Csr) -> Self {
-        Self::with_chunks(graph, (rayon::current_num_threads() * 8).max(1))
-    }
-
-    /// As [`PdprRunner::new`] with an explicit chunk count.
-    pub fn with_chunks(graph: &Csr, chunks: usize) -> Self {
-        let t0 = Instant::now();
-        let csc = graph.transpose();
-        let transpose_time = t0.elapsed();
-        let out_deg = graph.out_degrees();
-        let bounds = balanced_bounds(&csc, chunks);
-        Self {
-            csc,
-            out_deg,
-            bounds,
-            transpose_time,
-        }
-    }
-
-    /// Wall-clock time spent building the transpose.
-    pub fn transpose_time(&self) -> Duration {
-        self.transpose_time
-    }
-
-    /// Heap bytes of pre-processed state (the CSC transpose plus chunk
-    /// bookkeeping), for cross-backend memory accounting.
-    pub fn aux_memory_bytes(&self) -> u64 {
-        self.csc.memory_bytes() + (self.out_deg.len() * 4) as u64 + (self.bounds.len() * 4) as u64
-    }
-
-    /// One pull round over pre-scaled source values: `sums[v] = Σ x[u]`
-    /// over in-neighbors `u` of `v` — the kernel's dataplane, shared by
-    /// [`PdprRunner::run`] and the unified `Backend` implementation.
-    pub fn propagate_once(&self, x: &[f32], sums: &mut [f32]) {
-        let chunk_lens: Vec<usize> = self
-            .bounds
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as usize)
-            .collect();
-        let slices = pcpm_core::partition::split_by_lens(sums, &chunk_lens);
-        slices.into_par_iter().enumerate().for_each(|(c, out)| {
-            let lo = self.bounds[c];
-            for (i, v) in (lo..self.bounds[c + 1]).enumerate() {
-                let mut temp = 0.0f32;
-                for &u in self.csc.neighbors(v) {
-                    temp += x[u as usize];
-                }
-                out[i] = temp;
-            }
-        });
-    }
-
-    /// Runs PageRank in the pull direction.
-    pub fn run(&self, cfg: &PcpmConfig) -> Result<PrResult, PcpmError> {
-        cfg.validate()?;
-        let n = self.csc.num_nodes() as usize;
-        if n == 0 {
-            return Ok(empty_result());
-        }
-        let damping = cfg.damping as f32;
-        let base = ((1.0 - cfg.damping) / n as f64) as f32;
-        let inv_deg: Vec<f32> = self
-            .out_deg
-            .iter()
-            .map(|&d| if d == 0 { 0.0 } else { 1.0 / d as f32 })
-            .collect();
-        let mut pr: Vec<f32> = vec![1.0 / n as f32; n];
-        let mut x: Vec<f32> = pr.iter().zip(&inv_deg).map(|(&p, &i)| p * i).collect();
-        let mut timings = PhaseTimings::default();
-        let mut iterations = 0usize;
-        let mut converged = false;
-        let mut last_delta = f64::INFINITY;
-
-        run_with_threads(cfg.threads, || {
-            let mut next = vec![0.0f32; n];
-            for _ in 0..cfg.iterations {
-                let t0 = Instant::now();
-                // Pull: each chunk owns a contiguous output range.
-                self.propagate_once(&x, &mut next);
-                timings.gather += t0.elapsed();
-
-                let t1 = Instant::now();
-                let dangling_bonus = dangling_bonus(cfg, &pr, &self.out_deg, n);
-                let delta: f64 = pr
-                    .par_iter_mut()
-                    .zip(&next)
-                    .map(|(p, &s)| {
-                        let new = base + damping * s + dangling_bonus;
-                        let d = f64::from((new - *p).abs());
-                        *p = new;
-                        d
-                    })
-                    .sum();
-                x.par_iter_mut()
-                    .zip(&pr)
-                    .zip(&inv_deg)
-                    .for_each(|((xv, &p), &i)| *xv = p * i);
-                timings.apply += t1.elapsed();
-
-                iterations += 1;
-                last_delta = delta;
-                if let Some(tol) = cfg.tolerance {
-                    if delta < tol {
-                        converged = true;
-                        break;
-                    }
-                }
-            }
-        });
-
-        Ok(PrResult {
-            scores: pr,
-            iterations,
-            converged,
-            last_delta,
-            timings,
-            preprocess: Duration::ZERO,
-            compression_ratio: None,
-        })
-    }
-}
-
-/// Computes the per-node dangling bonus for this iteration.
-pub(crate) fn dangling_bonus(cfg: &PcpmConfig, pr: &[f32], out_deg: &[u32], n: usize) -> f32 {
-    if cfg.redistribute_dangling {
-        let mass: f64 = pr
-            .iter()
-            .zip(out_deg)
-            .filter(|(_, &d)| d == 0)
-            .map(|(&p, _)| f64::from(p))
-            .sum();
-        (cfg.damping * mass / n as f64) as f32
-    } else {
-        0.0
-    }
-}
-
-pub(crate) fn empty_result() -> PrResult {
-    PrResult {
-        scores: vec![],
-        iterations: 0,
-        converged: true,
-        last_delta: 0.0,
-        timings: PhaseTimings::default(),
-        preprocess: Duration::ZERO,
-        compression_ratio: None,
-    }
-}
-
-/// Splits vertices into `chunks` contiguous ranges with roughly equal
-/// in-edge counts (static load balancing on traversed edges, §5.2).
-fn balanced_bounds(csc: &Csr, chunks: usize) -> Vec<u32> {
-    let n = csc.num_nodes();
-    let m = csc.num_edges();
-    let chunks = chunks.max(1) as u64;
-    let mut bounds = Vec::with_capacity(chunks as usize + 1);
-    bounds.push(0u32);
-    let offsets = csc.offsets();
-    for c in 1..chunks {
-        let target = m * c / chunks;
-        // First vertex whose offset reaches the target, at least past the
-        // previous bound.
-        let v = offsets.partition_point(|&o| o < target) as u32;
-        let v = v.clamp(*bounds.last().unwrap(), n);
-        bounds.push(v);
-    }
-    bounds.push(n);
-    bounds
-}
-
-/// One-shot convenience wrapper: builds a [`PdprRunner`] and runs it.
+/// transpose cost is visible as `pdpr_engine(..).report().preprocess`.
 pub fn pdpr(graph: &Csr, cfg: &PcpmConfig) -> Result<PrResult, PcpmError> {
-    // Prepare on the same shared pool the iterations run on: one pool
-    // per thread count for the whole process, not one per call.
-    run_with_threads(cfg.threads, || PdprRunner::new(graph)).run(cfg)
+    let mut engine = pdpr_engine(graph, cfg)?;
+    let mut result = pagerank_with_unified_engine(graph, cfg, &mut engine, None)?;
+    result.preprocess = Duration::ZERO;
+    Ok(result)
 }
 
 #[cfg(test)]
@@ -232,37 +73,6 @@ mod tests {
         cfg.redistribute_dangling = true;
         let r = pdpr(&g, &cfg).unwrap();
         assert_matches_oracle(&r.scores, &g, &cfg, 1e-3);
-    }
-
-    #[test]
-    fn chunk_count_does_not_change_result() {
-        let g = erdos_renyi(500, 4000, 9).unwrap();
-        let cfg = PcpmConfig::default().with_iterations(5);
-        let r1 = PdprRunner::with_chunks(&g, 1).run(&cfg).unwrap();
-        let r64 = PdprRunner::with_chunks(&g, 64).run(&cfg).unwrap();
-        // Pull accumulation per vertex is sequential within the vertex, so
-        // chunking cannot change the result at all.
-        assert_eq!(r1.scores, r64.scores);
-    }
-
-    #[test]
-    fn balanced_bounds_cover_and_balance() {
-        let g = rmat(&RmatConfig::graph500(10, 8, 3)).unwrap();
-        let csc = g.transpose();
-        let bounds = balanced_bounds(&csc, 8);
-        assert_eq!(bounds[0], 0);
-        assert_eq!(*bounds.last().unwrap(), g.num_nodes());
-        assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
-        // Each chunk's edge load should be within 2x of the ideal share.
-        let offsets = csc.offsets();
-        let ideal = g.num_edges() as f64 / 8.0;
-        for w in bounds.windows(2) {
-            let load = (offsets[w[1] as usize] - offsets[w[0] as usize]) as f64;
-            assert!(
-                load < ideal * 2.0 + 1000.0,
-                "chunk load {load} vs ideal {ideal}"
-            );
-        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! were not assumed as input.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pcpm_baselines::BvgasRunner;
+use pcpm_baselines::bvgas_engine;
 use pcpm_core::algebra::PlusF32;
 use pcpm_core::{Engine, PcpmConfig};
 use pcpm_graph::gen::datasets::{standin_at, Dataset};
@@ -27,7 +27,7 @@ fn bench_preprocessing(c: &mut Criterion) {
             });
         });
         group.bench_with_input(BenchmarkId::new("bvgas_layout", d.name()), &g, |b, g| {
-            b.iter(|| BvgasRunner::new(g, &cfg).expect("bvgas"));
+            b.iter(|| bvgas_engine(g, &cfg).expect("bvgas"));
         });
         group.bench_with_input(BenchmarkId::new("csc_transpose", d.name()), &g, |b, g| {
             b.iter(|| g.transpose());

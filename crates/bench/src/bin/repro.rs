@@ -32,9 +32,9 @@ use pcpm_memsim::energy::{energy_per_edge_uj, sustained_bandwidth_gbs};
 use pcpm_memsim::model::{fig6_curve, ModelParams};
 use pcpm_memsim::{replay_bvgas, replay_pcpm, replay_pdpr};
 
-const EXHIBITS: [&str; 19] = [
+const EXHIBITS: [&str; 18] = [
     "table4", "fig1", "fig6", "fig7", "table5", "fig8", "fig9", "fig10", "table6", "table7",
-    "fig11", "fig12", "fig13", "fig13sim", "fig14", "table8", "ablation", "related", "all",
+    "fig11", "fig12", "fig13", "fig13sim", "fig14", "table8", "ablation", "all",
 ];
 
 fn main() {
@@ -146,80 +146,6 @@ fn main() {
     if run("ablation") {
         ablation(&suite);
     }
-    if run("related") {
-        related(&suite);
-    }
-}
-
-/// Related-work comparison (paper §2.2): push with atomics, edge-centric
-/// COO streaming, and cache-blocked/GridGraph-style 2D tiling against the
-/// two main baselines and PCPM.
-fn related(suite: &SuiteConfig) {
-    let mut t = Table::new(&[
-        "dataset",
-        "PDPR(ms/it)",
-        "push",
-        "edge-centric",
-        "grid-2d",
-        "BVGAS",
-        "PCPM",
-    ]);
-    let iters = suite.iterations.min(10);
-    let mut cfg = suite.timing_config().with_iterations(iters);
-    cfg.threads = suite.threads;
-    let per_iter = |r: &pcpm_core::pr::PrResult| {
-        f3(r.timings.total().as_secs_f64() * 1e3 / r.iterations.max(1) as f64)
-    };
-    for (d, g) in suite.all_graphs() {
-        let pd = pcpm_baselines::pdpr(&g, &cfg).expect("pdpr");
-        let ps = pcpm_baselines::push_pagerank(&g, &cfg).expect("push");
-        let ec = pcpm_baselines::edge_centric(&g, &cfg).expect("edge centric");
-        let gr = pcpm_baselines::grid_pagerank(&g, &cfg).expect("grid");
-        let bv = pcpm_baselines::bvgas(&g, &cfg).expect("bvgas");
-        let pc = pcpm_core::pagerank::pagerank(&g, &cfg).expect("pcpm");
-        t.row(vec![
-            d.name().into(),
-            per_iter(&pd),
-            per_iter(&ps),
-            per_iter(&ec),
-            per_iter(&gr),
-            per_iter(&bv),
-            per_iter(&pc),
-        ]);
-    }
-    t.print("Related systems: time per PageRank iteration (ms)");
-    let _ = t.write_csv(&suite.out_dir, "related");
-
-    // Traffic side on the simulated machine.
-    let mut tt = Table::new(&[
-        "dataset",
-        "PDPR B/e",
-        "push B/e",
-        "edge-centric B/e",
-        "grid-2d B/e",
-        "BVGAS B/e",
-        "PCPM B/e",
-    ]);
-    for (d, g) in suite.all_graphs() {
-        let m = g.num_edges();
-        let (pd, _) = replay_pdpr(&g, sim_cache());
-        let ps = pcpm_memsim::replay_push(&g, sim_cache());
-        let ec = pcpm_memsim::replay_edge_centric(&g, SIM_PARTITION_NODES, sim_cache());
-        let gr = pcpm_memsim::replay_grid(&g, SIM_PARTITION_NODES, sim_cache());
-        let bv = replay_bvgas(&g, SIM_PARTITION_NODES, 32, sim_cache());
-        let pc = replay_pcpm(&g, SIM_PARTITION_NODES, sim_cache());
-        tt.row(vec![
-            d.name().into(),
-            f2(pd.bytes_per_edge(m)),
-            f2(ps.bytes_per_edge(m)),
-            f2(ec.bytes_per_edge(m)),
-            f2(gr.bytes_per_edge(m)),
-            f2(bv.bytes_per_edge(m)),
-            f2(pc.bytes_per_edge(m)),
-        ]);
-    }
-    tt.print("Related systems: DRAM traffic per edge (simulated machine)");
-    let _ = tt.write_csv(&suite.out_dir, "related_traffic");
 }
 
 /// Table 4: dataset characteristics (paper vs stand-in).
@@ -541,8 +467,8 @@ fn fig13_14(suite: &SuiteConfig) {
 }
 
 /// Design-choice ablation (beyond the paper's exhibits): each PCPM
-/// optimization toggled individually, plus the compact-bin and
-/// edge-centric extensions.
+/// optimization toggled individually, plus the compact- and delta-bin
+/// extensions.
 fn ablation(suite: &SuiteConfig) {
     use pcpm_core::engine::{GatherKind, ScatterKind};
     use pcpm_core::pagerank::{pagerank_with_variant, PcpmVariant};
@@ -553,7 +479,6 @@ fn ablation(suite: &SuiteConfig) {
         "branchy-gather",
         "compact-bins",
         "delta-bins",
-        "edge-centric",
         "traffic B/e",
         "compact B/e",
     ]);
@@ -591,7 +516,6 @@ fn ablation(suite: &SuiteConfig) {
             pagerank_with_variant(&g, &compact_cfg, PcpmVariant::default()).expect("compact");
         let delta_cfg = cfg.with_bin_format(pcpm_core::BinFormatKind::Delta);
         let delta = pagerank_with_variant(&g, &delta_cfg, PcpmVariant::default()).expect("delta");
-        let ec = pcpm_baselines::edge_centric::edge_centric(&g, &cfg).expect("edge centric");
         // Traffic side: wide vs compact destination IDs on the simulated
         // machine.
         let parts = Partitioner::new(g.num_nodes(), SIM_PARTITION_NODES).expect("parts");
@@ -605,7 +529,6 @@ fn ablation(suite: &SuiteConfig) {
             f3(per_iter(&branchy)),
             f3(per_iter(&compact)),
             f3(per_iter(&delta)),
-            f3(per_iter(&ec)),
             f2(wide.bytes_per_edge(g.num_edges())),
             f2(thin.bytes_per_edge(g.num_edges())),
         ]);
@@ -661,7 +584,7 @@ fn table8(suite: &SuiteConfig) {
             .config(cfg)
             .build()
             .expect("engine");
-        let bv = pcpm_baselines::BvgasRunner::new(&g, &cfg).expect("bvgas");
+        let bv = pcpm_baselines::bvgas_engine(&g, &cfg).expect("bvgas");
         // One-iteration time for amortization context.
         let mut suite1 = suite.clone();
         suite1.iterations = 1;
@@ -669,7 +592,7 @@ fn table8(suite: &SuiteConfig) {
         t.row(vec![
             d.name().into(),
             f3(engine.report().preprocess.as_secs_f64()),
-            f3(bv.preprocess_time().as_secs_f64()),
+            f3(bv.report().preprocess.as_secs_f64()),
             "0.000".into(),
             f3(one.timings.total().as_secs_f64()),
         ]);

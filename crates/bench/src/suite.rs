@@ -16,7 +16,6 @@
 //! stand-in scale to feed every core, still L2-resident) and whatever
 //! parallelism rayon finds.
 
-use pcpm_baselines::{BvgasRunner, PdprRunner};
 use pcpm_core::algebra::PlusF32;
 use pcpm_core::pagerank::pagerank_with_unified_engine;
 use pcpm_core::pr::PrResult;
@@ -212,15 +211,12 @@ fn pcpm_timing_engine(g: &Csr, suite: &SuiteConfig, cfg: &PcpmConfig) -> Engine<
 
 /// Runs BVGAS PageRank with the timing configuration.
 pub fn time_bvgas(g: &Csr, suite: &SuiteConfig) -> PrResult {
-    let cfg = suite.timing_config();
-    let runner = BvgasRunner::new(g, &cfg).expect("bvgas build");
-    runner.run(g, &cfg).expect("bvgas run")
+    pcpm_baselines::bvgas(g, &suite.timing_config()).expect("bvgas run")
 }
 
 /// Runs pull-direction PageRank with the timing configuration.
 pub fn time_pdpr(g: &Csr, suite: &SuiteConfig) -> PrResult {
-    let cfg = suite.timing_config();
-    PdprRunner::new(g).run(&cfg).expect("pdpr run")
+    pcpm_baselines::pdpr(g, &suite.timing_config()).expect("pdpr run")
 }
 
 /// Times a closure, returning (result, seconds).

@@ -10,20 +10,16 @@
 //! Every algorithm in `pcpm-algos` drives that one method, so any
 //! algorithm runs on any backend and ablations are apples-to-apples.
 //!
-//! Four backends ship in this crate:
+//! Two backends ship in this crate:
 //!
 //! - [`BackendKind::Pcpm`] — the paper's partition-centric pipeline
 //!   (PNG scatter + branch-avoiding gather, wide or compact bins,
 //!   per-phase ablation variants chosen at build time);
 //! - [`BackendKind::Pull`] — conventional pull-direction traversal over
-//!   the transpose (Algorithm 1's dataplane, the PDPR baseline);
-//! - [`BackendKind::Push`] — push-direction traversal over the original
-//!   CSR (the paper's §2.1 motivation baseline);
-//! - [`BackendKind::EdgeCentric`] — X-Stream-style streaming over a COO
-//!   list pre-sorted by destination bin (§2.2).
+//!   the transpose (Algorithm 1's dataplane, the PDPR baseline).
 //!
-//! The BVGAS and grid baselines implement [`Backend`] in
-//! `pcpm-baselines` and plug in through [`Engine::from_backend`].
+//! The BVGAS baseline (Algorithm 5) implements [`Backend`] in
+//! `pcpm-baselines` and plugs in through [`Engine::from_backend`].
 //!
 //! # Examples
 //!
@@ -73,9 +69,9 @@ pub struct PrepareSpec<'a> {
     /// The graph structure (sources → destinations).
     pub graph: &'a Csr,
     /// The same graph behind a shared handle, when the caller has one.
-    /// Backends that must retain the adjacency past `prepare` (push,
-    /// the CSR-traversal scatter ablation) clone this `Arc` instead of
-    /// deep-copying the graph.
+    /// Backends that must retain the adjacency past `prepare` (the
+    /// CSR-traversal scatter ablation, BVGAS) clone this `Arc` instead
+    /// of deep-copying the graph.
     pub shared: Option<&'a Arc<Csr>>,
     /// Optional per-edge weights, parallel to the CSR targets array.
     pub weights: Option<&'a [f32]>,
@@ -210,28 +206,17 @@ pub enum BackendKind {
     Pcpm,
     /// Pull-direction traversal over the transpose (PDPR's dataplane).
     Pull,
-    /// Push-direction traversal over the original CSR.
-    Push,
-    /// Edge-centric streaming over a destination-bin-sorted COO list.
-    EdgeCentric,
 }
 
 impl BackendKind {
     /// All built-in kinds, for sweep tests and benches.
-    pub const ALL: [BackendKind; 4] = [
-        BackendKind::Pcpm,
-        BackendKind::Pull,
-        BackendKind::Push,
-        BackendKind::EdgeCentric,
-    ];
+    pub const ALL: [BackendKind; 2] = [BackendKind::Pcpm, BackendKind::Pull];
 
     /// The dataplane name as reported in [`BackendMetrics`].
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Pcpm => "pcpm",
             BackendKind::Pull => "pull",
-            BackendKind::Push => "push",
-            BackendKind::EdgeCentric => "edge_centric",
         }
     }
 }
@@ -247,7 +232,7 @@ pub struct ExecutionReport {
     pub timings: PhaseTimings,
     /// Pre-processing (control plane) time.
     pub preprocess: Duration,
-    /// Heap bytes of auxiliary state (message bins, sorted edge copies).
+    /// Heap bytes of auxiliary state (message bins, the transpose).
     pub aux_memory_bytes: u64,
     /// PNG compression ratio, for backends that build one.
     pub compression_ratio: Option<f64>,
@@ -443,9 +428,9 @@ impl<A: Algebra> Engine<A> {
     }
 
     /// Starts building an engine over a shared graph handle. Backends
-    /// that retain the adjacency (push, the CSR-traversal ablation)
-    /// clone the `Arc` instead of deep-copying the graph, making
-    /// construction zero-copy.
+    /// that retain the adjacency (the CSR-traversal ablation) clone the
+    /// `Arc` instead of deep-copying the graph, making construction
+    /// zero-copy.
     pub fn builder_shared(graph: &Arc<Csr>) -> EngineBuilder<'_, A> {
         EngineBuilder {
             shared: Some(graph),
@@ -453,8 +438,8 @@ impl<A: Algebra> Engine<A> {
         }
     }
 
-    /// Wraps an externally prepared backend (e.g. the BVGAS or grid
-    /// implementations in `pcpm-baselines`).
+    /// Wraps an externally prepared backend (e.g. the BVGAS
+    /// implementation in `pcpm-baselines`).
     ///
     /// When the backend still needs to be prepared, prefer
     /// [`Engine::from_backend_with`]: it builds the engine-owned pool
@@ -851,8 +836,6 @@ fn prepare_builtin<A: Algebra>(
             spec.scatter_graph(),
         )?,
         BackendKind::Pull => Box::new(PullBackend::prepare(spec)?),
-        BackendKind::Push => Box::new(PushBackend::prepare(spec)?),
-        BackendKind::EdgeCentric => Box::new(EdgeCentricBackend::prepare(spec)?),
     })
 }
 
@@ -1332,14 +1315,20 @@ impl<A: Algebra, F: BinFormat> PcpmBackend<A, F> {
 
 /// Pull-direction dataplane: each destination walks its in-neighbors in
 /// the transpose (CSC). Fine-grained random reads of `x`, no auxiliary
-/// message state — Algorithm 1's traversal, generalized over the algebra.
+/// message state — Algorithm 1's traversal (PDPR), generalized over the
+/// algebra.
+///
+/// Parallelization matches §5.2: vertices are statically divided into
+/// chunks balanced by *in-edge count* (the work driver). Each vertex is
+/// accumulated sequentially by whichever chunk owns it, so the chunking
+/// never changes a result bit.
 pub struct PullBackend<A: Algebra> {
-    /// Transpose offsets (`num_nodes + 1`).
-    offsets: Vec<u64>,
-    /// In-neighbor sources per destination.
-    srcs: Vec<u32>,
-    /// Weights aligned with [`Self::srcs`].
+    /// The transpose: in-neighbor sources per destination.
+    csc: Csr,
+    /// Weights aligned with the transpose's edge order.
     weights: Option<Vec<f32>>,
+    /// Chunk boundaries over vertices (length `chunks + 1`).
+    bounds: Vec<u32>,
     preprocess: Duration,
     _algebra: std::marker::PhantomData<A>,
 }
@@ -1348,34 +1337,24 @@ impl<A: Algebra> Backend<A> for PullBackend<A> {
     fn prepare(spec: &PrepareSpec<'_>) -> Result<Self, PcpmError> {
         let t0 = crate::telemetry::stopwatch();
         let g = spec.graph;
-        let n = g.num_nodes() as usize;
-        let mut counts = vec![0u64; n + 1];
-        for (_, t) in g.edges() {
-            counts[t as usize + 1] += 1;
-        }
-        for v in 0..n {
-            counts[v + 1] += counts[v];
-        }
-        let offsets = counts;
-        let mut srcs = vec![0u32; g.num_edges() as usize];
-        let mut weights = spec.weights.map(|_| vec![0.0f32; g.num_edges() as usize]);
-        let mut cursor = offsets.clone();
-        let mut edge_idx = 0usize;
-        for s in 0..g.num_nodes() {
-            for &t in g.neighbors(s) {
-                let pos = cursor[t as usize] as usize;
-                srcs[pos] = s;
-                if let (Some(w), Some(ew)) = (&mut weights, spec.weights) {
-                    w[pos] = ew[edge_idx];
-                }
-                cursor[t as usize] += 1;
-                edge_idx += 1;
+        let csc = g.transpose();
+        // The transpose lists each destination's sources in CSR (source-
+        // major) order, so replaying that order places every weight.
+        let weights = spec.weights.map(|ew| {
+            let mut w = vec![0.0f32; ew.len()];
+            let mut cursor = csc.offsets().to_vec();
+            for (&t, &wt) in g.targets().iter().zip(ew) {
+                let c = &mut cursor[t as usize];
+                w[*c as usize] = wt;
+                *c += 1;
             }
-        }
+            w
+        });
+        let bounds = balanced_bounds(&csc, rayon::current_num_threads() * 8);
         Ok(Self {
-            offsets,
-            srcs,
+            csc,
             weights,
+            bounds,
             preprocess: t0.elapsed(),
             _algebra: std::marker::PhantomData,
         })
@@ -1383,24 +1362,36 @@ impl<A: Algebra> Backend<A> for PullBackend<A> {
 
     fn step(&mut self, x: &[A::T], y: &mut [A::T]) -> Result<PhaseTimings, PcpmError> {
         let t0 = crate::telemetry::stopwatch();
-        y.par_iter_mut().enumerate().for_each(|(v, out)| {
-            let lo = self.offsets[v] as usize;
-            let hi = self.offsets[v + 1] as usize;
-            let mut acc = A::identity();
-            match &self.weights {
-                None => {
-                    for &s in &self.srcs[lo..hi] {
-                        acc = A::combine(acc, A::extend(x[s as usize]));
+        let offsets = self.csc.offsets();
+        let srcs = self.csc.targets();
+        let chunk_lens: Vec<usize> = self
+            .bounds
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .collect();
+        split_by_lens(y, &chunk_lens)
+            .into_par_iter()
+            .enumerate()
+            .for_each(|(c, out)| {
+                for (v, slot) in (self.bounds[c] as usize..).zip(out) {
+                    let lo = offsets[v] as usize;
+                    let hi = offsets[v + 1] as usize;
+                    let mut acc = A::identity();
+                    match &self.weights {
+                        None => {
+                            for &s in &srcs[lo..hi] {
+                                acc = A::combine(acc, A::extend(x[s as usize]));
+                            }
+                        }
+                        Some(w) => {
+                            for (&s, &wt) in srcs[lo..hi].iter().zip(&w[lo..hi]) {
+                                acc = A::combine(acc, A::extend_weighted(wt, x[s as usize]));
+                            }
+                        }
                     }
+                    *slot = acc;
                 }
-                Some(w) => {
-                    for (&s, &wt) in self.srcs[lo..hi].iter().zip(&w[lo..hi]) {
-                        acc = A::combine(acc, A::extend_weighted(wt, x[s as usize]));
-                    }
-                }
-            }
-            *out = acc;
-        });
+            });
         Ok(PhaseTimings {
             scatter: Duration::ZERO,
             gather: t0.elapsed(),
@@ -1412,10 +1403,8 @@ impl<A: Algebra> Backend<A> for PullBackend<A> {
         BackendMetrics {
             name: "pull",
             preprocess: self.preprocess,
-            aux_memory_bytes: (self.offsets.len() * 8
-                + self.srcs.len() * 4
-                + self.weights.as_ref().map_or(0, |w| w.len() * 4))
-                as u64,
+            aux_memory_bytes: self.csc.memory_bytes()
+                + (self.bounds.len() * 4 + self.weights.as_ref().map_or(0, |w| w.len() * 4)) as u64,
             compression_ratio: None,
             bin_format: None,
             bin_compression: None,
@@ -1425,198 +1414,28 @@ impl<A: Algebra> Backend<A> for PullBackend<A> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Push backend
-// ---------------------------------------------------------------------------
-
-/// Push-direction dataplane: each source adds its contribution to all of
-/// its out-neighbors. The reduction order is source-major and the
-/// traversal is sequential — with a parallel scheduler this kernel needs
-/// atomics (see `pcpm_baselines::push`), which a generic algebra cannot
-/// provide, so the generic backend keeps the deterministic serial loop.
-pub struct PushBackend<A: Algebra> {
-    /// Shared handle on the adjacency (zero-copy when prepared from an
-    /// `Arc`).
-    graph: Arc<Csr>,
-    weights: Option<Vec<f32>>,
-    preprocess: Duration,
-    _algebra: std::marker::PhantomData<A>,
-}
-
-impl<A: Algebra> Backend<A> for PushBackend<A> {
-    fn prepare(spec: &PrepareSpec<'_>) -> Result<Self, PcpmError> {
-        let t0 = crate::telemetry::stopwatch();
-        Ok(Self {
-            graph: spec.graph_arc(),
-            weights: spec.weights.map(|w| w.to_vec()),
-            preprocess: t0.elapsed(),
-            _algebra: std::marker::PhantomData,
-        })
+/// Splits the vertices of `csr` into `chunks` contiguous ranges with
+/// roughly equal edge counts — the static load balancing on traversed
+/// edges of §5.2 (in-edges when handed the transpose, as the pull
+/// traversal does; out-edges for a vertex-centric scatter). Returns the
+/// `chunks + 1` boundaries.
+pub fn balanced_bounds(csr: &Csr, chunks: usize) -> Vec<u32> {
+    let n = csr.num_nodes();
+    let m = csr.num_edges();
+    let chunks = chunks.max(1) as u64;
+    let mut bounds = Vec::with_capacity(chunks as usize + 1);
+    let mut prev = 0u32;
+    bounds.push(prev);
+    let offsets = csr.offsets();
+    for c in 1..chunks {
+        let target = m * c / chunks;
+        // First vertex whose offset reaches the target, at least past the
+        // previous bound.
+        prev = (offsets.partition_point(|&o| o < target) as u32).clamp(prev, n);
+        bounds.push(prev);
     }
-
-    fn step(&mut self, x: &[A::T], y: &mut [A::T]) -> Result<PhaseTimings, PcpmError> {
-        let t0 = crate::telemetry::stopwatch();
-        y.fill(A::identity());
-        let mut edge_idx = 0usize;
-        for s in 0..self.graph.num_nodes() {
-            let xv = x[s as usize];
-            match &self.weights {
-                None => {
-                    for &t in self.graph.neighbors(s) {
-                        let slot = &mut y[t as usize];
-                        *slot = A::combine(*slot, A::extend(xv));
-                    }
-                    edge_idx += self.graph.neighbors(s).len();
-                }
-                Some(w) => {
-                    for &t in self.graph.neighbors(s) {
-                        let slot = &mut y[t as usize];
-                        *slot = A::combine(*slot, A::extend_weighted(w[edge_idx], xv));
-                        edge_idx += 1;
-                    }
-                }
-            }
-        }
-        Ok(PhaseTimings {
-            scatter: t0.elapsed(),
-            gather: Duration::ZERO,
-            apply: Duration::ZERO,
-        })
-    }
-
-    fn metrics(&self) -> BackendMetrics {
-        BackendMetrics {
-            name: "push",
-            preprocess: self.preprocess,
-            aux_memory_bytes: self.graph.memory_bytes()
-                + self.weights.as_ref().map_or(0, |w| w.len() as u64 * 4),
-            compression_ratio: None,
-            bin_format: None,
-            bin_compression: None,
-            dest_stream_bytes: None,
-            kernel: None,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Edge-centric backend
-// ---------------------------------------------------------------------------
-
-/// Edge-centric dataplane: a COO edge list pre-sorted by destination bin
-/// (X-Stream / Zhou et al. style); each bin's owner streams its edges and
-/// accumulates into its exclusive slice of `y`.
-pub struct EdgeCentricBackend<A: Algebra> {
-    bin_width: u32,
-    /// Edge sources sorted by destination bin.
-    src: Vec<u32>,
-    /// Edge destinations aligned with [`Self::src`].
-    dst: Vec<u32>,
-    /// Weights aligned with [`Self::src`].
-    weights: Option<Vec<f32>>,
-    /// `num_bins + 1` offsets into the sorted arrays.
-    bin_off: Vec<u64>,
-    /// Node count per bin (the `y` split), precomputed so steps do no
-    /// setup work inside the timed region.
-    bin_lens: Vec<usize>,
-    preprocess: Duration,
-    _algebra: std::marker::PhantomData<A>,
-}
-
-impl<A: Algebra> Backend<A> for EdgeCentricBackend<A> {
-    fn prepare(spec: &PrepareSpec<'_>) -> Result<Self, PcpmError> {
-        let t0 = crate::telemetry::stopwatch();
-        let g = spec.graph;
-        let n = g.num_nodes();
-        let bin_width = spec.cfg.partition_nodes();
-        let num_bins = if n == 0 { 0 } else { (n - 1) / bin_width + 1 };
-        let m = g.num_edges() as usize;
-        let mut counts = vec![0u64; num_bins as usize];
-        for (_, t) in g.edges() {
-            counts[(t / bin_width) as usize] += 1;
-        }
-        let mut bin_off = vec![0u64; num_bins as usize + 1];
-        for b in 0..num_bins as usize {
-            bin_off[b + 1] = bin_off[b] + counts[b];
-        }
-        let mut src = vec![0u32; m];
-        let mut dst = vec![0u32; m];
-        let mut weights = spec.weights.map(|_| vec![0.0f32; m]);
-        let mut cursor = bin_off.clone();
-        for (edge_idx, (s, t)) in g.edges().enumerate() {
-            let c = &mut cursor[(t / bin_width) as usize];
-            src[*c as usize] = s;
-            dst[*c as usize] = t;
-            if let (Some(w), Some(ew)) = (&mut weights, spec.weights) {
-                w[*c as usize] = ew[edge_idx];
-            }
-            *c += 1;
-        }
-        let bin_lens: Vec<usize> = (0..num_bins)
-            .map(|b| {
-                let lo = b * bin_width;
-                (n.min(lo.saturating_add(bin_width)) - lo) as usize
-            })
-            .collect();
-        Ok(Self {
-            bin_width,
-            src,
-            dst,
-            weights,
-            bin_off,
-            bin_lens,
-            preprocess: t0.elapsed(),
-            _algebra: std::marker::PhantomData,
-        })
-    }
-
-    fn step(&mut self, x: &[A::T], y: &mut [A::T]) -> Result<PhaseTimings, PcpmError> {
-        let t0 = crate::telemetry::stopwatch();
-        let slices = split_by_lens(y, &self.bin_lens);
-        slices.into_par_iter().enumerate().for_each(|(b, ys)| {
-            ys.fill(A::identity());
-            let lo = self.bin_off[b] as usize;
-            let hi = self.bin_off[b + 1] as usize;
-            let bin_base = b as u32 * self.bin_width;
-            match &self.weights {
-                None => {
-                    for i in lo..hi {
-                        let slot = &mut ys[(self.dst[i] - bin_base) as usize];
-                        *slot = A::combine(*slot, A::extend(x[self.src[i] as usize]));
-                    }
-                }
-                Some(w) => {
-                    for i in lo..hi {
-                        let slot = &mut ys[(self.dst[i] - bin_base) as usize];
-                        *slot =
-                            A::combine(*slot, A::extend_weighted(w[i], x[self.src[i] as usize]));
-                    }
-                }
-            }
-        });
-        Ok(PhaseTimings {
-            scatter: Duration::ZERO,
-            gather: t0.elapsed(),
-            apply: Duration::ZERO,
-        })
-    }
-
-    fn metrics(&self) -> BackendMetrics {
-        BackendMetrics {
-            name: "edge_centric",
-            preprocess: self.preprocess,
-            aux_memory_bytes: (self.src.len() * 4
-                + self.dst.len() * 4
-                + self.bin_off.len() * 8
-                + self.weights.as_ref().map_or(0, |w| w.len() * 4))
-                as u64,
-            compression_ratio: None,
-            bin_format: None,
-            bin_compression: None,
-            dest_stream_bytes: None,
-            kernel: None,
-        }
-    }
+    bounds.push(n);
+    bounds
 }
 
 #[cfg(test)]
@@ -1776,7 +1595,7 @@ mod tests {
         assert!(Engine::<PlusF32>::builder(&g)
             .partition_bytes(256)
             .bin_format(BinFormatKind::Delta)
-            .backend(BackendKind::EdgeCentric)
+            .backend(BackendKind::Pull)
             .build()
             .is_err());
         // Branchy gather on a non-wide format.
@@ -1789,7 +1608,7 @@ mod tests {
         // Ablation variants on a non-PCPM backend.
         assert!(Engine::<PlusF32>::builder(&g)
             .scatter(ScatterKind::CsrTraversal)
-            .backend(BackendKind::Push)
+            .backend(BackendKind::Pull)
             .build()
             .is_err());
         // Oversized compact partitions (the default 256 KB holds 64 Ki
@@ -2004,32 +1823,23 @@ mod tests {
     }
 
     #[test]
-    fn non_pcpm_backends_rebuild_on_update() {
+    fn pull_backend_rebuilds_on_update() {
         let g = rmat(&RmatConfig::graph500(8, 6, 31)).unwrap();
         let x = int_x(g.num_nodes());
         let (g2, batch) = edit(&g, &[0, 9], &[(1, 100)]);
         let g2 = Arc::new(g2);
-        let want = reference(&g2, &x);
-        for kind in [
-            BackendKind::Pull,
-            BackendKind::Push,
-            BackendKind::EdgeCentric,
-        ] {
-            let mut engine = Engine::<PlusF32>::builder(&g)
-                .partition_bytes(64 * 4)
-                .backend(kind)
-                .build()
-                .unwrap();
-            assert_eq!(
-                engine.update(&g2, None, &batch).unwrap(),
-                crate::update::UpdateOutcome::Rebuilt,
-                "backend {}",
-                kind.name()
-            );
-            let mut y = vec![0.0f32; g2.num_nodes() as usize];
-            engine.step(&x, &mut y).unwrap();
-            assert_eq!(y, want, "backend {}", kind.name());
-        }
+        let mut engine = Engine::<PlusF32>::builder(&g)
+            .partition_bytes(64 * 4)
+            .backend(BackendKind::Pull)
+            .build()
+            .unwrap();
+        assert_eq!(
+            engine.update(&g2, None, &batch).unwrap(),
+            crate::update::UpdateOutcome::Rebuilt
+        );
+        let mut y = vec![0.0f32; g2.num_nodes() as usize];
+        engine.step(&x, &mut y).unwrap();
+        assert_eq!(y, reference(&g2, &x));
     }
 
     #[test]
@@ -2067,20 +1877,14 @@ mod tests {
     fn builder_shared_makes_retaining_backends_zero_copy() {
         let g = Arc::new(erdos_renyi(100, 500, 3).unwrap());
         let base = Arc::strong_count(&g);
-        let push = Engine::<PlusF32>::builder_shared(&g)
-            .backend(BackendKind::Push)
-            .build()
-            .unwrap();
-        // The push backend AND the engine's retained snapshot source
-        // hold the SAME allocation, not deep copies.
-        assert_eq!(Arc::strong_count(&g), base + 2);
         let ablation = Engine::<PlusF32>::builder_shared(&g)
             .partition_bytes(64 * 4)
             .scatter(ScatterKind::CsrTraversal)
             .build()
             .unwrap();
-        assert_eq!(Arc::strong_count(&g), base + 4);
-        drop(push);
+        // The CSR-traversal backend AND the engine's retained snapshot
+        // source hold the SAME allocation, not deep copies.
+        assert_eq!(Arc::strong_count(&g), base + 2);
         drop(ablation);
         assert_eq!(Arc::strong_count(&g), base);
     }
@@ -2223,6 +2027,51 @@ mod tests {
                 .unwrap();
             let mut y: Vec<f32> = vec![];
             engine.step(&[], &mut y).unwrap();
+        }
+    }
+
+    #[test]
+    fn pull_chunk_count_does_not_change_result() {
+        let g = erdos_renyi(500, 4000, 9).unwrap();
+        let spec = PrepareSpec {
+            graph: &g,
+            shared: None,
+            weights: None,
+            cfg: PcpmConfig::default(),
+            scatter: ScatterKind::default(),
+            gather: GatherKind::default(),
+        };
+        // Real-valued input: any change of accumulation order would show.
+        let x: Vec<f32> = (0..500).map(|v| 1.0 / (v + 3) as f32).collect();
+        let outputs = [1usize, 64].map(|chunks| {
+            let mut pull = PullBackend::<PlusF32>::prepare(&spec).unwrap();
+            pull.bounds = balanced_bounds(&pull.csc, chunks);
+            let mut y = vec![0.0f32; 500];
+            pull.step(&x, &mut y).unwrap();
+            y
+        });
+        // Pull accumulation per vertex is sequential within the vertex, so
+        // chunking cannot change the result at all.
+        assert_eq!(outputs[0], outputs[1]);
+    }
+
+    #[test]
+    fn balanced_bounds_cover_and_balance() {
+        let g = rmat(&RmatConfig::graph500(10, 8, 3)).unwrap();
+        let csc = g.transpose();
+        let bounds = balanced_bounds(&csc, 8);
+        assert_eq!(bounds[0], 0);
+        assert_eq!(*bounds.last().unwrap(), g.num_nodes());
+        assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
+        // Each chunk's edge load should be within 2x of the ideal share.
+        let offsets = csc.offsets();
+        let ideal = g.num_edges() as f64 / 8.0;
+        for w in bounds.windows(2) {
+            let load = (offsets[w[1] as usize] - offsets[w[0] as usize]) as f64;
+            assert!(
+                load < ideal * 2.0 + 1000.0,
+                "chunk load {load} vs ideal {ideal}"
+            );
         }
     }
 }

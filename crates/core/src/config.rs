@@ -45,10 +45,8 @@ pub struct PcpmConfig {
     pub bin_format: BinFormatKind,
     /// Thread count for the engine-owned worker pool (prepare, every
     /// step and incremental repair run on it); `None` uses the ambient
-    /// global pool. Engine backends produce bit-identical results for
-    /// any value (see the rayon shim's determinism contract); the one
-    /// exception is the atomic-accumulation `push_pagerank` baseline
-    /// driver in `pcpm-baselines`.
+    /// global pool. Every backend produces bit-identical results for
+    /// any value (see the rayon shim's determinism contract).
     pub threads: Option<usize>,
     /// Gather/decode kernel variant (`--kernel`). A runtime knob, not a
     /// layout property: it never affects bins on disk or in snapshots,
@@ -143,50 +141,6 @@ impl PcpmConfig {
     }
 }
 
-/// Returns the process-wide shared worker pool for `threads`, building
-/// it on first request and reusing it for every later one.
-///
-/// This is the fix for per-call pool churn: [`run_with_threads`] used to
-/// build and tear down a brand-new pool (spawning and joining `threads`
-/// OS threads) on **every** invocation — once per baseline-driver run,
-/// once per prepare — which is exactly wrong for a serving deployment.
-/// Pools returned here live for the process; workers for a given thread
-/// count are spawned once, ever.
-///
-/// The unified [`Engine`](crate::Engine) is unaffected: it builds its
-/// own engine-owned pool at construction and reuses it for prepare and
-/// every step (one pool per engine, dropped with the engine).
-pub fn shared_pool(threads: usize) -> std::sync::Arc<rayon::ThreadPool> {
-    use std::collections::BTreeMap;
-    use std::sync::{Arc, Mutex, OnceLock};
-    static POOLS: OnceLock<Mutex<BTreeMap<usize, Arc<rayon::ThreadPool>>>> = OnceLock::new();
-    let mut pools = POOLS
-        .get_or_init(|| Mutex::new(BTreeMap::new()))
-        .lock()
-        .expect("pool cache lock");
-    Arc::clone(pools.entry(threads).or_insert_with(|| {
-        Arc::new(
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("failed to build rayon pool"),
-        )
-    }))
-}
-
-/// Runs `f` on the shared pool for the configured thread count, or
-/// inline on the ambient pool when unset. Shared by every kernel in the
-/// workspace so thread-count sweeps treat all methods identically; the
-/// pool is memoized per thread count (see [`shared_pool`]), so repeated
-/// calls — the five baseline drivers, repeated prepares — never respawn
-/// workers.
-pub fn run_with_threads<R: Send>(threads: Option<usize>, f: impl FnOnce() -> R + Send) -> R {
-    match threads {
-        Some(t) => shared_pool(t).install(f),
-        None => f(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,26 +196,5 @@ mod tests {
         assert_eq!(c.tolerance, Some(1e-9));
         assert_eq!(c.threads, Some(2));
         assert_eq!(c.kernel, KernelKind::Unrolled);
-    }
-
-    #[test]
-    fn run_with_threads_executes() {
-        assert_eq!(run_with_threads(Some(2), || 41 + 1), 42);
-        assert_eq!(run_with_threads(None, || 7), 7);
-    }
-
-    #[test]
-    fn shared_pool_is_built_once_per_thread_count() {
-        // Pool identity proves build-once/serve-many without racing on
-        // the process-global spawn counters (other tests spawn their
-        // own engine pools concurrently).
-        let a = shared_pool(3);
-        let b = shared_pool(3);
-        assert!(std::sync::Arc::ptr_eq(&a, &b), "same pool on every call");
-        let c = shared_pool(2);
-        assert!(!std::sync::Arc::ptr_eq(&a, &c), "per-thread-count pools");
-        assert_eq!(a.current_num_threads(), 3);
-        // And the memoized pool actually runs work.
-        assert_eq!(run_with_threads(Some(3), || 6 * 7), 42);
     }
 }

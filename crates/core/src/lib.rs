@@ -17,7 +17,7 @@
 //! The main entry point is the unified [`backend::Engine`], built via
 //! [`Engine::builder`](backend::Engine::builder): one algebra-generic
 //! execution API in front of pluggable [`backend::Backend`] dataplanes
-//! (the PCPM pipeline plus the pull / push / edge-centric baselines).
+//! (the PCPM pipeline plus the pull baseline).
 //! [`pagerank::pagerank`] is the PageRank driver on top of it, and
 //! [`spmv::SpmvMatrix`] is the weighted / non-square generalisation of
 //! §3.5.

@@ -128,8 +128,7 @@ impl SpmvMatrix {
     /// ```
     pub fn engine(&self, cfg: &PcpmConfig) -> Result<Engine<PlusF32>, PcpmError> {
         cfg.validate()?;
-        // One engine-owned pool for prepare and every step (the old
-        // run_with_threads + with_threads pairing built two pools).
+        // One engine-owned pool for prepare and every step.
         Engine::from_backend_with(cfg.threads, self.num_cols, self.num_rows, || {
             let (scatter, gather) = (ScatterKind::default(), GatherKind::default());
             boxed_pcpm_backend(self.view(), cfg, Some(&self.values), scatter, gather, None)

@@ -499,80 +499,77 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
 mod tests {
     use super::*;
 
-    /// Tests in this module (and engine tests elsewhere) share the
-    /// process-global registry; serialize the ones that reset or toggle
-    /// it.
-    fn lock_registry() -> std::sync::MutexGuard<'static, ()> {
-        static GATE: Mutex<()> = Mutex::new(());
-        GATE.lock().unwrap_or_else(|p| p.into_inner())
-    }
+    // The counter tests record into a private registry: the engine tests
+    // of this binary run concurrently and record into the process-global
+    // one whenever it is enabled, which would break the exact counts.
 
     #[test]
     fn disabled_counters_record_zero_traffic() {
-        let _g = lock_registry();
-        counters().set_enabled(false);
-        counters().reset();
-        counters().add_dest_stream_bytes_read(10);
-        counters().add_bins_decoded(10);
-        counters().add_varint_decodes(10);
-        counters().add_scatter_ns(10);
-        counters().add_gather_ns(10);
-        counters().add_partitions_repaired(10);
-        counters().add_partitions_copied(10);
-        counters().add_pool_jobs_dispatched(10);
-        counters().add_batched_passes(10);
-        counters().add_batched_queries(10);
-        counters().add_kernel_segments_decoded(10);
-        counters().add_kernel_scratch_bytes(10);
-        counters().add_gather_scalar_ns(10);
-        counters().add_gather_unrolled_ns(10);
-        assert_eq!(
-            counters().snapshot().total(),
-            0,
-            "disabled path must not write"
+        let c = Counters::new();
+        c.add_dest_stream_bytes_read(10);
+        c.add_bins_decoded(10);
+        c.add_varint_decodes(10);
+        c.add_scatter_ns(10);
+        c.add_gather_ns(10);
+        c.add_partitions_repaired(10);
+        c.add_partitions_copied(10);
+        c.add_pool_jobs_dispatched(10);
+        c.add_batched_passes(10);
+        c.add_batched_queries(10);
+        c.add_kernel_segments_decoded(10);
+        c.add_kernel_scratch_bytes(10);
+        c.add_gather_scalar_ns(10);
+        c.add_gather_unrolled_ns(10);
+        assert_eq!(c.snapshot().total(), 0, "disabled path must not write");
+        assert!(
+            !counters().is_enabled(),
+            "the global registry is off by default"
         );
     }
 
     #[test]
     fn concurrent_recording_loses_no_counts() {
-        let _g = lock_registry();
-        counters().set_enabled(true);
-        counters().reset();
+        let c = Counters::new();
+        c.set_enabled(true);
         const THREADS: usize = 8;
         const PER_THREAD: u64 = 10_000;
         std::thread::scope(|s| {
             for _ in 0..THREADS {
                 s.spawn(|| {
                     for _ in 0..PER_THREAD {
-                        counters().add_dest_stream_bytes_read(1);
-                        counters().add_varint_decodes(2);
+                        c.add_dest_stream_bytes_read(1);
+                        c.add_varint_decodes(2);
                     }
                 });
             }
         });
-        let snap = counters().snapshot();
-        counters().set_enabled(false);
+        let snap = c.snapshot();
         assert_eq!(snap.dest_stream_bytes_read, THREADS as u64 * PER_THREAD);
         assert_eq!(snap.varint_decodes, 2 * THREADS as u64 * PER_THREAD);
     }
 
     #[test]
     fn snapshot_reset_round_trip() {
-        let _g = lock_registry();
-        counters().set_enabled(true);
-        counters().reset();
-        counters().add_scatter_ns(5);
-        counters().add_gather_ns(7);
-        counters().add_partitions_repaired(2);
-        counters().add_partitions_copied(14);
-        let snap = counters().snapshot();
+        let c = Counters::new();
+        c.set_enabled(true);
+        c.add_scatter_ns(5);
+        c.add_gather_ns(7);
+        c.add_partitions_repaired(2);
+        c.add_partitions_copied(14);
+        let snap = c.snapshot();
         assert_eq!(snap.scatter_ns, 5);
         assert_eq!(snap.gather_ns, 7);
         assert_eq!(snap.partitions_repaired, 2);
         assert_eq!(snap.partitions_copied, 14);
-        counters().reset();
-        assert_eq!(counters().snapshot(), CounterSnapshot::default());
-        counters().set_enabled(false);
+        c.reset();
+        assert_eq!(c.snapshot(), CounterSnapshot::default());
+    }
+
+    /// The two span tests toggle / observe the process-global tracing
+    /// flag; serialize them against each other.
+    fn lock_tracing() -> std::sync::MutexGuard<'static, ()> {
+        static GATE: Mutex<()> = Mutex::new(());
+        GATE.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// A minimal JSON reader sufficient to validate the Chrome-trace
@@ -653,7 +650,7 @@ mod tests {
 
     #[test]
     fn spans_nest_are_monotonic_and_serialize_to_valid_json() {
-        let _g = lock_registry();
+        let _g = lock_tracing();
         start_tracing();
         {
             let _outer = span_n("step", 0);
@@ -667,7 +664,12 @@ mod tests {
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
         }
-        let events = stop_tracing();
+        // The trace buffer is process-global and concurrently running
+        // engine tests emit spans of their own while collection is on:
+        // keep this thread's.
+        let me = TID.with(|t| *t);
+        let mut events = stop_tracing();
+        events.retain(|e| e.tid == me);
         assert_eq!(events.len(), 3, "three spans recorded");
         // Children are recorded (dropped) before the parent.
         let scatter = events.iter().find(|e| e.name == "scatter").unwrap();
@@ -694,10 +696,7 @@ mod tests {
 
     #[test]
     fn spans_are_noops_when_tracing_is_off() {
-        // No registry lock needed: this test never enables anything; it
-        // only asserts that guards created while off record nothing
-        // (even if another test's collection is running, a guard born
-        // disabled stays disabled).
+        let _g = lock_tracing();
         let g = span("never-recorded");
         assert!(g.start_us.is_none());
     }

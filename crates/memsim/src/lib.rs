@@ -41,6 +41,4 @@ pub use cache::{Cache, CacheConfig};
 pub use hierarchy::{CacheHierarchy, LatencyModel, LatencySummary};
 pub use memory::{MemoryModel, Region, TrafficReport};
 pub use predict::{predict_kernel, KernelPrediction};
-pub use replay::{
-    replay_bvgas, replay_edge_centric, replay_grid, replay_pcpm, replay_pdpr, replay_push,
-};
+pub use replay::{replay_bvgas, replay_pcpm, replay_pdpr};

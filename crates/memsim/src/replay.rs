@@ -220,96 +220,6 @@ pub fn replay_pcpm(graph: &Csr, partition_nodes: u32, cache: CacheConfig) -> Tra
     replay_pcpm_png(graph, &png, cache)
 }
 
-/// Replays one push-direction iteration: CSR scan plus one random
-/// read-modify-write of a partial sum per edge (the atomics path). The
-/// RMW charges a full-line read on miss — unlike the zero-filled GAS
-/// bins, a partial sum evicted mid-iteration must be fetched back.
-pub fn replay_push(graph: &Csr, cache: CacheConfig) -> TrafficReport {
-    let n = u64::from(graph.num_nodes());
-    let m = graph.num_edges();
-    let mut mm = MemoryModel::new(cache);
-    mm.stream_read((n + 1) * DI, Region::Offsets);
-    mm.stream_read(m * DI, Region::Edges);
-    mm.stream_read(n * DV, Region::Values); // x scanned in vertex order
-    for v in 0..graph.num_nodes() {
-        for &t in graph.neighbors(v) {
-            mm.cached_write(SUMS_BASE + u64::from(t) * DV, Region::Sums);
-        }
-    }
-    mm.finish(Region::Sums)
-}
-
-/// Replays one edge-centric iteration (bin-sorted COO): both endpoints
-/// are read per edge (`2·di`, the §2.2 overhead vs CSR), source values
-/// are random cached reads, partial sums stay within the active bin.
-pub fn replay_edge_centric(graph: &Csr, bin_nodes: u32, cache: CacheConfig) -> TrafficReport {
-    assert!(bin_nodes > 0, "bin width must be positive");
-    let m = graph.num_edges();
-    let mut mm = MemoryModel::new(cache);
-    // Bin-sorted COO: one (src, dst) pair per edge, streamed per bin.
-    mm.stream_read(m * 2 * DI, Region::Edges);
-    // Bucket edges by destination bin to reproduce the traversal order.
-    let num_bins = ((graph.num_nodes().max(1) - 1) / bin_nodes + 1) as usize;
-    let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); num_bins];
-    for (s, t) in graph.edges() {
-        buckets[(t / bin_nodes) as usize].push((s, t));
-    }
-    for (b, bucket) in buckets.iter().enumerate() {
-        let lo = b as u32 * bin_nodes;
-        let hi = (lo + bin_nodes).min(graph.num_nodes());
-        for v in lo..hi {
-            mm.cached_write_noread(SUMS_BASE + u64::from(v) * DV, Region::Sums);
-        }
-        for &(s, t) in bucket {
-            // Source value: random read; destination sum: bin-local.
-            mm.cached_read(VALUES_BASE + u64::from(s) * DV, Region::Values);
-            mm.cached_write_noread(SUMS_BASE + u64::from(t) * DV, Region::Sums);
-        }
-    }
-    mm.finish(Region::Sums)
-}
-
-/// Replays one cache-blocked / GridGraph-style 2D iteration: per
-/// destination stripe, every source block's sub-CSR is re-scanned
-/// (`k·(q+1)` offsets per stripe — the sparse-block overhead of §2.2) and
-/// the source values of the active block are re-read each stripe.
-pub fn replay_grid(graph: &Csr, partition_nodes: u32, cache: CacheConfig) -> TrafficReport {
-    assert!(partition_nodes > 0, "partition size must be positive");
-    let parts = Partitioner::new(graph.num_nodes(), partition_nodes).expect("partitioner");
-    let mut mm = MemoryModel::new(cache);
-    for j in parts.iter() {
-        let (d_lo, d_hi) = {
-            let r = parts.range(j);
-            (r.start, r.end)
-        };
-        for v in d_lo..d_hi {
-            mm.cached_write_noread(SUMS_BASE + u64::from(v) * DV, Region::Sums);
-        }
-        for i in parts.iter() {
-            // Block (i, j) structure: block-local offsets plus its edges.
-            let src = parts.range(i);
-            let mut block_edges = 0u64;
-            for v in src.clone() {
-                let nbrs = graph.neighbors(v);
-                let lo = nbrs.partition_point(|&t| t < d_lo);
-                let hi = nbrs.partition_point(|&t| t < d_hi);
-                if hi > lo {
-                    // Source value re-read for this stripe (cached while
-                    // the block is active).
-                    mm.cached_read(VALUES_BASE + u64::from(v) * DV, Region::Values);
-                }
-                for &t in &nbrs[lo..hi] {
-                    mm.cached_write_noread(SUMS_BASE + u64::from(t) * DV, Region::Sums);
-                }
-                block_edges += (hi - lo) as u64;
-            }
-            mm.stream_read(u64::from(src.end - src.start + 1) * DI, Region::Offsets);
-            mm.stream_read(block_edges * DI, Region::Edges);
-        }
-    }
-    mm.finish(Region::Sums)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,63 +376,6 @@ mod tests {
             blown.bytes_per_edge(g.num_edges()),
             fits.bytes_per_edge(g.num_edges())
         );
-    }
-
-    #[test]
-    fn push_pays_rmw_traffic_on_low_locality_graphs() {
-        // Push randomly read-modify-writes the sums: on a skewed graph
-        // with a small cache it must move more bytes than PDPR's
-        // read-only randomness plus the GAS methods.
-        let g = rmat(&RmatConfig::graph500(14, 16, 31)).unwrap();
-        let (pdpr, _) = replay_pdpr(&g, tiny_cache());
-        let push = replay_push(&g, tiny_cache());
-        let pcpm = replay_pcpm(&g, 512, tiny_cache());
-        assert!(push.total_bytes() > pdpr.total_bytes());
-        assert!(push.total_bytes() > pcpm.total_bytes());
-    }
-
-    #[test]
-    fn edge_centric_reads_more_structure_than_bvgas() {
-        // §2.2: COO streaming reads 2·di per edge vs CSR's amortized di.
-        let g = rmat(&RmatConfig::graph500(13, 12, 32)).unwrap();
-        let ec = replay_edge_centric(&g, 512, huge_cache());
-        let bv = replay_bvgas(&g, 512, 32, huge_cache());
-        assert!(
-            ec.region_bytes(Region::Edges)
-                > bv.region_bytes(Region::Edges) + bv.region_bytes(Region::Offsets)
-        );
-    }
-
-    #[test]
-    fn grid_pays_block_offset_overhead() {
-        // §2.2 / Nishtala: many extremely sparse blocks inflate the
-        // offset traffic quadratically in k.
-        let g = rmat(&RmatConfig::graph500(12, 8, 33)).unwrap();
-        let coarse = replay_grid(&g, 2048, huge_cache());
-        let fine = replay_grid(&g, 64, huge_cache());
-        assert!(
-            fine.region_bytes(Region::Offsets) > 4 * coarse.region_bytes(Region::Offsets),
-            "fine {} vs coarse {}",
-            fine.region_bytes(Region::Offsets),
-            coarse.region_bytes(Region::Offsets)
-        );
-    }
-
-    #[test]
-    fn pcpm_beats_grid_on_traffic() {
-        let g = rmat(&RmatConfig::graph500(13, 16, 34)).unwrap();
-        let grid = replay_grid(&g, 512, tiny_cache());
-        let pcpm = replay_pcpm(&g, 512, tiny_cache());
-        assert!(pcpm.total_bytes() < grid.total_bytes());
-    }
-
-    #[test]
-    fn grid_edges_covered_exactly_once() {
-        // All m edges must appear in exactly one block: edge-region reads
-        // total m·di.
-        let g = pcpm_graph::gen::erdos_renyi(500, 4000, 11).unwrap();
-        let grid = replay_grid(&g, 64, huge_cache());
-        assert_eq!(grid.region_bytes(Region::Edges), g.num_edges() * DI);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Influencer detection on a follower network, comparing all kernels.
 //!
-//! Runs PDPR, push, BVGAS and PCPM on the same R-MAT follower graph,
+//! Runs PDPR, BVGAS and PCPM on the same R-MAT follower graph,
 //! verifies they agree, and reports per-iteration times and the phase
 //! split of Table 5.
 //!
@@ -33,13 +33,12 @@ fn main() {
         .with_iterations(20);
 
     let pd = pdpr(&graph, &cfg).expect("pdpr");
-    let ps = push_pagerank(&graph, &cfg).expect("push");
     let bv = bvgas(&graph, &cfg).expect("bvgas");
     let pc = pagerank(&graph, &cfg).expect("pcpm");
 
     let m = graph.num_edges();
     println!("\nper-iteration time and throughput (20 iterations):");
-    for (name, r) in [("PDPR", &pd), ("push", &ps), ("BVGAS", &bv), ("PCPM", &pc)] {
+    for (name, r) in [("PDPR", &pd), ("BVGAS", &bv), ("PCPM", &pc)] {
         println!(
             "  {name:<6} {:>8.2} ms/iter  {:>6.3} GTEPS  (scatter {:.0}%, gather {:.0}%)",
             r.timings.total().as_secs_f64() * 1e3 / r.iterations as f64,
@@ -49,7 +48,7 @@ fn main() {
         );
     }
 
-    // All four kernels must agree on the ranking.
+    // All three kernels must agree on the ranking.
     let max_dev = |a: &[f32], b: &[f32]| {
         a.iter()
             .zip(b)
@@ -57,9 +56,8 @@ fn main() {
             .fold(0.0f32, f32::max)
     };
     println!(
-        "\nmax deviation vs PCPM: pdpr {:.1e}, push {:.1e}, bvgas {:.1e}",
+        "\nmax deviation vs PCPM: pdpr {:.1e}, bvgas {:.1e}",
         max_dev(&pd.scores, &pc.scores),
-        max_dev(&ps.scores, &pc.scores),
         max_dev(&bv.scores, &pc.scores)
     );
 

@@ -26,7 +26,7 @@
 //!               --iters N --damping D --tolerance T --partition-bytes B
 //!               --threads N (engine-owned worker pool; default: ambient pool)
 //!               --top K (print only the K best rows)
-//!               --backend pcpm|pull|push|edge-centric (dataplane to run on)
+//!               --backend pcpm|pull (dataplane to run on)
 //!               --format wide|compact|delta (PCPM bin encoding; compact
 //!               needs --partition-bytes <= 131072, delta is unrestricted)
 //!               --kernel auto|scalar|unrolled (PCPM gather/decode kernel;
@@ -329,13 +329,7 @@ fn parse_args() -> Result<Options, String> {
                 opts.backend = match take_value(&mut rest, &mut i)?.as_str() {
                     "pcpm" => BackendKind::Pcpm,
                     "pull" => BackendKind::Pull,
-                    "push" => BackendKind::Push,
-                    "edge-centric" => BackendKind::EdgeCentric,
-                    other => {
-                        return Err(format!(
-                            "unknown backend '{other}' (expected pcpm|pull|push|edge-centric)"
-                        ))
-                    }
+                    other => return Err(format!("unknown backend '{other}' (expected pcpm|pull)")),
                 }
             }
             "--format" => {

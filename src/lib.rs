@@ -14,8 +14,9 @@
 //!   [`DeltaGraph`](stream::DeltaGraph) overlay, incremental bin repair
 //!   via [`Engine::update`](core::Engine::update) and delta-PageRank
 //!   replay (`pcpm-stream`);
-//! - [`baselines`] — PDPR (pull), push, BVGAS, edge-centric and grid
-//!   kernels, each also pluggable as a backend (`pcpm-baselines`);
+//! - [`baselines`] — the paper's two comparison kernels, PDPR (pull) and
+//!   BVGAS, as engine backends, plus the serial oracle
+//!   (`pcpm-baselines`);
 //! - [`memsim`] — the cache simulator, traffic replays and analytical
 //!   models (`pcpm-memsim`);
 //! - [`serve`] — the long-lived query dataplane: `.pcpmc` snapshots
@@ -101,7 +102,7 @@ pub mod prelude {
         run_to_fixpoint, sssp, sssp_on, sssp_with_engine, weighted_pagerank, weighted_pagerank_on,
         weighted_pagerank_with_unified_engine,
     };
-    pub use pcpm_baselines::{bvgas, pdpr, push_pagerank, serial_pagerank};
+    pub use pcpm_baselines::{bvgas, pdpr, serial_pagerank};
     pub use pcpm_core::pagerank::{pagerank, pagerank_on, pagerank_with_variant};
     pub use pcpm_core::spmv::SpmvMatrix;
     pub use pcpm_core::{

@@ -14,8 +14,8 @@ use common::{format_matrix, kernel_matrix};
 /// The unified-API configurations the backend-agreement matrix covers:
 /// one PCPM engine per bin format (wide / compact / delta) crossed with
 /// every gather kernel under test (`PCPM_TEST_KERNELS`), PCPM with
-/// CSR-traversal scatter, and the pull / push / edge-centric dataplanes,
-/// all through the `Backend` trait behind `Engine`.
+/// CSR-traversal scatter, and the pull dataplane, all through the
+/// `Backend` trait behind `Engine`.
 fn matrix_engines<A: pcpm::core::algebra::Algebra>(
     g: &Csr,
     weights: Option<&EdgeWeights>,
@@ -44,10 +44,6 @@ fn matrix_engines<A: pcpm::core::algebra::Algebra>(
             b.scatter(ScatterKind::CsrTraversal)
         }),
         build("pull".to_string(), &|b| b.backend(BackendKind::Pull)),
-        build("push".to_string(), &|b| b.backend(BackendKind::Push)),
-        build("edge_centric".to_string(), &|b| {
-            b.backend(BackendKind::EdgeCentric)
-        }),
     ]);
     engines
 }
@@ -58,7 +54,7 @@ fn matrix_engines<A: pcpm::core::algebra::Algebra>(
 /// though the backends accumulate in different orders.
 fn assert_backend_matrix_agrees(g: &Csr, q_bytes: usize) {
     let n = g.num_nodes() as usize;
-    // Unweighted, (+, x): all six against the serial reference.
+    // Unweighted, (+, x): every engine against the serial reference.
     let x: Vec<f32> = (0..g.num_nodes()).map(|v| (v % 13) as f32).collect();
     let mut want = vec![0.0f32; n];
     for (s, t) in g.edges() {
@@ -204,10 +200,10 @@ fn backend_agreement_matrix_on_rmat() {
 
 #[test]
 fn baseline_runner_backends_join_the_matrix() {
-    // The pcpm-baselines Backend impls (BVGAS, grid, PDPR runner,
-    // edge-centric runner) plug in through Engine::from_backend and must
-    // agree with the core PCPM backend bit-exactly on integer inputs.
-    use pcpm::baselines::{bvgas_engine, edge_centric_engine, grid_engine, pdpr_engine};
+    // The pcpm-baselines engines (BVGAS, PDPR) plug in through
+    // Engine::from_backend and must agree with the core PCPM backend
+    // bit-exactly on integer inputs.
+    use pcpm::baselines::{bvgas_engine, pdpr_engine};
     let g = pcpm::graph::gen::rmat(&RmatConfig::graph500(9, 8, 55)).unwrap();
     let cfg = PcpmConfig::default().with_partition_bytes(64 * 4);
     let n = g.num_nodes() as usize;
@@ -217,9 +213,7 @@ fn baseline_runner_backends_join_the_matrix() {
     pcpm_engine.step(&x, &mut want).unwrap();
     for engine in [
         bvgas_engine(&g, &cfg).unwrap(),
-        grid_engine(&g, &cfg).unwrap(),
         pdpr_engine(&g, &cfg).unwrap(),
-        edge_centric_engine(&g, &cfg).unwrap(),
     ] {
         let mut engine = engine;
         let name = engine.report().backend;
@@ -297,13 +291,6 @@ proptest! {
     }
 
     #[test]
-    fn push_matches_oracle(g in arb_graph(), iters in 1usize..6) {
-        let cfg = PcpmConfig::default().with_iterations(iters);
-        let r = push_pagerank(&g, &cfg).unwrap();
-        check_against_oracle(&g, &cfg, &r.scores, "push");
-    }
-
-    #[test]
     fn dangling_redistribution_conserves_mass_everywhere(g in arb_graph()) {
         let mut cfg = PcpmConfig::default().with_iterations(15);
         cfg.redistribute_dangling = true;
@@ -319,7 +306,7 @@ proptest! {
 }
 
 #[test]
-fn four_kernels_agree_on_standins() {
+fn three_kernels_agree_on_standins() {
     for d in pcpm::graph::gen::Dataset::ALL {
         let g = pcpm::graph::gen::datasets::standin_at(d, 11).unwrap();
         let cfg = PcpmConfig::default()
@@ -328,7 +315,6 @@ fn four_kernels_agree_on_standins() {
         let pc = pagerank(&g, &cfg).unwrap().scores;
         let pd = pdpr(&g, &cfg).unwrap().scores;
         let bv = bvgas(&g, &cfg).unwrap().scores;
-        let ps = push_pagerank(&g, &cfg).unwrap().scores;
         for i in 0..g.num_nodes() as usize {
             assert!(
                 (pc[i] - pd[i]).abs() < 1e-5,
@@ -338,11 +324,6 @@ fn four_kernels_agree_on_standins() {
             assert!(
                 (pc[i] - bv[i]).abs() < 1e-5,
                 "{}: pcpm vs bvgas node {i}",
-                d.name()
-            );
-            assert!(
-                (pc[i] - ps[i]).abs() < 1e-5,
-                "{}: pcpm vs push node {i}",
                 d.name()
             );
         }

@@ -13,15 +13,10 @@
 use pcpm::core::algebra::{MinLabel, PlusF32};
 use pcpm::core::engine::ScatterKind;
 use pcpm::prelude::*;
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::Arc;
 
 mod common;
 use common::{format_matrix, kernel_matrix, thread_matrix};
-
-/// `rayon::diagnostics::workers_spawned` is process-wide and every test
-/// here builds pools: `baseline_drivers_reuse_one_shared_pool` holds
-/// this exclusively around its spawn bound, the other tests shared.
-static SPAWN_COUNTER: RwLock<()> = RwLock::new(());
 
 /// Exact integer-valued input (as in kernel_agreement): every f32 sum of
 /// these is exactly representable, so reduction order cannot matter.
@@ -87,7 +82,6 @@ fn step_outputs(g: &Csr, threads: usize, q_bytes: usize) -> Vec<(String, Vec<f32
 
 #[test]
 fn step_bit_identical_across_thread_counts() {
-    let _shared = SPAWN_COUNTER.read().unwrap_or_else(PoisonError::into_inner);
     let graphs = [
         pcpm::graph::gen::rmat(&RmatConfig::graph500(9, 8, 3)).unwrap(),
         pcpm::graph::gen::erdos_renyi(700, 5600, 11).unwrap(),
@@ -131,7 +125,6 @@ fn step_many_outputs(g: &Csr, threads: usize, q_bytes: usize) -> Vec<(String, Ve
 /// axis).
 #[test]
 fn step_many_bit_identical_across_thread_counts() {
-    let _shared = SPAWN_COUNTER.read().unwrap_or_else(PoisonError::into_inner);
     let graphs = [
         pcpm::graph::gen::rmat(&RmatConfig::graph500(9, 8, 3)).unwrap(),
         pcpm::graph::gen::erdos_renyi(700, 5600, 11).unwrap(),
@@ -165,8 +158,7 @@ fn step_many_bit_identical_across_thread_counts() {
 
 #[test]
 fn baseline_runner_backends_bit_identical_across_thread_counts() {
-    let _shared = SPAWN_COUNTER.read().unwrap_or_else(PoisonError::into_inner);
-    use pcpm::baselines::{bvgas_engine, edge_centric_engine, grid_engine, pdpr_engine};
+    use pcpm::baselines::{bvgas_engine, pdpr_engine};
     let g = pcpm::graph::gen::rmat(&RmatConfig::graph500(9, 8, 55)).unwrap();
     let x = int_x(g.num_nodes());
     let n = g.num_nodes() as usize;
@@ -176,9 +168,7 @@ fn baseline_runner_backends_bit_identical_across_thread_counts() {
             .with_threads(threads);
         [
             bvgas_engine(&g, &cfg).unwrap(),
-            grid_engine(&g, &cfg).unwrap(),
             pdpr_engine(&g, &cfg).unwrap(),
-            edge_centric_engine(&g, &cfg).unwrap(),
         ]
         .map(|mut e| {
             let name = e.report().backend;
@@ -199,7 +189,6 @@ fn baseline_runner_backends_bit_identical_across_thread_counts() {
 
 #[test]
 fn integer_algebra_bit_identical_across_thread_counts() {
-    let _shared = SPAWN_COUNTER.read().unwrap_or_else(PoisonError::into_inner);
     let g = pcpm::graph::gen::rmat(&RmatConfig::graph500(8, 6, 11)).unwrap();
     let xl: Vec<u32> = (0..g.num_nodes()).collect();
     let n = g.num_nodes() as usize;
@@ -230,7 +219,6 @@ fn integer_algebra_bit_identical_across_thread_counts() {
 /// on every bin format.
 #[test]
 fn streaming_repair_bit_identical_across_thread_counts() {
-    let _shared = SPAWN_COUNTER.read().unwrap_or_else(PoisonError::into_inner);
     let g = pcpm::graph::gen::rmat(&RmatConfig::graph500(9, 8, 77)).unwrap();
     let x = int_x(g.num_nodes());
     // Edit: drop the first edge of a few sources, insert a couple.
@@ -283,7 +271,6 @@ fn streaming_repair_bit_identical_across_thread_counts() {
 /// higher — the `>=` deltas stay sound.
 #[test]
 fn threads_knob_spawns_workers_and_dispatches_jobs() {
-    let _shared = SPAWN_COUNTER.read().unwrap_or_else(PoisonError::into_inner);
     let g = pcpm::graph::gen::rmat(&RmatConfig::graph500(9, 8, 5)).unwrap();
     let spawned_before = rayon::diagnostics::workers_spawned();
     let mut engine = Engine::<PlusF32>::builder(&g)
@@ -316,50 +303,5 @@ fn threads_knob_spawns_workers_and_dispatches_jobs() {
     assert!(
         churn < 200,
         "per-call pool churn: {churn} workers spawned across 100 steps of one engine"
-    );
-}
-
-/// Regression for the per-call pool churn the baseline drivers used to
-/// pay: `run_with_threads` now memoizes one shared pool per thread
-/// count, so repeated driver runs (bvgas / grid / edge-centric / push /
-/// pdpr) reuse workers instead of spawning `threads` new ones per call.
-/// Pool identity is the churn-proof assertion (process-global spawn
-/// counters also move when concurrent tests build their own engines);
-/// a generous spawn bound over 50 driver runs backs it end to end.
-#[test]
-fn baseline_drivers_reuse_one_shared_pool() {
-    let _alone = SPAWN_COUNTER
-        .write()
-        .unwrap_or_else(PoisonError::into_inner);
-    let p1 = pcpm::core::config::shared_pool(3);
-    let p2 = pcpm::core::config::shared_pool(3);
-    assert!(
-        Arc::ptr_eq(&p1, &p2),
-        "shared_pool must hand out the same pool for the same thread count"
-    );
-    assert_eq!(p1.current_num_threads(), 3);
-
-    let g = pcpm::graph::gen::erdos_renyi(200, 1200, 31).unwrap();
-    let mut cfg = PcpmConfig::default()
-        .with_partition_bytes(64 * 4)
-        .with_iterations(2);
-    cfg.threads = Some(3);
-    // Warm the cache (the one legitimate spawn of 3 workers).
-    bvgas(&g, &cfg).unwrap();
-    let before = rayon::diagnostics::workers_spawned();
-    for _ in 0..10 {
-        bvgas(&g, &cfg).unwrap();
-        push_pagerank(&g, &cfg).unwrap();
-        pdpr(&g, &cfg).unwrap();
-        pcpm::baselines::grid_pagerank(&g, &cfg).unwrap();
-        pcpm::baselines::edge_centric(&g, &cfg).unwrap();
-    }
-    // 50 driver runs used to spawn 3 workers each (150+); the cached
-    // pool spawns none. Concurrent tests' engine builds stay far below
-    // the bound.
-    let churn = rayon::diagnostics::workers_spawned() - before;
-    assert!(
-        churn < 100,
-        "driver pool churn: {churn} workers spawned across 50 driver runs"
     );
 }

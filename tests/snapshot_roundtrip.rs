@@ -243,26 +243,16 @@ fn retention_is_shared_only_and_config_compares_effective_q() {
 #[test]
 fn non_snapshotable_engines_refuse() {
     let g = pcpm::graph::gen::erdos_renyi(80, 400, 5).unwrap();
-    for kind in [
-        BackendKind::Pull,
-        BackendKind::Push,
-        BackendKind::EdgeCentric,
-    ] {
-        let engine = Engine::<PlusF32>::builder(&g)
-            .backend(kind)
-            .build()
-            .unwrap();
-        assert!(
-            matches!(
-                engine.snapshot(),
-                Err(pcpm::core::PcpmError::Snapshot(SnapshotError::Unsupported(
-                    _
-                )))
-            ),
-            "backend {}",
-            kind.name()
-        );
-    }
+    let engine = Engine::<PlusF32>::builder(&g)
+        .backend(BackendKind::Pull)
+        .build()
+        .unwrap();
+    assert!(matches!(
+        engine.snapshot(),
+        Err(pcpm::core::PcpmError::Snapshot(SnapshotError::Unsupported(
+            _
+        )))
+    ));
     // Missing file: typed I/O error, not a panic.
     assert!(matches!(
         Engine::<PlusF32>::from_snapshot(tmp_path("does-not-exist.pcpmc")),

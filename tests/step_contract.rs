@@ -86,11 +86,6 @@ fn baseline_runner_engines_overwrite_the_output_buffer() {
     let engines = [
         ("pdpr", pcpm::baselines::pdpr_engine(&g, &cfg).unwrap()),
         ("bvgas", pcpm::baselines::bvgas_engine(&g, &cfg).unwrap()),
-        (
-            "edge_centric",
-            pcpm::baselines::edge_centric_engine(&g, &cfg).unwrap(),
-        ),
-        ("grid", pcpm::baselines::grid_engine(&g, &cfg).unwrap()),
     ];
     for (name, mut engine) in engines {
         assert_overwrites(name, &mut engine, &x, n);
