@@ -1,15 +1,15 @@
 //! Katz centrality on the PCPM engine.
 //!
 //! `x ← α·Aᵀx + β·1`, converging to `β(I − αAᵀ)⁻¹·1` for
-//! `α < 1/λ_max(A)`. Another straight SpMV iteration, so it inherits the
-//! partition-centric memory behavior unchanged.
+//! `α < 1/λ_max(A)`. Another instance of the [`fixed_point`] loop, so it
+//! inherits the partition-centric memory behavior unchanged.
 
 use pcpm_core::algebra::PlusF32;
 use pcpm_core::backend::{BackendKind, Engine};
 use pcpm_core::config::PcpmConfig;
 use pcpm_core::error::PcpmError;
+use pcpm_core::fixed_point::{fixed_point, FixedPoint};
 use pcpm_graph::Csr;
-use rayon::prelude::*;
 
 /// Parameters for Katz centrality.
 #[derive(Clone, Copy, Debug)]
@@ -66,37 +66,23 @@ pub fn katz_centrality_on(
         return Err(PcpmError::BadConfig("alpha and tolerance must be positive"));
     }
     let n = graph.num_nodes() as usize;
-    if n == 0 {
-        return Ok((Vec::new(), 0));
-    }
     let mut engine = Engine::<PlusF32>::builder(graph)
         .config(*cfg)
         .backend(backend)
         .build()?;
-    let mut x = vec![katz.beta; n];
-    let mut ax = vec![0.0f32; n];
-    let mut iters = 0;
-    engine.run(|engine| -> Result<(), PcpmError> {
-        while iters < katz.max_iters {
-            engine.step(&x, &mut ax)?;
-            let delta: f64 = x
-                .par_iter_mut()
-                .zip(&ax)
-                .map(|(xv, &s)| {
-                    let new = katz.alpha * s + katz.beta;
-                    let d = f64::from((new - *xv).abs());
-                    *xv = new;
-                    d
-                })
-                .sum();
-            iters += 1;
-            if delta < katz.tolerance {
-                break;
-            }
-        }
-        Ok(())
+    // A node propagates its score as it is, and none is dangling.
+    let spec = FixedPoint {
+        scale: &vec![1.0; n],
+        max_iterations: katz.max_iters,
+        tolerance: Some(katz.tolerance),
+        dangling: false,
+    };
+    let (alpha, beta) = (katz.alpha, katz.beta);
+    let mut runs = fixed_point(&mut engine, &spec, vec![vec![beta; n]], |_, _| {
+        move |sum, _, _| alpha * sum + beta
     })?;
-    Ok((x, iters))
+    let run = runs.remove(0);
+    Ok((run.scores, run.iterations))
 }
 
 #[cfg(test)]

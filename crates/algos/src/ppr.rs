@@ -1,18 +1,19 @@
 //! Personalized PageRank (random walk with restart) on the PCPM engine.
 //!
-//! Identical pipeline to global PageRank, with two changes in the apply
-//! step: the teleport mass `(1 - d)` returns to a *seed set* instead of
-//! being spread uniformly, and dangling mass restarts at the seeds as
-//! well (the standard RWR convention, which keeps the vector a proper
-//! probability distribution).
+//! The same [`fixed_point`] loop as global PageRank, with two changes in
+//! the per-node rule: the teleport mass `(1 - d)` returns to a *seed set*
+//! instead of being spread uniformly, and dangling mass restarts at the
+//! seeds as well (the standard RWR convention, which keeps the vector a
+//! proper probability distribution).
 
 use pcpm_core::algebra::PlusF32;
 use pcpm_core::backend::{BackendKind, Engine};
 use pcpm_core::config::PcpmConfig;
 use pcpm_core::error::PcpmError;
-use pcpm_core::pr::{PhaseTimings, PrResult};
+use pcpm_core::fixed_point::{fixed_point, FixedPoint};
+use pcpm_core::pagerank::inverse_out_degrees;
+use pcpm_core::pr::PrResult;
 use pcpm_graph::Csr;
-use rayon::prelude::*;
 
 /// Computes personalized PageRank for a non-empty seed set.
 ///
@@ -44,7 +45,6 @@ pub fn personalized_pagerank_on(
     cfg: &PcpmConfig,
     backend: BackendKind,
 ) -> Result<PrResult, PcpmError> {
-    cfg.validate()?;
     let mut engine = Engine::<PlusF32>::builder(graph)
         .config(*cfg)
         .backend(backend)
@@ -56,101 +56,16 @@ pub fn personalized_pagerank_on(
 /// prepared over `graph` (e.g. rehydrated from a snapshot). The engine
 /// outlives the call unchanged except for its step statistics, so a
 /// serving layer can run many PPR queries against one prepared engine.
+/// A batch of one: the engine runs its solo kernel.
 pub fn personalized_pagerank_with_unified_engine(
     graph: &Csr,
     seeds: &[u32],
     cfg: &PcpmConfig,
     engine: &mut Engine<PlusF32>,
 ) -> Result<PrResult, PcpmError> {
-    cfg.validate()?;
-    if seeds.is_empty() {
-        return Err(PcpmError::BadConfig("seed set must be non-empty"));
-    }
-    let n = graph.num_nodes() as usize;
-    for &s in seeds {
-        if s >= graph.num_nodes() {
-            return Err(PcpmError::DimensionMismatch {
-                expected: n,
-                got: s as usize,
-            });
-        }
-    }
-    if engine.num_src() != graph.num_nodes() {
-        return Err(PcpmError::DimensionMismatch {
-            expected: n,
-            got: engine.num_src() as usize,
-        });
-    }
-    let damping = cfg.damping as f32;
-    let seed_share = 1.0 / seeds.len() as f32;
-    let mut teleport = vec![0.0f32; n];
-    for &s in seeds {
-        teleport[s as usize] += seed_share;
-    }
-    let out_deg = graph.out_degrees();
-    let inv_deg: Vec<f32> = out_deg
-        .iter()
-        .map(|&d| if d == 0 { 0.0 } else { 1.0 / d as f32 })
-        .collect();
-
-    let mut pr: Vec<f32> = teleport.clone();
-    let mut x: Vec<f32> = pr.iter().zip(&inv_deg).map(|(&p, &i)| p * i).collect();
-    let mut sums = vec![0.0f32; n];
-    let mut timings = PhaseTimings::default();
-    let mut iterations = 0usize;
-    let mut converged = false;
-    let mut last_delta = f64::INFINITY;
-
-    engine.run(|engine| -> Result<(), PcpmError> {
-        for _ in 0..cfg.iterations {
-            timings += engine.step(&x, &mut sums)?;
-            let t0 = pcpm_core::telemetry::stopwatch();
-            // Dangling mass restarts at the seeds.
-            let dangling: f64 = pr
-                .par_iter()
-                .zip(&out_deg)
-                .filter(|(_, &d)| d == 0)
-                .map(|(&p, _)| f64::from(p))
-                .sum();
-            let restart = (1.0 - f64::from(damping)) + f64::from(damping) * dangling;
-            let delta: f64 = pr
-                .par_iter_mut()
-                .zip(&sums)
-                .zip(&teleport)
-                .map(|((p, &s), &t)| {
-                    let new = (restart as f32) * t + damping * s;
-                    let d = f64::from((new - *p).abs());
-                    *p = new;
-                    d
-                })
-                .sum();
-            x.par_iter_mut()
-                .zip(&pr)
-                .zip(&inv_deg)
-                .for_each(|((xv, &p), &i)| *xv = p * i);
-            timings.apply += t0.elapsed();
-            iterations += 1;
-            last_delta = delta;
-            if let Some(tol) = cfg.tolerance {
-                if delta < tol {
-                    converged = true;
-                    break;
-                }
-            }
-        }
-        Ok(())
-    })?;
-
-    let report = engine.report();
-    Ok(PrResult {
-        scores: pr,
-        iterations,
-        converged,
-        last_delta,
-        timings,
-        preprocess: report.preprocess,
-        compression_ratio: report.compression_ratio,
-    })
+    let batch = [seeds.to_vec()];
+    let mut runs = personalized_pagerank_many_with_unified_engine(graph, &batch, cfg, engine)?;
+    Ok(runs.remove(0))
 }
 
 /// Computes personalized PageRank for a *batch* of seed sets in one
@@ -163,25 +78,22 @@ pub fn personalized_pagerank_many(
     seed_sets: &[Vec<u32>],
     cfg: &PcpmConfig,
 ) -> Result<Vec<PrResult>, PcpmError> {
-    cfg.validate()?;
     let mut engine = Engine::<PlusF32>::builder(graph).config(*cfg).build()?;
     personalized_pagerank_many_with_unified_engine(graph, seed_sets, cfg, &mut engine)
 }
 
-/// The batched (SpMM) personalized-PageRank driver: each iteration runs
-/// one [`Engine::step_many`] over every still-active query, so on the
+/// The batched (SpMM) personalized-PageRank driver: each iteration is
+/// one multi-query engine round over every still-active query, so on the
 /// PCPM dataplane the destID bin stream is scanned once per iteration
 /// for the whole batch instead of once per query.
 ///
 /// Per-query results (`scores`, `iterations`, `converged`, `last_delta`)
-/// are **bit-identical** to running
-/// [`personalized_pagerank_with_unified_engine`] sequentially on the
-/// same engine: the batched gather applies updates in the same order per
-/// query, the apply arithmetic is unchanged, and a query that meets the
-/// tolerance is frozen (dropped from later batches) exactly where the
-/// sequential loop would have stopped. Only the wall-clock `timings`
-/// differ — they report the shared batch cost, identically on every
-/// result.
+/// are **bit-identical** to running the queries one at a time on the
+/// same engine: it is the same [`fixed_point`] loop at another width,
+/// the batched gather applies updates in the same order per query, and a
+/// query that meets the tolerance is frozen exactly where it would have
+/// stopped alone. Only the wall-clock `timings` differ — the shared
+/// batch cost, identically on every result.
 pub fn personalized_pagerank_many_with_unified_engine(
     graph: &Csr,
     seed_sets: &[Vec<u32>],
@@ -194,32 +106,15 @@ pub fn personalized_pagerank_many_with_unified_engine(
         if seeds.is_empty() {
             return Err(PcpmError::BadConfig("seed set must be non-empty"));
         }
-        for &s in seeds {
-            if s >= graph.num_nodes() {
-                return Err(PcpmError::DimensionMismatch {
-                    expected: n,
-                    got: s as usize,
-                });
-            }
+        if let Some(&s) = seeds.iter().find(|&&s| s >= graph.num_nodes()) {
+            return Err(PcpmError::DimensionMismatch {
+                expected: n,
+                got: s as usize,
+            });
         }
     }
-    if engine.num_src() != graph.num_nodes() {
-        return Err(PcpmError::DimensionMismatch {
-            expected: n,
-            got: engine.num_src() as usize,
-        });
-    }
-    if seed_sets.is_empty() {
-        return Ok(Vec::new());
-    }
-    let q_count = seed_sets.len();
     let damping = cfg.damping as f32;
-    let out_deg = graph.out_degrees();
-    let inv_deg: Vec<f32> = out_deg
-        .iter()
-        .map(|&d| if d == 0 { 0.0 } else { 1.0 / d as f32 })
-        .collect();
-
+    // Teleport and dangling mass return to the seeds, in equal shares.
     let teleports: Vec<Vec<f32>> = seed_sets
         .iter()
         .map(|seeds| {
@@ -231,94 +126,17 @@ pub fn personalized_pagerank_many_with_unified_engine(
             t
         })
         .collect();
-    let mut prs: Vec<Vec<f32>> = teleports.clone();
-    let mut xs: Vec<Vec<f32>> = prs
-        .iter()
-        .map(|pr| pr.iter().zip(&inv_deg).map(|(&p, &i)| p * i).collect())
-        .collect();
-    let mut sums: Vec<Vec<f32>> = (0..q_count).map(|_| vec![0.0f32; n]).collect();
-    let mut timings = PhaseTimings::default();
-    let mut iterations = vec![0usize; q_count];
-    let mut converged = vec![false; q_count];
-    let mut last_delta = vec![f64::INFINITY; q_count];
-    let mut done = vec![false; q_count];
-
-    engine.run(|engine| -> Result<(), PcpmError> {
-        for _ in 0..cfg.iterations {
-            if done.iter().all(|&d| d) {
-                break;
-            }
-            let x_refs: Vec<&[f32]> = xs
-                .iter()
-                .zip(&done)
-                .filter(|(_, &d)| !d)
-                .map(|(x, _)| x.as_slice())
-                .collect();
-            let mut y_refs: Vec<&mut [f32]> = sums
-                .iter_mut()
-                .zip(&done)
-                .filter(|(_, &d)| !d)
-                .map(|(s, _)| s.as_mut_slice())
-                .collect();
-            timings += engine.step_many(&x_refs, &mut y_refs)?;
-            let t0 = pcpm_core::telemetry::stopwatch();
-            for qi in 0..q_count {
-                if done[qi] {
-                    continue;
-                }
-                // Identical apply arithmetic to the sequential driver —
-                // this is what keeps batched ranks bit-identical.
-                let dangling: f64 = prs[qi]
-                    .par_iter()
-                    .zip(&out_deg)
-                    .filter(|(_, &d)| d == 0)
-                    .map(|(&p, _)| f64::from(p))
-                    .sum();
-                let restart = (1.0 - f64::from(damping)) + f64::from(damping) * dangling;
-                let delta: f64 = prs[qi]
-                    .par_iter_mut()
-                    .zip(&sums[qi])
-                    .zip(&teleports[qi])
-                    .map(|((p, &s), &t)| {
-                        let new = (restart as f32) * t + damping * s;
-                        let d = f64::from((new - *p).abs());
-                        *p = new;
-                        d
-                    })
-                    .sum();
-                xs[qi]
-                    .par_iter_mut()
-                    .zip(&prs[qi])
-                    .zip(&inv_deg)
-                    .for_each(|((xv, &p), &i)| *xv = p * i);
-                iterations[qi] += 1;
-                last_delta[qi] = delta;
-                if let Some(tol) = cfg.tolerance {
-                    if delta < tol {
-                        converged[qi] = true;
-                        done[qi] = true;
-                    }
-                }
-            }
-            timings.apply += t0.elapsed();
-        }
-        Ok(())
-    })?;
-
-    let report = engine.report();
-    Ok(prs
-        .into_iter()
-        .enumerate()
-        .map(|(qi, scores)| PrResult {
-            scores,
-            iterations: iterations[qi],
-            converged: converged[qi],
-            last_delta: last_delta[qi],
-            timings,
-            preprocess: report.preprocess,
-            compression_ratio: report.compression_ratio,
-        })
-        .collect())
+    let spec = FixedPoint {
+        scale: &inverse_out_degrees(graph),
+        max_iterations: cfg.iterations,
+        tolerance: cfg.tolerance,
+        dangling: true,
+    };
+    fixed_point(engine, &spec, teleports.clone(), |q, dangling| {
+        let restart = (1.0 - f64::from(damping)) + f64::from(damping) * dangling;
+        let teleport = &teleports[q];
+        move |sum, _, v| (restart as f32) * teleport[v] + damping * sum
+    })
 }
 
 #[cfg(test)]

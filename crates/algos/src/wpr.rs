@@ -1,17 +1,17 @@
 //! Weighted PageRank: transition probability proportional to edge weight.
 //!
 //! The §3.5 weighted extension end to end: weights ride in the destID
-//! bins, the gather multiplies them into the updates, and the apply step
-//! scales each vertex by its total outgoing weight instead of its
-//! out-degree.
+//! bins, the gather multiplies them into the updates, and the
+//! [`fixed_point`] loop scales each vertex by its total outgoing weight
+//! instead of its out-degree.
 
 use pcpm_core::algebra::PlusF32;
 use pcpm_core::backend::{BackendKind, Engine};
 use pcpm_core::config::PcpmConfig;
 use pcpm_core::error::PcpmError;
-use pcpm_core::pr::{PhaseTimings, PrResult};
+use pcpm_core::fixed_point::{fixed_point, FixedPoint};
+use pcpm_core::pr::PrResult;
 use pcpm_graph::{Csr, EdgeWeights};
-use rayon::prelude::*;
 
 /// Runs PageRank where a surfer follows edge `(u, v)` with probability
 /// `w(u,v) / Σ_t w(u,t)`. Weights must be non-negative; nodes whose
@@ -64,12 +64,6 @@ pub fn weighted_pagerank_with_unified_engine(
     cfg.validate()?;
     validate_weights(weights)?;
     let n = graph.num_nodes() as usize;
-    if engine.num_src() as usize != n || engine.num_dst() as usize != n {
-        return Err(PcpmError::DimensionMismatch {
-            expected: n,
-            got: engine.num_src() as usize,
-        });
-    }
     // An engine that was demonstrably prepared *without* weights would
     // silently compute unweighted ranks — refuse instead.
     if engine.prepared_weighted() == Some(false) {
@@ -78,82 +72,25 @@ pub fn weighted_pagerank_with_unified_engine(
         ));
     }
     let damping = cfg.damping as f32;
-    let base = if n == 0 {
-        0.0
-    } else {
-        ((1.0 - cfg.damping) / n as f64) as f32
-    };
-
-    // Total outgoing weight per node (the weighted out-degree).
-    let mut out_weight = vec![0.0f64; n];
-    for v in 0..graph.num_nodes() {
-        out_weight[v as usize] = weights.row(graph, v).iter().map(|&w| f64::from(w)).sum();
-    }
-    let inv_weight: Vec<f32> = out_weight
-        .iter()
-        .map(|&w| if w > 0.0 { (1.0 / w) as f32 } else { 0.0 })
+    let base = ((1.0 - cfg.damping) / n as f64) as f32;
+    // One over the total outgoing weight per node (the weighted
+    // out-degree); a node whose weights sum to zero is dangling.
+    let inverse = |w: f64| if w > 0.0 { (1.0 / w) as f32 } else { 0.0 };
+    let inv_weight: Vec<f32> = (0..graph.num_nodes())
+        .map(|v| inverse(weights.row(graph, v).iter().map(|&w| f64::from(w)).sum()))
         .collect();
-
-    let mut pr = vec![1.0 / n.max(1) as f32; n];
-    let mut x: Vec<f32> = pr.iter().zip(&inv_weight).map(|(&p, &i)| p * i).collect();
-    let mut sums = vec![0.0f32; n];
-    let mut timings = PhaseTimings::default();
-    let mut iterations = 0usize;
-    let mut converged = false;
-    let mut last_delta = f64::INFINITY;
-
-    engine.run(|engine| -> Result<(), PcpmError> {
-        for _ in 0..cfg.iterations {
-            timings += engine.step(&x, &mut sums)?;
-            let t0 = pcpm_core::telemetry::stopwatch();
-            let bonus = if cfg.redistribute_dangling {
-                let mass: f64 = pr
-                    .par_iter()
-                    .zip(&inv_weight)
-                    .filter(|(_, &i)| i == 0.0)
-                    .map(|(&p, _)| f64::from(p))
-                    .sum();
-                (cfg.damping * mass / n as f64) as f32
-            } else {
-                0.0
-            };
-            let delta: f64 = pr
-                .par_iter_mut()
-                .zip(&sums)
-                .map(|(p, &s)| {
-                    let new = base + damping * s + bonus;
-                    let d = f64::from((new - *p).abs());
-                    *p = new;
-                    d
-                })
-                .sum();
-            x.par_iter_mut()
-                .zip(&pr)
-                .zip(&inv_weight)
-                .for_each(|((xv, &p), &i)| *xv = p * i);
-            timings.apply += t0.elapsed();
-            iterations += 1;
-            last_delta = delta;
-            if let Some(tol) = cfg.tolerance {
-                if delta < tol {
-                    converged = true;
-                    break;
-                }
-            }
-        }
-        Ok(())
+    let spec = FixedPoint {
+        scale: &inv_weight,
+        max_iterations: cfg.iterations,
+        tolerance: cfg.tolerance,
+        dangling: cfg.redistribute_dangling,
+    };
+    let uniform = vec![1.0 / n as f32; n];
+    let mut runs = fixed_point(engine, &spec, vec![uniform], |_, dangling| {
+        let bonus = (cfg.damping * dangling / n as f64) as f32;
+        move |sum, _, _| base + damping * sum + bonus
     })?;
-
-    let report = engine.report();
-    Ok(PrResult {
-        scores: pr,
-        iterations,
-        converged,
-        last_delta,
-        timings,
-        preprocess: report.preprocess,
-        compression_ratio: report.compression_ratio,
-    })
+    Ok(runs.remove(0))
 }
 
 #[cfg(test)]

@@ -51,7 +51,7 @@ fn baseline_engine<B: Backend<PlusF32> + 'static>(
         scatter: Default::default(),
         gather: Default::default(),
     };
-    Engine::from_backend_with(cfg.threads, graph.num_nodes(), graph.num_nodes(), || {
+    Engine::from_backend_with(cfg, graph.num_nodes(), graph.num_nodes(), || {
         Ok(Box::new(B::prepare(&spec)?) as Box<dyn Backend<PlusF32>>)
     })
 }

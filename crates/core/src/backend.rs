@@ -9,6 +9,9 @@
 //! `y[t] = ⊕_{(s,t) ∈ E} extend(w(s,t), x[s])` — is [`Backend::step`].
 //! Every algorithm in `pcpm-algos` drives that one method, so any
 //! algorithm runs on any backend and ablations are apples-to-apples.
+//! [`Backend::step_many_with`] ends the round in the caller's apply step
+//! — inside the gather's partition loop on the PCPM dataplane — which is
+//! what the fixed-point algorithms ([`crate::fixed_point`]) drive.
 //!
 //! Two backends ship in this crate:
 //!
@@ -47,11 +50,12 @@ use crate::error::{PcpmError, SnapshotError};
 use crate::format::{
     BinFormat, BinFormatKind, CompactFormat, DeltaFormat, WideFormat, BRANCHY_NEEDS_WIDE,
 };
+use crate::gather::{apply_parts, ApplyFn, Epilogue};
 use crate::kernel::KernelKind;
-use crate::partition::split_by_lens;
+use crate::partition::{split_by_lens, Partitioner};
 use crate::png::EdgeView;
 use crate::pr::PhaseTimings;
-use crate::snapshot::{BinState, BinStateInner, DataplaneState, Snapshot};
+use crate::snapshot::{BinState, DataplaneState, Snapshot};
 use crate::update::{RepairStats, UpdateBatch, UpdateOutcome};
 use pcpm_graph::{Csr, EdgeWeights};
 use rayon::prelude::*;
@@ -170,6 +174,21 @@ pub trait Backend<A: Algebra>: Send {
         Ok(total)
     }
 
+    /// [`Backend::step_many`], then the caller's apply step over every
+    /// destination range; returns the phase times and the epilogue's
+    /// per-query totals. The default applies in a pass of its own over
+    /// the engine's destination-partition ranges, so every reduction is
+    /// grouped as on the PCPM dataplane — which overrides this to apply
+    /// each partition inside its gather, still in cache.
+    fn step_many_with(
+        &mut self,
+        xs: &[&[A::T]],
+        ys: &mut [&mut [A::T]],
+        epilogue: Epilogue<'_, A::T>,
+    ) -> Result<(PhaseTimings, Vec<f64>), PcpmError> {
+        step_then_apply(self, xs, ys, epilogue)
+    }
+
     /// Absorbs a batch of edge changes into the prepared state, given the
     /// *post-update* graph in `spec`.
     ///
@@ -196,6 +215,22 @@ pub trait Backend<A: Algebra>: Send {
     fn snapshot_state(&self) -> Option<DataplaneState> {
         None
     }
+}
+
+/// [`Backend::step_many_with`] for a dataplane that cannot apply inside
+/// its gather: the round, then the epilogue as a pass of its own.
+fn step_then_apply<A: Algebra, B: Backend<A> + ?Sized>(
+    backend: &mut B,
+    xs: &[&[A::T]],
+    ys: &mut [&mut [A::T]],
+    epilogue: Epilogue<'_, A::T>,
+) -> Result<(PhaseTimings, Vec<f64>), PcpmError> {
+    let mut timings = backend.step_many(xs, ys)?;
+    let t0 = crate::telemetry::stopwatch();
+    let lens = epilogue.lens;
+    let (totals, _) = apply_parts(lens, ys, Some(epilogue), |_, ys_p| ys_p);
+    timings.apply += t0.elapsed();
+    Ok((timings, totals))
 }
 
 /// The built-in backends the [`EngineBuilder`] can construct.
@@ -331,6 +366,8 @@ pub struct Engine<A: Algebra> {
     backend: Box<dyn Backend<A>>,
     num_src: u32,
     num_dst: u32,
+    /// Partition size `q`: the destination ranges of an epilogue.
+    partition_nodes: u32,
     /// Engine-owned thread pool, built once when `PcpmConfig::threads`
     /// is set; preprocessing and every step install into it.
     pool: Option<Arc<rayon::ThreadPool>>,
@@ -445,12 +482,13 @@ impl<A: Algebra> Engine<A> {
     /// [`Engine::from_backend_with`]: it builds the engine-owned pool
     /// *first* and runs `prepare` on it, so preprocessing and every
     /// later step share one pool instead of spawning a throwaway pool
-    /// for the prepare.
+    /// for the prepare (and epilogues run over its partition size).
     pub fn from_backend(backend: Box<dyn Backend<A>>, num_src: u32, num_dst: u32) -> Self {
         Self {
             backend,
             num_src,
             num_dst,
+            partition_nodes: PcpmConfig::default().partition_nodes(),
             pool: None,
             steps: 0,
             timings: PhaseTimings::default(),
@@ -468,20 +506,22 @@ impl<A: Algebra> Engine<A> {
     /// first, `prepare` runs installed on it, and every subsequent step
     /// reuses it. This is the churn-free counterpart of
     /// `from_backend(..).with_threads(..)`, which spawned one pool for
-    /// the prepare and a second for the steps.
+    /// the prepare and a second for the steps. Of `cfg` the engine reads
+    /// the thread count and, for epilogues, the partition size.
     pub fn from_backend_with(
-        threads: Option<usize>,
+        cfg: &PcpmConfig,
         num_src: u32,
         num_dst: u32,
         prepare: impl FnOnce() -> Result<Box<dyn Backend<A>>, PcpmError> + Send,
     ) -> Result<Self, PcpmError> {
-        let pool = build_pool(threads)?;
+        let pool = build_pool(cfg.threads)?;
         let backend = match &pool {
             Some(p) => p.install(prepare)?,
             None => prepare()?,
         };
         Ok(Self {
             pool,
+            partition_nodes: cfg.partition_nodes(),
             ..Self::from_backend(backend, num_src, num_dst)
         })
     }
@@ -541,6 +581,49 @@ impl<A: Algebra> Engine<A> {
         }
     }
 
+    /// One pass through the backend — a plain step, or a batch of
+    /// `queries` — on the engine-owned pool, with the report's bookkeeping.
+    fn pass<R: Send>(
+        &mut self,
+        queries: Option<usize>,
+        run: impl FnOnce(&mut dyn Backend<A>) -> Result<(PhaseTimings, R), PcpmError> + Send,
+    ) -> Result<(PhaseTimings, R), PcpmError> {
+        let _span = match queries {
+            None => crate::telemetry::span_n("step", self.steps as u64),
+            Some(q) => crate::telemetry::span_n("step_many", q as u64),
+        };
+        let tm = crate::telemetry::counters();
+        let jobs0 = tm.is_enabled().then(rayon::diagnostics::jobs_dispatched);
+        let backend = &mut *self.backend;
+        let (t, out) = match &self.pool {
+            Some(pool) => pool.install(|| run(backend))?,
+            None => run(backend)?,
+        };
+        if let Some(jobs0) = jobs0 {
+            tm.add_pool_jobs_dispatched((rayon::diagnostics::jobs_dispatched() - jobs0) as u64);
+        }
+        if let Some(q) = queries {
+            tm.add_batched_passes(1);
+            tm.add_batched_queries(q as u64);
+            self.batch_passes += 1;
+            self.batch_queries += q;
+        }
+        self.steps += 1;
+        self.timings += t;
+        Ok((t, out))
+    }
+
+    /// Rejects vectors that do not pair up or span the engine's dimensions.
+    fn check_batch(&self, xs: &[&[A::T]], ys: &[&mut [A::T]]) -> Result<(), PcpmError> {
+        if xs.len() != ys.len() {
+            return Err(PcpmError::BadConfig(
+                "step_many requires one output vector per input vector",
+            ));
+        }
+        check_lens(self.num_src, xs.iter().map(|x| x.len()))?;
+        check_lens(self.num_dst, ys.iter().map(|y| y.len()))
+    }
+
     /// One propagation round through the backend dataplane.
     ///
     /// When `PcpmConfig::threads` was set, the round runs on the
@@ -548,22 +631,8 @@ impl<A: Algebra> Engine<A> {
     /// setup); otherwise on the caller's ambient pool. Inside
     /// [`Engine::run`] the round inherits the already-installed pool.
     pub fn step(&mut self, x: &[A::T], y: &mut [A::T]) -> Result<PhaseTimings, PcpmError> {
-        check_lens(self.num_src, [x.len()])?;
-        check_lens(self.num_dst, [y.len()])?;
-        let _span = crate::telemetry::span_n("step", self.steps as u64);
-        let tm = crate::telemetry::counters();
-        let jobs0 = tm.is_enabled().then(rayon::diagnostics::jobs_dispatched);
-        let backend = &mut self.backend;
-        let t = match &self.pool {
-            Some(pool) => pool.install(|| backend.step(x, y))?,
-            None => backend.step(x, y)?,
-        };
-        if let Some(jobs0) = jobs0 {
-            tm.add_pool_jobs_dispatched((rayon::diagnostics::jobs_dispatched() - jobs0) as u64);
-        }
-        self.steps += 1;
-        self.timings += t;
-        Ok(t)
+        self.check_batch(&[x], &[&mut *y])?;
+        Ok(self.pass(None, |backend| Ok((backend.step(x, y)?, ())))?.0)
     }
 
     /// One multi-query propagation round: `ys[q] = ⊕ Aᵀ·xs[q]` for the
@@ -582,34 +651,52 @@ impl<A: Algebra> Engine<A> {
         xs: &[&[A::T]],
         ys: &mut [&mut [A::T]],
     ) -> Result<PhaseTimings, PcpmError> {
-        if xs.len() != ys.len() {
-            return Err(PcpmError::BadConfig(
-                "step_many requires one output vector per input vector",
-            ));
-        }
-        check_lens(self.num_src, xs.iter().map(|x| x.len()))?;
-        check_lens(self.num_dst, ys.iter().map(|y| y.len()))?;
+        self.check_batch(xs, ys)?;
         if xs.is_empty() {
             return Ok(PhaseTimings::default());
         }
-        let _span = crate::telemetry::span_n("step_many", xs.len() as u64);
-        let tm = crate::telemetry::counters();
-        let jobs0 = tm.is_enabled().then(rayon::diagnostics::jobs_dispatched);
-        let backend = &mut self.backend;
-        let t = match &self.pool {
-            Some(pool) => pool.install(|| backend.step_many(xs, ys))?,
-            None => backend.step_many(xs, ys)?,
-        };
-        if let Some(jobs0) = jobs0 {
-            tm.add_pool_jobs_dispatched((rayon::diagnostics::jobs_dispatched() - jobs0) as u64);
+        let batch = Some(xs.len());
+        Ok(self
+            .pass(batch, |backend| Ok((backend.step_many(xs, ys)?, ())))?
+            .0)
+    }
+
+    /// [`Engine::step_many`] with the caller's apply step fused in: once
+    /// the sums of a destination range are final, `apply` receives that
+    /// range of every output and of every `state` vector (one per query)
+    /// as a [`Finished`](crate::Finished), may overwrite both — so a
+    /// round's output vector can carry the next round's input — and
+    /// leaves one `f64` partial per query. Returns the phase times and,
+    /// per query, the partials summed in ascending range order: a
+    /// grouping fixed by the engine's configuration, whatever the thread
+    /// count, bin format, kernel or backend.
+    ///
+    /// On the PCPM dataplane the ranges are the destination partitions
+    /// and `apply` runs inside the gather (Algorithm 4) while other
+    /// partitions are still gathered: it is handed all it may touch.
+    /// Elsewhere it is a pass of its own after the round, over the ranges
+    /// the engine's partition size defines. A batch of one runs the solo
+    /// kernel and counts as a plain step in the report.
+    pub fn step_many_with(
+        &mut self,
+        xs: &[&[A::T]],
+        ys: &mut [&mut [A::T]],
+        state: &mut [&mut [A::T]],
+        apply: &ApplyFn<'_, A::T>,
+    ) -> Result<(PhaseTimings, Vec<f64>), PcpmError> {
+        self.check_batch(xs, ys)?;
+        self.check_batch(xs, state)?;
+        if xs.is_empty() {
+            return Ok((PhaseTimings::default(), Vec::new()));
         }
-        tm.add_batched_passes(1);
-        tm.add_batched_queries(xs.len() as u64);
-        self.steps += 1;
-        self.batch_passes += 1;
-        self.batch_queries += xs.len();
-        self.timings += t;
-        Ok(t)
+        let lens = Partitioner::new(self.num_dst, self.partition_nodes)?.lens();
+        let epilogue = Epilogue {
+            lens: &lens,
+            state: state.iter_mut().map(|s| &mut **s).collect(),
+            apply,
+        };
+        let queries = (xs.len() > 1).then_some(xs.len());
+        self.pass(queries, |backend| backend.step_many_with(xs, ys, epilogue))
     }
 
     /// Absorbs a batch of edge changes, handing the backend the
@@ -901,9 +988,6 @@ impl<'g, A: Algebra> EngineBuilder<'g, A> {
     /// Validates the combination and prepares the backend.
     pub fn build(self) -> Result<Engine<A>, PcpmError> {
         self.cfg.validate()?;
-        if self.cfg.bin_format != BinFormatKind::Wide && self.gather == GatherKind::Branchy {
-            return Err(PcpmError::BadConfig(BRANCHY_NEEDS_WIDE));
-        }
         if self.backend != BackendKind::Pcpm {
             if self.cfg.bin_format != BinFormatKind::Wide {
                 return Err(PcpmError::BadConfig(
@@ -946,15 +1030,10 @@ impl<'g, A: Algebra> EngineBuilder<'g, A> {
             graph: Arc::clone(arc),
             weights: self.weights.map(|w| w.as_slice().to_vec()),
         });
+        let n = self.graph.num_nodes();
         Ok(Engine {
-            backend,
-            num_src: self.graph.num_nodes(),
-            num_dst: self.graph.num_nodes(),
+            partition_nodes: self.cfg.partition_nodes(),
             pool,
-            steps: 0,
-            timings: PhaseTimings::default(),
-            batch_passes: 0,
-            batch_queries: 0,
             recipe: Some(BuildRecipe {
                 kind: self.backend,
                 cfg: self.cfg,
@@ -963,8 +1042,7 @@ impl<'g, A: Algebra> EngineBuilder<'g, A> {
                 weighted: self.weights.is_some(),
             }),
             source,
-            snapshot_load: None,
-            diag_base: pool_diagnostics(),
+            ..Engine::from_backend(backend, n, n)
         })
     }
 
@@ -1071,14 +1149,8 @@ impl<A: Algebra> SnapshotEngineBuilder<A> {
         let pool = build_pool(cfg.threads)?;
         let backend = boxed_backend_from_state::<A>(n, png, bins, load, self.kernel);
         Ok(Engine {
-            backend,
-            num_src: n,
-            num_dst: n,
+            partition_nodes: cfg.partition_nodes(),
             pool,
-            steps: 0,
-            timings: PhaseTimings::default(),
-            batch_passes: 0,
-            batch_queries: 0,
             recipe: Some(BuildRecipe {
                 kind: BackendKind::Pcpm,
                 cfg,
@@ -1088,77 +1160,58 @@ impl<A: Algebra> SnapshotEngineBuilder<A> {
             }),
             source: Some(EngineSource { graph, weights }),
             snapshot_load: Some(load),
-            diag_base: pool_diagnostics(),
+            ..Engine::from_backend(backend, n, n)
         })
     }
 }
 
-/// Adopts deserialized PNG + bins into the right statically-typed PCPM
-/// backend (the load-time `BinFormatKind` → format-type dispatch); the
-/// update stream is scratch, allocated fresh at `|E'|`.
+/// The `BinFormatKind` → format-type dispatch: evaluates `$body` with
+/// `$F` naming the format type of `$kind` (Rust has no closure generic
+/// over a type, so the one helper is a macro).
+macro_rules! with_format {
+    ($kind:expr, $F:ident => $body:expr) => {
+        match $kind {
+            BinFormatKind::Wide => {
+                type $F = WideFormat;
+                $body
+            }
+            BinFormatKind::Compact => {
+                type $F = CompactFormat;
+                $body
+            }
+            BinFormatKind::Delta => {
+                type $F = DeltaFormat;
+                $body
+            }
+        }
+    };
+}
+
+/// Adopts deserialized PNG + bins into the statically-typed PCPM backend
+/// of the snapshot's format; the update stream is scratch, allocated
+/// fresh at `|E'|`.
 fn boxed_backend_from_state<A: Algebra>(
-    num_nodes: u32,
+    n: u32,
     png: crate::png::Png,
     bins: BinState,
     load: Duration,
     kernel: KernelKind,
 ) -> Box<dyn Backend<A>> {
-    fn adopt<A: Algebra, F: BinFormat>(
-        n: u32,
-        png: crate::png::Png,
-        bins: F::Bins<A::T>,
-        load: Duration,
-        kernel: KernelKind,
-    ) -> Box<dyn Backend<A>> {
-        let pipeline = FormatPipeline::<A, F>::from_loaded(n, n, png, bins, load, kernel);
+    let num_updates = png.num_compressed_edges() as usize;
+    with_format!(bins.kind(), F => {
+        let bins = F::import_state(bins, num_updates);
         Box::new(PcpmBackend {
-            pipeline,
+            pipeline: FormatPipeline::<A, F>::from_loaded(n, n, png, bins, load, kernel),
             scatter: ScatterKind::Png,
             gather: GatherKind::BranchAvoiding,
             graph: None,
         })
-    }
-    let n = num_nodes;
-    let updates = vec![A::T::default(); png.num_compressed_edges() as usize];
-    match bins.0 {
-        BinStateInner::Wide { dest_ids, weights } => {
-            let bins = crate::bins::FixedBins {
-                updates,
-                dest_ids,
-                weights,
-            };
-            adopt::<A, WideFormat>(n, png, bins, load, kernel)
-        }
-        BinStateInner::Compact { dest_ids, weights } => {
-            let bins = crate::bins::FixedBins {
-                updates,
-                dest_ids,
-                weights,
-            };
-            adopt::<A, CompactFormat>(n, png, bins, load, kernel)
-        }
-        BinStateInner::Delta {
-            dest_bytes,
-            byte_region,
-            seg_off,
-            weights,
-        } => {
-            let bins = crate::delta::DeltaPackedBins::from_loaded(
-                updates,
-                dest_bytes,
-                byte_region,
-                seg_off,
-                weights,
-            );
-            adopt::<A, DeltaFormat>(n, png, bins, load, kernel)
-        }
-    }
+    })
 }
 
 /// Builds the PCPM dataplane over a raw (possibly rectangular) edge view
-/// in the configured bin format — the build-time `BinFormatKind` →
-/// format-type dispatch. `graph` is the adjacency the CSR-traversal
-/// scatter reads.
+/// in the configured bin format. `graph` is the adjacency the
+/// CSR-traversal scatter reads.
 pub(crate) fn boxed_pcpm_backend<A: Algebra>(
     view: EdgeView<'_>,
     cfg: &PcpmConfig,
@@ -1167,17 +1220,9 @@ pub(crate) fn boxed_pcpm_backend<A: Algebra>(
     gather: GatherKind,
     graph: Option<Arc<Csr>>,
 ) -> Result<Box<dyn Backend<A>>, PcpmError> {
-    Ok(match cfg.bin_format {
-        BinFormatKind::Wide => Box::new(PcpmBackend::<A, WideFormat>::build(
-            view, cfg, weights, scatter, gather, graph,
-        )?) as Box<dyn Backend<A>>,
-        BinFormatKind::Compact => Box::new(PcpmBackend::<A, CompactFormat>::build(
-            view, cfg, weights, scatter, gather, graph,
-        )?),
-        BinFormatKind::Delta => Box::new(PcpmBackend::<A, DeltaFormat>::build(
-            view, cfg, weights, scatter, gather, graph,
-        )?),
-    })
+    Ok(with_format!(cfg.bin_format, F => Box::new(
+        PcpmBackend::<A, F>::build(view, cfg, weights, scatter, gather, graph)?
+    )))
 }
 
 // ---------------------------------------------------------------------------
@@ -1210,8 +1255,7 @@ impl<A: Algebra, F: BinFormat> Backend<A> for PcpmBackend<A, F> {
     }
 
     fn step(&mut self, x: &[A::T], y: &mut [A::T]) -> Result<PhaseTimings, PcpmError> {
-        self.pipeline
-            .spmv_with(x, y, self.scatter, self.gather, self.graph.as_deref())
+        Ok(self.round(&[x], &mut [y], None)?.0)
     }
 
     fn step_many(
@@ -1219,9 +1263,8 @@ impl<A: Algebra, F: BinFormat> Backend<A> for PcpmBackend<A, F> {
         xs: &[&[A::T]],
         ys: &mut [&mut [A::T]],
     ) -> Result<PhaseTimings, PcpmError> {
-        // The branchy-gather ablation has no batched kernel; keep its
-        // sequential semantics rather than silently changing the
-        // measured code path.
+        // The branchy ablation has no batched kernel; keep its sequential
+        // semantics rather than silently change the measured code path.
         if self.gather == GatherKind::Branchy {
             let mut total = PhaseTimings::default();
             for (x, y) in xs.iter().zip(ys.iter_mut()) {
@@ -1229,8 +1272,19 @@ impl<A: Algebra, F: BinFormat> Backend<A> for PcpmBackend<A, F> {
             }
             return Ok(total);
         }
-        self.pipeline
-            .spmv_many_with(xs, ys, self.scatter, self.graph.as_deref())
+        Ok(self.round(xs, ys, None)?.0)
+    }
+
+    fn step_many_with(
+        &mut self,
+        xs: &[&[A::T]],
+        ys: &mut [&mut [A::T]],
+        epilogue: Epilogue<'_, A::T>,
+    ) -> Result<(PhaseTimings, Vec<f64>), PcpmError> {
+        if self.gather == GatherKind::Branchy && xs.len() > 1 {
+            return step_then_apply(self, xs, ys, epilogue);
+        }
+        self.round(xs, ys, Some(epilogue))
     }
 
     fn update(
@@ -1303,9 +1357,16 @@ impl<A: Algebra, F: BinFormat> PcpmBackend<A, F> {
         })
     }
 
-    /// The underlying pipeline (PNG inspection, memory replays).
-    pub fn pipeline(&self) -> &FormatPipeline<A, F> {
-        &self.pipeline
+    /// One pipeline round with this backend's phase variants.
+    fn round(
+        &mut self,
+        xs: &[&[A::T]],
+        ys: &mut [&mut [A::T]],
+        epilogue: Option<Epilogue<'_, A::T>>,
+    ) -> Result<(PhaseTimings, Vec<f64>), PcpmError> {
+        let (scatter, gather, graph) = (self.scatter, self.gather, self.graph.as_deref());
+        self.pipeline
+            .round(xs, ys, scatter, gather, graph, epilogue)
     }
 }
 

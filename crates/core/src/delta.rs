@@ -28,7 +28,7 @@
 //! stream reuse the shared layouts, so scatter and weighted gather are
 //! unchanged.
 
-use crate::format::{build_weight_stream, repair_weight_stream, BinScalar};
+use crate::format::{weight_stream, BinScalar, Kept};
 use crate::gather::{EntrySink, Segment, SegmentDecode};
 use crate::kernel::{prefetch, KernelKind};
 use crate::png::{for_each_run, EdgeView, Png};
@@ -306,7 +306,7 @@ impl<T: BinScalar> DeltaPackedBins<T> {
             dest_bytes.extend_from_slice(&bytes);
             seg_off.push(offs);
         }
-        let weights = edge_weights.map(|ew| build_weight_stream(view, png, ew));
+        let weights = edge_weights.map(|ew| weight_stream(view, png, ew, None));
         Self {
             updates,
             dest_bytes,
@@ -362,8 +362,13 @@ impl<T: BinScalar> DeltaPackedBins<T> {
         self.dest_bytes = dest_bytes;
         let old_w = self.weights.take();
         self.weights = edge_weights.map(|ew| {
-            let old = old_w.as_deref().expect("weighted bins keep weights");
-            repair_weight_stream(old, view, png, old_did_region, touched, ew)
+            let kept = Kept {
+                stream: old_w.as_deref().expect("weighted bins keep weights"),
+                weights: None,
+                did_region: old_did_region,
+                touched,
+            };
+            weight_stream(view, png, ew, Some(kept))
         });
     }
 

@@ -6,6 +6,15 @@
 //! plus `F`'s bin storage, with one shared implementation of build,
 //! incremental repair and the scatter→gather round.
 //!
+//! A round may end in the caller's [`Epilogue`], run by the gather over
+//! each destination partition as it completes (Algorithm 4's
+//! in-partition apply; see `gather.rs`); its wall-clock share is reported
+//! as [`PhaseTimings::apply`] and taken out of `gather`, so the phases
+//! still add up to the round. The `Q` update streams of a multi-query
+//! round are scratch kept between rounds: the scatter overwrites every
+//! slot, so nothing is cleared, and nothing is allocated unless a round
+//! is wider than the one before it or a repair changed `|E'|`.
+//!
 //! Callers do not construct it directly: the unified
 //! [`Engine`](crate::backend::Engine) builder wraps it as the
 //! [`BackendKind::Pcpm`](crate::backend::BackendKind) dataplane, picks
@@ -16,6 +25,7 @@ use crate::algebra::Algebra;
 use crate::config::PcpmConfig;
 use crate::error::PcpmError;
 use crate::format::{dest_compression, BinFormat, BinFormatKind};
+use crate::gather::{Applied, Epilogue};
 use crate::kernel::KernelKind;
 use crate::partition::Partitioner;
 use crate::png::{EdgeView, Png};
@@ -59,6 +69,8 @@ pub struct FormatPipeline<A: Algebra, F: BinFormat> {
     /// The concrete gather kernel, resolved from [`PcpmConfig::kernel`]
     /// at build time (never [`KernelKind::Auto`]).
     kernel: KernelKind,
+    /// The latest multi-query round's update streams, each `|E'|` long.
+    streams: Vec<Vec<A::T>>,
 }
 
 impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
@@ -97,6 +109,7 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
             bins,
             preprocess: t0.elapsed(),
             kernel,
+            streams: Vec::new(),
         })
     }
 
@@ -125,6 +138,7 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
             bins,
             preprocess,
             kernel,
+            streams: Vec::new(),
         }
     }
 
@@ -146,11 +160,6 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
     /// The PNG layout (for inspection and the memory replays).
     pub fn png(&self) -> &Png {
         &self.png
-    }
-
-    /// The bin storage.
-    pub fn bins(&self) -> &F::Bins<A::T> {
-        &self.bins
     }
 
     /// The concrete gather kernel this pipeline runs (`Auto` already
@@ -262,147 +271,126 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
         Ok(stats)
     }
 
-    /// One `y = ⊕ Aᵀ·x` round with explicit phase variants.
+    /// One scatter→gather round with explicit phase variants:
+    /// `ys[q] = ⊕ Aᵀ·xs[q]` for every query, scanning the destination-ID
+    /// stream **once**, then `epilogue` over each destination partition;
+    /// returns the phase times and the epilogue's per-query totals.
     ///
-    /// `graph` is required when `scatter` is [`ScatterKind::CsrTraversal`]
-    /// (the ablation needs the original adjacency); the branchy gather is
-    /// implemented only by the wide format. Lengths are validated by
-    /// [`Engine::step`](crate::backend::Engine::step).
-    pub(crate) fn spmv_with(
-        &mut self,
-        x: &[A::T],
-        y: &mut [A::T],
-        scatter: ScatterKind,
-        gather: GatherKind,
-        graph: Option<&Csr>,
-    ) -> Result<PhaseTimings, PcpmError> {
-        let t0 = crate::telemetry::stopwatch();
-        {
-            let _span = crate::telemetry::span("scatter");
-            match scatter {
-                ScatterKind::Png => F::scatter_into(&self.png, x, &mut self.bins),
-                ScatterKind::CsrTraversal => {
-                    let g = graph.ok_or(PcpmError::BadConfig(
-                        "CsrTraversal scatter requires the original graph",
-                    ))?;
-                    csr_scatter(
-                        EdgeView::from_csr(g),
-                        &self.png,
-                        x,
-                        F::updates_mut(&mut self.bins),
-                    );
-                }
-            }
-        }
-        let scatter_t = t0.elapsed();
-        let t1 = crate::telemetry::stopwatch();
-        {
-            let _span = crate::telemetry::span("gather");
-            match gather {
-                GatherKind::BranchAvoiding => {
-                    F::gather_from::<A>(&self.png, &self.bins, y, self.kernel)
-                }
-                GatherKind::Branchy => F::gather_branchy_from::<A>(&self.png, &self.bins, y)?,
-            }
-        }
-        let gather_t = t1.elapsed();
-        self.record_pass(scatter_t, gather_t);
-        Ok(PhaseTimings {
-            scatter: scatter_t,
-            gather: gather_t,
-            apply: Duration::ZERO,
-        })
-    }
-
-    /// One column-blocked SpMM round: `ys[q] = ⊕ Aᵀ·xs[q]` for every
-    /// query in the batch, scanning the destination-ID stream **once**.
-    ///
-    /// The scatter writes one update stream per query (the layout is
-    /// format-independent); the gather decodes each bin segment once and
-    /// applies every entry to all `Q` accumulators, so the destID bytes
-    /// — and, for the delta format, the per-edge varint decode — are
-    /// amortized across the batch. Per-query output is bit-identical to
-    /// `Q` sequential [`FormatPipeline::spmv_with`] calls. The branchy
-    /// gather ablation has no batched kernel; callers route it through
-    /// the sequential path. Batch shape and lengths are validated by
-    /// [`Engine::step_many`](crate::backend::Engine::step_many), which
-    /// also skips empty batches.
-    pub(crate) fn spmv_many_with(
+    /// A batch of one runs the solo kernel over the bins' own update
+    /// stream (`gather` picks its pointer step). A wider batch is the
+    /// column-blocked SpMM: one update stream per query, each bin segment
+    /// decoded once and applied to all `Q` accumulators, so the destID
+    /// bytes — and, for delta, the varint decode — are amortized across
+    /// the batch, each query's output bit-identical to a round of its
+    /// own. The streams are kept for the next round and trimmed to this
+    /// round's width, so the widest batch ever run does not stay
+    /// allocated. `graph` is what a [`ScatterKind::CsrTraversal`] scatter
+    /// reads; the branchy gather has no batched kernel (callers run it
+    /// one query per round). Shapes are validated by the `Engine`.
+    pub(crate) fn round(
         &mut self,
         xs: &[&[A::T]],
         ys: &mut [&mut [A::T]],
         scatter: ScatterKind,
+        gather: GatherKind,
         graph: Option<&Csr>,
-    ) -> Result<PhaseTimings, PcpmError> {
+        epilogue: Option<Epilogue<'_, A::T>>,
+    ) -> Result<(PhaseTimings, Vec<f64>), PcpmError> {
+        let solo = xs.len() == 1;
+        let width = if solo { 0 } else { xs.len() };
         let ne = self.png.num_compressed_edges() as usize;
         let t0 = crate::telemetry::stopwatch();
-        // One scratch update stream per query, all in png_scatter's
-        // layout (the bins' own update stream stays untouched).
-        let mut multi: Vec<Vec<A::T>> = xs.iter().map(|_| vec![A::T::default(); ne]).collect();
+        self.streams.truncate(width);
+        // A no-op unless a repair changed |E'| since the last round.
+        self.streams
+            .iter_mut()
+            .for_each(|stream| stream.resize(ne, A::T::default()));
+        self.streams
+            .resize_with(width, || vec![A::T::default(); ne]);
         {
-            let _span = crate::telemetry::span("scatter_many");
-            for (x, upd) in xs.iter().zip(multi.iter_mut()) {
+            let _span = crate::telemetry::span("scatter");
+            for (q, x) in xs.iter().enumerate() {
+                let updates = match self.streams.get_mut(q) {
+                    Some(stream) => &mut stream[..],
+                    None => F::updates_mut(&mut self.bins),
+                };
                 match scatter {
-                    ScatterKind::Png => crate::scatter::png_scatter(&self.png, x, upd),
+                    ScatterKind::Png => crate::scatter::png_scatter(&self.png, x, updates),
                     ScatterKind::CsrTraversal => {
                         let g = graph.ok_or(PcpmError::BadConfig(
                             "CsrTraversal scatter requires the original graph",
                         ))?;
-                        csr_scatter(EdgeView::from_csr(g), &self.png, x, upd);
+                        csr_scatter(EdgeView::from_csr(g), &self.png, x, updates);
                     }
                 }
             }
         }
         let scatter_t = t0.elapsed();
         let t1 = crate::telemetry::stopwatch();
-        {
-            let _span = crate::telemetry::span("gather_many");
-            let upd_refs: Vec<&[A::T]> = multi.iter().map(|v| v.as_slice()).collect();
-            F::gather_many_from::<A>(&self.png, &self.bins, &upd_refs, ys, self.kernel);
-        }
-        let gather_t = t1.elapsed();
-        self.record_pass(scatter_t, gather_t);
-        Ok(PhaseTimings {
-            scatter: scatter_t,
-            gather: gather_t,
-            apply: Duration::ZERO,
-        })
+        let applied = {
+            let _span = crate::telemetry::span("gather");
+            let streams: Vec<&[A::T]> = self.streams.iter().map(Vec::as_slice).collect();
+            let streams = (!solo).then_some(&streams[..]);
+            // The branchy ablation measures a per-entry branch, which
+            // unrolling would blur: always the plain loop.
+            let kernel = match gather {
+                GatherKind::Branchy => KernelKind::Scalar,
+                GatherKind::BranchAvoiding => self.kernel,
+            };
+            let (png, bins) = (&self.png, &self.bins);
+            F::gather_with::<A>(png, bins, streams, ys, kernel, gather, epilogue)
+        };
+        Ok(self.record_pass(scatter_t, t1.elapsed(), applied))
     }
 
-    /// Telemetry of one scatter→gather pass at phase-call granularity,
-    /// from analytically known quantities: one relaxed add each, nothing
-    /// per edge. A pass scans the whole destID stream (and, for the delta
-    /// format, decodes one varint per raw edge) exactly once however
-    /// many queries it carries — the amortization these counters make
-    /// observable. The unrolled delta kernel decodes one segment per
-    /// (src, dst) partition pair into an 8-bytes-per-entry scratch
-    /// buffer; the fixed-width and scalar paths touch no scratch.
-    fn record_pass(&self, scatter_t: Duration, gather_t: Duration) {
+    /// Splits a pass into its phases and records it. The epilogue ran
+    /// inside the gather, on as many workers as had a partition to
+    /// finish: its summed time over that many workers is the wall-clock
+    /// the pass spent applying, and the rest of `gather_wall` is gather.
+    /// Telemetry is from analytically known quantities: a pass scans the
+    /// whole destID stream (for delta, one varint per raw edge) exactly
+    /// once however many queries it carries; the unrolled delta kernel
+    /// decodes one segment per (src, dst) partition pair into scratch.
+    fn record_pass(
+        &self,
+        scatter: Duration,
+        gather_wall: Duration,
+        (totals, busy): Applied,
+    ) -> (PhaseTimings, Vec<f64>) {
+        let k_dst = self.png.dst_parts().num_partitions();
+        let workers = rayon::current_num_threads().clamp(1, k_dst.max(1) as usize);
+        let apply = (busy / workers as u32).min(gather_wall);
+        let timings = PhaseTimings {
+            scatter,
+            gather: gather_wall - apply,
+            apply,
+        };
         let tm = crate::telemetry::counters();
-        if !tm.is_enabled() {
-            return;
-        }
-        tm.add_scatter_ns(scatter_t.as_nanos() as u64);
-        tm.add_gather_ns(gather_t.as_nanos() as u64);
-        tm.add_dest_stream_bytes_read(F::dest_stream_bytes(&self.bins));
-        tm.add_bins_decoded(u64::from(self.png.dst_parts().num_partitions()));
-        if F::KIND == BinFormatKind::Delta {
-            tm.add_varint_decodes(self.png.num_raw_edges());
-        }
-        match self.kernel {
-            KernelKind::Unrolled => {
-                tm.add_gather_unrolled_ns(gather_t.as_nanos() as u64);
-                if F::KIND == BinFormatKind::Delta {
-                    let segs = u64::from(self.png.src_parts().num_partitions())
-                        * u64::from(self.png.dst_parts().num_partitions());
-                    tm.add_kernel_segments_decoded(segs);
-                    tm.add_kernel_scratch_bytes(
-                        crate::kernel::SCRATCH_BYTES_PER_EDGE * self.png.num_raw_edges(),
-                    );
-                }
+        if tm.is_enabled() {
+            let gather_ns = timings.gather.as_nanos() as u64;
+            tm.add_scatter_ns(scatter.as_nanos() as u64);
+            tm.add_gather_ns(gather_ns);
+            tm.add_dest_stream_bytes_read(F::dest_stream_bytes(&self.bins));
+            tm.add_bins_decoded(u64::from(k_dst));
+            if F::KIND == BinFormatKind::Delta {
+                tm.add_varint_decodes(self.png.num_raw_edges());
             }
-            _ => tm.add_gather_scalar_ns(gather_t.as_nanos() as u64),
+            match self.kernel {
+                KernelKind::Unrolled => {
+                    tm.add_gather_unrolled_ns(gather_ns);
+                    if F::KIND == BinFormatKind::Delta {
+                        let segs =
+                            u64::from(self.png.src_parts().num_partitions()) * u64::from(k_dst);
+                        tm.add_kernel_segments_decoded(segs);
+                        tm.add_kernel_scratch_bytes(
+                            crate::kernel::SCRATCH_BYTES_PER_EDGE * self.png.num_raw_edges(),
+                        );
+                    }
+                }
+                _ => tm.add_gather_scalar_ns(gather_ns),
+            }
         }
+        (timings, totals)
     }
 }
 
@@ -421,12 +409,15 @@ mod tests {
             None,
         )
         .unwrap();
-        let x = vec![0.0f32; 10];
+        let x = [0.0f32; 10];
         let mut y = vec![0.0f32; 10];
         let (scatter, gather) = (ScatterKind::CsrTraversal, GatherKind::BranchAvoiding);
-        assert!(pipe.spmv_with(&x, &mut y, scatter, gather, None).is_err());
-        assert!(pipe
-            .spmv_many_with(&[&x], &mut [&mut y], scatter, None)
-            .is_err());
+        let mut y1 = y.clone();
+        for width in [1, 2] {
+            let ys = &mut [&mut y[..], &mut y1[..]][..width];
+            assert!(pipe
+                .round(&[&x[..], &x[..]][..width], ys, scatter, gather, None, None)
+                .is_err());
+        }
     }
 }

@@ -11,7 +11,7 @@
 //!
 //! - how one PNG message run is **encoded** into the destination stream
 //!   ([`BinFormat::build`] / [`BinFormat::repair`]),
-//! - how the gather **decodes** it back ([`BinFormat::gather_from`] —
+//! - how the gather **decodes** it back ([`BinFormat::gather_with`] —
 //!   a per-format segment decoder feeding the one loop in `gather.rs`),
 //! - how much auxiliary memory the encoding costs
 //!   ([`BinFormat::aux_memory_bytes`], [`BinFormat::dest_stream_bytes`]).
@@ -30,13 +30,13 @@
 use crate::algebra::Algebra;
 use crate::bins::FixedBins;
 use crate::delta::DeltaPackedBins;
+use crate::engine::GatherKind;
 use crate::error::PcpmError;
-use crate::gather::{
-    gather, gather_solo, BranchAvoiding, Branchy, EntrySink, Many, Segment, SegmentDecode,
-};
+use crate::gather::{gather_any, Applied, EntrySink, Epilogue, Segment, SegmentDecode};
 use crate::kernel::{prefetch, KernelKind};
 use crate::partition::split_by_lens;
 use crate::png::{for_each_run, EdgeView, Png};
+use crate::snapshot::BinStateInner;
 use rayon::prelude::*;
 
 /// Scalars that may flow through the update bins: every
@@ -145,6 +145,21 @@ pub trait BinFormat: Send + Sync + 'static {
         crate::scatter::png_scatter(png, x, Self::updates_mut(bins));
     }
 
+    /// Every gather of this format; the three methods below are its
+    /// no-epilogue cases. Solo over the bins' own update stream when
+    /// `streams` is `None` (then `variant` picks Algorithm 4's or
+    /// Algorithm 2's pointer step), `Q`-wide over `streams` otherwise;
+    /// `epilogue` runs over each destination partition as it completes.
+    fn gather_with<A: Algebra>(
+        png: &Png,
+        bins: &Self::Bins<A::T>,
+        streams: Option<&[&[A::T]]>,
+        ys: &mut [&mut [A::T]],
+        kernel: KernelKind,
+        variant: GatherKind,
+        epilogue: Option<Epilogue<'_, A::T>>,
+    ) -> Applied;
+
     /// One gather round: reduces every message into `y` under `A`
     /// (branch-avoiding, Algorithm 4 adapted to the encoding).
     /// `kernel` selects the decode/accumulate variant (see
@@ -155,7 +170,10 @@ pub trait BinFormat: Send + Sync + 'static {
         bins: &Self::Bins<A::T>,
         y: &mut [A::T],
         kernel: KernelKind,
-    );
+    ) {
+        let variant = GatherKind::BranchAvoiding;
+        Self::gather_with::<A>(png, bins, None, &mut [y], kernel, variant, None);
+    }
 
     /// One multi-query gather round (the SpMM inner loop): decodes each
     /// destination-ID segment **once** and applies every entry to all
@@ -170,7 +188,10 @@ pub trait BinFormat: Send + Sync + 'static {
         updates: &[&[A::T]],
         ys: &mut [&mut [A::T]],
         kernel: KernelKind,
-    );
+    ) {
+        let variant = GatherKind::BranchAvoiding;
+        Self::gather_with::<A>(png, bins, Some(updates), ys, kernel, variant, None);
+    }
 
     /// The branchy-gather ablation (Algorithm 2). Only the wide format
     /// implements it; everything else reports a config error.
@@ -179,8 +200,12 @@ pub trait BinFormat: Send + Sync + 'static {
         bins: &Self::Bins<A::T>,
         y: &mut [A::T],
     ) -> Result<(), PcpmError> {
-        let _ = (png, bins, y);
-        Err(PcpmError::BadConfig(BRANCHY_NEEDS_WIDE))
+        if Self::KIND != BinFormatKind::Wide {
+            return Err(PcpmError::BadConfig(BRANCHY_NEEDS_WIDE));
+        }
+        let (kernel, variant) = (KernelKind::Scalar, GatherKind::Branchy);
+        Self::gather_with::<A>(png, bins, None, &mut [y], kernel, variant, None);
+        Ok(())
     }
 
     /// Mutable access to the update stream (the CSR-traversal scatter
@@ -202,7 +227,16 @@ pub trait BinFormat: Send + Sync + 'static {
     /// optional weight stream) for the engine-snapshot writer; the
     /// update stream is scratch and excluded.
     fn export_state<T: BinScalar>(bins: &Self::Bins<T>) -> crate::snapshot::BinState;
+
+    /// The inverse of [`BinFormat::export_state`], around a fresh update
+    /// stream of `num_updates` slots. Panics on another format's state.
+    fn import_state<T: BinScalar>(
+        state: crate::snapshot::BinState,
+        num_updates: usize,
+    ) -> Self::Bins<T>;
 }
+
+const FOREIGN_STATE: &str = "bin state exported by another format";
 
 /// Why a non-wide format refuses the branchy gather.
 pub(crate) const BRANCHY_NEEDS_WIDE: &str =
@@ -247,6 +281,9 @@ pub(crate) trait FixedDestEncode:
 
     /// Wraps a destination stream as this format's snapshot state.
     fn export_state(dest_ids: Vec<Self>, weights: Option<Vec<f32>>) -> crate::snapshot::BinState;
+
+    /// Unwraps this format's snapshot state; `None` for another's.
+    fn import_state(state: BinStateInner) -> Option<(Vec<Self>, Option<Vec<f32>>)>;
 }
 
 impl FixedDestEncode for u32 {
@@ -270,6 +307,13 @@ impl FixedDestEncode for u32 {
     fn export_state(dest_ids: Vec<u32>, weights: Option<Vec<f32>>) -> crate::snapshot::BinState {
         crate::snapshot::BinState::wide(dest_ids, weights)
     }
+
+    fn import_state(state: BinStateInner) -> Option<(Vec<u32>, Option<Vec<f32>>)> {
+        match state {
+            BinStateInner::Wide { dest_ids, weights } => Some((dest_ids, weights)),
+            _ => None,
+        }
+    }
 }
 
 impl FixedDestEncode for u16 {
@@ -292,6 +336,13 @@ impl FixedDestEncode for u16 {
     fn export_state(dest_ids: Vec<u16>, weights: Option<Vec<f32>>) -> crate::snapshot::BinState {
         crate::snapshot::BinState::compact(dest_ids, weights)
     }
+
+    fn import_state(state: BinStateInner) -> Option<(Vec<u16>, Option<Vec<f32>>)> {
+        match state {
+            BinStateInner::Compact { dest_ids, weights } => Some((dest_ids, weights)),
+            _ => None,
+        }
+    }
 }
 
 /// A fixed-width destination stream decodes unit by unit.
@@ -310,119 +361,88 @@ impl<U: FixedDestEncode> SegmentDecode for [U] {
     }
 }
 
+/// Calls `put(offset, destination partition, run, first raw edge)` for
+/// every message run of source partition `s`, where `offset` is the
+/// run's place in `s`'s region of a raw-edge-order stream.
+fn for_each_slot(
+    view: EdgeView<'_>,
+    png: &Png,
+    s: u32,
+    mut put: impl FnMut(usize, u32, &[u32], usize),
+) {
+    // Per-destination-partition write cursors, local to the region.
+    let did_off = &png.part(s).did_off;
+    let mut cursor: Vec<u64> = did_off[..did_off.len() - 1].to_vec();
+    let (src, dst) = (png.src_parts(), png.dst_parts());
+    for_each_run(view, src, dst, s, |_v, p, run, base| {
+        put(cursor[p as usize] as usize, p, run, base as usize);
+        cursor[p as usize] += run.len() as u64;
+    });
+}
+
 /// Writes the destination segments (and, when weighted, the weight
 /// segments — one combined scan) of source partition `s` into its
-/// region through `E`.
+/// region through `U`.
 fn fill_fixed_partition<U: FixedDestEncode>(
     view: EdgeView<'_>,
     png: &Png,
     s: u32,
     region: &mut [U],
-    weights: Option<(&mut [f32], &[f32])>,
+    mut weights: Option<(&mut [f32], &[f32])>,
 ) {
     let q = png.dst_parts().partition_size();
-    let part = png.part(s);
-    // Per-destination-partition write cursors, local to this region.
-    let mut cursor: Vec<u64> = part.did_off[..part.did_off.len() - 1].to_vec();
-    let mut wsplit = weights;
-    for_each_run(
-        view,
-        png.src_parts(),
-        png.dst_parts(),
-        s,
-        |_v, p, run, base| {
-            let c = cursor[p as usize] as usize;
-            U::encode_run(&mut region[c..c + run.len()], run, p * q);
-            if let Some((wregion, ew)) = wsplit.as_mut() {
-                wregion[c..c + run.len()]
-                    .copy_from_slice(&ew[base as usize..base as usize + run.len()]);
+    for_each_slot(view, png, s, |c, p, run, base| {
+        U::encode_run(&mut region[c..c + run.len()], run, p * q);
+        if let Some((wregion, ew)) = weights.as_mut() {
+            wregion[c..c + run.len()].copy_from_slice(&ew[base..base + run.len()]);
+        }
+    });
+}
+
+/// What a repair keeps of a stream it replaces: the old stream (with a
+/// destination stream, the old weights), the raw-edge region prefix
+/// *before* the repair and the per-source-partition `touched` mask.
+#[derive(Clone, Copy)]
+pub(crate) struct Kept<'a, U> {
+    pub stream: &'a [U],
+    pub weights: Option<&'a [f32]>,
+    pub did_region: &'a [u64],
+    pub touched: &'a [bool],
+}
+
+/// The shared fixed-width build and repair: allocate, split, and in
+/// parallel encode every source partition `kept` does not cover (all of
+/// them for a build) while block-copying the rest.
+fn fixed_bins<U: FixedDestEncode, T: BinScalar>(
+    view: EdgeView<'_>,
+    png: &Png,
+    edge_weights: Option<&[f32]>,
+    kept: Option<Kept<'_, U>>,
+) -> FixedBins<U, T> {
+    let updates = vec![T::default(); png.num_compressed_edges() as usize];
+    let mut dest = vec![U::default(); png.num_raw_edges() as usize];
+    let mut weights = edge_weights.map(|_| vec![0.0f32; png.num_raw_edges() as usize]);
+    let did_lens = png.did_region_lens();
+    let wregions: Vec<Option<&mut [f32]>> = match &mut weights {
+        Some(w) => split_by_lens(w, &did_lens).into_iter().map(Some).collect(),
+        None => did_lens.iter().map(|_| None).collect(),
+    };
+    split_by_lens(&mut dest, &did_lens)
+        .into_par_iter()
+        .zip(wregions)
+        .enumerate()
+        .for_each(|(s, (region, wregion))| {
+            let Some(old) = kept.filter(|kept| !kept.touched[s]) else {
+                let weights = wregion.zip(edge_weights);
+                return fill_fixed_partition::<U>(view, png, s as u32, region, weights);
+            };
+            let lo = old.did_region[s] as usize;
+            region.copy_from_slice(&old.stream[lo..lo + region.len()]);
+            if let Some(wregion) = wregion {
+                let old_w = old.weights.expect("weighted bins keep weights");
+                wregion.copy_from_slice(&old_w[lo..lo + wregion.len()]);
             }
-            cursor[p as usize] += run.len() as u64;
-        },
-    );
-}
-
-/// The shared fixed-width build: allocate, split, fill in parallel.
-fn build_fixed<U: FixedDestEncode, T: BinScalar>(
-    view: EdgeView<'_>,
-    png: &Png,
-    edge_weights: Option<&[f32]>,
-) -> FixedBins<U, T> {
-    let updates = vec![T::default(); png.num_compressed_edges() as usize];
-    let mut dest = vec![U::default(); png.num_raw_edges() as usize];
-    let mut weights = edge_weights.map(|_| vec![0.0f32; png.num_raw_edges() as usize]);
-    let did_lens = png.did_region_lens();
-    let regions = split_by_lens(&mut dest, &did_lens);
-    match (&mut weights, edge_weights) {
-        (Some(w), Some(ew)) => {
-            let wregions = split_by_lens(w, &did_lens);
-            regions
-                .into_par_iter()
-                .zip(wregions)
-                .enumerate()
-                .for_each(|(s, (region, wregion))| {
-                    fill_fixed_partition::<U>(view, png, s as u32, region, Some((wregion, ew)));
-                });
-        }
-        _ => {
-            regions.into_par_iter().enumerate().for_each(|(s, region)| {
-                fill_fixed_partition::<U>(view, png, s as u32, region, None);
-            });
-        }
-    }
-    FixedBins {
-        updates,
-        dest_ids: dest,
-        weights,
-    }
-}
-
-/// The shared fixed-width repair: touched partitions are re-encoded,
-/// untouched segments block-copied from `old_dest` / `old_weights` at
-/// their pre-repair offsets.
-fn repair_fixed<U: FixedDestEncode, T: BinScalar>(
-    old_dest: &[U],
-    old_weights: Option<&[f32]>,
-    view: EdgeView<'_>,
-    png: &Png,
-    old_did_region: &[u64],
-    touched: &[bool],
-    edge_weights: Option<&[f32]>,
-) -> FixedBins<U, T> {
-    let updates = vec![T::default(); png.num_compressed_edges() as usize];
-    let mut dest = vec![U::default(); png.num_raw_edges() as usize];
-    let mut weights = edge_weights.map(|_| vec![0.0f32; png.num_raw_edges() as usize]);
-    let did_lens = png.did_region_lens();
-    let regions = split_by_lens(&mut dest, &did_lens);
-    match (&mut weights, edge_weights) {
-        (Some(w), Some(ew)) => {
-            let old_w = old_weights.expect("weighted bins keep weights");
-            let wregions = split_by_lens(w, &did_lens);
-            regions
-                .into_par_iter()
-                .zip(wregions)
-                .enumerate()
-                .for_each(|(s, (region, wregion))| {
-                    if touched[s] {
-                        fill_fixed_partition::<U>(view, png, s as u32, region, Some((wregion, ew)));
-                    } else {
-                        let lo = old_did_region[s] as usize;
-                        region.copy_from_slice(&old_dest[lo..lo + region.len()]);
-                        wregion.copy_from_slice(&old_w[lo..lo + wregion.len()]);
-                    }
-                });
-        }
-        _ => {
-            regions.into_par_iter().enumerate().for_each(|(s, region)| {
-                if touched[s] {
-                    fill_fixed_partition::<U>(view, png, s as u32, region, None);
-                } else {
-                    let lo = old_did_region[s] as usize;
-                    region.copy_from_slice(&old_dest[lo..lo + region.len()]);
-                }
-            });
-        }
-    }
+        });
     FixedBins {
         updates,
         dest_ids: dest,
@@ -432,56 +452,29 @@ fn repair_fixed<U: FixedDestEncode, T: BinScalar>(
 
 /// Writes the per-edge weight stream in raw-edge bin order (the layout
 /// the wide format's destination IDs use; every format stores weights
-/// this way, so the gather can zip weights with decoded entries). The
-/// fixed-width formats fill weights inline with the destination scan;
-/// these helpers serve formats with their own dest geometry (delta).
-pub(crate) fn build_weight_stream(view: EdgeView<'_>, png: &Png, ew: &[f32]) -> Vec<f32> {
-    let mut w = vec![0.0f32; png.num_raw_edges() as usize];
-    let did_lens = png.did_region_lens();
-    let regions = split_by_lens(&mut w, &did_lens);
-    regions.into_par_iter().enumerate().for_each(|(s, region)| {
-        fill_weight_partition(view, png, s as u32, region, ew);
-    });
-    w
-}
-
-/// The weight-stream analogue of the fixed repair.
-pub(crate) fn repair_weight_stream(
-    old: &[f32],
+/// this way, so the gather can zip weights with decoded entries), whole
+/// or repaired around what `kept` covers. The fixed-width formats fill
+/// weights inline with the destination scan; this serves delta.
+pub(crate) fn weight_stream(
     view: EdgeView<'_>,
     png: &Png,
-    old_did_region: &[u64],
-    touched: &[bool],
     ew: &[f32],
+    kept: Option<Kept<'_, f32>>,
 ) -> Vec<f32> {
     let mut w = vec![0.0f32; png.num_raw_edges() as usize];
-    let did_lens = png.did_region_lens();
-    let regions = split_by_lens(&mut w, &did_lens);
+    let regions = split_by_lens(&mut w, &png.did_region_lens());
     regions.into_par_iter().enumerate().for_each(|(s, region)| {
-        if touched[s] {
-            fill_weight_partition(view, png, s as u32, region, ew);
-        } else {
-            let lo = old_did_region[s] as usize;
-            region.copy_from_slice(&old[lo..lo + region.len()]);
+        match kept.filter(|kept| !kept.touched[s]) {
+            None => for_each_slot(view, png, s as u32, |c, _, run, base| {
+                region[c..c + run.len()].copy_from_slice(&ew[base..base + run.len()]);
+            }),
+            Some(old) => {
+                let lo = old.did_region[s] as usize;
+                region.copy_from_slice(&old.stream[lo..lo + region.len()]);
+            }
         }
     });
     w
-}
-
-fn fill_weight_partition(view: EdgeView<'_>, png: &Png, s: u32, region: &mut [f32], ew: &[f32]) {
-    let part = png.part(s);
-    let mut cursor: Vec<u64> = part.did_off[..part.did_off.len() - 1].to_vec();
-    for_each_run(
-        view,
-        png.src_parts(),
-        png.dst_parts(),
-        s,
-        |_v, p, run, base| {
-            let c = cursor[p as usize] as usize;
-            region[c..c + run.len()].copy_from_slice(&ew[base as usize..base as usize + run.len()]);
-            cursor[p as usize] += run.len() as u64;
-        },
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -525,7 +518,7 @@ impl<U: FixedDestEncode> BinFormat for FixedFormat<U> {
             U::KIND,
             U::MAX_PARTITION
         );
-        build_fixed(view, png, weights)
+        fixed_bins(view, png, weights, None)
     }
 
     fn repair<T: BinScalar>(
@@ -536,51 +529,28 @@ impl<U: FixedDestEncode> BinFormat for FixedFormat<U> {
         touched: &[bool],
         weights: Option<&[f32]>,
     ) {
-        *bins = repair_fixed(
-            &bins.dest_ids,
-            bins.weights.as_deref(),
-            view,
-            png,
-            old_did_region,
+        let kept = Kept {
+            stream: &bins.dest_ids[..],
+            weights: bins.weights.as_deref(),
+            did_region: old_did_region,
             touched,
-            weights,
-        );
+        };
+        *bins = fixed_bins(view, png, weights, Some(kept));
     }
 
-    fn gather_from<A: Algebra>(
+    fn gather_with<A: Algebra>(
         png: &Png,
         bins: &FixedBins<U, A::T>,
-        y: &mut [A::T],
-        kernel: KernelKind,
-    ) {
-        let (dest, weights) = (&bins.dest_ids[..], bins.weights.as_deref());
-        gather_solo::<A, _, BranchAvoiding>(png, dest, weights, &bins.updates, y, kernel);
-    }
-
-    fn gather_many_from<A: Algebra>(
-        png: &Png,
-        bins: &FixedBins<U, A::T>,
-        updates: &[&[A::T]],
+        streams: Option<&[&[A::T]]>,
         ys: &mut [&mut [A::T]],
         kernel: KernelKind,
-    ) {
-        let (dest, weights) = (&bins.dest_ids[..], bins.weights.as_deref());
-        gather::<A, _, Many<_>, BranchAvoiding>(png, dest, weights, updates, ys, kernel);
-    }
-
-    fn gather_branchy_from<A: Algebra>(
-        png: &Png,
-        bins: &FixedBins<U, A::T>,
-        y: &mut [A::T],
-    ) -> Result<(), PcpmError> {
-        if U::KIND != BinFormatKind::Wide {
-            return Err(PcpmError::BadConfig(BRANCHY_NEEDS_WIDE));
-        }
-        // Always the plain loop: the ablation exists to measure the
-        // per-entry branch, which unrolling would blur.
-        let (dest, weights) = (&bins.dest_ids[..], bins.weights.as_deref());
-        gather_solo::<A, _, Branchy>(png, dest, weights, &bins.updates, y, KernelKind::Scalar);
-        Ok(())
+        variant: GatherKind,
+        epilogue: Option<Epilogue<'_, A::T>>,
+    ) -> Applied {
+        let (dest, weights, own) = (&bins.dest_ids[..], bins.weights.as_deref(), &bins.updates);
+        gather_any::<A, _>(
+            png, dest, weights, own, streams, ys, kernel, variant, epilogue,
+        )
     }
 
     fn updates_mut<T: BinScalar>(bins: &mut FixedBins<U, T>) -> &mut [T] {
@@ -601,6 +571,18 @@ impl<U: FixedDestEncode> BinFormat for FixedFormat<U> {
 
     fn export_state<T: BinScalar>(bins: &FixedBins<U, T>) -> crate::snapshot::BinState {
         U::export_state(bins.dest_ids.clone(), bins.weights.clone())
+    }
+
+    fn import_state<T: BinScalar>(
+        state: crate::snapshot::BinState,
+        num_updates: usize,
+    ) -> FixedBins<U, T> {
+        let (dest_ids, weights) = U::import_state(state.0).expect(FOREIGN_STATE);
+        FixedBins {
+            updates: vec![T::default(); num_updates],
+            dest_ids,
+            weights,
+        }
     }
 }
 
@@ -631,25 +613,19 @@ impl BinFormat for DeltaFormat {
         bins.repair(view, png, old_did_region, touched, weights);
     }
 
-    fn gather_from<A: Algebra>(
+    fn gather_with<A: Algebra>(
         png: &Png,
         bins: &DeltaPackedBins<A::T>,
-        y: &mut [A::T],
-        kernel: KernelKind,
-    ) {
-        let weights = bins.weights.as_deref();
-        gather_solo::<A, _, BranchAvoiding>(png, bins, weights, &bins.updates, y, kernel);
-    }
-
-    fn gather_many_from<A: Algebra>(
-        png: &Png,
-        bins: &DeltaPackedBins<A::T>,
-        updates: &[&[A::T]],
+        streams: Option<&[&[A::T]]>,
         ys: &mut [&mut [A::T]],
         kernel: KernelKind,
-    ) {
-        let weights = bins.weights.as_deref();
-        gather::<A, _, Many<_>, BranchAvoiding>(png, bins, weights, updates, ys, kernel);
+        variant: GatherKind,
+        epilogue: Option<Epilogue<'_, A::T>>,
+    ) -> Applied {
+        let (weights, own) = (bins.weights.as_deref(), &bins.updates);
+        gather_any::<A, _>(
+            png, bins, weights, own, streams, ys, kernel, variant, epilogue,
+        )
     }
 
     fn updates_mut<T: BinScalar>(bins: &mut DeltaPackedBins<T>) -> &mut [T] {
@@ -670,6 +646,23 @@ impl BinFormat for DeltaFormat {
 
     fn export_state<T: BinScalar>(bins: &DeltaPackedBins<T>) -> crate::snapshot::BinState {
         bins.export_state()
+    }
+
+    fn import_state<T: BinScalar>(
+        state: crate::snapshot::BinState,
+        num_updates: usize,
+    ) -> DeltaPackedBins<T> {
+        let BinStateInner::Delta {
+            dest_bytes,
+            byte_region,
+            seg_off,
+            weights,
+        } = state.0
+        else {
+            panic!("{FOREIGN_STATE}");
+        };
+        let updates = vec![T::default(); num_updates];
+        DeltaPackedBins::from_loaded(updates, dest_bytes, byte_region, seg_off, weights)
     }
 }
 

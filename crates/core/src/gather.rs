@@ -24,13 +24,61 @@
 //! Entries are applied in bin order on every path, so output is
 //! bit-identical across formats, kernels and batch widths for any
 //! [`Algebra`].
+//!
+//! # The per-partition epilogue
+//!
+//! Algorithm 4 does not return a vector of sums: the worker that owns
+//! destination partition `p` finishes it by applying the damping and the
+//! out-degree division while `p`'s accumulators are still in its cache.
+//! Handed an [`Epilogue`], [`gather`] does the same: after the last
+//! segment `(k_src - 1, p)` the caller's closure receives `p`'s slice of
+//! every output and of the caller's per-node state as a [`Finished`]
+//! range. It may overwrite those slices and reports one `f64` per query;
+//! it sees nothing else, so partitions still never share a byte. The
+//! partials are summed per query in ascending partition order: grouped
+//! by the layout, never by the scheduler. [`apply_parts`] is that loop
+//! without the segments, for dataplanes that have no partitions.
 
 use crate::algebra::Algebra;
+use crate::engine::GatherKind;
 use crate::kernel::KernelKind;
 use crate::partition::split_by_lens;
 use crate::png::Png;
 use rayon::prelude::*;
 use std::ops::Range;
+use std::time::Duration;
+
+/// One destination range whose sums are final, as an [`Epilogue`]'s
+/// closure receives it. Every slice spans exactly [`Finished::nodes`].
+pub struct Finished<'a, T> {
+    /// The destination nodes the slices cover.
+    pub nodes: Range<usize>,
+    /// Each query's gathered values; what the closure leaves here is what
+    /// the caller's output vector holds afterwards.
+    pub outputs: Vec<&'a mut [T]>,
+    /// Each query's slice of the caller's per-node state.
+    pub state: Vec<&'a mut [T]>,
+    /// One slot per query for the range's partial (zero on entry).
+    pub partials: &'a mut [f64],
+}
+
+/// The closure an [`Epilogue`] runs, once per destination range, on the
+/// worker that finished the range.
+pub type ApplyFn<'a, T> = dyn Fn(Finished<'_, T>) + Sync + 'a;
+
+/// A caller's apply step, run inside the gather's partition loop. Built
+/// by [`Engine::step_many_with`](crate::backend::Engine::step_many_with).
+pub struct Epilogue<'a, T> {
+    /// The engine's destination-partition lengths, for a dataplane
+    /// that has no partitions of its own to apply over.
+    pub(crate) lens: &'a [usize],
+    pub(crate) state: Vec<&'a mut [T]>,
+    pub(crate) apply: &'a ApplyFn<'a, T>,
+}
+
+/// What an [`Epilogue`] produced: per query, the ranges' partials summed
+/// in ascending range order; and the closure's time, summed over ranges.
+pub type Applied = (Vec<f64>, Duration);
 
 /// One `(source partition, destination partition)` bin segment.
 pub(crate) struct Segment {
@@ -172,6 +220,10 @@ pub(crate) trait Accumulator<'a, A: Algebra> {
 
     /// Reduces the segment's `up`-th update into offset `local`.
     fn add<W: Weight>(&mut self, local: usize, up: usize, w: W);
+
+    /// Hands the output slices back, in query order, once the last
+    /// segment is in.
+    fn finish(self) -> Vec<&'a mut [A::T]>;
 }
 
 /// Width 1: the solo gather.
@@ -205,6 +257,10 @@ impl<'a, A: Algebra> Accumulator<'a, A> for Solo<'a, A::T> {
     fn add<W: Weight>(&mut self, local: usize, up: usize, w: W) {
         let slot = &mut self.y[local];
         *slot = A::combine(*slot, w.extend::<A>(self.seg[up]));
+    }
+
+    fn finish(self) -> Vec<&'a mut [A::T]> {
+        vec![self.y]
     }
 }
 
@@ -241,6 +297,10 @@ impl<'a, A: Algebra> Accumulator<'a, A> for Many<'a, A::T> {
             let slot = &mut y[local];
             *slot = A::combine(*slot, w.extend::<A>(us[self.ulo + up]));
         }
+    }
+
+    fn finish(self) -> Vec<&'a mut [A::T]> {
+        self.ys
     }
 }
 
@@ -339,10 +399,62 @@ fn split_queries_by_parts<'a, T>(ys: &'a mut [&mut [T]], lens: &[usize]) -> Vec<
     per_part
 }
 
+/// Runs `body` on every destination range (`lens` consecutive node
+/// counts) with that range's slice of every output, in parallel over
+/// ranges, then, on the same worker, the epilogue over what `body` hands
+/// back. The partition loop of [`gather`]; with an identity `body`, the
+/// whole apply pass of a dataplane that has no partitions.
+pub(crate) fn apply_parts<'a, T: Send + Sync>(
+    lens: &[usize],
+    ys: &'a mut [&mut [T]],
+    epilogue: Option<Epilogue<'_, T>>,
+    body: impl Fn(usize, Vec<&'a mut [T]>) -> Vec<&'a mut [T]> + Sync,
+) -> Applied {
+    let ys_parts = split_queries_by_parts(ys, lens);
+    let Some(Epilogue {
+        mut state, apply, ..
+    }) = epilogue
+    else {
+        ys_parts.into_par_iter().enumerate().for_each(|(p, ys_p)| {
+            body(p, ys_p);
+        });
+        return Applied::default();
+    };
+    let width = state.len();
+    let mut partials = vec![0.0f64; lens.len() * width];
+    let starts: Vec<usize> = lens
+        .iter()
+        .scan(0, |next, &len| Some(std::mem::replace(next, *next + len)))
+        .collect();
+    let busy_ns: u64 = ys_parts
+        .into_par_iter()
+        .zip(split_queries_by_parts(&mut state, lens))
+        .zip(partials.chunks_mut(width.max(1)).collect::<Vec<_>>())
+        .enumerate()
+        .map(|(p, ((ys_p, state_p), partials_p))| {
+            let outputs = body(p, ys_p);
+            let t0 = crate::telemetry::stopwatch();
+            apply(Finished {
+                nodes: starts[p]..starts[p] + lens[p],
+                outputs,
+                state: state_p,
+                partials: partials_p,
+            });
+            t0.elapsed().as_nanos() as u64
+        })
+        .sum();
+    let total = |q| partials.iter().skip(q).step_by(width).sum();
+    (
+        (0..width).map(total).collect(),
+        Duration::from_nanos(busy_ns),
+    )
+}
+
 /// One gather round: `ys[q] = ⊕ Aᵀ·(what was scattered into updates[q])`
 /// for every query, reading and decoding the destination stream `dest`
-/// once. `updates[q]` must have the layout `png_scatter` writes;
-/// `weights` is the raw-edge-order weight stream of weighted bins.
+/// once, then `epilogue` over each partition as it completes.
+/// `updates[q]` must have the layout `png_scatter` writes; `weights` is
+/// the raw-edge-order weight stream of weighted bins.
 ///
 /// [`KernelKind::Unrolled`] keeps the next segment's head in flight and
 /// lets the accumulator iterate four entries per trip; any other value
@@ -359,7 +471,9 @@ pub(crate) fn gather<'a, A, D, Acc, P>(
     updates: &'a [&'a [A::T]],
     ys: &'a mut [&mut [A::T]],
     kernel: KernelKind,
-) where
+    epilogue: Option<Epilogue<'_, A::T>>,
+) -> Applied
+where
     A: Algebra,
     D: SegmentDecode + ?Sized,
     Acc: Accumulator<'a, A>,
@@ -378,39 +492,54 @@ pub(crate) fn gather<'a, A, D, Acc, P>(
     }
     let unrolled = kernel == KernelKind::Unrolled;
     let k_src = png.src_parts().num_partitions();
-    split_queries_by_parts(ys, &png.dst_parts().lens())
-        .into_par_iter()
-        .enumerate()
-        .for_each(|(p, ys_p)| {
-            let mut acc = Acc::new(updates, ys_p);
-            let mut scratch = D::Scratch::default();
-            for s in 0..k_src {
-                let (seg, upd) = Segment::locate(png, s, p);
-                if unrolled && s + 1 < k_src {
-                    dest.prefetch(&Segment::locate(png, s + 1, p).0);
-                }
-                acc.seek(upd);
-                let mut sink = Apply::<A, Acc, P> {
-                    acc: &mut acc,
-                    weights: weights.map(|w| &w[seg.raw.clone()]),
-                    chunked: unrolled && Acc::UNROLL,
-                    _variant: std::marker::PhantomData,
-                };
-                dest.decode(&seg, kernel, &mut scratch, &mut sink);
+    apply_parts(&png.dst_parts().lens(), ys, epilogue, |p, ys_p| {
+        let mut acc = Acc::new(updates, ys_p);
+        let mut scratch = D::Scratch::default();
+        for s in 0..k_src {
+            let (seg, upd) = Segment::locate(png, s, p);
+            if unrolled && s + 1 < k_src {
+                dest.prefetch(&Segment::locate(png, s + 1, p).0);
             }
-        });
+            acc.seek(upd);
+            let mut sink = Apply::<A, Acc, P> {
+                acc: &mut acc,
+                weights: weights.map(|w| &w[seg.raw.clone()]),
+                chunked: unrolled && Acc::UNROLL,
+                _variant: std::marker::PhantomData,
+            };
+            dest.decode(&seg, kernel, &mut scratch, &mut sink);
+        }
+        acc.finish()
+    })
 }
 
-/// The width-1 round: `y = ⊕ Aᵀ·(what was scattered into updates)`.
-pub(crate) fn gather_solo<A: Algebra, D: SegmentDecode + ?Sized, P: Advance>(
+/// Every gather a bin format offers, over its destination stream `dest`:
+/// solo over the bins' `own` update stream (`variant` picks the pointer
+/// step), or `Q`-wide over `streams`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gather_any<A: Algebra, D: SegmentDecode + ?Sized>(
     png: &Png,
     dest: &D,
     weights: Option<&[f32]>,
-    updates: &[A::T],
-    y: &mut [A::T],
+    own: &[A::T],
+    streams: Option<&[&[A::T]]>,
+    ys: &mut [&mut [A::T]],
     kernel: KernelKind,
-) {
-    gather::<A, D, Solo<A::T>, P>(png, dest, weights, &[updates], &mut [y], kernel);
+    variant: GatherKind,
+    epilogue: Option<Epilogue<'_, A::T>>,
+) -> Applied {
+    let solo = &[own][..];
+    match (streams, variant) {
+        (Some(streams), _) => gather::<A, D, Many<A::T>, BranchAvoiding>(
+            png, dest, weights, streams, ys, kernel, epilogue,
+        ),
+        (None, GatherKind::BranchAvoiding) => gather::<A, D, Solo<A::T>, BranchAvoiding>(
+            png, dest, weights, solo, ys, kernel, epilogue,
+        ),
+        (None, GatherKind::Branchy) => {
+            gather::<A, D, Solo<A::T>, Branchy>(png, dest, weights, solo, ys, kernel, epilogue)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -469,6 +598,8 @@ mod tests {
                 let mut y = vec![stale; n];
                 F::gather_from::<A>(png, &bins, &mut y, kernel);
                 assert_eq!(&y, want, "{}", label(&format!("solo {kernel}")));
+                let want = std::slice::from_ref(want);
+                check_epilogue::<A, F>(png, &bins, None, want, kernel, stale);
             }
             let mut y = vec![stale; n];
             match F::gather_branchy_from::<A>(png, &bins, &mut y) {
@@ -490,7 +621,65 @@ mod tests {
             let mut outs: Vec<&mut [A::T]> = ys.iter_mut().map(Vec::as_mut_slice).collect();
             F::gather_many_from::<A>(png, &bins, &updates, &mut outs, kernel);
             assert_eq!(&ys[..], &want[..], "{}", label(&format!("many {kernel}")));
+            check_epilogue::<A, F>(png, &bins, Some(&updates), want, kernel, stale);
         }
+    }
+
+    /// The same gather with an epilogue, over poisoned outputs and
+    /// state: the closure must find each range's sums final (so the
+    /// poison was overwritten first), see ranges that tile `0..n` — every
+    /// node exactly once — and have what it writes into the outputs,
+    /// the state and the partials reach the caller.
+    fn check_epilogue<A: Algebra, F: BinFormat>(
+        png: &Png,
+        bins: &F::Bins<A::T>,
+        streams: Option<&[&[A::T]]>,
+        want: &[Vec<A::T>],
+        kernel: KernelKind,
+        stale: A::T,
+    ) {
+        let n = png.dst_parts().num_nodes() as usize;
+        let mut ys = vec![vec![stale; n]; want.len()];
+        let mut state = ys.clone();
+        let seen = std::sync::Mutex::new(Vec::new());
+        let apply = |done: Finished<'_, A::T>| {
+            seen.lock().unwrap().push(done.nodes.clone());
+            let queries = done.outputs.into_iter().zip(done.state).zip(want);
+            for (((y, state), want), partial) in queries.zip(done.partials) {
+                assert_eq!(*y, want[done.nodes.clone()], "sums of {:?}", done.nodes);
+                state.copy_from_slice(y);
+                y.fill(stale);
+                *partial = done.nodes.len() as f64;
+            }
+        };
+        let epilogue = Epilogue {
+            lens: &[],
+            state: state.iter_mut().map(Vec::as_mut_slice).collect(),
+            apply: &apply,
+        };
+        let mut outs: Vec<&mut [A::T]> = ys.iter_mut().map(Vec::as_mut_slice).collect();
+        let variant = GatherKind::BranchAvoiding;
+        let applied = F::gather_with::<A>(
+            png,
+            bins,
+            streams,
+            &mut outs,
+            kernel,
+            variant,
+            Some(epilogue),
+        );
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_by_key(|r| r.start);
+        let parts = png.dst_parts();
+        let tiles: Vec<_> = parts.iter().map(|p| parts.range(p)).collect();
+        let tiles: Vec<_> = tiles
+            .iter()
+            .map(|r| r.start as usize..r.end as usize)
+            .collect();
+        assert_eq!(seen, tiles, "{} {kernel}", F::KIND);
+        assert_eq!(state, want, "{} {kernel}", F::KIND);
+        assert!(ys.iter().flatten().all(|y| *y == stale), "in-place writes");
+        assert_eq!(applied.0, vec![n as f64; want.len()]);
     }
 
     /// {wide, compact, delta} × {scalar, unrolled} × {Q = 1, Q = 3}
@@ -575,6 +764,12 @@ mod tests {
             DeltaFormat::dest_stream_bytes(&delta) >= 3 * 8,
             "eight of the ten destinations take three bytes"
         );
+    }
+
+    #[test]
+    fn empty_graph_runs_no_epilogue() {
+        let g = Csr::from_edges(0, &[]).unwrap();
+        check_layout::<PlusF32>(&g, 16, &[vec![], vec![], vec![]], 99.0);
     }
 
     #[test]

@@ -67,6 +67,7 @@ pub mod config;
 pub mod delta;
 pub mod engine;
 pub mod error;
+pub mod fixed_point;
 pub mod format;
 mod gather;
 pub mod kernel;
@@ -89,6 +90,7 @@ pub use engine::{FormatPipeline, GatherKind, ScatterKind};
 pub use error::PcpmError;
 pub use error::SnapshotError;
 pub use format::{BinFormat, BinFormatKind, CompactFormat, DeltaFormat, WideFormat};
+pub use gather::{Applied, ApplyFn, Epilogue, Finished};
 pub use kernel::KernelKind;
 pub use partition::Partitioner;
 pub use png::Png;

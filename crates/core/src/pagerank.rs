@@ -1,13 +1,14 @@
 //! PCPM PageRank driver (Algorithms 2–4 end to end) on the unified
 //! [`Engine`] API.
 //!
-//! Implements the iteration of Eq. 1 with the *scaled-value* convention of
-//! Algorithm 2: the propagated array `x` holds `PR(v) / |No(v)|`, so the
-//! scatter phase copies values verbatim and the apply phase folds both the
-//! damping update and the next iteration's out-degree division into one
-//! parallel pass. Dangling nodes propagate nothing; their mass is dropped
-//! (the paper's convention) unless
-//! [`PcpmConfig::redistribute_dangling`] is set.
+//! Implements the iteration of Eq. 1 as an instance of the one
+//! [`fixed_point`] driver, with the *scaled-value* convention of
+//! Algorithm 2: the propagated array holds `PR(v) / |No(v)|`, so the
+//! scatter phase copies values verbatim, and the damping update and the
+//! next iteration's out-degree division happen inside the gather, on
+//! each partition as it completes (Algorithm 4). Dangling nodes
+//! propagate nothing; their mass is dropped (the paper's convention)
+//! unless [`PcpmConfig::redistribute_dangling`] is set.
 //!
 //! [`pagerank_on`] runs the same driver over any [`BackendKind`] — the
 //! apples-to-apples kernel comparison the paper's Fig. 7 makes.
@@ -17,9 +18,9 @@ use crate::backend::{BackendKind, Engine};
 use crate::config::PcpmConfig;
 use crate::engine::{GatherKind, ScatterKind};
 use crate::error::PcpmError;
-use crate::pr::{PhaseTimings, PrResult};
+use crate::fixed_point::{fixed_point, FixedPoint};
+use crate::pr::PrResult;
 use pcpm_graph::Csr;
-use rayon::prelude::*;
 
 /// Phase-implementation choices for ablation studies.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -123,6 +124,13 @@ pub fn pagerank_warm_start(
     pagerank_with_unified_engine(graph, cfg, &mut engine, Some(initial))
 }
 
+/// `1 / out-degree` per node, zero for a dangling one: the scale that
+/// turns a PageRank value into what the node propagates.
+pub fn inverse_out_degrees(graph: &Csr) -> Vec<f32> {
+    let inverse = |d: u32| if d == 0 { 0.0 } else { 1.0 / d as f32 };
+    graph.out_degrees().into_iter().map(inverse).collect()
+}
+
 /// Runs PageRank on a pre-built unified engine (lets callers amortize
 /// pre-processing across runs, or inject an external [`crate::Backend`]).
 pub fn pagerank_with_unified_engine(
@@ -131,136 +139,22 @@ pub fn pagerank_with_unified_engine(
     engine: &mut Engine<PlusF32>,
     initial: Option<&[f32]>,
 ) -> Result<PrResult, PcpmError> {
-    let n = graph.num_nodes() as usize;
-    if engine.num_src() as usize != n || engine.num_dst() as usize != n {
-        return Err(PcpmError::DimensionMismatch {
-            expected: n,
-            got: engine.num_src() as usize,
-        });
-    }
     cfg.validate()?;
-    let report = engine.report();
-    // The whole loop runs on the engine-owned pool: step, apply and
-    // dangling phases share it, keeping thread-pinned runs deterministic.
-    let core = engine.run(|engine| iterate(graph, cfg, initial, |x, y| engine.step(x, y)))?;
-    Ok(assemble(core, report.preprocess, report.compression_ratio))
-}
-
-/// Everything the iteration loop produces before the engine report is
-/// folded in.
-struct DriverCore {
-    scores: Vec<f32>,
-    iterations: usize,
-    converged: bool,
-    last_delta: f64,
-    timings: PhaseTimings,
-}
-
-fn assemble(
-    core: DriverCore,
-    preprocess: std::time::Duration,
-    compression_ratio: Option<f64>,
-) -> PrResult {
-    PrResult {
-        scores: core.scores,
-        iterations: core.iterations,
-        converged: core.converged,
-        last_delta: core.last_delta,
-        timings: core.timings,
-        preprocess,
-        compression_ratio,
-    }
-}
-
-/// The damping / dangling / convergence loop, generic over the step.
-fn iterate<F>(
-    graph: &Csr,
-    cfg: &PcpmConfig,
-    initial: Option<&[f32]>,
-    mut step: F,
-) -> Result<DriverCore, PcpmError>
-where
-    F: FnMut(&[f32], &mut [f32]) -> Result<PhaseTimings, PcpmError>,
-{
     let n = graph.num_nodes() as usize;
-    if n == 0 {
-        return Ok(DriverCore {
-            scores: vec![],
-            iterations: 0,
-            converged: true,
-            last_delta: 0.0,
-            timings: PhaseTimings::default(),
-        });
-    }
     let damping = cfg.damping as f32;
     let base = ((1.0 - cfg.damping) / n as f64) as f32;
-    let out_deg = graph.out_degrees();
-    let inv_deg: Vec<f32> = out_deg
-        .iter()
-        .map(|&d| if d == 0 { 0.0 } else { 1.0 / d as f32 })
-        .collect();
-
-    let mut pr: Vec<f32> = match initial {
-        Some(init) => init.to_vec(),
-        None => vec![1.0 / n as f32; n],
+    let spec = FixedPoint {
+        scale: &inverse_out_degrees(graph),
+        max_iterations: cfg.iterations,
+        tolerance: cfg.tolerance,
+        dangling: cfg.redistribute_dangling,
     };
-    // Scaled propagation values x[v] = PR(v) / |No(v)|.
-    let mut x: Vec<f32> = pr.iter().zip(&inv_deg).map(|(&p, &i)| p * i).collect();
-    let mut sums: Vec<f32> = vec![0.0; n];
-
-    let mut timings = PhaseTimings::default();
-    let mut iterations = 0usize;
-    let mut converged = false;
-    let mut last_delta = f64::INFINITY;
-
-    for _ in 0..cfg.iterations {
-        timings += step(&x, &mut sums)?;
-        iterations += 1;
-
-        let t0 = crate::telemetry::stopwatch();
-        let dangling_bonus = if cfg.redistribute_dangling {
-            let mass: f64 = pr
-                .par_iter()
-                .zip(&out_deg)
-                .filter(|(_, &d)| d == 0)
-                .map(|(&p, _)| f64::from(p))
-                .sum();
-            (cfg.damping * mass / n as f64) as f32
-        } else {
-            0.0
-        };
-        let delta: f64 = pr
-            .par_iter_mut()
-            .zip(&sums)
-            .map(|(p, &s)| {
-                let new = base + damping * s + dangling_bonus;
-                let d = f64::from((new - *p).abs());
-                *p = new;
-                d
-            })
-            .sum();
-        x.par_iter_mut()
-            .zip(&pr)
-            .zip(&inv_deg)
-            .for_each(|((xv, &p), &i)| *xv = p * i);
-        timings.apply += t0.elapsed();
-
-        last_delta = delta;
-        if let Some(tol) = cfg.tolerance {
-            if delta < tol {
-                converged = true;
-                break;
-            }
-        }
-    }
-
-    Ok(DriverCore {
-        scores: pr,
-        iterations,
-        converged,
-        last_delta,
-        timings,
-    })
+    let initial = initial.map_or_else(|| vec![1.0 / n as f32; n], <[f32]>::to_vec);
+    let mut runs = fixed_point(engine, &spec, vec![initial], |_, dangling| {
+        let bonus = (cfg.damping * dangling / n as f64) as f32;
+        move |sum, _, _| base + damping * sum + bonus
+    })?;
+    Ok(runs.remove(0))
 }
 
 #[cfg(test)]

@@ -129,7 +129,7 @@ impl SpmvMatrix {
     pub fn engine(&self, cfg: &PcpmConfig) -> Result<Engine<PlusF32>, PcpmError> {
         cfg.validate()?;
         // One engine-owned pool for prepare and every step.
-        Engine::from_backend_with(cfg.threads, self.num_cols, self.num_rows, || {
+        Engine::from_backend_with(cfg, self.num_cols, self.num_rows, || {
             let (scatter, gather) = (ScatterKind::default(), GatherKind::default());
             boxed_pcpm_backend(self.view(), cfg, Some(&self.values), scatter, gather, None)
         })

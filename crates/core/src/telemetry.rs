@@ -57,10 +57,8 @@
 //! | --- | --- | --- |
 //! | `prepare` | PNG build + bin construction + kernel resolution | `Engine::prepare` |
 //! | `repair` | incremental PNG/bin repair after an update batch (arg: touched partitions) | `Engine::update` |
-//! | `scatter` | the PCPM scatter phase of one step | `Engine::step` |
-//! | `gather` | the PCPM gather phase of one step | `Engine::step` |
-//! | `scatter_many` | scatter across a whole query batch | `Engine::step_many` |
-//! | `gather_many` | gather across a whole query batch | `Engine::step_many` |
+//! | `scatter` | the PCPM scatter phase of one round, whatever its width (the enclosing `step` / `step_many` span tells) | `FormatPipeline::round` |
+//! | `gather` | the PCPM gather phase of one round, the in-partition apply included | `FormatPipeline::round` |
 //! | `step` | one backend-dispatched SpMV step (arg: step index) | `DynBackend::step` |
 //! | `step_many` | one backend-dispatched SpMM pass (arg: batch width) | `DynBackend::step_many` |
 //! | `update` | one mutation batch applied through the backend | `DynBackend::update` |
@@ -401,13 +399,11 @@ impl Drop for SpanGuard {
 /// site. See the module docs' span taxonomy table for what each one
 /// covers. `pcpm-lint` checks call sites against this registry, so
 /// adding a span means adding it here *and* to the table.
-pub const SPAN_NAMES: [&str; 10] = [
+pub const SPAN_NAMES: [&str; 8] = [
     "prepare",
     "repair",
     "scatter",
     "gather",
-    "scatter_many",
-    "gather_many",
     "step",
     "step_many",
     "update",

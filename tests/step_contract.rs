@@ -2,21 +2,32 @@
 //! buffer (re-initializing it to the algebra's identity) — it never
 //! accumulates into whatever the caller left there.
 //!
-//! The PageRank driver relies on this: `iterate` reuses one unzeroed
-//! `sums` buffer across every iteration (`crates/core/src/pagerank.rs`),
-//! which is only correct if every dataplane starts each round from the
-//! identity. This suite poisons the buffer with garbage before each
-//! step, for every `BackendKind` × bin format, the ablation variants,
-//! the baseline runner engines and an integer algebra — turning the
-//! driver's buffer reuse into an asserted contract instead of a silent
-//! assumption.
+//! The fixed-point driver relies on this: each round gathers into the
+//! vector the round before it propagated from
+//! (`crates/core/src/fixed_point.rs` swaps the two), which is only
+//! correct if every dataplane starts each round from the identity. This
+//! suite poisons the buffer with garbage before each step, for every
+//! `BackendKind` × bin format, the ablation variants, the baseline
+//! runner engines and an integer algebra — turning the driver's buffer
+//! reuse into an asserted contract instead of a silent assumption.
+//!
+//! The second half pins what the fixed-point driver relies on since the
+//! apply step moved into the gather: `Engine::step_many_with` hands its
+//! closure every destination node exactly once, in ranges that tile
+//! `0..n`, after that range's sums are final; the multi-query update
+//! streams an engine keeps between rounds never leak one round into the
+//! next; and a batch run through the one driver gives every query the
+//! scores and the iteration count it gets alone.
 
 use pcpm::core::algebra::{MinLabel, PlusF32};
 use pcpm::core::engine::{GatherKind, ScatterKind};
+use pcpm::core::Finished;
 use pcpm::prelude::*;
+use std::ops::Range;
+use std::sync::{Arc, Mutex};
 
 mod common;
-use common::format_matrix;
+use common::{format_matrix, kernel_matrix};
 
 fn int_x(n: u32) -> Vec<f32> {
     (0..n).map(|v| (v % 13) as f32).collect()
@@ -137,4 +148,225 @@ fn snapshot_loaded_engines_keep_the_overwrite_contract() {
         let mut engine = Engine::<PlusF32>::from_snapshot(&path).unwrap();
         assert_overwrites(&format!("snapshot/{format}"), &mut engine, &x, n);
     }
+}
+
+/// Every engine the epilogue contract covers over `g` at `threads`
+/// workers: PCPM in each format and kernel, and the pull backend.
+fn epilogue_engines(g: &Csr, partition_bytes: usize, threads: usize) -> Vec<Engine<PlusF32>> {
+    let base = PcpmConfig::default()
+        .with_partition_bytes(partition_bytes)
+        .with_threads(threads);
+    let mut engines = Vec::new();
+    for format in format_matrix() {
+        for kernel in kernel_matrix() {
+            let cfg = base.with_bin_format(format).with_kernel(kernel);
+            engines.push(Engine::builder(g).config(cfg).build().unwrap());
+        }
+    }
+    let pull = Engine::builder(g).config(base).backend(BackendKind::Pull);
+    engines.push(pull.build().unwrap());
+    engines
+}
+
+/// Runs one `step_many_with` of width `width` over poisoned outputs and
+/// state. The closure checks that each range it is handed already holds
+/// the final sums, moves them into the state and leaves `-1` behind, so
+/// afterwards: the ranges tile `0..n` in `partition_nodes` steps (every
+/// node exactly once), the state equals a plain `step`, the outputs are
+/// what the closure wrote, and each query's total is the node count.
+fn assert_epilogue_contract(engine: &mut Engine<PlusF32>, partition_nodes: usize, width: usize) {
+    let n = engine.num_dst() as usize;
+    let m = engine.metrics();
+    let name = format!("{} {:?} {:?} width {width}", m.name, m.bin_format, m.kernel);
+    let xs: Vec<Vec<f32>> = (0..width as u32)
+        .map(|q| (0..n as u32).map(|v| ((v + q) % 13) as f32).collect())
+        .collect();
+    let want: Vec<Vec<f32>> = (xs.iter())
+        .map(|x| {
+            let mut y = vec![0.0f32; n];
+            engine.step(x, &mut y).unwrap();
+            y
+        })
+        .collect();
+    let mut ys = vec![vec![f32::NAN; n]; width];
+    let mut state = ys.clone();
+    let seen: Mutex<Vec<Range<usize>>> = Mutex::new(Vec::new());
+    let apply = |done: Finished<'_, f32>| {
+        seen.lock().unwrap().push(done.nodes.clone());
+        let queries = done.outputs.into_iter().zip(done.state).zip(&want);
+        for (((y, state), want), partial) in queries.zip(done.partials) {
+            assert_eq!(
+                *y,
+                want[done.nodes.clone()],
+                "{name}: sums of {:?}",
+                done.nodes
+            );
+            state.copy_from_slice(y);
+            y.fill(-1.0);
+            *partial = done.nodes.len() as f64;
+        }
+    };
+    let x_refs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
+    let mut y_refs: Vec<&mut [f32]> = ys.iter_mut().map(Vec::as_mut_slice).collect();
+    let mut state_refs: Vec<&mut [f32]> = state.iter_mut().map(Vec::as_mut_slice).collect();
+    let (_, totals) = engine
+        .step_many_with(&x_refs, &mut y_refs, &mut state_refs, &apply)
+        .unwrap();
+    let mut seen = seen.into_inner().unwrap();
+    seen.sort_by_key(|r| r.start);
+    let tiles: Vec<Range<usize>> = (0..n)
+        .step_by(partition_nodes)
+        .map(|lo| lo..n.min(lo + partition_nodes))
+        .collect();
+    assert_eq!(seen, tiles, "{name}");
+    assert_eq!(state, want, "{name}");
+    assert!(ys.iter().flatten().all(|&y| y == -1.0), "{name}");
+    assert_eq!(totals, vec![n as f64; width], "{name}");
+}
+
+#[test]
+fn the_epilogue_sees_every_node_once_after_its_sums_are_final() {
+    let rmat = pcpm::graph::gen::rmat(&RmatConfig::graph500(9, 8, 13)).unwrap();
+    let empty = Csr::from_edges(0, &[]).unwrap();
+    // 64-node partitions (k = 8, the last one full), one partition that
+    // holds the whole graph (k = 1), and no partition at all.
+    for (g, partition_bytes) in [(&rmat, 64 * 4), (&rmat, 512 * 4), (&empty, 64 * 4)] {
+        for threads in [1, 2, 4] {
+            for mut engine in epilogue_engines(g, partition_bytes, threads) {
+                for width in [1, 3] {
+                    assert_epilogue_contract(&mut engine, partition_bytes / 4, width);
+                }
+            }
+        }
+    }
+    // An uneven last partition, and the baselines' engines.
+    let g = pcpm::graph::gen::erdos_renyi(300, 2400, 9).unwrap();
+    let cfg = PcpmConfig::default().with_partition_bytes(64 * 4);
+    let mut engines = epilogue_engines(&g, 64 * 4, 2);
+    engines.push(pcpm::baselines::pdpr_engine(&g, &cfg).unwrap());
+    engines.push(pcpm::baselines::bvgas_engine(&g, &cfg).unwrap());
+    for mut engine in engines {
+        assert_epilogue_contract(&mut engine, 64, 3);
+    }
+}
+
+/// `step_many` over `width` distinct inputs.
+fn step_many_of(engine: &mut Engine<PlusF32>, width: u32) -> Vec<Vec<f32>> {
+    let n = engine.num_src();
+    let xs: Vec<Vec<f32>> = (0..width)
+        .map(|q| (0..n).map(|v| 1.0 / (v % 7 + q + 1) as f32).collect())
+        .collect();
+    let x_refs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
+    let mut ys = vec![vec![f32::NAN; n as usize]; width as usize];
+    let mut y_refs: Vec<&mut [f32]> = ys.iter_mut().map(Vec::as_mut_slice).collect();
+    engine.step_many(&x_refs, &mut y_refs).unwrap();
+    ys
+}
+
+#[test]
+fn kept_update_streams_never_leak_between_rounds() {
+    // Real-valued inputs: a stale slot of a kept stream would change a
+    // sum. Widths 8, 3, 8 grow, trim and regrow the streams; the update
+    // changes |E'|, so the streams kept from before it have the wrong
+    // length.
+    let g = Arc::new(pcpm::graph::gen::rmat(&RmatConfig::graph500(9, 8, 29)).unwrap());
+    let mut edges: Vec<(u32, u32)> = g.edges().collect();
+    let deleted: Vec<(u32, u32)> = edges.iter().copied().step_by(5).take(40).collect();
+    edges.retain(|e| !deleted.contains(e));
+    let inserted: Vec<(u32, u32)> = (0..40u32)
+        .map(|i| (i * 11 % 512, (i * 37 + 5) % 512))
+        .filter(|e| !edges.contains(e))
+        .collect();
+    edges.extend(&inserted);
+    let g2 = Arc::new(Csr::from_edges(g.num_nodes(), &edges).unwrap());
+    let batch = UpdateBatch::from_parts(inserted, deleted);
+    for format in format_matrix() {
+        let cfg = PcpmConfig::default()
+            .with_partition_bytes(64 * 4)
+            .with_bin_format(format);
+        let build = |g: &Arc<Csr>| Engine::<PlusF32>::builder(g).config(cfg).build().unwrap();
+        let mut engine = build(&g);
+        let compressed_before = engine.report().compression_ratio;
+        for width in [8, 3, 8] {
+            let fresh = step_many_of(&mut build(&g), width);
+            assert_eq!(
+                step_many_of(&mut engine, width),
+                fresh,
+                "{format} width {width}"
+            );
+        }
+        assert!(matches!(
+            engine.update(&g2, None, &batch).unwrap(),
+            UpdateOutcome::Repaired(_)
+        ));
+        assert_ne!(engine.report().compression_ratio, compressed_before);
+        for width in [8, 3, 8] {
+            let fresh = step_many_of(&mut build(&g2), width);
+            assert_eq!(
+                step_many_of(&mut engine, width),
+                fresh,
+                "{format} width {width} after the update"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_batch_gives_every_query_its_solo_scores_and_iteration_count() {
+    // The tolerance freezes the three queries at different iterations;
+    // each must stop where it stops alone, on every format and backend
+    // — and, the L1 change being grouped by partition, with one
+    // `last_delta` per dataplane whatever the format or thread count.
+    let g = pcpm::graph::gen::rmat(&RmatConfig::graph500(8, 8, 77)).unwrap();
+    let seed_sets: Vec<Vec<u32>> = vec![vec![0], (0..g.num_nodes()).collect(), vec![5, 6, 7]];
+    let mut engines: Vec<(PcpmConfig, Engine<PlusF32>)> = Vec::new();
+    for threads in [1, 4] {
+        let base = PcpmConfig::default()
+            .with_partition_bytes(64 * 4)
+            .with_iterations(100)
+            .with_tolerance(1e-6)
+            .with_threads(threads);
+        for format in format_matrix() {
+            let cfg = base.with_bin_format(format);
+            engines.push((cfg, Engine::builder(&g).config(cfg).build().unwrap()));
+        }
+        let pull = Engine::builder(&g).config(base).backend(BackendKind::Pull);
+        engines.push((base, pull.build().unwrap()));
+    }
+    let mut stops = std::collections::BTreeMap::new();
+    for (cfg, mut engine) in engines {
+        let name = engine.report().backend;
+        let batch = pcpm::algos::personalized_pagerank_many_with_unified_engine(
+            &g,
+            &seed_sets,
+            &cfg,
+            &mut engine,
+        )
+        .unwrap();
+        for (q, (seeds, got)) in seed_sets.iter().zip(&batch).enumerate() {
+            let solo = pcpm::algos::personalized_pagerank_with_unified_engine(
+                &g,
+                seeds,
+                &cfg,
+                &mut engine,
+            )
+            .unwrap();
+            assert!(got.converged, "{name}");
+            assert_eq!(got.scores, solo.scores, "{name} {}", cfg.bin_format);
+            assert_eq!(got.iterations, solo.iterations, "{name} {}", cfg.bin_format);
+            assert_eq!(
+                got.last_delta.to_bits(),
+                solo.last_delta.to_bits(),
+                "{name}"
+            );
+            let stop = (got.iterations, got.last_delta.to_bits());
+            assert_eq!(
+                *stops.entry((name, q)).or_insert(stop),
+                stop,
+                "{name} {cfg:?}"
+            );
+        }
+    }
+    let iterations: std::collections::BTreeSet<usize> = stops.values().map(|s| s.0).collect();
+    assert!(iterations.len() > 1, "queries froze together: {stops:?}");
 }
