@@ -111,8 +111,8 @@ pub struct BackendMetrics {
     pub name: &'static str,
     /// Wall-clock pre-processing time spent in `prepare`.
     pub preprocess: Duration,
-    /// Heap bytes held by message bins / auxiliary streams (0 when the
-    /// backend streams directly from the graph).
+    /// Heap bytes held by message bins / auxiliary streams, kept batch
+    /// scratch included (0 when the backend streams from the graph).
     pub aux_memory_bytes: u64,
     /// PNG compression ratio `r = |E| / |E'|`, when the backend has one.
     pub compression_ratio: Option<f64>,
@@ -154,9 +154,9 @@ pub trait Backend<A: Algebra>: Send {
 
     /// One multi-query round: `ys[q] = ⊕ Aᵀ·xs[q]` for every query in
     /// the batch. The default loops over [`Backend::step`], so every
-    /// backend supports batching; dataplanes with a real column-blocked
-    /// SpMM (the PCPM pipeline) override it to scan their bin streams
-    /// once per batch. Per-query output must be bit-identical to the
+    /// backend supports batching; dataplanes with a real SpMM (the PCPM
+    /// pipeline) override it to scan their bin streams once per batch.
+    /// Per-query output must be bit-identical to the
     /// sequential loop.
     ///
     /// Lengths are validated by [`Engine::step_many`]; implementations
@@ -638,9 +638,9 @@ impl<A: Algebra> Engine<A> {
     /// One multi-query propagation round: `ys[q] = ⊕ Aᵀ·xs[q]` for the
     /// whole batch in a single backend pass.
     ///
-    /// On the PCPM dataplane this is a column-blocked SpMM — the destID
+    /// On the PCPM dataplane this is a row-interleaved SpMM — the destID
     /// bin stream is scanned (and, for the delta format, varint-decoded)
-    /// **once** for the batch; other backends fall back to looping over
+    /// **once** for the batch; other backends and ablations loop over
     /// [`Engine::step`]-equivalent rounds. Per-query results are
     /// bit-identical to sequential [`Engine::step`] calls either way.
     /// The pass counts as one step in the report (one bin-stream scan);
@@ -1263,9 +1263,9 @@ impl<A: Algebra, F: BinFormat> Backend<A> for PcpmBackend<A, F> {
         xs: &[&[A::T]],
         ys: &mut [&mut [A::T]],
     ) -> Result<PhaseTimings, PcpmError> {
-        // The branchy ablation has no batched kernel; keep its sequential
+        // Neither ablation has a batched kernel; keep their sequential
         // semantics rather than silently change the measured code path.
-        if self.gather == GatherKind::Branchy {
+        if self.is_ablation() {
             let mut total = PhaseTimings::default();
             for (x, y) in xs.iter().zip(ys.iter_mut()) {
                 total += self.step(x, y)?;
@@ -1281,7 +1281,7 @@ impl<A: Algebra, F: BinFormat> Backend<A> for PcpmBackend<A, F> {
         ys: &mut [&mut [A::T]],
         epilogue: Epilogue<'_, A::T>,
     ) -> Result<(PhaseTimings, Vec<f64>), PcpmError> {
-        if self.gather == GatherKind::Branchy && xs.len() > 1 {
+        if self.is_ablation() && xs.len() > 1 {
             return step_then_apply(self, xs, ys, epilogue);
         }
         self.round(xs, ys, Some(epilogue))
@@ -1355,6 +1355,11 @@ impl<A: Algebra, F: BinFormat> PcpmBackend<A, F> {
             gather,
             graph,
         })
+    }
+
+    /// Whether a phase runs its Algorithm 2 variant: one query per round.
+    fn is_ablation(&self) -> bool {
+        self.scatter == ScatterKind::CsrTraversal || self.gather == GatherKind::Branchy
     }
 
     /// One pipeline round with this backend's phase variants.

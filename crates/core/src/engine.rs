@@ -10,10 +10,10 @@
 //! each destination partition as it completes (Algorithm 4's
 //! in-partition apply; see `gather.rs`); its wall-clock share is reported
 //! as [`PhaseTimings::apply`] and taken out of `gather`, so the phases
-//! still add up to the round. The `Q` update streams of a multi-query
+//! still add up to the round. The `|E'| × Q` update rows of a multi-query
 //! round are scratch kept between rounds: the scatter overwrites every
 //! slot, so nothing is cleared, and nothing is allocated unless a round
-//! is wider than the one before it or a repair changed `|E'|`.
+//! is wider than any since the last solo round, which drops them.
 //!
 //! Callers do not construct it directly: the unified
 //! [`Engine`](crate::backend::Engine) builder wraps it as the
@@ -30,7 +30,7 @@ use crate::kernel::KernelKind;
 use crate::partition::Partitioner;
 use crate::png::{EdgeView, Png};
 use crate::pr::PhaseTimings;
-use crate::scatter::csr_scatter;
+use crate::scatter::{csr_scatter, png_scatter_rows};
 use crate::update::RepairStats;
 use pcpm_graph::Csr;
 use std::time::Duration;
@@ -69,8 +69,8 @@ pub struct FormatPipeline<A: Algebra, F: BinFormat> {
     /// The concrete gather kernel, resolved from [`PcpmConfig::kernel`]
     /// at build time (never [`KernelKind::Auto`]).
     kernel: KernelKind,
-    /// The latest multi-query round's update streams, each `|E'|` long.
-    streams: Vec<Vec<A::T>>,
+    /// The latest multi-query round's update rows, `|E'| × Q`.
+    rows: Vec<A::T>,
 }
 
 impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
@@ -109,7 +109,7 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
             bins,
             preprocess: t0.elapsed(),
             kernel,
-            streams: Vec::new(),
+            rows: Vec::new(),
         })
     }
 
@@ -138,7 +138,7 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
             bins,
             preprocess,
             kernel,
-            streams: Vec::new(),
+            rows: Vec::new(),
         }
     }
 
@@ -168,9 +168,10 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
         self.kernel
     }
 
-    /// Heap bytes held by the message bins.
+    /// Heap bytes held by the message bins and the kept update rows.
     pub fn bin_memory_bytes(&self) -> u64 {
-        F::aux_memory_bytes(&self.bins)
+        let rows = self.rows.capacity() * std::mem::size_of::<A::T>();
+        F::aux_memory_bytes(&self.bins) + rows as u64
     }
 
     /// Destination-ID compression relative to the wide baseline
@@ -277,16 +278,16 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
     /// returns the phase times and the epilogue's per-query totals.
     ///
     /// A batch of one runs the solo kernel over the bins' own update
-    /// stream (`gather` picks its pointer step). A wider batch is the
-    /// column-blocked SpMM: one update stream per query, each bin segment
-    /// decoded once and applied to all `Q` accumulators, so the destID
-    /// bytes — and, for delta, the varint decode — are amortized across
-    /// the batch, each query's output bit-identical to a round of its
-    /// own. The streams are kept for the next round and trimmed to this
-    /// round's width, so the widest batch ever run does not stay
-    /// allocated. `graph` is what a [`ScatterKind::CsrTraversal`] scatter
-    /// reads; the branchy gather has no batched kernel (callers run it
-    /// one query per round). Shapes are validated by the `Engine`.
+    /// stream (`gather` picks its pointer step; `graph` is what a
+    /// [`ScatterKind::CsrTraversal`] scatter reads; neither ablation has
+    /// a batched kernel, callers run them one query per round). A wider
+    /// batch is the row-interleaved SpMM: one PNG walk writes a `Q`-wide
+    /// row per compressed edge, each bin segment is decoded once and
+    /// every entry is one `Q`-lane combine into its destination's row,
+    /// each query's output bit-identical to a round of its own. The rows
+    /// are kept for the next round and dropped by a solo round, so the
+    /// widest batch ever run does not stay allocated. Shapes are
+    /// validated by the `Engine`.
     pub(crate) fn round(
         &mut self,
         xs: &[&[A::T]],
@@ -296,24 +297,12 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
         graph: Option<&Csr>,
         epilogue: Option<Epilogue<'_, A::T>>,
     ) -> Result<(PhaseTimings, Vec<f64>), PcpmError> {
-        let solo = xs.len() == 1;
-        let width = if solo { 0 } else { xs.len() };
-        let ne = self.png.num_compressed_edges() as usize;
         let t0 = crate::telemetry::stopwatch();
-        self.streams.truncate(width);
-        // A no-op unless a repair changed |E'| since the last round.
-        self.streams
-            .iter_mut()
-            .for_each(|stream| stream.resize(ne, A::T::default()));
-        self.streams
-            .resize_with(width, || vec![A::T::default(); ne]);
         {
             let _span = crate::telemetry::span("scatter");
-            for (q, x) in xs.iter().enumerate() {
-                let updates = match self.streams.get_mut(q) {
-                    Some(stream) => &mut stream[..],
-                    None => F::updates_mut(&mut self.bins),
-                };
+            if let [x] = xs {
+                self.rows = Vec::new();
+                let updates = F::updates_mut(&mut self.bins);
                 match scatter {
                     ScatterKind::Png => crate::scatter::png_scatter(&self.png, x, updates),
                     ScatterKind::CsrTraversal => {
@@ -323,14 +312,22 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
                         csr_scatter(EdgeView::from_csr(g), &self.png, x, updates);
                     }
                 }
+            } else {
+                let slots = self.png.num_compressed_edges() as usize * xs.len();
+                if self.rows.len() < slots {
+                    // Nothing is carried over: free before growing.
+                    self.rows = Vec::new();
+                }
+                // A no-op unless the width or (a repair) |E'| changed.
+                self.rows.resize(slots, A::T::default());
+                png_scatter_rows(&self.png, xs, &mut self.rows);
             }
         }
         let scatter_t = t0.elapsed();
         let t1 = crate::telemetry::stopwatch();
         let applied = {
             let _span = crate::telemetry::span("gather");
-            let streams: Vec<&[A::T]> = self.streams.iter().map(Vec::as_slice).collect();
-            let streams = (!solo).then_some(&streams[..]);
+            let rows = (xs.len() != 1).then_some((&self.rows[..], xs.len()));
             // The branchy ablation measures a per-entry branch, which
             // unrolling would blur: always the plain loop.
             let kernel = match gather {
@@ -338,7 +335,7 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
                 GatherKind::BranchAvoiding => self.kernel,
             };
             let (png, bins) = (&self.png, &self.bins);
-            F::gather_with::<A>(png, bins, streams, ys, kernel, gather, epilogue)
+            F::gather_with::<A>(png, bins, rows, ys, kernel, gather, epilogue)
         };
         Ok(self.record_pass(scatter_t, t1.elapsed(), applied))
     }
@@ -410,14 +407,37 @@ mod tests {
         )
         .unwrap();
         let x = [0.0f32; 10];
-        let mut y = vec![0.0f32; 10];
+        let mut y = [0.0f32; 10];
         let (scatter, gather) = (ScatterKind::CsrTraversal, GatherKind::BranchAvoiding);
-        let mut y1 = y.clone();
-        for width in [1, 2] {
-            let ys = &mut [&mut y[..], &mut y1[..]][..width];
-            assert!(pipe
-                .round(&[&x[..], &x[..]][..width], ys, scatter, gather, None, None)
-                .is_err());
-        }
+        assert!(pipe
+            .round(&[&x[..]], &mut [&mut y[..]], scatter, gather, None, None)
+            .is_err());
+    }
+
+    #[test]
+    fn the_update_rows_are_counted_while_held_and_released_by_a_solo_round() {
+        let g = pcpm_graph::gen::erdos_renyi(200, 1600, 5).unwrap();
+        let cfg = PcpmConfig::default().with_partition_bytes(64 * 4);
+        let view = EdgeView::from_csr(&g);
+        let mut pipe = FormatPipeline::<PlusF32, WideFormat>::from_view(view, &cfg, None).unwrap();
+        let bins_only = pipe.bin_memory_bytes();
+        let x = vec![1.0f32; 200];
+        let mut ys = vec![vec![0.0f32; 200]; 8];
+        let (scatter, gather) = (ScatterKind::Png, GatherKind::BranchAvoiding);
+        let mut round = |pipe: &mut FormatPipeline<PlusF32, WideFormat>, width: usize| {
+            let xs = vec![&x[..]; width];
+            let mut outs: Vec<&mut [f32]> = ys.iter_mut().map(Vec::as_mut_slice).collect();
+            pipe.round(&xs, &mut outs[..width], scatter, gather, None, None)
+                .unwrap();
+            pipe.bin_memory_bytes()
+        };
+        let rows = pipe.png().num_compressed_edges() * 4;
+        let wide = round(&mut pipe, 8);
+        assert!(wide >= bins_only + 8 * rows);
+        // A narrower round keeps what the wider one grew.
+        assert_eq!(round(&mut pipe, 2), wide);
+        assert_eq!(round(&mut pipe, 1), bins_only);
+        let narrow = round(&mut pipe, 2);
+        assert!((bins_only + 2 * rows..wide).contains(&narrow));
     }
 }

@@ -147,13 +147,14 @@ pub trait BinFormat: Send + Sync + 'static {
 
     /// Every gather of this format; the three methods below are its
     /// no-epilogue cases. Solo over the bins' own update stream when
-    /// `streams` is `None` (then `variant` picks Algorithm 4's or
-    /// Algorithm 2's pointer step), `Q`-wide over `streams` otherwise;
+    /// `rows` is `None` (then `variant` picks Algorithm 4's or
+    /// Algorithm 2's pointer step); otherwise over `(rows, Q)`, the
+    /// `|E'| × Q` update rows of a batch, lane `q` into `ys[q]`.
     /// `epilogue` runs over each destination partition as it completes.
     fn gather_with<A: Algebra>(
         png: &Png,
         bins: &Self::Bins<A::T>,
-        streams: Option<&[&[A::T]]>,
+        rows: Option<(&[A::T], usize)>,
         ys: &mut [&mut [A::T]],
         kernel: KernelKind,
         variant: GatherKind,
@@ -177,11 +178,14 @@ pub trait BinFormat: Send + Sync + 'static {
 
     /// One multi-query gather round (the SpMM inner loop): decodes each
     /// destination-ID segment **once** and applies every entry to all
-    /// `Q` accumulators, so the dest-stream bytes (and, for delta, the
-    /// per-edge varint decodes) are paid once per batch. `updates[q]`
-    /// must share the layout [`BinFormat::scatter_into`] writes; each
-    /// query's output is bit-identical to a solo
-    /// [`BinFormat::gather_from`] over the same update stream.
+    /// `Q` queries with one `Q`-lane combine, so the dest-stream bytes,
+    /// the decode and the destination's cache line are paid once per
+    /// batch. `updates[q]` must share the layout
+    /// [`BinFormat::scatter_into`] writes; each query's output is
+    /// bit-identical to a solo [`BinFormat::gather_from`] over the same
+    /// update stream. The convenience entry: it first interleaves the
+    /// `Q` arrays into the rows [`BinFormat::gather_with`] reads, a pass
+    /// a round that scatters straight into rows never makes.
     fn gather_many_from<A: Algebra>(
         png: &Png,
         bins: &Self::Bins<A::T>,
@@ -189,8 +193,21 @@ pub trait BinFormat: Send + Sync + 'static {
         ys: &mut [&mut [A::T]],
         kernel: KernelKind,
     ) {
+        assert_eq!(updates.len(), ys.len(), "one update stream per output");
+        let slots = png.num_compressed_edges() as usize;
+        for us in updates {
+            assert_eq!(us.len(), slots, "update stream length");
+        }
+        if updates.is_empty() {
+            return;
+        }
+        let mut rows = Vec::with_capacity(slots * updates.len());
+        for i in 0..slots {
+            rows.extend(updates.iter().map(|us| us[i]));
+        }
         let variant = GatherKind::BranchAvoiding;
-        Self::gather_with::<A>(png, bins, Some(updates), ys, kernel, variant, None);
+        let rows = Some((&rows[..], updates.len()));
+        Self::gather_with::<A>(png, bins, rows, ys, kernel, variant, None);
     }
 
     /// The branchy-gather ablation (Algorithm 2). Only the wide format
@@ -541,16 +558,14 @@ impl<U: FixedDestEncode> BinFormat for FixedFormat<U> {
     fn gather_with<A: Algebra>(
         png: &Png,
         bins: &FixedBins<U, A::T>,
-        streams: Option<&[&[A::T]]>,
+        rows: Option<(&[A::T], usize)>,
         ys: &mut [&mut [A::T]],
         kernel: KernelKind,
         variant: GatherKind,
         epilogue: Option<Epilogue<'_, A::T>>,
     ) -> Applied {
         let (dest, weights, own) = (&bins.dest_ids[..], bins.weights.as_deref(), &bins.updates);
-        gather_any::<A, _>(
-            png, dest, weights, own, streams, ys, kernel, variant, epilogue,
-        )
+        gather_any::<A, _>(png, dest, weights, own, rows, ys, kernel, variant, epilogue)
     }
 
     fn updates_mut<T: BinScalar>(bins: &mut FixedBins<U, T>) -> &mut [T] {
@@ -616,16 +631,14 @@ impl BinFormat for DeltaFormat {
     fn gather_with<A: Algebra>(
         png: &Png,
         bins: &DeltaPackedBins<A::T>,
-        streams: Option<&[&[A::T]]>,
+        rows: Option<(&[A::T], usize)>,
         ys: &mut [&mut [A::T]],
         kernel: KernelKind,
         variant: GatherKind,
         epilogue: Option<Epilogue<'_, A::T>>,
     ) -> Applied {
         let (weights, own) = (bins.weights.as_deref(), &bins.updates);
-        gather_any::<A, _>(
-            png, bins, weights, own, streams, ys, kernel, variant, epilogue,
-        )
+        gather_any::<A, _>(png, bins, weights, own, rows, ys, kernel, variant, epilogue)
     }
 
     fn updates_mut<T: BinScalar>(bins: &mut DeltaPackedBins<T>) -> &mut [T] {

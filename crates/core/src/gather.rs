@@ -15,15 +15,16 @@
 //!   bin order (fixed-width units in [`crate::format`], varints in
 //!   [`crate::delta`]).
 //! - `Apply` — the loop itself, generic over the [`Accumulator`]
-//!   ([`Solo`]: one output over the bins' own update stream; [`Many`]:
-//!   `Q` outputs over `Q` streams, so the destination bytes are read and
-//!   decoded once per batch), the weight source and the [`Advance`]
-//!   policy ([`BranchAvoiding`], or [`Branchy`] — Algorithm 2's
+//!   ([`Solo`]: one output over the bins' own update stream; [`Rows`]:
+//!   `Q` outputs over `Q`-wide update rows, so the destination bytes are
+//!   decoded once per batch and a decoded destination is one `Q`-lane
+//!   access), the weight source and the [`Advance`] policy
+//!   ([`BranchAvoiding`], or [`Branchy`] — Algorithm 2's
 //!   `if MSB(id) != 0 { pop update }`, kept for the ablation benches).
 //!
-//! Entries are applied in bin order on every path, so output is
-//! bit-identical across formats, kernels and batch widths for any
-//! [`Algebra`].
+//! Entries are applied in bin order on every path, each lane of a row on
+//! its own, so output is bit-identical across formats, kernels and batch
+//! widths for any [`Algebra`].
 //!
 //! # The per-partition epilogue
 //!
@@ -203,19 +204,19 @@ impl Weight for f32 {
     }
 }
 
-/// One destination partition's slice of the outputs, with the update
-/// streams that feed it.
+/// One destination partition's slice of the outputs, with the updates
+/// that feed it.
 pub(crate) trait Accumulator<'a, A: Algebra> {
     /// Whether four-at-a-time iteration pays: it trims the loop overhead
     /// around a single combine, which a `Q`-wide inner loop already
     /// amortizes.
     const UNROLL: bool;
 
-    /// Takes partition `p`'s slice of every output (reset to the
-    /// algebra's identity) and the whole update streams.
+    /// Takes partition `p`'s slice of every output (to be overwritten
+    /// by sums from the algebra's identity) and all updates, `updates[0]`.
     fn new(updates: &'a [&'a [A::T]], ys: Vec<&'a mut [A::T]>) -> Self;
 
-    /// Moves to the segment whose updates occupy `upd` in every stream.
+    /// Moves to the segment whose updates occupy slots `upd`.
     fn seek(&mut self, upd: Range<usize>);
 
     /// Reduces the segment's `up`-th update into offset `local`.
@@ -226,7 +227,7 @@ pub(crate) trait Accumulator<'a, A: Algebra> {
     fn finish(self) -> Vec<&'a mut [A::T]>;
 }
 
-/// Width 1: the solo gather.
+/// Width 1: the solo gather, over the bins' own update stream.
 pub(crate) struct Solo<'a, T> {
     updates: &'a [T],
     /// The current segment's updates.
@@ -264,44 +265,76 @@ impl<'a, A: Algebra> Accumulator<'a, A> for Solo<'a, A::T> {
     }
 }
 
-/// Width `Q`: the multi-query gather (the SpMM inner loop).
-pub(crate) struct Many<'a, T> {
-    updates: &'a [&'a [T]],
-    /// Start of the current segment's updates in every stream.
-    ulo: usize,
+/// Width `Q`: the multi-query gather (the SpMM inner loop). The updates
+/// are rows `[entry][Q]` ([`crate::scatter::png_scatter_rows`]) and so
+/// are the partition's accumulators, `[node][Q]`: a decoded destination
+/// is one contiguous `Q`-lane combine into one cache-resident row, each
+/// lane in the solo order. The accumulators are scratch of `Q ×` the
+/// partition's bytes, one live per worker, never `n × Q`; `finish`
+/// transposes them, still cached, into the caller's per-query slices.
+pub(crate) struct Rows<'a, T> {
+    rows: &'a [T],
+    /// The current segment's rows.
+    seg: &'a [T],
+    acc: Vec<T>,
+    /// One slice per lane: their count is the row width.
     ys: Vec<&'a mut [T]>,
 }
 
-impl<'a, A: Algebra> Accumulator<'a, A> for Many<'a, A::T> {
+impl<'a, A: Algebra> Accumulator<'a, A> for Rows<'a, A::T> {
     const UNROLL: bool = false;
 
-    fn new(updates: &'a [&'a [A::T]], mut ys: Vec<&'a mut [A::T]>) -> Self {
-        for y in ys.iter_mut() {
-            y.fill(A::identity());
-        }
+    fn new(updates: &'a [&'a [A::T]], ys: Vec<&'a mut [A::T]>) -> Self {
+        let lanes: usize = ys.iter().map(|y| y.len()).sum();
         Self {
-            updates,
-            ulo: 0,
+            rows: updates[0],
+            seg: &[],
+            acc: vec![A::identity(); lanes],
             ys,
         }
     }
 
     #[inline]
     fn seek(&mut self, upd: Range<usize>) {
-        self.ulo = upd.start;
+        let width = self.ys.len();
+        self.seg = &self.rows[upd.start * width..upd.end * width];
     }
 
     #[inline(always)]
     fn add<W: Weight>(&mut self, local: usize, up: usize, w: W) {
-        for (y, us) in self.ys.iter_mut().zip(self.updates) {
-            let slot = &mut y[local];
-            *slot = A::combine(*slot, w.extend::<A>(us[self.ulo + up]));
-        }
+        let width = self.ys.len();
+        let row = &self.seg[up * width..][..width];
+        let acc = &mut self.acc[local * width..][..width];
+        let (acc, row) = combine_lanes::<A, W, 8>(acc, row, w);
+        let (acc, row) = combine_lanes::<A, W, 4>(acc, row, w);
+        combine_lanes::<A, W, 1>(acc, row, w);
     }
 
     fn finish(self) -> Vec<&'a mut [A::T]> {
-        self.ys
+        let Self { acc, mut ys, .. } = self;
+        for (v, row) in acc.chunks_exact(ys.len()).enumerate() {
+            for (y, &sum) in ys.iter_mut().zip(row) {
+                y[v] = sum;
+            }
+        }
+        ys
     }
+}
+
+/// `acc[i] ⊕= w ⊗ row[i]` over the leading whole blocks of `N` lanes;
+/// returns the rest of both. A block has a compile-time length, so
+/// `N = 8` over `f32` is one 256-bit load, add and store.
+#[inline(always)]
+fn combine_lanes<'s, A: Algebra, W: Weight, const N: usize>(
+    acc: &'s mut [A::T],
+    row: &'s [A::T],
+    w: W,
+) -> (&'s mut [A::T], &'s [A::T]) {
+    let ((acc_n, acc), (row_n, row)) = (acc.as_chunks_mut::<N>(), row.as_chunks::<N>());
+    for (acc, row) in acc_n.iter_mut().zip(row_n) {
+        *acc = std::array::from_fn(|i| A::combine(acc[i], w.extend::<A>(row[i])));
+    }
+    (acc, row)
 }
 
 /// The apply loop of one segment: every entry advances the update
@@ -450,11 +483,13 @@ pub(crate) fn apply_parts<'a, T: Send + Sync>(
     )
 }
 
-/// One gather round: `ys[q] = ⊕ Aᵀ·(what was scattered into updates[q])`
+/// One gather round: `ys[q] = ⊕ Aᵀ·(what was scattered for query q)`
 /// for every query, reading and decoding the destination stream `dest`
 /// once, then `epilogue` over each partition as it completes.
-/// `updates[q]` must have the layout `png_scatter` writes; `weights` is
-/// the raw-edge-order weight stream of weighted bins.
+/// `updates[0]` is what the scatter wrote — an update stream for
+/// [`Solo`], a batch's rows for [`Rows`], its length checked by
+/// [`gather_any`]; `weights` is the raw-edge-order weight stream of
+/// weighted bins.
 ///
 /// [`KernelKind::Unrolled`] keeps the next segment's head in flight and
 /// lets the accumulator iterate four entries per trip; any other value
@@ -462,8 +497,7 @@ pub(crate) fn apply_parts<'a, T: Send + Sync>(
 ///
 /// # Panics
 ///
-/// Panics unless there is one update stream of `|E'|` values per output
-/// and every output spans the destination nodes.
+/// Panics unless every output spans the destination nodes.
 pub(crate) fn gather<'a, A, D, Acc, P>(
     png: &Png,
     dest: &D,
@@ -479,16 +513,8 @@ where
     Acc: Accumulator<'a, A>,
     P: Advance,
 {
-    assert_eq!(updates.len(), ys.len(), "one update stream per output");
     for y in ys.iter() {
         assert_eq!(y.len(), png.dst_parts().num_nodes() as usize, "y length");
-    }
-    for us in updates {
-        assert_eq!(
-            us.len() as u64,
-            png.num_compressed_edges(),
-            "update stream length"
-        );
     }
     let unrolled = kernel == KernelKind::Unrolled;
     let k_src = png.src_parts().num_partitions();
@@ -515,29 +541,34 @@ where
 
 /// Every gather a bin format offers, over its destination stream `dest`:
 /// solo over the bins' `own` update stream (`variant` picks the pointer
-/// step), or `Q`-wide over `streams`.
+/// step), or over `rows` of the given width, one lane per output. Panics
+/// unless the updates hold one value per compressed edge and output.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gather_any<A: Algebra, D: SegmentDecode + ?Sized>(
     png: &Png,
     dest: &D,
     weights: Option<&[f32]>,
     own: &[A::T],
-    streams: Option<&[&[A::T]]>,
+    rows: Option<(&[A::T], usize)>,
     ys: &mut [&mut [A::T]],
     kernel: KernelKind,
     variant: GatherKind,
     epilogue: Option<Epilogue<'_, A::T>>,
 ) -> Applied {
-    let solo = &[own][..];
-    match (streams, variant) {
-        (Some(streams), _) => gather::<A, D, Many<A::T>, BranchAvoiding>(
-            png, dest, weights, streams, ys, kernel, epilogue,
+    let (updates, width) = rows.unwrap_or((own, 1));
+    assert_eq!(width, ys.len(), "one lane per output");
+    let slots = png.num_compressed_edges() * width as u64;
+    assert_eq!(updates.len() as u64, slots, "update stream length");
+    let updates = &[updates][..];
+    match (rows, variant) {
+        (Some(_), _) => gather::<A, D, Rows<A::T>, BranchAvoiding>(
+            png, dest, weights, updates, ys, kernel, epilogue,
         ),
         (None, GatherKind::BranchAvoiding) => gather::<A, D, Solo<A::T>, BranchAvoiding>(
-            png, dest, weights, solo, ys, kernel, epilogue,
+            png, dest, weights, updates, ys, kernel, epilogue,
         ),
         (None, GatherKind::Branchy) => {
-            gather::<A, D, Solo<A::T>, Branchy>(png, dest, weights, solo, ys, kernel, epilogue)
+            gather::<A, D, Solo<A::T>, Branchy>(png, dest, weights, updates, ys, kernel, epilogue)
         }
     }
 }
@@ -550,7 +581,7 @@ mod tests {
     use crate::format::{BinFormat, BinFormatKind, CompactFormat, DeltaFormat, WideFormat};
     use crate::partition::Partitioner;
     use crate::png::EdgeView;
-    use crate::scatter::png_scatter;
+    use crate::scatter::{png_scatter, png_scatter_rows};
     use pcpm_graph::gen::{erdos_renyi, rmat, RmatConfig};
     use pcpm_graph::{Csr, EdgeWeights};
 
@@ -578,19 +609,21 @@ mod tests {
     }
 
     /// Runs every gather path of format `F` — each kernel solo (Q = 1)
-    /// and batched (Q = 3), plus the branchy ablation where the format
-    /// has one — and checks every output against `want`. Outputs start
-    /// as `stale` garbage: the gather must overwrite, not accumulate.
+    /// and batched (Q = `xs.len()`, from separate streams and from
+    /// scattered rows), plus the branchy ablation where the format has
+    /// one — and checks every output against `want`. Outputs start as
+    /// `stale` garbage: the gather must overwrite, not accumulate.
     fn check_format<A: Algebra, F: BinFormat>(
         g: &Csr,
         png: &Png,
         w: Option<&EdgeWeights>,
-        xs: &[Vec<A::T>; 3],
-        want: &[Vec<A::T>; 3],
+        xs: &[Vec<A::T>],
+        want: &[Vec<A::T>],
         stale: A::T,
     ) {
         let n = g.num_nodes() as usize;
-        let label = |path: &str| format!("{} {path} weighted={}", F::KIND, w.is_some());
+        let width = xs.len();
+        let label = |path: &str| format!("{} {path} Q={width} weighted={}", F::KIND, w.is_some());
         let mut bins = F::build::<A::T>(EdgeView::from_csr(g), png, w.map(|w| w.as_slice()));
         for (x, want) in xs.iter().zip(want) {
             F::scatter_into(png, x, &mut bins);
@@ -607,7 +640,7 @@ mod tests {
                 Err(_) => assert_ne!(F::KIND, BinFormatKind::Wide),
             }
         }
-        let streams: Vec<Vec<A::T>> = xs
+        let scattered: Vec<Vec<A::T>> = xs
             .iter()
             .map(|x| {
                 let mut updates = vec![A::T::default(); png.num_compressed_edges() as usize];
@@ -615,13 +648,16 @@ mod tests {
                 updates
             })
             .collect();
-        let updates: Vec<&[A::T]> = streams.iter().map(Vec::as_slice).collect();
+        let updates: Vec<&[A::T]> = scattered.iter().map(Vec::as_slice).collect();
+        let x_refs: Vec<&[A::T]> = xs.iter().map(Vec::as_slice).collect();
+        let mut rows = vec![stale; scattered.iter().map(Vec::len).sum()];
+        png_scatter_rows(png, &x_refs, &mut rows);
         for kernel in KERNELS {
-            let mut ys = vec![vec![stale; n]; 3];
+            let mut ys = vec![vec![stale; n]; width];
             let mut outs: Vec<&mut [A::T]> = ys.iter_mut().map(Vec::as_mut_slice).collect();
             F::gather_many_from::<A>(png, &bins, &updates, &mut outs, kernel);
-            assert_eq!(&ys[..], &want[..], "{}", label(&format!("many {kernel}")));
-            check_epilogue::<A, F>(png, &bins, Some(&updates), want, kernel, stale);
+            assert_eq!(&ys[..], want, "{}", label(&format!("many {kernel}")));
+            check_epilogue::<A, F>(png, &bins, Some((&rows, width)), want, kernel, stale);
         }
     }
 
@@ -633,7 +669,7 @@ mod tests {
     fn check_epilogue<A: Algebra, F: BinFormat>(
         png: &Png,
         bins: &F::Bins<A::T>,
-        streams: Option<&[&[A::T]]>,
+        rows: Option<(&[A::T], usize)>,
         want: &[Vec<A::T>],
         kernel: KernelKind,
         stale: A::T,
@@ -659,15 +695,8 @@ mod tests {
         };
         let mut outs: Vec<&mut [A::T]> = ys.iter_mut().map(Vec::as_mut_slice).collect();
         let variant = GatherKind::BranchAvoiding;
-        let applied = F::gather_with::<A>(
-            png,
-            bins,
-            streams,
-            &mut outs,
-            kernel,
-            variant,
-            Some(epilogue),
-        );
+        let applied =
+            F::gather_with::<A>(png, bins, rows, &mut outs, kernel, variant, Some(epilogue));
         let mut seen = seen.into_inner().unwrap();
         seen.sort_by_key(|r| r.start);
         let parts = png.dst_parts();
@@ -682,14 +711,14 @@ mod tests {
         assert_eq!(applied.0, vec![n as f64; want.len()]);
     }
 
-    /// {wide, compact, delta} × {scalar, unrolled} × {Q = 1, Q = 3}
-    /// (+ branchy on wide) × {unweighted, weighted} over one layout,
-    /// against the dense reference and therefore each other.
-    fn check_layout<A: Algebra>(g: &Csr, q: u32, xs: &[Vec<A::T>; 3], stale: A::T) -> Png {
+    /// {wide, compact, delta} × {scalar, unrolled} × {Q = 1, Q =
+    /// `xs.len()`} (+ branchy on wide) × {unweighted, weighted} over one
+    /// layout, against the dense reference and therefore each other.
+    fn check_layout<A: Algebra>(g: &Csr, q: u32, xs: &[Vec<A::T>], stale: A::T) -> Png {
         let png = layout(g, q);
         let weights = EdgeWeights::random(g, 8);
         for w in [None, Some(&weights)] {
-            let want = [0, 1, 2].map(|i| reference::<A>(g, w, &xs[i]));
+            let want: Vec<_> = xs.iter().map(|x| reference::<A>(g, w, x)).collect();
             check_format::<A, WideFormat>(g, &png, w, xs, &want, stale);
             if q <= MAX_COMPACT_PARTITION {
                 check_format::<A, CompactFormat>(g, &png, w, xs, &want, stale);
@@ -699,8 +728,20 @@ mod tests {
         png
     }
 
-    fn real_inputs(n: u32) -> [Vec<f32>; 3] {
-        [0.37f32, 0.61, 1.3].map(|f| (0..n).map(|v| (v as f32 * f).sin()).collect())
+    fn real_inputs(n: u32, width: usize) -> Vec<Vec<f32>> {
+        (0..width)
+            .map(|q| {
+                (0..n)
+                    .map(|v| (v as f32 * (0.37 + 0.24 * q as f32)).sin())
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn label_inputs(n: u32, width: usize) -> Vec<Vec<u32>> {
+        (0..width as u32)
+            .map(|q| (0..n).map(|v| (v * 31 + 3) % (7 + 2 * q)).collect())
+            .collect()
     }
 
     #[test]
@@ -709,10 +750,40 @@ mod tests {
         let n = g.num_nodes();
         // q = n is the single-partition layout (k = 1).
         for q in [13, 128, n] {
-            check_layout::<PlusF32>(&g, q, &real_inputs(n), 99.0);
+            check_layout::<PlusF32>(&g, q, &real_inputs(n, 3), 99.0);
         }
-        let labels = [7u32, 11, 13].map(|m| (0..n).map(|v| (v * 31 + 3) % m).collect());
-        check_layout::<MinLabel>(&g, 100, &labels, 0);
+        check_layout::<MinLabel>(&g, 100, &label_inputs(n, 3), 0);
+    }
+
+    #[test]
+    fn every_batch_width_below_on_and_past_the_lane_blocks() {
+        // 300 nodes in 64-node partitions leave an uneven last one;
+        // q = n is k = 1. MinLabel's identity is not `default()`, so the
+        // accumulator rows must be reset to the algebra's own.
+        let g = erdos_renyi(300, 2400, 9).unwrap();
+        let empty = Csr::from_edges(0, &[]).unwrap();
+        for width in [1, 2, 3, 4, 8, 9, 17] {
+            for q in [64, 300] {
+                check_layout::<PlusF32>(&g, q, &real_inputs(300, width), 99.0);
+                check_layout::<MinLabel>(&g, q, &label_inputs(300, width), 0);
+            }
+            check_layout::<PlusF32>(&empty, 16, &vec![vec![]; width], 99.0);
+        }
+    }
+
+    #[test]
+    fn an_empty_batch_is_a_no_op() {
+        fn check<F: BinFormat>(g: &Csr, png: &Png) {
+            let bins = F::build::<f32>(EdgeView::from_csr(g), png, None);
+            for kernel in KERNELS {
+                F::gather_many_from::<PlusF32>(png, &bins, &[], &mut [], kernel);
+            }
+        }
+        let g = erdos_renyi(40, 200, 3).unwrap();
+        let png = layout(&g, 8);
+        check::<WideFormat>(&g, &png);
+        check::<CompactFormat>(&g, &png);
+        check::<DeltaFormat>(&g, &png);
     }
 
     #[test]
@@ -730,7 +801,7 @@ mod tests {
             }
         }
         let g = Csr::from_edges(k * q, &edges).unwrap();
-        let png = check_layout::<PlusF32>(&g, q, &real_inputs(k * q), 99.0);
+        let png = check_layout::<PlusF32>(&g, q, &real_inputs(k * q, 3), 99.0);
         let mut lens = std::collections::BTreeSet::new();
         for s in 0..k {
             lens.extend(png.part(s).did_off.windows(2).map(|w| w[1] - w[0]));
@@ -758,7 +829,7 @@ mod tests {
             (q + 3, q + 30_000),
         ];
         let g = Csr::from_edges(n, &edges).unwrap();
-        let png = check_layout::<PlusF32>(&g, q, &real_inputs(n), 99.0);
+        let png = check_layout::<PlusF32>(&g, q, &real_inputs(n, 3), 99.0);
         let delta = DeltaFormat::build::<f32>(EdgeView::from_csr(&g), &png, None);
         assert!(
             DeltaFormat::dest_stream_bytes(&delta) >= 3 * 8,
@@ -769,7 +840,7 @@ mod tests {
     #[test]
     fn empty_graph_runs_no_epilogue() {
         let g = Csr::from_edges(0, &[]).unwrap();
-        check_layout::<PlusF32>(&g, 16, &[vec![], vec![], vec![]], 99.0);
+        check_layout::<PlusF32>(&g, 16, &vec![vec![]; 3], 99.0);
     }
 
     #[test]

@@ -1,17 +1,19 @@
 //! PCPM scatter phase.
 //!
-//! Two implementations:
+//! Three implementations:
 //!
 //! - [`png_scatter`] — Algorithm 3, the paper's final design: iterate the
 //!   PNG rows of each source partition, streaming updates to one
 //!   destination bin at a time. No data-dependent branches, no unused-edge
 //!   reads, at most `k` bin switches per partition.
+//! - [`png_scatter_rows`] — Algorithm 3 for a batch of `Q` queries: the
+//!   same single walk, writing one `Q`-wide row per compressed edge.
 //! - [`csr_scatter`] — Algorithm 2, the pre-PNG ablation: traverse the
 //!   original CSR, compare each neighbor's partition with the previous one
 //!   and emit an update on every partition switch. Reads all `m` edges and
 //!   branches per edge; kept for the design-choice benches.
 //!
-//! Both run in parallel over source partitions; each worker writes only
+//! All run in parallel over source partitions; each worker writes only
 //! its own contiguous region of the update array, obtained by safe slice
 //! splitting, so no synchronization is needed (paper §3.1).
 
@@ -48,6 +50,44 @@ pub fn png_scatter<T: Copy + Send + Sync>(png: &Png, x: &[T], updates: &mut [T])
             for &u in part.row(p) {
                 region[cur] = x[u as usize];
                 cur += 1;
+            }
+        }
+    });
+}
+
+/// Algorithm 3 for a batch: one walk of the PNG for all `Q = xs.len()`
+/// queries, writing one row `[xs[0][u], …, xs[Q-1][u]]` per compressed
+/// edge `u → bin`, in the slot order [`png_scatter`] fills — the layout
+/// the multi-query gather reads. The `Q` reads of a row are `Q` ascending
+/// streams, so no `[node][Q]` copy of the inputs is made.
+///
+/// # Panics
+///
+/// Panics unless `rows` holds `|E'| × Q` values and every input spans the
+/// source nodes.
+pub fn png_scatter_rows<T: Copy + Send + Sync>(png: &Png, xs: &[&[T]], rows: &mut [T]) {
+    let width = xs.len();
+    assert_eq!(
+        rows.len() as u64,
+        png.num_compressed_edges() * width as u64,
+        "rows length"
+    );
+    let num_src = png.src_parts().num_nodes() as usize;
+    assert!(xs.iter().all(|x| x.len() >= num_src), "x too short");
+    if width == 0 {
+        return;
+    }
+    let mut lens = png.upd_region_lens();
+    lens.iter_mut().for_each(|len| *len *= width);
+    let regions = split_by_lens(rows, &lens);
+    regions.into_par_iter().enumerate().for_each(|(s, region)| {
+        let part = png.part(s as u32);
+        let mut slots = region.chunks_exact_mut(width);
+        for p in png.dst_parts().iter() {
+            for (&u, row) in part.row(p).iter().zip(&mut slots) {
+                for (slot, x) in row.iter_mut().zip(xs) {
+                    *slot = x[u as usize];
+                }
             }
         }
     });
@@ -147,6 +187,32 @@ mod tests {
             png_scatter(&png, &x, &mut a);
             csr_scatter(EdgeView::from_csr(&g), &png, &x, &mut b);
             assert_eq!(a, b, "q={q}");
+        }
+    }
+
+    #[test]
+    fn row_scatter_interleaves_the_solo_streams() {
+        let g = pcpm_graph::gen::rmat(&pcpm_graph::gen::RmatConfig::graph500(9, 8, 33)).unwrap();
+        let parts = Partitioner::new(g.num_nodes(), 100).unwrap();
+        let png = Png::build(EdgeView::from_csr(&g), parts, parts);
+        let slots = png.num_compressed_edges() as usize;
+        for width in [0usize, 1, 3, 8] {
+            let xs: Vec<Vec<f32>> = (0..width)
+                .map(|q| {
+                    (0..g.num_nodes())
+                        .map(|v| (v + 7 * q as u32) as f32)
+                        .collect()
+                })
+                .collect();
+            let x_refs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
+            let mut rows = vec![-1.0f32; slots * width];
+            png_scatter_rows(&png, &x_refs, &mut rows);
+            for (q, x) in xs.iter().enumerate() {
+                let mut solo = vec![0.0f32; slots];
+                png_scatter(&png, x, &mut solo);
+                let lane: Vec<f32> = rows.iter().skip(q).step_by(width).copied().collect();
+                assert_eq!(lane, solo, "width {width} lane {q}");
+            }
         }
     }
 

@@ -15,9 +15,11 @@
 //! apply step moved into the gather: `Engine::step_many_with` hands its
 //! closure every destination node exactly once, in ranges that tile
 //! `0..n`, after that range's sums are final; the multi-query update
-//! streams an engine keeps between rounds never leak one round into the
-//! next; and a batch run through the one driver gives every query the
-//! scores and the iteration count it gets alone.
+//! rows an engine keeps between rounds never leak one round into the
+//! next, whatever the sequence of widths; the two ablation engines run a
+//! batch one query per round; and a batch run through the one driver
+//! gives every query the scores and the iteration count it gets alone,
+//! also while the batch narrows from eight lanes to one.
 
 use pcpm::core::algebra::{MinLabel, PlusF32};
 use pcpm::core::engine::{GatherKind, ScatterKind};
@@ -250,12 +252,44 @@ fn the_epilogue_sees_every_node_once_after_its_sums_are_final() {
     }
 }
 
+#[test]
+fn ablation_engines_run_a_batch_one_query_per_round() {
+    // Neither Algorithm 2 variant has a batched kernel: `step_many` must
+    // give each query its `step` bits, and the epilogue contract holds
+    // with the apply as a pass of its own.
+    let g = pcpm::graph::gen::rmat(&RmatConfig::graph500(9, 8, 13)).unwrap();
+    let builder = || Engine::<PlusF32>::builder(&g).partition_bytes(64 * 4);
+    let ablations = [
+        builder().scatter(ScatterKind::CsrTraversal),
+        builder().gather(GatherKind::Branchy),
+    ];
+    for builder in ablations {
+        let mut engine = builder.build().unwrap();
+        let n = engine.num_src();
+        let xs: Vec<Vec<f32>> = (0..3).map(|q| inputs_of(n, q)).collect();
+        let solo: Vec<Vec<f32>> = (xs.iter())
+            .map(|x| {
+                let mut y = vec![f32::NAN; n as usize];
+                engine.step(x, &mut y).unwrap();
+                y
+            })
+            .collect();
+        assert_eq!(step_many_of(&mut engine, 3), solo);
+        for width in [1, 3] {
+            assert_epilogue_contract(&mut engine, 64, width);
+        }
+    }
+}
+
+/// Query `q`'s real-valued input over `n` nodes.
+fn inputs_of(n: u32, q: u32) -> Vec<f32> {
+    (0..n).map(|v| 1.0 / (v % 7 + q + 1) as f32).collect()
+}
+
 /// `step_many` over `width` distinct inputs.
 fn step_many_of(engine: &mut Engine<PlusF32>, width: u32) -> Vec<Vec<f32>> {
     let n = engine.num_src();
-    let xs: Vec<Vec<f32>> = (0..width)
-        .map(|q| (0..n).map(|v| 1.0 / (v % 7 + q + 1) as f32).collect())
-        .collect();
+    let xs: Vec<Vec<f32>> = (0..width).map(|q| inputs_of(n, q)).collect();
     let x_refs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
     let mut ys = vec![vec![f32::NAN; n as usize]; width as usize];
     let mut y_refs: Vec<&mut [f32]> = ys.iter_mut().map(Vec::as_mut_slice).collect();
@@ -265,10 +299,10 @@ fn step_many_of(engine: &mut Engine<PlusF32>, width: u32) -> Vec<Vec<f32>> {
 
 #[test]
 fn kept_update_streams_never_leak_between_rounds() {
-    // Real-valued inputs: a stale slot of a kept stream would change a
-    // sum. Widths 8, 3, 8 grow, trim and regrow the streams; the update
-    // changes |E'|, so the streams kept from before it have the wrong
-    // length.
+    // Real-valued inputs: a stale lane of the kept rows would change a
+    // sum. Widths 8, 2, 8, 1, 9 narrow, regrow, drop (a solo round) and
+    // outgrow the rows, past the 8-lane block; the update changes |E'|,
+    // so the rows kept from before it have the wrong length.
     let g = Arc::new(pcpm::graph::gen::rmat(&RmatConfig::graph500(9, 8, 29)).unwrap());
     let mut edges: Vec<(u32, u32)> = g.edges().collect();
     let deleted: Vec<(u32, u32)> = edges.iter().copied().step_by(5).take(40).collect();
@@ -287,7 +321,7 @@ fn kept_update_streams_never_leak_between_rounds() {
         let build = |g: &Arc<Csr>| Engine::<PlusF32>::builder(g).config(cfg).build().unwrap();
         let mut engine = build(&g);
         let compressed_before = engine.report().compression_ratio;
-        for width in [8, 3, 8] {
+        for width in [8, 2, 8, 1, 9] {
             let fresh = step_many_of(&mut build(&g), width);
             assert_eq!(
                 step_many_of(&mut engine, width),
@@ -300,7 +334,7 @@ fn kept_update_streams_never_leak_between_rounds() {
             UpdateOutcome::Repaired(_)
         ));
         assert_ne!(engine.report().compression_ratio, compressed_before);
-        for width in [8, 3, 8] {
+        for width in [8, 2, 8, 1, 9] {
             let fresh = step_many_of(&mut build(&g2), width);
             assert_eq!(
                 step_many_of(&mut engine, width),
@@ -311,14 +345,13 @@ fn kept_update_streams_never_leak_between_rounds() {
     }
 }
 
-#[test]
-fn a_batch_gives_every_query_its_solo_scores_and_iteration_count() {
-    // The tolerance freezes the three queries at different iterations;
-    // each must stop where it stops alone, on every format and backend
-    // — and, the L1 change being grouped by partition, with one
-    // `last_delta` per dataplane whatever the format or thread count.
-    let g = pcpm::graph::gen::rmat(&RmatConfig::graph500(8, 8, 77)).unwrap();
-    let seed_sets: Vec<Vec<u32>> = vec![vec![0], (0..g.num_nodes()).collect(), vec![5, 6, 7]];
+/// Solves `seed_sets` as one batch and one by one, on every format and
+/// on the pull backend, at 1 and 4 threads: each query must stop where
+/// it stops alone, with its solo scores and `last_delta` bits — and, the
+/// L1 change being grouped by partition, with one `last_delta` per
+/// dataplane whatever the format or thread count. Returns the distinct
+/// iteration counts the queries froze at.
+fn batch_equals_solos(g: &Csr, seed_sets: &[Vec<u32>]) -> std::collections::BTreeSet<usize> {
     let mut engines: Vec<(PcpmConfig, Engine<PlusF32>)> = Vec::new();
     for threads in [1, 4] {
         let base = PcpmConfig::default()
@@ -328,29 +361,25 @@ fn a_batch_gives_every_query_its_solo_scores_and_iteration_count() {
             .with_threads(threads);
         for format in format_matrix() {
             let cfg = base.with_bin_format(format);
-            engines.push((cfg, Engine::builder(&g).config(cfg).build().unwrap()));
+            engines.push((cfg, Engine::builder(g).config(cfg).build().unwrap()));
         }
-        let pull = Engine::builder(&g).config(base).backend(BackendKind::Pull);
+        let pull = Engine::builder(g).config(base).backend(BackendKind::Pull);
         engines.push((base, pull.build().unwrap()));
     }
     let mut stops = std::collections::BTreeMap::new();
     for (cfg, mut engine) in engines {
         let name = engine.report().backend;
         let batch = pcpm::algos::personalized_pagerank_many_with_unified_engine(
-            &g,
-            &seed_sets,
+            g,
+            seed_sets,
             &cfg,
             &mut engine,
         )
         .unwrap();
         for (q, (seeds, got)) in seed_sets.iter().zip(&batch).enumerate() {
-            let solo = pcpm::algos::personalized_pagerank_with_unified_engine(
-                &g,
-                seeds,
-                &cfg,
-                &mut engine,
-            )
-            .unwrap();
+            let solo =
+                pcpm::algos::personalized_pagerank_with_unified_engine(g, seeds, &cfg, &mut engine)
+                    .unwrap();
             assert!(got.converged, "{name}");
             assert_eq!(got.scores, solo.scores, "{name} {}", cfg.bin_format);
             assert_eq!(got.iterations, solo.iterations, "{name} {}", cfg.bin_format);
@@ -367,6 +396,29 @@ fn a_batch_gives_every_query_its_solo_scores_and_iteration_count() {
             );
         }
     }
-    let iterations: std::collections::BTreeSet<usize> = stops.values().map(|s| s.0).collect();
-    assert!(iterations.len() > 1, "queries froze together: {stops:?}");
+    stops.values().map(|s| s.0).collect()
+}
+
+#[test]
+fn a_batch_gives_every_query_its_solo_scores_and_iteration_count() {
+    // The tolerance freezes the three queries at different iterations.
+    let g = pcpm::graph::gen::rmat(&RmatConfig::graph500(8, 8, 77)).unwrap();
+    let seed_sets: Vec<Vec<u32>> = vec![vec![0], (0..g.num_nodes()).collect(), vec![5, 6, 7]];
+    let iterations = batch_equals_solos(&g, &seed_sets);
+    assert!(
+        iterations.len() > 1,
+        "queries froze together: {iterations:?}"
+    );
+}
+
+#[test]
+fn a_batch_that_narrows_from_eight_lanes_to_one_equals_its_solos() {
+    // Eight single-seed queries that each freeze at an iteration of
+    // their own (an isolated seed after one, a deep one after 28): inside
+    // one solve the rounds run at every width from 8 down — across the
+    // 4-lane block and the scalar tail — to 1, the solo kernel.
+    let g = pcpm::graph::gen::rmat(&RmatConfig::graph500(8, 8, 77)).unwrap();
+    let seed_sets: Vec<Vec<u32>> = [31, 4, 0, 7, 15, 79, 94, 139].map(|s| vec![s]).to_vec();
+    let iterations = batch_equals_solos(&g, &seed_sets);
+    assert_eq!(iterations.len(), 8, "some queries froze together");
 }
