@@ -138,7 +138,7 @@ fn main() {
     });
 
     // Update-publish latency: round trip through the writer thread,
-    // incremental repair, snapshot re-export and epoch publication.
+    // engine rebuild, snapshot re-export and epoch publication.
     let batches = gen_updates(
         &g,
         &UpdateGenConfig {

@@ -189,23 +189,6 @@ pub trait Backend<A: Algebra>: Send {
         step_then_apply(self, xs, ys, epilogue)
     }
 
-    /// Absorbs a batch of edge changes into the prepared state, given the
-    /// *post-update* graph in `spec`.
-    ///
-    /// Returns `Ok(Some(stats))` when the backend repaired itself in
-    /// place (the PCPM dataplanes re-scatter only touched partitions),
-    /// or `Ok(None)` when it cannot — [`Engine::update`] then falls back
-    /// to a full [`Backend::prepare`]. The default declines, so every
-    /// external backend keeps working unchanged.
-    fn update(
-        &mut self,
-        spec: &PrepareSpec<'_>,
-        batch: &UpdateBatch,
-    ) -> Result<Option<RepairStats>, PcpmError> {
-        let _ = (spec, batch);
-        Ok(None)
-    }
-
     /// Static facts about the prepared state.
     fn metrics(&self) -> BackendMetrics;
 
@@ -231,6 +214,39 @@ fn step_then_apply<A: Algebra, B: Backend<A> + ?Sized>(
     let (totals, _) = apply_parts(lens, ys, Some(epilogue), |_, ys_p| ys_p);
     timings.apply += t0.elapsed();
     Ok((timings, totals))
+}
+
+/// Why every round of an engine fails after an [`Engine::update`] whose
+/// rebuild failed.
+const RELEASED: &str = "the dataplane was released by an update whose rebuild failed";
+
+/// What an engine holds between releasing its dataplane and adopting the
+/// replacement in [`Engine::update`]: no state, and every round fails
+/// with a typed error, so an engine whose rebuild failed never serves
+/// freed or stale bins.
+struct Released;
+
+impl<A: Algebra> Backend<A> for Released {
+    fn prepare(_: &PrepareSpec<'_>) -> Result<Self, PcpmError> {
+        Ok(Released)
+    }
+
+    fn step(&mut self, _: &[A::T], _: &mut [A::T]) -> Result<PhaseTimings, PcpmError> {
+        Err(PcpmError::BadConfig(RELEASED))
+    }
+
+    fn metrics(&self) -> BackendMetrics {
+        BackendMetrics {
+            name: "released",
+            preprocess: Duration::ZERO,
+            aux_memory_bytes: 0,
+            compression_ratio: None,
+            bin_format: None,
+            bin_compression: None,
+            dest_stream_bytes: None,
+            kernel: None,
+        }
+    }
 }
 
 /// The built-in backends the [`EngineBuilder`] can construct.
@@ -277,7 +293,9 @@ pub struct ExecutionReport {
     pub bin_compression: Option<f64>,
     /// Whether the prepared state was loaded from a snapshot cache
     /// instead of built by `prepare` (in which case `preprocess` is the
-    /// load wall-clock, not a build).
+    /// load wall-clock, not a build). An [`Engine::update`] rebuilds the
+    /// state, so after one this is `false` and `preprocess` is that
+    /// build's time.
     pub loaded_from_snapshot: bool,
     /// Snapshot load wall-clock, present exactly when
     /// [`Self::loaded_from_snapshot`] is set.
@@ -377,10 +395,10 @@ pub struct Engine<A: Algebra> {
     /// ([`Engine::step_many`] bookkeeping for the report).
     batch_passes: usize,
     batch_queries: usize,
-    /// The build recipe, kept so [`Engine::update`] can re-`prepare` a
-    /// backend that declines incremental repair. `None` for engines
-    /// wrapping an external backend ([`Engine::from_backend`]), which
-    /// the engine does not know how to rebuild.
+    /// The build recipe, kept so [`Engine::update`] can re-`prepare` the
+    /// dataplane. `None` for engines wrapping an external backend
+    /// ([`Engine::from_backend`]), which the engine does not know how to
+    /// rebuild.
     recipe: Option<BuildRecipe>,
     /// The graph (and weights) the engine was prepared over, retained
     /// for [`Engine::save_snapshot`]. Always zero-copy: populated only
@@ -391,7 +409,8 @@ pub struct Engine<A: Algebra> {
     /// prepared backends.
     source: Option<EngineSource>,
     /// Snapshot load wall-clock when the engine was rehydrated through
-    /// [`Engine::from_snapshot`] instead of `prepare`.
+    /// [`Engine::from_snapshot`] instead of `prepare` (cleared by the
+    /// rebuild of an [`Engine::update`]).
     snapshot_load: Option<Duration>,
     /// `rayon::diagnostics` (workers_spawned, jobs_dispatched) at
     /// construction; [`Engine::report`] subtracts it so pool behaviour
@@ -411,7 +430,7 @@ fn pool_diagnostics() -> (u64, u64) {
 /// The retained build inputs behind [`Engine::save_snapshot`].
 struct EngineSource {
     graph: Arc<Csr>,
-    /// CSR-order edge weights (repairs re-read these).
+    /// CSR-order edge weights, when the engine is weighted.
     weights: Option<Vec<f32>>,
 }
 
@@ -699,27 +718,25 @@ impl<A: Algebra> Engine<A> {
         self.pass(queries, |backend| backend.step_many_with(xs, ys, epilogue))
     }
 
-    /// Absorbs a batch of edge changes, handing the backend the
-    /// *post-update* graph (and, for weighted engines, the post-update
-    /// edge weights parallel to its targets array).
+    /// Absorbs a batch of edge changes by re-`prepare`-ing the dataplane
+    /// from the build recipe over the *post-update* graph (and, for
+    /// weighted engines, the post-update edge weights parallel to its
+    /// targets array): the updated engine steps bit for bit like one
+    /// built over `graph`, and reports [`UpdateOutcome::Rebuilt`].
     ///
-    /// The PCPM dataplanes repair in place — only source partitions with
-    /// a changed adjacency are re-scattered, everything else is
-    /// block-copied (see
-    /// [`FormatPipeline::repair`](crate::engine::FormatPipeline::repair)).
-    /// Backends without a repair path are re-`prepare`d from the build
-    /// recipe; engines wrapping an external backend
-    /// ([`Engine::from_backend`]) cannot be rebuilt here and return
-    /// [`PcpmError::BadConfig`].
+    /// The old dataplane is released before its replacement is prepared,
+    /// so the two are never resident together. Should that preparation
+    /// fail, the error is returned and every round fails with
+    /// [`PcpmError::BadConfig`] until an update rebuilds the engine.
+    /// Engines wrapping an external backend ([`Engine::from_backend`])
+    /// cannot be rebuilt here and return [`PcpmError::BadConfig`].
     ///
     /// A weighted engine must receive weights and an unweighted engine
-    /// must not — changing weightedness requires a fresh build. The
-    /// batch models *structural* change only: weights of edges that
-    /// survive the batch untouched must keep their old values (the
-    /// repair block-copies their bin segments); to mutate weights on
-    /// unchanged edges, rebuild the engine.
+    /// must not — changing weightedness requires a fresh build. After the
+    /// rebuild the report's `preprocess` is that build's time and its
+    /// snapshot-load fields are cleared.
     ///
-    /// Passing the graph as an `Arc` keeps the repair zero-copy for
+    /// Passing the graph as an `Arc` keeps the rebuild zero-copy for
     /// backends that retain the adjacency. An empty batch (with an
     /// unchanged node count) is a no-op and reports `Repaired` with
     /// zeroed [`RepairStats`].
@@ -753,38 +770,32 @@ impl<A: Algebra> Engine<A> {
             }
         }
         // An empty applied diff means the prepared state already matches
-        // `graph`: skip the backend round-trip (for backends without a
-        // repair path it would be a full rebuild of an unchanged graph).
+        // `graph`: skip rebuilding an unchanged graph.
         if batch.is_empty() && graph.num_nodes() == self.num_src {
             return Ok(UpdateOutcome::Repaired(RepairStats {
                 partitions_rebuilt: 0,
                 partitions_total: 0,
             }));
         }
-        let _span = crate::telemetry::span_n("update", batch.len() as u64);
-        let recipe = self.recipe;
-        let spec = PrepareSpec {
-            graph,
-            shared: Some(graph),
-            weights,
-            cfg: recipe.map_or_else(PcpmConfig::default, |r| r.cfg),
-            scatter: recipe.map_or_else(ScatterKind::default, |r| r.scatter),
-            gather: recipe.map_or_else(GatherKind::default, |r| r.gather),
-        };
-        let backend = &mut self.backend;
-        let repaired = match &self.pool {
-            Some(pool) => pool.install(|| backend.update(&spec, batch))?,
-            None => backend.update(&spec, batch)?,
-        };
-        if let Some(stats) = repaired {
-            self.refresh_source(graph, weights);
-            return Ok(UpdateOutcome::Repaired(stats));
-        }
-        let Some(recipe) = recipe else {
+        let Some(recipe) = self.recipe else {
             return Err(PcpmError::BadConfig(
                 "externally prepared backends cannot be rebuilt through Engine::update",
             ));
         };
+        let _span = crate::telemetry::span_n("update", batch.len() as u64);
+        let spec = PrepareSpec {
+            graph,
+            shared: Some(graph),
+            weights,
+            cfg: recipe.cfg,
+            scatter: recipe.scatter,
+            gather: recipe.gather,
+        };
+        // Free the old dataplane (and its retained source) first: the
+        // allocator can then hand its O(E) streams to the new build.
+        self.backend = Box::new(Released);
+        self.source = None;
+        self.snapshot_load = None;
         let prepare = || prepare_builtin::<A>(recipe.kind, &spec);
         self.backend = match &self.pool {
             Some(pool) => pool.install(prepare)?,
@@ -792,23 +803,14 @@ impl<A: Algebra> Engine<A> {
         };
         self.num_src = graph.num_nodes();
         self.num_dst = graph.num_nodes();
-        self.refresh_source(graph, weights);
+        // A snapshot saved after the update captures the state the
+        // engine serves; the `Arc` makes retention free even for an
+        // engine built from a borrowed graph.
+        self.source = Some(EngineSource {
+            graph: Arc::clone(graph),
+            weights: weights.map(<[f32]>::to_vec),
+        });
         Ok(UpdateOutcome::Rebuilt)
-    }
-
-    /// Re-points the retained snapshot source at the post-update graph
-    /// (and weights), so a snapshot saved after an update captures the
-    /// state the engine actually serves. Updates hand the engine an
-    /// `Arc`, so this also *establishes* retention (zero-copy) for
-    /// engines built from a borrowed graph. Externally prepared engines
-    /// (no build recipe) retain nothing and stay that way.
-    fn refresh_source(&mut self, graph: &Arc<Csr>, weights: Option<&[f32]>) {
-        if self.recipe.is_some() {
-            self.source = Some(EngineSource {
-                graph: Arc::clone(graph),
-                weights: weights.map(<[f32]>::to_vec),
-            });
-        }
     }
 
     /// Whether the engine was prepared with edge weights, when known.
@@ -1147,7 +1149,7 @@ impl<A: Algebra> SnapshotEngineBuilder<A> {
         let n = graph.num_nodes();
         let weighted = weights.is_some();
         let pool = build_pool(cfg.threads)?;
-        let backend = boxed_backend_from_state::<A>(n, png, bins, load, self.kernel);
+        let backend = boxed_backend_from_state::<A>(png, bins, load, self.kernel);
         Ok(Engine {
             partition_nodes: cfg.partition_nodes(),
             pool,
@@ -1191,7 +1193,6 @@ macro_rules! with_format {
 /// of the snapshot's format; the update stream is scratch, allocated
 /// fresh at `|E'|`.
 fn boxed_backend_from_state<A: Algebra>(
-    n: u32,
     png: crate::png::Png,
     bins: BinState,
     load: Duration,
@@ -1201,7 +1202,7 @@ fn boxed_backend_from_state<A: Algebra>(
     with_format!(bins.kind(), F => {
         let bins = F::import_state(bins, num_updates);
         Box::new(PcpmBackend {
-            pipeline: FormatPipeline::<A, F>::from_loaded(n, n, png, bins, load, kernel),
+            pipeline: FormatPipeline::<A, F>::from_loaded(png, bins, load, kernel),
             scatter: ScatterKind::Png,
             gather: GatherKind::BranchAvoiding,
             graph: None,
@@ -1285,35 +1286,6 @@ impl<A: Algebra, F: BinFormat> Backend<A> for PcpmBackend<A, F> {
             return step_then_apply(self, xs, ys, epilogue);
         }
         self.round(xs, ys, Some(epilogue))
-    }
-
-    fn update(
-        &mut self,
-        spec: &PrepareSpec<'_>,
-        batch: &UpdateBatch,
-    ) -> Result<Option<RepairStats>, PcpmError> {
-        // Dimension or weightedness changes need a full prepare; so does
-        // an empty layout (zero partitions cannot be repaired).
-        if spec.graph.num_nodes() != self.pipeline.num_src()
-            || spec.weights.is_some() != self.pipeline.is_weighted()
-            || self.pipeline.num_src() == 0
-        {
-            return Ok(None);
-        }
-        // The partition size the bins were actually built with — not
-        // spec.cfg, which carries only defaults for externally prepared
-        // backends (Engine::from_backend).
-        let q = self.pipeline.png().src_parts().partition_size();
-        let touched = batch.touched_src_partitions(q);
-        let stats = self
-            .pipeline
-            .repair(EdgeView::from_csr(spec.graph), spec.weights, &touched)?;
-        if self.graph.is_some() {
-            // The CSR-traversal ablation scans the adjacency directly:
-            // swap in the post-update handle.
-            self.graph = Some(spec.graph_arc());
-        }
-        Ok(Some(stats))
     }
 
     fn metrics(&self) -> BackendMetrics {
@@ -1775,11 +1747,7 @@ mod tests {
 
     /// Splits a graph edit into (new graph, batch): deletes the first
     /// edge of every source in `del_sources`, inserts `inserts`.
-    fn edit(
-        g: &Csr,
-        del_sources: &[u32],
-        inserts: &[(u32, u32)],
-    ) -> (Csr, crate::update::UpdateBatch) {
+    fn edit(g: &Csr, del_sources: &[u32], inserts: &[(u32, u32)]) -> (Arc<Csr>, UpdateBatch) {
         let mut deletes = Vec::new();
         for &s in del_sources {
             if let Some(&t) = g.neighbors(s).first() {
@@ -1793,117 +1761,179 @@ mod tests {
         edges.dedup();
         let g2 = Csr::from_edges(g.num_nodes(), &edges).unwrap();
         (
-            g2,
-            crate::update::UpdateBatch::from_parts(inserts.to_vec(), deletes),
+            Arc::new(g2),
+            UpdateBatch::from_parts(inserts.to_vec(), deletes),
         )
     }
 
+    /// Eighth-grain weights, a pure function of the endpoints: every sum
+    /// stays exact in f32.
+    fn weights_of(g: &Csr) -> Vec<f32> {
+        g.edges()
+            .map(|(s, t)| (((s + t) % 8) + 1) as f32 / 8.0)
+            .collect()
+    }
+
+    fn step_of(engine: &mut Engine<PlusF32>, x: &[f32]) -> Vec<f32> {
+        let mut y = vec![0.0f32; x.len()];
+        engine.step(x, &mut y).unwrap();
+        y
+    }
+
     #[test]
-    fn pcpm_update_repairs_in_place_and_matches_fresh_prepare() {
-        let g = rmat(&RmatConfig::graph500(9, 8, 55)).unwrap();
-        let x = int_x(g.num_nodes());
+    fn update_equals_a_fresh_build() {
+        let g = Arc::new(rmat(&RmatConfig::graph500(9, 8, 55)).unwrap());
         let (g2, batch) = edit(&g, &[1, 2, 70], &[(3, 400), (65, 9)]);
-        let g2 = Arc::new(g2);
+        let (w, w2) = (weights_of(&g), weights_of(&g2));
+        let (we, we2) = (
+            EdgeWeights::new(&g, w).unwrap(),
+            EdgeWeights::new(&g2, w2.clone()).unwrap(),
+        );
+        let x = int_x(g.num_nodes());
+        let mut variants = vec![(BackendKind::Pull, BinFormatKind::Wide, ScatterKind::Png)];
         for format in BinFormatKind::ALL {
-            let mut engine = Engine::<PlusF32>::builder(&g)
-                .partition_bytes(64 * 4)
-                .bin_format(format)
-                .build()
-                .unwrap();
-            let outcome = engine.update(&g2, None, &batch).unwrap();
-            match outcome {
-                crate::update::UpdateOutcome::Repaired(stats) => {
-                    // Sources 1, 2, 3 live in partition 0; 65, 70 in 1.
-                    assert_eq!(stats.partitions_rebuilt, 2, "format={format}");
-                    assert_eq!(stats.partitions_total, 8);
-                }
-                other => panic!("expected repair, got {other:?}"),
+            for scatter in [ScatterKind::Png, ScatterKind::CsrTraversal] {
+                variants.push((BackendKind::Pcpm, format, scatter));
             }
-            let mut fresh = Engine::<PlusF32>::builder(&g2)
-                .partition_bytes(64 * 4)
-                .bin_format(format)
-                .build()
-                .unwrap();
-            let n = g2.num_nodes() as usize;
-            let (mut ya, mut yb) = (vec![0.0f32; n], vec![0.0f32; n]);
-            engine.step(&x, &mut ya).unwrap();
-            fresh.step(&x, &mut yb).unwrap();
-            assert_eq!(ya, yb, "format={format}");
+        }
+        for (kind, format, scatter) in variants {
+            for weighted in [false, true] {
+                let build = |graph: &Arc<Csr>, w: &EdgeWeights| {
+                    let b = Engine::<PlusF32>::builder_shared(graph)
+                        .partition_bytes(64 * 4)
+                        .backend(kind)
+                        .bin_format(format)
+                        .scatter(scatter);
+                    let b = if weighted { b.weights(w) } else { b };
+                    b.build().unwrap()
+                };
+                let mut engine = build(&g, &we);
+                let new_w = weighted.then_some(&w2[..]);
+                let outcome = engine.update(&g2, new_w, &batch).unwrap();
+                let case = format!("{} {format} {scatter:?} weighted={weighted}", kind.name());
+                assert_eq!(outcome, UpdateOutcome::Rebuilt, "{case}");
+                let fresh = step_of(&mut build(&g2, &we2), &x);
+                assert_eq!(step_of(&mut engine, &x), fresh, "{case}");
+            }
+        }
+        // A snapshot-loaded engine rebuilds from the recipe its snapshot
+        // recorded.
+        for format in BinFormatKind::ALL {
+            let build = |graph: &Arc<Csr>| {
+                Engine::<PlusF32>::builder_shared(graph)
+                    .partition_bytes(64 * 4)
+                    .bin_format(format)
+                    .build()
+                    .unwrap()
+            };
+            let snapshot = build(&g).snapshot().unwrap();
+            let mut loaded =
+                SnapshotEngineBuilder::<PlusF32>::from_snapshot(snapshot, Duration::ZERO)
+                    .build()
+                    .unwrap();
+            let outcome = loaded.update(&g2, None, &batch).unwrap();
+            assert_eq!(outcome, UpdateOutcome::Rebuilt, "loaded {format}");
+            let fresh = step_of(&mut build(&g2), &x);
+            assert_eq!(step_of(&mut loaded, &x), fresh, "loaded {format}");
         }
     }
 
     #[test]
-    fn weighted_delta_update_repairs_weights() {
-        // The delta format stores weights in the raw-edge layout; repair
-        // must keep them aligned with the re-encoded byte stream.
-        let g = erdos_renyi(200, 1600, 21).unwrap();
-        let wf = |s: u32, t: u32| (((s + t) % 8) + 1) as f32 / 8.0;
-        let w: Vec<f32> = g.edges().map(|(s, t)| wf(s, t)).collect();
-        let weights = EdgeWeights::new(&g, w).unwrap();
-        let (g2, batch) = edit(&g, &[7], &[(4, 150)]);
-        let g2 = Arc::new(g2);
-        let w2: Vec<f32> = g2.edges().map(|(s, t)| wf(s, t)).collect();
-        let mut engine = Engine::<PlusF32>::builder(&g)
-            .partition_bytes(32 * 4)
-            .bin_format(BinFormatKind::Delta)
-            .weights(&weights)
-            .build()
-            .unwrap();
-        assert!(matches!(
-            engine.update(&g2, Some(&w2), &batch).unwrap(),
-            crate::update::UpdateOutcome::Repaired(_)
-        ));
-        let w2e = EdgeWeights::new(&g2, w2).unwrap();
-        let mut fresh = Engine::<PlusF32>::builder(&g2)
-            .partition_bytes(32 * 4)
-            .bin_format(BinFormatKind::Delta)
-            .weights(&w2e)
-            .build()
-            .unwrap();
-        let x = int_x(g2.num_nodes());
-        let n = g2.num_nodes() as usize;
-        let (mut ya, mut yb) = (vec![0.0f32; n], vec![0.0f32; n]);
-        engine.step(&x, &mut ya).unwrap();
-        fresh.step(&x, &mut yb).unwrap();
-        assert_eq!(ya, yb);
+    fn update_takes_new_weights_on_untouched_edges() {
+        // The batch touches source partition 0 only; the new weights
+        // also change the last edge, whose source partition it leaves
+        // alone.
+        let g = Arc::new(rmat(&RmatConfig::graph500(9, 8, 55)).unwrap());
+        let (g2, batch) = edit(&g, &[1], &[(3, 400)]);
+        let q = 64;
+        assert_eq!(batch.touched_src_partitions(q), vec![0]);
+        assert!(g2.edges().last().unwrap().0 >= q);
+        let we = EdgeWeights::new(&g, weights_of(&g)).unwrap();
+        let mut w2 = weights_of(&g2);
+        *w2.last_mut().unwrap() += 1.0;
+        let we2 = EdgeWeights::new(&g2, w2.clone()).unwrap();
+        let x = vec![1.0f32; g.num_nodes() as usize];
+        for format in [BinFormatKind::Wide, BinFormatKind::Delta] {
+            let build = |graph: &Arc<Csr>, w: &EdgeWeights| {
+                Engine::<PlusF32>::builder(graph)
+                    .partition_bytes(q as usize * 4)
+                    .bin_format(format)
+                    .weights(w)
+                    .build()
+                    .unwrap()
+            };
+            let mut engine = build(&g, &we);
+            engine.update(&g2, Some(&w2), &batch).unwrap();
+            let fresh = step_of(&mut build(&g2, &we2), &x);
+            assert_eq!(step_of(&mut engine, &x), fresh, "{format}");
+        }
     }
 
     #[test]
-    fn csr_traversal_ablation_repairs_against_new_graph() {
-        let g = rmat(&RmatConfig::graph500(8, 6, 91)).unwrap();
-        let x = int_x(g.num_nodes());
-        let (g2, batch) = edit(&g, &[5], &[(2, 200)]);
-        let g2 = Arc::new(g2);
-        let mut engine = Engine::<PlusF32>::builder(&g)
-            .partition_bytes(32 * 4)
-            .scatter(ScatterKind::CsrTraversal)
-            .build()
-            .unwrap();
-        assert!(matches!(
-            engine.update(&g2, None, &batch).unwrap(),
-            crate::update::UpdateOutcome::Repaired(_)
-        ));
-        let mut y = vec![0.0f32; g2.num_nodes() as usize];
-        engine.step(&x, &mut y).unwrap();
-        assert_eq!(y, reference(&g2, &x));
-    }
-
-    #[test]
-    fn pull_backend_rebuilds_on_update() {
-        let g = rmat(&RmatConfig::graph500(8, 6, 31)).unwrap();
-        let x = int_x(g.num_nodes());
-        let (g2, batch) = edit(&g, &[0, 9], &[(1, 100)]);
-        let g2 = Arc::new(g2);
-        let mut engine = Engine::<PlusF32>::builder(&g)
-            .partition_bytes(64 * 4)
+    fn after_an_update_the_report_describes_the_rebuild() {
+        let g = Arc::new(erdos_renyi(300, 2400, 17).unwrap());
+        let (g2, batch) = edit(&g, &[5], &[(7, 200)]);
+        let pcpm = || {
+            Engine::<PlusF32>::builder_shared(&g)
+                .partition_bytes(64 * 4)
+                .build()
+                .unwrap()
+        };
+        // An hour of "load": the rebuild must replace it, not add to it.
+        let load = Duration::from_secs(3600);
+        let loaded =
+            SnapshotEngineBuilder::<PlusF32>::from_snapshot(pcpm().snapshot().unwrap(), load)
+                .build()
+                .unwrap();
+        assert_eq!(loaded.report().snapshot_load, Some(load));
+        let pull = Engine::<PlusF32>::builder(&g)
             .backend(BackendKind::Pull)
             .build()
             .unwrap();
+        for (case, mut engine) in [("pcpm", pcpm()), ("loaded", loaded), ("pull", pull)] {
+            let t0 = crate::telemetry::stopwatch();
+            engine.update(&g2, None, &batch).unwrap();
+            let took = t0.elapsed();
+            let r = engine.report();
+            assert!(!r.loaded_from_snapshot, "{case}");
+            assert_eq!(r.snapshot_load, None, "{case}");
+            assert!(
+                r.preprocess <= took,
+                "{case}: {:?} > {took:?}",
+                r.preprocess
+            );
+        }
+    }
+
+    #[test]
+    fn a_failed_rebuild_leaves_typed_errors_not_freed_bins() {
+        let g = Arc::new(erdos_renyi(100, 500, 3).unwrap());
+        let (g2, batch) = edit(&g, &[4], &[(9, 90)]);
+        let mut engine = Engine::<PlusF32>::builder_shared(&g)
+            .partition_bytes(64 * 4)
+            .build()
+            .unwrap();
+        // A recipe the build rejects, so the prepare after the release
+        // fails.
+        let good = engine.recipe.unwrap();
+        let cfg = good.cfg.with_partition_bytes(0);
+        engine.recipe = Some(BuildRecipe { cfg, ..good });
         assert_eq!(
-            engine.update(&g2, None, &batch).unwrap(),
-            crate::update::UpdateOutcome::Rebuilt
+            engine.update(&g2, None, &batch),
+            Err(PcpmError::PartitionTooSmall)
         );
-        let mut y = vec![0.0f32; g2.num_nodes() as usize];
+        let x = int_x(100);
+        let mut y = vec![0.0f32; 100];
+        let released = Err(PcpmError::BadConfig(RELEASED));
+        assert_eq!(engine.step(&x, &mut y).map(|_| ()), released);
+        let mut y2 = y.clone();
+        let batched = engine.step_many(&[&x[..], &x[..]], &mut [&mut y[..], &mut y2[..]]);
+        assert_eq!(batched.map(|_| ()), released);
+        assert!(engine.snapshot().is_err());
+        assert_eq!(engine.report().backend, "released");
+        // The next update that builds brings it back.
+        engine.recipe = Some(good);
+        assert_eq!(engine.update(&g2, None, &batch), Ok(UpdateOutcome::Rebuilt));
         engine.step(&x, &mut y).unwrap();
         assert_eq!(y, reference(&g2, &x));
     }
@@ -1912,7 +1942,7 @@ mod tests {
     fn update_rejects_out_of_range_batch() {
         let g = Arc::new(erdos_renyi(50, 200, 8).unwrap());
         let mut engine = Engine::<PlusF32>::builder(&g).build().unwrap();
-        let batch = crate::update::UpdateBatch::from_parts(vec![(0, 99)], vec![]);
+        let batch = UpdateBatch::from_parts(vec![(0, 99)], vec![]);
         assert!(matches!(
             engine.update(&g, None, &batch),
             Err(PcpmError::DimensionMismatch { .. })
@@ -1921,22 +1951,31 @@ mod tests {
 
     #[test]
     fn external_backend_cannot_be_rebuilt_through_update() {
+        // Wrapped by `from_backend`, even a PCPM backend has no build
+        // recipe; the refused update leaves it serving.
         let g = Arc::new(erdos_renyi(40, 160, 5).unwrap());
         let spec = PrepareSpec {
             graph: &g,
             shared: Some(&g),
             weights: None,
-            cfg: PcpmConfig::default(),
+            cfg: PcpmConfig::default().with_partition_bytes(16 * 4),
             scatter: ScatterKind::default(),
             gather: GatherKind::default(),
         };
-        let backend = PullBackend::<PlusF32>::prepare(&spec).unwrap();
-        let mut engine = Engine::from_backend(Box::new(backend), 40, 40);
-        let batch = crate::update::UpdateBatch::from_parts(vec![(0, 1)], vec![]);
-        assert!(matches!(
-            engine.update(&g, None, &batch),
-            Err(PcpmError::BadConfig(_))
-        ));
+        let backends: [Box<dyn Backend<PlusF32>>; 2] = [
+            Box::new(PullBackend::prepare(&spec).unwrap()),
+            Box::new(PcpmBackend::<PlusF32>::prepare(&spec).unwrap()),
+        ];
+        let (g2, batch) = edit(&g, &[], &[(0, 1)]);
+        let x = int_x(40);
+        for backend in backends {
+            let mut engine = Engine::from_backend(backend, 40, 40);
+            assert!(matches!(
+                engine.update(&g2, None, &batch),
+                Err(PcpmError::BadConfig(_))
+            ));
+            assert_eq!(step_of(&mut engine, &x), reference(&g, &x));
+        }
     }
 
     #[test]
@@ -1956,46 +1995,10 @@ mod tests {
     }
 
     #[test]
-    fn weighted_pcpm_update_repairs_weights() {
-        let g = erdos_renyi(200, 1600, 21).unwrap();
-        // Weight is a pure function of the endpoints, so unchanged edges
-        // keep their weight across the update (the repair contract).
-        let wf = |s: u32, t: u32| (((s + t) % 8) + 1) as f32 / 8.0;
-        let w: Vec<f32> = g.edges().map(|(s, t)| wf(s, t)).collect();
-        let weights = EdgeWeights::new(&g, w).unwrap();
-        let (g2, batch) = edit(&g, &[7], &[(4, 150)]);
-        let g2 = Arc::new(g2);
-        // Post-update weights, parallel to the new CSR edge order.
-        let w2: Vec<f32> = g2.edges().map(|(s, t)| wf(s, t)).collect();
-        let mut engine = Engine::<PlusF32>::builder(&g)
-            .partition_bytes(32 * 4)
-            .weights(&weights)
-            .build()
-            .unwrap();
-        assert!(matches!(
-            engine.update(&g2, Some(&w2), &batch).unwrap(),
-            crate::update::UpdateOutcome::Repaired(_)
-        ));
-        let w2e = EdgeWeights::new(&g2, w2.clone()).unwrap();
-        let mut fresh = Engine::<PlusF32>::builder(&g2)
-            .partition_bytes(32 * 4)
-            .weights(&w2e)
-            .build()
-            .unwrap();
-        let x = int_x(g2.num_nodes());
-        let n = g2.num_nodes() as usize;
-        let (mut ya, mut yb) = (vec![0.0f32; n], vec![0.0f32; n]);
-        engine.step(&x, &mut ya).unwrap();
-        fresh.step(&x, &mut yb).unwrap();
-        assert_eq!(ya, yb);
-    }
-
-    #[test]
     fn update_rejects_weightedness_change_and_short_weights() {
         let g = erdos_renyi(60, 300, 13).unwrap();
         let w = EdgeWeights::ones(&g);
         let (g2, batch) = edit(&g, &[2], &[(1, 50)]);
-        let g2 = Arc::new(g2);
         // Weighted engine, no weights passed: refuse instead of silently
         // rebuilding unweighted.
         let mut weighted = Engine::<PlusF32>::builder(&g)
@@ -2027,37 +2030,6 @@ mod tests {
     }
 
     #[test]
-    fn externally_prepared_pcpm_backend_repairs_with_its_own_partitioning() {
-        // A PCPM backend wrapped via from_backend has no build recipe,
-        // so Engine::update fills the spec with default config — the
-        // repair must still use the partitioning the bins were built
-        // with, not the default 64 Ki-node partitions.
-        let g = rmat(&RmatConfig::graph500(9, 8, 37)).unwrap();
-        let spec = PrepareSpec {
-            graph: &g,
-            shared: None,
-            weights: None,
-            cfg: PcpmConfig::default().with_partition_bytes(64 * 4),
-            scatter: ScatterKind::default(),
-            gather: GatherKind::default(),
-        };
-        let backend = PcpmBackend::<PlusF32>::prepare(&spec).unwrap();
-        let n = g.num_nodes();
-        let mut engine = Engine::from_backend(Box::new(backend), n, n);
-        // Touch a high partition (far from partition 0).
-        let (g2, batch) = edit(&g, &[400], &[(450, 3)]);
-        let g2 = Arc::new(g2);
-        assert!(matches!(
-            engine.update(&g2, None, &batch).unwrap(),
-            crate::update::UpdateOutcome::Repaired(_)
-        ));
-        let x = int_x(n);
-        let mut y = vec![0.0f32; n as usize];
-        engine.step(&x, &mut y).unwrap();
-        assert_eq!(y, reference(&g2, &x));
-    }
-
-    #[test]
     fn empty_batch_update_is_a_cheap_noop() {
         let g = Arc::new(erdos_renyi(80, 400, 6).unwrap());
         for kind in BackendKind::ALL {
@@ -2066,13 +2038,11 @@ mod tests {
                 .backend(kind)
                 .build()
                 .unwrap();
-            let outcome = engine
-                .update(&g, None, &crate::update::UpdateBatch::default())
-                .unwrap();
+            let outcome = engine.update(&g, None, &UpdateBatch::default()).unwrap();
             assert!(
                 matches!(
                     outcome,
-                    crate::update::UpdateOutcome::Repaired(RepairStats {
+                    UpdateOutcome::Repaired(RepairStats {
                         partitions_rebuilt: 0,
                         ..
                     })

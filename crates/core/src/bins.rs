@@ -20,7 +20,7 @@
 //! [`WideFormat`](crate::format::WideFormat), and
 //! [`CompactBinSpace`](crate::compact::CompactBinSpace), the 16-bit
 //! partition-local IDs of [`CompactFormat`](crate::format::CompactFormat).
-//! The build/repair logic lives in the shared skeleton of
+//! The build logic lives in the shared skeleton of
 //! [`crate::format`]; this module only keeps the storage type and its
 //! memory accounting.
 

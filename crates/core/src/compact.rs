@@ -11,8 +11,8 @@
 //!
 //! [`CompactBinSpace`] stores exactly that encoding — the
 //! [`CompactFormat`](crate::format::CompactFormat) storage of the
-//! [`BinFormat`](crate::format::BinFormat) axis; build, repair and
-//! gather are the fixed-width code shared with the wide format in
+//! [`BinFormat`](crate::format::BinFormat) axis; build and gather
+//! are the fixed-width code shared with the wide format in
 //! [`crate::format`]. The engine switches when
 //! [`crate::PcpmConfig::bin_format`] selects
 //! [`BinFormatKind::Compact`](crate::format::BinFormatKind) and the

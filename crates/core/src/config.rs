@@ -44,7 +44,7 @@ pub struct PcpmConfig {
     /// or delta-encoded varints (`--format delta`).
     pub bin_format: BinFormatKind,
     /// Thread count for the engine-owned worker pool (prepare, every
-    /// step and incremental repair run on it); `None` uses the ambient
+    /// step and the rebuild of an update run on it); `None` uses the ambient
     /// global pool. Every backend produces bit-identical results for
     /// any value (see the rayon shim's determinism contract).
     pub threads: Option<usize>,

@@ -28,7 +28,7 @@
 //! stream reuse the shared layouts, so scatter and weighted gather are
 //! unchanged.
 
-use crate::format::{weight_stream, BinScalar, Kept};
+use crate::format::{weight_stream, BinScalar};
 use crate::gather::{EntrySink, Segment, SegmentDecode};
 use crate::kernel::{prefetch, KernelKind};
 use crate::png::{for_each_run, EdgeView, Png};
@@ -306,7 +306,7 @@ impl<T: BinScalar> DeltaPackedBins<T> {
             dest_bytes.extend_from_slice(&bytes);
             seg_off.push(offs);
         }
-        let weights = edge_weights.map(|ew| weight_stream(view, png, ew, None));
+        let weights = edge_weights.map(|ew| weight_stream(view, png, ew));
         Self {
             updates,
             dest_bytes,
@@ -314,62 +314,6 @@ impl<T: BinScalar> DeltaPackedBins<T> {
             seg_off,
             weights,
         }
-    }
-
-    /// Incremental rebuild after a [`Png::repair`]: touched source
-    /// partitions are re-encoded, untouched byte regions block-copied
-    /// (their segment offsets are unchanged — only the region base
-    /// moves). `old_did_region` positions the weight-stream copy.
-    pub(crate) fn repair(
-        &mut self,
-        view: EdgeView<'_>,
-        png: &Png,
-        old_did_region: &[u64],
-        touched: &[bool],
-        edge_weights: Option<&[f32]>,
-    ) {
-        self.updates = vec![T::default(); png.num_compressed_edges() as usize];
-        let k_src = png.src_parts().num_partitions() as usize;
-        let rebuilt: Vec<Option<(Vec<u8>, Vec<u64>)>> = (0..k_src)
-            .into_par_iter()
-            .map(|s| touched[s].then(|| encode_partition(view, png, s as u32)))
-            .collect();
-        let mut byte_region = Vec::with_capacity(k_src + 1);
-        byte_region.push(0u64);
-        for (s, part) in rebuilt.iter().enumerate() {
-            let len = match part {
-                Some((bytes, _)) => bytes.len() as u64,
-                None => self.byte_region[s + 1] - self.byte_region[s],
-            };
-            byte_region.push(byte_region.last().unwrap() + len);
-        }
-        let mut dest_bytes = Vec::with_capacity(*byte_region.last().unwrap() as usize);
-        for (s, part) in rebuilt.iter().enumerate() {
-            match part {
-                Some((bytes, _)) => dest_bytes.extend_from_slice(bytes),
-                None => dest_bytes.extend_from_slice(
-                    &self.dest_bytes
-                        [self.byte_region[s] as usize..self.byte_region[s + 1] as usize],
-                ),
-            }
-        }
-        for (s, part) in rebuilt.into_iter().enumerate() {
-            if let Some((_, offs)) = part {
-                self.seg_off[s] = offs;
-            }
-        }
-        self.byte_region = byte_region;
-        self.dest_bytes = dest_bytes;
-        let old_w = self.weights.take();
-        self.weights = edge_weights.map(|ew| {
-            let kept = Kept {
-                stream: old_w.as_deref().expect("weighted bins keep weights"),
-                weights: None,
-                did_region: old_did_region,
-                touched,
-            };
-            weight_stream(view, png, ew, Some(kept))
-        });
     }
 
     /// Clones the serializable state (everything except the scratch
@@ -587,40 +531,6 @@ mod tests {
         assert!(delta.dest_stream_bytes() < wide.dest_ids.len() as u64 * 4 / 2);
         assert!(delta.memory_bytes() < wide.memory_bytes());
         assert!(delta.memory_bytes() > 0);
-    }
-
-    #[test]
-    fn repair_equals_fresh_build() {
-        let g = rmat(&RmatConfig::graph500(9, 8, 13)).unwrap();
-        let q = 64u32;
-        let mut edges: Vec<(u32, u32)> = g.edges().collect();
-        edges.retain(|&(s, _)| s != 1);
-        edges.push((2, 500));
-        edges.push((3 * q + 2, 17));
-        edges.sort_unstable();
-        edges.dedup();
-        let g2 = Csr::from_edges(g.num_nodes(), &edges).unwrap();
-        let mut png = setup(&g, q);
-        let old_did_region = png.did_region().to_vec();
-        let mut bins = DeltaFormat::build::<f32>(EdgeView::from_csr(&g), &png, None);
-        let touched_list = [0u32, 3];
-        png.repair(EdgeView::from_csr(&g2), &touched_list);
-        let mut touched = vec![false; png.src_parts().num_partitions() as usize];
-        for &s in &touched_list {
-            touched[s as usize] = true;
-        }
-        bins.repair(
-            EdgeView::from_csr(&g2),
-            &png,
-            &old_did_region,
-            &touched,
-            None,
-        );
-        let fresh = DeltaFormat::build::<f32>(EdgeView::from_csr(&g2), &png, None);
-        assert_eq!(bins.dest_bytes, fresh.dest_bytes);
-        assert_eq!(bins.byte_region, fresh.byte_region);
-        assert_eq!(bins.seg_off, fresh.seg_off);
-        assert_eq!(bins.updates.len(), fresh.updates.len());
     }
 
     #[test]

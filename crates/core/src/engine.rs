@@ -3,8 +3,10 @@
 //! [`BinFormat`].
 //!
 //! [`FormatPipeline<A, F>`] is the statically-typed dataplane: PNG layout
-//! plus `F`'s bin storage, with one shared implementation of build,
-//! incremental repair and the scatter→gather round.
+//! plus `F`'s bin storage, with one shared implementation of build and
+//! the scatter→gather round. The PNG and the destination (and weight)
+//! streams are immutable from build to drop: an edge-set change rebuilds
+//! the pipeline ([`Engine::update`](crate::backend::Engine::update)).
 //!
 //! A round may end in the caller's [`Epilogue`], run by the gather over
 //! each destination partition as it completes (Algorithm 4's
@@ -31,7 +33,6 @@ use crate::partition::Partitioner;
 use crate::png::{EdgeView, Png};
 use crate::pr::PhaseTimings;
 use crate::scatter::{csr_scatter, png_scatter_rows};
-use crate::update::RepairStats;
 use pcpm_graph::Csr;
 use std::time::Duration;
 
@@ -61,8 +62,6 @@ pub enum GatherKind {
 /// structure, statically typed over the gather algebra and the bin
 /// format.
 pub struct FormatPipeline<A: Algebra, F: BinFormat> {
-    num_src: u32,
-    num_dst: u32,
     png: Png,
     bins: F::Bins<A::T>,
     preprocess: Duration,
@@ -103,8 +102,6 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
             png.dst_parts().num_partitions(),
         );
         Ok(Self {
-            num_src: view.num_src(),
-            num_dst: view.num_dst(),
             png,
             bins,
             preprocess: t0.elapsed(),
@@ -118,8 +115,6 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
     /// `preprocess` records the load wall-clock (the only preprocessing
     /// this process paid).
     pub(crate) fn from_loaded(
-        num_src: u32,
-        num_dst: u32,
         png: Png,
         bins: F::Bins<A::T>,
         preprocess: Duration,
@@ -132,8 +127,6 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
             png.dst_parts().num_partitions(),
         );
         Self {
-            num_src,
-            num_dst,
             png,
             bins,
             preprocess,
@@ -145,16 +138,6 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
     /// The serializable dataplane state for the engine-snapshot writer.
     pub(crate) fn export_state(&self) -> crate::snapshot::DataplaneState {
         crate::snapshot::DataplaneState::new(self.png.clone(), F::export_state(&self.bins))
-    }
-
-    /// Number of source nodes (length of `x`).
-    pub fn num_src(&self) -> u32 {
-        self.num_src
-    }
-
-    /// Number of destination nodes (length of `y`).
-    pub fn num_dst(&self) -> u32 {
-        self.num_dst
     }
 
     /// The PNG layout (for inspection and the memory replays).
@@ -195,81 +178,6 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
     /// Pre-processing wall-clock time (PNG build + bin writing), Table 8.
     pub fn preprocess_time(&self) -> Duration {
         self.preprocess
-    }
-
-    /// Whether the pipeline carries per-edge weights in its bins.
-    pub fn is_weighted(&self) -> bool {
-        F::has_weights(&self.bins)
-    }
-
-    /// Incrementally repairs the prepared state after an edge-set change:
-    /// the PNG parts and bin segments of the `touched_parts` *source*
-    /// partitions are rebuilt against `view` (the post-update structure);
-    /// every other partition's segments are block-copied. With a batch
-    /// touching few partitions this is far cheaper than a fresh build —
-    /// the counting/filling scans run only over the touched adjacency.
-    ///
-    /// `view` must keep the dimensions the pipeline was built with, and
-    /// `weights` (the full post-update edge-weight slice, parallel to
-    /// `view`'s targets) must be present exactly when the pipeline was
-    /// built weighted. Repair models *structural* change only: the
-    /// weight of every edge outside `touched_parts` must equal its
-    /// pre-update value, because untouched bin segments (weights
-    /// included) are block-copied, not re-read from `weights`. Mutating
-    /// weights of unchanged edges requires a fresh build.
-    pub fn repair(
-        &mut self,
-        view: EdgeView<'_>,
-        weights: Option<&[f32]>,
-        touched_parts: &[u32],
-    ) -> Result<RepairStats, PcpmError> {
-        if view.num_src() != self.num_src || view.num_dst() != self.num_dst {
-            return Err(PcpmError::DimensionMismatch {
-                expected: self.num_src as usize,
-                got: view.num_src() as usize,
-            });
-        }
-        if weights.is_some() != self.is_weighted() {
-            return Err(PcpmError::BadConfig(
-                "repair must supply weights exactly when the pipeline was built weighted",
-            ));
-        }
-        let k = self.png.src_parts().num_partitions();
-        let mut touched = vec![false; k as usize];
-        for &s in touched_parts {
-            if s >= k {
-                return Err(PcpmError::BadConfig(
-                    "touched source partition out of range",
-                ));
-            }
-            touched[s as usize] = true;
-        }
-        let t0 = crate::telemetry::stopwatch();
-        let _span = crate::telemetry::span_n("repair", touched_parts.len() as u64);
-        let old_did_region = self.png.did_region().to_vec();
-        self.png.repair(view, touched_parts);
-        F::repair(
-            &mut self.bins,
-            view,
-            &self.png,
-            &old_did_region,
-            &touched,
-            weights,
-        );
-        // Repair is (re-)pre-processing: fold it into the reported cost.
-        self.preprocess += t0.elapsed();
-        let stats = RepairStats {
-            partitions_rebuilt: touched_parts.len() as u32,
-            partitions_total: k,
-        };
-        let tm = crate::telemetry::counters();
-        tm.add_partitions_repaired(u64::from(stats.partitions_rebuilt));
-        tm.add_partitions_copied(u64::from(
-            stats
-                .partitions_total
-                .saturating_sub(stats.partitions_rebuilt),
-        ));
-        Ok(stats)
     }
 
     /// One scatter→gather round with explicit phase variants:
@@ -318,7 +226,7 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
                     // Nothing is carried over: free before growing.
                     self.rows = Vec::new();
                 }
-                // A no-op unless the width or (a repair) |E'| changed.
+                // A no-op unless the width changed.
                 self.rows.resize(slots, A::T::default());
                 png_scatter_rows(&self.png, xs, &mut self.rows);
             }

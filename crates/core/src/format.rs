@@ -6,11 +6,12 @@
 //! paper's message bins admit several physical destination-ID encodings —
 //! wide 32-bit global IDs (§3.2), compact 16-bit partition-local IDs (§6)
 //! and the delta-varint stream of [`DeltaPackedBins`](crate::delta) — all
-//! sharing the same update-stream layout and the same build/repair
-//! skeleton. A [`BinFormat`] captures exactly the variation points:
+//! sharing the same update-stream layout and the same build skeleton. A
+//! [`BinFormat`] captures exactly the variation points:
 //!
 //! - how one PNG message run is **encoded** into the destination stream
-//!   ([`BinFormat::build`] / [`BinFormat::repair`]),
+//!   ([`BinFormat::build`]; the destination stream is never edited
+//!   afterwards — an edge-set change builds the bins afresh),
 //! - how the gather **decodes** it back ([`BinFormat::gather_with`] —
 //!   a per-format segment decoder feeding the one loop in `gather.rs`),
 //! - how much auxiliary memory the encoding costs
@@ -98,8 +99,8 @@ impl std::str::FromStr for BinFormatKind {
     }
 }
 
-/// A physical bin encoding: storage type, build/repair, scatter/gather
-/// and memory accounting.
+/// A physical bin encoding: storage type, build, scatter/gather and
+/// memory accounting.
 ///
 /// Implementations are zero-sized marker types ([`WideFormat`],
 /// [`CompactFormat`], [`DeltaFormat`]); the engine picks one statically
@@ -123,20 +124,6 @@ pub trait BinFormat: Send + Sync + 'static {
     /// streams for `png`, in parallel over source partitions.
     fn build<T: BinScalar>(view: EdgeView<'_>, png: &Png, weights: Option<&[f32]>)
         -> Self::Bins<T>;
-
-    /// Incrementally rebuilds the bins after a [`Png::repair`]: touched
-    /// source partitions are re-encoded from `view`, untouched segments
-    /// are block-copied. `png` must already be repaired;
-    /// `old_did_region` is the raw-edge region prefix *before* the
-    /// repair; `touched` is a per-source-partition mask.
-    fn repair<T: BinScalar>(
-        bins: &mut Self::Bins<T>,
-        view: EdgeView<'_>,
-        png: &Png,
-        old_did_region: &[u64],
-        touched: &[bool],
-        weights: Option<&[f32]>,
-    );
 
     /// One scatter round: writes `x` into the update stream. The update
     /// layout is format-independent, so this defaults to the shared PNG
@@ -229,9 +216,6 @@ pub trait BinFormat: Send + Sync + 'static {
     /// ablation writes it directly).
     fn updates_mut<T: BinScalar>(bins: &mut Self::Bins<T>) -> &mut [T];
 
-    /// Whether the bins carry per-edge weights.
-    fn has_weights<T: BinScalar>(bins: &Self::Bins<T>) -> bool;
-
     /// Heap bytes held by the bins (updates + destination stream +
     /// offsets + weights).
     fn aux_memory_bytes<T: BinScalar>(bins: &Self::Bins<T>) -> u64;
@@ -270,14 +254,14 @@ pub fn dest_compression(raw_edges: u64, dest_bytes: u64) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// Shared fixed-width build/repair skeleton (wide + compact)
+// Shared fixed-width build skeleton (wide + compact)
 // ---------------------------------------------------------------------------
 
 /// A fixed-width destination encoding: one storage unit per raw edge
 /// (`u32` wide, `u16` compact). Captures the only differences between
 /// the wide and compact dataplanes — how a message run becomes units and
-/// back; everything else (region splitting, parallel fill, block-copy
-/// repair, weight streams, the [`BinFormat`] impl) is shared below.
+/// back; everything else (region splitting, parallel fill, weight
+/// streams, the [`BinFormat`] impl) is shared below.
 pub(crate) trait FixedDestEncode:
     Copy + Default + Send + Sync + std::fmt::Debug + 'static
 {
@@ -416,80 +400,18 @@ fn fill_fixed_partition<U: FixedDestEncode>(
     });
 }
 
-/// What a repair keeps of a stream it replaces: the old stream (with a
-/// destination stream, the old weights), the raw-edge region prefix
-/// *before* the repair and the per-source-partition `touched` mask.
-#[derive(Clone, Copy)]
-pub(crate) struct Kept<'a, U> {
-    pub stream: &'a [U],
-    pub weights: Option<&'a [f32]>,
-    pub did_region: &'a [u64],
-    pub touched: &'a [bool],
-}
-
-/// The shared fixed-width build and repair: allocate, split, and in
-/// parallel encode every source partition `kept` does not cover (all of
-/// them for a build) while block-copying the rest.
-fn fixed_bins<U: FixedDestEncode, T: BinScalar>(
-    view: EdgeView<'_>,
-    png: &Png,
-    edge_weights: Option<&[f32]>,
-    kept: Option<Kept<'_, U>>,
-) -> FixedBins<U, T> {
-    let updates = vec![T::default(); png.num_compressed_edges() as usize];
-    let mut dest = vec![U::default(); png.num_raw_edges() as usize];
-    let mut weights = edge_weights.map(|_| vec![0.0f32; png.num_raw_edges() as usize]);
-    let did_lens = png.did_region_lens();
-    let wregions: Vec<Option<&mut [f32]>> = match &mut weights {
-        Some(w) => split_by_lens(w, &did_lens).into_iter().map(Some).collect(),
-        None => did_lens.iter().map(|_| None).collect(),
-    };
-    split_by_lens(&mut dest, &did_lens)
-        .into_par_iter()
-        .zip(wregions)
-        .enumerate()
-        .for_each(|(s, (region, wregion))| {
-            let Some(old) = kept.filter(|kept| !kept.touched[s]) else {
-                let weights = wregion.zip(edge_weights);
-                return fill_fixed_partition::<U>(view, png, s as u32, region, weights);
-            };
-            let lo = old.did_region[s] as usize;
-            region.copy_from_slice(&old.stream[lo..lo + region.len()]);
-            if let Some(wregion) = wregion {
-                let old_w = old.weights.expect("weighted bins keep weights");
-                wregion.copy_from_slice(&old_w[lo..lo + wregion.len()]);
-            }
-        });
-    FixedBins {
-        updates,
-        dest_ids: dest,
-        weights,
-    }
-}
-
 /// Writes the per-edge weight stream in raw-edge bin order (the layout
 /// the wide format's destination IDs use; every format stores weights
-/// this way, so the gather can zip weights with decoded entries), whole
-/// or repaired around what `kept` covers. The fixed-width formats fill
-/// weights inline with the destination scan; this serves delta.
-pub(crate) fn weight_stream(
-    view: EdgeView<'_>,
-    png: &Png,
-    ew: &[f32],
-    kept: Option<Kept<'_, f32>>,
-) -> Vec<f32> {
+/// this way, so the gather can zip weights with decoded entries). The
+/// fixed-width formats fill weights inline with the destination scan;
+/// this serves delta.
+pub(crate) fn weight_stream(view: EdgeView<'_>, png: &Png, ew: &[f32]) -> Vec<f32> {
     let mut w = vec![0.0f32; png.num_raw_edges() as usize];
     let regions = split_by_lens(&mut w, &png.did_region_lens());
     regions.into_par_iter().enumerate().for_each(|(s, region)| {
-        match kept.filter(|kept| !kept.touched[s]) {
-            None => for_each_slot(view, png, s as u32, |c, _, run, base| {
-                region[c..c + run.len()].copy_from_slice(&ew[base..base + run.len()]);
-            }),
-            Some(old) => {
-                let lo = old.did_region[s] as usize;
-                region.copy_from_slice(&old.stream[lo..lo + region.len()]);
-            }
-        }
+        for_each_slot(view, png, s as u32, |c, _, run, base| {
+            region[c..c + run.len()].copy_from_slice(&ew[base..base + run.len()]);
+        })
     });
     w
 }
@@ -523,10 +445,12 @@ impl<U: FixedDestEncode> BinFormat for FixedFormat<U> {
         Ok(())
     }
 
+    /// Allocates the streams, splits them by source partition and
+    /// encodes every region in parallel.
     fn build<T: BinScalar>(
         view: EdgeView<'_>,
         png: &Png,
-        weights: Option<&[f32]>,
+        edge_weights: Option<&[f32]>,
     ) -> FixedBins<U, T> {
         let q = png.dst_parts().partition_size();
         assert!(
@@ -535,24 +459,27 @@ impl<U: FixedDestEncode> BinFormat for FixedFormat<U> {
             U::KIND,
             U::MAX_PARTITION
         );
-        fixed_bins(view, png, weights, None)
-    }
-
-    fn repair<T: BinScalar>(
-        bins: &mut FixedBins<U, T>,
-        view: EdgeView<'_>,
-        png: &Png,
-        old_did_region: &[u64],
-        touched: &[bool],
-        weights: Option<&[f32]>,
-    ) {
-        let kept = Kept {
-            stream: &bins.dest_ids[..],
-            weights: bins.weights.as_deref(),
-            did_region: old_did_region,
-            touched,
+        let updates = vec![T::default(); png.num_compressed_edges() as usize];
+        let mut dest = vec![U::default(); png.num_raw_edges() as usize];
+        let mut weights = edge_weights.map(|_| vec![0.0f32; png.num_raw_edges() as usize]);
+        let did_lens = png.did_region_lens();
+        let wregions: Vec<Option<&mut [f32]>> = match &mut weights {
+            Some(w) => split_by_lens(w, &did_lens).into_iter().map(Some).collect(),
+            None => did_lens.iter().map(|_| None).collect(),
         };
-        *bins = fixed_bins(view, png, weights, Some(kept));
+        split_by_lens(&mut dest, &did_lens)
+            .into_par_iter()
+            .zip(wregions)
+            .enumerate()
+            .for_each(|(s, (region, wregion))| {
+                let weights = wregion.zip(edge_weights);
+                fill_fixed_partition::<U>(view, png, s as u32, region, weights);
+            });
+        FixedBins {
+            updates,
+            dest_ids: dest,
+            weights,
+        }
     }
 
     fn gather_with<A: Algebra>(
@@ -570,10 +497,6 @@ impl<U: FixedDestEncode> BinFormat for FixedFormat<U> {
 
     fn updates_mut<T: BinScalar>(bins: &mut FixedBins<U, T>) -> &mut [T] {
         &mut bins.updates
-    }
-
-    fn has_weights<T: BinScalar>(bins: &FixedBins<U, T>) -> bool {
-        bins.weights.is_some()
     }
 
     fn aux_memory_bytes<T: BinScalar>(bins: &FixedBins<U, T>) -> u64 {
@@ -617,17 +540,6 @@ impl BinFormat for DeltaFormat {
         DeltaPackedBins::build(view, png, weights)
     }
 
-    fn repair<T: BinScalar>(
-        bins: &mut DeltaPackedBins<T>,
-        view: EdgeView<'_>,
-        png: &Png,
-        old_did_region: &[u64],
-        touched: &[bool],
-        weights: Option<&[f32]>,
-    ) {
-        bins.repair(view, png, old_did_region, touched, weights);
-    }
-
     fn gather_with<A: Algebra>(
         png: &Png,
         bins: &DeltaPackedBins<A::T>,
@@ -643,10 +555,6 @@ impl BinFormat for DeltaFormat {
 
     fn updates_mut<T: BinScalar>(bins: &mut DeltaPackedBins<T>) -> &mut [T] {
         &mut bins.updates
-    }
-
-    fn has_weights<T: BinScalar>(bins: &DeltaPackedBins<T>) -> bool {
-        bins.weights.is_some()
     }
 
     fn aux_memory_bytes<T: BinScalar>(bins: &DeltaPackedBins<T>) -> u64 {

@@ -157,25 +157,11 @@ impl Png {
             .into_par_iter()
             .map(|s| build_part(view, &src_parts, &dst_parts, s))
             .collect();
-        let mut upd_region = Vec::with_capacity(parts.len() + 1);
-        let mut did_region = Vec::with_capacity(parts.len() + 1);
-        upd_region.push(0);
-        did_region.push(0);
-        for part in &parts {
-            upd_region.push(upd_region.last().unwrap() + part.num_compressed());
-            did_region.push(did_region.last().unwrap() + part.num_raw());
-        }
-        Self {
-            src_parts,
-            dst_parts,
-            parts,
-            upd_region,
-            did_region,
-        }
+        Self::from_parts(src_parts, dst_parts, parts)
     }
 
-    /// Reassembles a layout from deserialized parts (the engine-snapshot
-    /// load path): the region prefix sums are recomputed, so they are
+    /// Assembles a layout from its parts (a build, or the engine-snapshot
+    /// load path): the region prefix sums are computed here, so they are
     /// consistent with `parts` by construction.
     pub(crate) fn from_parts(
         src_parts: Partitioner,
@@ -267,38 +253,6 @@ impl Png {
             .windows(2)
             .map(|w| (w[1] - w[0]) as usize)
             .collect()
-    }
-
-    /// Rebuilds only the bipartite parts of `touched` source partitions
-    /// against `view` (the post-update edge structure) and refreshes the
-    /// global region prefix sums.
-    ///
-    /// Untouched parts are kept verbatim — their adjacency did not
-    /// change, so their counting and filling scans would reproduce the
-    /// same rows. `view` must have the same dimensions the layout was
-    /// built with; `touched` must hold valid, deduplicated source
-    /// partition indices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `view`'s dimensions differ from the original build or a
-    /// touched index is out of range.
-    pub fn repair(&mut self, view: EdgeView<'_>, touched: &[u32]) {
-        assert_eq!(view.num_src(), self.src_parts.num_nodes(), "num_src");
-        assert_eq!(view.num_dst(), self.dst_parts.num_nodes(), "num_dst");
-        let src_parts = self.src_parts;
-        let dst_parts = self.dst_parts;
-        let rebuilt: Vec<(u32, BipartitePart)> = touched
-            .par_iter()
-            .map(|&s| (s, build_part(view, &src_parts, &dst_parts, s)))
-            .collect();
-        for (s, part) in rebuilt {
-            self.parts[s as usize] = part;
-        }
-        for (i, part) in self.parts.iter().enumerate() {
-            self.upd_region[i + 1] = self.upd_region[i] + part.num_compressed();
-            self.did_region[i + 1] = self.did_region[i] + part.num_raw();
-        }
     }
 
     /// Heap bytes used by the layout (Table 8 pre-processing analysis):
@@ -514,39 +468,6 @@ mod tests {
         let png = build(&g, 4);
         assert_eq!(png.num_compressed_edges(), 0);
         assert_eq!(png.compression_ratio(), 1.0);
-    }
-
-    #[test]
-    fn repair_matches_full_rebuild() {
-        let g = pcpm_graph::gen::rmat(&pcpm_graph::gen::RmatConfig::graph500(9, 8, 13)).unwrap();
-        let mut edges: Vec<(u32, u32)> = g.edges().collect();
-        // Change only adjacency inside source partitions 0 and 3.
-        let q = 64u32;
-        edges.retain(|&(s, t)| !(s < q && t == edges_probe(&g, s)));
-        edges.push((1, 500));
-        edges.push((3 * q + 2, 17));
-        edges.sort_unstable();
-        edges.dedup();
-        let g2 = Csr::from_edges(g.num_nodes(), &edges).unwrap();
-        let mut repaired = build(&g, q);
-        repaired.repair(EdgeView::from_csr(&g2), &[0, 3]);
-        let fresh = build(&g2, q);
-        assert_eq!(repaired.num_raw_edges(), fresh.num_raw_edges());
-        assert_eq!(
-            repaired.num_compressed_edges(),
-            fresh.num_compressed_edges()
-        );
-        assert_eq!(repaired.upd_region(), fresh.upd_region());
-        assert_eq!(repaired.did_region(), fresh.did_region());
-        for s in repaired.src_parts().iter() {
-            assert_eq!(repaired.part(s), fresh.part(s), "partition {s}");
-        }
-    }
-
-    /// First target of `s`, or an unused sentinel — used to delete one
-    /// edge per low-partition source.
-    fn edges_probe(g: &Csr, s: u32) -> u32 {
-        g.neighbors(s).first().copied().unwrap_or(u32::MAX)
     }
 
     #[test]

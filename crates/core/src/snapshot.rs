@@ -30,7 +30,7 @@
 //!   reserved         [u8; 6]
 //!   graph            u64 length ‖ pcpm_graph::io binary CSR
 //!   weights          (weighted only) u64 length ‖ pcpm_graph::io weights
-//!                    blob, CSR edge order (repairs re-read these)
+//!                    blob, CSR edge order (rebuilds re-read these)
 //!   png              src_q u32 ‖ dst_q u32 ‖ k_src u32 ‖ k_dst u32,
 //!                    then per source partition:
 //!                    upd_off  (k_dst + 1) × u64
@@ -166,7 +166,7 @@ impl DataplaneState {
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     graph: Arc<Csr>,
-    /// CSR-order edge weights (what repairs and rebuilds consume).
+    /// CSR-order edge weights (what rebuilds consume).
     weights: Option<Vec<f32>>,
     partition_bytes: u64,
     png: Png,

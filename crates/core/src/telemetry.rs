@@ -32,7 +32,6 @@
 //! | `bins_decoded` | per-partition bin streams decoded by gather passes | one add per gather (`k`) |
 //! | `varint_decodes` | per-edge LEB128 decodes (delta format only) | one add per gather |
 //! | `scatter_ns` / `gather_ns` | wall-clock of the two PCPM phases | one add per step |
-//! | `partitions_repaired` / `partitions_copied` | incremental-repair split: bins rebuilt vs block-copied | one add per `Engine::update` |
 //! | `pool_jobs_dispatched` | rayon-shim jobs dispatched while inside `Engine::step` | one add per step |
 //! | `batched_passes` | multi-query (SpMM) passes executed | one add per `Engine::step_many` |
 //! | `batched_queries` | query vectors served by those passes | one add per `Engine::step_many` (`Q`) |
@@ -56,12 +55,11 @@
 //! | span | covers | opened by |
 //! | --- | --- | --- |
 //! | `prepare` | PNG build + bin construction + kernel resolution | `Engine::prepare` |
-//! | `repair` | incremental PNG/bin repair after an update batch (arg: touched partitions) | `Engine::update` |
 //! | `scatter` | the PCPM scatter phase of one round, whatever its width (the enclosing `step` / `step_many` span tells) | `FormatPipeline::round` |
 //! | `gather` | the PCPM gather phase of one round, the in-partition apply included | `FormatPipeline::round` |
-//! | `step` | one backend-dispatched SpMV step (arg: step index) | `DynBackend::step` |
-//! | `step_many` | one backend-dispatched SpMM pass (arg: batch width) | `DynBackend::step_many` |
-//! | `update` | one mutation batch applied through the backend | `DynBackend::update` |
+//! | `step` | one backend-dispatched SpMV step (arg: step index) | `Engine::step` |
+//! | `step_many` | one backend-dispatched SpMM pass (arg: batch width) | `Engine::step_many` |
+//! | `update` | one update batch: the dataplane rebuilt over the post-update graph (arg: batch length) | `Engine::update` |
 //! | `replay_batch` | one replayed update batch + its convergence loop (arg: batch index) | `stream::replay` |
 //!
 //! # Wall-clock discipline
@@ -105,8 +103,6 @@ pub struct Counters {
     varint_decodes: AtomicU64,
     scatter_ns: AtomicU64,
     gather_ns: AtomicU64,
-    partitions_repaired: AtomicU64,
-    partitions_copied: AtomicU64,
     pool_jobs_dispatched: AtomicU64,
     batched_passes: AtomicU64,
     batched_queries: AtomicU64,
@@ -130,10 +126,6 @@ pub struct CounterSnapshot {
     pub scatter_ns: u64,
     /// Cumulative wall-clock of gather phases, nanoseconds.
     pub gather_ns: u64,
-    /// Source partitions whose bins were rebuilt by incremental repair.
-    pub partitions_repaired: u64,
-    /// Source partitions whose bins were block-copied untouched.
-    pub partitions_copied: u64,
     /// Rayon-shim jobs dispatched while inside `Engine::step`.
     pub pool_jobs_dispatched: u64,
     /// Multi-query (SpMM) passes executed through `Engine::step_many`.
@@ -161,8 +153,6 @@ impl CounterSnapshot {
             + self.varint_decodes
             + self.scatter_ns
             + self.gather_ns
-            + self.partitions_repaired
-            + self.partitions_copied
             + self.pool_jobs_dispatched
             + self.batched_passes
             + self.batched_queries
@@ -196,8 +186,6 @@ impl Counters {
             varint_decodes: AtomicU64::new(0),
             scatter_ns: AtomicU64::new(0),
             gather_ns: AtomicU64::new(0),
-            partitions_repaired: AtomicU64::new(0),
-            partitions_copied: AtomicU64::new(0),
             pool_jobs_dispatched: AtomicU64::new(0),
             batched_passes: AtomicU64::new(0),
             batched_queries: AtomicU64::new(0),
@@ -227,8 +215,6 @@ impl Counters {
         self.varint_decodes.store(0, Ordering::Relaxed);
         self.scatter_ns.store(0, Ordering::Relaxed);
         self.gather_ns.store(0, Ordering::Relaxed);
-        self.partitions_repaired.store(0, Ordering::Relaxed);
-        self.partitions_copied.store(0, Ordering::Relaxed);
         self.pool_jobs_dispatched.store(0, Ordering::Relaxed);
         self.batched_passes.store(0, Ordering::Relaxed);
         self.batched_queries.store(0, Ordering::Relaxed);
@@ -246,8 +232,6 @@ impl Counters {
             varint_decodes: self.varint_decodes.load(Ordering::Relaxed),
             scatter_ns: self.scatter_ns.load(Ordering::Relaxed),
             gather_ns: self.gather_ns.load(Ordering::Relaxed),
-            partitions_repaired: self.partitions_repaired.load(Ordering::Relaxed),
-            partitions_copied: self.partitions_copied.load(Ordering::Relaxed),
             pool_jobs_dispatched: self.pool_jobs_dispatched.load(Ordering::Relaxed),
             batched_passes: self.batched_passes.load(Ordering::Relaxed),
             batched_queries: self.batched_queries.load(Ordering::Relaxed),
@@ -269,10 +253,6 @@ impl Counters {
         add_scatter_ns => scatter_ns,
         /// Adds gather-phase wall-clock nanoseconds.
         add_gather_ns => gather_ns,
-        /// Adds incrementally rebuilt source partitions.
-        add_partitions_repaired => partitions_repaired,
-        /// Adds block-copied (untouched) source partitions.
-        add_partitions_copied => partitions_copied,
         /// Adds pool jobs dispatched during a step.
         add_pool_jobs_dispatched => pool_jobs_dispatched,
         /// Adds multi-query (SpMM) passes.
@@ -399,9 +379,8 @@ impl Drop for SpanGuard {
 /// site. See the module docs' span taxonomy table for what each one
 /// covers. `pcpm-lint` checks call sites against this registry, so
 /// adding a span means adding it here *and* to the table.
-pub const SPAN_NAMES: [&str; 8] = [
+pub const SPAN_NAMES: [&str; 7] = [
     "prepare",
-    "repair",
     "scatter",
     "gather",
     "step",
@@ -507,8 +486,6 @@ mod tests {
         c.add_varint_decodes(10);
         c.add_scatter_ns(10);
         c.add_gather_ns(10);
-        c.add_partitions_repaired(10);
-        c.add_partitions_copied(10);
         c.add_pool_jobs_dispatched(10);
         c.add_batched_passes(10);
         c.add_batched_queries(10);
@@ -550,13 +527,9 @@ mod tests {
         c.set_enabled(true);
         c.add_scatter_ns(5);
         c.add_gather_ns(7);
-        c.add_partitions_repaired(2);
-        c.add_partitions_copied(14);
         let snap = c.snapshot();
         assert_eq!(snap.scatter_ns, 5);
         assert_eq!(snap.gather_ns, 7);
-        assert_eq!(snap.partitions_repaired, 2);
-        assert_eq!(snap.partitions_copied, 14);
         c.reset();
         assert_eq!(c.snapshot(), CounterSnapshot::default());
     }

@@ -1,11 +1,11 @@
 //! Batched edge updates: the contract between the streaming front end
-//! and the incremental bin-repair path.
+//! and the engine.
 //!
-//! The paper's bins are a pre-processing artifact of a frozen CSR; a
-//! [`UpdateBatch`] describes how the edge set changed so a prepared
-//! backend can repair only the partitions whose adjacency actually moved
-//! (see [`Backend::update`](crate::backend::Backend::update)) instead of
-//! rebuilding from scratch. Batches are produced in canonical form by
+//! The paper's PNG and bins are a one-time pre-processing of a frozen
+//! CSR, and so they stay here: an [`UpdateBatch`] describes how the edge
+//! set changed, and [`Engine::update`](crate::backend::Engine::update)
+//! absorbs it by building the dataplane afresh over the post-update
+//! graph. Batches are produced in canonical form by
 //! `pcpm_stream::UpdateLog`; this module only defines the shared types so
 //! `pcpm-core` need not depend on the streaming crate.
 
@@ -146,8 +146,8 @@ impl UpdateBatch {
     }
 
     /// Sorted, deduplicated *source* partitions (size `q` nodes) whose
-    /// bins must be re-scattered: the PNG part and bin region of a
-    /// source partition depend only on the adjacency of its own nodes.
+    /// PNG part and bin region the batch changes: those depend only on
+    /// the adjacency of the partition's own nodes.
     pub fn touched_src_partitions(&self, q: u32) -> Vec<u32> {
         let mut v: Vec<u32> = self.all_edges().map(|(s, _)| s / q).collect();
         v.sort_unstable();
@@ -248,14 +248,16 @@ impl UpdateBatch {
     }
 }
 
-/// What an in-place [`Backend::update`](crate::backend::Backend::update)
-/// repair actually rebuilt.
+/// Source partitions rebuilt out of the total, as carried by
+/// [`UpdateOutcome::Repaired`]. The engine no longer repairs in place:
+/// the one `Repaired` it reports is the no-op of an empty batch, with
+/// both counts zero. The type stays because the serve wire format's
+/// update reply carries it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RepairStats {
     /// Source partitions whose PNG part and bin region were rebuilt.
     pub partitions_rebuilt: u32,
-    /// Total source partitions (untouched ones were copied, not
-    /// recomputed).
+    /// Total source partitions.
     pub partitions_total: u32,
 }
 
@@ -290,10 +292,10 @@ impl RepairStats {
 /// batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UpdateOutcome {
-    /// The backend repaired its prepared state in place.
+    /// The prepared state was kept: an empty batch, nothing to rebuild.
     Repaired(RepairStats),
-    /// The backend does not support incremental repair (or the change
-    /// was too invasive); the engine re-ran a full `prepare`.
+    /// The engine re-ran a full `prepare` over the post-update graph —
+    /// the outcome of every non-empty batch.
     Rebuilt,
 }
 
@@ -415,7 +417,7 @@ mod tests {
     }
 
     #[test]
-    fn repair_stats_round_trip() {
+    fn stats_round_trip() {
         let s = RepairStats {
             partitions_rebuilt: 7,
             partitions_total: 1024,

@@ -344,7 +344,8 @@ pub struct UpdateReply {
     /// The newly published epoch (responses at this epoch include the
     /// batch).
     pub epoch: u64,
-    /// Incremental repair vs full rebuild, with partition counts.
+    /// `Rebuilt` for every effective batch; `Repaired` with zero counts
+    /// when nothing changed.
     pub outcome: UpdateOutcome,
     /// Effective ops applied after set-semantics filtering.
     pub applied: u32,

@@ -1,6 +1,6 @@
 //! The serving dataplane: a TCP accept loop feeding a worker-thread
-//! pool, a single writer thread applying incremental repairs, and
-//! RCU-style epoch publication.
+//! pool, a single writer thread applying update batches, and RCU-style
+//! epoch publication.
 //!
 //! # Concurrency model
 //!
@@ -21,7 +21,7 @@
 //!   worker serves at that epoch.
 //! - The single **writer thread** owns a private [`DeltaGraph`] overlay
 //!   and a private engine per served graph. An update request flows
-//!   `DeltaGraph::apply` → [`Engine::update`] (incremental bin repair) →
+//!   `DeltaGraph::apply` → [`Engine::update`] (a dataplane rebuild) →
 //!   `Engine::snapshot()` → publish `Arc::new(ServingState { epoch:
 //!   e+1, .. })`. Readers at epoch `e` finish unperturbed; the next
 //!   query on each worker picks up `e+1`.
@@ -414,7 +414,7 @@ struct WriteJob {
     reply: mpsc::Sender<Response>,
 }
 
-/// The writer's private, repairable copy of one shard.
+/// The writer's private, updatable copy of one shard.
 struct WriterShard {
     delta: DeltaGraph,
     engine: Engine<PlusF32>,

@@ -9,8 +9,7 @@
 //! — an `Arc<Csr>` materialized by copying untouched rows verbatim and
 //! merging only the dirty ones — and hand it to
 //! [`Engine::update`](pcpm_core::Engine::update) together with the
-//! applied batch, so the engine repairs exactly the partitions the
-//! overlay reports as touched.
+//! applied batch, and the engine rebuilds its dataplane over it.
 //!
 //! Once the pending delta volume crosses the **compaction threshold**
 //! (a fraction of the base edge count), the overlay folds itself into a

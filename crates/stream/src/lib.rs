@@ -2,7 +2,9 @@
 //!
 //! The paper's partition-centric bins are built once over a frozen CSR;
 //! this crate makes the reproduction serve *continuously arriving*
-//! traffic by turning every edge change into partition-local work:
+//! traffic: edge changes land in a partition-local overlay, the engine
+//! rebuilds its bins over the overlay's snapshot, and the ranks are
+//! refreshed by local residual pushes:
 //!
 //! - [`UpdateLog`] — the batching front end: validates ops, dedups with
 //!   last-op-wins semantics, seals canonical
@@ -12,12 +14,12 @@
 //!   per-partition adjacency deltas and delete tombstones, with cached
 //!   `Arc` snapshots and a compaction threshold that folds deltas back
 //!   into a fresh base;
-//! - [`replay`] — the end-to-end driver: apply a batch, repair the
-//!   engine's bins via
-//!   [`Engine::update`](pcpm_core::Engine::update) (only touched
-//!   partitions are re-scattered), and refresh rankings with
-//!   [`incremental_pagerank`](pcpm_algos::incremental_pagerank) —
-//!   timing each repair against the full rebuild it replaced.
+//! - [`replay`] — the end-to-end driver: apply a batch, rebuild the
+//!   engine's dataplane via
+//!   [`Engine::update`](pcpm_core::Engine::update), and refresh
+//!   rankings with
+//!   [`incremental_pagerank`](pcpm_algos::incremental_pagerank), timing
+//!   both.
 //!
 //! # Example
 //!

@@ -1,5 +1,5 @@
 //! Update-file I/O, a seeded update generator, and the replay harness
-//! the `pcpm stream` subcommand and the throughput bench share.
+//! behind the `pcpm stream` subcommand.
 //!
 //! # Update file format
 //!
@@ -210,7 +210,7 @@ pub struct UpdateGenConfig {
     pub delete_frac: f64,
     /// When set, every batch draws its *sources* from this many
     /// randomly chosen partitions of `partition_nodes` nodes — the
-    /// locality knob that makes incremental bin repair shine.
+    /// locality knob (batches that touch few partitions).
     pub locality: Option<Locality>,
     /// RNG seed: the same seed over the same base graph reproduces the
     /// same update stream.
@@ -346,12 +346,13 @@ pub struct ReplayConfig {
     /// compact bins, threads). Set a tolerance — the PageRank phases
     /// run to convergence.
     pub cfg: PcpmConfig,
-    /// Dataplane to prepare and repair.
+    /// Dataplane to prepare and rebuild.
     pub backend: BackendKind,
     /// [`DeltaGraph`] compaction threshold.
     pub compaction_threshold: f64,
-    /// Also run a cold `pagerank` per batch and record the maximum
-    /// absolute divergence of the incremental scores.
+    /// Also build a fresh engine and run a cold `pagerank` per batch,
+    /// recording the maximum absolute divergence of the incremental
+    /// scores.
     pub verify: bool,
     /// Engine-snapshot cache (PCPM backend only). When the file exists,
     /// the base engine is loaded from it — skipping the base prepare —
@@ -419,17 +420,14 @@ pub struct BatchReport {
     pub ops: usize,
     /// Requested ops that were no-ops.
     pub ignored: usize,
-    /// Source partitions whose bins were dirtied.
+    /// Source partitions whose adjacency changed.
     pub touched_partitions: u32,
     /// Total source partitions.
     pub total_partitions: u32,
     /// How the engine absorbed the batch.
     pub outcome: UpdateOutcome,
-    /// Wall-clock of `Engine::update` (incremental bin repair).
-    pub repair: Duration,
-    /// Wall-clock of a from-scratch engine build over the same
-    /// snapshot (the cost the repair path avoids).
-    pub full_prepare: Duration,
+    /// Wall-clock of `Engine::update` (the dataplane rebuild).
+    pub update: Duration,
     /// Wall-clock of `incremental_pagerank`.
     pub incremental_pr: Duration,
     /// Residual pushes the incremental solver spent.
@@ -461,21 +459,15 @@ pub struct ReplayReport {
 }
 
 impl ReplayReport {
-    /// Total repair time across batches.
-    pub fn total_repair(&self) -> Duration {
-        self.batches.iter().map(|b| b.repair).sum()
-    }
-
-    /// Total from-scratch preparation time the repairs avoided.
-    pub fn total_full_prepare(&self) -> Duration {
-        self.batches.iter().map(|b| b.full_prepare).sum()
+    /// Total `Engine::update` time across batches.
+    pub fn total_update(&self) -> Duration {
+        self.batches.iter().map(|b| b.update).sum()
     }
 }
 
 /// Replays `batches` against `base`: each batch flows through
-/// [`DeltaGraph::apply`] → [`Engine::update`] (timed against a full
-/// rebuild of the same snapshot) → [`incremental_pagerank`], keeping
-/// rankings continuously fresh.
+/// [`DeltaGraph::apply`] → [`Engine::update`] → [`incremental_pagerank`],
+/// keeping rankings continuously fresh.
 pub fn replay(
     base: Arc<Csr>,
     batches: &[UpdateBatch],
@@ -529,24 +521,19 @@ pub fn replay(
 
         let t0 = Instant::now();
         let outcome = engine.update(&snap, None, &stats.applied)?;
-        let repair = t0.elapsed();
-
-        let t0 = Instant::now();
-        let mut fresh = Engine::<PlusF32>::builder_shared(&snap)
-            .config(rc.cfg)
-            .backend(rc.backend)
-            .build()?;
-        let full_prepare = t0.elapsed();
+        let update = t0.elapsed();
 
         let t0 = Instant::now();
         let warm = incremental_pagerank(&snap, &stats.applied, &scores, &rc.cfg)?;
         let incremental_pr = t0.elapsed();
         scores = warm.scores;
 
-        // The engine built for the full-prepare timing doubles as the
-        // cold-start reference when verification is on.
         let divergence = if rc.verify {
-            let cold = pagerank_with_unified_engine(&snap, &rc.cfg, &mut fresh, None)?;
+            let mut cold_engine = Engine::<PlusF32>::builder_shared(&snap)
+                .config(rc.cfg)
+                .backend(rc.backend)
+                .build()?;
+            let cold = pagerank_with_unified_engine(&snap, &rc.cfg, &mut cold_engine, None)?;
             Some(
                 scores
                     .iter()
@@ -557,7 +544,6 @@ pub fn replay(
         } else {
             None
         };
-        drop(fresh);
 
         reports.push(BatchReport {
             ops: stats.applied.len(),
@@ -565,8 +551,7 @@ pub fn replay(
             touched_partitions: stats.touched_partitions.len() as u32,
             total_partitions: delta.num_partitions(),
             outcome,
-            repair,
-            full_prepare,
+            update,
             incremental_pr,
             pushes: warm.iterations,
             divergence,
@@ -756,59 +741,6 @@ mod tests {
     }
 
     #[test]
-    fn repair_beats_full_prepare_on_sparse_batches() {
-        // The acceptance bar: a batch touching <5% of partitions must
-        // repair bins measurably faster than a full `prepare`.
-        use pcpm_core::algebra::PlusF32;
-        let base = Arc::new(rmat(&RmatConfig::graph500(13, 8, 9)).unwrap());
-        let cfg = PcpmConfig::default().with_partition_bytes(128 * 4); // 64 partitions
-        let gen = UpdateGenConfig {
-            batches: 1,
-            batch_size: 100,
-            delete_frac: 0.3,
-            locality: Some(Locality {
-                partition_nodes: cfg.partition_nodes(),
-                partitions_per_batch: 2,
-            }),
-            seed: 4,
-        };
-        let batch = gen_updates(&base, &gen).unwrap().remove(0);
-        let mut dg = DeltaGraph::new(Arc::clone(&base), cfg.partition_nodes()).unwrap();
-        let stats = dg.apply(&batch).unwrap();
-        assert!(
-            (stats.touched_partitions.len() as f64) < 0.05 * 64.0,
-            "batch must touch <5% of the 64 partitions, got {}",
-            stats.touched_partitions.len()
-        );
-        let snap = dg.snapshot();
-        let mut engine = Engine::<PlusF32>::builder_shared(&base)
-            .config(cfg)
-            .build()
-            .unwrap();
-        // Min-of-3 on both sides de-noises scheduler jitter; the repair
-        // does strictly less work (2 of 64 partitions + block copies).
-        let mut repair = Duration::MAX;
-        let mut prepare = Duration::MAX;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            let outcome = engine.update(&snap, None, &stats.applied).unwrap();
-            repair = repair.min(t0.elapsed());
-            assert!(matches!(outcome, UpdateOutcome::Repaired(_)));
-            let t0 = Instant::now();
-            let fresh = Engine::<PlusF32>::builder_shared(&snap)
-                .config(cfg)
-                .build()
-                .unwrap();
-            prepare = prepare.min(t0.elapsed());
-            drop(fresh);
-        }
-        assert!(
-            repair < prepare,
-            "incremental repair ({repair:?}) must beat full prepare ({prepare:?})"
-        );
-    }
-
-    #[test]
     fn replay_cache_loads_saves_and_resumes_after_stream() {
         use pcpm_core::Snapshot;
         let dir = std::env::temp_dir().join("pcpm_stream_cache_test");
@@ -879,7 +811,7 @@ mod tests {
     }
 
     #[test]
-    fn replay_keeps_ranks_fresh_and_repair_beats_rebuild() {
+    fn replay_keeps_ranks_fresh() {
         let base = Arc::new(rmat(&RmatConfig::graph500(9, 8, 23)).unwrap());
         let gen = UpdateGenConfig {
             batches: 3,
@@ -903,7 +835,7 @@ mod tests {
         let report = replay(Arc::clone(&base), &batches, &rc).unwrap();
         assert_eq!(report.batches.len(), 3);
         for b in &report.batches {
-            assert!(matches!(b.outcome, UpdateOutcome::Repaired(_)));
+            assert_eq!(b.outcome, UpdateOutcome::Rebuilt);
             assert!(b.touched_partitions <= 2, "locality held");
             assert!(
                 b.divergence.unwrap() < 1e-6,

@@ -9,8 +9,8 @@
 //! pcpm convert     <graph> --out FILE      any input -> binary format
 //! pcpm gen         <out>   --kind rmat|er  seeded synthetic graph -> binary file
 //! pcpm gen-updates <graph> --out FILE      seeded edge-update stream for `stream`
-//! pcpm stream      <graph> --updates FILE  replay updates: incremental bin repair
-//!                                          + delta-PageRank vs full rebuild
+//! pcpm stream      <graph> --updates FILE  replay updates: engine rebuild
+//!                                          + delta-PageRank per batch
 //! pcpm build-cache <graph> --out FILE      build the engine once, snapshot it
 //!                                          (PNG + bins) for --cache serving
 //! pcpm ppr         <graph> --seeds 1,2,3   personalized PageRank from a seed set
@@ -475,8 +475,8 @@ fn run_gen_updates(opts: &Options, graph: &Csr, cfg: &PcpmConfig) -> Result<(), 
     Ok(())
 }
 
-/// `pcpm stream`: replay an update file, reporting per-batch repair
-/// time against the full rebuild it replaced.
+/// `pcpm stream`: replay an update file, reporting per batch the engine
+/// update and the delta-PageRank refresh.
 fn run_stream(opts: &Options, graph: Csr, cfg: &PcpmConfig) -> Result<(), String> {
     let path = opts
         .updates
@@ -524,36 +524,21 @@ fn run_stream(opts: &Options, graph: Csr, cfg: &PcpmConfig) -> Result<(), String
     if let Some(fp) = &report.final_cache {
         eprintln!("# cache: post-stream state saved to {}", fp.display());
     }
-    println!("batch\tops\ttouched\trepair_us\trebuild_us\tspeedup\tmode\tpr_us\tpushes\tmax_div");
+    println!("batch\tops\ttouched\tupdate_us\tpr_us\tpushes\tmax_div");
     for (i, b) in report.batches.iter().enumerate() {
-        let mode = match b.outcome {
-            UpdateOutcome::Repaired(_) => "repair",
-            UpdateOutcome::Rebuilt => "rebuild",
-        };
-        let speedup = us(b.full_prepare) / us(b.repair).max(1e-9);
         println!(
-            "{i}\t{}\t{}/{}\t{:.0}\t{:.0}\t{:.1}x\t{}{}\t{:.0}\t{}\t{}",
+            "{i}\t{}\t{}/{}{}\t{:.0}\t{:.0}\t{}\t{}",
             b.ops,
             b.touched_partitions,
             b.total_partitions,
-            us(b.repair),
-            us(b.full_prepare),
-            speedup,
-            mode,
             if b.compacted { "+compact" } else { "" },
+            us(b.update),
             us(b.incremental_pr),
             b.pushes,
             b.divergence.map_or("-".to_string(), |d| format!("{d:.2e}")),
         );
     }
-    let total_repair = us(report.total_repair());
-    let total_rebuild = us(report.total_full_prepare());
-    eprintln!(
-        "# totals: repair {:.0}us vs rebuild {:.0}us ({:.1}x)",
-        total_repair,
-        total_rebuild,
-        total_rebuild / total_repair.max(1e-9)
-    );
+    eprintln!("# totals: update {:.0}us", us(report.total_update()));
     if opts.verify {
         let max = report
             .batches

@@ -11,9 +11,9 @@
 //! - [`algos`] — PageRank variants, BFS, SSSP, components, Katz, HITS —
 //!   all running on any backend (`pcpm-algos`);
 //! - [`stream`] — the streaming layer: batched edge updates, the
-//!   [`DeltaGraph`](stream::DeltaGraph) overlay, incremental bin repair
-//!   via [`Engine::update`](core::Engine::update) and delta-PageRank
-//!   replay (`pcpm-stream`);
+//!   [`DeltaGraph`](stream::DeltaGraph) overlay, the engine rebuild of
+//!   [`Engine::update`](core::Engine::update) and delta-PageRank replay
+//!   (`pcpm-stream`);
 //! - [`baselines`] — the paper's two comparison kernels, PDPR (pull) and
 //!   BVGAS, as engine backends, plus the serial oracle
 //!   (`pcpm-baselines`);

@@ -80,12 +80,11 @@ fn compressed_formats_hold_less_memory_at_scale_12() {
     assert!(delta.bin_compression.unwrap() > 2.0);
 }
 
-/// The incremental-repair path works (and stays format-agnostic) end to
-/// end: apply a batch through `Engine::update` on every format, then the
-/// repaired engines must still agree bit for bit — both on a raw step
-/// and on a warm-started PageRank.
+/// The update path stays format-agnostic end to end: apply a batch
+/// through `Engine::update` on every format, then the rebuilt engines
+/// must still agree bit for bit on a PageRank over the new graph.
 #[test]
-fn repaired_engines_agree_across_formats() {
+fn updated_engines_agree_across_formats() {
     use std::sync::Arc;
     let g = pcpm::graph::gen::rmat(&RmatConfig::graph500(10, 8, 31)).unwrap();
     let mut edges: Vec<(u32, u32)> = g.edges().collect();
@@ -108,15 +107,15 @@ fn repaired_engines_agree_across_formats() {
         assert!(
             matches!(
                 engine.update(&g2, None, &batch).unwrap(),
-                UpdateOutcome::Repaired(_)
+                UpdateOutcome::Rebuilt
             ),
-            "format {format} must repair in place"
+            "format {format} rebuilds"
         );
         let r = pagerank_with_unified_engine(&g2, &cfg, &mut engine, None).unwrap();
         outputs.push((format, r.scores));
     }
     for (format, scores) in &outputs[1..] {
-        assert_eq!(&outputs[0].1, scores, "format {format} post-repair ranks");
+        assert_eq!(&outputs[0].1, scores, "format {format} post-update ranks");
     }
 }
 

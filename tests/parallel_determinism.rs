@@ -1,5 +1,5 @@
 //! Thread-count determinism: every backend's `step` (and the streaming
-//! repair path) must produce bit-identical output on 1, 2, 4 and 8
+//! update path) must produce bit-identical output on 1, 2, 4 and 8
 //! threads. This extends the `kernel_agreement` matrix along the thread
 //! axis using the same seeded generators and the same integer-grid
 //! inputs (exact in f32, so the assertion is bit-exact equality even
@@ -214,7 +214,7 @@ fn integer_algebra_bit_identical_across_thread_counts() {
     }
 }
 
-/// The streaming repair path (PR 2) must also be thread-count
+/// The streaming update path must also be thread-count
 /// deterministic: update + step equals the 1-thread run bit for bit,
 /// on every bin format.
 #[test]
@@ -246,7 +246,7 @@ fn streaming_repair_bit_identical_across_thread_counts() {
             .unwrap();
         assert!(matches!(
             e.update(&g2, None, &batch).unwrap(),
-            pcpm::core::update::UpdateOutcome::Repaired(_)
+            pcpm::core::update::UpdateOutcome::Rebuilt
         ));
         let mut y = vec![0.0f32; g2.num_nodes() as usize];
         e.step(&x, &mut y).unwrap();
@@ -258,7 +258,7 @@ fn streaming_repair_bit_identical_across_thread_counts() {
             assert_eq!(
                 baseline,
                 run(t, format),
-                "repair at {t} threads, format={format}"
+                "update at {t} threads, format={format}"
             );
         }
     }

@@ -281,7 +281,7 @@ fn updates_publish_epochs_matching_offline_replay() {
     for (i, b) in batches.iter().enumerate() {
         let reply = client.update(0, b).unwrap();
         assert_eq!(reply.epoch, (i + 1) as u64);
-        assert!(matches!(reply.outcome, UpdateOutcome::Repaired(_)));
+        assert_eq!(reply.outcome, UpdateOutcome::Rebuilt);
         assert!(reply.applied > 0);
         // The publish is visible to queries as soon as the update reply
         // arrives, and the served ranks match the offline replay at the

@@ -2,7 +2,7 @@
 //! construction entirely and serves **bit-identical** PageRank to the
 //! cold build, across bin formats × thread counts; corrupted, truncated
 //! or mismatched snapshots are rejected with typed errors (property
-//! tested); the loaded engine keeps the full contract (update/repair,
+//! tested); the loaded engine keeps the full contract (update,
 //! re-snapshot, reports).
 
 use pcpm::core::algebra::PlusF32;
@@ -124,8 +124,8 @@ fn weighted_snapshot_round_trips() {
     }
 }
 
-/// A loaded engine is a full citizen: incremental repair works on it,
-/// and the repaired engine can re-snapshot — the serve-update-save loop
+/// A loaded engine is a full citizen: an update rebuilds it from the
+/// snapshot's recipe, and the updated engine can re-snapshot — the serve-update-save loop
 /// a streaming deployment runs forever.
 #[test]
 fn loaded_engine_updates_and_resnapshots() {
@@ -152,7 +152,7 @@ fn loaded_engine_updates_and_resnapshots() {
         let mut served = Engine::<PlusF32>::from_snapshot(&path).unwrap();
         assert!(matches!(
             served.update(&g2, None, &batch).unwrap(),
-            UpdateOutcome::Repaired(_)
+            UpdateOutcome::Rebuilt
         ));
         // The post-update snapshot captures the post-update graph…
         served.save_snapshot(&path2).unwrap();

@@ -301,8 +301,8 @@ fn step_many_of(engine: &mut Engine<PlusF32>, width: u32) -> Vec<Vec<f32>> {
 fn kept_update_streams_never_leak_between_rounds() {
     // Real-valued inputs: a stale lane of the kept rows would change a
     // sum. Widths 8, 2, 8, 1, 9 narrow, regrow, drop (a solo round) and
-    // outgrow the rows, past the 8-lane block; the update changes |E'|,
-    // so the rows kept from before it have the wrong length.
+    // outgrow the rows, past the 8-lane block; the update changes |E'|
+    // and rebuilds the dataplane, rows included.
     let g = Arc::new(pcpm::graph::gen::rmat(&RmatConfig::graph500(9, 8, 29)).unwrap());
     let mut edges: Vec<(u32, u32)> = g.edges().collect();
     let deleted: Vec<(u32, u32)> = edges.iter().copied().step_by(5).take(40).collect();
@@ -331,7 +331,7 @@ fn kept_update_streams_never_leak_between_rounds() {
         }
         assert!(matches!(
             engine.update(&g2, None, &batch).unwrap(),
-            UpdateOutcome::Repaired(_)
+            UpdateOutcome::Rebuilt
         ));
         assert_ne!(engine.report().compression_ratio, compressed_before);
         for width in [8, 2, 8, 1, 9] {

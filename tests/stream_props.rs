@@ -1,8 +1,7 @@
 //! Property-based validation of the streaming subsystem: across random
-//! base graphs and random insert/delete batches, the incremental paths
-//! (`DeltaGraph` overlay + `Engine::update` bin repair +
-//! `incremental_pagerank`) must agree with a from-scratch rebuild +
-//! cold `pagerank_on`.
+//! base graphs and random insert/delete batches, the streaming paths
+//! (`DeltaGraph` overlay + `Engine::update` + `incremental_pagerank`)
+//! must agree with a from-scratch build + cold `pagerank_on`.
 
 use pcpm::core::algebra::PlusF32;
 use pcpm::prelude::*;
@@ -116,10 +115,11 @@ proptest! {
         }
     }
 
-    /// `Engine::update` bin repair == fresh `prepare` over the same
-    /// snapshot, on every PCPM bin format (wide, compact, delta).
+    /// `Engine::update` == fresh `prepare` over the same snapshot, on
+    /// every PCPM bin format (wide, compact, delta): a batch that
+    /// changed the graph rebuilds, one that did not is a no-op.
     #[test]
-    fn repaired_engine_matches_fresh_prepare(sc in arb_scenario(), format_sel in 0u32..3) {
+    fn updated_engine_matches_fresh_prepare(sc in arb_scenario(), format_sel in 0u32..3) {
         let format = BinFormatKind::ALL[format_sel as usize];
         let cfg = stream_cfg(sc.partition_nodes).with_bin_format(format);
         let mut engine = Engine::<PlusF32>::builder(&sc.base).config(cfg)
@@ -132,12 +132,12 @@ proptest! {
             let stats = dg.apply(&UpdateBatch::from_ops(ops)).expect("apply");
             let snap = dg.snapshot();
             let outcome = engine.update(&snap, None, &stats.applied).expect("update");
-            prop_assert!(matches!(outcome, UpdateOutcome::Repaired(_)));
+            prop_assert_eq!(outcome == UpdateOutcome::Rebuilt, !stats.applied.is_empty());
             let mut fresh = Engine::<PlusF32>::builder_shared(&snap).config(cfg)
                 .build().expect("fresh");
             let mut ya = vec![0.0f32; n as usize];
             let mut yb = vec![0.0f32; n as usize];
-            engine.step(&x, &mut ya).expect("repaired step");
+            engine.step(&x, &mut ya).expect("updated step");
             fresh.step(&x, &mut yb).expect("fresh step");
             prop_assert_eq!(ya, yb);
         }
@@ -204,21 +204,20 @@ fn oracle_pagerank(g: &Csr, damping: f64) -> Vec<f64> {
 }
 
 // ---------------------------------------------------------------------------
-// PR-3: the PR-2 streaming invariants re-proven under concurrency. The
-// repair paths run on a real multi-threaded pool and must (a) equal a
-// from-scratch prepare and (b) be bit-identical to the 1-thread repair.
+// The streaming invariants re-proven under concurrency: updates run on a
+// real multi-threaded pool and must (a) equal a from-scratch prepare and
+// (b) be bit-identical to the 1-thread update.
 // ---------------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `Engine::update` (Png::repair + the format's `BinFormat::repair`
-    /// underneath) on a 4-thread engine: step output equals a fresh
-    /// prepare over the same snapshot AND the 1-thread repaired engine,
-    /// bit for bit — for every bin format, `DeltaPackedBins` included
-    /// (repair ≡ fresh build under a multi-threaded pool).
+    /// `Engine::update` on a 4-thread engine: step output equals a
+    /// fresh prepare over the same snapshot AND the 1-thread updated
+    /// engine, bit for bit — for every bin format, `DeltaPackedBins`
+    /// included.
     #[test]
-    fn repair_under_multithreaded_pool_matches_scratch(sc in arb_scenario(), format_sel in 0u32..3) {
+    fn update_under_multithreaded_pool_matches_scratch(sc in arb_scenario(), format_sel in 0u32..3) {
         let format = BinFormatKind::ALL[format_sel as usize];
         let cfg = stream_cfg(sc.partition_nodes).with_bin_format(format);
         let build = |threads: usize, g: &Csr| {
@@ -234,14 +233,11 @@ proptest! {
         for ops in &sc.batches {
             let stats = dg.apply(&UpdateBatch::from_ops(ops)).expect("apply");
             let snap = dg.snapshot();
-            prop_assert!(matches!(
-                par_engine.update(&snap, None, &stats.applied).expect("par update"),
-                UpdateOutcome::Repaired(_)
-            ));
-            prop_assert!(matches!(
-                serial_engine.update(&snap, None, &stats.applied).expect("serial update"),
-                UpdateOutcome::Repaired(_)
-            ));
+            let rebuilt = !stats.applied.is_empty();
+            let par = par_engine.update(&snap, None, &stats.applied).expect("par update");
+            prop_assert_eq!(par == UpdateOutcome::Rebuilt, rebuilt);
+            let serial = serial_engine.update(&snap, None, &stats.applied).expect("serial update");
+            prop_assert_eq!(serial == UpdateOutcome::Rebuilt, rebuilt);
             let mut fresh = Engine::<PlusF32>::builder_shared(&snap)
                 .config(cfg)
                 .threads(4)
@@ -253,45 +249,9 @@ proptest! {
             par_engine.step(&x, &mut y_par).expect("par step");
             serial_engine.step(&x, &mut y_serial).expect("serial step");
             fresh.step(&x, &mut y_fresh).expect("fresh step");
-            prop_assert_eq!(&y_par, &y_serial, "4-thread repair != 1-thread repair");
-            prop_assert_eq!(&y_par, &y_fresh, "repair != from-scratch prepare");
+            prop_assert_eq!(&y_par, &y_serial, "4-thread update != 1-thread update");
+            prop_assert_eq!(&y_par, &y_fresh, "update != from-scratch prepare");
         }
     }
 
-    /// `Png::repair` driven directly inside a 4-thread pool: the repaired
-    /// layout must equal a from-scratch `Png::build` partition by
-    /// partition, and the bins rebuilt over it must carry identical
-    /// destination-ID streams.
-    #[test]
-    fn png_repair_on_pool_matches_scratch_build(sc in arb_scenario()) {
-        use pcpm::core::format::{BinFormat, WideFormat};
-        use pcpm::core::partition::Partitioner;
-        use pcpm::core::png::{EdgeView, Png};
-
-        let n = sc.base.num_nodes();
-        let parts = Partitioner::new(n, sc.partition_nodes).expect("partitioner");
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let mut png = pool.install(|| {
-            Png::build(EdgeView::from_csr(&sc.base), parts, parts)
-        });
-        let mut oracle: HashSet<(u32, u32)> = sc.base.edges().collect();
-        for ops in &sc.batches {
-            let batch = UpdateBatch::from_ops(ops);
-            oracle_apply(&mut oracle, ops);
-            let g2 = to_csr(n, &oracle);
-            let touched = batch.touched_src_partitions(sc.partition_nodes);
-            pool.install(|| png.repair(EdgeView::from_csr(&g2), &touched));
-            let fresh = Png::build(EdgeView::from_csr(&g2), parts, parts);
-            prop_assert_eq!(png.upd_region(), fresh.upd_region());
-            prop_assert_eq!(png.did_region(), fresh.did_region());
-            for s in parts.iter() {
-                prop_assert_eq!(png.part(s), fresh.part(s), "partition {} differs", s);
-            }
-            let bins = pool.install(|| {
-                WideFormat::build::<f32>(EdgeView::from_csr(&g2), &png, None)
-            });
-            let fresh_bins = WideFormat::build::<f32>(EdgeView::from_csr(&g2), &fresh, None);
-            prop_assert_eq!(&bins.dest_ids, &fresh_bins.dest_ids);
-        }
-    }
 }
