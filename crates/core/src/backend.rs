@@ -318,6 +318,11 @@ pub struct ExecutionReport {
     /// Concrete gather kernel name, for backends with a kernel axis
     /// ([`BackendMetrics::kernel`]).
     pub kernel: Option<&'static str>,
+    /// The partition size `q` in nodes the engine runs
+    /// ([`Engine::partition_nodes`]).
+    pub partition_nodes: u32,
+    /// Destination partitions of that size: the units of parallel work.
+    pub partitions: u32,
 }
 
 impl ExecutionReport {
@@ -384,7 +389,8 @@ pub struct Engine<A: Algebra> {
     backend: Box<dyn Backend<A>>,
     num_src: u32,
     num_dst: u32,
-    /// Partition size `q`: the destination ranges of an epilogue.
+    /// Partition size `q`: the destination ranges of an epilogue. Fixed
+    /// at build: neither an update nor a new pool changes it.
     partition_nodes: u32,
     /// Engine-owned thread pool, built once when `PcpmConfig::threads`
     /// is set; preprocessing and every step install into it.
@@ -438,6 +444,8 @@ struct EngineSource {
 #[derive(Clone, Copy, Debug)]
 struct BuildRecipe {
     kind: BackendKind,
+    /// The configuration with the partition size derived at build in
+    /// place of the budget, so a rebuild keeps the layout.
     cfg: PcpmConfig,
     scatter: ScatterKind,
     gather: GatherKind,
@@ -550,7 +558,8 @@ impl<A: Algebra> Engine<A> {
     /// automatically from `PcpmConfig::threads`; external-backend
     /// constructors that already prepared their backend call it
     /// explicitly (prefer [`Engine::from_backend_with`] when the
-    /// prepare still lies ahead).
+    /// prepare still lies ahead). The pool changes, not the layout: the
+    /// partition size derived at build stays.
     pub fn with_threads(mut self, threads: Option<usize>) -> Result<Self, PcpmError> {
         self.pool = build_pool(threads)?;
         Ok(self)
@@ -564,6 +573,12 @@ impl<A: Algebra> Engine<A> {
     /// Number of destination nodes (length of `y`).
     pub fn num_dst(&self) -> u32 {
         self.num_dst
+    }
+
+    /// The partition size `q` in nodes the engine runs: its PNG's on the
+    /// PCPM dataplane, and the destination ranges of every epilogue.
+    pub fn partition_nodes(&self) -> u32 {
+        self.partition_nodes
     }
 
     /// The shared graph handle the engine was prepared over, when one
@@ -687,8 +702,8 @@ impl<A: Algebra> Engine<A> {
     /// round's output vector can carry the next round's input — and
     /// leaves one `f64` partial per query. Returns the phase times and,
     /// per query, the partials summed in ascending range order: a
-    /// grouping fixed by the engine's configuration, whatever the thread
-    /// count, bin format, kernel or backend.
+    /// grouping fixed by the engine's layout ([`Engine::partition_nodes`]),
+    /// whatever the thread count, bin format, kernel or backend.
     ///
     /// On the PCPM dataplane the ranges are the destination partitions
     /// and `apply` runs inside the gather (Algorithm 4) while other
@@ -722,7 +737,9 @@ impl<A: Algebra> Engine<A> {
     /// from the build recipe over the *post-update* graph (and, for
     /// weighted engines, the post-update edge weights parallel to its
     /// targets array): the updated engine steps bit for bit like one
-    /// built over `graph`, and reports [`UpdateOutcome::Rebuilt`].
+    /// built over `graph`, and reports [`UpdateOutcome::Rebuilt`]. The
+    /// rebuild keeps the partition size derived at build, so an update
+    /// never changes the layout.
     ///
     /// The old dataplane is released before its replacement is prepared,
     /// so the two are never resident together. Should that preparation
@@ -847,6 +864,8 @@ impl<A: Algebra> Engine<A> {
             batch_passes: self.batch_passes,
             batch_queries: self.batch_queries,
             kernel: m.kernel,
+            partition_nodes: self.partition_nodes,
+            partitions: self.num_dst.div_ceil(self.partition_nodes),
         }
     }
 
@@ -935,8 +954,9 @@ impl<'g, A: Algebra> EngineBuilder<'g, A> {
         self
     }
 
-    /// Sets the partition byte budget (partition size `q` in nodes is
-    /// `bytes / 4`).
+    /// Sets the partition byte budget: the largest partition size `q` in
+    /// nodes is `bytes / 4`, and [`EngineBuilder::build`] may halve it
+    /// ([`PcpmConfig::split_partition_nodes`]).
     pub fn partition_bytes(mut self, bytes: usize) -> Self {
         self.cfg.partition_bytes = bytes;
         self
@@ -987,7 +1007,10 @@ impl<'g, A: Algebra> EngineBuilder<'g, A> {
         self
     }
 
-    /// Validates the combination and prepares the backend.
+    /// Validates the combination, derives the partition size from the
+    /// budget, the graph and the pool's thread count (the ambient pool's
+    /// when no thread count is set;
+    /// [`PcpmConfig::split_partition_nodes`]) and prepares the backend.
     pub fn build(self) -> Result<Engine<A>, PcpmError> {
         self.cfg.validate()?;
         if self.backend != BackendKind::Pcpm {
@@ -1007,17 +1030,25 @@ impl<'g, A: Algebra> EngineBuilder<'g, A> {
                 ));
             }
         }
+        // The one place the layout is derived: the PNG, the epilogue
+        // ranges, the rebuild recipe and any saved snapshot carry this
+        // size from here on.
+        let n = self.graph.num_nodes();
+        let q = self.cfg.split_partition_nodes(n, self.cfg.pool_threads());
+        let cfg = self
+            .cfg
+            .with_partition_bytes(q as usize * crate::config::VALUE_BYTES);
         let spec = PrepareSpec {
             graph: self.graph,
             shared: self.shared,
             weights: self.weights.map(|w| w.as_slice()),
-            cfg: self.cfg,
+            cfg,
             scatter: self.scatter,
             gather: self.gather,
         };
         // One pool for the engine's whole lifetime: preprocessing runs
         // on it here, every step installs into it later.
-        let pool = build_pool(self.cfg.threads)?;
+        let pool = build_pool(cfg.threads)?;
         let prepare = || prepare_builtin::<A>(self.backend, &spec);
         let backend = match &pool {
             Some(p) => p.install(prepare)?,
@@ -1032,13 +1063,12 @@ impl<'g, A: Algebra> EngineBuilder<'g, A> {
             graph: Arc::clone(arc),
             weights: self.weights.map(|w| w.as_slice().to_vec()),
         });
-        let n = self.graph.num_nodes();
         Ok(Engine {
-            partition_nodes: self.cfg.partition_nodes(),
+            partition_nodes: q,
             pool,
             recipe: Some(BuildRecipe {
                 kind: self.backend,
-                cfg: self.cfg,
+                cfg,
                 scatter: self.scatter,
                 gather: self.gather,
                 weighted: self.weights.is_some(),
@@ -1114,7 +1144,8 @@ impl<A: Algebra> SnapshotEngineBuilder<A> {
     }
 
     /// Rejects the snapshot unless it matches the caller's expected
-    /// configuration (partition bytes, bin format, weighted-ness) —
+    /// configuration (a partition size the budget admits, bin format,
+    /// weighted-ness) —
     /// serving layers call this so a stale or foreign cache file fails
     /// loudly instead of silently serving under the wrong config.
     pub fn expect_config(self, cfg: &PcpmConfig, weighted: bool) -> Result<Self, PcpmError> {
@@ -1836,6 +1867,39 @@ mod tests {
             let fresh = step_of(&mut build(&g2), &x);
             assert_eq!(step_of(&mut loaded, &x), fresh, "loaded {format}");
         }
+    }
+
+    #[test]
+    fn the_derived_layout_outlives_updates_and_pools() {
+        // 20 000 nodes under a 64 KB budget: one thread keeps q = 16 384
+        // (k = 2), two halve it to 4 096 (k = 5).
+        let g = Arc::new(erdos_renyi(20_000, 80_000, 31).unwrap());
+        let (g2, batch) = edit(&g, &[1, 2], &[(3, 19_999)]);
+        let build = |graph: &Arc<Csr>, threads| {
+            Engine::<PlusF32>::builder_shared(graph)
+                .partition_bytes(64 * 1024)
+                .threads(threads)
+                .build()
+                .unwrap()
+        };
+        assert_eq!(build(&g, 1).partition_nodes(), 16_384);
+        for kind in BackendKind::ALL {
+            let engine = Engine::<PlusF32>::builder(&g)
+                .partition_bytes(64 * 1024)
+                .backend(kind)
+                .threads(2)
+                .build()
+                .unwrap();
+            assert_eq!(engine.report().partitions, 5, "{}", kind.name());
+        }
+        let mut engine = build(&g, 2).with_threads(Some(1)).unwrap();
+        assert_eq!(engine.partition_nodes(), 4_096);
+        engine.update(&g2, None, &batch).unwrap();
+        assert_eq!(engine.partition_nodes(), 4_096);
+        assert_eq!(engine.report().partitions, 5);
+        assert_eq!(engine.snapshot().unwrap().partition_bytes(), 4_096 * 4);
+        let x = int_x(g.num_nodes());
+        assert_eq!(step_of(&mut engine, &x), step_of(&mut build(&g2, 2), &x));
     }
 
     #[test]

@@ -8,10 +8,22 @@ use crate::kernel::KernelKind;
 /// values and indices throughout, §5.1).
 pub const VALUE_BYTES: usize = 4;
 
-/// Default partition footprint: 256 KB of vertex values, the empirically
+/// Default partition budget: 256 KB of vertex values, the empirically
 /// optimal point found in the paper's design-space exploration (§5.3.2,
-/// Fig. 13–14) for a 256 KB private L2.
+/// Fig. 13–14). The 256 KB private L2 behind it is the paper's host; the
+/// seed host of this repository's measurements has 2 MiB per core.
+///
+/// A budget caps the partition; the engine may build smaller ones
+/// ([`PcpmConfig::split_partition_nodes`]).
 pub const DEFAULT_PARTITION_BYTES: usize = 256 * 1024;
+
+/// Destination partitions an engine wants per worker of its pool: the
+/// partition is the unit of parallel work (§4), and a worker with one
+/// partition has nothing to balance against.
+pub const PARTITIONS_PER_THREAD: usize = 2;
+
+/// The smallest partition a split produces: 4 096 nodes, 16 KB of values.
+pub const MIN_SPLIT_PARTITION_NODES: u32 = 4096;
 
 /// Configuration for the PCPM engine and the PageRank driver.
 ///
@@ -25,8 +37,12 @@ pub const DEFAULT_PARTITION_BYTES: usize = 256 * 1024;
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PcpmConfig {
-    /// Bytes of vertex values a partition may occupy; divided by
-    /// [`VALUE_BYTES`] this gives the partition size `q` in nodes.
+    /// Bytes of vertex values a partition may occupy — a cache budget;
+    /// divided by [`VALUE_BYTES`] this gives the largest partition size
+    /// `q` in nodes. An engine built over a pool of several threads
+    /// halves it while the graph has fewer than
+    /// [`PARTITIONS_PER_THREAD`] destination partitions per thread
+    /// ([`PcpmConfig::split_partition_nodes`]).
     pub partition_bytes: usize,
     /// Damping factor `d` of the PageRank recurrence (default 0.85).
     pub damping: f64,
@@ -72,9 +88,43 @@ impl Default for PcpmConfig {
 }
 
 impl PcpmConfig {
-    /// Partition size `q` in nodes.
+    /// Partition size `q` in nodes the budget allows.
     pub fn partition_nodes(&self) -> u32 {
         (self.partition_bytes / VALUE_BYTES).max(1) as u32
+    }
+
+    /// Workers of the pool an engine built now under this config runs
+    /// on: [`Self::threads`], or the ambient pool's when that is unset.
+    pub fn pool_threads(&self) -> usize {
+        self.threads.unwrap_or_else(rayon::current_num_threads)
+    }
+
+    /// The partition size an engine whose pool has `threads` workers
+    /// builds over `num_nodes` nodes: the budget's `q`, halved while the
+    /// graph has fewer than [`PARTITIONS_PER_THREAD`] × `threads`
+    /// partitions, the split still adds a partition (`num_nodes > q/2`)
+    /// and `q/2` stays at or above [`MIN_SPLIT_PARTITION_NODES`]. One
+    /// thread never splits.
+    pub fn split_partition_nodes(&self, num_nodes: u32, threads: usize) -> u32 {
+        let wanted = PARTITIONS_PER_THREAD.saturating_mul(threads) as u64;
+        let partitions = |q: u32| u64::from(num_nodes).div_ceil(u64::from(q));
+        let mut q = self.partition_nodes();
+        while threads > 1
+            && partitions(q) < wanted
+            && num_nodes > q / 2
+            && q / 2 >= MIN_SPLIT_PARTITION_NODES
+        {
+            q /= 2;
+        }
+        q
+    }
+
+    /// Whether `q` is a partition size an engine could have built under
+    /// this budget: the budget's own or one of its halvings down to
+    /// [`MIN_SPLIT_PARTITION_NODES`].
+    pub fn admits_partition_nodes(&self, q: u32) -> bool {
+        let halve = |&q: &u32| (q / 2 >= MIN_SPLIT_PARTITION_NODES).then_some(q / 2);
+        std::iter::successors(Some(self.partition_nodes()), halve).any(|p| p == q)
     }
 
     /// Returns a copy with a different partition byte budget.
@@ -153,6 +203,53 @@ mod tests {
         assert_eq!(c.iterations, 20);
         assert!((c.damping - 0.85).abs() < 1e-12);
         c.validate().unwrap();
+    }
+
+    #[test]
+    fn the_split_follows_threads_budget_and_graph_size() {
+        const KB: usize = 1024;
+        // (nodes, threads, budget bytes) → q.
+        let table = [
+            // One thread never splits.
+            (65_536, 1, 256 * KB, 65_536),
+            (1 << 20, 1, 256 * KB, 65_536),
+            // A budget under twice the floor never splits.
+            (65_536, 16, 16 * KB, 4_096),
+            (65_536, 16, 31 * KB, 7_936),
+            // A graph of at most q/2 nodes never splits.
+            (32_768, 8, 256 * KB, 65_536),
+            (1_000, 8, 256 * KB, 65_536),
+            (0, 8, 256 * KB, 65_536),
+            // Halve until every worker has two partitions…
+            (65_536, 2, 256 * KB, 16_384),
+            (65_536, 4, 256 * KB, 8_192),
+            (32_769, 2, 256 * KB, 8_192),
+            // …or the floor is reached…
+            (65_536, 16, 256 * KB, 4_096),
+            // …and not when the graph already has them.
+            (1 << 20, 2, 256 * KB, 65_536),
+            (1 << 20, 16, 256 * KB, 32_768),
+        ];
+        for (n, threads, bytes, q) in table {
+            let cfg = PcpmConfig::default().with_partition_bytes(bytes);
+            let got = cfg.split_partition_nodes(n, threads);
+            assert_eq!(got, q, "{n} nodes, {threads} threads, {bytes} B");
+            assert!(cfg.admits_partition_nodes(got));
+        }
+    }
+
+    #[test]
+    fn a_budget_admits_its_halvings_down_to_the_floor() {
+        let cfg = PcpmConfig::default();
+        for q in [65_536, 32_768, 16_384, 8_192, 4_096] {
+            assert!(cfg.admits_partition_nodes(q), "{q}");
+        }
+        for q in [131_072, 49_152, 2_048, 1] {
+            assert!(!cfg.admits_partition_nodes(q), "{q}");
+        }
+        let odd = PcpmConfig::default().with_partition_bytes(10);
+        assert!(odd.admits_partition_nodes(2));
+        assert!(!odd.admits_partition_nodes(1));
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //!   8   version      u32   (= 1)
 //!   12  checksum     u64   FNV-1a 64 over payload
 //! payload:
-//!   partition_bytes  u64   the config the dataplane was built with
+//!   partition_bytes  u64   q·4: the partition size the dataplane was
+//!                          built with (the budget's or a halving of it)
 //!   bin_format       u8    0 = wide, 1 = compact, 2 = delta
 //!   weighted         u8    1 when an edge-weight stream follows
 //!   reserved         [u8; 6]
@@ -210,7 +211,8 @@ impl Snapshot {
         self.bins.kind()
     }
 
-    /// The partition byte budget the dataplane was built with.
+    /// The partition size the dataplane was built with, in bytes (q·4):
+    /// the budget's, or the halving of it the engine build derived.
     pub fn partition_bytes(&self) -> usize {
         self.partition_bytes as usize
     }
@@ -226,18 +228,20 @@ impl Snapshot {
     }
 
     /// Rejects the snapshot unless it was built under the caller's
-    /// configuration: partition bytes, bin format and (when `weighted`
-    /// is given) weighted-ness must all match.
+    /// configuration: the partition budget, bin format and (when
+    /// `weighted` is given) weighted-ness must all match.
     pub fn verify_config(
         &self,
         cfg: &crate::PcpmConfig,
         weighted: Option<bool>,
     ) -> Result<(), SnapshotError> {
-        // Compare the effective partition size in nodes, not raw bytes:
-        // the snapshot records the rounded value the PNG was actually
-        // built with (q·4), so a caller config whose bytes round to the
-        // same q (e.g. 10 vs 8) is the same layout, not a mismatch.
-        if u64::from(cfg.partition_nodes()) != self.partition_bytes / 4 {
+        // Compare partition sizes in nodes, not raw bytes: the snapshot
+        // records the size the PNG was actually built with (q·4), so a
+        // caller budget whose bytes round to the same q (e.g. 10 vs 8)
+        // is the same layout, and so is one the build halved for its
+        // pool's thread count.
+        let built = u32::try_from(self.partition_bytes / 4).unwrap_or(u32::MAX);
+        if !cfg.admits_partition_nodes(built) {
             return Err(SnapshotError::ConfigMismatch {
                 field: "partition bytes",
             });

@@ -154,15 +154,6 @@ impl UpdateBatch {
         v.dedup();
         v
     }
-
-    /// Sorted, deduplicated *destination* partitions (size `q` nodes)
-    /// that receive different messages after the batch.
-    pub fn touched_dst_partitions(&self, q: u32) -> Vec<u32> {
-        let mut v: Vec<u32> = self.all_edges().map(|(_, t)| t / q).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
 }
 
 impl UpdateBatch {
@@ -345,7 +336,6 @@ mod tests {
         assert_eq!(b.touched_sources(), vec![3, 10, 11]);
         assert_eq!(b.touched_vertices(), vec![3, 10, 11]);
         assert_eq!(b.touched_src_partitions(4), vec![0, 2]);
-        assert_eq!(b.touched_dst_partitions(4), vec![0, 2]);
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! refreshed by local residual pushes:
 //!
 //! - [`UpdateLog`] — the batching front end: validates ops, dedups with
-//!   last-op-wins semantics, seals canonical
-//!   [`UpdateBatch`](pcpm_core::UpdateBatch)es and
-//!   [`group_by_dst_partition`]s them for shard routing;
+//!   last-op-wins semantics and seals canonical
+//!   [`UpdateBatch`](pcpm_core::UpdateBatch)es;
 //! - [`DeltaGraph`] — an immutable base [`Csr`](pcpm_graph::Csr) under
 //!   per-partition adjacency deltas and delete tombstones, with cached
 //!   `Arc` snapshots and a compaction threshold that folds deltas back
@@ -44,7 +43,7 @@ pub mod replay;
 
 pub use delta::{ApplyStats, DeltaGraph, DEFAULT_COMPACTION_THRESHOLD};
 pub use error::StreamError;
-pub use log::{group_by_dst_partition, UpdateLog};
+pub use log::UpdateLog;
 pub use replay::{
     final_cache_path, gen_updates, read_updates, read_updates_auto, read_updates_binary, replay,
     write_updates, write_updates_binary, BatchReport, Locality, ReplayConfig, ReplayReport,

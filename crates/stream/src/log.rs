@@ -5,8 +5,6 @@
 //! range, buffers them in arrival order, and [`UpdateLog::seal`]s them
 //! into a canonical [`UpdateBatch`] — deduplicated with last-op-wins
 //! semantics, ready for [`DeltaGraph::apply`](crate::DeltaGraph::apply).
-//! [`group_by_dst_partition`] splits a sealed batch by destination
-//! partition for shard-per-partition routing.
 
 use crate::error::StreamError;
 use pcpm_core::update::{EdgeOp, EdgeUpdate, UpdateBatch};
@@ -93,29 +91,6 @@ impl UpdateLog {
     }
 }
 
-/// Splits a canonical batch into per-destination-partition sub-batches
-/// (partitions of `q` nodes), sorted by partition index. Only non-empty
-/// partitions are returned.
-pub fn group_by_dst_partition(batch: &UpdateBatch, q: u32) -> Vec<(u32, UpdateBatch)> {
-    let mut out: Vec<(u32, UpdateBatch)> = Vec::new();
-    for p in batch.touched_dst_partitions(q) {
-        let ins: Vec<(NodeId, NodeId)> = batch
-            .inserts()
-            .iter()
-            .copied()
-            .filter(|&(_, t)| t / q == p)
-            .collect();
-        let del: Vec<(NodeId, NodeId)> = batch
-            .deletes()
-            .iter()
-            .copied()
-            .filter(|&(_, t)| t / q == p)
-            .collect();
-        out.push((p, UpdateBatch::from_parts(ins, del)));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,24 +118,5 @@ mod tests {
         assert_eq!(b.inserts(), &[(3, 4)]);
         assert_eq!(b.deletes(), &[(1, 2)]);
         assert!(log.seal().is_empty());
-    }
-
-    #[test]
-    fn groups_by_destination_partition() {
-        let mut log = UpdateLog::new(16);
-        log.insert(0, 1).unwrap();
-        log.insert(2, 9).unwrap();
-        log.delete(3, 8).unwrap();
-        log.insert(1, 15).unwrap();
-        let groups = group_by_dst_partition(&log.seal(), 4);
-        assert_eq!(groups.len(), 3);
-        assert_eq!(groups[0].0, 0);
-        assert_eq!(groups[0].1.inserts(), &[(0, 1)]);
-        assert_eq!(groups[1].0, 2);
-        assert_eq!(groups[1].1.inserts(), &[(2, 9)]);
-        assert_eq!(groups[1].1.deletes(), &[(3, 8)]);
-        assert_eq!(groups[2].0, 3);
-        let total: usize = groups.iter().map(|(_, b)| b.len()).sum();
-        assert_eq!(total, 4);
     }
 }

@@ -23,7 +23,10 @@
 //! pcpm query       <addr> --op OP          query a running `pcpm serve`
 //!
 //! common flags: --binary (pcpm binary input) | --mtx (Matrix Market input)
-//!               --iters N --damping D --tolerance T --partition-bytes B
+//!               --iters N --damping D --tolerance T
+//!               --partition-bytes B (partition budget, default 262144; an
+//!               engine on N > 1 threads halves it, down to 16384, until the
+//!               graph has 2 partitions per thread; printed as `# layout`)
 //!               --threads N (engine-owned worker pool; default: ambient pool)
 //!               --top K (print only the K best rows)
 //!               --backend pcpm|pull (dataplane to run on)
@@ -659,6 +662,27 @@ fn pagerank_engine(
     Ok(engine)
 }
 
+/// The bin format and the partition layout the engine ran, beside the
+/// budget and the pool it was derived for (a loaded engine runs the
+/// layout its snapshot recorded).
+fn print_layout(report: &ExecutionReport, cfg: &PcpmConfig) {
+    if let (Some(format), Some(ratio)) = (report.bin_format, report.bin_compression) {
+        eprintln!(
+            "# bins: {format} format, {ratio:.2}x dest-id compression vs wide, {} KB aux",
+            report.aux_memory_bytes / 1024
+        );
+    }
+    let derived = if report.loaded_from_snapshot {
+        "as the snapshot recorded".to_string()
+    } else {
+        format!("{} build threads", cfg.pool_threads())
+    };
+    eprintln!(
+        "# layout: {} partitions of {} nodes ({} B budget, {derived})",
+        report.partitions, report.partition_nodes, cfg.partition_bytes
+    );
+}
+
 /// Ranks printed exactly like the offline `pagerank` command so served
 /// and offline answers diff clean in CI.
 fn print_top_ranks(scores: &[f32], top: usize) {
@@ -947,12 +971,7 @@ fn run_command(opts: Options) -> Result<(), String> {
                 r.compression_ratio.unwrap_or(1.0),
                 r.timings.total()
             );
-            if let (Some(format), Some(ratio)) = (report.bin_format, report.bin_compression) {
-                eprintln!(
-                    "# bins: {format} format, {ratio:.2}x dest-id compression vs wide, {} KB aux",
-                    report.aux_memory_bytes / 1024
-                );
-            }
+            print_layout(&report, &cfg);
             if let Some(total) = report.dest_stream_total_bytes() {
                 match report.dest_stream_gbps() {
                     Some(gbps) => eprintln!(
@@ -1004,6 +1023,7 @@ fn run_command(opts: Options) -> Result<(), String> {
                 )
                 .map_err(|e| e.to_string())?;
                 let report = engine.report();
+                print_layout(&report, &cfg);
                 eprintln!(
                     "# {} sources batched, {} passes, {:.2} queries/pass amortized",
                     opts.sources.len(),
@@ -1027,6 +1047,7 @@ fn run_command(opts: Options) -> Result<(), String> {
                     &mut engine,
                 )
                 .map_err(|e| e.to_string())?;
+                print_layout(&engine.report(), &cfg);
                 eprintln!(
                     "# {} iterations ({}), {} seeds",
                     r.iterations,

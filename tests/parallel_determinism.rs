@@ -1,9 +1,11 @@
 //! Thread-count determinism: every backend's `step` (and the streaming
 //! update path) must produce bit-identical output on 1, 2, 4 and 8
-//! threads. This extends the `kernel_agreement` matrix along the thread
-//! axis using the same seeded generators and the same integer-grid
-//! inputs (exact in f32, so the assertion is bit-exact equality even
-//! though thread count changes which worker computes what).
+//! threads, and so must every fixed-point driver under the default
+//! partition budget, whose layout follows the thread count. This extends
+//! the `kernel_agreement` matrix along the thread axis using the same
+//! seeded generators and the same integer-grid inputs (exact in f32, so
+//! the assertion is bit-exact equality even though thread count changes
+//! which worker computes what).
 //!
 //! The thread list is overridable for CI sweeps:
 //! `PCPM_TEST_THREADS=1,4 cargo test --test parallel_determinism`, the
@@ -260,6 +262,82 @@ fn streaming_repair_bit_identical_across_thread_counts() {
                 run(t, format),
                 "update at {t} threads, format={format}"
             );
+        }
+    }
+}
+
+/// Under the default partition budget the layout follows the thread
+/// count (scale 16 is one 256 KB partition; its engines split to two
+/// partitions per worker), and with it the grouping of each round's L1
+/// change. Every fixed-point driver must still stop at the same
+/// iteration with the same scores and the same `last_delta` bits.
+#[test]
+fn default_budget_fixed_points_bit_identical_across_thread_counts() {
+    use pcpm::core::fixed_point::{fixed_point, FixedPoint};
+    use pcpm::core::pagerank::pagerank_with_unified_engine;
+    let g = pcpm::graph::gen::rmat(&RmatConfig::graph500(16, 4, 21)).unwrap();
+    let n = g.num_nodes() as usize;
+    let pr = PcpmConfig::default()
+        .with_iterations(100)
+        .with_tolerance(1e-6);
+    let pr_dangling = PcpmConfig {
+        redistribute_dangling: true,
+        ..pr
+    };
+    let seed_sets = [vec![0u32], vec![1, 2], vec![4095, 30_000, 65_535]];
+    let katz_alpha = 1.0 / (g.in_degrees().into_iter().max().unwrap_or(0) as f32 + 1.0);
+    let katz = FixedPoint {
+        scale: &vec![1.0; n],
+        max_iterations: 100,
+        tolerance: Some(1e-3),
+        dangling: false,
+    };
+    let run = |threads: usize| -> Vec<(Vec<f32>, usize, u64)> {
+        let mut engine = Engine::<PlusF32>::builder(&g)
+            .threads(threads)
+            .build()
+            .unwrap();
+        let want_k = match threads {
+            1 => Some(1),
+            2 => Some(4),
+            4 => Some(8),
+            8 => Some(16),
+            _ => None,
+        };
+        let report = engine.report();
+        if let Some(k) = want_k {
+            assert_eq!(report.partitions, k, "{threads} threads");
+        }
+        assert_eq!(
+            report.partitions,
+            g.num_nodes().div_ceil(engine.partition_nodes())
+        );
+        let mut runs = vec![
+            pagerank_with_unified_engine(&g, &pr, &mut engine, None).unwrap(),
+            pagerank_with_unified_engine(&g, &pr_dangling, &mut engine, None).unwrap(),
+        ];
+        runs.extend(
+            personalized_pagerank_many_with_unified_engine(&g, &seed_sets, &pr, &mut engine)
+                .unwrap(),
+        );
+        runs.extend(
+            fixed_point(&mut engine, &katz, vec![vec![1.0; n]], |_, _| {
+                move |sum, _, _| katz_alpha * sum + 1.0
+            })
+            .unwrap(),
+        );
+        // Each run stops on its tolerance, not on the iteration cap.
+        assert!(runs.iter().all(|r| r.converged), "{threads} threads");
+        (runs.into_iter())
+            .map(|r| (r.scores, r.iterations, r.last_delta.to_bits()))
+            .collect()
+    };
+    let baseline = run(1);
+    for &t in &thread_matrix()[1..] {
+        for (i, (want, got)) in baseline.iter().zip(run(t)).enumerate() {
+            assert_eq!(want.1, got.1, "run {i}: iterations at {t} threads");
+            assert_eq!(want.2, got.2, "run {i}: last_delta bits at {t} threads");
+            assert!(want.0 == got.0, "run {i}: scores at {t} threads");
         }
     }
 }

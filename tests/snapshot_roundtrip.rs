@@ -238,6 +238,52 @@ fn retention_is_shared_only_and_config_compares_effective_q() {
     ));
 }
 
+/// A snapshot records the layout its engine derived: one saved from a
+/// 4-thread engine, whose default budget was split, loads under that
+/// budget on one thread and steps bit for bit like its source; a budget
+/// it was not derived from is still a mismatch.
+#[test]
+fn a_split_layout_loads_under_its_budget() {
+    let g = Arc::new(pcpm::graph::gen::rmat(&RmatConfig::graph500(16, 2, 5)).unwrap());
+    let cfg = PcpmConfig::default();
+    let mut saved = Engine::<PlusF32>::builder_shared(&g)
+        .config(cfg.with_threads(4))
+        .build()
+        .unwrap();
+    assert_eq!(saved.partition_nodes(), 8_192);
+    let path = tmp_path("split-layout.pcpmc");
+    saved.save_snapshot(&path).unwrap();
+    assert_eq!(Snapshot::load(&path).unwrap().partition_bytes(), 8_192 * 4);
+    let mut loaded = EngineBuilder::<PlusF32>::from_snapshot(&path)
+        .unwrap()
+        .expect_config(&cfg, false)
+        .unwrap()
+        .threads(1)
+        .build()
+        .unwrap();
+    assert_eq!(loaded.partition_nodes(), 8_192);
+    assert_eq!(loaded.report().partitions, 8);
+    let x: Vec<f32> = (0..g.num_nodes()).map(|v| 1.0 / (v + 3) as f32).collect();
+    let n = g.num_nodes() as usize;
+    let (mut ya, mut yb) = (vec![0.0f32; n], vec![0.0f32; n]);
+    saved.step(&x, &mut ya).unwrap();
+    loaded.step(&x, &mut yb).unwrap();
+    assert_eq!(ya, yb);
+    // No halving of these budgets gives 8 192 nodes.
+    for bytes in [96 * 1024, 48 * 1024, 16 * 1024] {
+        assert!(matches!(
+            EngineBuilder::<PlusF32>::from_snapshot(&path)
+                .unwrap()
+                .expect_config(&cfg.with_partition_bytes(bytes), false),
+            Err(pcpm::core::PcpmError::Snapshot(
+                SnapshotError::ConfigMismatch {
+                    field: "partition bytes"
+                }
+            ))
+        ));
+    }
+}
+
 /// Engines that cannot be snapshotted say so with a typed error instead
 /// of writing a broken file.
 #[test]
