@@ -3,7 +3,7 @@
 //!
 //! Besides the usual console table, the suite emits `BENCH_formats.json`
 //! in the working directory so CI and notebooks can track the trade
-//! between decode cost (delta pays a varint decode per edge) and
+//! between decode cost (delta pays a value decode per edge) and
 //! dest-stream traffic (wide pays 4 bytes per edge) without scraping
 //! stdout.
 

@@ -673,7 +673,7 @@ impl<A: Algebra> Engine<A> {
     /// whole batch in a single backend pass.
     ///
     /// On the PCPM dataplane this is a row-interleaved SpMM — the destID
-    /// bin stream is scanned (and, for the delta format, varint-decoded)
+    /// bin stream is scanned (and, for the delta format, decoded)
     /// **once** for the batch; other backends and ablations loop over
     /// [`Engine::step`]-equivalent rounds. Per-query results are
     /// bit-identical to sequential [`Engine::step`] calls either way.
@@ -993,9 +993,9 @@ impl<'g, A: Algebra> EngineBuilder<'g, A> {
         self
     }
 
-    /// Selects the gather/decode kernel variant (PCPM backend only).
-    /// [`KernelKind::Auto`] (the default) resolves to the
-    /// predicted-fastest concrete kernel at build time.
+    /// Selects the gather kernel variant (PCPM backend only).
+    /// [`KernelKind::Auto`] (the default) resolves to
+    /// [`KernelKind::Unrolled`] at build time.
     pub fn kernel(mut self, kernel: KernelKind) -> Self {
         self.cfg.kernel = kernel;
         self

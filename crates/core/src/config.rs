@@ -57,18 +57,18 @@ pub struct PcpmConfig {
     /// Physical destination-ID encoding of the PCPM bins: wide 32-bit
     /// global IDs (the paper's §3.2 layout), compact 16-bit
     /// partition-local IDs (§6; requires `partition_nodes() <= 2^15`),
-    /// or delta-encoded varints (`--format delta`).
+    /// or delta-encoded split-stream IDs (`--format delta`).
     pub bin_format: BinFormatKind,
     /// Thread count for the engine-owned worker pool (prepare, every
     /// step and the rebuild of an update run on it); `None` uses the ambient
     /// global pool. Every backend produces bit-identical results for
     /// any value (see the rayon shim's determinism contract).
     pub threads: Option<usize>,
-    /// Gather/decode kernel variant (`--kernel`). A runtime knob, not a
-    /// layout property: it never affects bins on disk or in snapshots,
-    /// and every variant produces bit-identical results.
-    /// [`KernelKind::Auto`] (the default) resolves at pipeline build
-    /// via the memsim-grounded model in [`crate::kernel::resolve_auto`].
+    /// Gather kernel variant (`--kernel`). A runtime knob, not a layout
+    /// property: it never affects bins on disk or in snapshots, and
+    /// every variant produces bit-identical results.
+    /// [`KernelKind::Auto`] (the default) resolves to
+    /// [`KernelKind::Unrolled`] at pipeline build.
     pub kernel: KernelKind,
 }
 

@@ -1,40 +1,49 @@
-//! Delta-packed destination bins: per-partition delta-encoded varints.
+//! Delta-packed destination bins: a split stream of control bytes and
+//! little-endian values.
 //!
 //! The paper's PNG layout already compresses the *update* stream (one
 //! update per compressed edge); the destination-ID stream stays at four
 //! bytes per raw edge in the wide format and two in the compact one. This
-//! module pushes further along the same axis: within a `(source
-//! partition, destination bin)` segment, destinations are stored as a
-//! byte-packed varint stream —
+//! module pushes further along the same axis. Within a `(source
+//! partition, destination bin)` segment, a message's **first** entry
+//! stores its partition-local offset (`dst − p·q`, always `< q`) and every
+//! **subsequent** entry the gap to its predecessor (CSR neighbor lists are
+//! sorted; a duplicate edge is a zero gap).
 //!
-//! - the **first** destination of a message is its partition-local offset
-//!   (`dst − p·q`, always `< q`), tagged with the demarcation flag in the
-//!   varint's least-significant bit (the MSB flag of §3.2, relocated so
-//!   the payload stays dense);
-//! - every **subsequent** destination is the gap to its predecessor
-//!   (`dst − prev`; CSR neighbor lists are sorted, so gaps are ≥ 0 —
-//!   `Csr::from_edges` keeps duplicate edges, which encode as a zero
-//!   gap — and the common small gaps encode as one byte).
+//! # Layout
 //!
-//! On power-law graphs this lands at ~1–2 bytes per edge — below even the
-//! compact format, with no partition-size restriction — shrinking the
-//! `m·di` destID-scan term that dominates PCPM's communication model
-//! (Eq. 5). The cost is a data-dependent decode in the gather (no longer
-//! a pure pointer walk); the `formats` bench suite measures the trade.
+//! A segment of `n` entries is `3·⌈n/8⌉` control bytes, then the values
+//! (the shape of Lemire, Kurz & Rupp's *Stream VByte*). A control group
+//! covers 8 entries: a flag byte (bit `j` set when entry `j` starts a
+//! message — the MSB flag of §3.2, moved out of the value) and two length
+//! bytes (2 bits per entry: the value's byte count − 1). Values are 1–4
+//! bytes, little-endian. Control bits past entry `n` are zero.
 //!
-//! [`DeltaPackedBins`] keeps its own byte-offset geometry (`byte_region`
-//! per source partition, `seg_off` per destination bin) because segment
-//! lengths are data-dependent; the update stream and the optional weight
-//! stream reuse the shared layouts, so scatter and weighted gather are
-//! unchanged.
+//! # Why the decode has no branch
+//!
+//! A LEB128 varint finds its own end by testing each byte, a branch per
+//! byte that mispredicts whenever lengths mix. Here [`SPANS`] maps a length
+//! byte to its four values' offsets and masks, each value is one masked
+//! 4-byte load, and the data position moves by a table value: no load
+//! waits on a data byte and nothing branches on one. [`SLACK`] zero bytes
+//! past the stream keep the last group's loads in bounds. Groups of eight
+//! entries reach the apply loop in bin order, so scores are the same bits
+//! as on every other format.
+//!
+//! On power-law graphs this is ≈ 2 bytes per edge with no partition-size
+//! restriction, shrinking the `m·di` destID-scan term of Eq. 5. The byte
+//! geometry is the format's own (`byte_region` per source partition,
+//! `seg_off` per destination bin); the update and weight streams reuse
+//! the shared layouts.
 
 use crate::format::{weight_stream, BinScalar};
-use crate::gather::{EntrySink, Segment, SegmentDecode};
-use crate::kernel::{prefetch, KernelKind};
+use crate::gather::{EntrySink, Group, Segment, SegmentDecode, GROUP};
+use crate::kernel::prefetch;
+use crate::partition::split_by_lens;
 use crate::png::{for_each_run, EdgeView, Png};
 use rayon::prelude::*;
 
-/// Message bins with a delta-encoded varint destination stream.
+/// Message bins with a delta-encoded split-stream destination stream.
 ///
 /// Construct through [`DeltaFormat`](crate::format::DeltaFormat) (or the
 /// engine builder's `.bin_format(BinFormatKind::Delta)`); the fields are
@@ -44,298 +53,248 @@ pub struct DeltaPackedBins<T = f32> {
     /// Update values, source-partition-major (`|E'|` entries) — the
     /// same layout as every other format.
     pub updates: Vec<T>,
-    /// The varint-encoded destination stream, source-partition-major.
-    dest_bytes: Vec<u8>,
+    /// The destination stream, source-partition-major, then [`SLACK`]
+    /// zero bytes.
+    pub(crate) dest_bytes: Vec<u8>,
     /// `k_src + 1` byte offsets of each source partition's region.
-    byte_region: Vec<u64>,
+    pub(crate) byte_region: Vec<u64>,
     /// Per source partition: `k_dst + 1` byte offsets local to its
     /// region (the delta analogue of `BipartitePart::did_off`).
-    seg_off: Vec<Vec<u64>>,
+    pub(crate) seg_off: Vec<Vec<u64>>,
     /// Optional edge weights in raw-edge bin order (the wide layout).
     pub weights: Option<Vec<f32>>,
 }
 
-/// Appends `v` as a LEB128 varint (round-trip tests only; the encoder
-/// proper writes in place through [`put_varint`]).
-#[cfg(test)]
-fn write_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            break;
-        }
-        buf.push(byte | 0x80);
-    }
-}
+/// Control bytes per group: the flag byte and two length bytes.
+const CTRL: usize = 3;
 
-/// Reads one LEB128 varint at `*pos`, advancing it.
+/// Bytes one group's decode reads from its first value on: eight loads
+/// of four bytes, each at an offset below 32.
+const WINDOW: usize = 35;
+
+/// Zero bytes kept past the end of the stream, so a group's window never
+/// leaves the buffer.
+pub(crate) const SLACK: usize = WINDOW;
+
+/// Control bytes of a segment of `n` entries.
 #[inline]
-fn read_varint(bytes: &[u8], pos: &mut usize) -> u64 {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let byte = bytes[*pos];
-        *pos += 1;
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return v;
-        }
-        shift += 7;
-    }
+fn ctrl_len(n: usize) -> usize {
+    CTRL * n.div_ceil(GROUP)
 }
 
-/// Per-window decode plan for the batched decoder, keyed by the 8
-/// continuation (MSB) bits of an 8-byte window. The plan tells the hot
-/// loop, without inspecting any payload byte, where each 1–2-byte
-/// varint starts, how long it is, how many bytes the window consumes,
-/// and whether a rare >= 3-byte varint interrupts the run.
+/// The length code (byte count − 1) of value `v`.
+#[inline]
+fn code(v: u32) -> u32 {
+    (31 - (v | 1).leading_zeros()) / 8
+}
+
+/// Where one length byte's four values lie: each one's byte offset from
+/// the first and the mask of its bytes, and the bytes all four take.
 #[derive(Clone, Copy)]
-struct WordPlan {
-    /// Varints fully contained in the window as 1–2-byte encodings.
-    count: u8,
-    /// Bytes those varints consume.
-    consumed: u8,
-    /// Byte offset of the `k`-th varint, packed as nibble `k` (0 for
-    /// unused slots, whose extracted garbage is overwritten or
-    /// truncated away). One register read per slot instead of a table
-    /// byte load keeps the extraction loop free of memory traffic.
-    offs: u64,
-    /// The byte at `consumed` starts a >= 3-byte varint (two set
-    /// continuation bits in a row) — fall back to [`read_varint`].
-    long: bool,
+struct Span {
+    offs: [u8; 4],
+    masks: [u32; 4],
+    bytes: u8,
 }
 
-const fn build_word_plans() -> [WordPlan; 256] {
-    let mut lut = [WordPlan {
-        count: 0,
-        consumed: 0,
-        offs: 0,
-        long: false,
+const fn spans() -> [Span; 256] {
+    let mut table = [Span {
+        offs: [0; 4],
+        masks: [0; 4],
+        bytes: 0,
     }; 256];
-    let mut m = 0usize;
-    while m < 256 {
-        let mut pos = 0usize;
-        let mut k = 0usize;
-        while pos < 8 {
-            if (m >> pos) & 1 == 0 {
-                lut[m].offs |= (pos as u64) << (4 * k);
-                pos += 1;
-                k += 1;
-            } else if pos + 1 >= 8 {
-                // A 2-byte varint would cross the window edge: leave it
-                // for the next (re-based) window or the tail loop.
-                break;
-            } else if (m >> (pos + 1)) & 1 == 1 {
-                lut[m].long = true;
-                break;
-            } else {
-                lut[m].offs |= (pos as u64) << (4 * k);
-                pos += 2;
-                k += 1;
-            }
+    let mut b = 0;
+    while b < 256 {
+        let mut at = 0;
+        let mut j = 0;
+        while j < 4 {
+            let code = (b >> (2 * j)) & 3;
+            table[b].offs[j] = at;
+            table[b].masks[j] = u32::MAX >> (24 - 8 * code);
+            at += code as u8 + 1;
+            j += 1;
         }
-        lut[m].count = k as u8;
-        lut[m].consumed = pos as u8;
-        m += 1;
+        table[b].bytes = at;
+        b += 1;
     }
-    lut
+    table
 }
 
-static WORD_PLANS: [WordPlan; 256] = build_word_plans();
+/// [`Span`] by length byte.
+static SPANS: [Span; 256] = spans();
 
-/// Compacts the 8 byte-MSBs of `w` into one plan-table index
-/// (bit `i` = continuation bit of byte `i`): mask the MSBs, then one
-/// carry-free multiply sums the shifted copies so every MSB lands in
-/// the top byte — three ops instead of an eight-way shift/or tree.
-#[inline]
-fn continuation_mask(w: u64) -> usize {
-    ((w & 0x8080_8080_8080_8080).wrapping_mul(0x0002_0408_1020_4081) >> 56) as usize
+/// The groups of one segment, decoded in order (the lanes of the last
+/// group past the segment's end are garbage).
+struct Groups<'a> {
+    /// The segment's control groups.
+    ctrl: std::slice::Iter<'a, [u8; CTRL]>,
+    /// The segment's values, then the rest of the stream and its slack.
+    data: &'a [u8],
+    /// The next group's first value byte in `data`.
+    pos: usize,
+    /// The offset of the entry decoded last.
+    local: u32,
 }
 
-/// Batched segment decoder: decodes **every** varint in `bytes` into
-/// `out` (exactly the decoded sequence on return), separating decode
-/// from apply so the apply loop runs branch-free over plain `u64`s.
-///
-/// The hot loop pulls one unaligned little-endian `u64` per iteration,
-/// looks the window's continuation bits up in [`WORD_PLANS`], and
-/// extracts up to eight 1–2-byte varints — the overwhelmingly common
-/// case for partition-local deltas — as independent mask arithmetic:
-/// no data-dependent branch per byte, no serial position chain from one
-/// varint to the next, and one bounds check per window instead of per
-/// byte. All 8 slots are extracted and stored unconditionally (garbage
-/// slots land past `count` and are overwritten by the next window or
-/// truncated), so the store loop is branch-free too. Longer varints
-/// fall through to [`read_varint`], which stays the asserted-identical
-/// fallback (`batched_decode_matches_read_varint` below fuzzes the
-/// equivalence across every varint length; `tests/kernel_agreement.rs`
-/// and `tests/parallel_determinism.rs` assert whole-kernel bit-identity
-/// under `PCPM_TEST_KERNELS`).
-#[inline]
-pub(crate) fn decode_segment_into(bytes: &[u8], out: &mut Vec<u64>) {
-    let len = bytes.len();
-    // 8 slots of slack for the unconditional window stores; stale
-    // contents past the final truncate are never observable.
-    if out.len() < len + 8 {
-        out.resize(len + 8, 0);
-    }
-    let mut pos = 0usize;
-    let mut n = 0usize;
-    while pos + 8 <= len {
-        let w = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap());
-        let plan = &WORD_PLANS[continuation_mask(w)];
-        let offs = plan.offs;
-        let dst = &mut out[n..n + 8];
-        for (k, slot) in dst.iter_mut().enumerate() {
-            // Each slot re-derives "am I a 2-byte varint?" from its own
-            // continuation bit (bit 7 of the shifted window) instead of
-            // the plan's `twos` bits: every operand then lives in the
-            // same lane, so the whole extraction vectorizes cleanly.
-            // The second byte of a genuine 2-byte varint is terminal
-            // (MSB clear), so `(x >> 1) & 0x3f80` is exactly its 7
-            // payload bits shifted into place.
-            let x = w >> (8 * ((offs >> (4 * k)) & 0xf) as u32);
-            let m = (((x << 56) as i64) >> 63) as u64;
-            *slot = (x & 0x7f) | ((x >> 1) & 0x3f80 & m);
-        }
-        n += plan.count as usize;
-        pos += plan.consumed as usize;
-        if plan.long {
-            // >= 3 encoded bytes: rare (gaps < 2^14 fit in two), and
-            // this branch predicts well precisely because it is rare.
-            out[n] = read_varint(bytes, &mut pos);
-            n += 1;
+impl<'a> Groups<'a> {
+    /// The groups of the `n`-entry segment at the head of `bytes`, which
+    /// runs on to the stream's slack.
+    #[inline(always)]
+    fn new(bytes: &'a [u8], n: usize) -> Self {
+        let (ctrl, data) = bytes.split_at(ctrl_len(n));
+        Self {
+            ctrl: ctrl.as_chunks::<CTRL>().0.iter(),
+            data,
+            pos: 0,
+            local: 0,
         }
     }
-    // Tail: fewer than 8 bytes left, decode them one varint at a time.
-    while pos < len {
-        out[n] = read_varint(bytes, &mut pos);
-        n += 1;
-    }
-    out.truncate(n);
 }
 
-/// Encoded size of `v` as a LEB128 varint.
-#[inline]
-fn varint_len(v: u64) -> u64 {
-    ((64 - v.leading_zeros() as u64).max(1)).div_ceil(7)
-}
+impl Iterator for Groups<'_> {
+    type Item = Group;
 
-/// Writes `v` at `buf[*pos..]`, advancing `*pos`.
-#[inline]
-fn put_varint(buf: &mut [u8], pos: &mut usize, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf[*pos] = byte;
-            *pos += 1;
-            break;
+    #[inline(always)]
+    fn next(&mut self) -> Option<Group> {
+        let &[flags, lens_lo, lens_hi] = self.ctrl.next()?;
+        let window: &[u8; WINDOW] = self.data[self.pos..self.pos + WINDOW]
+            .try_into()
+            .expect("slack");
+        let (lo, hi) = (&SPANS[usize::from(lens_lo)], &SPANS[usize::from(lens_hi)]);
+        let mut locals = [0u32; GROUP];
+        for (j, local) in locals.iter_mut().enumerate() {
+            let (at, mask) = match j {
+                0..4 => (lo.offs[j], lo.masks[j]),
+                _ => (lo.bytes + hi.offs[j - 4], hi.masks[j - 4]),
+            };
+            let at = usize::from(at) & 31;
+            let v = u32::from_le_bytes(window[at..at + 4].try_into().expect("4 bytes")) & mask;
+            // A message start replaces the offset; any other entry adds
+            // its gap. A mask, not a branch, picks which.
+            let keep = (u32::from(flags >> j) & 1).wrapping_sub(1);
+            self.local = (self.local & keep).wrapping_add(v);
+            *local = self.local;
         }
-        buf[*pos] = byte | 0x80;
-        *pos += 1;
+        self.pos += usize::from(lo.bytes + hi.bytes);
+        Some((locals, flags))
     }
 }
 
-/// Encodes the destination stream of source partition `s`: returns the
-/// byte buffer plus its `k_dst + 1` local segment offsets. Two passes —
-/// byte-count per destination bin, then fill through per-bin cursors
-/// into one flat buffer — mirroring the fixed-width skeleton's cursor
-/// scheme (no per-bin allocations, no re-copy).
-fn encode_partition(view: EdgeView<'_>, png: &Png, s: u32) -> (Vec<u8>, Vec<u64>) {
-    let k = png.dst_parts().num_partitions() as usize;
-    let q = png.dst_parts().partition_size();
-    let mut seg_len = vec![0u64; k];
-    for_each_run(
-        view,
-        png.src_parts(),
-        png.dst_parts(),
-        s,
-        |_v, p, run, _| {
-            let mut len = varint_len(u64::from(run[0] - p * q) << 1 | 1);
-            for pair in run.windows(2) {
-                len += varint_len(u64::from(pair[1] - pair[0]) << 1);
-            }
-            seg_len[p as usize] += len;
-        },
-    );
-    let mut seg_off = Vec::with_capacity(k + 1);
-    seg_off.push(0u64);
-    for &len in &seg_len {
-        seg_off.push(seg_off.last().unwrap() + len);
+/// Where the encoder writes the next entry of one segment.
+struct Cursor {
+    /// The segment's first byte: its control stream.
+    ctrl: usize,
+    /// Entries written so far.
+    entry: usize,
+    /// The next value's first byte.
+    data: usize,
+}
+
+/// Appends one entry at `at`. The value is ORed into the zeroed buffer
+/// as a whole 4-byte word: its bytes past its length are zero, so the
+/// overlap with whatever follows changes nothing, and only the stream's
+/// last values take the short path.
+#[inline]
+fn put_entry(buf: &mut [u8], at: &mut Cursor, first: bool, v: u32) {
+    let (j, c) = (at.entry % GROUP, code(v));
+    let group = &mut buf[at.ctrl + CTRL * (at.entry / GROUP)..][..CTRL];
+    group[0] |= u8::from(first) << j;
+    group[1 + j / 4] |= (c as u8) << (2 * (j % 4));
+    match buf.get_mut(at.data..at.data + 4) {
+        Some(word) => {
+            let word: &mut [u8; 4] = word.try_into().expect("4 bytes");
+            *word = (u32::from_le_bytes(*word) | v).to_le_bytes();
+        }
+        None => buf[at.data..]
+            .iter_mut()
+            .zip(v.to_le_bytes())
+            .for_each(|(b, x)| *b |= x),
     }
-    let mut bytes = vec![0u8; *seg_off.last().unwrap() as usize];
-    let mut cursor: Vec<usize> = seg_off[..k].iter().map(|&o| o as usize).collect();
-    for_each_run(
-        view,
-        png.src_parts(),
-        png.dst_parts(),
-        s,
-        |_v, p, run, _| {
-            let pos = &mut cursor[p as usize];
-            let p_base = p * q;
-            put_varint(&mut bytes, pos, (u64::from(run[0] - p_base) << 1) | 1);
-            for pair in run.windows(2) {
-                put_varint(&mut bytes, pos, u64::from(pair[1] - pair[0]) << 1);
-            }
-        },
-    );
-    (bytes, seg_off)
+    at.entry += 1;
+    at.data += c as usize + 1;
+}
+
+/// The values of one message run into the destination partition that
+/// starts at node `base`: the first destination's offset, then the gap
+/// to each next one.
+#[inline]
+fn values(run: &[u32], base: u32) -> impl Iterator<Item = u32> + '_ {
+    let gaps = run.windows(2).map(|pair| pair[1] - pair[0]);
+    std::iter::once(run[0] - base).chain(gaps)
+}
+
+/// The `k_dst + 1` segment offsets of source partition `s`, local to its
+/// region.
+fn segment_offsets(view: EdgeView<'_>, png: &Png, s: u32) -> Vec<u64> {
+    let did_off = &png.part(s).did_off;
+    let mut len: Vec<u64> = did_off
+        .windows(2)
+        .map(|w| ctrl_len((w[1] - w[0]) as usize) as u64)
+        .collect();
+    let (src, dst) = (png.src_parts(), png.dst_parts());
+    let q = dst.partition_size();
+    for_each_run(view, src, dst, s, |_v, p, run, _| {
+        len[p as usize] += values(run, p * q)
+            .map(|v| u64::from(code(v)) + 1)
+            .sum::<u64>();
+    });
+    offsets(len)
+}
+
+/// `0` and the running sums of `lens`: where each piece starts, then the
+/// end.
+fn offsets(lens: impl IntoIterator<Item = u64>) -> Vec<u64> {
+    let ends = lens.into_iter().scan(0, |end, len| {
+        *end += len;
+        Some(*end)
+    });
+    std::iter::once(0).chain(ends).collect()
+}
+
+/// Writes source partition `s`'s segments into its zeroed `region`.
+fn encode_partition(view: EdgeView<'_>, png: &Png, s: u32, region: &mut [u8], seg_off: &[u64]) {
+    let did_off = &png.part(s).did_off;
+    let mut cursors: Vec<Cursor> = seg_off
+        .iter()
+        .zip(did_off.windows(2))
+        .map(|(&at, w)| Cursor {
+            ctrl: at as usize,
+            entry: 0,
+            data: at as usize + ctrl_len((w[1] - w[0]) as usize),
+        })
+        .collect();
+    let (src, dst) = (png.src_parts(), png.dst_parts());
+    let q = dst.partition_size();
+    for_each_run(view, src, dst, s, |_v, p, run, _| {
+        let at = &mut cursors[p as usize];
+        for (i, v) in values(run, p * q).enumerate() {
+            put_entry(region, at, i == 0, v);
+        }
+    });
 }
 
 impl<T: BinScalar> DeltaPackedBins<T> {
     /// Builds the delta bins for `png`, in parallel over source
     /// partitions (the [`BinFormat::build`](crate::format::BinFormat)
-    /// entry point).
+    /// entry point): one pass sizes every segment, the second writes
+    /// each region in place.
     pub(crate) fn build(view: EdgeView<'_>, png: &Png, edge_weights: Option<&[f32]>) -> Self {
         let updates = vec![T::default(); png.num_compressed_edges() as usize];
         let k_src = png.src_parts().num_partitions();
-        let parts: Vec<(Vec<u8>, Vec<u64>)> = (0..k_src)
+        let seg_off: Vec<Vec<u64>> = (0..k_src)
             .into_par_iter()
-            .map(|s| encode_partition(view, png, s))
+            .map(|s| segment_offsets(view, png, s))
             .collect();
-        let mut byte_region = Vec::with_capacity(parts.len() + 1);
-        byte_region.push(0u64);
-        for (bytes, _) in &parts {
-            byte_region.push(byte_region.last().unwrap() + bytes.len() as u64);
-        }
-        let mut dest_bytes = Vec::with_capacity(*byte_region.last().unwrap() as usize);
-        let mut seg_off = Vec::with_capacity(parts.len());
-        for (bytes, offs) in parts {
-            dest_bytes.extend_from_slice(&bytes);
-            seg_off.push(offs);
-        }
+        let region_lens: Vec<usize> = seg_off.iter().map(|o| o[o.len() - 1] as usize).collect();
+        let byte_region = offsets(region_lens.iter().map(|&l| l as u64));
+        let total = byte_region[k_src as usize] as usize;
+        let mut dest_bytes = vec![0u8; total + SLACK];
+        split_by_lens(&mut dest_bytes[..total], &region_lens)
+            .into_par_iter()
+            .zip(&seg_off)
+            .enumerate()
+            .for_each(|(s, (region, offs))| encode_partition(view, png, s as u32, region, offs));
         let weights = edge_weights.map(|ew| weight_stream(view, png, ew));
-        Self {
-            updates,
-            dest_bytes,
-            byte_region,
-            seg_off,
-            weights,
-        }
-    }
-
-    /// Clones the serializable state (everything except the scratch
-    /// update stream) for the engine-snapshot writer.
-    pub(crate) fn export_state(&self) -> crate::snapshot::BinState {
-        crate::snapshot::BinState::delta(
-            self.dest_bytes.clone(),
-            self.byte_region.clone(),
-            self.seg_off.clone(),
-            self.weights.clone(),
-        )
-    }
-
-    /// Reassembles bins from deserialized state around a fresh (scratch)
-    /// update stream.
-    pub(crate) fn from_loaded(
-        updates: Vec<T>,
-        dest_bytes: Vec<u8>,
-        byte_region: Vec<u64>,
-        seg_off: Vec<Vec<u64>>,
-        weights: Option<Vec<f32>>,
-    ) -> Self {
         Self {
             updates,
             dest_bytes,
@@ -356,64 +315,89 @@ impl<T: BinScalar> DeltaPackedBins<T> {
             + self.weights.as_ref().map_or(0, |w| w.len() * 4)) as u64
     }
 
-    /// Bytes of the varint destination stream alone.
+    /// Bytes of the destination stream alone (control and values).
     pub fn dest_stream_bytes(&self) -> u64 {
-        self.dest_bytes.len() as u64
+        self.byte_region[self.byte_region.len() - 1]
     }
 
-    /// The raw byte segment of `(s, p)`.
+    /// The stream from segment `(s, p)` on, slack included.
     #[inline]
-    fn segment(&self, s: usize, p: usize) -> &[u8] {
-        let base = self.byte_region[s] as usize;
-        let lo = base + self.seg_off[s][p] as usize;
-        let hi = base + self.seg_off[s][p + 1] as usize;
-        &self.dest_bytes[lo..hi]
+    fn segment(&self, seg: &Segment) -> &[u8] {
+        let at = self.byte_region[seg.s] + self.seg_off[seg.s][seg.p];
+        &self.dest_bytes[at as usize..]
     }
 }
 
-/// The varint stream decodes with one of two strategies:
-/// [`KernelKind::Unrolled`] decodes the whole segment into the scratch
-/// buffer in one pass ([`decode_segment_into`]) and yields from there;
-/// any other kernel decodes each varint inline as the apply loop asks
-/// for it, paying a data-dependent branch per encoded byte.
-impl<T: BinScalar> SegmentDecode for DeltaPackedBins<T> {
-    /// Decoded varints of one segment; capacity converges to the largest
-    /// segment of the destination partition (cleared, never reallocated
-    /// per segment).
-    type Scratch = Vec<u64>;
+/// Whether the loaded stream `bytes` ([`SLACK`] included, its offsets
+/// already checked to tile it) is one the encoder could have written over
+/// `png`: every segment is exactly its control groups plus the values they
+/// size, with no bits set past its last entry; it flags its first entry
+/// and one per compressed edge; and every offset it decodes lies inside
+/// its destination partition. A stream that passes cannot make the gather
+/// read outside a segment, its updates or its partition.
+pub(crate) fn is_consistent(
+    png: &Png,
+    bytes: &[u8],
+    byte_region: &[u64],
+    seg_off: &[Vec<u64>],
+) -> bool {
+    png.src_parts().iter().all(|s| {
+        let (part, s) = (png.part(s), s as usize);
+        png.dst_parts().iter().all(|p| {
+            let nodes = png.dst_parts().range(p).len();
+            let p = p as usize;
+            let at = (byte_region[s] + seg_off[s][p]) as usize;
+            let len = (seg_off[s][p + 1] - seg_off[s][p]) as usize;
+            let n = (part.did_off[p + 1] - part.did_off[p]) as usize;
+            let msgs = part.upd_off[p + 1] - part.upd_off[p];
+            segment_is_consistent(&bytes[at..], len, n, msgs, nodes)
+        })
+    })
+}
 
+/// [`is_consistent`] for the one segment of `len` bytes at `bytes[0]`.
+fn segment_is_consistent(bytes: &[u8], len: usize, n: usize, msgs: u64, nodes: usize) -> bool {
+    // Every entry takes a value byte, which bounds `n`, and all that is
+    // computed from it, by the segment's length.
+    if n > len {
+        return false;
+    }
+    let Some(data_len) = len.checked_sub(ctrl_len(n)) else {
+        return false;
+    };
+    let groups = bytes[..ctrl_len(n)].as_chunks::<CTRL>().0;
+    // Entries past `n` have all-zero bits, so each sizes a 1-byte value.
+    let pad = groups.len() * GROUP - n;
+    let tail_clear = groups.last().is_none_or(|&[flags, lo, hi]| {
+        let live = GROUP - pad;
+        u32::from(flags) >> live == 0 && (u32::from(lo) | (u32::from(hi) << 8)) >> (2 * live) == 0
+    });
+    let sized: usize = groups
+        .iter()
+        .map(|&[_, lo, hi]| {
+            usize::from(SPANS[usize::from(lo)].bytes + SPANS[usize::from(hi)].bytes)
+        })
+        .sum();
+    let flagged: u64 = groups.iter().map(|g| u64::from(g[0].count_ones())).sum();
+    let first_flagged = groups.first().is_none_or(|g| g[0] & 1 == 1);
+    if !tail_clear || sized - pad != data_len || flagged != msgs || !first_flagged {
+        return false;
+    }
+    let locals = Groups::new(bytes, n).flat_map(|(locals, _)| locals);
+    locals.take(n).all(|local| (local as usize) < nodes)
+}
+
+/// The split stream decodes without a data-dependent branch (see the
+/// module doc), a group at a time.
+impl<T: BinScalar> SegmentDecode for DeltaPackedBins<T> {
     #[inline(always)]
-    fn decode(
-        &self,
-        seg: &Segment,
-        kernel: KernelKind,
-        scratch: &mut Vec<u64>,
-        sink: &mut impl EntrySink,
-    ) {
-        let bytes = self.segment(seg.s, seg.p);
-        // LSB = message start: the payload is the partition-local
-        // offset; otherwise it is the gap to the previous destination.
-        let mut local = 0usize;
-        let entry = move |v: u64| {
-            let first = v & 1 == 1;
-            let d = (v >> 1) as usize;
-            local = if first { d } else { local + d };
-            (local, first)
-        };
-        if kernel == KernelKind::Unrolled {
-            decode_segment_into(bytes, scratch);
-            sink.units(scratch, entry);
-        } else {
-            let (mut pos, mut entry) = (0usize, entry);
-            sink.entries(std::iter::from_fn(|| {
-                (pos < bytes.len()).then(|| entry(read_varint(bytes, &mut pos)))
-            }));
-        }
+    fn decode(&self, seg: &Segment, sink: &mut impl EntrySink) {
+        sink.groups(seg.raw.len(), Groups::new(self.segment(seg), seg.raw.len()));
     }
 
     #[inline(always)]
     fn prefetch(&self, seg: &Segment) {
-        prefetch(self.segment(seg.s, seg.p));
+        prefetch(self.segment(seg));
     }
 }
 
@@ -422,6 +406,7 @@ mod tests {
     use super::*;
     use crate::algebra::PlusF32;
     use crate::format::{BinFormat, DeltaFormat, WideFormat};
+    use crate::kernel::KernelKind;
     use crate::partition::Partitioner;
     use crate::scatter::png_scatter;
     use pcpm_graph::gen::{rmat, RmatConfig};
@@ -432,33 +417,74 @@ mod tests {
         Png::build(EdgeView::from_csr(g), parts, parts)
     }
 
-    #[test]
-    fn varints_round_trip() {
-        let values = [
-            0u64,
-            1,
-            127,
-            128,
-            300,
-            16_383,
-            16_384,
-            u64::from(u32::MAX) << 1,
-        ];
-        let mut buf = Vec::new();
-        for &v in &values {
-            write_varint(&mut buf, v);
+    /// `entries` as one segment, written by the encoder's own writer, and
+    /// the segment's length; `SLACK` bytes follow it.
+    fn encode(entries: &[(bool, u32)]) -> (Vec<u8>, usize) {
+        let n = entries.len();
+        let values: usize = entries.iter().map(|&(_, v)| code(v) as usize + 1).sum();
+        let len = ctrl_len(n) + values;
+        let mut buf = vec![0u8; len + SLACK];
+        let mut at = Cursor {
+            ctrl: 0,
+            entry: 0,
+            data: ctrl_len(n),
+        };
+        for &(first, v) in entries {
+            put_entry(&mut buf[..len], &mut at, first, v);
         }
-        let mut pos = 0;
-        for &v in &values {
-            assert_eq!(read_varint(&buf, &mut pos), v);
+        assert_eq!(at.data, len, "n={n}");
+        (buf, len)
+    }
+
+    /// Encodes `entries`, decodes them back, and checks the entries.
+    fn round_trip(entries: &[(bool, u32)]) {
+        let n = entries.len();
+        let (buf, len) = encode(entries);
+        let mut local = 0u32;
+        let want: Vec<(u32, bool)> = entries
+            .iter()
+            .map(|&(first, v)| {
+                local = if first { v } else { local.wrapping_add(v) };
+                (local, first)
+            })
+            .collect();
+        let groups: Vec<Group> = Groups::new(&buf, n).collect();
+        assert_eq!(groups.len(), n.div_ceil(GROUP), "n={n}");
+        let got = groups.iter().flat_map(|&(locals, flags)| {
+            (0..GROUP).map(move |j| (locals[j], (flags >> j) & 1 == 1))
+        });
+        assert_eq!(got.take(n).collect::<Vec<_>>(), want, "n={n}");
+        // What the encoder wrote passes the loader's check whenever the
+        // segment opens a message, as every PNG segment does.
+        if want.first().is_none_or(|e| e.1) {
+            let msgs = want.iter().filter(|e| e.1).count() as u64;
+            assert!(
+                segment_is_consistent(&buf, len, n, msgs, usize::MAX),
+                "n={n}"
+            );
         }
-        assert_eq!(pos, buf.len());
     }
 
     #[test]
-    fn batched_decode_matches_read_varint() {
-        // Deterministic xorshift over value magnitudes that cross every
-        // varint length boundary, including max-length (10-byte) ones.
+    fn segment_codec_round_trips_every_width_and_flag_pattern() {
+        // The edges of every value width, 1 to 4 bytes.
+        const EDGES: [u32; 8] = [
+            0,
+            255,
+            256,
+            65_535,
+            65_536,
+            (1 << 24) - 1,
+            1 << 24,
+            (1 << 31) - 1,
+        ];
+        // One group per flag pattern, each value an edge case.
+        let all: Vec<(bool, u32)> = (0..256 * GROUP)
+            .map(|i| ((i / GROUP) >> (i % GROUP) & 1 == 1, EDGES[i * 5 % 8]))
+            .collect();
+        round_trip(&all);
+        // Seeded segments of every length residue, across piece edges,
+        // each value a random width.
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -466,60 +492,84 @@ mod tests {
             state ^= state << 17;
             state
         };
-        for trial in 0..200 {
-            let len = (next() % 64) as usize;
-            let values: Vec<u64> = (0..len)
+        for trial in 0..300 {
+            let n = match trial {
+                0..40 => trial,
+                _ => (next() % 700) as usize,
+            };
+            let entries: Vec<(bool, u32)> = (0..n)
                 .map(|_| {
-                    let bits = next() % 65; // 0..=64 significant bits
-                    if bits == 0 {
-                        0
-                    } else {
-                        next() & (u64::MAX >> (64 - bits))
-                    }
+                    let r = next();
+                    let v = match r % 3 {
+                        0 => EDGES[(r >> 40) as usize % 8],
+                        _ => ((r >> 32) as u32 >> 1) >> ((r >> 8) % 32),
+                    };
+                    (r & 0x80 != 0, v)
                 })
                 .collect();
-            let mut buf = Vec::new();
-            for &v in &values {
-                write_varint(&mut buf, v);
-            }
-            let mut batched = Vec::new();
-            decode_segment_into(&buf, &mut batched);
-            let mut scalar = Vec::new();
-            let mut pos = 0usize;
-            while pos < buf.len() {
-                scalar.push(read_varint(&buf, &mut pos));
-            }
-            assert_eq!(batched, values, "trial {trial}");
-            assert_eq!(batched, scalar, "trial {trial}");
+            round_trip(&entries);
         }
+        round_trip(&[]);
     }
 
     #[test]
-    fn batched_decode_boundary_values() {
-        // Every length boundary of the LEB128 encoding, in one stream.
-        let values: Vec<u64> = (0..10)
-            .flat_map(|b| {
-                let lo = if b == 0 { 0 } else { 1u64 << (7 * b) };
-                let hi = match 1u64.checked_shl(7 * (b + 1)) {
-                    Some(x) => x - 1,
-                    None => u64::MAX,
-                };
-                [lo, lo + 1, hi]
-            })
-            .chain([u64::MAX])
+    fn loader_check_rejects_each_inconsistency() {
+        // Ten entries in two messages: the second group has two live
+        // lanes. Entry 0 is 300 (2 bytes), every other value 1 byte.
+        let entries: Vec<(bool, u32)> = (0..10)
+            .map(|i| (i == 0 || i == 4, if i == 0 { 300 } else { 3 }))
             .collect();
-        let mut buf = Vec::new();
-        for &v in &values {
-            write_varint(&mut buf, v);
+        let (buf, len) = encode(&entries);
+        let check =
+            |bytes: &[u8], len, msgs, nodes| segment_is_consistent(bytes, len, 10, msgs, nodes);
+        assert!(check(&buf, len, 2, 400));
+        let edited = |edit: fn(&mut [u8])| {
+            let mut bytes = buf.clone();
+            edit(&mut bytes);
+            bytes
+        };
+        // A value that does not fit the partition.
+        assert!(!check(&buf, len, 2, 300));
+        // A byte the length bits do not size.
+        assert!(!check(&buf, len + 1, 2, 400));
+        // Message flags that disagree with the segment's compressed edges.
+        assert!(!check(&buf, len, 3, 400));
+        // A first entry that starts no message (and one more that does).
+        assert!(!check(&edited(|b| b[0] ^= 0b11), len, 2, 400));
+        // A flag past the last entry (entry 10), entry 4's cleared so the
+        // count holds.
+        let moved_flag = edited(|b| {
+            b[3] ^= 0b100;
+            b[0] ^= 0b1_0000;
+        });
+        assert!(!check(&moved_flag, len, 2, 400));
+        // A length past the last entry, entry 0's shortened so the size
+        // holds.
+        let moved_byte = edited(|b| {
+            b[4] ^= 0b1_0000;
+            b[1] ^= 0b01;
+        });
+        assert!(!check(&moved_byte, len, 2, 400));
+    }
+
+    #[test]
+    fn value_widths_follow_the_magnitude() {
+        for (v, bytes) in [
+            (0, 1),
+            (255, 1),
+            (256, 2),
+            (65_535, 2),
+            (65_536, 3),
+            ((1 << 24) - 1, 3),
+            (1 << 24, 4),
+            (u32::MAX, 4),
+        ] {
+            assert_eq!(code(v) + 1, bytes, "{v}");
         }
-        let mut out = Vec::new();
-        decode_segment_into(&buf, &mut out);
-        assert_eq!(out, values);
-        // Reuse must clear previous contents.
-        decode_segment_into(&[5u8], &mut out);
-        assert_eq!(out, vec![5]);
-        decode_segment_into(&[], &mut out);
-        assert!(out.is_empty());
+        for b in 0..256 {
+            let lens: u32 = (0..4).map(|j| (b >> (2 * j)) & 3).sum::<u32>() + 4;
+            assert_eq!(u32::from(SPANS[b as usize].bytes), lens);
+        }
     }
 
     #[test]
@@ -531,6 +581,8 @@ mod tests {
         assert!(delta.dest_stream_bytes() < wide.dest_ids.len() as u64 * 4 / 2);
         assert!(delta.memory_bytes() < wide.memory_bytes());
         assert!(delta.memory_bytes() > 0);
+        let (bytes, region, offs) = (&delta.dest_bytes, &delta.byte_region, &delta.seg_off);
+        assert!(is_consistent(&png, bytes, region, offs));
     }
 
     #[test]
@@ -547,12 +599,10 @@ mod tests {
         png_scatter(&png, &x, &mut delta.updates);
         let (mut yw, mut yd) = (vec![0.0f32; 4], vec![0.0f32; 4]);
         WideFormat::gather_from::<PlusF32>(&png, &wide, &mut yw, KernelKind::Scalar);
-        for kernel in [KernelKind::Scalar, KernelKind::Unrolled] {
-            DeltaFormat::gather_from::<PlusF32>(&png, &delta, &mut yd, kernel);
-            assert_eq!(yw, yd, "kernel={kernel}");
-            assert_eq!(yd[1], 2.0, "duplicate edge (0,1) counted twice");
-            assert_eq!(yd[3], 8.0, "duplicate edge (2,3) counted twice");
-        }
+        DeltaFormat::gather_from::<PlusF32>(&png, &delta, &mut yd, KernelKind::Unrolled);
+        assert_eq!(yw, yd);
+        assert_eq!(yd[1], 2.0, "duplicate edge (0,1) counted twice");
+        assert_eq!(yd[3], 8.0, "duplicate edge (2,3) counted twice");
     }
 
     #[test]
@@ -562,8 +612,6 @@ mod tests {
         let bins = DeltaFormat::build::<f32>(EdgeView::from_csr(&g), &png, None);
         assert_eq!(bins.dest_stream_bytes(), 0);
         let mut y: Vec<f32> = vec![];
-        for kernel in [KernelKind::Scalar, KernelKind::Unrolled] {
-            DeltaFormat::gather_from::<PlusF32>(&png, &bins, &mut y, kernel);
-        }
+        DeltaFormat::gather_from::<PlusF32>(&png, &bins, &mut y, KernelKind::Unrolled);
     }
 }

@@ -253,9 +253,8 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
     /// finish: its summed time over that many workers is the wall-clock
     /// the pass spent applying, and the rest of `gather_wall` is gather.
     /// Telemetry is from analytically known quantities: a pass scans the
-    /// whole destID stream (for delta, one varint per raw edge) exactly
-    /// once however many queries it carries; the unrolled delta kernel
-    /// decodes one segment per (src, dst) partition pair into scratch.
+    /// whole destID stream (for delta, one value per raw edge) exactly
+    /// once however many queries it carries.
     fn record_pass(
         &self,
         scatter: Duration,
@@ -281,17 +280,7 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
                 tm.add_varint_decodes(self.png.num_raw_edges());
             }
             match self.kernel {
-                KernelKind::Unrolled => {
-                    tm.add_gather_unrolled_ns(gather_ns);
-                    if F::KIND == BinFormatKind::Delta {
-                        let segs =
-                            u64::from(self.png.src_parts().num_partitions()) * u64::from(k_dst);
-                        tm.add_kernel_segments_decoded(segs);
-                        tm.add_kernel_scratch_bytes(
-                            crate::kernel::SCRATCH_BYTES_PER_EDGE * self.png.num_raw_edges(),
-                        );
-                    }
-                }
+                KernelKind::Unrolled => tm.add_gather_unrolled_ns(gather_ns),
                 _ => tm.add_gather_scalar_ns(gather_ns),
             }
         }

@@ -5,7 +5,7 @@
 //! trait; this module does the same for the PCPM *storage layer*. The
 //! paper's message bins admit several physical destination-ID encodings —
 //! wide 32-bit global IDs (§3.2), compact 16-bit partition-local IDs (§6)
-//! and the delta-varint stream of [`DeltaPackedBins`](crate::delta) — all
+//! and the delta split stream of [`DeltaPackedBins`](crate::delta) — all
 //! sharing the same update-stream layout and the same build skeleton. A
 //! [`BinFormat`] captures exactly the variation points:
 //!
@@ -55,8 +55,10 @@ pub enum BinFormatKind {
     /// 16-bit partition-local destination IDs (§6 / G-Store); requires
     /// partitions of at most 2^15 nodes and halves the destID traffic.
     Compact,
-    /// Per-partition delta-encoded varints (PNG-style compressed IDs);
-    /// no partition-size restriction, typically 1–2 bytes per edge.
+    /// Per-partition delta-encoded IDs in a split stream (2 bits of
+    /// length and 1 message bit per entry in control bytes, then 1–4
+    /// value bytes each); no partition-size restriction, typically ≈ 2
+    /// bytes per edge, decoded without a data-dependent branch.
     Delta,
 }
 
@@ -348,10 +350,8 @@ impl FixedDestEncode for u16 {
 
 /// A fixed-width destination stream decodes unit by unit.
 impl<U: FixedDestEncode> SegmentDecode for [U] {
-    type Scratch = ();
-
     #[inline(always)]
-    fn decode(&self, seg: &Segment, _kernel: KernelKind, _: &mut (), sink: &mut impl EntrySink) {
+    fn decode(&self, seg: &Segment, sink: &mut impl EntrySink) {
         let p_base = seg.p_base;
         sink.units(&self[seg.raw.clone()], |id: U| id.decode(p_base));
     }
@@ -524,7 +524,7 @@ impl<U: FixedDestEncode> BinFormat for FixedFormat<U> {
     }
 }
 
-/// Delta-encoded varint destination IDs (see [`crate::delta`]).
+/// Delta-encoded split-stream destination IDs (see [`crate::delta`]).
 pub struct DeltaFormat;
 
 impl BinFormat for DeltaFormat {
@@ -566,7 +566,12 @@ impl BinFormat for DeltaFormat {
     }
 
     fn export_state<T: BinScalar>(bins: &DeltaPackedBins<T>) -> crate::snapshot::BinState {
-        bins.export_state()
+        crate::snapshot::BinState::delta(
+            bins.dest_bytes.clone(),
+            bins.byte_region.clone(),
+            bins.seg_off.clone(),
+            bins.weights.clone(),
+        )
     }
 
     fn import_state<T: BinScalar>(
@@ -582,14 +587,20 @@ impl BinFormat for DeltaFormat {
         else {
             panic!("{FOREIGN_STATE}");
         };
-        let updates = vec![T::default(); num_updates];
-        DeltaPackedBins::from_loaded(updates, dest_bytes, byte_region, seg_off, weights)
+        DeltaPackedBins {
+            updates: vec![T::default(); num_updates],
+            dest_bytes,
+            byte_region,
+            seg_off,
+            weights,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gather::{Group, GROUP};
     use crate::partition::Partitioner;
     use pcpm_graph::gen::{erdos_renyi, rmat, RmatConfig};
     use pcpm_graph::Csr;
@@ -605,32 +616,36 @@ mod tests {
         msgs: Vec<Vec<u32>>,
     }
 
+    impl Messages {
+        fn push(&mut self, (local, first): (usize, bool)) {
+            let dst = self.p_base + local as u32;
+            if first {
+                self.msgs.push(vec![dst]);
+            } else {
+                self.msgs.last_mut().expect("first entry flagged").push(dst);
+            }
+        }
+    }
+
     impl EntrySink for Messages {
-        fn entries(&mut self, entries: impl Iterator<Item = (usize, bool)>) {
-            for (local, first) in entries {
-                let dst = self.p_base + local as u32;
-                if first {
-                    self.msgs.push(vec![dst]);
-                } else {
-                    self.msgs.last_mut().expect("first entry flagged").push(dst);
-                }
+        fn units<R: Copy>(&mut self, raw: &[R], mut decode: impl FnMut(R) -> (usize, bool)) {
+            for &r in raw {
+                self.push(decode(r));
             }
         }
 
-        fn units<R: Copy>(&mut self, raw: &[R], decode: impl FnMut(R) -> (usize, bool)) {
-            self.entries(raw.iter().copied().map(decode));
+        fn groups(&mut self, n: usize, groups: impl Iterator<Item = Group>) {
+            let entries = groups.flat_map(|(locals, flags)| {
+                (0..GROUP).map(move |j| (locals[j] as usize, (flags >> j) & 1 != 0))
+            });
+            entries.take(n).for_each(|e| self.push(e));
         }
     }
 
     /// Decodes every `(s, p)` segment of `dest` into message lists
     /// through the gather's own decoder.
-    fn decode_all<D: SegmentDecode + ?Sized>(
-        png: &Png,
-        dest: &D,
-        kernel: KernelKind,
-    ) -> Vec<Vec<Vec<u32>>> {
+    fn decode_all<D: SegmentDecode + ?Sized>(png: &Png, dest: &D) -> Vec<Vec<Vec<u32>>> {
         let mut all = Vec::new();
-        let mut scratch = D::Scratch::default();
         for s in png.src_parts().iter() {
             for p in png.dst_parts().iter() {
                 let (seg, _) = Segment::locate(png, s, p as usize);
@@ -638,7 +653,7 @@ mod tests {
                     p_base: seg.p_base,
                     msgs: Vec::new(),
                 };
-                dest.decode(&seg, kernel, &mut scratch, &mut sink);
+                dest.decode(&seg, &mut sink);
                 all.push(sink.msgs);
             }
         }
@@ -654,21 +669,15 @@ mod tests {
             let wide = WideFormat::build::<f32>(view, &png, None);
             let compact = CompactFormat::build::<f32>(view, &png, None);
             let delta = DeltaFormat::build::<f32>(view, &png, None);
-            for kernel in [KernelKind::Scalar, KernelKind::Unrolled] {
-                let want = decode_all(&png, &wide.dest_ids[..], kernel);
-                assert_eq!(
-                    want,
-                    decode_all(&png, &compact.dest_ids[..], kernel),
-                    "q={q}"
-                );
-                assert_eq!(want, decode_all(&png, &delta, kernel), "q={q} {kernel}");
-                // The messages are the PNG's rows: one per compressed
-                // edge, one decoded entry per raw edge.
-                let msgs: usize = want.iter().map(Vec::len).sum();
-                assert_eq!(msgs as u64, png.num_compressed_edges());
-                let total: usize = want.iter().flatten().map(Vec::len).sum();
-                assert_eq!(total as u64, g.num_edges());
-            }
+            let want = decode_all(&png, &wide.dest_ids[..]);
+            assert_eq!(want, decode_all(&png, &compact.dest_ids[..]), "q={q}");
+            assert_eq!(want, decode_all(&png, &delta), "q={q}");
+            // The messages are the PNG's rows: one per compressed edge,
+            // one decoded entry per raw edge.
+            let msgs: usize = want.iter().map(Vec::len).sum();
+            assert_eq!(msgs as u64, png.num_compressed_edges());
+            let total: usize = want.iter().flatten().map(Vec::len).sum();
+            assert_eq!(total as u64, g.num_edges());
         }
     }
 

@@ -12,8 +12,8 @@
 //!   `k_src` segments `(s, p)`, each contiguous in the bins.
 //! - [`SegmentDecode`] — one implementation per bin format, turning a
 //!   segment into `(partition-local offset, starts a message)` entries in
-//!   bin order (fixed-width units in [`crate::format`], varints in
-//!   [`crate::delta`]).
+//!   bin order (fixed-width units in [`crate::format`], groups of eight
+//!   split-stream entries in [`crate::delta`]).
 //! - `Apply` — the loop itself, generic over the [`Accumulator`]
 //!   ([`Solo`]: one output over the bins' own update stream; [`Rows`]:
 //!   `Q` outputs over `Q`-wide update rows, so the destination bytes are
@@ -112,36 +112,39 @@ impl Segment {
     }
 }
 
+/// Entries per decoded [`Group`].
+pub(crate) const GROUP: usize = 8;
+
+/// Eight consecutive entries of a segment: their partition-local offsets,
+/// and their demarcation bits (bit `j` for entry `j`).
+pub(crate) type Group = ([u32; GROUP], u8);
+
+/// Entry `j` of `group` as `(partition-local offset, starts a message)`.
+#[inline(always)]
+fn entry((locals, flags): &Group, j: usize) -> (usize, bool) {
+    (locals[j] as usize, (flags >> j) & 1 != 0)
+}
+
 /// Consumer of one decoded segment — `(partition-local offset, starts a
 /// message)` entries in bin order, through exactly one of the two
 /// methods. The apply loop; the format round-trip tests collect instead.
 pub(crate) trait EntrySink {
-    /// Takes the segment's entries, decoded on demand.
-    fn entries(&mut self, entries: impl Iterator<Item = (usize, bool)>);
-
     /// Takes the segment's entries as the units `raw`, to be run through
     /// `decode` in order (`decode` may carry state from one unit to the
     /// next). A count known up front is what lets the apply loop take
     /// four entries per trip.
     fn units<R: Copy>(&mut self, raw: &[R], decode: impl FnMut(R) -> (usize, bool));
+
+    /// Takes the segment's `n` entries as `⌈n/8⌉` groups, decoded on
+    /// demand and in order; the lanes of the last group past `n` are
+    /// ignored.
+    fn groups(&mut self, n: usize, groups: impl Iterator<Item = Group>);
 }
 
 /// A bin format's destination stream, as the gather reads it.
 pub(crate) trait SegmentDecode: Sync {
-    /// Per-worker decode state, reused across every segment of one
-    /// destination partition.
-    type Scratch: Default;
-
     /// Decodes `seg` and hands its entries to `sink`, exactly once.
-    /// `kernel` picks the decode strategy where the format has more than
-    /// one; every strategy yields the identical entry sequence.
-    fn decode(
-        &self,
-        seg: &Segment,
-        kernel: KernelKind,
-        scratch: &mut Self::Scratch,
-        sink: &mut impl EntrySink,
-    );
+    fn decode(&self, seg: &Segment, sink: &mut impl EntrySink);
 
     /// Touches the head of `seg`, so its first cache line is in flight
     /// while the segment before it finishes.
@@ -390,6 +393,28 @@ impl<'a, A: Algebra, Acc: Accumulator<'a, A>, P: Advance> Apply<'_, A, Acc, P> {
         }
         self.drain(&mut up, raw.iter().zip(ws).map(|(&r, &w)| (decode(r), w)));
     }
+
+    /// The loop over groups and the weights of their entries: each group
+    /// is applied straight from the decoder's registers, a whole group
+    /// per trip while eight entries are left.
+    #[inline(always)]
+    fn groups_with<W: Weight>(&mut self, ws: &[W], mut groups: impl Iterator<Item = Group>) {
+        let mut up = FIRST_UP;
+        let mut full = ws.chunks_exact(GROUP);
+        // `groups.next()`, not `zip(&mut groups)`: the adapter's call
+        // through `&mut` is not reliably inlined.
+        for w in &mut full {
+            let Some(group) = groups.next() else { return };
+            for (j, &w) in w.iter().enumerate() {
+                self.step(&mut up, entry(&group, j), w);
+            }
+        }
+        if let Some(group) = groups.next() {
+            for (j, &w) in full.remainder().iter().enumerate() {
+                self.step(&mut up, entry(&group, j), w);
+            }
+        }
+    }
 }
 
 /// The update pointer starts one before the segment: the first entry
@@ -408,11 +433,10 @@ impl<'a, A: Algebra, Acc: Accumulator<'a, A>, P: Advance> EntrySink for Apply<'_
     }
 
     #[inline(always)]
-    fn entries(&mut self, entries: impl Iterator<Item = (usize, bool)>) {
-        let mut up = FIRST_UP;
+    fn groups(&mut self, n: usize, groups: impl Iterator<Item = Group>) {
         match self.weights {
-            None => self.drain(&mut up, entries.map(|entry| (entry, Unweighted))),
-            Some(ws) => self.drain(&mut up, entries.zip(ws.iter().copied())),
+            None => self.groups_with(&vec![Unweighted; n], groups),
+            Some(ws) => self.groups_with(ws, groups),
         }
     }
 }
@@ -520,7 +544,6 @@ where
     let k_src = png.src_parts().num_partitions();
     apply_parts(&png.dst_parts().lens(), ys, epilogue, |p, ys_p| {
         let mut acc = Acc::new(updates, ys_p);
-        let mut scratch = D::Scratch::default();
         for s in 0..k_src {
             let (seg, upd) = Segment::locate(png, s, p);
             if unrolled && s + 1 < k_src {
@@ -533,7 +556,7 @@ where
                 chunked: unrolled && Acc::UNROLL,
                 _variant: std::marker::PhantomData,
             };
-            dest.decode(&seg, kernel, &mut scratch, &mut sink);
+            dest.decode(&seg, &mut sink);
         }
         acc.finish()
     })
@@ -802,18 +825,43 @@ mod tests {
         }
         let g = Csr::from_edges(k * q, &edges).unwrap();
         let png = check_layout::<PlusF32>(&g, q, &real_inputs(k * q, 3), 99.0);
-        let mut lens = std::collections::BTreeSet::new();
-        for s in 0..k {
-            lens.extend(png.part(s).did_off.windows(2).map(|w| w[1] - w[0]));
-        }
-        assert_eq!(lens, (0..10).collect());
+        assert_eq!(segment_lens(&png), (0..10).collect());
+    }
+
+    fn segment_lens(png: &Png) -> std::collections::BTreeSet<u64> {
+        let parts = png.src_parts().iter().map(|s| png.part(s));
+        parts
+            .flat_map(|part| part.did_off.windows(2).map(|w| w[1] - w[0]))
+            .collect()
     }
 
     #[test]
-    fn compact_boundary_and_long_varints() {
+    fn segments_around_control_groups_and_long_messages() {
+        // 3 × 3 segments of 600-node partitions: lengths on both sides of
+        // an 8-entry control group and of 256 entries. A source
+        // contributes at most 300 entries to a segment, so the 513-entry
+        // one holds a message that runs past its 256th entry.
+        let q = 600u32;
+        let lens = [0u32, 1, 7, 8, 9, 255, 256, 257, 513];
+        let mut edges = Vec::new();
+        for (i, &len) in lens.iter().enumerate() {
+            let (s, p) = (i as u32 / 3, i as u32 % 3);
+            edges.extend((0..len).map(|e| (s * q + e / 300, p * q + e % 300 * 2)));
+        }
+        let g = Csr::from_edges(3 * q, &edges).unwrap();
+        for width in [1, 3] {
+            let png = check_layout::<PlusF32>(&g, q, &real_inputs(3 * q, width), 99.0);
+            assert_eq!(
+                segment_lens(&png),
+                lens.iter().map(|&l| u64::from(l)).collect()
+            );
+        }
+    }
+
+    #[test]
+    fn compact_boundary_and_two_byte_values() {
         // Exactly 2^15-node partitions: compact offsets use all 15 bits,
-        // and first offsets >= 2^13 / gaps >= 2^13 need >= 3-byte varints
-        // (the payload is shifted left by the demarcation bit).
+        // and first offsets or gaps >= 256 take 2-byte delta values.
         let q = MAX_COMPACT_PARTITION;
         let n = 2 * q;
         let edges = [
@@ -831,10 +879,9 @@ mod tests {
         let g = Csr::from_edges(n, &edges).unwrap();
         let png = check_layout::<PlusF32>(&g, q, &real_inputs(n, 3), 99.0);
         let delta = DeltaFormat::build::<f32>(EdgeView::from_csr(&g), &png, None);
-        assert!(
-            DeltaFormat::dest_stream_bytes(&delta) >= 3 * 8,
-            "eight of the ten destinations take three bytes"
-        );
+        // Segments (s, p) of 6, 1, 1 and 2 entries: one control group
+        // each (12 bytes), then values of 2+1+1+2+2+2, 2, 2 and 2+2 bytes.
+        assert_eq!(DeltaFormat::dest_stream_bytes(&delta), 12 + 18);
     }
 
     #[test]

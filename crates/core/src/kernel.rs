@@ -1,24 +1,21 @@
-//! Runtime-dispatched gather/decode kernel variants.
+//! Runtime-dispatched gather kernel variants.
 //!
 //! The one gather loop (`gather.rs`) runs in two variants on every bin
 //! format:
 //!
-//! - [`KernelKind::Scalar`] — one entry per trip. On the delta format
-//!   each varint is decoded inline as the loop asks for it, paying a
-//!   data-dependent branch per encoded byte.
-//! - [`KernelKind::Unrolled`] — batched. The delta path first decodes a
-//!   whole bin segment into a reusable scratch buffer with a
-//!   branch-reduced 1–2-byte fast path; every format then takes the
-//!   entries four per trip and keeps the next segment's head in
-//!   flight. Entries are always applied in exactly the scalar order, so
-//!   f32 results are bit-identical by construction.
+//! - [`KernelKind::Scalar`] — one entry per trip.
+//! - [`KernelKind::Unrolled`] — the fixed-width formats take the
+//!   entries four per trip, and every format keeps the next segment's
+//!   head in flight.
 //!
-//! [`KernelKind::Auto`] (the default) resolves to one of the concrete
-//! kernels at pipeline-build time via [`resolve_auto`], a closed-form
-//! cost comparison grounded in the paper's cache-line/DRAM model. The
-//! same decision function backs `pcpm_memsim::predict_kernel`, so the
-//! simulator's prediction and the engine's auto-selection can never
-//! disagree.
+//! Both apply entries in exactly the same order, so f32 results are
+//! bit-identical by construction. The delta format decodes the same way
+//! under both: its split stream has one branch-free decoder
+//! (`delta.rs`) that hands the apply loop eight entries at a time, with
+//! no scratch that grows with the segment.
+//!
+//! [`KernelKind::Auto`] (the default) resolves to `Unrolled` at
+//! pipeline-build time: it never loses, on any format or layout.
 
 use crate::format::BinFormatKind;
 use std::fmt;
@@ -27,12 +24,12 @@ use std::str::FromStr;
 /// Which gather/decode kernel variant the pipeline runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum KernelKind {
-    /// Pick the predicted-fastest concrete kernel at build time.
+    /// Resolve to the faster concrete kernel at build time.
     #[default]
     Auto,
     /// The original scalar loops (asserted-identical fallback).
     Scalar,
-    /// Batched segment decode + 4-wide unrolled apply loops.
+    /// 4-wide unrolled apply loops and a prefetched next segment.
     Unrolled,
 }
 
@@ -49,17 +46,18 @@ impl KernelKind {
         }
     }
 
-    /// Resolves `Auto` against graph statistics; concrete kinds pass
-    /// through unchanged. The result is never [`KernelKind::Auto`].
+    /// Resolves `Auto` to [`KernelKind::Unrolled`]; concrete kinds pass
+    /// through unchanged. The layout arguments (format, raw edges,
+    /// partition counts) no longer change the choice.
     pub fn resolve(
         self,
-        format: BinFormatKind,
-        raw_edges: u64,
-        k_src: u32,
-        k_dst: u32,
+        _format: BinFormatKind,
+        _raw_edges: u64,
+        _k_src: u32,
+        _k_dst: u32,
     ) -> KernelKind {
         match self {
-            KernelKind::Auto => resolve_auto(format, raw_edges, k_src, k_dst),
+            KernelKind::Auto => KernelKind::Unrolled,
             concrete => concrete,
         }
     }
@@ -105,47 +103,6 @@ pub(crate) fn prefetch<T: Copy>(data: &[T]) {
 #[inline(always)]
 pub(crate) fn prefetch<T: Copy>(_data: &[T]) {}
 
-/// Scratch bytes per decoded delta entry (one `u64` each).
-pub const SCRATCH_BYTES_PER_EDGE: u64 = 8;
-
-/// Cache budget for the delta scratch buffer: one segment's decoded
-/// entries should stay resident while the apply loop re-reads them.
-/// 256 KiB matches the paper's per-partition cache budget (a typical
-/// L2 slice) that `PcpmConfig::default().partition_bytes` targets.
-pub const SCRATCH_CACHE_BUDGET: u64 = 256 * 1024;
-
-/// The shared auto-selection decision: given the bin format and graph
-/// shape, predict which concrete kernel wins and return it.
-///
-/// The model (constants calibrated against `BENCH_kernels.json`):
-///
-/// - **Fixed-width formats (wide/compact):** the unrolled apply loop
-///   strictly reduces per-entry loop overhead and touches no extra
-///   memory, so `Unrolled` always wins.
-/// - **Delta:** the batched decoder trades the per-byte decode branch
-///   for a scratch-buffer round trip of [`SCRATCH_BYTES_PER_EDGE`]
-///   bytes per entry. While the average segment's scratch fits in
-///   cache ([`SCRATCH_CACHE_BUDGET`]) that round trip is nearly free
-///   and `Unrolled` wins; once a segment's decoded form spills, every
-///   entry pays a DRAM write+read that outweighs the saved branch
-///   misses, so `Scalar` wins.
-///
-/// Never returns [`KernelKind::Auto`].
-pub fn resolve_auto(format: BinFormatKind, raw_edges: u64, k_src: u32, k_dst: u32) -> KernelKind {
-    match format {
-        BinFormatKind::Wide | BinFormatKind::Compact => KernelKind::Unrolled,
-        BinFormatKind::Delta => {
-            let segments = u64::from(k_src.max(1)) * u64::from(k_dst.max(1));
-            let avg_segment_edges = raw_edges / segments.max(1);
-            if avg_segment_edges * SCRATCH_BYTES_PER_EDGE <= SCRATCH_CACHE_BUDGET {
-                KernelKind::Unrolled
-            } else {
-                KernelKind::Scalar
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,12 +122,12 @@ mod tests {
     }
 
     #[test]
-    fn resolve_never_returns_auto() {
+    fn auto_unrolls_every_format_and_layout() {
         for fmt in BinFormatKind::ALL {
             for edges in [0u64, 1, 1 << 20, 1 << 40] {
                 for k in [1u32, 16, 1024] {
                     let r = KernelKind::Auto.resolve(fmt, edges, k, k);
-                    assert_ne!(r, KernelKind::Auto, "{fmt:?} {edges} {k}");
+                    assert_eq!(r, KernelKind::Unrolled, "{fmt:?} {edges} {k}");
                 }
             }
         }
@@ -188,27 +145,5 @@ mod tests {
                 KernelKind::Unrolled
             );
         }
-    }
-
-    #[test]
-    fn fixed_width_formats_always_unroll() {
-        for fmt in [BinFormatKind::Wide, BinFormatKind::Compact] {
-            assert_eq!(resolve_auto(fmt, u64::MAX / 8, 1, 1), KernelKind::Unrolled);
-        }
-    }
-
-    #[test]
-    fn delta_spills_to_scalar_on_huge_segments() {
-        // Average segment fits the scratch budget -> unrolled.
-        assert_eq!(
-            resolve_auto(BinFormatKind::Delta, 1 << 20, 8, 8),
-            KernelKind::Unrolled
-        );
-        // One enormous segment (no partitioning) -> decoded scratch
-        // spills cache -> scalar.
-        assert_eq!(
-            resolve_auto(BinFormatKind::Delta, 1 << 30, 1, 1),
-            KernelKind::Scalar
-        );
     }
 }

@@ -11,7 +11,7 @@
 //! [`Engine::from_snapshot`](crate::Engine::from_snapshot) can map back
 //! into a ready engine without touching the build path.
 //!
-//! # File format (version 1)
+//! # File format (version 2)
 //!
 //! All integers little-endian. The file is `header ‖ payload`; the
 //! checksum covers the payload only, so header corruption is caught by
@@ -21,7 +21,7 @@
 //! ```text
 //! header (20 bytes):
 //!   0   magic        b"PCPMSNAP"
-//!   8   version      u32   (= 1)
+//!   8   version      u32   (= 2; version 1 held LEB128 delta bins)
 //!   12  checksum     u64   FNV-1a 64 over payload
 //! payload:
 //!   partition_bytes  u64   q·4: the partition size the dataplane was
@@ -40,12 +40,19 @@
 //!   bins             tag u8 (= bin_format), then per format:
 //!                    wide:    u64 count ‖ count × u32 dest IDs
 //!                    compact: u64 count ‖ count × u16 dest IDs
-//!                    delta:   u64 count ‖ count × u8 varint stream,
+//!                    delta:   u64 count ‖ count × u8 split stream (per
+//!                             segment: 3·⌈n/8⌉ control bytes, then
+//!                             1–4-byte values; see `crate::delta`),
 //!                             (k_src + 1) × u64 byte regions,
 //!                             k_src × (k_dst + 1) × u64 segment offsets
 //!                    then (weighted only) u64 count ‖ count × f32
 //!                    bin-order weight stream
 //! ```
+//!
+//! The loader checks every delta segment against the PNG before it is
+//! used: the control bytes size exactly the values that follow, no bit
+//! is set past the last entry, the message flags match the segment's
+//! compressed edges, and every decoded offset lies in its partition.
 //!
 //! The *update* stream is deliberately **not** serialized: it is scratch
 //! memory overwritten by every scatter, so the loader allocates it fresh
@@ -75,7 +82,7 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"PCPMSNAP";
 
 /// Highest snapshot format version this build reads and the version it
 /// writes.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Conventional file extension for snapshot files (`graph.pcpmc`).
 pub const SNAPSHOT_EXTENSION: &str = "pcpmc";
@@ -269,7 +276,7 @@ impl Snapshot {
         Ok(())
     }
 
-    /// Serializes into the version-1 binary format.
+    /// Serializes into the version-2 binary format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut payload = Vec::new();
         payload.extend_from_slice(&self.partition_bytes.to_le_bytes());
@@ -321,7 +328,9 @@ impl Snapshot {
                 seg_off,
                 weights,
             } => {
-                put_blob(&mut payload, dest_bytes);
+                // The stream without the decoder's slack.
+                let total = byte_region.last().map_or(0, |&t| t as usize);
+                put_blob(&mut payload, &dest_bytes[..total]);
                 put_u64s(&mut payload, byte_region);
                 for offs in seg_off {
                     put_u64s(&mut payload, offs);
@@ -636,7 +645,7 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
         }
         BinFormatKind::Delta => {
             let (n_bytes, raw) = r.counted(1, "truncated delta bins")?;
-            let dest_bytes = raw.to_vec();
+            let dest_bytes = [raw, &[0; crate::delta::SLACK]].concat();
             let byte_region = r.u64s(k_src as usize + 1, "truncated delta regions")?;
             check_offsets(&byte_region, n_bytes as u64, "inconsistent delta regions")?;
             let mut seg_off = Vec::with_capacity(k_src as usize);
@@ -645,6 +654,9 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
                 let region_len = byte_region[s + 1] - byte_region[s];
                 check_offsets(&offs, region_len, "inconsistent delta segments")?;
                 seg_off.push(offs);
+            }
+            if !crate::delta::is_consistent(&png, &dest_bytes, &byte_region, &seg_off) {
+                return Err(SnapshotError::Corrupt("inconsistent delta segment"));
             }
             let weights = read_bin_weights(&mut r, weighted, raw_edges)?;
             BinState::delta(dest_bytes, byte_region, seg_off, weights)
@@ -749,9 +761,72 @@ mod tests {
             Snapshot::from_bytes(&bad),
             Err(SnapshotError::ChecksumMismatch { .. })
         ));
+        // Version 1 held LEB128 delta bins: it is refused, not misread.
+        let mut old = bytes.clone();
+        old[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            Snapshot::from_bytes(&old).unwrap_err(),
+            SnapshotError::UnsupportedVersion {
+                found: 1,
+                supported: 2
+            }
+        );
         // Empty / tiny inputs.
         assert!(Snapshot::from_bytes(&[]).is_err());
         assert!(Snapshot::from_bytes(&bytes[..12]).is_err());
+    }
+
+    /// Rewrites the first non-empty segment of a valid delta snapshot
+    /// with `edit`, given the stream, the segment's offset and its first
+    /// value's, and re-serializes it, so the checksum holds.
+    fn edited_delta(edit: impl Fn(&mut [u8], usize, usize)) -> Vec<u8> {
+        let mut snap = Snapshot::from_bytes(&snapshot_bytes(BinFormatKind::Delta)).unwrap();
+        let did_off = snap.png.part(0).did_off.clone();
+        let BinStateInner::Delta {
+            dest_bytes,
+            seg_off,
+            ..
+        } = &mut snap.bins.0
+        else {
+            unreachable!("a delta snapshot");
+        };
+        // Region 0 starts at byte 0.
+        let p = (0..did_off.len() - 1)
+            .find(|&p| did_off[p + 1] > did_off[p])
+            .unwrap();
+        let n = (did_off[p + 1] - did_off[p]) as usize;
+        let at = seg_off[0][p] as usize;
+        edit(dest_bytes, at, at + 3 * n.div_ceil(8));
+        snap.to_bytes()
+    }
+
+    #[test]
+    fn crafted_delta_streams_are_corrupt_not_a_panic() {
+        let corrupt = Err(SnapshotError::Corrupt("inconsistent delta segment"));
+        assert!(Snapshot::from_bytes(&edited_delta(|_, _, _| {})).is_ok());
+        // A length byte that sizes more or fewer value bytes than follow.
+        let resized = edited_delta(|bytes, at, _| bytes[at + 1] ^= 0b11);
+        assert_eq!(Snapshot::from_bytes(&resized).map(|_| ()), corrupt);
+        // The first entry no longer starts a message.
+        let unflagged = edited_delta(|bytes, at, _| bytes[at] &= !1);
+        assert_eq!(Snapshot::from_bytes(&unflagged).map(|_| ()), corrupt);
+        // A first offset past the 64-node partition, at an unchanged size.
+        let outside = edited_delta(|bytes, _, values| bytes[values] = 0xff);
+        assert_eq!(Snapshot::from_bytes(&outside).map(|_| ()), corrupt);
+        // A trailing byte that no control group sizes, in the last
+        // segment, with every offset still tiling the stream.
+        let mut snap = Snapshot::from_bytes(&snapshot_bytes(BinFormatKind::Delta)).unwrap();
+        let BinStateInner::Delta {
+            byte_region,
+            seg_off,
+            ..
+        } = &mut snap.bins.0
+        else {
+            unreachable!("a delta snapshot");
+        };
+        *byte_region.last_mut().unwrap() += 1;
+        *seg_off.last_mut().unwrap().last_mut().unwrap() += 1;
+        assert_eq!(Snapshot::from_bytes(&snap.to_bytes()).map(|_| ()), corrupt);
     }
 
     #[test]

@@ -30,13 +30,11 @@
 //! | --- | --- | --- |
 //! | `dest_stream_bytes_read` | bytes of the destID bin stream scanned by gather passes | one add per gather |
 //! | `bins_decoded` | per-partition bin streams decoded by gather passes | one add per gather (`k`) |
-//! | `varint_decodes` | per-edge LEB128 decodes (delta format only) | one add per gather |
+//! | `varint_decodes` | delta values decoded, one per raw edge (delta format only) | one add per gather |
 //! | `scatter_ns` / `gather_ns` | wall-clock of the two PCPM phases | one add per step |
 //! | `pool_jobs_dispatched` | rayon-shim jobs dispatched while inside `Engine::step` | one add per step |
 //! | `batched_passes` | multi-query (SpMM) passes executed | one add per `Engine::step_many` |
 //! | `batched_queries` | query vectors served by those passes | one add per `Engine::step_many` (`Q`) |
-//! | `kernel_segments_decoded` | bin segments batch-decoded by the unrolled delta kernel | one add per gather (`k²`) |
-//! | `kernel_scratch_bytes` | bytes round-tripped through the unrolled kernel's decode scratch | one add per gather |
 //! | `gather_scalar_ns` / `gather_unrolled_ns` | gather wall-clock split by the kernel variant that ran | one add per step |
 //!
 //! The batched pair is the amortization measurement: a batched pass
@@ -106,8 +104,6 @@ pub struct Counters {
     pool_jobs_dispatched: AtomicU64,
     batched_passes: AtomicU64,
     batched_queries: AtomicU64,
-    kernel_segments_decoded: AtomicU64,
-    kernel_scratch_bytes: AtomicU64,
     gather_scalar_ns: AtomicU64,
     gather_unrolled_ns: AtomicU64,
 }
@@ -120,7 +116,7 @@ pub struct CounterSnapshot {
     pub dest_stream_bytes_read: u64,
     /// Per-partition bin streams decoded by gather passes.
     pub bins_decoded: u64,
-    /// Per-edge LEB128 varint decodes (delta format only).
+    /// Delta values decoded, one per raw edge (delta format only).
     pub varint_decodes: u64,
     /// Cumulative wall-clock of scatter phases, nanoseconds.
     pub scatter_ns: u64,
@@ -132,11 +128,6 @@ pub struct CounterSnapshot {
     pub batched_passes: u64,
     /// Query vectors served by those batched passes.
     pub batched_queries: u64,
-    /// Bin segments batch-decoded by the unrolled delta kernel.
-    pub kernel_segments_decoded: u64,
-    /// Bytes round-tripped through the unrolled kernel's decode
-    /// scratch buffer (8 bytes per decoded delta entry).
-    pub kernel_scratch_bytes: u64,
     /// Gather wall-clock spent in the scalar kernel, nanoseconds.
     pub gather_scalar_ns: u64,
     /// Gather wall-clock spent in the unrolled kernel, nanoseconds.
@@ -156,8 +147,6 @@ impl CounterSnapshot {
             + self.pool_jobs_dispatched
             + self.batched_passes
             + self.batched_queries
-            + self.kernel_segments_decoded
-            + self.kernel_scratch_bytes
             + self.gather_scalar_ns
             + self.gather_unrolled_ns
     }
@@ -189,8 +178,6 @@ impl Counters {
             pool_jobs_dispatched: AtomicU64::new(0),
             batched_passes: AtomicU64::new(0),
             batched_queries: AtomicU64::new(0),
-            kernel_segments_decoded: AtomicU64::new(0),
-            kernel_scratch_bytes: AtomicU64::new(0),
             gather_scalar_ns: AtomicU64::new(0),
             gather_unrolled_ns: AtomicU64::new(0),
         }
@@ -218,8 +205,6 @@ impl Counters {
         self.pool_jobs_dispatched.store(0, Ordering::Relaxed);
         self.batched_passes.store(0, Ordering::Relaxed);
         self.batched_queries.store(0, Ordering::Relaxed);
-        self.kernel_segments_decoded.store(0, Ordering::Relaxed);
-        self.kernel_scratch_bytes.store(0, Ordering::Relaxed);
         self.gather_scalar_ns.store(0, Ordering::Relaxed);
         self.gather_unrolled_ns.store(0, Ordering::Relaxed);
     }
@@ -235,8 +220,6 @@ impl Counters {
             pool_jobs_dispatched: self.pool_jobs_dispatched.load(Ordering::Relaxed),
             batched_passes: self.batched_passes.load(Ordering::Relaxed),
             batched_queries: self.batched_queries.load(Ordering::Relaxed),
-            kernel_segments_decoded: self.kernel_segments_decoded.load(Ordering::Relaxed),
-            kernel_scratch_bytes: self.kernel_scratch_bytes.load(Ordering::Relaxed),
             gather_scalar_ns: self.gather_scalar_ns.load(Ordering::Relaxed),
             gather_unrolled_ns: self.gather_unrolled_ns.load(Ordering::Relaxed),
         }
@@ -247,7 +230,7 @@ impl Counters {
         add_dest_stream_bytes_read => dest_stream_bytes_read,
         /// Adds decoded per-partition bin streams.
         add_bins_decoded => bins_decoded,
-        /// Adds per-edge varint decodes (delta format).
+        /// Adds decoded delta values, one per raw edge (delta format).
         add_varint_decodes => varint_decodes,
         /// Adds scatter-phase wall-clock nanoseconds.
         add_scatter_ns => scatter_ns,
@@ -259,10 +242,6 @@ impl Counters {
         add_batched_passes => batched_passes,
         /// Adds query vectors served by batched passes.
         add_batched_queries => batched_queries,
-        /// Adds bin segments batch-decoded by the unrolled kernel.
-        add_kernel_segments_decoded => kernel_segments_decoded,
-        /// Adds decode-scratch bytes round-tripped by the unrolled kernel.
-        add_kernel_scratch_bytes => kernel_scratch_bytes,
         /// Adds gather nanoseconds attributed to the scalar kernel.
         add_gather_scalar_ns => gather_scalar_ns,
         /// Adds gather nanoseconds attributed to the unrolled kernel.
@@ -489,8 +468,6 @@ mod tests {
         c.add_pool_jobs_dispatched(10);
         c.add_batched_passes(10);
         c.add_batched_queries(10);
-        c.add_kernel_segments_decoded(10);
-        c.add_kernel_scratch_bytes(10);
         c.add_gather_scalar_ns(10);
         c.add_gather_unrolled_ns(10);
         assert_eq!(c.snapshot().total(), 0, "disabled path must not write");

@@ -17,10 +17,7 @@
 //! - [`model`] — the paper's closed-form communication and random-access
 //!   models (Eqs. 3–10) and the predicted-traffic-vs-`r` curve of Fig. 6;
 //! - [`energy`] — a DRAM energy model (per-byte plus per-row-activation)
-//!   for Fig. 10;
-//! - [`predict`] — closed-form gather-kernel cost estimates behind the
-//!   engine's `KernelKind::Auto` selection (the decision itself is
-//!   shared with `pcpm_core`, so prediction and engine never disagree).
+//!   for Fig. 10.
 //!
 //! Traffic volumes are deterministic functions of the access pattern, so
 //! the replays reproduce what PCM would count, modulo prefetcher effects
@@ -34,11 +31,9 @@ pub mod energy;
 pub mod hierarchy;
 pub mod memory;
 pub mod model;
-pub mod predict;
 pub mod replay;
 
 pub use cache::{Cache, CacheConfig};
 pub use hierarchy::{CacheHierarchy, LatencyModel, LatencySummary};
 pub use memory::{MemoryModel, Region, TrafficReport};
-pub use predict::{predict_kernel, KernelPrediction};
 pub use replay::{replay_bvgas, replay_pcpm, replay_pdpr};

@@ -32,8 +32,8 @@
 //!               --backend pcpm|pull (dataplane to run on)
 //!               --format wide|compact|delta (PCPM bin encoding; compact
 //!               needs --partition-bytes <= 131072, delta is unrestricted)
-//!               --kernel auto|scalar|unrolled (PCPM gather/decode kernel;
-//!               auto picks the predicted-fastest variant at build time)
+//!               --kernel auto|scalar|unrolled (PCPM gather kernel; auto
+//!               resolves to unrolled at build time)
 //!               --seed S (every generator path is reproducible run-to-run)
 //!               --trace-out FILE (record telemetry spans, write
 //!               Chrome-trace JSON openable in chrome://tracing/Perfetto)
