@@ -19,9 +19,6 @@
 //!   set;
 //! - [`wpr::weighted_pagerank`] — PageRank with edge-weight-proportional
 //!   transition probabilities (the §3.5 weighted extension, end to end);
-//! - [`incremental::incremental_pagerank`] — delta-PageRank for
-//!   streaming graphs: Gauss-Southwell residual pushing seeded from the
-//!   vertices an edge-update batch touched;
 //! - [`katz::katz_centrality`] — attenuated path counting (`α·Aᵀx + β`);
 //! - [`hits::hits`] — hubs and authorities via paired forward/transpose
 //!   engines.
@@ -37,7 +34,6 @@
 pub mod bfs;
 pub mod components;
 pub mod hits;
-pub mod incremental;
 pub mod katz;
 pub mod ppr;
 pub mod propagate;
@@ -47,7 +43,6 @@ pub mod wpr;
 pub use bfs::{bfs_levels, bfs_levels_on, bfs_levels_with_engine};
 pub use components::{connected_components, connected_components_on};
 pub use hits::{hits, hits_on, HitsResult};
-pub use incremental::incremental_pagerank;
 pub use katz::{katz_centrality, katz_centrality_on, KatzConfig};
 pub use ppr::{
     personalized_pagerank, personalized_pagerank_many,

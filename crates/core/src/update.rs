@@ -128,23 +128,6 @@ impl UpdateBatch {
         self.inserts.iter().chain(self.deletes.iter()).copied()
     }
 
-    /// Sorted, deduplicated source nodes whose adjacency list changes.
-    pub fn touched_sources(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.all_edges().map(|(s, _)| s).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
-    /// Sorted, deduplicated endpoints on either side of a changed edge
-    /// (the seed set for delta-PageRank).
-    pub fn touched_vertices(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.all_edges().flat_map(|(s, t)| [s, t]).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
     /// Sorted, deduplicated *source* partitions (size `q` nodes) whose
     /// PNG part and bin region the batch changes: those depend only on
     /// the adjacency of the partition's own nodes.
@@ -333,8 +316,6 @@ mod tests {
     #[test]
     fn touched_sets() {
         let b = UpdateBatch::from_parts(vec![(10, 3), (11, 3)], vec![(3, 10)]);
-        assert_eq!(b.touched_sources(), vec![3, 10, 11]);
-        assert_eq!(b.touched_vertices(), vec![3, 10, 11]);
         assert_eq!(b.touched_src_partitions(4), vec![0, 2]);
     }
 

@@ -19,12 +19,16 @@
 //!   drops the cache and rebuilds lazily from the published snapshot —
 //!   an O(E) copy per worker per epoch, amortized across every query the
 //!   worker serves at that epoch.
-//! - The single **writer thread** owns a private [`DeltaGraph`] overlay
-//!   and a private engine per served graph. An update request flows
-//!   `DeltaGraph::apply` → [`Engine::update`] (a dataplane rebuild) →
-//!   `Engine::snapshot()` → publish `Arc::new(ServingState { epoch:
-//!   e+1, .. })`. Readers at epoch `e` finish unperturbed; the next
-//!   query on each worker picks up `e+1`.
+//! - The single **writer thread** owns a private engine per served
+//!   graph, and no graph of its own: the current graph is the published
+//!   snapshot's. An update request flows [`merge`] (the published graph
+//!   and the batch into the next graph) → [`Engine::update`] (a
+//!   dataplane rebuild) → `Engine::snapshot()` → publish
+//!   `Arc::new(ServingState { epoch: e+1, .. })`. Readers at epoch `e`
+//!   finish unperturbed; the next query on each worker picks up `e+1`.
+//!   A failed update publishes nothing and keeps nothing: the writer
+//!   drops that engine and rebuilds it from the published snapshot on
+//!   the next update.
 //!
 //! Because snapshot rehydration is bit-exact (PR 5 invariant) and the
 //! query drivers are the offline ones, a served answer at epoch `e` is
@@ -44,7 +48,7 @@ use pcpm_core::algebra::{Algebra, MinLevel, MinPlusF32, PlusF32};
 use pcpm_core::pagerank::pagerank_with_unified_engine;
 use pcpm_core::{Engine, PcpmConfig, PcpmError, Snapshot, SnapshotEngineBuilder, UpdateBatch};
 use pcpm_graph::EdgeWeights;
-use pcpm_stream::{DeltaGraph, StreamError};
+use pcpm_stream::{merge, StreamError};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
@@ -414,28 +418,26 @@ struct WriteJob {
     reply: mpsc::Sender<Response>,
 }
 
-/// The writer's private, updatable copy of one shard.
-struct WriterShard {
-    delta: DeltaGraph,
-    engine: Engine<PlusF32>,
-}
-
 fn writer_loop(
     state: Arc<Mutex<Arc<ServingState>>>,
     rx: mpsc::Receiver<WriteJob>,
     metrics: Arc<Metrics>,
 ) {
     let n = lock_recover(&state).shards.len();
-    let mut shards: Vec<Option<WriterShard>> = (0..n).map(|_| None).collect();
+    let mut engines: Vec<Option<Engine<PlusF32>>> = (0..n).map(|_| None).collect();
     while let Ok(job) = rx.recv() {
-        let resp = apply_update(&state, &mut shards, job.engine, job.batch, &metrics);
+        let resp = apply_update(&state, &mut engines, job.engine, job.batch, &metrics);
         let _ = job.reply.send(resp);
     }
 }
 
+/// Merges `batch` into the published graph of engine `idx`, rebuilds the
+/// writer's engine over the result and publishes it as the next epoch.
+/// The engine leaves its slot for the update and returns only on
+/// success.
 fn apply_update(
     state: &Mutex<Arc<ServingState>>,
-    shards: &mut [Option<WriterShard>],
+    engines: &mut [Option<Engine<PlusF32>>],
     idx: usize,
     batch: UpdateBatch,
     metrics: &Metrics,
@@ -453,47 +455,33 @@ fn apply_update(
             "updates target unweighted engines (the streaming layer models structural change only)",
         );
     }
-    // Lazily build the writer's private overlay + engine the first time
-    // this shard is written. The writer is the sole mutator, so its
-    // private state stays in lockstep with what it has published.
-    // (`take`/`insert` instead of `is_none` + `as_mut().expect(..)`
-    // keeps the slot-filled proof in the types.)
-    let existing = match shards[idx].take() {
-        Some(ws) => ws,
-        None => {
-            let q = PcpmConfig::default()
-                .with_partition_bytes(shard.snapshot.partition_bytes())
-                .partition_nodes();
-            let delta = match DeltaGraph::new(Arc::clone(shard.snapshot.graph()), q) {
-                Ok(d) => d,
-                Err(e) => return stream_err(e),
-            };
-            let engine = match SnapshotEngineBuilder::<PlusF32>::from_snapshot(
-                shard.snapshot.clone(),
-                shard.load,
-            )
-            .build()
-            {
-                Ok(e) => e,
-                Err(e) => return engine_err(e),
-            };
-            WriterShard { delta, engine }
-        }
-    };
-    let ws = shards[idx].insert(existing);
-    let stats = match ws.delta.apply(&batch) {
-        Ok(s) => s,
+    let merged = match merge(shard.snapshot.graph(), &batch) {
+        Ok(m) => m,
         Err(e) => return stream_err(e),
     };
-    let snap_csr = ws.delta.snapshot();
-    let outcome = match ws.engine.update(&snap_csr, None, &stats.applied) {
+    // The engine is built from the published snapshot the first time
+    // this shard is written, and again after a failed update.
+    let mut engine = match engines[idx].take() {
+        Some(engine) => engine,
+        None => match SnapshotEngineBuilder::<PlusF32>::from_snapshot(
+            shard.snapshot.clone(),
+            shard.load,
+        )
+        .build()
+        {
+            Ok(e) => e,
+            Err(e) => return engine_err(e),
+        },
+    };
+    let outcome = match engine.update(&Arc::new(merged.graph), None, &merged.applied) {
         Ok(o) => o,
         Err(e) => return engine_err(e),
     };
-    let new_snapshot = match ws.engine.snapshot() {
+    let new_snapshot = match engine.snapshot() {
         Ok(s) => s,
         Err(e) => return engine_err(e),
     };
+    engines[idx] = Some(engine);
     // Publish: clone-on-write of the shard vector, epoch + 1. Readers
     // holding the previous Arc keep serving the old epoch untouched.
     let publish_t0 = Instant::now();
@@ -511,8 +499,8 @@ fn apply_update(
     Response::Updated(UpdateReply {
         epoch,
         outcome,
-        applied: stats.applied.len() as u32,
-        ignored: stats.ignored as u32,
+        applied: merged.applied.len() as u32,
+        ignored: merged.ignored as u32,
     })
 }
 
@@ -1190,5 +1178,80 @@ impl Read for RetryReader<'_> {
                 other => return other,
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pcpm_graph::gen::erdos_renyi;
+
+    #[test]
+    fn a_failed_update_leaves_no_trace() {
+        let graph = Arc::new(erdos_renyi(64, 256, 3).unwrap());
+        let cfg = PcpmConfig::default().with_partition_bytes(64);
+        let build = || Engine::<PlusF32>::builder_shared(&graph).config(cfg);
+        let snapshot = build().build().unwrap().snapshot().unwrap();
+        let state = Mutex::new(Arc::new(ServingState {
+            epoch: 0,
+            shards: vec![Shard {
+                snapshot,
+                label: "g".into(),
+                load: Duration::ZERO,
+            }],
+        }));
+        let metrics = Metrics::new();
+        // A weighted writer engine over the same graph refuses an update
+        // that carries no weights.
+        let weights = EdgeWeights::random(&graph, 1);
+        let mut engines = vec![Some(build().weights(&weights).build().unwrap())];
+        let mut absent = (0..64u32)
+            .flat_map(|s| (0..64u32).map(move |t| (s, t)))
+            .filter(|&(s, t)| s != t && graph.neighbors(s).binary_search(&t).is_err());
+        let (first, second) = (absent.next().unwrap(), absent.next().unwrap());
+
+        let failed = apply_update(
+            &state,
+            &mut engines,
+            0,
+            UpdateBatch::from_parts(vec![first], vec![]),
+            &metrics,
+        );
+        assert!(
+            matches!(
+                failed,
+                Response::Error {
+                    code: ErrorCode::BadQuery,
+                    ..
+                }
+            ),
+            "{failed:?}"
+        );
+        assert_eq!(lock_recover(&state).epoch, 0, "nothing was published");
+        assert!(engines[0].is_none(), "the failed engine was not kept");
+
+        let ok = apply_update(
+            &state,
+            &mut engines,
+            0,
+            UpdateBatch::from_parts(vec![second], vec![]),
+            &metrics,
+        );
+        assert!(
+            matches!(
+                ok,
+                Response::Updated(UpdateReply {
+                    epoch: 1,
+                    applied: 1,
+                    ..
+                })
+            ),
+            "{ok:?}"
+        );
+        let published = Arc::clone(lock_recover(&state).shards[0].snapshot.graph());
+        let has = |(s, t): (u32, u32)| published.neighbors(s).binary_search(&t).is_ok();
+        assert!(has(second), "the second batch is published");
+        assert!(!has(first), "the failed batch left no edge behind");
+        assert_eq!(published.num_edges(), graph.num_edges() + 1);
     }
 }

@@ -1,24 +1,23 @@
 //! Streaming graph subsystem for the PCPM reproduction.
 //!
-//! The paper's partition-centric bins are built once over a frozen CSR;
-//! this crate makes the reproduction serve *continuously arriving*
-//! traffic: edge changes land in a partition-local overlay, the engine
-//! rebuilds its bins over the overlay's snapshot, and the ranks are
-//! refreshed by local residual pushes:
+//! The paper's partition-centric bins are built once over a frozen CSR,
+//! and so they stay: an epoch is one merge, one build and one
+//! warm-started solve. A batch of edge changes is merged into the current
+//! CSR, the engine rebuilds its bins over the result, and the ranks are
+//! refreshed by the one fixed-point driver, started from the previous
+//! epoch's scores:
 //!
 //! - [`UpdateLog`] — the batching front end: validates ops, dedups with
 //!   last-op-wins semantics and seals canonical
 //!   [`UpdateBatch`](pcpm_core::UpdateBatch)es;
-//! - [`DeltaGraph`] — an immutable base [`Csr`](pcpm_graph::Csr) under
-//!   per-partition adjacency deltas and delete tombstones, with cached
-//!   `Arc` snapshots and a compaction threshold that folds deltas back
-//!   into a fresh base;
-//! - [`replay`] — the end-to-end driver: apply a batch, rebuild the
+//! - [`merge`] — one sequential pass from the current
+//!   [`Csr`](pcpm_graph::Csr) and a batch to the next `Csr`: untouched
+//!   rows block-copied, touched rows merged; [`DeltaGraph`] keeps the
+//!   current graph across batches;
+//! - [`replay()`] — the end-to-end driver: merge a batch, rebuild the
 //!   engine's dataplane via
-//!   [`Engine::update`](pcpm_core::Engine::update), and refresh
-//!   rankings with
-//!   [`incremental_pagerank`](pcpm_algos::incremental_pagerank), timing
-//!   both.
+//!   [`Engine::update`](pcpm_core::Engine::update), and re-solve
+//!   PageRank warm-started on the rebuilt engine, timing both.
 //!
 //! # Example
 //!
@@ -41,7 +40,7 @@ pub mod error;
 pub mod log;
 pub mod replay;
 
-pub use delta::{ApplyStats, DeltaGraph, DEFAULT_COMPACTION_THRESHOLD};
+pub use delta::{merge, ApplyStats, DeltaGraph, Merged};
 pub use error::StreamError;
 pub use log::UpdateLog;
 pub use replay::{

@@ -4,7 +4,7 @@
 //! unfollowed); the log validates each op against the graph's node
 //! range, buffers them in arrival order, and [`UpdateLog::seal`]s them
 //! into a canonical [`UpdateBatch`] — deduplicated with last-op-wins
-//! semantics, ready for [`DeltaGraph::apply`](crate::DeltaGraph::apply).
+//! semantics, ready for [`merge`](crate::merge).
 
 use crate::error::StreamError;
 use pcpm_core::update::{EdgeOp, EdgeUpdate, UpdateBatch};

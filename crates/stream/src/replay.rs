@@ -18,7 +18,6 @@
 use crate::delta::DeltaGraph;
 use crate::error::StreamError;
 use crate::log::UpdateLog;
-use pcpm_algos::incremental_pagerank;
 use pcpm_core::algebra::PlusF32;
 use pcpm_core::pagerank::pagerank_with_unified_engine;
 use pcpm_core::update::{UpdateBatch, UpdateOutcome};
@@ -348,19 +347,17 @@ pub struct ReplayConfig {
     pub cfg: PcpmConfig,
     /// Dataplane to prepare and rebuild.
     pub backend: BackendKind,
-    /// [`DeltaGraph`] compaction threshold.
-    pub compaction_threshold: f64,
     /// Also build a fresh engine and run a cold `pagerank` per batch,
-    /// recording the maximum absolute divergence of the incremental
+    /// recording the maximum absolute divergence of the warm-started
     /// scores.
     pub verify: bool,
     /// Engine-snapshot cache (PCPM backend only). When the file exists,
     /// the base engine is loaded from it — skipping the base prepare —
     /// after verifying it matches the base graph and config; when it
     /// does not, the cold-built base engine is saved there. After the
-    /// replay, the engine's **final** state (the [`DeltaGraph`] overlay
-    /// folded through every batch and compaction) is written next to it
-    /// (see [`final_cache_path`]) so a later run can resume serving
+    /// replay, the engine's **final** state (rebuilt over the graph
+    /// every batch was merged into) is written next to it (see
+    /// [`final_cache_path`]) so a later run can resume serving
     /// post-stream rankings without replaying anything.
     pub cache: Option<PathBuf>,
 }
@@ -372,7 +369,6 @@ impl Default for ReplayConfig {
                 .with_iterations(500)
                 .with_tolerance(1e-9),
             backend: BackendKind::Pcpm,
-            compaction_threshold: crate::delta::DEFAULT_COMPACTION_THRESHOLD,
             verify: false,
             cache: None,
         }
@@ -382,8 +378,7 @@ impl Default for ReplayConfig {
 impl ReplayConfig {
     /// Routes the base engine through the snapshot cache at `path`
     /// (load when present, save after a cold build — see the field
-    /// docs). `ReplayConfig` stopped being `Copy` when it gained this
-    /// path; clone a shared base config and chain this builder instead
+    /// docs). Clone a shared base config and chain this builder instead
     /// of rebuilding the struct by hand:
     ///
     /// ```ignore
@@ -428,14 +423,12 @@ pub struct BatchReport {
     pub outcome: UpdateOutcome,
     /// Wall-clock of `Engine::update` (the dataplane rebuild).
     pub update: Duration,
-    /// Wall-clock of `incremental_pagerank`.
-    pub incremental_pr: Duration,
-    /// Residual pushes the incremental solver spent.
-    pub pushes: usize,
-    /// Max |incremental − cold| when verification ran.
+    /// Wall-clock of the warm-started PageRank solve.
+    pub pagerank: Duration,
+    /// Iterations the warm-started solve ran.
+    pub iterations: usize,
+    /// Max |warm − cold| when verification ran.
     pub divergence: Option<f64>,
-    /// Whether the overlay compacted after this batch.
-    pub compacted: bool,
 }
 
 /// The whole replay: initial preparation plus one report per batch.
@@ -466,7 +459,8 @@ impl ReplayReport {
 }
 
 /// Replays `batches` against `base`: each batch flows through
-/// [`DeltaGraph::apply`] → [`Engine::update`] → [`incremental_pagerank`],
+/// [`DeltaGraph::apply`] (one merge) → [`Engine::update`] (one build) →
+/// a PageRank solve warm-started from the previous epoch's scores,
 /// keeping rankings continuously fresh.
 pub fn replay(
     base: Arc<Csr>,
@@ -479,8 +473,6 @@ pub fn replay(
             SnapshotError::Unsupported("the snapshot cache requires the PCPM backend"),
         )));
     }
-    let mut delta = DeltaGraph::new(Arc::clone(&base), rc.cfg.partition_nodes())?
-        .with_compaction_threshold(rc.compaction_threshold)?;
     let t0 = Instant::now();
     let mut loaded_from_snapshot = false;
     let mut engine = match rc.cache.as_deref() {
@@ -512,20 +504,23 @@ pub fn replay(
     let t0 = Instant::now();
     let mut scores = pagerank_with_unified_engine(&base, &rc.cfg, &mut engine, None)?.scores;
     let base_pagerank = t0.elapsed();
+    let q = rc.cfg.partition_nodes();
+    let total_partitions = base.num_nodes().div_ceil(q);
+    let mut graph = DeltaGraph::new(Arc::clone(&base), q)?;
 
     let mut reports = Vec::with_capacity(batches.len());
     for (batch_idx, batch) in batches.iter().enumerate() {
         let _span = pcpm_core::telemetry::span_n("replay_batch", batch_idx as u64);
-        let stats = delta.apply(batch)?;
-        let snap = delta.snapshot();
+        let stats = graph.apply(batch)?;
+        let snap = graph.snapshot();
 
         let t0 = Instant::now();
         let outcome = engine.update(&snap, None, &stats.applied)?;
         let update = t0.elapsed();
 
         let t0 = Instant::now();
-        let warm = incremental_pagerank(&snap, &stats.applied, &scores, &rc.cfg)?;
-        let incremental_pr = t0.elapsed();
+        let warm = pagerank_with_unified_engine(&snap, &rc.cfg, &mut engine, Some(&scores))?;
+        let pagerank = t0.elapsed();
         scores = warm.scores;
 
         let divergence = if rc.verify {
@@ -549,19 +544,17 @@ pub fn replay(
             ops: stats.applied.len(),
             ignored: stats.ignored,
             touched_partitions: stats.touched_partitions.len() as u32,
-            total_partitions: delta.num_partitions(),
+            total_partitions,
             outcome,
             update,
-            incremental_pr,
-            pushes: warm.iterations,
+            pagerank,
+            iterations: warm.iterations,
             divergence,
-            compacted: stats.compacted,
         });
     }
-    // Persist the post-stream state: the engine has absorbed every
-    // batch (through the DeltaGraph's materialized snapshots, including
-    // any compactions), so this snapshot resumes serving exactly where
-    // the stream left off.
+    // Persist the post-stream state: the engine was rebuilt over the
+    // graph every batch was merged into, so this snapshot resumes
+    // serving exactly where the stream left off.
     let final_cache = match &rc.cache {
         Some(path) => {
             let fp = final_cache_path(path);
@@ -712,7 +705,7 @@ mod tests {
             a,
             gen_updates(&g, &UpdateGenConfig { seed: 8, ..cfg }).unwrap()
         );
-        // Every op must be effective when replayed in order.
+        // Every op must be effective when merged in order.
         let mut dg = DeltaGraph::new(Arc::new(g), 16).unwrap();
         for batch in &a {
             let stats = dg.apply(batch).unwrap();
@@ -775,9 +768,9 @@ mod tests {
         let r2 = replay(Arc::clone(&base), &batches, &rc).unwrap();
         assert!(r2.loaded_from_snapshot);
         assert_eq!(r1.scores, r2.scores);
-        // The final snapshot captures the post-stream overlay state: its
-        // graph equals the DeltaGraph after every batch (compactions
-        // folded in), and a replay over NEW batches resumes from it.
+        // The final snapshot captures the post-stream state: its graph
+        // equals the base with every batch merged in, and a replay over
+        // NEW batches resumes from it.
         let final_snap = Snapshot::load(&final_cache).unwrap();
         let mut dg = DeltaGraph::new(Arc::clone(&base), rc.cfg.partition_nodes()).unwrap();
         for b in &batches {
@@ -839,9 +832,27 @@ mod tests {
             assert!(b.touched_partitions <= 2, "locality held");
             assert!(
                 b.divergence.unwrap() < 1e-6,
-                "incremental diverged: {:?}",
+                "warm-started solve diverged: {:?}",
                 b.divergence
             );
         }
+        // The warm start is real: a cold solve of the final graph from
+        // uniform needs more iterations than the last refresh took.
+        let mut graph = DeltaGraph::new(Arc::clone(&base), rc.cfg.partition_nodes()).unwrap();
+        for b in &batches {
+            graph.apply(b).unwrap();
+        }
+        let last = graph.snapshot();
+        let mut engine = Engine::<PlusF32>::builder_shared(&last)
+            .config(rc.cfg)
+            .build()
+            .unwrap();
+        let cold = pagerank_with_unified_engine(&last, &rc.cfg, &mut engine, None).unwrap();
+        let warm = report.batches.last().unwrap().iterations;
+        assert!(
+            warm < cold.iterations,
+            "warm refresh took {warm} iterations, cold {}",
+            cold.iterations
+        );
     }
 }

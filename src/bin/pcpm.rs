@@ -9,8 +9,9 @@
 //! pcpm convert     <graph> --out FILE      any input -> binary format
 //! pcpm gen         <out>   --kind rmat|er  seeded synthetic graph -> binary file
 //! pcpm gen-updates <graph> --out FILE      seeded edge-update stream for `stream`
-//! pcpm stream      <graph> --updates FILE  replay updates: engine rebuild
-//!                                          + delta-PageRank per batch
+//! pcpm stream      <graph> --updates FILE  replay updates: merge, engine
+//!                                          rebuild and warm-started
+//!                                          PageRank per batch
 //! pcpm build-cache <graph> --out FILE      build the engine once, snapshot it
 //!                                          (PNG + bins) for --cache serving
 //! pcpm ppr         <graph> --seeds 1,2,3   personalized PageRank from a seed set
@@ -56,15 +57,15 @@
 //!                    without it a dead server can hang the client forever)
 //!                    --updates FILE (update: replayed batch by batch)
 //!                    plus --iters/--damping/--tolerance/--top as offline
-//! stream flags:      --updates FILE --compaction-threshold F --verify
-//!                    (check incremental ranks against a cold run per batch)
+//! stream flags:      --updates FILE --verify (check the warm-started
+//!                    ranks against a cold run per batch)
 //! cache flags:       --cache FILE on pagerank/stream: load the prepared
 //!                    engine from a snapshot built by `build-cache`
 //!                    (skipping PNG/bin construction entirely), or build
 //!                    cold and save it there when the file is absent.
 //!                    `stream --cache` additionally writes the
 //!                    post-stream state to FILE.final.pcpmc so the next
-//!                    run resumes after compaction.
+//!                    run resumes where the stream ended.
 //! ```
 //!
 //! Text inputs are SNAP-style whitespace edge lists with `#` comments.
@@ -104,7 +105,6 @@ struct Options {
     batch_size: usize,
     delete_frac: f64,
     update_locality: Option<u32>,
-    compaction_threshold: f64,
     verify: bool,
     cache: Option<String>,
     update_format: String,
@@ -151,7 +151,6 @@ fn parse_args() -> Result<Options, String> {
         batch_size: 100,
         delete_frac: 0.3,
         update_locality: None,
-        compaction_threshold: pcpm::stream::DEFAULT_COMPACTION_THRESHOLD,
         verify: false,
         cache: None,
         update_format: "text".to_string(),
@@ -270,11 +269,6 @@ fn parse_args() -> Result<Options, String> {
                         .parse()
                         .map_err(|e| format!("{e}"))?,
                 )
-            }
-            "--compaction-threshold" => {
-                opts.compaction_threshold = take_value(&mut rest, &mut i)?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
             }
             "--verify" => opts.verify = true,
             "--cache" => opts.cache = Some(take_value(&mut rest, &mut i)?),
@@ -479,7 +473,7 @@ fn run_gen_updates(opts: &Options, graph: &Csr, cfg: &PcpmConfig) -> Result<(), 
 }
 
 /// `pcpm stream`: replay an update file, reporting per batch the engine
-/// update and the delta-PageRank refresh.
+/// update and the warm-started PageRank refresh.
 fn run_stream(opts: &Options, graph: Csr, cfg: &PcpmConfig) -> Result<(), String> {
     let path = opts
         .updates
@@ -495,7 +489,6 @@ fn run_stream(opts: &Options, graph: Csr, cfg: &PcpmConfig) -> Result<(), String
     let mut rc = ReplayConfig {
         cfg,
         backend: opts.backend,
-        compaction_threshold: opts.compaction_threshold,
         verify: opts.verify,
         cache: None,
     };
@@ -527,17 +520,16 @@ fn run_stream(opts: &Options, graph: Csr, cfg: &PcpmConfig) -> Result<(), String
     if let Some(fp) = &report.final_cache {
         eprintln!("# cache: post-stream state saved to {}", fp.display());
     }
-    println!("batch\tops\ttouched\tupdate_us\tpr_us\tpushes\tmax_div");
+    println!("batch\tops\ttouched\tupdate_us\tpr_us\titers\tmax_div");
     for (i, b) in report.batches.iter().enumerate() {
         println!(
-            "{i}\t{}\t{}/{}{}\t{:.0}\t{:.0}\t{}\t{}",
+            "{i}\t{}\t{}/{}\t{:.0}\t{:.0}\t{}\t{}",
             b.ops,
             b.touched_partitions,
             b.total_partitions,
-            if b.compacted { "+compact" } else { "" },
             us(b.update),
-            us(b.incremental_pr),
-            b.pushes,
+            us(b.pagerank),
+            b.iterations,
             b.divergence.map_or("-".to_string(), |d| format!("{d:.2e}")),
         );
     }
@@ -548,10 +540,10 @@ fn run_stream(opts: &Options, graph: Csr, cfg: &PcpmConfig) -> Result<(), String
             .iter()
             .filter_map(|b| b.divergence)
             .fold(0.0f64, f64::max);
-        eprintln!("# verify: max |incremental - cold| = {max:.2e}");
+        eprintln!("# verify: max |warm - cold| = {max:.2e}");
         if max > 1e-6 {
             return Err(format!(
-                "incremental PageRank diverged from cold start: {max:.2e} > 1e-6"
+                "warm-started PageRank diverged from cold start: {max:.2e} > 1e-6"
             ));
         }
     }

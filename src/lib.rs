@@ -11,9 +11,9 @@
 //! - [`algos`] — PageRank variants, BFS, SSSP, components, Katz, HITS —
 //!   all running on any backend (`pcpm-algos`);
 //! - [`stream`] — the streaming layer: batched edge updates, the
-//!   [`DeltaGraph`](stream::DeltaGraph) overlay, the engine rebuild of
-//!   [`Engine::update`](core::Engine::update) and delta-PageRank replay
-//!   (`pcpm-stream`);
+//!   one-pass CSR [`merge`](stream::merge), the engine rebuild of
+//!   [`Engine::update`](core::Engine::update) and a replay that refreshes
+//!   the ranks by a warm-started solve (`pcpm-stream`);
 //! - [`baselines`] — the paper's two comparison kernels, PDPR (pull) and
 //!   BVGAS, as engine backends, plus the serial oracle
 //!   (`pcpm-baselines`);
@@ -96,10 +96,10 @@ pub use pcpm_stream as stream;
 pub mod prelude {
     pub use pcpm_algos::{
         bfs_levels, bfs_levels_on, bfs_levels_with_engine, connected_components,
-        connected_components_on, incremental_pagerank, personalized_pagerank,
-        personalized_pagerank_many, personalized_pagerank_many_with_unified_engine,
-        personalized_pagerank_on, personalized_pagerank_with_unified_engine, propagation_engine,
-        run_to_fixpoint, sssp, sssp_on, sssp_with_engine, weighted_pagerank, weighted_pagerank_on,
+        connected_components_on, personalized_pagerank, personalized_pagerank_many,
+        personalized_pagerank_many_with_unified_engine, personalized_pagerank_on,
+        personalized_pagerank_with_unified_engine, propagation_engine, run_to_fixpoint, sssp,
+        sssp_on, sssp_with_engine, weighted_pagerank, weighted_pagerank_on,
         weighted_pagerank_with_unified_engine,
     };
     pub use pcpm_baselines::{bvgas, pdpr, serial_pagerank};

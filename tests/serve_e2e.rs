@@ -7,6 +7,7 @@ use pcpm::core::algebra::PlusF32;
 use pcpm::core::pagerank::pagerank_with_unified_engine;
 use pcpm::prelude::*;
 use pcpm::serve::{ErrorCode, ServeError};
+use pcpm::stream::merge;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -62,11 +63,11 @@ fn params(cfg: &PcpmConfig) -> QueryParams {
     }
 }
 
-/// The offline mirror of the server's update path: same `DeltaGraph`,
-/// same `Engine::update`, and — like a serving worker — every query runs
-/// on an engine rehydrated from the current snapshot.
+/// The offline mirror of the server's update path: the same `merge` of
+/// the current snapshot's graph, the same `Engine::update`, and — like a
+/// serving worker — every query runs on an engine rehydrated from the
+/// current snapshot.
 struct OfflineReplayer {
-    delta: DeltaGraph,
     engine: Engine<PlusF32>,
     snapshot: Snapshot,
     cfg: PcpmConfig,
@@ -74,19 +75,11 @@ struct OfflineReplayer {
 
 impl OfflineReplayer {
     fn new(snapshot: Snapshot, cfg: PcpmConfig) -> Self {
-        let delta = DeltaGraph::new(
-            Arc::clone(snapshot.graph()),
-            PcpmConfig::default()
-                .with_partition_bytes(snapshot.partition_bytes())
-                .partition_nodes(),
-        )
-        .unwrap();
         let engine =
             SnapshotEngineBuilder::<PlusF32>::from_snapshot(snapshot.clone(), Duration::ZERO)
                 .build()
                 .unwrap();
         Self {
-            delta,
             engine,
             snapshot,
             cfg,
@@ -94,9 +87,10 @@ impl OfflineReplayer {
     }
 
     fn apply(&mut self, batch: &UpdateBatch) {
-        let stats = self.delta.apply(batch).unwrap();
-        let graph = self.delta.snapshot();
-        self.engine.update(&graph, None, &stats.applied).unwrap();
+        let merged = merge(self.snapshot.graph(), batch).unwrap();
+        self.engine
+            .update(&Arc::new(merged.graph), None, &merged.applied)
+            .unwrap();
         self.snapshot = self.engine.snapshot().unwrap();
     }
 

@@ -1,18 +1,22 @@
 //! Property-based validation of the streaming subsystem: across random
 //! base graphs and random insert/delete batches, the streaming paths
-//! (`DeltaGraph` overlay + `Engine::update` + `incremental_pagerank`)
-//! must agree with a from-scratch build + cold `pagerank_on`.
+//! (the CSR merge + `Engine::update` + a warm-started PageRank solve)
+//! must agree with an edge-set oracle, a from-scratch build and an exact
+//! f64 PageRank.
 
 use pcpm::core::algebra::PlusF32;
+use pcpm::core::pagerank::pagerank_with_unified_engine;
 use pcpm::prelude::*;
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A random deduplicated base graph plus a stream of random op batches.
 #[derive(Clone, Debug)]
 struct Scenario {
     base: Csr,
+    /// The raw edge list `base` was built from, duplicates included.
+    edges: Vec<(u32, u32)>,
     batches: Vec<Vec<EdgeUpdate>>,
     partition_nodes: u32,
 }
@@ -26,7 +30,7 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
         );
         (edges, ops).prop_map(move |(edges, ops)| {
             let mut b = GraphBuilder::new(n).expect("builder");
-            b.extend(edges);
+            b.extend(edges.iter().copied());
             let base = b.build().expect("base");
             let batches = ops
                 .into_iter()
@@ -47,6 +51,7 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
                 .collect();
             Scenario {
                 base,
+                edges,
                 batches,
                 partition_nodes: q,
             }
@@ -54,24 +59,33 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
     })
 }
 
-/// Set-semantics oracle: applies ops in order to a HashSet edge set
-/// (which is exactly last-op-wins).
-fn oracle_apply(edges: &mut HashSet<(u32, u32)>, ops: &[EdgeUpdate]) {
-    for u in ops {
-        match u.op {
-            EdgeOp::Insert => {
-                edges.insert((u.src, u.dst));
+/// Edge-multiset oracle: the last op per edge wins; an insert of an
+/// absent edge adds one copy, a delete of a present edge removes every
+/// copy. Returns how many ops changed the edge set.
+fn oracle_apply(edges: &mut HashMap<(u32, u32), usize>, ops: &[EdgeUpdate]) -> usize {
+    let last: HashMap<(u32, u32), EdgeOp> = ops.iter().map(|u| ((u.src, u.dst), u.op)).collect();
+    let mut effective = 0;
+    for (e, op) in last {
+        let present = edges.contains_key(&e);
+        match op {
+            EdgeOp::Insert if !present => {
+                edges.insert(e, 1);
             }
-            EdgeOp::Delete => {
-                edges.remove(&(u.src, u.dst));
+            EdgeOp::Delete if present => {
+                edges.remove(&e);
             }
+            _ => continue,
         }
+        effective += 1;
     }
+    effective
 }
 
-fn to_csr(n: u32, edges: &HashSet<(u32, u32)>) -> Csr {
-    let mut list: Vec<(u32, u32)> = edges.iter().copied().collect();
-    list.sort_unstable();
+fn to_csr(n: u32, edges: &HashMap<(u32, u32), usize>) -> Csr {
+    let list: Vec<(u32, u32)> = edges
+        .iter()
+        .flat_map(|(&e, &copies)| std::iter::repeat_n(e, copies))
+        .collect();
     Csr::from_edges(n, &list).expect("oracle graph")
 }
 
@@ -88,29 +102,29 @@ fn stream_cfg(partition_nodes: u32) -> PcpmConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// DeltaGraph overlay == from-scratch rebuild, batch after batch,
-    /// across every compaction policy.
+    /// The merged graph == the edge-multiset oracle, batch after batch,
+    /// on a deduplicated base and on one that keeps duplicate edges.
     #[test]
-    fn delta_graph_matches_rebuild(sc in arb_scenario(), policy in 0u32..3) {
+    fn delta_graph_matches_rebuild(sc in arb_scenario(), keep_duplicates in any::<bool>()) {
         let n = sc.base.num_nodes();
-        let threshold = match policy {
-            0 => 0.0,           // compact every batch
-            1 => f64::INFINITY, // never compact
-            _ => 0.25,          // default-ish
+        let base = if keep_duplicates {
+            Csr::from_edges(n, &sc.edges).expect("base with duplicates")
+        } else {
+            sc.base.clone()
         };
-        let mut dg = DeltaGraph::new(Arc::new(sc.base.clone()), sc.partition_nodes)
-            .expect("overlay")
-            .with_compaction_threshold(threshold)
-            .expect("threshold");
-        let mut oracle: HashSet<(u32, u32)> = sc.base.edges().collect();
+        let mut dg = DeltaGraph::new(Arc::new(base.clone()), sc.partition_nodes)
+            .expect("graph");
+        let mut oracle: HashMap<(u32, u32), usize> = HashMap::new();
+        for e in base.edges() {
+            *oracle.entry(e).or_default() += 1;
+        }
         for ops in &sc.batches {
             let batch = UpdateBatch::from_ops(ops);
             let stats = dg.apply(&batch).expect("apply");
-            oracle_apply(&mut oracle, ops);
-            let want = to_csr(n, &oracle);
-            prop_assert_eq!(&*dg.snapshot(), &want);
-            prop_assert_eq!(dg.num_edges(), want.num_edges());
+            let effective = oracle_apply(&mut oracle, ops);
+            prop_assert_eq!(&*dg.snapshot(), &to_csr(n, &oracle));
             // The applied sub-batch covers exactly the effective diff.
+            prop_assert_eq!(stats.applied.len(), effective);
             prop_assert_eq!(stats.applied.len() + stats.ignored, batch.len());
         }
     }
@@ -125,7 +139,7 @@ proptest! {
         let mut engine = Engine::<PlusF32>::builder(&sc.base).config(cfg)
             .build().expect("engine");
         let mut dg = DeltaGraph::new(Arc::new(sc.base.clone()), sc.partition_nodes)
-            .expect("overlay");
+            .expect("graph");
         let n = sc.base.num_nodes();
         let x: Vec<f32> = (0..n).map(|v| (v % 13) as f32).collect();
         for ops in &sc.batches {
@@ -143,17 +157,22 @@ proptest! {
         }
     }
 
-    /// Incremental PageRank over the whole batch stream == from-scratch
-    /// solve of the final graph, within 1e-6. The from-scratch side is
-    /// an exact f64 oracle, so the bound cannot be masked by f32
-    /// rounding limit-cycles in the engine's power iteration (the
-    /// engine-vs-incremental agreement at realistic scale is asserted
-    /// in `pcpm-algos` and the replay tests).
+    /// The warm-started engine solve, carried over the whole batch
+    /// stream, == from-scratch solve of the final graph, within 1e-6.
+    /// The from-scratch side is an exact f64 oracle, so the bound cannot
+    /// be masked by f32 rounding limit-cycles in the engine's power
+    /// iteration (warm against a cold engine solve at realistic scale is
+    /// asserted by the replay tests).
     #[test]
-    fn incremental_pagerank_matches_cold(sc in arb_scenario()) {
-        let cfg = stream_cfg(sc.partition_nodes);
+    fn warm_started_pagerank_matches_oracle(sc in arb_scenario()) {
+        // On graphs this small the f32 power iteration can limit-cycle a
+        // few ulps above an L1 change of 1e-8; 1e-7 clears that floor,
+        // and d / (1 - d) * 1e-7 < 6e-7 still bounds the error to 1e-6.
+        let cfg = stream_cfg(sc.partition_nodes).with_tolerance(1e-7);
         let mut dg = DeltaGraph::new(Arc::new(sc.base.clone()), sc.partition_nodes)
-            .expect("overlay");
+            .expect("graph");
+        let mut engine = Engine::<PlusF32>::builder(&sc.base).config(cfg)
+            .build().expect("engine");
         let mut scores: Vec<f32> = oracle_pagerank(&sc.base, cfg.damping)
             .into_iter()
             .map(|v| v as f32)
@@ -161,8 +180,9 @@ proptest! {
         for ops in &sc.batches {
             let stats = dg.apply(&UpdateBatch::from_ops(ops)).expect("apply");
             let snap = dg.snapshot();
-            let warm = incremental_pagerank(&snap, &stats.applied, &scores, &cfg)
-                .expect("incremental");
+            engine.update(&snap, None, &stats.applied).expect("update");
+            let warm = pagerank_with_unified_engine(&snap, &cfg, &mut engine, Some(&scores))
+                .expect("warm solve");
             prop_assert!(warm.converged);
             scores = warm.scores;
         }
@@ -170,7 +190,7 @@ proptest! {
         for (v, (&a, &b)) in scores.iter().zip(&want).enumerate() {
             prop_assert!(
                 (f64::from(a) - b).abs() < 1e-6,
-                "node {}: incremental {} vs oracle {}", v, a, b
+                "node {}: warm {} vs oracle {}", v, a, b
             );
         }
     }
@@ -227,7 +247,7 @@ proptest! {
         let mut par_engine = build(4, &sc.base);
         let mut serial_engine = build(1, &sc.base);
         let mut dg = DeltaGraph::new(Arc::new(sc.base.clone()), sc.partition_nodes)
-            .expect("overlay");
+            .expect("graph");
         let n = sc.base.num_nodes();
         let x: Vec<f32> = (0..n).map(|v| (v % 13) as f32).collect();
         for ops in &sc.batches {

@@ -182,7 +182,6 @@ fn replay_batches_emit_spans() {
     let rc = ReplayConfig {
         cfg: cfg(BinFormatKind::Wide).with_iterations(10),
         backend: BackendKind::Pcpm,
-        compaction_threshold: 1.0,
         verify: false,
         cache: None,
     };
