@@ -304,8 +304,13 @@ pub struct ExecutionReport {
     /// backends with message bins ([`BackendMetrics::dest_stream_bytes`]).
     pub dest_stream_bytes: Option<u64>,
     /// Rayon workers spawned process-wide since this engine was
-    /// constructed (`rayon::diagnostics`). Includes other engines'
-    /// pools when several coexist.
+    /// constructed (`rayon::diagnostics`): other pools' workers, such as
+    /// the lazily built global pool, other engines' pools, or a pool
+    /// [`Engine::with_threads`] swapped in. The pool the engine is built
+    /// with is spawned before the baseline is taken, so it never shows
+    /// here. A pool of `n` threads spawns `n − 1` workers —
+    /// the thread that submits a job works its chunks too — so a
+    /// 1-thread pool spawns none.
     pub pool_workers_spawned: u64,
     /// Rayon jobs dispatched process-wide since this engine was
     /// constructed (`rayon::diagnostics`).

@@ -5,28 +5,61 @@
 //! operation is in flight per pool at a time (submitters queue on
 //! [`PoolShared::submit`]). A job decomposes `0..len` into chunks whose
 //! boundaries are a pure function of `len` — never of the worker count —
-//! and persistent worker threads claim chunks with one `fetch_add` each.
+//! and the participating threads claim chunks with one `fetch_add` each.
 //! That fixed decomposition is what makes every reduction in the
 //! workspace bit-identical across thread counts: chunk *assignment* is
 //! scheduler-dependent, chunk *boundaries* and the order partial results
 //! are combined in are not.
 //!
-//! Panic protocol: a panic inside a chunk is caught on the worker, the
-//! job is poisoned (remaining chunks are skipped), and the payload is
-//! re-thrown on the submitting thread once every claimed chunk has
-//! finished. The pool itself survives and keeps serving jobs.
+//! Run to completion: a pool of N threads is the submitting thread plus
+//! N − 1 persistent workers. The submitter publishes a job, claims
+//! chunks alongside the workers, and only then waits for the chunks
+//! others still hold. A worker that runs out of chunks polls the job
+//! generation for a bounded spin ([`SPIN_LIMIT`]) before it parks on the
+//! condvar, and the submitter spins on the finished count the same way,
+//! so back-to-back jobs (the two phases of a PCPM round) hand off
+//! without a futex wake-up; a parked side is woken only if it parked.
+//!
+//! Panic protocol: a panic inside a chunk is caught on the thread that
+//! ran it (worker or submitter), the job is poisoned (remaining chunks
+//! are skipped), and the payload is re-thrown on the submitting thread
+//! once every claimed chunk has finished. The pool itself survives and
+//! keeps serving jobs.
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Upper bound on the number of chunks a job is split into. 64 keeps
 /// claim overhead negligible while giving an 8-thread pool ~8 chunks of
 /// slack for load balancing skewed partition work.
 const MAX_CHUNKS: usize = 64;
+
+/// `spin_loop` hints a thread spends polling for the next job (worker)
+/// or for the last chunk (submitter) before it parks on a condvar. A
+/// count, not a time: one hint costs from ~10 to ~140 cycles depending
+/// on the CPU. Calibrated on one 2-vCPU x86-64 host, where 30 000 hints
+/// take ≈ 0.57 ms — long enough to span the serial work between the
+/// two phases of a `pr-cache` round. A 4 000-hint budget (≈ 75 µs
+/// there) measured no different on that host; the larger count keeps
+/// the spin spanning that gap on a CPU whose hint is several times
+/// cheaper.
+const SPIN_LIMIT: u32 = 30_000;
+
+/// Spins until `ready` holds or [`SPIN_LIMIT`] polls have passed;
+/// returns whether it held.
+fn spin_until(ready: impl Fn() -> bool) -> bool {
+    for _ in 0..SPIN_LIMIT {
+        if ready() {
+            return true;
+        }
+        std::hint::spin_loop();
+    }
+    ready()
+}
 
 /// Cap on the *default* (env-derived) pool size; explicit
 /// `num_threads(n)` requests are never capped.
@@ -52,8 +85,8 @@ thread_local! {
     static INSTALLED: RefCell<Vec<Arc<PoolShared>>> = const { RefCell::new(Vec::new()) };
     /// Non-zero on pool worker threads: the owning pool's thread count.
     static WORKER_THREADS: Cell<usize> = const { Cell::new(0) };
-    /// True while this thread is blocked on a job it submitted; nested
-    /// parallel ops then run inline instead of deadlocking on the
+    /// True while this thread works or waits on a job it submitted;
+    /// nested parallel ops then run inline instead of deadlocking on the
     /// submit lock.
     static JOB_ACTIVE: Cell<bool> = const { Cell::new(false) };
 }
@@ -100,12 +133,22 @@ struct Job {
     poisoned: AtomicBool,
     /// First panic payload, re-thrown by the submitter.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
-    done: Mutex<bool>,
+    /// Slow path of the completion handoff, for a submitter that
+    /// outlasted its spin.
+    done: Mutex<Done>,
     done_cv: Condvar,
     /// Lifetime-erased reference to the submitter's chunk closure; the
-    /// submitter blocks until `finished == n_chunks`, so the borrow
-    /// outlives every dereference.
+    /// submitter does not return until `finished == n_chunks`, so the
+    /// borrow outlives every dereference.
     run: &'static (dyn Fn(Range<usize>) + Sync),
+}
+
+#[derive(Default)]
+struct Done {
+    /// Every chunk has finished.
+    done: bool,
+    /// The submitter is asleep on `done_cv` and must be notified.
+    parked: bool,
 }
 
 // SAFETY: `run` is only dereferenced for successfully claimed chunk
@@ -115,9 +158,9 @@ unsafe impl Send for Job {}
 unsafe impl Sync for Job {}
 
 impl Job {
-    /// Claims and processes chunks until none remain. Called by workers
-    /// (and never by the submitter, which sleeps on `done_cv` so the
-    /// pool's thread count is exactly the configured compute width).
+    /// Claims and processes chunks until none remain. Called by the
+    /// submitter right after it publishes the job, and by every worker
+    /// that picks the job up.
     fn participate(&self) {
         loop {
             let i = self.next.fetch_add(1, Ordering::Relaxed);
@@ -134,17 +177,27 @@ impl Job {
                     slot.get_or_insert(payload);
                 }
             }
+            // AcqRel: the chunk's writes (and its panic payload) are
+            // released into the count the submitter acquires.
             if self.finished.fetch_add(1, Ordering::AcqRel) + 1 == self.n_chunks {
                 let mut d = self.done.lock().unwrap();
-                *d = true;
-                self.done_cv.notify_all();
+                d.done = true;
+                if d.parked {
+                    self.done_cv.notify_one();
+                }
             }
         }
     }
 
+    /// Returns once every chunk has finished: spins on the count first,
+    /// then sleeps until the last finisher sets `done`.
     fn wait_done(&self) {
+        if spin_until(|| self.finished.load(Ordering::Acquire) == self.n_chunks) {
+            return;
+        }
         let mut d = self.done.lock().unwrap();
-        while !*d {
+        while !d.done {
+            d.parked = true;
             d = self.done_cv.wait(d).unwrap();
         }
     }
@@ -154,12 +207,18 @@ impl Job {
 
 struct JobSlot {
     job: Option<Arc<Job>>,
-    generation: u64,
+    /// Workers asleep on `work_cv`; a publish notifies only if non-zero.
+    parked: usize,
 }
 
 pub(crate) struct PoolShared {
+    /// Compute width: the submitting thread plus `threads − 1` workers.
     pub(crate) threads: usize,
     slot: Mutex<JobSlot>,
+    /// Bumped under the `slot` lock on every publish. Spinning workers
+    /// poll it without the lock; they read the job itself under the lock,
+    /// so the counter publishes nothing and is `Relaxed`.
+    generation: AtomicU64,
     work_cv: Condvar,
     /// Serializes submitters: one job in flight per pool.
     submit: Mutex<()>,
@@ -195,9 +254,9 @@ impl PoolShared {
         n_chunks: usize,
         f: &(dyn Fn(Range<usize>) + Sync),
     ) -> Arc<Job> {
-        // SAFETY: lifetime erasure only — the submitter stays blocked in
-        // `execute`/`join` until every claimed chunk has finished, so the
-        // closure is alive for every dereference of `run`.
+        // SAFETY: lifetime erasure only — the submitter does not return
+        // from `execute`/`join` until every claimed chunk has finished, so
+        // the closure is alive for every dereference of `run`.
         let run: &'static (dyn Fn(Range<usize>) + Sync) = unsafe { std::mem::transmute(f) };
         let job = Arc::new(Job {
             len,
@@ -207,16 +266,19 @@ impl PoolShared {
             finished: AtomicUsize::new(0),
             poisoned: AtomicBool::new(false),
             panic: Mutex::new(None),
-            done: Mutex::new(false),
+            done: Mutex::default(),
             done_cv: Condvar::new(),
             run,
         });
-        {
+        let wake = {
             let mut slot = self.slot.lock().unwrap();
             slot.job = Some(Arc::clone(&job));
-            slot.generation += 1;
+            self.generation.fetch_add(1, Ordering::Relaxed);
+            slot.parked > 0
+        };
+        if wake {
+            self.work_cv.notify_all();
         }
-        self.work_cv.notify_all();
         JOBS_DISPATCHED.fetch_add(1, Ordering::Relaxed);
         job
     }
@@ -226,9 +288,9 @@ impl PoolShared {
         slot.job = None;
     }
 
-    /// Runs one chunked job to completion on the workers; the calling
-    /// thread sleeps until every claimed chunk has finished, then
-    /// re-throws the first chunk panic, if any.
+    /// Runs one chunked job to completion: the calling thread claims
+    /// chunks alongside the workers, waits for the chunks they still
+    /// hold, then re-throws the first chunk panic, if any.
     fn execute(
         &self,
         len: usize,
@@ -240,6 +302,7 @@ impl PoolShared {
             let _submit = self.submit.lock().unwrap();
             let _active = JobActiveGuard::arm();
             let job = self.publish(len, chunk_size, n_chunks, f);
+            job.participate();
             job.wait_done();
             self.clear_slot();
             let payload = job.panic.lock().unwrap().take();
@@ -251,8 +314,9 @@ impl PoolShared {
     }
 
     /// `rayon::join`: `b` runs as a one-shot job on the workers while the
-    /// calling thread runs `a`. Panic in `a` wins (after `b` completes);
-    /// otherwise a panic in `b` is re-thrown.
+    /// calling thread runs `a`; if no worker has claimed `b` by the time
+    /// `a` returns, the calling thread runs it too. Panic in `a` wins
+    /// (after `b` completes); otherwise a panic in `b` is re-thrown.
     pub(crate) fn join<RA, RB>(
         &self,
         a: impl FnOnce() -> RA,
@@ -272,6 +336,7 @@ impl PoolShared {
             let _active = JobActiveGuard::arm();
             let job = self.publish(1, 1, 1, &run);
             let ra = catch_unwind(AssertUnwindSafe(a));
+            job.participate();
             job.wait_done();
             self.clear_slot();
             let b_panic = job.panic.lock().unwrap().take();
@@ -290,10 +355,17 @@ impl PoolShared {
     }
 }
 
+/// A worker: picks up each new generation, works the job until its
+/// chunks are gone, then spins for the next one and parks when the spin
+/// runs out.
 fn worker_loop(shared: Arc<PoolShared>) {
     WORKER_THREADS.with(|c| c.set(shared.threads));
     let mut last_gen = 0u64;
     loop {
+        spin_until(|| {
+            shared.shutdown.load(Ordering::Relaxed)
+                || shared.generation.load(Ordering::Relaxed) != last_gen
+        });
         let job = {
             let mut slot = shared.slot.lock().unwrap();
             loop {
@@ -301,17 +373,21 @@ fn worker_loop(shared: Arc<PoolShared>) {
                     WORKERS_EXITED.fetch_add(1, Ordering::Relaxed);
                     return;
                 }
-                if slot.generation != last_gen {
-                    last_gen = slot.generation;
-                    if let Some(job) = slot.job.clone() {
-                        break job;
-                    }
-                    // Job already finished and was cleared; keep waiting.
+                let generation = shared.generation.load(Ordering::Relaxed);
+                if generation != last_gen {
+                    last_gen = generation;
+                    // `None`: the job already finished and was cleared;
+                    // go back to spinning for the next one.
+                    break slot.job.clone();
                 }
+                slot.parked += 1;
                 slot = shared.work_cv.wait(slot).unwrap();
+                slot.parked -= 1;
             }
         };
-        job.participate();
+        if let Some(job) = job {
+            job.participate();
+        }
     }
 }
 
@@ -329,13 +405,16 @@ impl PoolHandle {
             threads,
             slot: Mutex::new(JobSlot {
                 job: None,
-                generation: 0,
+                parked: 0,
             }),
+            generation: AtomicU64::new(0),
             work_cv: Condvar::new(),
             submit: Mutex::new(()),
             shutdown: AtomicBool::new(false),
         });
-        let workers = (0..threads)
+        // The thread that submits a job is its first participant, so the
+        // pool spawns one worker fewer than its compute width.
+        let workers = (1..threads)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 // pcpm-lint: allow(determinism, reason = "this is the deterministic pool itself: the one sanctioned spawner every kernel must route through")
@@ -356,6 +435,7 @@ impl PoolHandle {
         Arc::clone(&self.shared)
     }
 
+    /// Worker threads spawned: one fewer than the compute width.
     pub(crate) fn num_workers(&self) -> usize {
         self.workers.len()
     }
@@ -364,7 +444,8 @@ impl PoolHandle {
 impl Drop for PoolHandle {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
-        // Take the slot lock so sleeping workers can't miss the wakeup.
+        // Spinning workers see the flag in their spin; take the slot lock
+        // so parked workers can't miss the wakeup.
         drop(self.shared.slot.lock().unwrap());
         self.shared.work_cv.notify_all();
         for w in self.workers.drain(..) {
@@ -404,12 +485,12 @@ impl Drop for InstallGuard {
 enum Exec {
     /// Run chunks on the calling thread, in chunk order.
     Inline,
-    /// Hand the job to this pool's workers.
+    /// Share the job between the calling thread and this pool's workers.
     Pool(Arc<PoolShared>),
 }
 
 /// Where a parallel op started on this thread should run. Worker threads
-/// and threads blocked on a job they submitted run inline (that is what
+/// and threads working a job they submitted run inline (that is what
 /// makes nested ops — including nested `join` — deadlock-free); a
 /// 1-thread pool is equivalent to inline execution and skips the
 /// cross-thread handoff.
@@ -481,5 +562,54 @@ where
     match resolve() {
         Exec::Inline => (a(), b()),
         Exec::Pool(shared) => shared.join(a, b),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::{Duration, Instant};
+
+    /// Many tiny jobs, with an idle gap longer than the spin before every
+    /// hundredth so the workers park and the next publish must wake
+    /// them: a lost wakeup shows as a hang, a torn handoff as a wrong
+    /// sum. Each pool is dropped right after its last job.
+    #[test]
+    fn tiny_jobs_survive_park_and_wake_cycles() {
+        let t0 = Instant::now();
+        spin_until(|| false);
+        let gap = t0.elapsed() * 2 + Duration::from_millis(1);
+        let v: Vec<f64> = (0..512)
+            .map(|i| ((i * 2654435761u64 % 1000) as f64).powi((i % 7) as i32 - 3))
+            .collect();
+        let sum = || -> f64 {
+            let parts =
+                run_job_collect(v.len(), |range: Range<usize>| v[range].iter().sum::<f64>());
+            parts.into_iter().sum()
+        };
+        let inline = PoolHandle::new(1);
+        let want = {
+            let _installed = InstallGuard::push(inline.shared());
+            sum()
+        };
+        for threads in [2, 4] {
+            let exited_before = WORKERS_EXITED.load(Ordering::Relaxed);
+            let pool = PoolHandle::new(threads);
+            let installed = InstallGuard::push(pool.shared());
+            for job in 0..10_000 {
+                if job % 100 == 0 {
+                    std::thread::sleep(gap);
+                }
+                let got = sum();
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "job {job} on {threads} threads"
+                );
+            }
+            drop(installed);
+            drop(pool);
+            assert!(WORKERS_EXITED.load(Ordering::Relaxed) >= exited_before + threads - 1);
+        }
     }
 }

@@ -343,8 +343,9 @@ fn default_budget_fixed_points_bit_identical_across_thread_counts() {
 }
 
 /// Regression (the knob must never silently rot again): a 4-thread
-/// engine actually spawns 4 pool workers, and a step on a graph with
-/// multiple chunks actually dispatches jobs to them. Counters are
+/// engine actually spawns 3 pool workers (the thread that submits a job
+/// is the fourth), and a step on a graph with multiple chunks actually
+/// dispatches jobs to them. Counters are
 /// monotonic and process-global, so concurrent tests only push them
 /// higher — the `>=` deltas stay sound.
 #[test]
@@ -357,8 +358,8 @@ fn threads_knob_spawns_workers_and_dispatches_jobs() {
         .build()
         .unwrap();
     assert!(
-        rayon::diagnostics::workers_spawned() >= spawned_before + 4,
-        "a 4-thread engine must spawn 4 pool workers"
+        rayon::diagnostics::workers_spawned() >= spawned_before + 3,
+        "a 4-thread engine must spawn 3 pool workers"
     );
     let jobs_before = rayon::diagnostics::jobs_dispatched();
     let x = int_x(g.num_nodes());
