@@ -20,9 +20,9 @@
 //! [`WideFormat`](crate::format::WideFormat), and
 //! [`CompactBinSpace`](crate::compact::CompactBinSpace), the 16-bit
 //! partition-local IDs of [`CompactFormat`](crate::format::CompactFormat).
-//! The build logic lives in the shared skeleton of
-//! [`crate::format`]; this module only keeps the storage type and its
-//! memory accounting.
+//! The build logic lives in the shared layout build of [`crate::png`]
+//! and the fixed-width encoders of [`crate::format`]; this module only
+//! keeps the storage type and its memory accounting.
 
 /// The statically pre-allocated message bins for one PNG layout, one
 /// `U` per destination ID.

@@ -281,6 +281,19 @@ mod tests {
     }
 
     #[test]
+    fn compact_bins_reject_partitions_past_fifteen_bits() {
+        let max = crate::compact::MAX_COMPACT_PARTITION as usize;
+        let at = PcpmConfig::default().with_partition_bytes(max * VALUE_BYTES);
+        let over = at.with_partition_bytes((max + 1) * VALUE_BYTES);
+        for format in BinFormatKind::ALL {
+            assert!(at.with_bin_format(format).validate().is_ok(), "{format}");
+            let want_err = format == BinFormatKind::Compact;
+            let got = over.with_bin_format(format).validate();
+            assert_eq!(got.is_err(), want_err, "{format}");
+        }
+    }
+
+    #[test]
     fn builders_compose() {
         let c = PcpmConfig::default()
             .with_partition_bytes(1024)

@@ -36,12 +36,10 @@
 //! `seg_off` per destination bin); the update and weight streams reuse
 //! the shared layouts.
 
-use crate::format::{weight_stream, BinScalar};
+use crate::format::{BinScalar, DeltaFormat};
 use crate::gather::{EntrySink, Group, Segment, SegmentDecode, GROUP};
 use crate::kernel::prefetch;
-use crate::partition::split_by_lens;
-use crate::png::{for_each_run, EdgeView, Png};
-use rayon::prelude::*;
+use crate::png::{Png, RunEncoder};
 
 /// Message bins with a delta-encoded split-stream destination stream.
 ///
@@ -181,7 +179,7 @@ impl Iterator for Groups<'_> {
 }
 
 /// Where the encoder writes the next entry of one segment.
-struct Cursor {
+pub(crate) struct Cursor {
     /// The segment's first byte: its control stream.
     ctrl: usize,
     /// Entries written so far.
@@ -223,87 +221,39 @@ fn values(run: &[u32], base: u32) -> impl Iterator<Item = u32> + '_ {
     std::iter::once(run[0] - base).chain(gaps)
 }
 
-/// The `k_dst + 1` segment offsets of source partition `s`, local to its
-/// region.
-fn segment_offsets(view: EdgeView<'_>, png: &Png, s: u32) -> Vec<u64> {
-    let did_off = &png.part(s).did_off;
-    let mut len: Vec<u64> = did_off
-        .windows(2)
-        .map(|w| ctrl_len((w[1] - w[0]) as usize) as u64)
-        .collect();
-    let (src, dst) = (png.src_parts(), png.dst_parts());
-    let q = dst.partition_size();
-    for_each_run(view, src, dst, s, |_v, p, run, _| {
-        len[p as usize] += values(run, p * q)
-            .map(|v| u64::from(code(v)) + 1)
-            .sum::<u64>();
-    });
-    offsets(len)
-}
+/// A segment is its control groups, then its values: a run's values
+/// depend on the run alone, so the count walk sizes them run by run.
+impl RunEncoder for DeltaFormat {
+    type Unit = u8;
+    type Cursor = Cursor;
+    const UNIT_PER_EDGE: bool = false;
+    const SLACK: usize = SLACK;
 
-/// `0` and the running sums of `lens`: where each piece starts, then the
-/// end.
-fn offsets(lens: impl IntoIterator<Item = u64>) -> Vec<u64> {
-    let ends = lens.into_iter().scan(0, |end, len| {
-        *end += len;
-        Some(*end)
-    });
-    std::iter::once(0).chain(ends).collect()
-}
+    fn run_units(run: &[u32], p_base: u32) -> u64 {
+        values(run, p_base).map(|v| u64::from(code(v)) + 1).sum()
+    }
 
-/// Writes source partition `s`'s segments into its zeroed `region`.
-fn encode_partition(view: EdgeView<'_>, png: &Png, s: u32, region: &mut [u8], seg_off: &[u64]) {
-    let did_off = &png.part(s).did_off;
-    let mut cursors: Vec<Cursor> = seg_off
-        .iter()
-        .zip(did_off.windows(2))
-        .map(|(&at, w)| Cursor {
-            ctrl: at as usize,
+    fn segment_header(entries: u64) -> u64 {
+        ctrl_len(entries as usize) as u64
+    }
+
+    fn cursor(at: usize, entries: usize) -> Cursor {
+        Cursor {
+            ctrl: at,
             entry: 0,
-            data: at as usize + ctrl_len((w[1] - w[0]) as usize),
-        })
-        .collect();
-    let (src, dst) = (png.src_parts(), png.dst_parts());
-    let q = dst.partition_size();
-    for_each_run(view, src, dst, s, |_v, p, run, _| {
-        let at = &mut cursors[p as usize];
-        for (i, v) in values(run, p * q).enumerate() {
-            put_entry(region, at, i == 0, v);
-        }
-    });
-}
-
-impl<T: BinScalar> DeltaPackedBins<T> {
-    /// Builds the delta bins for `png`, in parallel over source
-    /// partitions (the [`BinFormat::build`](crate::format::BinFormat)
-    /// entry point): one pass sizes every segment, the second writes
-    /// each region in place.
-    pub(crate) fn build(view: EdgeView<'_>, png: &Png, edge_weights: Option<&[f32]>) -> Self {
-        let updates = vec![T::default(); png.num_compressed_edges() as usize];
-        let k_src = png.src_parts().num_partitions();
-        let seg_off: Vec<Vec<u64>> = (0..k_src)
-            .into_par_iter()
-            .map(|s| segment_offsets(view, png, s))
-            .collect();
-        let region_lens: Vec<usize> = seg_off.iter().map(|o| o[o.len() - 1] as usize).collect();
-        let byte_region = offsets(region_lens.iter().map(|&l| l as u64));
-        let total = byte_region[k_src as usize] as usize;
-        let mut dest_bytes = vec![0u8; total + SLACK];
-        split_by_lens(&mut dest_bytes[..total], &region_lens)
-            .into_par_iter()
-            .zip(&seg_off)
-            .enumerate()
-            .for_each(|(s, (region, offs))| encode_partition(view, png, s as u32, region, offs));
-        let weights = edge_weights.map(|ew| weight_stream(view, png, ew));
-        Self {
-            updates,
-            dest_bytes,
-            byte_region,
-            seg_off,
-            weights,
+            data: at + ctrl_len(entries),
         }
     }
 
+    #[inline]
+    fn put_run(region: &mut [u8], at: &mut Cursor, run: &[u32], p_base: u32) {
+        for (i, v) in values(run, p_base).enumerate() {
+            put_entry(region, at, i == 0, v);
+        }
+    }
+}
+
+impl<T: BinScalar> DeltaPackedBins<T> {
     /// Heap bytes held by the bins (updates + byte stream + offsets +
     /// weights).
     pub fn memory_bytes(&self) -> u64 {
@@ -405,9 +355,10 @@ impl<T: BinScalar> SegmentDecode for DeltaPackedBins<T> {
 mod tests {
     use super::*;
     use crate::algebra::PlusF32;
-    use crate::format::{BinFormat, DeltaFormat, WideFormat};
+    use crate::format::{BinFormat, WideFormat};
     use crate::kernel::KernelKind;
     use crate::partition::Partitioner;
+    use crate::png::EdgeView;
     use crate::scatter::png_scatter;
     use pcpm_graph::gen::{rmat, RmatConfig};
     use pcpm_graph::Csr;

@@ -92,7 +92,7 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
         let dst_parts = Partitioner::new(view.num_dst(), q)?;
         let t0 = crate::telemetry::stopwatch();
         let _span = crate::telemetry::span("prepare");
-        let (png, bins) = F::build_with_png(view, src_parts, dst_parts, weights)?;
+        let (png, bins) = F::build_layout(view, src_parts, dst_parts, weights);
         let kernel = cfg.kernel.resolve(
             F::KIND,
             png.num_raw_edges(),

@@ -10,8 +10,10 @@
 //! [`BinFormat`] captures exactly the variation points:
 //!
 //! - how one PNG message run is **encoded** into the destination stream
-//!   ([`BinFormat::build`]; the destination stream is never edited
-//!   afterwards — an edge-set change builds the bins afresh),
+//!   ([`BinFormat::build_layout`]: the PNG's count walk also sizes every
+//!   segment, and its fill walk writes the stream and the weights beside
+//!   the rows; the destination stream is never edited afterwards — an
+//!   edge-set change builds the bins afresh),
 //! - how the gather **decodes** it back ([`BinFormat::gather_with`] —
 //!   a per-format segment decoder feeding the one loop in `gather.rs`),
 //! - how much auxiliary memory the encoding costs
@@ -35,10 +37,9 @@ use crate::engine::GatherKind;
 use crate::error::PcpmError;
 use crate::gather::{gather_any, Applied, EntrySink, Epilogue, Segment, SegmentDecode};
 use crate::kernel::{prefetch, KernelKind};
-use crate::partition::{split_by_lens, Partitioner};
-use crate::png::{for_each_run, EdgeView, Png};
+use crate::partition::Partitioner;
+use crate::png::{build_layout, EdgeView, Png, RunEncoder};
 use crate::snapshot::BinStateInner;
-use rayon::prelude::*;
 
 /// Scalars that may flow through the update bins: every
 /// [`Algebra::T`](crate::algebra::Algebra) satisfies this.
@@ -116,32 +117,36 @@ pub trait BinFormat: Send + Sync + 'static {
     const KIND: BinFormatKind;
 
     /// Rejects PNG layouts this format cannot encode (e.g. compact's
-    /// 15-bit partition-size limit). Called before [`BinFormat::build`].
+    /// 15-bit partition-size limit), for callers that build a [`Png`]
+    /// apart. The engine never needs it:
+    /// [`PcpmConfig::validate`](crate::PcpmConfig::validate) rejects such
+    /// a partition size before any build.
     fn validate_layout(png: &Png) -> Result<(), PcpmError> {
         let _ = png;
         Ok(())
     }
 
-    /// Allocates the bins and writes the destination-ID (and weight)
-    /// streams for `png`, in parallel over source partitions.
-    fn build<T: BinScalar>(view: EdgeView<'_>, png: &Png, weights: Option<&[f32]>)
-        -> Self::Bins<T>;
-
-    /// The engine's build: the PNG over `view`, checked by
-    /// [`BinFormat::validate_layout`], then [`BinFormat::build`] on it. A
-    /// format may claim storage it can size from `view` alone before the
-    /// PNG's many small allocations land.
-    #[doc(hidden)]
-    fn build_with_png<T: BinScalar>(
+    /// The engine's build: the PNG over `view` and the bins over it, in
+    /// parallel over source partitions, from one count walk and one fill
+    /// walk of each (see [`crate::png`]). `weights` are CSR-order edge
+    /// weights.
+    fn build_layout<T: BinScalar>(
         view: EdgeView<'_>,
         src_parts: Partitioner,
         dst_parts: Partitioner,
         weights: Option<&[f32]>,
-    ) -> Result<(Png, Self::Bins<T>), PcpmError> {
-        let png = Png::build(view, src_parts, dst_parts);
-        Self::validate_layout(&png)?;
-        let bins = Self::build(view, &png, weights);
-        Ok((png, bins))
+    ) -> (Png, Self::Bins<T>);
+
+    /// The bins for `png`, the layout of `view`: the walks of
+    /// [`BinFormat::build_layout`] under `png`'s partitioners, their PNG
+    /// dropped.
+    fn build<T: BinScalar>(
+        view: EdgeView<'_>,
+        png: &Png,
+        weights: Option<&[f32]>,
+    ) -> Self::Bins<T> {
+        let (src_parts, dst_parts) = (*png.src_parts(), *png.dst_parts());
+        Self::build_layout(view, src_parts, dst_parts, weights).1
     }
 
     /// One scatter round: writes `x` into the update stream. The update
@@ -273,14 +278,15 @@ pub fn dest_compression(raw_edges: u64, dest_bytes: u64) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// Shared fixed-width build skeleton (wide + compact)
+// Shared fixed-width encoding (wide + compact)
 // ---------------------------------------------------------------------------
 
 /// A fixed-width destination encoding: one storage unit per raw edge
 /// (`u32` wide, `u16` compact). Captures the only differences between
 /// the wide and compact dataplanes — how a message run becomes units and
-/// back; everything else (region splitting, parallel fill, weight
-/// streams, the [`BinFormat`] impl) is shared below.
+/// back; the walks, region splitting and weight stream are the shared
+/// layout build of [`crate::png`], and the [`BinFormat`] impl is shared
+/// below.
 pub(crate) trait FixedDestEncode:
     Copy + Default + Send + Sync + std::fmt::Debug + 'static
 {
@@ -379,58 +385,21 @@ impl<U: FixedDestEncode> SegmentDecode for [U] {
     }
 }
 
-/// Calls `put(offset, destination partition, run, first raw edge)` for
-/// every message run of source partition `s`, where `offset` is the
-/// run's place in `s`'s region of a raw-edge-order stream.
-fn for_each_slot(
-    view: EdgeView<'_>,
-    png: &Png,
-    s: u32,
-    mut put: impl FnMut(usize, u32, &[u32], usize),
-) {
-    // Per-destination-partition write cursors, local to the region.
-    let did_off = &png.part(s).did_off;
-    let mut cursor: Vec<u64> = did_off[..did_off.len() - 1].to_vec();
-    let (src, dst) = (png.src_parts(), png.dst_parts());
-    for_each_run(view, src, dst, s, |_v, p, run, base| {
-        put(cursor[p as usize] as usize, p, run, base as usize);
-        cursor[p as usize] += run.len() as u64;
-    });
-}
+/// A fixed-width stream takes one unit per raw edge, written in place.
+impl<U: FixedDestEncode> RunEncoder for FixedFormat<U> {
+    type Unit = U;
+    type Cursor = usize;
+    const UNIT_PER_EDGE: bool = true;
 
-/// Writes the destination segments (and, when weighted, the weight
-/// segments — one combined scan) of source partition `s` into its
-/// region through `U`.
-fn fill_fixed_partition<U: FixedDestEncode>(
-    view: EdgeView<'_>,
-    png: &Png,
-    s: u32,
-    region: &mut [U],
-    mut weights: Option<(&mut [f32], &[f32])>,
-) {
-    let q = png.dst_parts().partition_size();
-    for_each_slot(view, png, s, |c, p, run, base| {
-        U::encode_run(&mut region[c..c + run.len()], run, p * q);
-        if let Some((wregion, ew)) = weights.as_mut() {
-            wregion[c..c + run.len()].copy_from_slice(&ew[base..base + run.len()]);
-        }
-    });
-}
+    fn cursor(at: usize, _entries: usize) -> usize {
+        at
+    }
 
-/// Writes the per-edge weight stream in raw-edge bin order (the layout
-/// the wide format's destination IDs use; every format stores weights
-/// this way, so the gather can zip weights with decoded entries). The
-/// fixed-width formats fill weights inline with the destination scan;
-/// this serves delta.
-pub(crate) fn weight_stream(view: EdgeView<'_>, png: &Png, ew: &[f32]) -> Vec<f32> {
-    let mut w = vec![0.0f32; png.num_raw_edges() as usize];
-    let regions = split_by_lens(&mut w, &png.did_region_lens());
-    regions.into_par_iter().enumerate().for_each(|(s, region)| {
-        for_each_slot(view, png, s as u32, |c, _, run, base| {
-            region[c..c + run.len()].copy_from_slice(&ew[base..base + run.len()]);
-        })
-    });
-    w
+    #[inline]
+    fn put_run(region: &mut [U], at: &mut usize, run: &[u32], p_base: u32) {
+        U::encode_run(&mut region[*at..*at + run.len()], run, p_base);
+        *at += run.len();
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -462,36 +431,26 @@ impl<U: FixedDestEncode> BinFormat for FixedFormat<U> {
         Ok(())
     }
 
-    fn build<T: BinScalar>(
-        view: EdgeView<'_>,
-        png: &Png,
-        edge_weights: Option<&[f32]>,
-    ) -> FixedBins<U, T> {
-        let dest = vec![U::default(); png.num_raw_edges() as usize];
-        fill_fixed(view, png, edge_weights, dest)
-    }
-
-    /// Claims the destination stream — the build's largest allocation,
-    /// one unit per edge of `view` — before the PNG. Built after, the
-    /// PNG's parts (allocated partly on the submitting thread, which
-    /// works its own pool jobs) split the block a dropped engine's
-    /// stream left free, and this stream grows the heap instead of
-    /// reusing it: glibc's dynamic mmap threshold serves it from the heap
-    /// once one such block has been freed. Measured on `pr-cache` (ten
-    /// runs each, 2-vCPU x86-64): peak RSS 15.50 MiB median with the
-    /// PNG first, 13.29 MiB with this order, 13.75 MiB before the pool
-    /// let the submitter work its jobs.
-    fn build_with_png<T: BinScalar>(
+    fn build_layout<T: BinScalar>(
         view: EdgeView<'_>,
         src_parts: Partitioner,
         dst_parts: Partitioner,
         edge_weights: Option<&[f32]>,
-    ) -> Result<(Png, FixedBins<U, T>), PcpmError> {
-        let dest = vec![U::default(); view.num_edges() as usize];
-        let png = Png::build(view, src_parts, dst_parts);
-        Self::validate_layout(&png)?;
-        let bins = fill_fixed(view, &png, edge_weights, dest);
-        Ok((png, bins))
+    ) -> (Png, FixedBins<U, T>) {
+        let q = dst_parts.partition_size();
+        assert!(
+            q <= U::MAX_PARTITION,
+            "partition size {q} exceeds the {} format's {}-node range",
+            U::KIND,
+            U::MAX_PARTITION
+        );
+        let lay = build_layout::<Self>(view, src_parts, dst_parts, edge_weights);
+        let bins = FixedBins {
+            updates: vec![T::default(); lay.png.num_compressed_edges() as usize],
+            dest_ids: lay.dest,
+            weights: lay.weights,
+        };
+        (lay.png, bins)
     }
 
     fn gather_with<A: Algebra>(
@@ -536,49 +495,6 @@ impl<U: FixedDestEncode> BinFormat for FixedFormat<U> {
     }
 }
 
-/// A fixed-width format's bins over `png`: allocates the update and
-/// weight streams, splits `dest` (one unit per raw edge) by source
-/// partition and encodes every region in parallel.
-fn fill_fixed<U: FixedDestEncode, T: BinScalar>(
-    view: EdgeView<'_>,
-    png: &Png,
-    edge_weights: Option<&[f32]>,
-    mut dest: Vec<U>,
-) -> FixedBins<U, T> {
-    let q = png.dst_parts().partition_size();
-    assert!(
-        q <= U::MAX_PARTITION,
-        "partition size {q} exceeds the {} format's {}-node range",
-        U::KIND,
-        U::MAX_PARTITION
-    );
-    assert_eq!(
-        dest.len() as u64,
-        png.num_raw_edges(),
-        "one unit per raw edge"
-    );
-    let updates = vec![T::default(); png.num_compressed_edges() as usize];
-    let mut weights = edge_weights.map(|_| vec![0.0f32; png.num_raw_edges() as usize]);
-    let did_lens = png.did_region_lens();
-    let wregions: Vec<Option<&mut [f32]>> = match &mut weights {
-        Some(w) => split_by_lens(w, &did_lens).into_iter().map(Some).collect(),
-        None => did_lens.iter().map(|_| None).collect(),
-    };
-    split_by_lens(&mut dest, &did_lens)
-        .into_par_iter()
-        .zip(wregions)
-        .enumerate()
-        .for_each(|(s, (region, wregion))| {
-            let weights = wregion.zip(edge_weights);
-            fill_fixed_partition::<U>(view, png, s as u32, region, weights);
-        });
-    FixedBins {
-        updates,
-        dest_ids: dest,
-        weights,
-    }
-}
-
 /// Delta-encoded split-stream destination IDs (see [`crate::delta`]).
 pub struct DeltaFormat;
 
@@ -587,12 +503,21 @@ impl BinFormat for DeltaFormat {
 
     const KIND: BinFormatKind = BinFormatKind::Delta;
 
-    fn build<T: BinScalar>(
+    fn build_layout<T: BinScalar>(
         view: EdgeView<'_>,
-        png: &Png,
+        src_parts: Partitioner,
+        dst_parts: Partitioner,
         weights: Option<&[f32]>,
-    ) -> DeltaPackedBins<T> {
-        DeltaPackedBins::build(view, png, weights)
+    ) -> (Png, DeltaPackedBins<T>) {
+        let lay = build_layout::<Self>(view, src_parts, dst_parts, weights);
+        let bins = DeltaPackedBins {
+            updates: vec![T::default(); lay.png.num_compressed_edges() as usize],
+            dest_bytes: lay.dest,
+            byte_region: lay.dest_region,
+            seg_off: lay.seg_off,
+            weights: lay.weights,
+        };
+        (lay.png, bins)
     }
 
     fn gather_with<A: Algebra>(
@@ -759,15 +684,5 @@ mod tests {
             assert_eq!(kind.name().parse::<BinFormatKind>().unwrap(), kind);
         }
         assert!("warp".parse::<BinFormatKind>().is_err());
-    }
-
-    #[test]
-    fn compact_layout_validation_rejects_oversized_partitions() {
-        let n = 70_000u32;
-        let g = Csr::from_edges(n, &[(0, 1), (0, 65_000)]).unwrap();
-        let png = build_png(&g, n);
-        assert!(CompactFormat::validate_layout(&png).is_err());
-        assert!(WideFormat::validate_layout(&png).is_ok());
-        assert!(DeltaFormat::validate_layout(&png).is_ok());
     }
 }

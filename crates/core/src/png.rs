@@ -14,9 +14,13 @@
 //!
 //! Compression and transposition are merged into one counting pass and one
 //! filling pass, parallel over source partitions, exactly as described in
-//! the paper.
+//! the paper. The same two passes also lay out the bins: the counting pass
+//! sizes each `(s, p)` segment of the format's destination stream, and the
+//! filling pass writes the destination stream and the weights beside the
+//! PNG rows ([`RunEncoder`]), so a build reads the CSR twice whatever the
+//! format.
 
-use crate::partition::Partitioner;
+use crate::partition::{split_by_lens, Partitioner};
 use rayon::prelude::*;
 
 /// A read-only view of an edge structure: sources in `[0, num_src)`, each
@@ -151,13 +155,10 @@ impl Png {
     /// Builds the PNG for `view` under the given partitioners.
     ///
     /// Runs the merged compression + transposition of §3.3 in parallel
-    /// over source partitions.
+    /// over source partitions: the engine's two walks, writing no
+    /// destination stream.
     pub fn build(view: EdgeView<'_>, src_parts: Partitioner, dst_parts: Partitioner) -> Self {
-        let parts: Vec<BipartitePart> = (0..src_parts.num_partitions())
-            .into_par_iter()
-            .map(|s| build_part(view, &src_parts, &dst_parts, s))
-            .collect();
-        Self::from_parts(src_parts, dst_parts, parts)
+        build_layout::<()>(view, src_parts, dst_parts, None).png
     }
 
     /// Assembles a layout from its parts (a build, or the engine-snapshot
@@ -272,9 +273,8 @@ impl Png {
 /// neighbors of `v` landing in destination partition `p`, where `run` is
 /// the slice of those (sorted) targets and `edge_base` the raw-edge index
 /// of `run[0]`. One run is exactly one PNG compressed edge / one bin
-/// message — this walk is the single partition scan shared by the PNG
-/// build, every [`crate::format::BinFormat`] encoder and the weight
-/// stream fill.
+/// message. A run ends at the first target past its partition's last
+/// node, so there is one divide per run, not one per edge.
 pub(crate) fn for_each_run(
     view: EdgeView<'_>,
     src_parts: &Partitioner,
@@ -284,53 +284,225 @@ pub(crate) fn for_each_run(
 ) {
     let q = dst_parts.partition_size();
     for v in src_parts.range(s) {
-        let nbrs = view.neighbors(v);
-        let base = view.edge_range(v).start;
-        let mut i = 0;
-        while i < nbrs.len() {
-            let p = nbrs[i] / q;
-            let mut j = i + 1;
-            while j < nbrs.len() && nbrs[j] / q == p {
-                j += 1;
-            }
-            f(v, p, &nbrs[i..j], base + i as u64);
-            i = j;
+        let mut rest = view.neighbors(v);
+        let mut base = view.edge_range(v).start;
+        while let Some(&first) = rest.first() {
+            let p = first / q;
+            // A partition that would end past `u32::MAX` holds every
+            // target from its first node on, so saturating is exact.
+            let last = (p * q).saturating_add(q - 1);
+            let len = rest.iter().position(|&t| t > last).unwrap_or(rest.len());
+            let (run, tail) = rest.split_at(len);
+            f(v, p, run, base);
+            base += len as u64;
+            rest = tail;
         }
     }
 }
 
-/// Builds the transposed bipartite graph of one source partition: one
-/// counting scan, one prefix sum, one filling scan.
-fn build_part(
+/// How one format's destination stream is sized and written, run by run.
+/// The count walk sizes each `(s, p)` segment; the fill walk writes every
+/// run at its segment's cursor.
+pub(crate) trait RunEncoder {
+    /// The stream's storage unit.
+    type Unit: Copy + Default + Send + Sync;
+    /// Where the next run of one segment goes.
+    type Cursor;
+    /// Whether every raw edge takes one unit, so the stream's length is
+    /// known before either walk runs.
+    const UNIT_PER_EDGE: bool;
+    /// Zeroed units kept past the last segment.
+    const SLACK: usize = 0;
+
+    /// Units the values of `run` take; `p_base` is its destination
+    /// partition's first node.
+    fn run_units(run: &[u32], _p_base: u32) -> u64 {
+        run.len() as u64
+    }
+
+    /// Units a segment of `entries` raw edges takes besides its runs'.
+    fn segment_header(_entries: u64) -> u64 {
+        0
+    }
+
+    /// The cursor of a segment of `entries` raw edges that starts at unit
+    /// `at` of its region.
+    fn cursor(at: usize, entries: usize) -> Self::Cursor;
+
+    /// Writes `run` at `at` in `region` and moves `at` past it.
+    fn put_run(region: &mut [Self::Unit], at: &mut Self::Cursor, run: &[u32], p_base: u32);
+}
+
+/// No destination stream: the PNG alone ([`Png::build`]).
+impl RunEncoder for () {
+    type Unit = ();
+    type Cursor = ();
+    const UNIT_PER_EDGE: bool = true;
+
+    fn cursor(_at: usize, _entries: usize) {}
+
+    fn put_run(_region: &mut [()], _at: &mut (), _run: &[u32], _p_base: u32) {}
+}
+
+/// A PNG and one format's destination stream over it.
+pub(crate) struct Layout<U> {
+    pub(crate) png: Png,
+    /// Source-partition-major, then [`RunEncoder::SLACK`] zeroed units.
+    pub(crate) dest: Vec<U>,
+    /// `k_src + 1` offsets of each source partition's region of `dest`.
+    pub(crate) dest_region: Vec<u64>,
+    /// Per source partition, `k_dst + 1` segment offsets in its region.
+    pub(crate) seg_off: Vec<Vec<u64>>,
+    /// The edge weights in raw-edge bin order, when built weighted.
+    pub(crate) weights: Option<Vec<f32>>,
+}
+
+/// Builds the PNG, `E`'s destination stream and, given CSR-order
+/// `edge_weights`, the weight stream, in parallel over source partitions:
+/// one count walk, one prefix sum, one fill walk that writes all three.
+pub(crate) fn build_layout<E: RunEncoder>(
+    view: EdgeView<'_>,
+    src_parts: Partitioner,
+    dst_parts: Partitioner,
+    edge_weights: Option<&[f32]>,
+) -> Layout<E::Unit> {
+    // A one-unit-per-edge stream, the build's largest allocation, is
+    // claimed before the walks allocate anything. Claimed after, the
+    // PNG's parts (allocated partly on the submitting thread, which works
+    // its own pool jobs) split the block a dropped engine's stream left
+    // free, and this stream grows the heap instead of reusing it: glibc's
+    // dynamic mmap threshold serves it from the heap once one such block
+    // has been freed. Measured on `pr-cache` (ten runs each, 2-vCPU
+    // x86-64): peak RSS 15.50 MiB median with the PNG first, 13.29 MiB
+    // with this order.
+    let presized = E::UNIT_PER_EDGE.then(|| vec![E::Unit::default(); view.num_edges() as usize]);
+    let counts: Vec<Counts> = {
+        let _span = crate::telemetry::span("build.count");
+        (0..src_parts.num_partitions())
+            .into_par_iter()
+            .map(|s| count_part::<E>(view, &src_parts, &dst_parts, s))
+            .collect()
+    };
+    let _span = crate::telemetry::span("build.fill");
+    // Each source partition's raw edges and stream units.
+    let [did_lens, seg_lens] = [1, 2].map(|i| -> Vec<usize> {
+        counts
+            .iter()
+            .map(|c| c[i][c[i].len() - 1] as usize)
+            .collect()
+    });
+    let dest_region = offsets(seg_lens.iter().map(|&l| l as u64));
+    let total = dest_region[dest_region.len() - 1] as usize;
+    let mut dest = presized.unwrap_or_else(|| vec![E::Unit::default(); total + E::SLACK]);
+    assert_eq!(
+        dest.len(),
+        total + E::SLACK,
+        "stream sized by the count walk"
+    );
+    let mut weights = edge_weights.map(|_| vec![0.0f32; view.num_edges() as usize]);
+    let wregions: Vec<Option<&mut [f32]>> = match &mut weights {
+        Some(w) => split_by_lens(w, &did_lens).into_iter().map(Some).collect(),
+        None => did_lens.iter().map(|_| None).collect(),
+    };
+    let filled: Vec<(BipartitePart, Vec<u64>)> = split_by_lens(&mut dest[..total], &seg_lens)
+        .into_par_iter()
+        .zip(wregions)
+        .zip(counts)
+        .enumerate()
+        .map(|(s, ((region, wregion), counts))| {
+            let weights = wregion.zip(edge_weights);
+            fill_part::<E>(
+                view, &src_parts, &dst_parts, s as u32, counts, region, weights,
+            )
+        })
+        .collect();
+    let (parts, seg_off) = filled.into_iter().unzip();
+    Layout {
+        png: Png::from_parts(src_parts, dst_parts, parts),
+        dest,
+        dest_region,
+        seg_off,
+        weights,
+    }
+}
+
+/// `0` and the running sums of `lens`: where each piece starts, then the
+/// end.
+fn offsets(lens: impl IntoIterator<Item = u64>) -> Vec<u64> {
+    let ends = lens.into_iter().scan(0, |end, len| {
+        *end += len;
+        Some(*end)
+    });
+    std::iter::once(0).chain(ends).collect()
+}
+
+/// What the count walk measures of one source partition:
+/// `[upd_off, did_off, seg_off]`, `k_dst + 1` offsets each over its
+/// compressed edges, raw edges and stream units.
+type Counts = [Vec<u64>; 3];
+
+/// The count walk of source partition `s`.
+fn count_part<E: RunEncoder>(
     view: EdgeView<'_>,
     src_parts: &Partitioner,
     dst_parts: &Partitioner,
     s: u32,
-) -> BipartitePart {
+) -> Counts {
     let k = dst_parts.num_partitions() as usize;
-    let mut upd_deg = vec![0u64; k];
-    let mut did_deg = vec![0u64; k];
+    let q = dst_parts.partition_size();
+    // Partition `p`'s totals at `p + 1`, summed into offsets below.
+    let [mut upd, mut did, mut seg] = [(); 3].map(|_| vec![0u64; k + 1]);
     for_each_run(view, src_parts, dst_parts, s, |_v, p, run, _| {
-        upd_deg[p as usize] += 1;
-        did_deg[p as usize] += run.len() as u64;
+        let i = p as usize + 1;
+        upd[i] += 1;
+        did[i] += run.len() as u64;
+        seg[i] += E::run_units(run, p * q);
     });
-    let mut upd_off = vec![0u64; k + 1];
-    let mut did_off = vec![0u64; k + 1];
     for p in 0..k {
-        upd_off[p + 1] = upd_off[p] + upd_deg[p];
-        did_off[p + 1] = did_off[p] + did_deg[p];
+        upd[p + 1] += upd[p];
+        seg[p + 1] += E::segment_header(did[p + 1]) + seg[p];
+        did[p + 1] += did[p];
     }
-    let mut sources = vec![0u32; *upd_off.last().unwrap() as usize];
-    let mut cursor = upd_off.clone();
-    for_each_run(view, src_parts, dst_parts, s, |v, p, _run, _| {
-        sources[cursor[p as usize] as usize] = v;
-        cursor[p as usize] += 1;
+    [upd, did, seg]
+}
+
+/// The fill walk of source partition `s`: its PNG rows, its `region` of
+/// the destination stream and, when weighted, its region of the weight
+/// stream with the CSR-order weights it is copied from.
+fn fill_part<E: RunEncoder>(
+    view: EdgeView<'_>,
+    src_parts: &Partitioner,
+    dst_parts: &Partitioner,
+    s: u32,
+    [upd_off, did_off, seg_off]: Counts,
+    region: &mut [E::Unit],
+    mut weights: Option<(&mut [f32], &[f32])>,
+) -> (BipartitePart, Vec<u64>) {
+    let q = dst_parts.partition_size();
+    let mut sources = vec![0u32; upd_off[upd_off.len() - 1] as usize];
+    // Per destination partition: the next compressed edge, raw edge and
+    // stream unit.
+    let (mut upd_at, mut did_at) = (upd_off.clone(), did_off.clone());
+    let mut seg_at: Vec<E::Cursor> = (0..upd_off.len() - 1)
+        .map(|p| E::cursor(seg_off[p] as usize, (did_off[p + 1] - did_off[p]) as usize))
+        .collect();
+    for_each_run(view, src_parts, dst_parts, s, |v, p, run, base| {
+        let p = p as usize;
+        sources[upd_at[p] as usize] = v;
+        upd_at[p] += 1;
+        E::put_run(region, &mut seg_at[p], run, (p as u32) * q);
+        if let Some((wregion, ew)) = weights.as_mut() {
+            let (at, base) = (did_at[p] as usize, base as usize);
+            wregion[at..at + run.len()].copy_from_slice(&ew[base..base + run.len()]);
+            did_at[p] += run.len() as u64;
+        }
     });
-    BipartitePart {
+    let part = BipartitePart {
         upd_off,
         did_off,
         sources,
-    }
+    };
+    (part, seg_off)
 }
 
 #[cfg(test)]
@@ -468,6 +640,75 @@ mod tests {
         let png = build(&g, 4);
         assert_eq!(png.num_compressed_edges(), 0);
         assert_eq!(png.compression_ratio(), 1.0);
+    }
+
+    /// One run as the walk reports it: `(v, p, run, edge_base)`.
+    type Run = (u32, u32, Vec<u32>, u64);
+
+    /// Every run of `view`: the walk's, and the walk it replaced (a
+    /// divide per edge) as its oracle.
+    fn runs(view: EdgeView<'_>, src: &Partitioner, q: u32) -> [Vec<Run>; 2] {
+        let dst = Partitioner::new(view.num_dst(), q).unwrap();
+        let (mut walked, mut oracle) = (Vec::new(), Vec::new());
+        for s in src.iter() {
+            for_each_run(view, src, &dst, s, |v, p, run, base| {
+                walked.push((v, p, run.to_vec(), base));
+            });
+            for v in src.range(s) {
+                let (nbrs, base) = (view.neighbors(v), view.edge_range(v).start);
+                let mut i = 0;
+                while i < nbrs.len() {
+                    let p = nbrs[i] / q;
+                    let mut j = i + 1;
+                    while j < nbrs.len() && nbrs[j] / q == p {
+                        j += 1;
+                    }
+                    oracle.push((v, p, nbrs[i..j].to_vec(), base + i as u64));
+                    i = j;
+                }
+            }
+        }
+        [walked, oracle]
+    }
+
+    #[test]
+    fn runs_end_at_partition_boundaries_as_the_divide_walk_does() {
+        // (q, num_dst): small partitions, one holding every node, and the
+        // whole `u32` range up to the wide format's largest `q`.
+        let small = [(1, 20), (3, 20), (7, 20), (20, 20), (64, 20)];
+        let full = [1, 3, 7, 1 << 31, u32::MAX].map(|q| (q, u32::MAX));
+        for (q, num_dst) in small.into_iter().chain(full) {
+            // Targets at p·q − 1, p·q and p·q + 1 for the first and last
+            // multiples of q, and at the ends of the range.
+            let last = u32::MAX / q * q;
+            let mut near = vec![0, 1, u32::MAX - 1, u32::MAX, last - 1, last];
+            for b in (1..=4).filter_map(|m| q.checked_mul(m)) {
+                near.extend([b - 1, b, b.saturating_add(1)]);
+            }
+            near.retain(|&t| t < num_dst);
+            near.sort_unstable();
+            near.dedup();
+            // Six sources (a rectangular view): empty rows, every target,
+            // each twice, every other one, and odd rows' self-loops.
+            let (mut offsets, mut targets) = (vec![0u64], Vec::new());
+            for v in 0..6u32 {
+                let mut row: Vec<u32> = match v % 4 {
+                    0 => Vec::new(),
+                    1 => near.clone(),
+                    2 => near.iter().flat_map(|&t| [t, t]).collect(),
+                    _ => near.iter().copied().step_by(2).collect(),
+                };
+                row.extend((v % 2 == 1).then_some(v));
+                row.sort_unstable();
+                targets.extend(row);
+                offsets.push(targets.len() as u64);
+            }
+            let view = EdgeView::new(6, num_dst, &offsets, &targets);
+            let [walked, oracle] = runs(view, &Partitioner::new(6, 4).unwrap(), q);
+            assert_eq!(walked, oracle, "q={q} n={num_dst}");
+            let edges: usize = walked.iter().map(|r| r.2.len()).sum();
+            assert_eq!(edges, targets.len(), "q={q}");
+        }
     }
 
     #[test]

@@ -53,6 +53,8 @@
 //! | span | covers | opened by |
 //! | --- | --- | --- |
 //! | `prepare` | PNG build + bin construction + kernel resolution | `Engine::prepare` |
+//! | `build.count` | the count walk of a layout build: every `(s, p)` segment's compressed edges, raw edges and stream units (inside `prepare` on the engine path) | `png::build_layout` |
+//! | `build.fill` | the fill walk of a layout build: PNG rows, destination stream and weights (inside `prepare` on the engine path) | `png::build_layout` |
 //! | `scatter` | the PCPM scatter phase of one round, whatever its width (the enclosing `step` / `step_many` span tells) | `FormatPipeline::round` |
 //! | `gather` | the PCPM gather phase of one round, the in-partition apply included | `FormatPipeline::round` |
 //! | `step` | one backend-dispatched SpMV step (arg: step index) | `Engine::step` |
@@ -358,8 +360,10 @@ impl Drop for SpanGuard {
 /// site. See the module docs' span taxonomy table for what each one
 /// covers. `pcpm-lint` checks call sites against this registry, so
 /// adding a span means adding it here *and* to the table.
-pub const SPAN_NAMES: [&str; 7] = [
+pub const SPAN_NAMES: [&str; 9] = [
     "prepare",
+    "build.count",
+    "build.fill",
     "scatter",
     "gather",
     "step",

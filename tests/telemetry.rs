@@ -146,6 +146,24 @@ fn trace_spans_from_a_real_run_nest_and_serialize() {
     }
     let steps = events.iter().filter(|e| e.name == "step").count();
     assert_eq!(steps, STEPS);
+    // The build's two walks nest inside `prepare`, count before fill.
+    let prepare = events.iter().find(|e| e.name == "prepare").unwrap();
+    let within_prepare = |name: &str| {
+        let e = events.iter().find(|e| e.name == name).unwrap_or_else(|| {
+            panic!("missing span {name:?} in {names:?}");
+        });
+        assert!(e.ts_us >= prepare.ts_us, "{name} starts inside prepare");
+        assert!(
+            e.ts_us + e.dur_us <= prepare.ts_us + prepare.dur_us + 1,
+            "{name} ends inside prepare"
+        );
+        e
+    };
+    let (count, fill) = (within_prepare("build.count"), within_prepare("build.fill"));
+    assert!(
+        count.ts_us + count.dur_us <= fill.ts_us + 1,
+        "count before fill"
+    );
     // scatter/gather spans nest inside their step span.
     let step = events.iter().find(|e| e.name == "step").unwrap();
     let scatter = events
