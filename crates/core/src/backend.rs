@@ -50,7 +50,7 @@ use crate::error::{PcpmError, SnapshotError};
 use crate::format::{
     BinFormat, BinFormatKind, CompactFormat, DeltaFormat, WideFormat, BRANCHY_NEEDS_WIDE,
 };
-use crate::gather::{apply_parts, ApplyFn, Epilogue};
+use crate::gather::{apply_parts, ApplyFn, Epilogue, MAX_LANES};
 use crate::kernel::KernelKind;
 use crate::partition::{split_by_lens, Partitioner};
 use crate::png::EdgeView;
@@ -155,7 +155,8 @@ pub trait Backend<A: Algebra>: Send {
     /// One multi-query round: `ys[q] = ⊕ Aᵀ·xs[q]` for every query in
     /// the batch. The default loops over [`Backend::step`], so every
     /// backend supports batching; dataplanes with a real SpMM (the PCPM
-    /// pipeline) override it to scan their bin streams once per batch.
+    /// pipeline) override it to scan their bin streams once per pass of
+    /// at most eight queries.
     /// Per-query output must be bit-identical to the
     /// sequential loop.
     ///
@@ -277,7 +278,8 @@ impl BackendKind {
 pub struct ExecutionReport {
     /// Dataplane name.
     pub backend: &'static str,
-    /// Rounds executed so far.
+    /// Passes executed so far: one per plain step, one per pass of a
+    /// batch (each one scan of the bin streams).
     pub steps: usize,
     /// Accumulated per-phase wall-clock time across all rounds.
     pub timings: PhaseTimings,
@@ -315,7 +317,8 @@ pub struct ExecutionReport {
     /// Rayon jobs dispatched process-wide since this engine was
     /// constructed (`rayon::diagnostics`).
     pub pool_jobs_dispatched: u64,
-    /// Multi-query passes executed through [`Engine::step_many`]. Each
+    /// Multi-query passes executed through [`Engine::step_many`]: a
+    /// batch of `Q` queries is `⌈Q / 8⌉` passes of at most eight. Each
     /// counts once in [`Self::steps`] however many queries it carried.
     pub batch_passes: usize,
     /// Query vectors served by those batched passes.
@@ -641,13 +644,16 @@ impl<A: Algebra> Engine<A> {
         if let Some(jobs0) = jobs0 {
             tm.add_pool_jobs_dispatched((rayon::diagnostics::jobs_dispatched() - jobs0) as u64);
         }
+        // A batch runs as passes of at most `MAX_LANES` queries, each one
+        // scan of the bin streams.
+        let passes = queries.map_or(1, |q| q.div_ceil(MAX_LANES));
         if let Some(q) = queries {
-            tm.add_batched_passes(1);
+            tm.add_batched_passes(passes as u64);
             tm.add_batched_queries(q as u64);
-            self.batch_passes += 1;
+            self.batch_passes += passes;
             self.batch_queries += q;
         }
-        self.steps += 1;
+        self.steps += passes;
         self.timings += t;
         Ok((t, out))
     }
@@ -675,14 +681,16 @@ impl<A: Algebra> Engine<A> {
     }
 
     /// One multi-query propagation round: `ys[q] = ⊕ Aᵀ·xs[q]` for the
-    /// whole batch in a single backend pass.
+    /// whole batch in a single backend call.
     ///
-    /// On the PCPM dataplane this is a row-interleaved SpMM — the destID
-    /// bin stream is scanned (and, for the delta format, decoded)
-    /// **once** for the batch; other backends and ablations loop over
+    /// On the PCPM dataplane this is a row-interleaved SpMM run as
+    /// passes of at most eight queries, each with the row width fixed at
+    /// compile time: every pass scans (and, for the delta format,
+    /// decodes) the destID bin stream **once**, so a batch of `Q` pays
+    /// `⌈Q / 8⌉` scans. Other backends and ablations loop over
     /// [`Engine::step`]-equivalent rounds. Per-query results are
     /// bit-identical to sequential [`Engine::step`] calls either way.
-    /// The pass counts as one step in the report (one bin-stream scan);
+    /// Each pass counts as one step in the report (one bin-stream scan);
     /// [`ExecutionReport::batch_passes`] / `batch_queries` record the
     /// amortization. An empty batch is a no-op.
     pub fn step_many(
@@ -712,10 +720,14 @@ impl<A: Algebra> Engine<A> {
     ///
     /// On the PCPM dataplane the ranges are the destination partitions
     /// and `apply` runs inside the gather (Algorithm 4) while other
-    /// partitions are still gathered: it is handed all it may touch.
-    /// Elsewhere it is a pass of its own after the round, over the ranges
-    /// the engine's partition size defines. A batch of one runs the solo
-    /// kernel and counts as a plain step in the report.
+    /// partitions are still gathered: it is handed all it may touch. A
+    /// batch wider than eight runs as passes of at most eight queries,
+    /// so there `apply` sees each range once per pass, for that pass's
+    /// queries ([`Finished::queries`](crate::Finished::queries) names
+    /// their positions in the batch). Elsewhere it is a pass of its own
+    /// after the round, over the ranges the engine's partition size
+    /// defines, for the whole batch. A batch of one runs the solo kernel
+    /// and counts as a plain step in the report.
     pub fn step_many_with(
         &mut self,
         xs: &[&[A::T]],
@@ -731,6 +743,7 @@ impl<A: Algebra> Engine<A> {
         let lens = Partitioner::new(self.num_dst, self.partition_nodes)?.lens();
         let epilogue = Epilogue {
             lens: &lens,
+            queries: 0..xs.len(),
             state: state.iter_mut().map(|s| &mut **s).collect(),
             apply,
         };

@@ -12,10 +12,11 @@
 //! each destination partition as it completes (Algorithm 4's
 //! in-partition apply; see `gather.rs`); its wall-clock share is reported
 //! as [`PhaseTimings::apply`] and taken out of `gather`, so the phases
-//! still add up to the round. The `|E'| × Q` update rows of a multi-query
-//! round are scratch kept between rounds: the scatter overwrites every
-//! slot, so nothing is cleared, and nothing is allocated unless a round
-//! is wider than any since the last solo round, which drops them.
+//! still add up to the round. A multi-query round runs as passes of at
+//! most eight queries; the `|E'| × W` update rows of a pass are scratch
+//! kept between rounds: the scatter overwrites every slot, so nothing is
+//! cleared, and nothing is allocated unless a pass is wider than any
+//! since the last solo round, which drops them.
 //!
 //! Callers do not construct it directly: the unified
 //! [`Engine`](crate::backend::Engine) builder wraps it as the
@@ -27,7 +28,7 @@ use crate::algebra::Algebra;
 use crate::config::PcpmConfig;
 use crate::error::PcpmError;
 use crate::format::{dest_compression, BinFormat, BinFormatKind};
-use crate::gather::{Applied, Epilogue};
+use crate::gather::{with_lanes, Applied, Epilogue, MAX_LANES};
 use crate::kernel::KernelKind;
 use crate::partition::Partitioner;
 use crate::png::{EdgeView, Png};
@@ -68,7 +69,8 @@ pub struct FormatPipeline<A: Algebra, F: BinFormat> {
     /// The concrete gather kernel, resolved from [`PcpmConfig::kernel`]
     /// at build time (never [`KernelKind::Auto`]).
     kernel: KernelKind,
-    /// The latest multi-query round's update rows, `|E'| × Q`.
+    /// The update rows of the widest pass since the last solo round,
+    /// `|E'| × W`; a narrower pass uses their head.
     rows: Vec<A::T>,
 }
 
@@ -179,21 +181,22 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
     }
 
     /// One scatter→gather round with explicit phase variants:
-    /// `ys[q] = ⊕ Aᵀ·xs[q]` for every query, scanning the destination-ID
-    /// stream **once**, then `epilogue` over each destination partition;
-    /// returns the phase times and the epilogue's per-query totals.
+    /// `ys[q] = ⊕ Aᵀ·xs[q]` for every query, then `epilogue` over each
+    /// destination partition; returns the phase times and the epilogue's
+    /// per-query totals.
     ///
     /// A batch of one runs the solo kernel over the bins' own update
     /// stream (`gather` picks its pointer step; `graph` is what a
     /// [`ScatterKind::CsrTraversal`] scatter reads; neither ablation has
     /// a batched kernel, callers run them one query per round). A wider
-    /// batch is the row-interleaved SpMM: one PNG walk writes a `Q`-wide
-    /// row per compressed edge, each bin segment is decoded once and
-    /// every entry is one `Q`-lane combine into its destination's row,
-    /// each query's output bit-identical to a round of its own. The rows
-    /// are kept for the next round and dropped by a solo round, so the
-    /// widest batch ever run does not stay allocated. Shapes are
-    /// validated by the `Engine`.
+    /// batch is the row-interleaved SpMM, run as consecutive passes of
+    /// at most [`MAX_LANES`] queries, each scanning the destination-ID
+    /// stream **once**: one PNG walk writes a `[T; W]` row per compressed
+    /// edge, each bin segment is decoded once and every entry is one
+    /// `W`-lane combine into its destination's row, each query's output
+    /// bit-identical to a round of its own. The rows are kept for the
+    /// next round and dropped by a solo round, so the widest pass ever
+    /// run does not stay allocated. Shapes are validated by the `Engine`.
     pub(crate) fn round(
         &mut self,
         xs: &[&[A::T]],
@@ -203,11 +206,39 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
         graph: Option<&Csr>,
         epilogue: Option<Epilogue<'_, A::T>>,
     ) -> Result<(PhaseTimings, Vec<f64>), PcpmError> {
+        if xs.len() == 1 {
+            self.rows = Vec::new();
+            return self.pass(xs, ys, scatter, gather, graph, epilogue);
+        }
+        let mut epilogues = epilogue.map(|e| e.split(MAX_LANES));
+        let mut timings = PhaseTimings::default();
+        let mut totals = Vec::with_capacity(xs.len());
+        for (xs, ys) in xs.chunks(MAX_LANES).zip(ys.chunks_mut(MAX_LANES)) {
+            let epilogue = epilogues.as_mut().and_then(Iterator::next);
+            let (t, pass_totals) = self.pass(xs, ys, scatter, gather, graph, epilogue)?;
+            timings += t;
+            totals.extend(pass_totals);
+        }
+        Ok((timings, totals))
+    }
+
+    /// One pass of at most [`MAX_LANES`] queries: the scatter, then the
+    /// gather with the epilogue of these queries. A 1-wide pass scatters
+    /// into the bins' own update stream, a wider one into the kept rows.
+    fn pass(
+        &mut self,
+        xs: &[&[A::T]],
+        ys: &mut [&mut [A::T]],
+        scatter: ScatterKind,
+        gather: GatherKind,
+        graph: Option<&Csr>,
+        epilogue: Option<Epilogue<'_, A::T>>,
+    ) -> Result<(PhaseTimings, Vec<f64>), PcpmError> {
+        let slots = self.png.num_compressed_edges() as usize * xs.len();
         let t0 = crate::telemetry::stopwatch();
         {
             let _span = crate::telemetry::span("scatter");
             if let [x] = xs {
-                self.rows = Vec::new();
                 let updates = F::updates_mut(&mut self.bins);
                 match scatter {
                     ScatterKind::Png => crate::scatter::png_scatter(&self.png, x, updates),
@@ -219,21 +250,24 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
                     }
                 }
             } else {
-                let slots = self.png.num_compressed_edges() as usize * xs.len();
                 if self.rows.len() < slots {
                     // Nothing is carried over: free before growing.
                     self.rows = Vec::new();
+                    self.rows.resize(slots, A::T::default());
                 }
-                // A no-op unless the width changed.
-                self.rows.resize(slots, A::T::default());
-                png_scatter_rows(&self.png, xs, &mut self.rows);
+                let rows = &mut self.rows[..slots];
+                with_lanes!(xs.len(), W => png_scatter_rows::<_, W>(
+                    &self.png,
+                    xs.try_into().expect("one input per lane"),
+                    rows.as_chunks_mut().0,
+                ));
             }
         }
         let scatter_t = t0.elapsed();
         let t1 = crate::telemetry::stopwatch();
         let applied = {
             let _span = crate::telemetry::span("gather");
-            let rows = (xs.len() != 1).then_some((&self.rows[..], xs.len()));
+            let rows = (xs.len() != 1).then(|| (&self.rows[..slots], xs.len()));
             // The branchy ablation measures a per-entry branch, which
             // unrolling would blur: always the plain loop.
             let kernel = match gather {

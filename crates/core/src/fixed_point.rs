@@ -12,7 +12,8 @@
 //! the node's next propagated value *in place*. So the output vector of
 //! one round is the input vector of the next — a query owns two vectors
 //! that swap roles each round, plus its values — and the only sweep over
-//! a vertex array outside the gather is the dangling mass.
+//! a vertex array outside the gather is the dangling mass, one sweep for
+//! up to eight queries.
 //!
 //! Pinned bit for bit: the per-node arithmetic (the `rule`'s expression,
 //! then `new * scale[v]`) and the dangling mass, summed in `f64` over
@@ -31,9 +32,11 @@
 use crate::algebra::PlusF32;
 use crate::backend::Engine;
 use crate::error::PcpmError;
-use crate::gather::Finished;
+use crate::gather::{with_lanes, Finished, MAX_LANES};
 use crate::pr::{PhaseTimings, PrResult};
 use rayon::prelude::*;
+use std::array::from_fn;
+use std::iter::Sum;
 
 /// The loop's parameters; the per-node rule is passed beside them.
 pub struct FixedPoint<'a> {
@@ -51,16 +54,46 @@ pub struct FixedPoint<'a> {
 /// Lanes of the in-partition L1 sum: fixed, so the grouping is too.
 const LANES: usize = 8;
 
-/// Sum of `values` over the dangling nodes. Its reduction order is part
-/// of every score, so it is the parallel iterator's: chunks fixed by the
-/// length alone, left to right. Adding `-0.0` for the other nodes changes
-/// no sum and spares a branch that mispredicts on a skewed graph.
-fn dangling_mass(values: &[f32], scale: &[f32]) -> f64 {
-    values
-        .par_iter()
-        .zip(scale)
-        .map(|(&v, &s)| if s == 0.0 { f64::from(v) } else { -0.0 })
-        .sum()
+/// `W` sums, one per query, added lane by lane exactly as `f64`'s own
+/// `Sum` adds: from its empty sum, left to right.
+struct Masses<const W: usize>([f64; W]);
+
+impl<const W: usize> Sum for Masses<W> {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        let empty = std::iter::empty::<f64>().sum();
+        let add = |Masses(a): Self, Masses(b): Self| Masses(from_fn(|q| a[q] + b[q]));
+        iter.fold(Masses([empty; W]), add)
+    }
+}
+
+/// Each of `W` queries' sum of its `values` over the dangling nodes, in
+/// one parallel pass with one lane per query. Its reduction order is
+/// part of every score, so each lane is reduced as a parallel `f64` sum
+/// over that query's values alone would be: chunks fixed by the length
+/// alone, left to right. Adding `-0.0` for the other nodes changes no
+/// sum and spares a branch that mispredicts on a skewed graph.
+fn dangling_masses<const W: usize>(values: [&[f32]; W], scale: &[f32]) -> [f64; W] {
+    let node = |(v, &s): (usize, &f32)| {
+        // Every lane loads, so the select needs no branch.
+        let lanes: [f32; W] = from_fn(|q| values[q][v]);
+        Masses(lanes.map(|value| if s == 0.0 { f64::from(value) } else { -0.0 }))
+    };
+    let Masses(masses) = scale.par_iter().enumerate().map(node).sum();
+    masses
+}
+
+/// [`dangling_masses`] of every query in `values`, [`MAX_LANES`] per pass.
+fn batch_dangling_masses(values: &[&[f32]], scale: &[f32]) -> Vec<f64> {
+    let mut masses = Vec::with_capacity(values.len());
+    for group in values.chunks(MAX_LANES) {
+        match group {
+            [values] => masses.extend(dangling_masses([*values], scale)),
+            group => with_lanes!(group.len(), W => masses.extend(
+                dangling_masses::<W>(group.try_into().expect("W queries"), scale)
+            )),
+        }
+    }
+    masses
 }
 
 /// One query's share of a finished range: every sum in `y` becomes the
@@ -160,11 +193,15 @@ where
                 break;
             }
             let t0 = crate::telemetry::stopwatch();
-            let rules: Vec<N> = (active.iter())
-                .map(|&q| match spec.dangling {
-                    true => rule(q, dangling_mass(&runs[q].scores, spec.scale)),
-                    false => rule(q, 0.0),
-                })
+            let masses = match spec.dangling {
+                true => {
+                    let values = of_active(runs.iter().map(|r| &r.scores[..]), &active);
+                    batch_dangling_masses(&values, spec.scale)
+                }
+                false => vec![0.0; active.len()],
+            };
+            let rules: Vec<N> = (active.iter().zip(masses))
+                .map(|(&q, mass)| rule(q, mass))
                 .collect();
             timings.apply += t0.elapsed();
 
@@ -173,7 +210,8 @@ where
             let mut values = of_active(runs.iter_mut().map(|r| &mut r.scores[..]), &active);
             let apply = |done: Finished<'_, f32>| {
                 let scale = &spec.scale[done.nodes.clone()];
-                let queries = done.outputs.into_iter().zip(done.state).zip(&rules);
+                let rules = &rules[done.queries];
+                let queries = done.outputs.into_iter().zip(done.state).zip(rules);
                 for (((y, values), rule), partial) in queries.zip(done.partials) {
                     *partial = apply_range(y, values, scale, done.nodes.start, rule);
                 }

@@ -35,7 +35,7 @@ use crate::bins::FixedBins;
 use crate::delta::DeltaPackedBins;
 use crate::engine::GatherKind;
 use crate::error::PcpmError;
-use crate::gather::{gather_any, Applied, EntrySink, Epilogue, Segment, SegmentDecode};
+use crate::gather::{gather_any, Applied, EntrySink, Epilogue, Segment, SegmentDecode, MAX_LANES};
 use crate::kernel::{prefetch, KernelKind};
 use crate::partition::Partitioner;
 use crate::png::{build_layout, EdgeView, Png, RunEncoder};
@@ -159,8 +159,9 @@ pub trait BinFormat: Send + Sync + 'static {
     /// Every gather of this format; the three methods below are its
     /// no-epilogue cases. Solo over the bins' own update stream when
     /// `rows` is `None` (then `variant` picks Algorithm 4's or
-    /// Algorithm 2's pointer step); otherwise over `(rows, Q)`, the
-    /// `|E'| × Q` update rows of a batch, lane `q` into `ys[q]`.
+    /// Algorithm 2's pointer step); otherwise over `(rows, W)`, the
+    /// `|E'| × W` update rows of one pass of `W ≤ 8` queries, lane `q`
+    /// into `ys[q]`.
     /// `epilogue` runs over each destination partition as it completes.
     fn gather_with<A: Algebra>(
         png: &Png,
@@ -188,15 +189,16 @@ pub trait BinFormat: Send + Sync + 'static {
     }
 
     /// One multi-query gather round (the SpMM inner loop): decodes each
-    /// destination-ID segment **once** and applies every entry to all
-    /// `Q` queries with one `Q`-lane combine, so the dest-stream bytes,
-    /// the decode and the destination's cache line are paid once per
-    /// batch. `updates[q]` must share the layout
-    /// [`BinFormat::scatter_into`] writes; each query's output is
-    /// bit-identical to a solo [`BinFormat::gather_from`] over the same
-    /// update stream. The convenience entry: it first interleaves the
-    /// `Q` arrays into the rows [`BinFormat::gather_with`] reads, a pass
-    /// a round that scatters straight into rows never makes.
+    /// destination-ID segment **once** per pass of at most eight queries
+    /// and applies every entry to the pass's queries with one row
+    /// combine, so the dest-stream bytes, the decode and the
+    /// destination's cache line are paid once per pass. `updates[q]`
+    /// must share the layout [`BinFormat::scatter_into`] writes; each
+    /// query's output is bit-identical to a solo
+    /// [`BinFormat::gather_from`] over the same update stream. The
+    /// convenience entry: it first interleaves each pass's arrays into
+    /// the rows [`BinFormat::gather_with`] reads, a copy a round that
+    /// scatters straight into rows never makes.
     fn gather_many_from<A: Algebra>(
         png: &Png,
         bins: &Self::Bins<A::T>,
@@ -209,16 +211,16 @@ pub trait BinFormat: Send + Sync + 'static {
         for us in updates {
             assert_eq!(us.len(), slots, "update stream length");
         }
-        if updates.is_empty() {
-            return;
-        }
-        let mut rows = Vec::with_capacity(slots * updates.len());
-        for i in 0..slots {
-            rows.extend(updates.iter().map(|us| us[i]));
-        }
         let variant = GatherKind::BranchAvoiding;
-        let rows = Some((&rows[..], updates.len()));
-        Self::gather_with::<A>(png, bins, rows, ys, kernel, variant, None);
+        let mut rows = Vec::new();
+        for (updates, ys) in updates.chunks(MAX_LANES).zip(ys.chunks_mut(MAX_LANES)) {
+            rows.clear();
+            for i in 0..slots {
+                rows.extend(updates.iter().map(|us| us[i]));
+            }
+            let rows = Some((&rows[..], updates.len()));
+            Self::gather_with::<A>(png, bins, rows, ys, kernel, variant, None);
+        }
     }
 
     /// The branchy-gather ablation (Algorithm 2). Only the wide format

@@ -16,11 +16,17 @@
 //!   split-stream entries in [`crate::delta`]).
 //! - `Apply` — the loop itself, generic over the [`Accumulator`]
 //!   ([`Solo`]: one output over the bins' own update stream; [`Rows`]:
-//!   `Q` outputs over `Q`-wide update rows, so the destination bytes are
-//!   decoded once per batch and a decoded destination is one `Q`-lane
+//!   `W` outputs over `[T; W]` update rows, so the destination bytes are
+//!   decoded once per pass and a decoded destination is one `W`-lane
 //!   access), the weight source and the [`Advance`] policy
 //!   ([`BranchAvoiding`], or [`Branchy`] — Algorithm 2's
 //!   `if MSB(id) != 0 { pop update }`, kept for the ablation benches).
+//!
+//! The row width `W` is a compile-time constant, 2 to [`MAX_LANES`]:
+//! [`gather_any`] picks the monomorph with one `match` on the pass width
+//! ([`with_lanes`]), so the inner loop does no width arithmetic and over
+//! `f32` at `W = 8` a row is one 256-bit load, add and store. A batch
+//! wider than [`MAX_LANES`] is the caller's to split into passes.
 //!
 //! Entries are applied in bin order on every path, each lane of a row on
 //! its own, so output is bit-identical across formats, kernels and batch
@@ -50,10 +56,17 @@ use std::ops::Range;
 use std::time::Duration;
 
 /// One destination range whose sums are final, as an [`Epilogue`]'s
-/// closure receives it. Every slice spans exactly [`Finished::nodes`].
+/// closure receives it, for the queries of one pass. Every slice spans
+/// exactly [`Finished::nodes`]; `outputs`, `state` and `partials` hold
+/// one entry per query of [`Finished::queries`], in order.
 pub struct Finished<'a, T> {
     /// The destination nodes the slices cover.
     pub nodes: Range<usize>,
+    /// The positions of the pass's queries in the batch the caller
+    /// handed over: a batch of more than eight queries runs as passes of
+    /// at most eight, so the closure sees each range once per pass, each
+    /// time for the next slice of the batch.
+    pub queries: Range<usize>,
     /// Each query's gathered values; what the closure leaves here is what
     /// the caller's output vector holds afterwards.
     pub outputs: Vec<&'a mut [T]>,
@@ -73,8 +86,34 @@ pub struct Epilogue<'a, T> {
     /// The engine's destination-partition lengths, for a dataplane
     /// that has no partitions of its own to apply over.
     pub(crate) lens: &'a [usize],
+    /// The batch positions of the queries `state` belongs to.
+    pub(crate) queries: Range<usize>,
     pub(crate) state: Vec<&'a mut [T]>,
     pub(crate) apply: &'a ApplyFn<'a, T>,
+}
+
+impl<'a, T> Epilogue<'a, T> {
+    /// The epilogue of each pass of at most `lanes` queries, in order.
+    pub(crate) fn split(self, lanes: usize) -> impl Iterator<Item = Self> {
+        let Self {
+            lens,
+            queries,
+            state,
+            apply,
+        } = self;
+        let mut state = state.into_iter();
+        let end = queries.end;
+        queries.step_by(lanes).map(move |lo| {
+            let hi = end.min(lo + lanes);
+            let state = state.by_ref().take(hi - lo).collect();
+            Self {
+                lens,
+                queries: lo..hi,
+                state,
+                apply,
+            }
+        })
+    }
 }
 
 /// What an [`Epilogue`] produced: per query, the ranges' partials summed
@@ -268,76 +307,102 @@ impl<'a, A: Algebra> Accumulator<'a, A> for Solo<'a, A::T> {
     }
 }
 
-/// Width `Q`: the multi-query gather (the SpMM inner loop). The updates
-/// are rows `[entry][Q]` ([`crate::scatter::png_scatter_rows`]) and so
-/// are the partition's accumulators, `[node][Q]`: a decoded destination
-/// is one contiguous `Q`-lane combine into one cache-resident row, each
-/// lane in the solo order. The accumulators are scratch of `Q ×` the
-/// partition's bytes, one live per worker, never `n × Q`; `finish`
-/// transposes them, still cached, into the caller's per-query slices.
-pub(crate) struct Rows<'a, T> {
-    rows: &'a [T],
+/// Lanes one row pass carries at most; a wider batch runs as
+/// consecutive passes. Eight `f32` lanes are one 256-bit row.
+pub(crate) const MAX_LANES: usize = 8;
+
+/// Runs `$body` with `$W` bound to the row width `$width` as a constant,
+/// 2 to [`MAX_LANES`]: the one `match` that picks a row kernel's
+/// monomorph for a pass.
+macro_rules! with_lanes {
+    ($width:expr, $W:ident => $body:expr) => {
+        match $width {
+            2 => {
+                const $W: usize = 2;
+                $body
+            }
+            3 => {
+                const $W: usize = 3;
+                $body
+            }
+            4 => {
+                const $W: usize = 4;
+                $body
+            }
+            5 => {
+                const $W: usize = 5;
+                $body
+            }
+            6 => {
+                const $W: usize = 6;
+                $body
+            }
+            7 => {
+                const $W: usize = 7;
+                $body
+            }
+            8 => {
+                const $W: usize = 8;
+                $body
+            }
+            width => unreachable!("a row pass carries 2 to 8 lanes, not {width}"),
+        }
+    };
+}
+pub(crate) use with_lanes;
+
+/// Width `W`: the multi-query gather (the SpMM inner loop). The updates
+/// are `[T; W]` rows, one per compressed edge
+/// ([`crate::scatter::png_scatter_rows`]), and so are the partition's
+/// accumulators, one per node: a decoded destination adds one update row
+/// into one cache-resident accumulator row, each lane in the solo order.
+/// The accumulators are scratch of `W ×` the partition's bytes, one live
+/// per worker, never `n × W`; `finish` transposes them, still cached,
+/// into the caller's per-query slices.
+pub(crate) struct Rows<'a, T, const W: usize> {
+    rows: &'a [[T; W]],
     /// The current segment's rows.
-    seg: &'a [T],
-    acc: Vec<T>,
-    /// One slice per lane: their count is the row width.
+    seg: &'a [[T; W]],
+    acc: Vec<[T; W]>,
+    /// One slice per lane.
     ys: Vec<&'a mut [T]>,
 }
 
-impl<'a, A: Algebra> Accumulator<'a, A> for Rows<'a, A::T> {
+impl<'a, A: Algebra, const W: usize> Accumulator<'a, A> for Rows<'a, A::T, W> {
     const UNROLL: bool = false;
 
     fn new(updates: &'a [&'a [A::T]], ys: Vec<&'a mut [A::T]>) -> Self {
-        let lanes: usize = ys.iter().map(|y| y.len()).sum();
+        assert_eq!(ys.len(), W, "one output per lane");
+        let nodes = ys.first().map_or(0, |y| y.len());
         Self {
-            rows: updates[0],
+            rows: updates[0].as_chunks().0,
             seg: &[],
-            acc: vec![A::identity(); lanes],
+            acc: vec![[A::identity(); W]; nodes],
             ys,
         }
     }
 
     #[inline]
     fn seek(&mut self, upd: Range<usize>) {
-        let width = self.ys.len();
-        self.seg = &self.rows[upd.start * width..upd.end * width];
+        self.seg = &self.rows[upd];
     }
 
     #[inline(always)]
-    fn add<W: Weight>(&mut self, local: usize, up: usize, w: W) {
-        let width = self.ys.len();
-        let row = &self.seg[up * width..][..width];
-        let acc = &mut self.acc[local * width..][..width];
-        let (acc, row) = combine_lanes::<A, W, 8>(acc, row, w);
-        let (acc, row) = combine_lanes::<A, W, 4>(acc, row, w);
-        combine_lanes::<A, W, 1>(acc, row, w);
+    fn add<Wt: Weight>(&mut self, local: usize, up: usize, w: Wt) {
+        let row = &self.seg[up];
+        let acc = &mut self.acc[local];
+        *acc = std::array::from_fn(|i| A::combine(acc[i], w.extend::<A>(row[i])));
     }
 
     fn finish(self) -> Vec<&'a mut [A::T]> {
         let Self { acc, mut ys, .. } = self;
-        for (v, row) in acc.chunks_exact(ys.len()).enumerate() {
+        for (v, row) in acc.iter().enumerate() {
             for (y, &sum) in ys.iter_mut().zip(row) {
                 y[v] = sum;
             }
         }
         ys
     }
-}
-
-/// `acc[i] ⊕= w ⊗ row[i]` over the leading whole blocks of `N` lanes;
-/// returns the rest of both. A block has a compile-time length, so
-/// `N = 8` over `f32` is one 256-bit load, add and store.
-#[inline(always)]
-fn combine_lanes<'s, A: Algebra, W: Weight, const N: usize>(
-    acc: &'s mut [A::T],
-    row: &'s [A::T],
-    w: W,
-) -> (&'s mut [A::T], &'s [A::T]) {
-    let ((acc_n, acc), (row_n, row)) = (acc.as_chunks_mut::<N>(), row.as_chunks::<N>());
-    for (acc, row) in acc_n.iter_mut().zip(row_n) {
-        *acc = std::array::from_fn(|i| A::combine(acc[i], w.extend::<A>(row[i])));
-    }
-    (acc, row)
 }
 
 /// The apply loop of one segment: every entry advances the update
@@ -469,7 +534,10 @@ pub(crate) fn apply_parts<'a, T: Send + Sync>(
 ) -> Applied {
     let ys_parts = split_queries_by_parts(ys, lens);
     let Some(Epilogue {
-        mut state, apply, ..
+        queries,
+        mut state,
+        apply,
+        ..
     }) = epilogue
     else {
         ys_parts.into_par_iter().enumerate().for_each(|(p, ys_p)| {
@@ -493,6 +561,7 @@ pub(crate) fn apply_parts<'a, T: Send + Sync>(
             let t0 = crate::telemetry::stopwatch();
             apply(Finished {
                 nodes: starts[p]..starts[p] + lens[p],
+                queries: queries.clone(),
                 outputs,
                 state: state_p,
                 partials: partials_p,
@@ -564,8 +633,10 @@ where
 
 /// Every gather a bin format offers, over its destination stream `dest`:
 /// solo over the bins' `own` update stream (`variant` picks the pointer
-/// step), or over `rows` of the given width, one lane per output. Panics
-/// unless the updates hold one value per compressed edge and output.
+/// step), or over `rows` of the given width, one lane per output and at
+/// most [`MAX_LANES`] of them; a 1-wide row is an update stream, gathered
+/// solo. Panics unless the updates hold one value per compressed edge
+/// and output.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gather_any<A: Algebra, D: SegmentDecode + ?Sized>(
     png: &Png,
@@ -580,19 +651,23 @@ pub(crate) fn gather_any<A: Algebra, D: SegmentDecode + ?Sized>(
 ) -> Applied {
     let (updates, width) = rows.unwrap_or((own, 1));
     assert_eq!(width, ys.len(), "one lane per output");
+    assert!(
+        (1..=MAX_LANES).contains(&width),
+        "a pass carries 1 to {MAX_LANES} lanes"
+    );
     let slots = png.num_compressed_edges() * width as u64;
     assert_eq!(updates.len() as u64, slots, "update stream length");
     let updates = &[updates][..];
-    match (rows, variant) {
-        (Some(_), _) => gather::<A, D, Rows<A::T>, BranchAvoiding>(
+    match (width, variant) {
+        (1, GatherKind::BranchAvoiding) => gather::<A, D, Solo<A::T>, BranchAvoiding>(
             png, dest, weights, updates, ys, kernel, epilogue,
         ),
-        (None, GatherKind::BranchAvoiding) => gather::<A, D, Solo<A::T>, BranchAvoiding>(
-            png, dest, weights, updates, ys, kernel, epilogue,
-        ),
-        (None, GatherKind::Branchy) => {
+        (1, GatherKind::Branchy) => {
             gather::<A, D, Solo<A::T>, Branchy>(png, dest, weights, updates, ys, kernel, epilogue)
         }
+        (width, _) => with_lanes!(width, W => gather::<A, D, Rows<A::T, W>, BranchAvoiding>(
+            png, dest, weights, updates, ys, kernel, epilogue,
+        )),
     }
 }
 
@@ -632,9 +707,10 @@ mod tests {
     }
 
     /// Runs every gather path of format `F` — each kernel solo (Q = 1)
-    /// and batched (Q = `xs.len()`, from separate streams and from
-    /// scattered rows), plus the branchy ablation where the format has
-    /// one — and checks every output against `want`. Outputs start as
+    /// and batched (Q = `xs.len()` from separate streams, and from
+    /// scattered rows in passes of at most [`MAX_LANES`]), plus the
+    /// branchy ablation where the format has one — and checks every
+    /// output against `want`. Outputs start as
     /// `stale` garbage: the gather must overwrite, not accumulate.
     fn check_format<A: Algebra, F: BinFormat>(
         g: &Csr,
@@ -655,7 +731,7 @@ mod tests {
                 F::gather_from::<A>(png, &bins, &mut y, kernel);
                 assert_eq!(&y, want, "{}", label(&format!("solo {kernel}")));
                 let want = std::slice::from_ref(want);
-                check_epilogue::<A, F>(png, &bins, None, want, kernel, stale);
+                check_epilogue::<A, F>(png, &bins, None, 0..1, want, kernel, stale);
             }
             let mut y = vec![stale; n];
             match F::gather_branchy_from::<A>(png, &bins, &mut y) {
@@ -672,15 +748,30 @@ mod tests {
             })
             .collect();
         let updates: Vec<&[A::T]> = scattered.iter().map(Vec::as_slice).collect();
-        let x_refs: Vec<&[A::T]> = xs.iter().map(Vec::as_slice).collect();
-        let mut rows = vec![stale; scattered.iter().map(Vec::len).sum()];
-        png_scatter_rows(png, &x_refs, &mut rows);
         for kernel in KERNELS {
             let mut ys = vec![vec![stale; n]; width];
             let mut outs: Vec<&mut [A::T]> = ys.iter_mut().map(Vec::as_mut_slice).collect();
             F::gather_many_from::<A>(png, &bins, &updates, &mut outs, kernel);
             assert_eq!(&ys[..], want, "{}", label(&format!("many {kernel}")));
-            check_epilogue::<A, F>(png, &bins, Some((&rows, width)), want, kernel, stale);
+        }
+        // The engine's passes: at most `MAX_LANES` queries each, scattered
+        // into rows as a round scatters them.
+        for lo in (0..width).step_by(MAX_LANES) {
+            let queries = lo..width.min(lo + MAX_LANES);
+            let x_refs: Vec<&[A::T]> = xs[queries.clone()].iter().map(Vec::as_slice).collect();
+            let mut rows = vec![stale; png.num_compressed_edges() as usize * x_refs.len()];
+            match &x_refs[..] {
+                [x] => png_scatter(png, x, &mut rows),
+                x_refs => with_lanes!(x_refs.len(), W => png_scatter_rows::<_, W>(
+                    png,
+                    x_refs.try_into().unwrap(),
+                    rows.as_chunks_mut().0,
+                )),
+            }
+            let rows = Some((&rows[..], x_refs.len()));
+            for kernel in KERNELS {
+                check_epilogue::<A, F>(png, &bins, rows, queries.clone(), want, kernel, stale);
+            }
         }
     }
 
@@ -688,21 +779,26 @@ mod tests {
     /// state: the closure must find each range's sums final (so the
     /// poison was overwritten first), see ranges that tile `0..n` — every
     /// node exactly once — and have what it writes into the outputs,
-    /// the state and the partials reach the caller.
+    /// the state and the partials reach the caller. `queries` are the
+    /// batch positions of the pass, which `want` holds the sums of the
+    /// whole batch for.
     fn check_epilogue<A: Algebra, F: BinFormat>(
         png: &Png,
         bins: &F::Bins<A::T>,
         rows: Option<(&[A::T], usize)>,
+        queries: Range<usize>,
         want: &[Vec<A::T>],
         kernel: KernelKind,
         stale: A::T,
     ) {
         let n = png.dst_parts().num_nodes() as usize;
+        let want = &want[queries.clone()];
         let mut ys = vec![vec![stale; n]; want.len()];
         let mut state = ys.clone();
         let seen = std::sync::Mutex::new(Vec::new());
         let apply = |done: Finished<'_, A::T>| {
             seen.lock().unwrap().push(done.nodes.clone());
+            assert_eq!(done.queries, queries);
             let queries = done.outputs.into_iter().zip(done.state).zip(want);
             for (((y, state), want), partial) in queries.zip(done.partials) {
                 assert_eq!(*y, want[done.nodes.clone()], "sums of {:?}", done.nodes);
@@ -713,6 +809,7 @@ mod tests {
         };
         let epilogue = Epilogue {
             lens: &[],
+            queries: queries.clone(),
             state: state.iter_mut().map(Vec::as_mut_slice).collect(),
             apply: &apply,
         };
@@ -780,12 +877,15 @@ mod tests {
 
     #[test]
     fn every_batch_width_below_on_and_past_the_lane_blocks() {
-        // 300 nodes in 64-node partitions leave an uneven last one;
-        // q = n is k = 1. MinLabel's identity is not `default()`, so the
-        // accumulator rows must be reset to the algebra's own.
+        // Every row width from 1 to `MAX_LANES` (each a monomorph of its
+        // own), and batches of 9, 16 and 17 that split at 8 (their last
+        // passes are 1, 8 and 1 lanes wide). 300 nodes in 64-node partitions leave an uneven
+        // last one; q = n is k = 1. MinLabel's identity is not
+        // `default()`, so the accumulator rows must be reset to the
+        // algebra's own.
         let g = erdos_renyi(300, 2400, 9).unwrap();
         let empty = Csr::from_edges(0, &[]).unwrap();
-        for width in [1, 2, 3, 4, 8, 9, 17] {
+        for width in (1..=9).chain([16, 17]) {
             for q in [64, 300] {
                 check_layout::<PlusF32>(&g, q, &real_inputs(300, width), 99.0);
                 check_layout::<MinLabel>(&g, q, &label_inputs(300, width), 0);

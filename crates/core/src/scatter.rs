@@ -6,8 +6,9 @@
 //!   PNG rows of each source partition, streaming updates to one
 //!   destination bin at a time. No data-dependent branches, no unused-edge
 //!   reads, at most `k` bin switches per partition.
-//! - [`png_scatter_rows`] — Algorithm 3 for a batch of `Q` queries: the
-//!   same single walk, writing one `Q`-wide row per compressed edge.
+//! - [`png_scatter_rows`] — Algorithm 3 for a pass of `W` queries (a
+//!   compile-time width, at most eight on the engine's path): the same
+//!   single walk, writing one `[T; W]` row per compressed edge.
 //! - [`csr_scatter`] — Algorithm 2, the pre-PNG ablation: traverse the
 //!   original CSR, compare each neighbor's partition with the previous one
 //!   and emit an update on every partition switch. Reads all `m` edges and
@@ -55,39 +56,33 @@ pub fn png_scatter<T: Copy + Send + Sync>(png: &Png, x: &[T], updates: &mut [T])
     });
 }
 
-/// Algorithm 3 for a batch: one walk of the PNG for all `Q = xs.len()`
-/// queries, writing one row `[xs[0][u], …, xs[Q-1][u]]` per compressed
+/// Algorithm 3 for a pass of `W` queries: one walk of the PNG for all
+/// of `xs`, writing the row `[xs[0][u], …, xs[W-1][u]]` per compressed
 /// edge `u → bin`, in the slot order [`png_scatter`] fills — the layout
-/// the multi-query gather reads. The `Q` reads of a row are `Q` ascending
-/// streams, so no `[node][Q]` copy of the inputs is made.
+/// the multi-query gather reads. Each row is written as one `[T; W]`
+/// array; the `W` reads of a row are `W` ascending streams, so no
+/// `[node][W]` copy of the inputs is made.
 ///
 /// # Panics
 ///
-/// Panics unless `rows` holds `|E'| × Q` values and every input spans the
-/// source nodes.
-pub fn png_scatter_rows<T: Copy + Send + Sync>(png: &Png, xs: &[&[T]], rows: &mut [T]) {
-    let width = xs.len();
-    assert_eq!(
-        rows.len() as u64,
-        png.num_compressed_edges() * width as u64,
-        "rows length"
-    );
+/// Panics unless `rows` holds one row per compressed edge and every
+/// input spans the source nodes.
+pub fn png_scatter_rows<T: Copy + Send + Sync, const W: usize>(
+    png: &Png,
+    xs: &[&[T]; W],
+    rows: &mut [[T; W]],
+) {
+    assert_eq!(rows.len() as u64, png.num_compressed_edges(), "rows length");
     let num_src = png.src_parts().num_nodes() as usize;
     assert!(xs.iter().all(|x| x.len() >= num_src), "x too short");
-    if width == 0 {
-        return;
-    }
-    let mut lens = png.upd_region_lens();
-    lens.iter_mut().for_each(|len| *len *= width);
+    let lens = png.upd_region_lens();
     let regions = split_by_lens(rows, &lens);
     regions.into_par_iter().enumerate().for_each(|(s, region)| {
         let part = png.part(s as u32);
-        let mut slots = region.chunks_exact_mut(width);
+        let mut slots = region.iter_mut();
         for p in png.dst_parts().iter() {
             for (&u, row) in part.row(p).iter().zip(&mut slots) {
-                for (slot, x) in row.iter_mut().zip(xs) {
-                    *slot = x[u as usize];
-                }
+                *row = std::array::from_fn(|q| xs[q][u as usize]);
             }
         }
     });
@@ -190,30 +185,36 @@ mod tests {
         }
     }
 
+    /// Scatters `W` inputs into rows and checks that lane `q` of the rows
+    /// is the solo scatter of input `q`.
+    fn check_rows<const W: usize>(g: &Csr, png: &Png) {
+        let slots = png.num_compressed_edges() as usize;
+        let xs: [Vec<f32>; W] = std::array::from_fn(|q| {
+            (0..g.num_nodes())
+                .map(|v| (v + 7 * q as u32) as f32)
+                .collect()
+        });
+        let mut rows = vec![[-1.0f32; W]; slots];
+        png_scatter_rows(png, &xs.each_ref().map(Vec::as_slice), &mut rows);
+        for (q, x) in xs.iter().enumerate() {
+            let mut solo = vec![0.0f32; slots];
+            png_scatter(png, x, &mut solo);
+            let lane: Vec<f32> = rows.iter().map(|row| row[q]).collect();
+            assert_eq!(lane, solo, "width {W} lane {q}");
+        }
+    }
+
     #[test]
     fn row_scatter_interleaves_the_solo_streams() {
         let g = pcpm_graph::gen::rmat(&pcpm_graph::gen::RmatConfig::graph500(9, 8, 33)).unwrap();
         let parts = Partitioner::new(g.num_nodes(), 100).unwrap();
         let png = Png::build(EdgeView::from_csr(&g), parts, parts);
-        let slots = png.num_compressed_edges() as usize;
-        for width in [0usize, 1, 3, 8] {
-            let xs: Vec<Vec<f32>> = (0..width)
-                .map(|q| {
-                    (0..g.num_nodes())
-                        .map(|v| (v + 7 * q as u32) as f32)
-                        .collect()
-                })
-                .collect();
-            let x_refs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
-            let mut rows = vec![-1.0f32; slots * width];
-            png_scatter_rows(&png, &x_refs, &mut rows);
-            for (q, x) in xs.iter().enumerate() {
-                let mut solo = vec![0.0f32; slots];
-                png_scatter(&png, x, &mut solo);
-                let lane: Vec<f32> = rows.iter().skip(q).step_by(width).copied().collect();
-                assert_eq!(lane, solo, "width {width} lane {q}");
-            }
-        }
+        check_rows::<0>(&g, &png);
+        check_rows::<1>(&g, &png);
+        check_rows::<2>(&g, &png);
+        check_rows::<3>(&g, &png);
+        check_rows::<5>(&g, &png);
+        check_rows::<8>(&g, &png);
     }
 
     #[test]

@@ -28,19 +28,20 @@
 //!
 //! | counter | meaning | recorded by |
 //! | --- | --- | --- |
-//! | `dest_stream_bytes_read` | bytes of the destID bin stream scanned by gather passes | one add per gather |
-//! | `bins_decoded` | per-partition bin streams decoded by gather passes | one add per gather (`k`) |
-//! | `varint_decodes` | delta values decoded, one per raw edge (delta format only) | one add per gather |
-//! | `scatter_ns` / `gather_ns` | wall-clock of the two PCPM phases | one add per step |
+//! | `dest_stream_bytes_read` | bytes of the destID bin stream scanned by gather passes | one add per gather pass |
+//! | `bins_decoded` | per-partition bin streams decoded by gather passes | one add per gather pass (`k`) |
+//! | `varint_decodes` | delta values decoded, one per raw edge (delta format only) | one add per gather pass |
+//! | `scatter_ns` / `gather_ns` | wall-clock of the two PCPM phases | one add per pass |
 //! | `pool_jobs_dispatched` | rayon-shim jobs dispatched while inside `Engine::step` | one add per step |
-//! | `batched_passes` | multi-query (SpMM) passes executed | one add per `Engine::step_many` |
+//! | `batched_passes` | multi-query (SpMM) passes executed, at most 8 queries each | one add per `Engine::step_many` (`⌈Q / 8⌉`) |
 //! | `batched_queries` | query vectors served by those passes | one add per `Engine::step_many` (`Q`) |
-//! | `gather_scalar_ns` / `gather_unrolled_ns` | gather wall-clock split by the kernel variant that ran | one add per step |
+//! | `gather_scalar_ns` / `gather_unrolled_ns` | gather wall-clock split by the kernel variant that ran | one add per pass |
 //!
-//! The batched pair is the amortization measurement: a batched pass
-//! records `dest_stream_bytes_read` **once** however many query vectors
-//! it carries, so `dest_stream_bytes_read / batched_passes` staying flat
-//! as `batched_queries / batched_passes` grows is the multi-query win
+//! The batched pair is the amortization measurement: a batch of `Q`
+//! runs as `⌈Q / 8⌉` passes, and each records `dest_stream_bytes_read`
+//! **once** however many query vectors (at most eight) it carries, so
+//! `dest_stream_bytes_read / batched_passes` staying flat as
+//! `batched_queries / batched_passes` grows to 8 is the multi-query win
 //! made observable.
 //!
 //! # Span taxonomy
@@ -55,8 +56,8 @@
 //! | `prepare` | PNG build + bin construction + kernel resolution | `Engine::prepare` |
 //! | `build.count` | the count walk of a layout build: every `(s, p)` segment's compressed edges, raw edges and stream units (inside `prepare` on the engine path) | `png::build_layout` |
 //! | `build.fill` | the fill walk of a layout build: PNG rows, destination stream and weights (inside `prepare` on the engine path) | `png::build_layout` |
-//! | `scatter` | the PCPM scatter phase of one round, whatever its width (the enclosing `step` / `step_many` span tells) | `FormatPipeline::round` |
-//! | `gather` | the PCPM gather phase of one round, the in-partition apply included | `FormatPipeline::round` |
+//! | `scatter` | the PCPM scatter phase of one pass, whatever its width (the enclosing `step` / `step_many` span tells; a `step_many` wider than 8 holds one per pass) | `FormatPipeline::pass` |
+//! | `gather` | the PCPM gather phase of one pass, the in-partition apply included | `FormatPipeline::pass` |
 //! | `step` | one backend-dispatched SpMV step (arg: step index) | `Engine::step` |
 //! | `step_many` | one backend-dispatched SpMM pass (arg: batch width) | `Engine::step_many` |
 //! | `update` | one update batch: the dataplane rebuilt over the post-update graph (arg: batch length) | `Engine::update` |

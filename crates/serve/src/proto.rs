@@ -64,7 +64,8 @@
 //! `personalized_pagerank` requests that are in flight on several
 //! workers at once and share the same `(engine, QueryParams)` key may
 //! be **coalesced** server-side into one batched engine pass (one scan
-//! of the destID bin stream per power iteration for the whole batch).
+//! of the destID bin stream per power iteration for every eight queries
+//! of the batch).
 //! This is invisible on the wire: it needs no protocol support, every
 //! request still receives its own `ranks` response, and the batched
 //! solver is bit-identical to the sequential one, so the scores,

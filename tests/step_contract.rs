@@ -19,7 +19,8 @@
 //! next, whatever the sequence of widths; the two ablation engines run a
 //! batch one query per round; and a batch run through the one driver
 //! gives every query the scores and the iteration count it gets alone,
-//! also while the batch narrows from eight lanes to one.
+//! also while the batch narrows from eight lanes to one, and from
+//! seventeen queries (passes of 8, 8 and 1) down across the split.
 
 use pcpm::core::algebra::{MinLabel, PlusF32};
 use pcpm::core::engine::{GatherKind, ScatterKind};
@@ -173,9 +174,11 @@ fn epilogue_engines(g: &Csr, partition_bytes: usize, threads: usize) -> Vec<Engi
 /// Runs one `step_many_with` of width `width` over poisoned outputs and
 /// state. The closure checks that each range it is handed already holds
 /// the final sums, moves them into the state and leaves `-1` behind, so
-/// afterwards: the ranges tile `0..n` in `partition_nodes` steps (every
-/// node exactly once), the state equals a plain `step`, the outputs are
-/// what the closure wrote, and each query's total is the node count.
+/// afterwards: for every query the ranges tile `0..n` in
+/// `partition_nodes` steps (every node exactly once, also when a batch
+/// wider than eight runs as passes), the state equals a plain `step`,
+/// the outputs are what the closure wrote, and each query's total is the
+/// node count.
 fn assert_epilogue_contract(engine: &mut Engine<PlusF32>, partition_nodes: usize, width: usize) {
     let n = engine.num_dst() as usize;
     let m = engine.metrics();
@@ -192,10 +195,12 @@ fn assert_epilogue_contract(engine: &mut Engine<PlusF32>, partition_nodes: usize
         .collect();
     let mut ys = vec![vec![f32::NAN; n]; width];
     let mut state = ys.clone();
-    let seen: Mutex<Vec<Range<usize>>> = Mutex::new(Vec::new());
+    let seen: Mutex<Vec<(usize, Range<usize>)>> = Mutex::new(Vec::new());
     let apply = |done: Finished<'_, f32>| {
-        seen.lock().unwrap().push(done.nodes.clone());
-        let queries = done.outputs.into_iter().zip(done.state).zip(&want);
+        let ranges = done.queries.clone().map(|q| (q, done.nodes.clone()));
+        seen.lock().unwrap().extend(ranges);
+        let want = &want[done.queries];
+        let queries = done.outputs.into_iter().zip(done.state).zip(want);
         for (((y, state), want), partial) in queries.zip(done.partials) {
             assert_eq!(
                 *y,
@@ -215,10 +220,10 @@ fn assert_epilogue_contract(engine: &mut Engine<PlusF32>, partition_nodes: usize
         .step_many_with(&x_refs, &mut y_refs, &mut state_refs, &apply)
         .unwrap();
     let mut seen = seen.into_inner().unwrap();
-    seen.sort_by_key(|r| r.start);
-    let tiles: Vec<Range<usize>> = (0..n)
-        .step_by(partition_nodes)
-        .map(|lo| lo..n.min(lo + partition_nodes))
+    seen.sort_by_key(|(q, r)| (*q, r.start));
+    let tiles: Vec<(usize, Range<usize>)> = (0..width)
+        .flat_map(|q| (0..n).step_by(partition_nodes).map(move |lo| (q, lo)))
+        .map(|(q, lo)| (q, lo..n.min(lo + partition_nodes)))
         .collect();
     assert_eq!(seen, tiles, "{name}");
     assert_eq!(state, want, "{name}");
@@ -235,7 +240,8 @@ fn the_epilogue_sees_every_node_once_after_its_sums_are_final() {
     for (g, partition_bytes) in [(&rmat, 64 * 4), (&rmat, 512 * 4), (&empty, 64 * 4)] {
         for threads in [1, 2, 4] {
             for mut engine in epilogue_engines(g, partition_bytes, threads) {
-                for width in [1, 3] {
+                // Nine queries run as passes of eight and one.
+                for width in [1, 3, 9] {
                     assert_epilogue_contract(&mut engine, partition_bytes / 4, width);
                 }
             }
@@ -407,6 +413,21 @@ fn a_batch_gives_every_query_its_solo_scores_and_iteration_count() {
     let iterations = batch_equals_solos(&g, &seed_sets);
     assert!(
         iterations.len() > 1,
+        "queries froze together: {iterations:?}"
+    );
+}
+
+#[test]
+fn a_batch_split_at_eight_lanes_equals_its_solos_while_it_narrows() {
+    // Seventeen single-seed queries: the first rounds run as passes of
+    // 8, 8 and 1 lanes, and as queries freeze the batch narrows across
+    // the split at 8 (17, 16, 9 and 8 wide are all passes of their own).
+    let g = pcpm::graph::gen::rmat(&RmatConfig::graph500(8, 8, 77)).unwrap();
+    let seeds = [31, 4, 0, 7, 15, 79, 94, 139, 1, 2, 3, 5, 6, 9, 12, 40, 200];
+    let seed_sets: Vec<Vec<u32>> = seeds.map(|s| vec![s]).to_vec();
+    let iterations = batch_equals_solos(&g, &seed_sets);
+    assert!(
+        iterations.len() > 2,
         "queries froze together: {iterations:?}"
     );
 }

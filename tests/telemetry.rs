@@ -94,6 +94,41 @@ fn counters_record_all_formats_and_disabled_path_stays_silent() {
 }
 
 #[test]
+fn a_batch_wider_than_eight_counts_one_scan_per_pass() {
+    // Nine queries run as a pass of eight lanes and a pass of one: two
+    // scans of the destination stream, two batched passes, nine queries.
+    let _guard = lock_registry();
+    let graph = test_graph();
+    let tm = telemetry::counters();
+    for format in BinFormatKind::ALL {
+        let mut engine = Engine::<PlusF32>::builder(&graph)
+            .config(cfg(format))
+            .build()
+            .unwrap();
+        let n = graph.num_nodes() as usize;
+        let xs: Vec<Vec<f32>> = (0..9).map(|q| vec![q as f32; n]).collect();
+        let x_refs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
+        let mut ys = vec![vec![0.0f32; n]; 9];
+        let mut y_refs: Vec<&mut [f32]> = ys.iter_mut().map(Vec::as_mut_slice).collect();
+        tm.set_enabled(true);
+        tm.reset();
+        engine.step_many(&x_refs, &mut y_refs).unwrap();
+        tm.set_enabled(false);
+        let snap = tm.snapshot();
+        let report = engine.report();
+        let per_scan = report.dest_stream_bytes.unwrap();
+        assert_eq!(snap.dest_stream_bytes_read, 2 * per_scan, "{format}");
+        assert_eq!(snap.batched_passes, 2, "{format}");
+        assert_eq!(snap.batched_queries, 9, "{format}");
+        assert_eq!(report.batch_passes, 2, "{format}");
+        assert_eq!(report.batch_queries, 9, "{format}");
+        assert_eq!(report.steps, 2, "{format}");
+        assert_eq!(report.queries_served(), 9, "{format}");
+        assert_eq!(report.dest_stream_total_bytes(), Some(2 * per_scan));
+    }
+}
+
+#[test]
 fn wide_stream_is_strictly_larger_than_compact_and_delta() {
     let _guard = lock_registry();
     let graph = test_graph();
