@@ -76,6 +76,7 @@ pub fn katz_centrality_on(
         max_iterations: katz.max_iters,
         tolerance: Some(katz.tolerance),
         dangling: false,
+        graph: Some(graph),
     };
     let (alpha, beta) = (katz.alpha, katz.beta);
     let mut runs = fixed_point(&mut engine, &spec, vec![vec![beta; n]], |_, _| {

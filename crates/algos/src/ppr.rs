@@ -131,6 +131,7 @@ pub fn personalized_pagerank_many_with_unified_engine(
         max_iterations: cfg.iterations,
         tolerance: cfg.tolerance,
         dangling: true,
+        graph: Some(graph),
     };
     fixed_point(engine, &spec, teleports.clone(), |q, dangling| {
         let restart = (1.0 - f64::from(damping)) + f64::from(damping) * dangling;

@@ -84,6 +84,7 @@ pub fn weighted_pagerank_with_unified_engine(
         max_iterations: cfg.iterations,
         tolerance: cfg.tolerance,
         dangling: cfg.redistribute_dangling,
+        graph: None,
     };
     let uniform = vec![1.0 / n as f32; n];
     let mut runs = fixed_point(engine, &spec, vec![uniform], |_, dangling| {

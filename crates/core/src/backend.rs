@@ -43,14 +43,14 @@
 //! assert!(engine.report().compression_ratio.unwrap() >= 1.0);
 //! ```
 
-use crate::algebra::Algebra;
+use crate::algebra::{Algebra, PlusF32};
 use crate::config::PcpmConfig;
 use crate::engine::{FormatPipeline, GatherKind, ScatterKind};
 use crate::error::{PcpmError, SnapshotError};
 use crate::format::{
     BinFormat, BinFormatKind, CompactFormat, DeltaFormat, WideFormat, BRANCHY_NEEDS_WIDE,
 };
-use crate::gather::{apply_parts, ApplyFn, Epilogue, MAX_LANES};
+use crate::gather::{apply_parts, apply_share, ApplyFn, Epilogue, MAX_LANES};
 use crate::kernel::KernelKind;
 use crate::partition::{split_by_lens, Partitioner};
 use crate::png::EdgeView;
@@ -279,9 +279,18 @@ pub struct ExecutionReport {
     /// Dataplane name.
     pub backend: &'static str,
     /// Passes executed so far: one per plain step, one per pass of a
-    /// batch (each one scan of the bin streams).
+    /// batch (each one scan of the bin streams). A pushed round scans no
+    /// bins and is not counted here but in [`Self::sparse_rounds`].
     pub steps: usize,
-    /// Accumulated per-phase wall-clock time across all rounds.
+    /// Rounds a fixed-point driver pushed along the adjacency instead of
+    /// streaming the bins, because their nonzero inputs reached few
+    /// edges ([`crate::fixed_point`]); one per round, whatever its width.
+    pub sparse_rounds: usize,
+    /// Out-edges those pushed rounds added along, summed over their
+    /// queries.
+    pub pushed_edges: u64,
+    /// Accumulated per-phase wall-clock time across all rounds, pushed
+    /// ones included (their push counts as gather).
     pub timings: PhaseTimings,
     /// Pre-processing (control plane) time.
     pub preprocess: Duration,
@@ -397,6 +406,9 @@ pub struct Engine<A: Algebra> {
     backend: Box<dyn Backend<A>>,
     num_src: u32,
     num_dst: u32,
+    /// Edges of the graph the dataplane was prepared over; `None` for an
+    /// external backend, whose edges the engine never saw.
+    num_edges: Option<u64>,
     /// Partition size `q`: the destination ranges of an epilogue. Fixed
     /// at build: neither an update nor a new pool changes it.
     partition_nodes: u32,
@@ -404,6 +416,9 @@ pub struct Engine<A: Algebra> {
     /// is set; preprocessing and every step install into it.
     pool: Option<Arc<rayon::ThreadPool>>,
     steps: usize,
+    /// Pushed rounds and the edges they pushed (report bookkeeping).
+    sparse_rounds: usize,
+    pushed_edges: u64,
     timings: PhaseTimings,
     /// Multi-query passes and the query vectors they carried
     /// ([`Engine::step_many`] bookkeeping for the report).
@@ -523,9 +538,12 @@ impl<A: Algebra> Engine<A> {
             backend,
             num_src,
             num_dst,
+            num_edges: None,
             partition_nodes: PcpmConfig::default().partition_nodes(),
             pool: None,
             steps: 0,
+            sparse_rounds: 0,
+            pushed_edges: 0,
             timings: PhaseTimings::default(),
             batch_passes: 0,
             batch_queries: 0,
@@ -581,6 +599,12 @@ impl<A: Algebra> Engine<A> {
     /// Number of destination nodes (length of `y`).
     pub fn num_dst(&self) -> u32 {
         self.num_dst
+    }
+
+    /// Edges of the graph the engine was prepared over (or last updated
+    /// to); `None` for an external backend ([`Engine::from_backend`]).
+    pub(crate) fn num_edges(&self) -> Option<u64> {
+        self.num_edges
     }
 
     /// The partition size `q` in nodes the engine runs: its PNG's on the
@@ -838,6 +862,7 @@ impl<A: Algebra> Engine<A> {
         };
         self.num_src = graph.num_nodes();
         self.num_dst = graph.num_nodes();
+        self.num_edges = Some(graph.num_edges());
         // A snapshot saved after the update captures the state the
         // engine serves; the `Arc` makes retention free even for an
         // engine built from a borrowed graph.
@@ -868,6 +893,8 @@ impl<A: Algebra> Engine<A> {
         ExecutionReport {
             backend: m.name,
             steps: self.steps,
+            sparse_rounds: self.sparse_rounds,
+            pushed_edges: self.pushed_edges,
             timings: self.timings,
             preprocess: m.preprocess,
             aux_memory_bytes: m.aux_memory_bytes,
@@ -926,6 +953,66 @@ impl<A: Algebra> Engine<A> {
     /// [`EngineBuilder::from_snapshot`] + `build`.
     pub fn from_snapshot<P: AsRef<Path>>(path: P) -> Result<Self, PcpmError> {
         SnapshotEngineBuilder::open(path)?.build()
+    }
+}
+
+impl Engine<PlusF32> {
+    /// [`Engine::step_many_with`] computed without the bins, for a round
+    /// whose inputs are mostly zero: each `ys[q]` is zeroed, every
+    /// nonzero `xs[q][v]` is added along `v`'s out-edges in `graph`, `v`
+    /// ascending, and `apply` then runs over the engine's destination
+    /// ranges for the whole batch, as a dataplane without partitions
+    /// applies. Runs on the engine's pool. The round counts in
+    /// [`ExecutionReport::sparse_rounds`], not in `steps`. It equals the
+    /// gathered round bit for bit when `graph` is the unweighted
+    /// adjacency the engine was built over: [`crate::fixed_point`] says
+    /// why, and checks the graph.
+    pub(crate) fn push_many_with(
+        &mut self,
+        graph: &Csr,
+        xs: &[&[f32]],
+        ys: &mut [&mut [f32]],
+        state: &mut [&mut [f32]],
+        apply: &ApplyFn<'_, f32>,
+    ) -> Result<(PhaseTimings, Vec<f64>), PcpmError> {
+        self.check_batch(xs, ys)?;
+        self.check_batch(xs, state)?;
+        let _span = crate::telemetry::span_n("push", xs.len() as u64);
+        let lens = Partitioner::new(self.num_dst, self.partition_nodes)?.lens();
+        let epilogue = Epilogue {
+            lens: &lens,
+            queries: 0..xs.len(),
+            state: state.iter_mut().map(|s| &mut **s).collect(),
+            apply,
+        };
+        let round = || {
+            let t0 = crate::telemetry::stopwatch();
+            let edges: u64 = (xs.iter().zip(ys.iter_mut()))
+                .map(|(x, y)| crate::push::push(graph, x, y))
+                .sum();
+            let pushed = t0.elapsed();
+            let t1 = crate::telemetry::stopwatch();
+            let (totals, busy) = apply_parts(&lens, ys, Some(epilogue), |_, ys_p| ys_p);
+            let wall = t1.elapsed();
+            let apply = apply_share(busy, lens.len(), wall);
+            let timings = PhaseTimings {
+                scatter: Duration::ZERO,
+                gather: pushed + wall - apply,
+                apply,
+            };
+            (timings, totals, edges)
+        };
+        let (timings, totals, edges) = match &self.pool {
+            Some(pool) => pool.install(round),
+            None => round(),
+        };
+        let tm = crate::telemetry::counters();
+        tm.add_sparse_rounds(1);
+        tm.add_pushed_edges(edges);
+        self.sparse_rounds += 1;
+        self.pushed_edges += edges;
+        self.timings += timings;
+        Ok((timings, totals))
     }
 }
 
@@ -1082,6 +1169,7 @@ impl<'g, A: Algebra> EngineBuilder<'g, A> {
             weights: self.weights.map(|w| w.as_slice().to_vec()),
         });
         Ok(Engine {
+            num_edges: Some(self.graph.num_edges()),
             partition_nodes: q,
             pool,
             recipe: Some(BuildRecipe {
@@ -1200,6 +1288,7 @@ impl<A: Algebra> SnapshotEngineBuilder<A> {
         let pool = build_pool(cfg.threads)?;
         let backend = boxed_backend_from_state::<A>(png, bins, load, self.kernel);
         Ok(Engine {
+            num_edges: Some(graph.num_edges()),
             partition_nodes: cfg.partition_nodes(),
             pool,
             recipe: Some(BuildRecipe {

@@ -28,7 +28,7 @@ use crate::algebra::Algebra;
 use crate::config::PcpmConfig;
 use crate::error::PcpmError;
 use crate::format::{dest_compression, BinFormat, BinFormatKind};
-use crate::gather::{with_lanes, Applied, Epilogue, MAX_LANES};
+use crate::gather::{apply_share, with_lanes, Applied, Epilogue, MAX_LANES};
 use crate::kernel::KernelKind;
 use crate::partition::Partitioner;
 use crate::png::{EdgeView, Png};
@@ -294,8 +294,7 @@ impl<A: Algebra, F: BinFormat> FormatPipeline<A, F> {
         (totals, busy): Applied,
     ) -> (PhaseTimings, Vec<f64>) {
         let k_dst = self.png.dst_parts().num_partitions();
-        let workers = rayon::current_num_threads().clamp(1, k_dst.max(1) as usize);
-        let apply = (busy / workers as u32).min(gather_wall);
+        let apply = apply_share(busy, k_dst as usize, gather_wall);
         let timings = PhaseTimings {
             scatter,
             gather: gather_wall - apply,

@@ -11,9 +11,51 @@
 //! partition as the gather completes it, and overwrites every sum with
 //! the node's next propagated value *in place*. So the output vector of
 //! one round is the input vector of the next — a query owns two vectors
-//! that swap roles each round, plus its values — and the only sweep over
-//! a vertex array outside the gather is the dangling mass, one sweep for
-//! up to eight queries.
+//! that swap roles each round, plus its values. Outside the gather, a
+//! round sweeps a vertex array for the dangling mass (one sweep for up to
+//! eight queries) and, until the first gathered round, for the live-edge
+//! count below.
+//!
+//! # Pushed rounds
+//!
+//! PCPM streams every bin in every round: the right trade when most
+//! sources are live, as in PageRank, but a personalized query starts from
+//! its seeds and reaches few edges in its first rounds. So when the
+//! caller hands over the adjacency ([`FixedPoint::graph`]), a round whose
+//! active queries' nonzero inputs reach at most `|E| / SPARSE_DIVISOR`
+//! out-edges together is *pushed*: each output is zeroed, each nonzero
+//! `x[v]` is added along `v`'s out-edges, `v` ascending, and the rule
+//! runs as the same epilogue over the engine's destination ranges. The
+//! first round over the bound is gathered, and so is every round after
+//! it: the driver stops counting. A batch is pushed only as a whole.
+//!
+//! A pushed round equals the gathered one bit for bit:
+//!
+//! - every gather sums a destination in ascending source order (source
+//!   partitions ascending, then sources within a segment), and the push
+//!   adds in that order too, an edge repeated in the CSR adding twice in
+//!   a row in both;
+//! - a `PlusF32` sum starts at `+0.0`, so a running sum is never `-0.0`
+//!   (`+0.0 + -0.0` is `+0.0`, and exact cancellation rounds to `+0.0`);
+//! - adding `±0.0` leaves any sum that is not `-0.0` unchanged, NaN and
+//!   ∞ included, so leaving the zero sources out changes no bit.
+//!
+//! The L1 partials are grouped by the same ranges, so `last_delta` and
+//! the stop round agree too. That is not activity skipping in general:
+//! skipping a *stale* nonzero update would change a sum; a zero one
+//! cannot.
+//!
+//! `SPARSE_DIVISOR` (C) sits where the two costs cross. A gathered round
+//! costs about the same per edge of `|E|` whatever its inputs; a pushed
+//! one costs its serial push per live edge, a random read-modify-write.
+//! On a scale-20 RMAT graph (16 M edges, delta bins, 2-vCPU host, rounds
+//! 1–6 of single-seed queries from four graphs) a solo gathered round
+//! took 0.9–1.8 ns per edge of `|E|` and the push 2.5–3.5 ns per live
+//! edge, beyond a fixed ≈ 0.6 ms for zeroing and scanning the vectors. The
+//! costs cross at `|E| / 1.9` to `|E| / 2.9` live edges, hence C = 2.
+//! An eight-query pass gathers for about three times one query's cost,
+//! so the same bound on a batch's total live edges is conservative: a
+//! pushed batch round always costs less than its gather.
 //!
 //! Pinned bit for bit: the per-node arithmetic (the `rule`'s expression,
 //! then `new * scale[v]`) and the dangling mass, summed in `f64` over
@@ -34,6 +76,8 @@ use crate::backend::Engine;
 use crate::error::PcpmError;
 use crate::gather::{with_lanes, Finished, MAX_LANES};
 use crate::pr::{PhaseTimings, PrResult};
+use crate::push::live_edges_within;
+use pcpm_graph::Csr;
 use rayon::prelude::*;
 use std::array::from_fn;
 use std::iter::Sum;
@@ -49,6 +93,37 @@ pub struct FixedPoint<'a> {
     pub tolerance: Option<f64>,
     /// Whether the rule reads the dangling mass (else it is handed 0).
     pub dangling: bool,
+    /// The unweighted adjacency the engine was built over, for pushed
+    /// rounds (see the module docs): while the active queries' nonzero
+    /// inputs reach at most `|E| / C` out-edges, a round is pushed along
+    /// it instead of streaming the bins, with the same result bits.
+    /// `None` gathers every round, as does an engine built with weights
+    /// or around an external backend. A graph whose node or edge count
+    /// differs from the engine's is rejected.
+    pub graph: Option<&'a Csr>,
+}
+
+/// `C`: a round is pushed while its live edges are at most `|E| / C`.
+const SPARSE_DIVISOR: u64 = 2;
+
+/// The adjacency pushed rounds may read: `spec`'s graph once it is
+/// checked against the engine, when the engine gathers unweighted bins
+/// it built itself.
+fn push_graph<'a>(
+    engine: &Engine<PlusF32>,
+    spec: &FixedPoint<'a>,
+) -> Result<Option<&'a Csr>, PcpmError> {
+    let Some(graph) = spec.graph else {
+        return Ok(None);
+    };
+    let mismatch = |expected, got| PcpmError::DimensionMismatch { expected, got };
+    if graph.num_nodes() as usize != spec.scale.len() {
+        return Err(mismatch(spec.scale.len(), graph.num_nodes() as usize));
+    }
+    if let Some(edges) = engine.num_edges().filter(|&e| e != graph.num_edges()) {
+        return Err(mismatch(edges as usize, graph.num_edges() as usize));
+    }
+    Ok((engine.prepared_weighted() == Some(false)).then_some(graph))
 }
 
 /// Lanes of the in-partition L1 sum: fixed, so the grouping is too.
@@ -142,7 +217,8 @@ fn of_active<T>(per_query: impl Iterator<Item = T>, active: &[usize]) -> Vec<T> 
 }
 
 /// Runs one query per vector of `initial` to its fixed point on `engine`
-/// (on its pool: [`Engine::run`]) and returns them in order.
+/// (on its pool: [`Engine::run`]) and returns them in order. A round is
+/// pushed along [`FixedPoint::graph`] while its inputs reach few edges.
 /// `rule(query, dangling mass)` is called once per query and iteration
 /// and returns that round's per-node map `(sum, old value, node) → new
 /// value`. Every result carries the batch's shared [`PhaseTimings`];
@@ -158,12 +234,17 @@ where
     N: Fn(f32, f32, usize) -> f32 + Sync,
 {
     let n = spec.scale.len();
-    if engine.num_src() as usize != n || engine.num_dst() as usize != n {
-        return Err(PcpmError::DimensionMismatch {
-            expected: n,
-            got: engine.num_src() as usize,
-        });
+    for got in [engine.num_src(), engine.num_dst()] {
+        if got as usize != n {
+            return Err(PcpmError::DimensionMismatch {
+                expected: n,
+                got: got as usize,
+            });
+        }
     }
+    // Pushed rounds while the inputs stay sparse; the first dense round
+    // ends them.
+    let mut sparse = push_graph(engine, spec)?;
     let report = engine.report();
     let mut timings = PhaseTimings::default();
     let mut runs: Vec<PrResult> = initial
@@ -216,7 +297,15 @@ where
                     *partial = apply_range(y, values, scale, done.nodes.start, rule);
                 }
             };
-            let (t, deltas) = engine.step_many_with(&x_refs, &mut y_refs, &mut values, &apply)?;
+            sparse = sparse.filter(|graph| {
+                live_edges_within(graph, &x_refs, graph.num_edges() / SPARSE_DIVISOR)
+            });
+            let (t, deltas) = match sparse {
+                Some(graph) => {
+                    engine.push_many_with(graph, &x_refs, &mut y_refs, &mut values, &apply)?
+                }
+                None => engine.step_many_with(&x_refs, &mut y_refs, &mut values, &apply)?,
+            };
             timings += t;
             for (&q, delta) in active.iter().zip(deltas) {
                 std::mem::swap(&mut xs[q], &mut ys[q]);
@@ -231,4 +320,67 @@ where
         run.timings = timings;
     }
     Ok(runs)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spmv::SpmvMatrix;
+    use crate::PcpmConfig;
+
+    fn spec<'a>(scale: &'a [f32], graph: Option<&'a Csr>) -> FixedPoint<'a> {
+        FixedPoint {
+            scale,
+            max_iterations: 3,
+            tolerance: None,
+            dangling: false,
+            graph,
+        }
+    }
+
+    fn solve(engine: &mut Engine<PlusF32>, spec: &FixedPoint<'_>) -> Result<(), PcpmError> {
+        let initial = vec![vec![1.0; spec.scale.len()]];
+        fixed_point(engine, spec, initial, |_, _| |sum, _, _| sum).map(drop)
+    }
+
+    #[test]
+    fn a_mismatch_reports_the_dimension_that_differs() {
+        // Two sources, three destinations: the source side matches.
+        let m = SpmvMatrix::from_triplets(3, 2, &[(0, 0, 1.0), (2, 1, 1.0)]).unwrap();
+        let mut engine = m.engine(&PcpmConfig::default()).unwrap();
+        let err = solve(&mut engine, &spec(&[1.0; 2], None)).unwrap_err();
+        assert_eq!(
+            err,
+            PcpmError::DimensionMismatch {
+                expected: 2,
+                got: 3
+            }
+        );
+    }
+
+    #[test]
+    fn a_graph_that_is_not_the_engines_is_rejected() {
+        let g = Csr::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
+        let mut engine = Engine::<PlusF32>::builder(&g).build().unwrap();
+        let scale = [1.0; 4];
+        let more = Csr::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
+        let err = solve(&mut engine, &spec(&scale, Some(&more))).unwrap_err();
+        assert_eq!(
+            err,
+            PcpmError::DimensionMismatch {
+                expected: 3,
+                got: 4
+            }
+        );
+        let wider = Csr::from_edges(5, &[(0, 1), (1, 2), (2, 3)]).unwrap();
+        let err = solve(&mut engine, &spec(&scale, Some(&wider))).unwrap_err();
+        assert_eq!(
+            err,
+            PcpmError::DimensionMismatch {
+                expected: 4,
+                got: 5
+            }
+        );
+        solve(&mut engine, &spec(&scale, Some(&g))).unwrap();
+    }
 }

@@ -576,6 +576,14 @@ pub(crate) fn apply_parts<'a, T: Send + Sync>(
     )
 }
 
+/// The wall-clock an epilogue took inside a pass of `wall`: its `busy`
+/// time, summed over `parts` ranges, spread over as many workers as had a
+/// range to finish, and at most `wall`.
+pub(crate) fn apply_share(busy: Duration, parts: usize, wall: Duration) -> Duration {
+    let workers = rayon::current_num_threads().clamp(1, parts.max(1));
+    (busy / workers as u32).min(wall)
+}
+
 /// One gather round: `ys[q] = ⊕ Aᵀ·(what was scattered for query q)`
 /// for every query, reading and decoding the destination stream `dest`
 /// once, then `epilogue` over each partition as it completes.

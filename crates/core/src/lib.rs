@@ -75,6 +75,7 @@ pub mod pagerank;
 pub mod partition;
 pub mod png;
 pub mod pr;
+mod push;
 pub mod scatter;
 pub mod snapshot;
 pub mod spmv;

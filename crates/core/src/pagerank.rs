@@ -148,6 +148,7 @@ pub fn pagerank_with_unified_engine(
         max_iterations: cfg.iterations,
         tolerance: cfg.tolerance,
         dangling: cfg.redistribute_dangling,
+        graph: Some(graph),
     };
     let initial = initial.map_or_else(|| vec![1.0 / n as f32; n], <[f32]>::to_vec);
     let mut runs = fixed_point(engine, &spec, vec![initial], |_, dangling| {

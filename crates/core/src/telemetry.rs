@@ -36,6 +36,8 @@
 //! | `batched_passes` | multi-query (SpMM) passes executed, at most 8 queries each | one add per `Engine::step_many` (`⌈Q / 8⌉`) |
 //! | `batched_queries` | query vectors served by those passes | one add per `Engine::step_many` (`Q`) |
 //! | `gather_scalar_ns` / `gather_unrolled_ns` | gather wall-clock split by the kernel variant that ran | one add per pass |
+//! | `sparse_rounds` | fixed-point rounds pushed along the adjacency instead of gathered: they read no bin, so none of the counters above moves for them | one add per pushed round |
+//! | `pushed_edges` | out-edges those rounds added along, summed over their queries | one add per pushed round |
 //!
 //! The batched pair is the amortization measurement: a batch of `Q`
 //! runs as `⌈Q / 8⌉` passes, and each records `dest_stream_bytes_read`
@@ -58,6 +60,7 @@
 //! | `build.fill` | the fill walk of a layout build: PNG rows, destination stream and weights (inside `prepare` on the engine path) | `png::build_layout` |
 //! | `scatter` | the PCPM scatter phase of one pass, whatever its width (the enclosing `step` / `step_many` span tells; a `step_many` wider than 8 holds one per pass) | `FormatPipeline::pass` |
 //! | `gather` | the PCPM gather phase of one pass, the in-partition apply included | `FormatPipeline::pass` |
+//! | `push` | one pushed fixed-point round: the push along the adjacency and the apply over every destination range (arg: batch width) | `Engine::push_many_with` |
 //! | `step` | one backend-dispatched SpMV step (arg: step index) | `Engine::step` |
 //! | `step_many` | one backend-dispatched SpMM pass (arg: batch width) | `Engine::step_many` |
 //! | `update` | one update batch: the dataplane rebuilt over the post-update graph (arg: batch length) | `Engine::update` |
@@ -109,6 +112,8 @@ pub struct Counters {
     batched_queries: AtomicU64,
     gather_scalar_ns: AtomicU64,
     gather_unrolled_ns: AtomicU64,
+    sparse_rounds: AtomicU64,
+    pushed_edges: AtomicU64,
 }
 
 /// A point-in-time copy of every counter (see the module-level taxonomy
@@ -135,6 +140,10 @@ pub struct CounterSnapshot {
     pub gather_scalar_ns: u64,
     /// Gather wall-clock spent in the unrolled kernel, nanoseconds.
     pub gather_unrolled_ns: u64,
+    /// Fixed-point rounds pushed along the adjacency instead of gathered.
+    pub sparse_rounds: u64,
+    /// Out-edges those pushed rounds added along.
+    pub pushed_edges: u64,
 }
 
 impl CounterSnapshot {
@@ -152,6 +161,8 @@ impl CounterSnapshot {
             + self.batched_queries
             + self.gather_scalar_ns
             + self.gather_unrolled_ns
+            + self.sparse_rounds
+            + self.pushed_edges
     }
 }
 
@@ -183,6 +194,8 @@ impl Counters {
             batched_queries: AtomicU64::new(0),
             gather_scalar_ns: AtomicU64::new(0),
             gather_unrolled_ns: AtomicU64::new(0),
+            sparse_rounds: AtomicU64::new(0),
+            pushed_edges: AtomicU64::new(0),
         }
     }
 
@@ -210,6 +223,8 @@ impl Counters {
         self.batched_queries.store(0, Ordering::Relaxed);
         self.gather_scalar_ns.store(0, Ordering::Relaxed);
         self.gather_unrolled_ns.store(0, Ordering::Relaxed);
+        self.sparse_rounds.store(0, Ordering::Relaxed);
+        self.pushed_edges.store(0, Ordering::Relaxed);
     }
 
     /// Copies every counter out.
@@ -225,6 +240,8 @@ impl Counters {
             batched_queries: self.batched_queries.load(Ordering::Relaxed),
             gather_scalar_ns: self.gather_scalar_ns.load(Ordering::Relaxed),
             gather_unrolled_ns: self.gather_unrolled_ns.load(Ordering::Relaxed),
+            sparse_rounds: self.sparse_rounds.load(Ordering::Relaxed),
+            pushed_edges: self.pushed_edges.load(Ordering::Relaxed),
         }
     }
 
@@ -249,6 +266,10 @@ impl Counters {
         add_gather_scalar_ns => gather_scalar_ns,
         /// Adds gather nanoseconds attributed to the unrolled kernel.
         add_gather_unrolled_ns => gather_unrolled_ns,
+        /// Adds pushed fixed-point rounds.
+        add_sparse_rounds => sparse_rounds,
+        /// Adds out-edges pushed along by those rounds.
+        add_pushed_edges => pushed_edges,
     }
 }
 
@@ -361,12 +382,13 @@ impl Drop for SpanGuard {
 /// site. See the module docs' span taxonomy table for what each one
 /// covers. `pcpm-lint` checks call sites against this registry, so
 /// adding a span means adding it here *and* to the table.
-pub const SPAN_NAMES: [&str; 9] = [
+pub const SPAN_NAMES: [&str; 10] = [
     "prepare",
     "build.count",
     "build.fill",
     "scatter",
     "gather",
+    "push",
     "step",
     "step_many",
     "update",

@@ -1017,9 +1017,10 @@ fn run_command(opts: Options) -> Result<(), String> {
                 let report = engine.report();
                 print_layout(&report, &cfg);
                 eprintln!(
-                    "# {} sources batched, {} passes, {:.2} queries/pass amortized",
+                    "# {} sources batched, {} passes, {} pushed rounds, {:.2} queries/pass amortized",
                     opts.sources.len(),
                     report.steps,
+                    report.sparse_rounds,
                     report.batch_amortization(),
                 );
                 for (src, r) in opts.sources.iter().zip(&rs) {

@@ -291,6 +291,7 @@ fn default_budget_fixed_points_bit_identical_across_thread_counts() {
         max_iterations: 100,
         tolerance: Some(1e-3),
         dangling: false,
+        graph: Some(&g),
     };
     let run = |threads: usize| -> Vec<(Vec<f32>, usize, u64)> {
         let mut engine = Engine::<PlusF32>::builder(&g)

@@ -21,6 +21,8 @@
 //! gives every query the scores and the iteration count it gets alone,
 //! also while the batch narrows from eight lanes to one, and from
 //! seventeen queries (passes of 8, 8 and 1) down across the split.
+//! Last, PPR whose sparse first rounds are pushed along the adjacency
+//! equals the same runs gathered round by round, bit for bit.
 
 use pcpm::core::algebra::{MinLabel, PlusF32};
 use pcpm::core::engine::{GatherKind, ScatterKind};
@@ -30,7 +32,7 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 mod common;
-use common::{format_matrix, kernel_matrix};
+use common::{format_matrix, kernel_matrix, thread_matrix};
 
 fn int_x(n: u32) -> Vec<f32> {
     (0..n).map(|v| (v % 13) as f32).collect()
@@ -442,4 +444,115 @@ fn a_batch_that_narrows_from_eight_lanes_to_one_equals_its_solos() {
     let seed_sets: Vec<Vec<u32>> = [31, 4, 0, 7, 15, 79, 94, 139].map(|s| vec![s]).to_vec();
     let iterations = batch_equals_solos(&g, &seed_sets);
     assert_eq!(iterations.len(), 8, "some queries froze together");
+}
+
+/// The library's PPR through the driver with no adjacency to push along:
+/// every round is gathered from the bins.
+fn ppr_gathered(
+    g: &Csr,
+    seed_sets: &[Vec<u32>],
+    cfg: &PcpmConfig,
+    engine: &mut Engine<PlusF32>,
+) -> Vec<PrResult> {
+    use pcpm::core::fixed_point::{fixed_point, FixedPoint};
+    let n = g.num_nodes() as usize;
+    let damping = cfg.damping as f32;
+    let teleports: Vec<Vec<f32>> = seed_sets
+        .iter()
+        .map(|seeds| {
+            let mut t = vec![0.0f32; n];
+            for &s in seeds {
+                t[s as usize] += 1.0 / seeds.len() as f32;
+            }
+            t
+        })
+        .collect();
+    let spec = FixedPoint {
+        scale: &pcpm::core::pagerank::inverse_out_degrees(g),
+        max_iterations: cfg.iterations,
+        tolerance: cfg.tolerance,
+        dangling: true,
+        graph: None,
+    };
+    fixed_point(engine, &spec, teleports.clone(), |q, dangling| {
+        let restart = (1.0 - f64::from(damping)) + f64::from(damping) * dangling;
+        let teleport = &teleports[q];
+        move |sum, _, v| (restart as f32) * teleport[v] + damping * sum
+    })
+    .unwrap()
+}
+
+fn assert_same_runs(got: &[PrResult], want: &[PrResult], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}");
+    for (q, (got, want)) in got.iter().zip(want).enumerate() {
+        let bits = |r: &PrResult| r.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{what}: query {q} scores");
+        assert_eq!(got.iterations, want.iterations, "{what}: query {q}");
+        assert_eq!(got.converged, want.converged, "{what}: query {q}");
+        let delta = |r: &PrResult| r.last_delta.to_bits();
+        assert_eq!(delta(got), delta(want), "{what}: query {q} last_delta");
+    }
+}
+
+#[test]
+fn pushed_ppr_rounds_equal_gathered_ones_bit_for_bit() {
+    let g = pcpm::graph::gen::rmat(&RmatConfig::graph500(10, 8, 21)).unwrap();
+    let degrees = g.out_degrees();
+    let node = |want: &dyn Fn(u32) -> bool| {
+        (0..g.num_nodes())
+            .find(|&v| want(degrees[v as usize]))
+            .unwrap()
+    };
+    let hub = (0..g.num_nodes())
+        .max_by_key(|&v| degrees[v as usize])
+        .unwrap();
+    let (leaf, dangling) = (node(&|d| d == 1), node(&|d| d == 0));
+    // The four kinds of seed set first, then single seeds up to 17.
+    let mut seed_sets = vec![
+        vec![hub],
+        vec![leaf],
+        vec![dangling],
+        vec![leaf, 3, dangling, hub],
+    ];
+    seed_sets.extend((0..13).map(|i| vec![i * 71 + 5]));
+    for threads in thread_matrix() {
+        for format in format_matrix() {
+            for tolerance in [None, Some(1e-6)] {
+                let mut cfg = PcpmConfig::default()
+                    .with_partition_bytes(64 * 4)
+                    .with_iterations(30)
+                    .with_bin_format(format)
+                    .with_threads(threads);
+                cfg.tolerance = tolerance;
+                let what = format!("{threads} threads, {format}, tolerance {tolerance:?}");
+                let mut engine = Engine::builder(&g).config(cfg).build().unwrap();
+                for seeds in &seed_sets[..4] {
+                    let pushed = pcpm::algos::personalized_pagerank_with_unified_engine(
+                        &g,
+                        seeds,
+                        &cfg,
+                        &mut engine,
+                    )
+                    .unwrap();
+                    let gathered = ppr_gathered(&g, std::slice::from_ref(seeds), &cfg, &mut engine);
+                    assert_same_runs(&[pushed], &gathered, &format!("{what}, solo {seeds:?}"));
+                }
+                for width in [1, 3, 9, 17] {
+                    let batch = &seed_sets[..width];
+                    let pushed = pcpm::algos::personalized_pagerank_many_with_unified_engine(
+                        &g,
+                        batch,
+                        &cfg,
+                        &mut engine,
+                    )
+                    .unwrap();
+                    let gathered = ppr_gathered(&g, batch, &cfg, &mut engine);
+                    assert_same_runs(&pushed, &gathered, &format!("{what}, batch of {width}"));
+                }
+                let report = engine.report();
+                assert!(report.sparse_rounds > 0, "{what}: no round was pushed");
+                assert!(report.pushed_edges > 0, "{what}: no edge was pushed");
+            }
+        }
+    }
 }

@@ -246,3 +246,42 @@ fn replay_batches_emit_spans() {
     let args: Vec<Option<u64>> = replay_spans.iter().map(|e| e.arg).collect();
     assert_eq!(args, vec![Some(0), Some(1), Some(2)]);
 }
+
+#[test]
+fn a_single_seed_ppr_pushes_its_sparse_rounds_and_gathers_the_rest() {
+    // A pushed round reads no bin: it counts in `sparse_rounds` and
+    // `pushed_edges`, and in none of the gather's counters.
+    let _guard = lock_registry();
+    let graph = test_graph();
+    let tm = telemetry::counters();
+    for format in BinFormatKind::ALL {
+        let cfg = cfg(format).with_iterations(12);
+        let mut engine = Engine::<PlusF32>::builder(&graph)
+            .config(cfg)
+            .build()
+            .unwrap();
+        tm.set_enabled(true);
+        tm.reset();
+        telemetry::start_tracing();
+        let r = personalized_pagerank_with_unified_engine(&graph, &[7], &cfg, &mut engine).unwrap();
+        let events = telemetry::stop_tracing();
+        tm.set_enabled(false);
+        let snap = tm.snapshot();
+        let report = engine.report();
+        assert_eq!(
+            report.steps + report.sparse_rounds,
+            r.iterations,
+            "{format}"
+        );
+        assert!(report.sparse_rounds >= 2, "{format}: {report:?}");
+        assert!(report.steps >= 1, "{format}");
+        assert!(report.pushed_edges >= u64::from(graph.out_degree(7)));
+        assert_eq!(snap.sparse_rounds, report.sparse_rounds as u64, "{format}");
+        assert_eq!(snap.pushed_edges, report.pushed_edges, "{format}");
+        let per_scan = report.dest_stream_bytes.unwrap();
+        assert_eq!(snap.dest_stream_bytes_read, report.steps as u64 * per_scan);
+        assert_eq!((report.batch_passes, report.batch_queries), (0, 0));
+        let pushes = events.iter().filter(|e| e.name == "push").count();
+        assert_eq!(pushes, report.sparse_rounds, "{format}");
+    }
+}
