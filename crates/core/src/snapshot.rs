@@ -11,18 +11,27 @@
 //! [`Engine::from_snapshot`](crate::Engine::from_snapshot) can map back
 //! into a ready engine without touching the build path.
 //!
-//! # File format (version 2)
+//! # File format (version 3)
 //!
 //! All integers little-endian. The file is `header ‖ payload`; the
 //! checksum covers the payload only, so header corruption is caught by
 //! the magic/version checks and payload corruption by the checksum
 //! before any structural decoding happens.
 //!
+//! The checksum is [`pcpm_graph::io::checksum64`]: FNV-1a 64 over
+//! little-endian 8-byte words. With `h = 0xcbf29ce484222325` and
+//! `P = 0x100000001b3`, each word `w` of the payload (the last one
+//! zero-padded) steps `h = (h ^ w) · P` mod 2⁶⁴, and a final step folds
+//! in `w = payload length`. Version 3 differs from version 2 only in
+//! this checksum (version 2 ran FNV-1a one byte at a time); the payload
+//! bytes are the same. Version 1 held LEB128 delta bins. Both are
+//! refused with [`SnapshotError::UnsupportedVersion`].
+//!
 //! ```text
 //! header (20 bytes):
 //!   0   magic        b"PCPMSNAP"
-//!   8   version      u32   (= 2; version 1 held LEB128 delta bins)
-//!   12  checksum     u64   FNV-1a 64 over payload
+//!   8   version      u32   (= 3)
+//!   12  checksum     u64   word-wise FNV-1a 64 over payload
 //! payload:
 //!   partition_bytes  u64   q·4: the partition size the dataplane was
 //!                          built with (the budget's or a halving of it)
@@ -82,7 +91,10 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"PCPMSNAP";
 
 /// Highest snapshot format version this build reads and the version it
 /// writes.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
+
+/// Bytes before the payload: magic, version and checksum.
+const HEADER_LEN: usize = 20;
 
 /// Conventional file extension for snapshot files (`graph.pcpmc`).
 pub const SNAPSHOT_EXTENSION: &str = "pcpmc";
@@ -276,50 +288,53 @@ impl Snapshot {
         Ok(())
     }
 
-    /// Serializes into the version-2 binary format.
+    /// Serializes into the version-3 binary format: header and payload
+    /// go into one buffer sized up front, each section in whole-slice
+    /// writes, and the checksum is patched into the header last.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&self.partition_bytes.to_le_bytes());
-        payload.push(format_tag(self.bin_format()));
-        payload.push(u8::from(self.is_weighted()));
-        payload.extend_from_slice(&[0u8; 6]);
+        let len = HEADER_LEN + self.payload_len();
+        let mut out = Vec::with_capacity(len);
+        out.extend_from_slice(SNAPSHOT_MAGIC);
+        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        out.extend_from_slice(&[0u8; 8]);
 
-        let graph_bytes = gio::to_bytes(&self.graph);
-        put_blob(&mut payload, &graph_bytes);
+        out.extend_from_slice(&self.partition_bytes.to_le_bytes());
+        out.push(format_tag(self.bin_format()));
+        out.push(u8::from(self.is_weighted()));
+        out.extend_from_slice(&[0u8; 6]);
+
+        put_len(&mut out, gio::encoded_len(&self.graph));
+        gio::encode_into(&self.graph, &mut out);
         if let Some(w) = &self.weights {
-            put_blob(&mut payload, &gio::weights_to_bytes(w));
+            put_len(&mut out, gio::weights_encoded_len(w.len()));
+            gio::weights_encode_into(w, &mut out);
         }
 
         // PNG section.
         let src = self.png.src_parts();
         let dst = self.png.dst_parts();
-        let k_src = src.num_partitions();
-        let k_dst = dst.num_partitions();
-        payload.extend_from_slice(&src.partition_size().to_le_bytes());
-        payload.extend_from_slice(&dst.partition_size().to_le_bytes());
-        payload.extend_from_slice(&k_src.to_le_bytes());
-        payload.extend_from_slice(&k_dst.to_le_bytes());
-        for s in 0..k_src {
-            let part = self.png.part(s);
-            put_u64s(&mut payload, &part.upd_off);
-            put_u64s(&mut payload, &part.did_off);
-            payload.extend_from_slice(&(part.sources.len() as u64).to_le_bytes());
-            put_u32s(&mut payload, &part.sources);
+        out.extend_from_slice(&src.partition_size().to_le_bytes());
+        out.extend_from_slice(&dst.partition_size().to_le_bytes());
+        out.extend_from_slice(&src.num_partitions().to_le_bytes());
+        out.extend_from_slice(&dst.num_partitions().to_le_bytes());
+        for part in (0..src.num_partitions()).map(|s| self.png.part(s)) {
+            gio::put_le(&mut out, &part.upd_off, u64::to_le_bytes);
+            gio::put_le(&mut out, &part.did_off, u64::to_le_bytes);
+            put_len(&mut out, part.sources.len());
+            gio::put_le(&mut out, &part.sources, u32::to_le_bytes);
         }
 
         // Bins section.
-        payload.push(format_tag(self.bin_format()));
+        out.push(format_tag(self.bin_format()));
         let weights = match &self.bins.0 {
             BinStateInner::Wide { dest_ids, weights } => {
-                payload.extend_from_slice(&(dest_ids.len() as u64).to_le_bytes());
-                put_u32s(&mut payload, dest_ids);
+                put_len(&mut out, dest_ids.len());
+                gio::put_le(&mut out, dest_ids, u32::to_le_bytes);
                 weights
             }
             BinStateInner::Compact { dest_ids, weights } => {
-                payload.extend_from_slice(&(dest_ids.len() as u64).to_le_bytes());
-                for &d in dest_ids {
-                    payload.extend_from_slice(&d.to_le_bytes());
-                }
+                put_len(&mut out, dest_ids.len());
+                gio::put_le(&mut out, dest_ids, u16::to_le_bytes);
                 weights
             }
             BinStateInner::Delta {
@@ -329,33 +344,65 @@ impl Snapshot {
                 weights,
             } => {
                 // The stream without the decoder's slack.
-                let total = byte_region.last().map_or(0, |&t| t as usize);
-                put_blob(&mut payload, &dest_bytes[..total]);
-                put_u64s(&mut payload, byte_region);
+                let stream = &dest_bytes[..delta_stream_len(byte_region)];
+                put_len(&mut out, stream.len());
+                out.extend_from_slice(stream);
+                gio::put_le(&mut out, byte_region, u64::to_le_bytes);
                 for offs in seg_off {
-                    put_u64s(&mut payload, offs);
+                    gio::put_le(&mut out, offs, u64::to_le_bytes);
                 }
                 weights
             }
         };
         if let Some(w) = weights {
-            payload.extend_from_slice(&(w.len() as u64).to_le_bytes());
-            for &x in w {
-                payload.extend_from_slice(&x.to_le_bytes());
-            }
+            put_len(&mut out, w.len());
+            gio::put_le(&mut out, w, f32::to_le_bytes);
         }
 
-        let mut out = Vec::with_capacity(20 + payload.len());
-        out.extend_from_slice(SNAPSHOT_MAGIC);
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        out.extend_from_slice(&gio::checksum64(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        debug_assert_eq!(out.len(), len, "payload_len sizes what to_bytes writes");
+        let sum = gio::checksum64(&out[HEADER_LEN..]);
+        out[12..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
         out
+    }
+
+    /// The exact byte length of the payload [`Snapshot::to_bytes`]
+    /// writes after the header.
+    fn payload_len(&self) -> usize {
+        let blob = |len: usize| 8 + len;
+        let k_dst = self.png.dst_parts().num_partitions() as usize;
+        let png: usize = (0..self.png.src_parts().num_partitions())
+            .map(|s| 2 * (k_dst + 1) * 8 + blob(self.png.part(s).sources.len() * 4))
+            .sum();
+        let (dest, weights) = match &self.bins.0 {
+            BinStateInner::Wide { dest_ids, weights } => (blob(dest_ids.len() * 4), weights),
+            BinStateInner::Compact { dest_ids, weights } => (blob(dest_ids.len() * 2), weights),
+            BinStateInner::Delta {
+                byte_region,
+                seg_off,
+                weights,
+                ..
+            } => (
+                blob(delta_stream_len(byte_region))
+                    + byte_region.len() * 8
+                    + seg_off.iter().map(|o| o.len() * 8).sum::<usize>(),
+                weights,
+            ),
+        };
+        16 + blob(gio::encoded_len(&self.graph))
+            + self
+                .weights
+                .as_ref()
+                .map_or(0, |w| blob(gio::weights_encoded_len(w.len())))
+            + 16
+            + png
+            + 1
+            + dest
+            + weights.as_ref().map_or(0, |w| blob(w.len() * 4))
     }
 
     /// Decodes and fully validates a snapshot blob.
     pub fn from_bytes(data: &[u8]) -> Result<Self, SnapshotError> {
-        if data.len() < 20 {
+        if data.len() < HEADER_LEN {
             return Err(if data.starts_with(&SNAPSHOT_MAGIC[..data.len().min(8)]) {
                 SnapshotError::Corrupt("truncated header")
             } else {
@@ -372,8 +419,8 @@ impl Snapshot {
                 supported: SNAPSHOT_VERSION,
             });
         }
-        let stored = u64::from_le_bytes(data[12..20].try_into().expect("sliced"));
-        let payload = &data[20..];
+        let stored = u64::from_le_bytes(data[12..HEADER_LEN].try_into().expect("sliced"));
+        let payload = &data[HEADER_LEN..];
         let computed = gio::checksum64(payload);
         if stored != computed {
             return Err(SnapshotError::ChecksumMismatch { stored, computed });
@@ -422,21 +469,14 @@ fn format_from_tag(tag: u8) -> Result<BinFormatKind, SnapshotError> {
     }
 }
 
-fn put_blob(buf: &mut Vec<u8>, blob: &[u8]) {
-    buf.extend_from_slice(&(blob.len() as u64).to_le_bytes());
-    buf.extend_from_slice(blob);
+/// Writes a section's `u64` count or byte length.
+fn put_len(buf: &mut Vec<u8>, len: usize) {
+    buf.extend_from_slice(&(len as u64).to_le_bytes());
 }
 
-fn put_u64s(buf: &mut Vec<u8>, xs: &[u64]) {
-    for &x in xs {
-        buf.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
-fn put_u32s(buf: &mut Vec<u8>, xs: &[u32]) {
-    for &x in xs {
-        buf.extend_from_slice(&x.to_le_bytes());
-    }
+/// Length of a delta stream without the decoder's slack.
+fn delta_stream_len(byte_region: &[u64]) -> usize {
+    byte_region.last().map_or(0, |&t| t as usize)
 }
 
 /// Bounds-checked little-endian reader over the payload: every decode
@@ -477,23 +517,35 @@ impl<'a> Reader<'a> {
         &mut self,
         elem_bytes: usize,
         what: &'static str,
-    ) -> Result<(usize, &'a [u8]), SnapshotError> {
+    ) -> Result<&'a [u8], SnapshotError> {
         let n = self.u64(what)?;
         let bytes = (n as usize)
             .checked_mul(elem_bytes)
             .ok_or(SnapshotError::Corrupt("section size overflow"))?;
-        Ok((n as usize, self.take(bytes, what)?))
+        self.take(bytes, what)
     }
 
-    fn u64s(&mut self, n: usize, what: &'static str) -> Result<Vec<u64>, SnapshotError> {
+    /// Reads `n` little-endian `W`-byte words in one slice decode.
+    fn words<T, const W: usize>(
+        &mut self,
+        n: usize,
+        what: &'static str,
+        from_le: impl Fn([u8; W]) -> T,
+    ) -> Result<Vec<T>, SnapshotError> {
         let bytes = n
-            .checked_mul(8)
+            .checked_mul(W)
             .ok_or(SnapshotError::Corrupt("section size overflow"))?;
-        let raw = self.take(bytes, what)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("sized")))
-            .collect())
+        Ok(gio::get_le(self.take(bytes, what)?, from_le))
+    }
+
+    /// Reads a `u64` count followed by that many little-endian `W`-byte
+    /// words.
+    fn counted_words<T, const W: usize>(
+        &mut self,
+        what: &'static str,
+        from_le: impl Fn([u8; W]) -> T,
+    ) -> Result<Vec<T>, SnapshotError> {
+        Ok(gio::get_le(self.counted(W, what)?, from_le))
     }
 
     fn done(&self, what: &'static str) -> Result<(), SnapshotError> {
@@ -528,19 +580,11 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
     };
     r.take(6, "truncated config")?;
 
-    let (graph_len, graph_bytes) = {
-        let len = r.u64("truncated graph section")?;
-        (
-            len as usize,
-            r.take(len as usize, "truncated graph section")?,
-        )
-    };
-    let _ = graph_len;
+    let graph_bytes = r.counted(1, "truncated graph section")?;
     let graph = gio::from_bytes(graph_bytes)
         .map_err(|_| SnapshotError::Corrupt("invalid graph section"))?;
     let weights = if weighted {
-        let len = r.u64("truncated weights section")?;
-        let blob = r.take(len as usize, "truncated weights section")?;
+        let blob = r.counted(1, "truncated weights section")?;
         Some(
             gio::weights_from_bytes(blob, Some(graph.num_edges()))
                 .map_err(|_| SnapshotError::Corrupt("invalid weights section"))?,
@@ -573,19 +617,17 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
     }
     let mut parts = Vec::with_capacity(k_src as usize);
     for _ in 0..k_src {
-        let upd_off = r.u64s(k_dst as usize + 1, "truncated png offsets")?;
-        let did_off = r.u64s(k_dst as usize + 1, "truncated png offsets")?;
-        let n_sources = r.u64("truncated png sources")? as usize;
-        let raw = r.take(
-            n_sources
-                .checked_mul(4)
-                .ok_or(SnapshotError::Corrupt("section size overflow"))?,
-            "truncated png sources",
+        let upd_off = r.words(
+            k_dst as usize + 1,
+            "truncated png offsets",
+            u64::from_le_bytes,
         )?;
-        let sources: Vec<u32> = raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("sized")))
-            .collect();
+        let did_off = r.words(
+            k_dst as usize + 1,
+            "truncated png offsets",
+            u64::from_le_bytes,
+        )?;
+        let sources: Vec<u32> = r.counted_words("truncated png sources", u32::from_le_bytes)?;
         check_offsets(
             &upd_off,
             sources.len() as u64,
@@ -618,39 +660,39 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
     let raw_edges = png.num_raw_edges() as usize;
     let bins = match format {
         BinFormatKind::Wide => {
-            let (n, raw) = r.counted(4, "truncated wide bins")?;
-            if n != raw_edges {
+            let dest_ids = r.counted_words("truncated wide bins", u32::from_le_bytes)?;
+            if dest_ids.len() != raw_edges {
                 return Err(SnapshotError::Corrupt("wide dest stream length mismatch"));
             }
-            let dest_ids = raw
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().expect("sized")))
-                .collect();
             let weights = read_bin_weights(&mut r, weighted, raw_edges)?;
             BinState::wide(dest_ids, weights)
         }
         BinFormatKind::Compact => {
-            let (n, raw) = r.counted(2, "truncated compact bins")?;
-            if n != raw_edges {
+            let dest_ids = r.counted_words("truncated compact bins", u16::from_le_bytes)?;
+            if dest_ids.len() != raw_edges {
                 return Err(SnapshotError::Corrupt(
                     "compact dest stream length mismatch",
                 ));
             }
-            let dest_ids = raw
-                .chunks_exact(2)
-                .map(|c| u16::from_le_bytes(c.try_into().expect("sized")))
-                .collect();
             let weights = read_bin_weights(&mut r, weighted, raw_edges)?;
             BinState::compact(dest_ids, weights)
         }
         BinFormatKind::Delta => {
-            let (n_bytes, raw) = r.counted(1, "truncated delta bins")?;
+            let raw = r.counted(1, "truncated delta bins")?;
             let dest_bytes = [raw, &[0; crate::delta::SLACK]].concat();
-            let byte_region = r.u64s(k_src as usize + 1, "truncated delta regions")?;
-            check_offsets(&byte_region, n_bytes as u64, "inconsistent delta regions")?;
+            let byte_region = r.words(
+                k_src as usize + 1,
+                "truncated delta regions",
+                u64::from_le_bytes,
+            )?;
+            check_offsets(&byte_region, raw.len() as u64, "inconsistent delta regions")?;
             let mut seg_off = Vec::with_capacity(k_src as usize);
             for s in 0..k_src as usize {
-                let offs = r.u64s(k_dst as usize + 1, "truncated delta segments")?;
+                let offs = r.words(
+                    k_dst as usize + 1,
+                    "truncated delta segments",
+                    u64::from_le_bytes,
+                )?;
                 let region_len = byte_region[s + 1] - byte_region[s];
                 check_offsets(&offs, region_len, "inconsistent delta segments")?;
                 seg_off.push(offs);
@@ -681,15 +723,11 @@ fn read_bin_weights(
     if !weighted {
         return Ok(None);
     }
-    let (n, raw) = r.counted(4, "truncated bin weight stream")?;
-    if n != raw_edges {
+    let weights = r.counted_words("truncated bin weight stream", f32::from_le_bytes)?;
+    if weights.len() != raw_edges {
         return Err(SnapshotError::Corrupt("bin weight stream length mismatch"));
     }
-    Ok(Some(
-        raw.chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("sized")))
-            .collect(),
-    ))
+    Ok(Some(weights))
 }
 
 // Re-exported so callers matching on `PcpmError::Snapshot` have the
@@ -761,16 +799,19 @@ mod tests {
             Snapshot::from_bytes(&bad),
             Err(SnapshotError::ChecksumMismatch { .. })
         ));
-        // Version 1 held LEB128 delta bins: it is refused, not misread.
-        let mut old = bytes.clone();
-        old[8..12].copy_from_slice(&1u32.to_le_bytes());
-        assert_eq!(
-            Snapshot::from_bytes(&old).unwrap_err(),
-            SnapshotError::UnsupportedVersion {
-                found: 1,
-                supported: 2
-            }
-        );
+        // Version 1 held LEB128 delta bins and version 2 a bytewise
+        // checksum: both are refused, not misread.
+        for found in [1u32, 2] {
+            let mut old = bytes.clone();
+            old[8..12].copy_from_slice(&found.to_le_bytes());
+            assert_eq!(
+                Snapshot::from_bytes(&old).unwrap_err(),
+                SnapshotError::UnsupportedVersion {
+                    found,
+                    supported: 3
+                }
+            );
+        }
         // Empty / tiny inputs.
         assert!(Snapshot::from_bytes(&[]).is_err());
         assert!(Snapshot::from_bytes(&bytes[..12]).is_err());

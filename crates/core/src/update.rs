@@ -10,19 +10,26 @@
 //! `pcpm-core` need not depend on the streaming crate.
 
 use crate::error::{PcpmError, SnapshotError};
-use pcpm_graph::io::checksum64;
+use pcpm_graph::io::{checksum64, get_le, put_le};
 use pcpm_graph::NodeId;
 
-/// Magic bytes identifying the binary update-batch format ("PCPMUB", v1).
-const BATCH_MAGIC: &[u8; 8] = b"PCPMUB01";
+/// Magic bytes identifying the binary update-batch format ("PCPMUB", v2:
+/// v1 carried a bytewise FNV-1a checksum).
+const BATCH_MAGIC: &[u8; 8] = b"PCPMUB02";
 
-/// Reads a little-endian scalar off the front of `data`.
-macro_rules! take_le {
-    ($data:ident, $t:ty) => {{
-        let (head, rest) = $data.split_at(std::mem::size_of::<$t>());
-        $data = rest;
-        <$t>::from_le_bytes(head.try_into().expect("length checked above"))
-    }};
+/// Bytes before the checksummed part of a frame: magic and checksum.
+const BATCH_HEADER: usize = BATCH_MAGIC.len() + 8;
+
+/// Reads the little-endian `u64` at `data[at..at + 8]`; the caller has
+/// checked the length.
+fn u64_at(data: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(data[at..at + 8].try_into().expect("length checked above"))
+}
+
+/// Reads the little-endian `u32` at `data[at..at + 4]`; the caller has
+/// checked the length.
+fn u32_at(data: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(data[at..at + 4].try_into().expect("length checked above"))
 }
 
 /// The two streaming operations.
@@ -145,25 +152,34 @@ impl UpdateBatch {
     /// Layout (all integers little-endian):
     ///
     /// ```text
-    /// magic    8 B   "PCPMUB01"
-    /// checksum 8 B   FNV-1a 64 over everything after this field
+    /// magic    8 B   "PCPMUB02"
+    /// checksum 8 B   pcpm_graph::io::checksum64 (FNV-1a 64 over
+    ///                little-endian 8-byte words, then the length) of
+    ///                everything after this field
     /// inserts  8 B   count of insert pairs
     /// deletes  8 B   count of delete pairs
     /// pairs    8 B each  (src u32, dst u32), inserts then deletes,
     ///                    each section sorted by (src, dst)
     /// ```
+    ///
+    /// A `PCPMUB01` frame (bytewise checksum) is refused as
+    /// [`SnapshotError::BadMagic`].
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(16 + self.len() * 8);
-        payload.extend_from_slice(&(self.inserts.len() as u64).to_le_bytes());
-        payload.extend_from_slice(&(self.deletes.len() as u64).to_le_bytes());
-        for &(s, t) in self.inserts.iter().chain(self.deletes.iter()) {
-            payload.extend_from_slice(&s.to_le_bytes());
-            payload.extend_from_slice(&t.to_le_bytes());
-        }
-        let mut buf = Vec::with_capacity(16 + payload.len());
+        let mut buf = Vec::with_capacity(BATCH_HEADER + 16 + self.len() * 8);
         buf.extend_from_slice(BATCH_MAGIC);
-        buf.extend_from_slice(&checksum64(&payload).to_le_bytes());
-        buf.extend_from_slice(&payload);
+        buf.extend_from_slice(&[0u8; 8]);
+        buf.extend_from_slice(&(self.inserts.len() as u64).to_le_bytes());
+        buf.extend_from_slice(&(self.deletes.len() as u64).to_le_bytes());
+        for section in [&self.inserts, &self.deletes] {
+            put_le(&mut buf, section, |(s, t)| {
+                let mut pair = [0u8; 8];
+                pair[..4].copy_from_slice(&s.to_le_bytes());
+                pair[4..].copy_from_slice(&t.to_le_bytes());
+                pair
+            });
+        }
+        let sum = checksum64(&buf[BATCH_HEADER..]);
+        buf[BATCH_MAGIC.len()..BATCH_HEADER].copy_from_slice(&sum.to_le_bytes());
         buf
     }
 
@@ -172,14 +188,14 @@ impl UpdateBatch {
     /// invariants (each section sorted, deduplicated, disjoint).
     pub fn from_bytes(data: &[u8]) -> Result<Self, PcpmError> {
         let corrupt = |msg| PcpmError::Snapshot(SnapshotError::Corrupt(msg));
-        if data.len() < BATCH_MAGIC.len() + 8 {
+        if data.len() < BATCH_HEADER {
             return Err(corrupt("truncated update-batch header"));
         }
         if &data[..BATCH_MAGIC.len()] != BATCH_MAGIC {
             return Err(PcpmError::Snapshot(SnapshotError::BadMagic));
         }
-        let mut data = &data[BATCH_MAGIC.len()..];
-        let stored = take_le!(data, u64);
+        let stored = u64_at(data, BATCH_MAGIC.len());
+        let data = &data[BATCH_HEADER..];
         let computed = checksum64(data);
         if stored != computed {
             return Err(PcpmError::Snapshot(SnapshotError::ChecksumMismatch {
@@ -190,26 +206,22 @@ impl UpdateBatch {
         if data.len() < 16 {
             return Err(corrupt("truncated update-batch counts"));
         }
-        let n_ins = take_le!(data, u64) as usize;
-        let n_del = take_le!(data, u64) as usize;
+        let n_ins = u64_at(data, 0) as usize;
+        let n_del = u64_at(data, 8) as usize;
+        let pairs = &data[16..];
         let need = n_ins
             .checked_add(n_del)
             .and_then(|n| n.checked_mul(8))
             .ok_or(corrupt("update-batch size overflow"))?;
-        if data.len() != need {
+        if pairs.len() != need {
             return Err(corrupt("update-batch payload size mismatch"));
         }
-        let mut read_pairs = |n: usize| -> Vec<(NodeId, NodeId)> {
-            (0..n)
-                .map(|_| {
-                    let s = take_le!(data, u32);
-                    let t = take_le!(data, u32);
-                    (s, t)
-                })
-                .collect()
+        let (ins, del) = pairs.split_at(n_ins * 8);
+        let read_pairs = |raw: &[u8]| -> Vec<(NodeId, NodeId)> {
+            get_le(raw, |p: [u8; 8]| (u32_at(&p, 0), u32_at(&p, 4)))
         };
-        let inserts = read_pairs(n_ins);
-        let deletes = read_pairs(n_del);
+        let inserts = read_pairs(ins);
+        let deletes = read_pairs(del);
         for section in [&inserts, &deletes] {
             if section.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(corrupt("update-batch section not sorted/deduplicated"));
@@ -251,13 +263,9 @@ impl RepairStats {
                 "repair stats must be exactly 8 bytes",
             )));
         }
-        let mut data = data;
-        let partitions_rebuilt = take_le!(data, u32);
-        let partitions_total = take_le!(data, u32);
-        let _ = data;
         Ok(Self {
-            partitions_rebuilt,
-            partitions_total,
+            partitions_rebuilt: u32_at(data, 0),
+            partitions_total: u32_at(data, 4),
         })
     }
 }

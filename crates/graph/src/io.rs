@@ -71,125 +71,158 @@ pub fn write_edge_list<W: Write>(graph: &Csr, writer: W) -> Result<(), GraphErro
     Ok(())
 }
 
-/// Serializes the CSR into the binary format.
-pub fn to_bytes(graph: &Csr) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(
-        MAGIC.len() + 12 + graph.offsets().len() * 8 + graph.targets().len() * 4,
-    );
+/// Byte length of `graph` in the binary format.
+pub fn encoded_len(graph: &Csr) -> usize {
+    MAGIC.len() + 12 + graph.offsets().len() * 8 + graph.targets().len() * 4
+}
+
+/// Appends `graph` in the binary format to `buf`.
+pub fn encode_into(graph: &Csr, buf: &mut Vec<u8>) {
+    buf.reserve(encoded_len(graph));
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&graph.num_nodes().to_le_bytes());
     buf.extend_from_slice(&graph.num_edges().to_le_bytes());
-    for &o in graph.offsets() {
-        buf.extend_from_slice(&o.to_le_bytes());
-    }
-    for &t in graph.targets() {
-        buf.extend_from_slice(&t.to_le_bytes());
-    }
+    put_le(buf, graph.offsets(), u64::to_le_bytes);
+    put_le(buf, graph.targets(), u32::to_le_bytes);
+}
+
+/// Serializes the CSR into the binary format.
+pub fn to_bytes(graph: &Csr) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(encoded_len(graph));
+    encode_into(graph, &mut buf);
     buf
 }
 
-/// Reads a little-endian scalar off the front of `data`.
-macro_rules! take_le {
-    ($data:ident, $t:ty) => {{
-        let (head, rest) = $data.split_at(std::mem::size_of::<$t>());
-        $data = rest;
-        <$t>::from_le_bytes(head.try_into().expect("length checked above"))
-    }};
+/// Appends `xs` to `buf` as consecutive little-endian `W`-byte words:
+/// one resize, then one pass the compiler turns into wide stores.
+pub fn put_le<T: Copy, const W: usize>(buf: &mut Vec<u8>, xs: &[T], to_le: impl Fn(T) -> [u8; W]) {
+    let start = buf.len();
+    buf.resize(start + xs.len() * W, 0);
+    for (out, &x) in buf[start..].chunks_exact_mut(W).zip(xs) {
+        out.copy_from_slice(&to_le(x));
+    }
+}
+
+/// Decodes `raw` as consecutive little-endian `W`-byte words. Callers
+/// size `raw` to a whole number of words; a partial trailing word would
+/// be dropped.
+pub fn get_le<T, const W: usize>(raw: &[u8], from_le: impl Fn([u8; W]) -> T) -> Vec<T> {
+    debug_assert_eq!(raw.len() % W, 0, "a whole number of words");
+    raw.chunks_exact(W)
+        .map(|c| from_le(c.try_into().expect("chunks_exact yields W bytes")))
+        .collect()
+}
+
+/// Reads the little-endian `u64` at `data[at..at + 8]`; the caller has
+/// checked the length.
+fn u64_at(data: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(data[at..at + 8].try_into().expect("length checked above"))
 }
 
 /// Deserializes a CSR from the binary format, revalidating all invariants.
-pub fn from_bytes(mut data: &[u8]) -> Result<Csr, GraphError> {
-    if data.len() < MAGIC.len() + 12 {
+pub fn from_bytes(data: &[u8]) -> Result<Csr, GraphError> {
+    const HEADER: usize = MAGIC.len() + 12;
+    if data.len() < HEADER {
         return Err(GraphError::CorruptBinary("truncated header"));
     }
     if &data[..MAGIC.len()] != MAGIC {
         return Err(GraphError::CorruptBinary("bad magic"));
     }
-    data = &data[MAGIC.len()..];
-    let n = take_le!(data, u32);
-    let m = take_le!(data, u64);
-    let need = (n as usize + 1)
+    let n = u32::from_le_bytes(data[8..12].try_into().expect("length checked above"));
+    let m = u64_at(data, 12);
+    let offsets_len = (n as usize + 1)
         .checked_mul(8)
-        .and_then(|x| x.checked_add((m as usize).checked_mul(4)?))
         .ok_or(GraphError::CorruptBinary("size overflow"))?;
-    if data.len() != need {
+    let need = (m as usize)
+        .checked_mul(4)
+        .and_then(|x| x.checked_add(offsets_len))
+        .ok_or(GraphError::CorruptBinary("size overflow"))?;
+    let body = &data[HEADER..];
+    if body.len() != need {
         return Err(GraphError::CorruptBinary("payload size mismatch"));
     }
-    let mut offsets = Vec::with_capacity(n as usize + 1);
-    for _ in 0..=n {
-        offsets.push(take_le!(data, u64));
-    }
-    let mut targets = Vec::with_capacity(m as usize);
-    for _ in 0..m {
-        targets.push(take_le!(data, u32));
-    }
-    Csr::from_parts(n, offsets, targets)
+    let (offsets, targets) = body.split_at(offsets_len);
+    Csr::from_parts(
+        n,
+        get_le(offsets, u64::from_le_bytes),
+        get_le(targets, u32::from_le_bytes),
+    )
 }
 
-/// FNV-1a 64-bit checksum over a byte payload.
+/// The repository's one checksum: FNV-1a 64 run over little-endian
+/// 8-byte words instead of single bytes.
 ///
-/// Deterministic, dependency-free and fast enough to cover multi-hundred-
-/// megabyte snapshot payloads; used by the engine-snapshot cache
-/// (`pcpm_core::snapshot`) to reject corrupted or truncated files before
-/// any structural decoding happens.
+/// Exactly: `h = 0xcbf29ce484222325`; for each 8-byte word `w` of
+/// `data`, read little-endian with the last word zero-padded,
+/// `h = (h ^ w) · 0x100000001b3` (mod 2⁶⁴); finally the same step with
+/// `w = data.len()`. Each step is a bijection in `h` and injective in
+/// `w`, so any change confined to one word — every single-byte change
+/// among them — always changes the sum; folding the length in tells a
+/// payload from itself with zero bytes appended. One multiply per eight
+/// bytes lets it cover multi-hundred-megabyte snapshot payloads at
+/// memory speed. It guards the engine-snapshot cache
+/// (`pcpm_core::snapshot`) and the update-batch frame, rejecting
+/// corrupted or truncated input before any structural decoding happens.
 pub fn checksum64(data: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
+    let step = |h: u64, w: u64| (h ^ w).wrapping_mul(PRIME);
+    let mut words = data.chunks_exact(8);
+    let mut h = words.by_ref().fold(OFFSET, |h, c| {
+        step(h, u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+    });
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = step(h, u64::from_le_bytes(last));
     }
-    h
+    step(h, data.len() as u64)
 }
 
 /// Magic bytes identifying the binary edge-weight format ("PCPMWT", v1).
 const WEIGHTS_MAGIC: &[u8; 8] = b"PCPMWT01";
 
-/// Serializes an edge-weight vector (CSR order) into a little-endian
-/// binary blob with a magic header and an explicit count.
-pub fn weights_to_bytes(weights: &[f32]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(WEIGHTS_MAGIC.len() + 8 + weights.len() * 4);
-    buf.extend_from_slice(WEIGHTS_MAGIC);
-    buf.extend_from_slice(&(weights.len() as u64).to_le_bytes());
-    for &w in weights {
-        buf.extend_from_slice(&w.to_le_bytes());
-    }
-    buf
+/// Byte length of `m` edge weights in the binary weight format.
+pub fn weights_encoded_len(m: usize) -> usize {
+    WEIGHTS_MAGIC.len() + 8 + m * 4
 }
 
-/// Deserializes an edge-weight blob written by [`weights_to_bytes`],
+/// Appends an edge-weight vector (CSR order) to `buf` as a
+/// little-endian blob with a magic header and an explicit count.
+pub fn weights_encode_into(weights: &[f32], buf: &mut Vec<u8>) {
+    buf.reserve(weights_encoded_len(weights.len()));
+    buf.extend_from_slice(WEIGHTS_MAGIC);
+    buf.extend_from_slice(&(weights.len() as u64).to_le_bytes());
+    put_le(buf, weights, f32::to_le_bytes);
+}
+
+/// Deserializes an edge-weight blob written by [`weights_encode_into`],
 /// validating the magic, the count and (when given) the edge count of
 /// the graph the weights must be parallel to.
-pub fn weights_from_bytes(
-    mut data: &[u8],
-    expect_edges: Option<u64>,
-) -> Result<Vec<f32>, GraphError> {
-    if data.len() < WEIGHTS_MAGIC.len() + 8 {
+pub fn weights_from_bytes(data: &[u8], expect_edges: Option<u64>) -> Result<Vec<f32>, GraphError> {
+    const HEADER: usize = WEIGHTS_MAGIC.len() + 8;
+    if data.len() < HEADER {
         return Err(GraphError::CorruptBinary("truncated weights header"));
     }
     if &data[..WEIGHTS_MAGIC.len()] != WEIGHTS_MAGIC {
         return Err(GraphError::CorruptBinary("bad weights magic"));
     }
-    data = &data[WEIGHTS_MAGIC.len()..];
-    let m = take_le!(data, u64);
+    let m = u64_at(data, WEIGHTS_MAGIC.len());
     if let Some(want) = expect_edges {
         if m != want {
             return Err(GraphError::CorruptBinary("weight count mismatch"));
         }
     }
-    if data.len()
+    let body = &data[HEADER..];
+    if body.len()
         != (m as usize)
             .checked_mul(4)
             .ok_or(GraphError::CorruptBinary("size overflow"))?
     {
         return Err(GraphError::CorruptBinary("weights payload size mismatch"));
     }
-    let mut weights = Vec::with_capacity(m as usize);
-    for _ in 0..m {
-        weights.push(take_le!(data, f32));
-    }
-    Ok(weights)
+    Ok(get_le(body, f32::from_le_bytes))
 }
 
 /// Writes the binary format to a file path.
@@ -287,17 +320,65 @@ mod tests {
 
     #[test]
     fn checksum_is_stable_and_sensitive() {
-        assert_eq!(checksum64(b""), 0xcbf2_9ce4_8422_2325);
+        // Known answers: the empty input is one step with w = 0 (its
+        // length) from the FNV offset basis.
+        assert_eq!(checksum64(b""), 0xaf63_bd4c_8601_b7df);
         let a = checksum64(b"pcpm snapshot payload");
-        assert_eq!(a, checksum64(b"pcpm snapshot payload"));
+        assert_eq!(a, 0xcfe0_9b78_2ec0_e6ab);
         assert_ne!(a, checksum64(b"pcpm snapshot payloae"));
         assert_ne!(checksum64(b"ab"), checksum64(b"ba"));
     }
 
     #[test]
+    fn checksum_catches_a_flip_in_every_lane_and_the_padded_tail() {
+        // Two whole words and a 5-byte tail that the last word pads.
+        let data: Vec<u8> = (0u8..21).map(|b| b.wrapping_mul(37)).collect();
+        let sum = checksum64(&data);
+        for i in 0..data.len() {
+            for bit in [0x01, 0x80] {
+                let mut bad = data.clone();
+                bad[i] ^= bit;
+                assert_ne!(checksum64(&bad), sum, "byte {i} ^ {bit:#04x}");
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_folds_in_the_length() {
+        // Appending zero bytes leaves the padded words unchanged, so
+        // only the folded-in length tells these apart.
+        let mut data = b"pcpm".to_vec();
+        for _ in 0..12 {
+            let sum = checksum64(&data);
+            data.push(0);
+            assert_ne!(checksum64(&data), sum, "{} bytes", data.len());
+        }
+    }
+
+    #[test]
+    fn slice_codec_round_trips_and_decodes_little_endian() {
+        let xs = [1u32, 0xdead_beef, u32::MAX];
+        let mut buf = vec![7u8];
+        put_le(&mut buf, &xs, u32::to_le_bytes);
+        assert_eq!(&buf[1..5], &[1, 0, 0, 0]);
+        assert_eq!(get_le(&buf[1..], u32::from_le_bytes), xs);
+        let hs = [0x0102u16, 0xfffe];
+        let mut buf = Vec::new();
+        put_le(&mut buf, &hs, u16::to_le_bytes);
+        assert_eq!(buf, [2, 1, 0xfe, 0xff]);
+        assert_eq!(get_le(&buf, u16::from_le_bytes), hs);
+    }
+
+    #[test]
     fn weights_round_trip_and_reject_corruption() {
         let w = vec![0.5f32, -1.25, 3.0, f32::MIN_POSITIVE];
-        let bytes = weights_to_bytes(&w);
+        let blob = |w: &[f32]| {
+            let mut buf = Vec::new();
+            weights_encode_into(w, &mut buf);
+            assert_eq!(buf.len(), weights_encoded_len(w.len()));
+            buf
+        };
+        let bytes = blob(&w);
         assert_eq!(weights_from_bytes(&bytes, Some(4)).unwrap(), w);
         assert_eq!(weights_from_bytes(&bytes, None).unwrap(), w);
         assert!(weights_from_bytes(&bytes, Some(3)).is_err());
@@ -308,8 +389,6 @@ mod tests {
         let mut truncated = bytes;
         truncated.pop();
         assert!(weights_from_bytes(&truncated, None).is_err());
-        assert!(weights_from_bytes(&weights_to_bytes(&[]), Some(0))
-            .unwrap()
-            .is_empty());
+        assert!(weights_from_bytes(&blob(&[]), Some(0)).unwrap().is_empty());
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! length   4 B   little-endian byte length of the body that follows
-//! version  2 B   protocol version (currently 1)
+//! version  2 B   protocol version (currently 2)
 //! kind     1 B   request or response kind (see below)
 //! payload  ...   kind-specific body, little-endian throughout
 //! ```
@@ -82,7 +82,11 @@ use std::io::{self, Read, Write};
 use std::time::Duration;
 
 /// Protocol version spoken by this build.
-pub const PROTOCOL_VERSION: u16 = 1;
+///
+/// Version 2 carries `PCPMUB02` update-batch frames, whose checksum is
+/// word-wise FNV-1a; a version-1 peer sends `PCPMUB01` frames and gets
+/// [`ErrorCode::UnsupportedVersion`] before its batch is parsed.
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Upper bound on a frame body; larger length prefixes are rejected
 /// before allocation.

@@ -306,6 +306,90 @@ fn non_snapshotable_engines_refuse() {
     ));
 }
 
+/// Every snapshot of a scale-5 RMAT, each format weighted and not, and
+/// one update-batch frame: every single-byte flip (low bit and high bit)
+/// and every truncation gets a typed error, and so do the frames of the
+/// previous format versions.
+#[test]
+fn every_flip_and_truncation_is_a_typed_error() {
+    let g = Arc::new(pcpm::graph::gen::rmat(&RmatConfig::graph500(5, 8, 3)).unwrap());
+    let weights = EdgeWeights::random(&g, 5);
+    for format in BinFormatKind::ALL {
+        for weighted in [false, true] {
+            let tag = format!("{format} weighted={weighted}");
+            let builder = Engine::<PlusF32>::builder_shared(&g).config(cfg_for(format, None));
+            let engine = if weighted {
+                builder.weights(&weights).build()
+            } else {
+                builder.build()
+            }
+            .unwrap();
+            let bytes = engine.snapshot().unwrap().to_bytes();
+            assert!(Snapshot::from_bytes(&bytes).is_ok(), "{tag}");
+            for i in 0..bytes.len() {
+                for bit in [0x01u8, 0x80] {
+                    let mut bad = bytes.clone();
+                    bad[i] ^= bit;
+                    let err = Snapshot::from_bytes(&bad).map(|_| ()).unwrap_err();
+                    let typed = match i {
+                        0..=7 => err == SnapshotError::BadMagic,
+                        8..=11 => {
+                            matches!(err, SnapshotError::UnsupportedVersion { supported: 3, .. })
+                        }
+                        _ => matches!(err, SnapshotError::ChecksumMismatch { .. }),
+                    };
+                    assert!(typed, "{tag}: byte {i} ^ {bit:#04x} gave {err:?}");
+                }
+            }
+            for len in 0..bytes.len() {
+                assert!(
+                    Snapshot::from_bytes(&bytes[..len]).is_err(),
+                    "{tag}: truncated to {len} bytes"
+                );
+            }
+            // A version-2 header (bytewise checksum) is refused by version.
+            let mut v2 = bytes.clone();
+            v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+            assert_eq!(
+                Snapshot::from_bytes(&v2).map(|_| ()),
+                Err(SnapshotError::UnsupportedVersion {
+                    found: 2,
+                    supported: 3
+                }),
+                "{tag}"
+            );
+        }
+    }
+
+    let edges: Vec<(u32, u32)> = g.edges().collect();
+    let batch = UpdateBatch::from_parts(vec![(0, 31), (7, 2), (30, 1)], edges[..4].to_vec());
+    let frame = batch.to_bytes();
+    assert_eq!(UpdateBatch::from_bytes(&frame).unwrap(), batch);
+    let snapshot_err = |bytes: &[u8]| match UpdateBatch::from_bytes(bytes) {
+        Err(pcpm::core::PcpmError::Snapshot(e)) => e,
+        other => panic!("not a typed snapshot error: {other:?}"),
+    };
+    for i in 0..frame.len() {
+        for bit in [0x01u8, 0x80] {
+            let mut bad = frame.clone();
+            bad[i] ^= bit;
+            let err = snapshot_err(&bad);
+            let typed = match i {
+                0..=7 => err == SnapshotError::BadMagic,
+                _ => matches!(err, SnapshotError::ChecksumMismatch { .. }),
+            };
+            assert!(typed, "frame byte {i} ^ {bit:#04x} gave {err:?}");
+        }
+    }
+    for len in 0..frame.len() {
+        snapshot_err(&frame[..len]);
+    }
+    // A version-1 frame (bytewise checksum) is refused by its magic.
+    let mut v1 = frame.clone();
+    v1[..8].copy_from_slice(b"PCPMUB01");
+    assert_eq!(snapshot_err(&v1), SnapshotError::BadMagic);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
