@@ -3,7 +3,6 @@
 //! ```text
 //! repro <exhibit> [--scale N] [--iters N] [--threads N] [--quick]
 //!                 [--format wide|compact|delta] [--cache-dir DIR]
-//!                 [--kernel auto|scalar|unrolled]
 //!
 //! `--cache-dir DIR` reuses prepared-engine snapshots across harness
 //! runs: PCPM timing engines load from `DIR` instead of re-running
@@ -39,66 +38,12 @@ const EXHIBITS: [&str; 18] = [
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut suite = SuiteConfig::default();
-    let mut cmd = String::from("all");
-    let mut it = args.iter().peekable();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--scale" => {
-                suite.scale = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(suite.scale)
-            }
-            "--iters" => {
-                suite.iterations = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(suite.iterations)
-            }
-            "--threads" => suite.threads = it.next().and_then(|v| v.parse().ok()),
-            "--cache-dir" => {
-                suite.cache_dir = it.next().map(std::path::PathBuf::from);
-                if suite.cache_dir.is_none() {
-                    eprintln!("--cache-dir expects a directory");
-                    std::process::exit(2);
-                }
-            }
-            "--format" => {
-                suite.bin_format = match it.next().and_then(|v| v.parse().ok()) {
-                    Some(f) => f,
-                    None => {
-                        eprintln!("--format expects wide|compact|delta");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--kernel" => {
-                suite.kernel = match it.next().and_then(|v| v.parse().ok()) {
-                    Some(k) => k,
-                    None => {
-                        eprintln!("--kernel expects auto|scalar|unrolled");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--quick" => {
-                suite.scale = 13;
-                suite.iterations = 5;
-            }
-            other if !other.starts_with("--") => cmd = other.to_string(),
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if !EXHIBITS.contains(&cmd.as_str()) {
-        eprintln!("unknown exhibit '{cmd}'; choose one of {EXHIBITS:?}");
+    let (suite, cmd) = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
         std::process::exit(2);
-    }
+    });
     println!(
-        "PCPM reproduction harness — scale {} (n ≈ {}K), {} iterations, {} threads, {} bins, {} kernel",
+        "PCPM reproduction harness — scale {} (n ≈ {}K), {} iterations, {} threads, {} bins",
         suite.scale,
         (1u64 << suite.scale) / 1000,
         suite.iterations,
@@ -107,7 +52,6 @@ fn main() {
             .map(|t| t.to_string())
             .unwrap_or_else(|| format!("{} (rayon)", rayon::current_num_threads())),
         suite.bin_format,
-        suite.kernel,
     );
     let run = |name: &str| cmd == name || cmd == "all";
     if run("table4") {
@@ -146,6 +90,45 @@ fn main() {
     if run("ablation") {
         ablation(&suite);
     }
+}
+
+/// Parses the command line into the suite configuration and the exhibit
+/// to run. `--quick` starts from [`SuiteConfig::quick`]; an explicit
+/// `--scale` or `--iters` wins over it in either order.
+fn parse_args(args: &[String]) -> Result<(SuiteConfig, String), String> {
+    fn value<T: std::str::FromStr>(
+        v: Option<&String>,
+        flag: &str,
+        what: &str,
+    ) -> Result<T, String> {
+        v.and_then(|v| v.parse().ok())
+            .ok_or_else(|| format!("{flag} expects {what}"))
+    }
+    let mut suite = if args.iter().any(|a| a == "--quick") {
+        SuiteConfig::quick()
+    } else {
+        SuiteConfig::default()
+    };
+    let mut cmd = String::from("all");
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--scale" => suite.scale = value(it.next(), arg, "a log2 node count")?,
+            "--iters" => suite.iterations = value(it.next(), arg, "an iteration count")?,
+            "--threads" => suite.threads = Some(value(it.next(), arg, "a thread count")?),
+            "--cache-dir" => suite.cache_dir = Some(value(it.next(), arg, "a directory")?),
+            "--format" => suite.bin_format = value(it.next(), arg, "wide|compact|delta")?,
+            "--quick" => {}
+            other if !other.starts_with("--") => cmd = other.to_string(),
+            other => return Err(format!("unknown flag {other}")),
+        }
+    }
+    if !EXHIBITS.contains(&cmd.as_str()) {
+        return Err(format!(
+            "unknown exhibit '{cmd}'; choose one of {EXHIBITS:?}"
+        ));
+    }
+    Ok((suite, cmd))
 }
 
 /// Table 4: dataset characteristics (paper vs stand-in).
@@ -599,4 +582,39 @@ fn table8(suite: &SuiteConfig) {
     }
     t.print("Table 8: pre-processing time (amortized over PageRank iterations)");
     let _ = t.write_csv(&suite.out_dir, "table8");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<(SuiteConfig, String), String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn quick_is_the_suite_tier_and_explicit_values_win_in_either_order() {
+        let tier = SuiteConfig::quick();
+        let (quick, cmd) = parse("fig7 --quick").unwrap();
+        assert_eq!(
+            (quick.scale, quick.iterations),
+            (tier.scale, tier.iterations)
+        );
+        assert_eq!(cmd, "fig7");
+        for line in [
+            "--scale 16 --iters 3 --quick",
+            "--quick --scale 16 --iters 3",
+        ] {
+            let (s, cmd) = parse(line).unwrap();
+            assert_eq!((s.scale, s.iterations), (16, 3), "{line}");
+            assert_eq!(cmd, "all");
+        }
+        let full = SuiteConfig::default();
+        let (s, _) = parse("table8").unwrap();
+        assert_eq!((s.scale, s.iterations), (full.scale, full.iterations));
+        assert!(parse("--kernel auto").is_err());
+        assert!(parse("--scale x").is_err());
+        assert!(parse("fig99").is_err());
+    }
 }

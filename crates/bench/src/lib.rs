@@ -1,4 +1,4 @@
-//! Shared helpers for the reproduction harness and criterion benches.
+//! Shared helpers for the `repro` paper-exhibit harness.
 
 #![forbid(unsafe_code)]
 

@@ -19,7 +19,7 @@
 use pcpm_core::algebra::PlusF32;
 use pcpm_core::pagerank::pagerank_with_unified_engine;
 use pcpm_core::pr::PrResult;
-use pcpm_core::{BinFormatKind, Engine, KernelKind, PcpmConfig};
+use pcpm_core::{BinFormatKind, Engine, PcpmConfig};
 use pcpm_graph::gen::datasets::{standin_at, Dataset};
 use pcpm_graph::order::{reorder, OrderingKind};
 use pcpm_graph::Csr;
@@ -71,9 +71,6 @@ pub struct SuiteConfig {
     pub threads: Option<usize>,
     /// PCPM bin format for the timing experiments (`--format`).
     pub bin_format: BinFormatKind,
-    /// PCPM gather/decode kernel for the timing experiments
-    /// (`--kernel`; `Auto` resolves at engine build time).
-    pub kernel: KernelKind,
     /// Engine-snapshot cache directory (`--cache-dir`): PCPM timing
     /// engines are loaded from snapshots keyed by graph × format ×
     /// partitioning when present, and saved after a cold build — so
@@ -90,14 +87,13 @@ impl Default for SuiteConfig {
             out_dir: PathBuf::from("results"),
             threads: None,
             bin_format: BinFormatKind::Wide,
-            kernel: KernelKind::Auto,
             cache_dir: None,
         }
     }
 }
 
 impl SuiteConfig {
-    /// A reduced configuration for smoke tests and CI.
+    /// The reduced tier behind `repro --quick`, for smoke tests and CI.
     pub fn quick() -> Self {
         Self {
             scale: 12,
@@ -111,8 +107,7 @@ impl SuiteConfig {
         let mut cfg = PcpmConfig::default()
             .with_partition_bytes(TIMING_PARTITION_BYTES)
             .with_iterations(self.iterations)
-            .with_bin_format(self.bin_format)
-            .with_kernel(self.kernel);
+            .with_bin_format(self.bin_format);
         cfg.threads = self.threads;
         cfg
     }
@@ -190,8 +185,7 @@ fn pcpm_timing_engine(g: &Csr, suite: &SuiteConfig, cfg: &PcpmConfig) -> Engine<
             .expect_config(cfg, false)
             .expect("snapshot config")
             .expect_graph(g)
-            .expect("snapshot graph")
-            .kernel(cfg.kernel);
+            .expect("snapshot graph");
         if let Some(t) = cfg.threads {
             b = b.threads(t);
         }

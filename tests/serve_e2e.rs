@@ -284,6 +284,11 @@ fn updates_publish_epochs_matching_offline_replay() {
         assert_eq!(served.epoch, (i + 1) as u64);
         assert_eq!(served.scores, expected[i + 1]);
     }
+    // The writer published once per batch, and the server's own stats
+    // agree with the epochs the replies carried.
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.epoch, batches.len() as u64);
+    assert_eq!(stats.writer_publishes, batches.len() as u64);
 
     handle.shutdown();
     handle.join().unwrap();

@@ -125,6 +125,17 @@ fn a_batch_wider_than_eight_counts_one_scan_per_pass() {
         assert_eq!(report.steps, 2, "{format}");
         assert_eq!(report.queries_served(), 9, "{format}");
         assert_eq!(report.dest_stream_total_bytes(), Some(2 * per_scan));
+        // Bins decoded per pass do not scale with the batch width: the
+        // two passes decode exactly twice what one solo step does.
+        tm.set_enabled(true);
+        tm.reset();
+        engine.step(&xs[0], &mut ys[0]).unwrap();
+        tm.set_enabled(false);
+        assert_eq!(
+            snap.bins_decoded,
+            2 * tm.snapshot().bins_decoded,
+            "{format}: bins decoded per pass must not scale with Q"
+        );
     }
 }
 
@@ -132,15 +143,24 @@ fn a_batch_wider_than_eight_counts_one_scan_per_pass() {
 fn wide_stream_is_strictly_larger_than_compact_and_delta() {
     let _guard = lock_registry();
     let graph = test_graph();
-    let bytes: Vec<u64> = BinFormatKind::ALL
+    let reports: Vec<ExecutionReport> = BinFormatKind::ALL
         .iter()
-        .map(|&f| run_steps(&graph, f).dest_stream_bytes.unwrap())
+        .map(|&f| run_steps(&graph, f))
+        .collect();
+    let bytes: Vec<u64> = reports
+        .iter()
+        .map(|r| r.dest_stream_bytes.unwrap())
         .collect();
     // ALL is [wide, compact, delta]: wide pays 4 B/edge, compact 2,
     // delta ~1-2 — the paper's compression argument in one assert.
     assert!(
         bytes[1] < bytes[0] && bytes[2] < bytes[0],
         "wide must carry the largest dest stream: {bytes:?}"
+    );
+    let aux: Vec<u64> = reports.iter().map(|r| r.aux_memory_bytes).collect();
+    assert!(
+        aux[1] < aux[0] && aux[2] < aux[0],
+        "compact and delta must hold strictly less auxiliary memory than wide: {aux:?}"
     );
 }
 
