@@ -94,7 +94,6 @@ impl EngineSpec {
 }
 
 /// One served engine's published state.
-#[derive(Clone)]
 struct Shard {
     snapshot: Snapshot,
     label: String,
@@ -104,7 +103,9 @@ struct Shard {
 /// The RCU-published value: everything a reader needs, immutable.
 struct ServingState {
     epoch: u64,
-    shards: Vec<Shard>,
+    /// Shared between epochs: a publish replaces one shard's `Arc` and
+    /// clones the rest.
+    shards: Vec<Arc<Shard>>,
 }
 
 /// Server tunables.
@@ -221,10 +222,12 @@ impl Server {
         };
         let shards = engines
             .into_iter()
-            .map(|e| Shard {
-                snapshot: e.snapshot,
-                label: e.label,
-                load: e.load,
+            .map(|e| {
+                Arc::new(Shard {
+                    snapshot: e.snapshot,
+                    label: e.label,
+                    load: e.load,
+                })
             })
             .collect();
         Ok(Server {
@@ -488,7 +491,12 @@ fn apply_update(
     let mut guard = lock_recover(state);
     let prev = Arc::clone(&guard);
     let mut next_shards = prev.shards.clone();
-    next_shards[idx].snapshot = new_snapshot;
+    let old = &prev.shards[idx];
+    next_shards[idx] = Arc::new(Shard {
+        snapshot: new_snapshot,
+        label: old.label.clone(),
+        load: old.load,
+    });
     let epoch = prev.epoch + 1;
     *guard = Arc::new(ServingState {
         epoch,
@@ -797,12 +805,15 @@ impl Worker {
     }
 
     fn shard(cur: &ServingState, engine: u16) -> Result<&Shard, Response> {
-        cur.shards.get(engine as usize).ok_or_else(|| {
-            err_resp(
-                ErrorCode::UnknownEngine,
-                format!("engine {engine} (server holds {})", cur.shards.len()),
-            )
-        })
+        cur.shards
+            .get(engine as usize)
+            .map(|s| &**s)
+            .ok_or_else(|| {
+                err_resp(
+                    ErrorCode::UnknownEngine,
+                    format!("engine {engine} (server holds {})", cur.shards.len()),
+                )
+            })
     }
 
     fn pagerank(&mut self, engine: u16, params: QueryParams) -> Response {
@@ -1191,20 +1202,23 @@ mod tests {
         let graph = Arc::new(erdos_renyi(64, 256, 3).unwrap());
         let cfg = PcpmConfig::default().with_partition_bytes(64);
         let build = || Engine::<PlusF32>::builder_shared(&graph).config(cfg);
-        let snapshot = build().build().unwrap().snapshot().unwrap();
+        let shard = |label: &str| {
+            Arc::new(Shard {
+                snapshot: build().build().unwrap().snapshot().unwrap(),
+                label: label.into(),
+                load: Duration::ZERO,
+            })
+        };
+        let other = shard("h");
         let state = Mutex::new(Arc::new(ServingState {
             epoch: 0,
-            shards: vec![Shard {
-                snapshot,
-                label: "g".into(),
-                load: Duration::ZERO,
-            }],
+            shards: vec![shard("g"), Arc::clone(&other)],
         }));
         let metrics = Metrics::new();
         // A weighted writer engine over the same graph refuses an update
         // that carries no weights.
         let weights = EdgeWeights::random(&graph, 1);
-        let mut engines = vec![Some(build().weights(&weights).build().unwrap())];
+        let mut engines = vec![Some(build().weights(&weights).build().unwrap()), None];
         let mut absent = (0..64u32)
             .flat_map(|s| (0..64u32).map(move |t| (s, t)))
             .filter(|&(s, t)| s != t && graph.neighbors(s).binary_search(&t).is_err());
@@ -1248,7 +1262,13 @@ mod tests {
             ),
             "{ok:?}"
         );
-        let published = Arc::clone(lock_recover(&state).shards[0].snapshot.graph());
+        let shards = lock_recover(&state).shards.clone();
+        assert!(
+            Arc::ptr_eq(&shards[1], &other),
+            "the publish shares the shard it did not update"
+        );
+        assert_eq!(shards[0].label, "g");
+        let published = Arc::clone(shards[0].snapshot.graph());
         let has = |(s, t): (u32, u32)| published.neighbors(s).binary_search(&t).is_ok();
         assert!(has(second), "the second batch is published");
         assert!(!has(first), "the failed batch left no edge behind");
