@@ -453,8 +453,8 @@ fn fig13_14(suite: &SuiteConfig) {
 /// optimization toggled individually, plus the compact- and delta-bin
 /// extensions.
 fn ablation(suite: &SuiteConfig) {
-    use pcpm_core::engine::{GatherKind, ScatterKind};
     use pcpm_core::pagerank::{pagerank_with_variant, PcpmVariant};
+    use pcpm_core::{GatherKind, ScatterKind};
     let mut t = Table::new(&[
         "dataset",
         "full(ms/it)",

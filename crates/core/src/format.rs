@@ -31,9 +31,9 @@
 //! [`DeltaFormat`].
 
 use crate::algebra::Algebra;
+use crate::backend::GatherKind;
 use crate::bins::FixedBins;
 use crate::delta::DeltaPackedBins;
-use crate::engine::GatherKind;
 use crate::error::PcpmError;
 use crate::gather::{gather_any, Applied, EntrySink, Epilogue, Segment, SegmentDecode, MAX_LANES};
 use crate::kernel::{prefetch, KernelKind};

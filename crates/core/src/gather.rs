@@ -20,7 +20,8 @@
 //!   decoded once per pass and a decoded destination is one `W`-lane
 //!   access), the weight source and the [`Advance`] policy
 //!   ([`BranchAvoiding`], or [`Branchy`] — Algorithm 2's
-//!   `if MSB(id) != 0 { pop update }`, kept for the ablation benches).
+//!   `if MSB(id) != 0 { pop update }`, kept as the branch-avoidance
+//!   ablation that `repro ablation` runs).
 //!
 //! The row width `W` is a compile-time constant, 2 to [`MAX_LANES`]:
 //! [`gather_any`] picks the monomorph with one `match` on the pass width
@@ -47,7 +48,7 @@
 //! without the segments, for dataplanes that have no partitions.
 
 use crate::algebra::Algebra;
-use crate::engine::GatherKind;
+use crate::backend::GatherKind;
 use crate::kernel::KernelKind;
 use crate::partition::split_by_lens;
 use crate::png::Png;

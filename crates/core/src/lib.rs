@@ -65,7 +65,6 @@ pub mod bins;
 pub mod compact;
 pub mod config;
 pub mod delta;
-pub mod engine;
 pub mod error;
 pub mod fixed_point;
 pub mod format;
@@ -83,11 +82,11 @@ pub mod telemetry;
 pub mod update;
 
 pub use backend::{
-    Backend, BackendKind, Engine, EngineBuilder, ExecutionReport, SnapshotEngineBuilder,
+    Backend, BackendKind, Engine, EngineBuilder, ExecutionReport, GatherKind, ScatterKind,
+    SnapshotEngineBuilder,
 };
 pub use config::PcpmConfig;
 pub use delta::DeltaPackedBins;
-pub use engine::{FormatPipeline, GatherKind, ScatterKind};
 pub use error::PcpmError;
 pub use error::SnapshotError;
 pub use format::{BinFormat, BinFormatKind, CompactFormat, DeltaFormat, WideFormat};

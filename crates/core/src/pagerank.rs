@@ -14,9 +14,8 @@
 //! apples-to-apples kernel comparison the paper's Fig. 7 makes.
 
 use crate::algebra::PlusF32;
-use crate::backend::{BackendKind, Engine};
+use crate::backend::{BackendKind, Engine, GatherKind, ScatterKind};
 use crate::config::PcpmConfig;
-use crate::engine::{GatherKind, ScatterKind};
 use crate::error::PcpmError;
 use crate::fixed_point::{fixed_point, FixedPoint};
 use crate::pr::PrResult;
@@ -161,7 +160,7 @@ pub fn pagerank_with_unified_engine(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{GatherKind, ScatterKind};
+    use crate::backend::{GatherKind, ScatterKind};
     use pcpm_graph::gen::{erdos_renyi, rmat, RmatConfig};
 
     /// Serial f64 oracle with the same dangling convention.

@@ -11,9 +11,8 @@
 //! scatter/gather round.
 
 use crate::algebra::PlusF32;
-use crate::backend::{boxed_pcpm_backend, Engine};
+use crate::backend::{boxed_pcpm_backend, Engine, GatherKind, ScatterKind};
 use crate::config::PcpmConfig;
-use crate::engine::{GatherKind, ScatterKind};
 use crate::error::PcpmError;
 use crate::png::EdgeView;
 

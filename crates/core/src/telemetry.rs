@@ -55,11 +55,11 @@
 //!
 //! | span | covers | opened by |
 //! | --- | --- | --- |
-//! | `prepare` | PNG build + bin construction + kernel resolution | `Engine::prepare` |
+//! | `prepare` | PNG build + bin construction + kernel resolution | `PcpmBackend::build` |
 //! | `build.count` | the count walk of a layout build: every `(s, p)` segment's compressed edges, raw edges and stream units (inside `prepare` on the engine path) | `png::build_layout` |
 //! | `build.fill` | the fill walk of a layout build: PNG rows, destination stream and weights (inside `prepare` on the engine path) | `png::build_layout` |
-//! | `scatter` | the PCPM scatter phase of one pass, whatever its width (the enclosing `step` / `step_many` span tells; a `step_many` wider than 8 holds one per pass) | `FormatPipeline::pass` |
-//! | `gather` | the PCPM gather phase of one pass, the in-partition apply included | `FormatPipeline::pass` |
+//! | `scatter` | the PCPM scatter phase of one pass, whatever its width (the enclosing `step` / `step_many` span tells; a `step_many` wider than 8 holds one per pass) | `PcpmBackend::pass` |
+//! | `gather` | the PCPM gather phase of one pass, the in-partition apply included | `PcpmBackend::pass` |
 //! | `push` | one pushed fixed-point round: the push along the adjacency and the apply over every destination range (arg: batch width) | `Engine::push_many_with` |
 //! | `step` | one backend-dispatched SpMV step (arg: step index) | `Engine::step` |
 //! | `step_many` | one backend-dispatched SpMM pass (arg: batch width) | `Engine::step_many` |

@@ -3,8 +3,8 @@
 //! arbitrary graphs and configurations (property-based).
 
 use pcpm::core::algebra::{MinLabel, MinPlusF32, PlusF32};
-use pcpm::core::engine::{GatherKind, ScatterKind};
 use pcpm::core::pagerank::{pagerank_with_variant, PcpmVariant};
+use pcpm::core::{GatherKind, ScatterKind};
 use pcpm::prelude::*;
 use proptest::prelude::*;
 

@@ -13,7 +13,7 @@
 //! gather-kernel list via `PCPM_TEST_KERNELS=scalar,unrolled`.
 
 use pcpm::core::algebra::{MinLabel, PlusF32};
-use pcpm::core::engine::ScatterKind;
+use pcpm::core::ScatterKind;
 use pcpm::prelude::*;
 use std::sync::Arc;
 

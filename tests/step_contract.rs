@@ -25,8 +25,8 @@
 //! equals the same runs gathered round by round, bit for bit.
 
 use pcpm::core::algebra::{MinLabel, PlusF32};
-use pcpm::core::engine::{GatherKind, ScatterKind};
 use pcpm::core::Finished;
+use pcpm::core::{GatherKind, ScatterKind};
 use pcpm::prelude::*;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
@@ -264,7 +264,7 @@ fn the_epilogue_sees_every_node_once_after_its_sums_are_final() {
 fn ablation_engines_run_a_batch_one_query_per_round() {
     // Neither Algorithm 2 variant has a batched kernel: `step_many` must
     // give each query its `step` bits, and the epilogue contract holds
-    // with the apply as a pass of its own.
+    // with the apply inside the gather of each query's pass.
     let g = pcpm::graph::gen::rmat(&RmatConfig::graph500(9, 8, 13)).unwrap();
     let builder = || Engine::<PlusF32>::builder(&g).partition_bytes(64 * 4);
     let ablations = [
