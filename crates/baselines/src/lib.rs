@@ -1,10 +1,10 @@
 //! Baseline PageRank kernels the paper compares against.
 //!
-//! - [`reference`] — a serial, f64-accumulating oracle used by every test
+//! - [`reference`](mod@reference) — a serial, f64-accumulating oracle used by every test
 //!   in the workspace;
-//! - [`pdpr`] — Pull-Direction PageRank (Algorithm 1), the conventional
+//! - [`pdpr`](mod@pdpr) — Pull-Direction PageRank (Algorithm 1), the conventional
 //!   CSC-based kernel with edge-balanced static parallelism;
-//! - [`bvgas`] — Binning with Vertex-centric GAS (Algorithm 5), the
+//! - [`bvgas`](mod@bvgas) — Binning with Vertex-centric GAS (Algorithm 5), the
 //!   state-of-the-art the paper benchmarks PCPM against, with the
 //!   implementation details of §3.6/§5.2 (write-combining buffers,
 //!   destination IDs written once, per-thread bin spaces).

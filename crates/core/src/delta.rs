@@ -22,10 +22,10 @@
 //! # Why the decode has no branch
 //!
 //! A LEB128 varint finds its own end by testing each byte, a branch per
-//! byte that mispredicts whenever lengths mix. Here [`SPANS`] maps a length
+//! byte that mispredicts whenever lengths mix. Here `SPANS` maps a length
 //! byte to its four values' offsets and masks, each value is one masked
 //! 4-byte load, and the data position moves by a table value: no load
-//! waits on a data byte and nothing branches on one. [`SLACK`] zero bytes
+//! waits on a data byte and nothing branches on one. `SLACK` zero bytes
 //! past the stream keep the last group's loads in bounds. Groups of eight
 //! entries reach the apply loop in bin order, so scores are the same bits
 //! as on every other format.
@@ -43,7 +43,7 @@ use crate::png::{Png, RunEncoder};
 
 /// Message bins with a delta-encoded split-stream destination stream.
 ///
-/// Construct through [`DeltaFormat`](crate::format::DeltaFormat) (or the
+/// Construct through [`DeltaFormat`] (or the
 /// engine builder's `.bin_format(BinFormatKind::Delta)`); the fields are
 /// internal because the byte geometry must stay consistent with the PNG.
 #[derive(Clone, Debug)]

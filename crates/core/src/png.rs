@@ -17,7 +17,7 @@
 //! the paper. The same two passes also lay out the bins: the counting pass
 //! sizes each `(s, p)` segment of the format's destination stream, and the
 //! filling pass writes the destination stream and the weights beside the
-//! PNG rows ([`RunEncoder`]), so a build reads the CSR twice whatever the
+//! PNG rows (`RunEncoder`), so a build reads the CSR twice whatever the
 //! format.
 
 use crate::partition::{split_by_lens, Partitioner};

@@ -1,7 +1,7 @@
 //! Reverse Cuthill–McKee ordering.
 //!
 //! The classical bandwidth-minimizing ordering the paper's related work
-//! cites (Liu & Sherman [22]): BFS from a low-degree peripheral node,
+//! cites (Liu & Sherman \[22\]): BFS from a low-degree peripheral node,
 //! visiting neighbors in ascending degree order, then reverse the
 //! labeling. Cheap, and a useful mid-point between BFS and GOrder in the
 //! locality ablations.

@@ -30,6 +30,8 @@ const SERVE: &str = "crates/serve/src/proto.rs";
 #[test]
 fn scope_classification() {
     assert!(classify("crates/core/src/engine.rs").determinism);
+    // A nested module directory stays in scope.
+    assert!(classify("crates/core/src/backend/pcpm.rs").determinism);
     assert!(classify("shims/rayon/src/pool.rs").determinism);
     // The telemetry module owns wall-clock access.
     assert!(!classify("crates/core/src/telemetry.rs").determinism);
