@@ -252,11 +252,7 @@ impl Backend<PlusF32> for BvgasBackend {
             aux_memory_bytes: self.graph.memory_bytes()
                 + ((self.dest_ids.len() + self.updates.len() + self.bounds.len()) * 4
                     + self.seg_off.len() * 8) as u64,
-            compression_ratio: None,
-            bin_format: None,
-            bin_compression: None,
-            dest_stream_bytes: None,
-            kernel: None,
+            ..BackendMetrics::default()
         }
     }
 }

@@ -1,5 +1,4 @@
-//! [`EngineBuilder`] and [`SnapshotEngineBuilder`]: validation, the
-//! layout derivation and the dispatch onto a statically typed backend.
+//! [`EngineBuilder`] and [`SnapshotEngineBuilder`]: validation and dispatch.
 
 use super::engine::{build_pool, BuildRecipe, EngineSource};
 use super::{
@@ -10,12 +9,34 @@ use crate::config::PcpmConfig;
 use crate::error::{PcpmError, SnapshotError};
 use crate::format::{BinFormat, BinFormatKind, CompactFormat, DeltaFormat, WideFormat};
 use crate::kernel::KernelKind;
-use crate::png::{EdgeView, Png};
-use crate::snapshot::{BinState, Snapshot};
+use crate::png::EdgeView;
+use crate::snapshot::Snapshot;
 use pcpm_graph::{Csr, EdgeWeights};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The `BinFormatKind` → format-type dispatch: evaluates `$body` with
+/// `$F` naming the format type of `$kind` (Rust has no closure generic
+/// over a type, so the one helper is a macro).
+macro_rules! with_format {
+    ($kind:expr, $F:ident => $body:expr) => {
+        match $kind {
+            BinFormatKind::Wide => {
+                type $F = WideFormat;
+                $body
+            }
+            BinFormatKind::Compact => {
+                type $F = CompactFormat;
+                $body
+            }
+            BinFormatKind::Delta => {
+                type $F = DeltaFormat;
+                $body
+            }
+        }
+    };
+}
 
 impl<A: Algebra> Engine<A> {
     /// Starts building an engine over `graph`.
@@ -68,14 +89,9 @@ pub(super) fn prepare_builtin<A: Algebra>(
     spec: &PrepareSpec<'_>,
 ) -> Result<Box<dyn Backend<A>>, PcpmError> {
     Ok(match kind {
-        BackendKind::Pcpm => boxed_pcpm_backend(
-            EdgeView::from_csr(spec.graph),
-            &spec.cfg,
-            spec.weights,
-            spec.scatter,
-            spec.gather,
-            spec.scatter_graph(),
-        )?,
+        BackendKind::Pcpm => {
+            with_format!(spec.cfg.bin_format, F => Box::new(PcpmBackend::<A, F>::prepare(spec)?))
+        }
         BackendKind::Pull => Box::new(PullBackend::prepare(spec)?),
     })
 }
@@ -236,13 +252,7 @@ impl<A: Algebra> SnapshotEngineBuilder<A> {
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, PcpmError> {
         let t0 = crate::telemetry::stopwatch();
         let snapshot = Snapshot::load(path)?;
-        Ok(Self {
-            snapshot,
-            load: t0.elapsed(),
-            threads: None,
-            kernel: KernelKind::Auto,
-            _algebra: std::marker::PhantomData,
-        })
+        Ok(Self::from_snapshot(snapshot, t0.elapsed()))
     }
 
     /// Wraps an already-decoded snapshot (no I/O); `load` should be the
@@ -314,7 +324,14 @@ impl<A: Algebra> SnapshotEngineBuilder<A> {
         let n = graph.num_nodes();
         let weighted = weights.is_some();
         let pool = build_pool(cfg.threads)?;
-        let backend = boxed_backend_from_state::<A>(png, bins, load, self.kernel);
+        // The PNG and bins are adopted as-is; the update stream is
+        // scratch, allocated fresh at `|E'|`.
+        let num_updates = png.num_compressed_edges() as usize;
+        let (scatter, gather) = (ScatterKind::default(), GatherKind::default());
+        let backend: Box<dyn Backend<A>> = with_format!(bins.kind(), F => {
+            let bins = F::import_state(bins, num_updates);
+            Box::new(PcpmBackend::<A, F>::new(png, bins, load, cfg.kernel, scatter, gather, None))
+        });
         Ok(Engine {
             num_edges: Some(graph.num_edges()),
             partition_nodes: cfg.partition_nodes(),
@@ -322,8 +339,8 @@ impl<A: Algebra> SnapshotEngineBuilder<A> {
             recipe: Some(BuildRecipe {
                 kind: BackendKind::Pcpm,
                 cfg,
-                scatter: ScatterKind::default(),
-                gather: GatherKind::default(),
+                scatter,
+                gather,
                 weighted,
             }),
             source: Some(EngineSource { graph, weights }),
@@ -333,57 +350,15 @@ impl<A: Algebra> SnapshotEngineBuilder<A> {
     }
 }
 
-/// The `BinFormatKind` → format-type dispatch: evaluates `$body` with
-/// `$F` naming the format type of `$kind` (Rust has no closure generic
-/// over a type, so the one helper is a macro).
-macro_rules! with_format {
-    ($kind:expr, $F:ident => $body:expr) => {
-        match $kind {
-            BinFormatKind::Wide => {
-                type $F = WideFormat;
-                $body
-            }
-            BinFormatKind::Compact => {
-                type $F = CompactFormat;
-                $body
-            }
-            BinFormatKind::Delta => {
-                type $F = DeltaFormat;
-                $body
-            }
-        }
-    };
-}
-
-/// Adopts deserialized PNG + bins into the statically-typed PCPM backend
-/// of the snapshot's format; the update stream is scratch, allocated
-/// fresh at `|E'|`.
-fn boxed_backend_from_state<A: Algebra>(
-    png: Png,
-    bins: BinState,
-    load: Duration,
-    kernel: KernelKind,
-) -> Box<dyn Backend<A>> {
-    let num_updates = png.num_compressed_edges() as usize;
-    let (scatter, gather) = (ScatterKind::default(), GatherKind::default());
-    with_format!(bins.kind(), F => {
-        let bins = F::import_state(bins, num_updates);
-        Box::new(PcpmBackend::<A, F>::new(png, bins, load, kernel, scatter, gather, None))
-    })
-}
-
-/// Builds the PCPM dataplane over a raw (possibly rectangular) edge view
-/// in the configured bin format. `graph` is the adjacency the
-/// CSR-traversal scatter reads.
+/// Builds the PCPM dataplane, with the paper's scatter and gather, over
+/// a raw (possibly rectangular) edge view in the configured bin format.
 pub(crate) fn boxed_pcpm_backend<A: Algebra>(
     view: EdgeView<'_>,
     cfg: &PcpmConfig,
     weights: Option<&[f32]>,
-    scatter: ScatterKind,
-    gather: GatherKind,
-    graph: Option<Arc<Csr>>,
 ) -> Result<Box<dyn Backend<A>>, PcpmError> {
+    let (scatter, gather) = (ScatterKind::default(), GatherKind::default());
     Ok(with_format!(cfg.bin_format, F => Box::new(
-        PcpmBackend::<A, F>::build(view, cfg, weights, scatter, gather, graph)?
+        PcpmBackend::<A, F>::build(view, cfg, weights, scatter, gather, None)?
     )))
 }

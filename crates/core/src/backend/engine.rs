@@ -1,5 +1,4 @@
-//! [`Engine`]: dimension checks, the engine-owned pool, timing
-//! accounting, updates and snapshots over any [`Backend`].
+//! [`Engine`]: the dimension checks, pool, accounting, updates and snapshots.
 
 use super::builder::prepare_builtin;
 use super::{

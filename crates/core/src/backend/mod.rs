@@ -99,16 +99,11 @@ impl PrepareSpec<'_> {
             None => Arc::new(self.graph.clone()),
         }
     }
-
-    /// The adjacency handle the PCPM dataplane retains: only the
-    /// CSR-traversal scatter ablation reads the graph after `prepare`.
-    fn scatter_graph(&self) -> Option<Arc<Csr>> {
-        (self.scatter == ScatterKind::CsrTraversal).then(|| self.graph_arc())
-    }
 }
 
-/// Static facts a backend reports about its prepared state.
-#[derive(Clone, Debug)]
+/// Static facts a backend reports about its prepared state. The
+/// default is a nameless backend with no state: zero bytes, no layout.
+#[derive(Clone, Debug, Default)]
 pub struct BackendMetrics {
     /// Human-readable dataplane name (`"pcpm"`, `"pull"`, …).
     pub name: &'static str,
@@ -190,7 +185,12 @@ pub trait Backend<A: Algebra>: Send {
         ys: &mut [&mut [A::T]],
         epilogue: Epilogue<'_, A::T>,
     ) -> Result<(PhaseTimings, Vec<f64>), PcpmError> {
-        step_then_apply(self, xs, ys, epilogue)
+        let mut timings = self.step_many(xs, ys)?;
+        let t0 = crate::telemetry::stopwatch();
+        let lens = epilogue.lens;
+        let (totals, _) = apply_parts(lens, ys, Some(epilogue), |_, ys_p| ys_p);
+        timings.apply += t0.elapsed();
+        Ok((timings, totals))
     }
 
     /// Static facts about the prepared state.
@@ -202,22 +202,6 @@ pub trait Backend<A: Algebra>: Send {
     fn snapshot_state(&self) -> Option<DataplaneState> {
         None
     }
-}
-
-/// [`Backend::step_many_with`] for a dataplane that cannot apply inside
-/// its gather: the round, then the epilogue as a pass of its own.
-fn step_then_apply<A: Algebra, B: Backend<A> + ?Sized>(
-    backend: &mut B,
-    xs: &[&[A::T]],
-    ys: &mut [&mut [A::T]],
-    epilogue: Epilogue<'_, A::T>,
-) -> Result<(PhaseTimings, Vec<f64>), PcpmError> {
-    let mut timings = backend.step_many(xs, ys)?;
-    let t0 = crate::telemetry::stopwatch();
-    let lens = epilogue.lens;
-    let (totals, _) = apply_parts(lens, ys, Some(epilogue), |_, ys_p| ys_p);
-    timings.apply += t0.elapsed();
-    Ok((timings, totals))
 }
 
 /// Why every round of an engine fails after an [`Engine::update`] whose
@@ -242,13 +226,7 @@ impl<A: Algebra> Backend<A> for Released {
     fn metrics(&self) -> BackendMetrics {
         BackendMetrics {
             name: "released",
-            preprocess: Duration::ZERO,
-            aux_memory_bytes: 0,
-            compression_ratio: None,
-            bin_format: None,
-            bin_compression: None,
-            dest_stream_bytes: None,
-            kernel: None,
+            ..BackendMetrics::default()
         }
     }
 }

@@ -1,5 +1,4 @@
-//! [`PcpmBackend`]: the paper's dataplane, the PNG layout plus the
-//! message bins, with the scatter and gather ablations as switches.
+//! [`PcpmBackend`]: the paper's dataplane, with the ablations as switches.
 
 use super::{Backend, BackendMetrics, PrepareSpec};
 use crate::algebra::Algebra;
@@ -48,11 +47,11 @@ pub enum GatherKind {
 ///
 /// The PNG and the destination (and weight) streams are immutable from
 /// build to drop: an edge-set change rebuilds the dataplane
-/// ([`Engine::update`](super::Engine::update)). A round may end in the caller's [`Epilogue`],
-/// run by the gather over each destination partition as it completes
-/// (Algorithm 4's in-partition apply); its wall-clock share is reported
-/// as [`PhaseTimings::apply`] and taken out of `gather`, so the phases
-/// still add up to the round.
+/// ([`Engine::update`](super::Engine::update)). A round may end in the
+/// caller's [`Epilogue`], run by the gather over each destination
+/// partition as it completes (Algorithm 4's in-partition apply); its
+/// wall-clock share is reported as [`PhaseTimings::apply`] and taken out
+/// of `gather`, so the phases still add up to the round.
 pub struct PcpmBackend<A: Algebra, F: BinFormat = WideFormat> {
     png: Png,
     bins: F::Bins<A::T>,
@@ -74,14 +73,10 @@ pub struct PcpmBackend<A: Algebra, F: BinFormat = WideFormat> {
 
 impl<A: Algebra, F: BinFormat> Backend<A> for PcpmBackend<A, F> {
     fn prepare(spec: &PrepareSpec<'_>) -> Result<Self, PcpmError> {
-        Self::build(
-            EdgeView::from_csr(spec.graph),
-            &spec.cfg,
-            spec.weights,
-            spec.scatter,
-            spec.gather,
-            spec.scatter_graph(),
-        )
+        // Only the CSR-traversal scatter reads the graph after `prepare`.
+        let graph = (spec.scatter == ScatterKind::CsrTraversal).then(|| spec.graph_arc());
+        let (view, scatter, gather) = (EdgeView::from_csr(spec.graph), spec.scatter, spec.gather);
+        Self::build(view, &spec.cfg, spec.weights, scatter, gather, graph)
     }
 
     fn step(&mut self, x: &[A::T], y: &mut [A::T]) -> Result<PhaseTimings, PcpmError> {

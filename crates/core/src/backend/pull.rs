@@ -101,11 +101,7 @@ impl<A: Algebra> Backend<A> for PullBackend<A> {
             preprocess: self.preprocess,
             aux_memory_bytes: self.csc.memory_bytes()
                 + (self.bounds.len() * 4 + self.weights.as_ref().map_or(0, |w| w.len() * 4)) as u64,
-            compression_ratio: None,
-            bin_format: None,
-            bin_compression: None,
-            dest_stream_bytes: None,
-            kernel: None,
+            ..BackendMetrics::default()
         }
     }
 }

@@ -11,7 +11,7 @@
 //! scatter/gather round.
 
 use crate::algebra::PlusF32;
-use crate::backend::{boxed_pcpm_backend, Engine, GatherKind, ScatterKind};
+use crate::backend::{boxed_pcpm_backend, Engine};
 use crate::config::PcpmConfig;
 use crate::error::PcpmError;
 use crate::png::EdgeView;
@@ -129,8 +129,7 @@ impl SpmvMatrix {
         cfg.validate()?;
         // One engine-owned pool for prepare and every step.
         Engine::from_backend_with(cfg, self.num_cols, self.num_rows, || {
-            let (scatter, gather) = (ScatterKind::default(), GatherKind::default());
-            boxed_pcpm_backend(self.view(), cfg, Some(&self.values), scatter, gather, None)
+            boxed_pcpm_backend(self.view(), cfg, Some(&self.values))
         })
     }
 

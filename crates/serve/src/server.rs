@@ -804,16 +804,13 @@ impl Worker {
         }
     }
 
-    fn shard(cur: &ServingState, engine: u16) -> Result<&Shard, Response> {
-        cur.shards
-            .get(engine as usize)
-            .map(|s| &**s)
-            .ok_or_else(|| {
-                err_resp(
-                    ErrorCode::UnknownEngine,
-                    format!("engine {engine} (server holds {})", cur.shards.len()),
-                )
-            })
+    fn shard(cur: &ServingState, engine: u16) -> Result<&Arc<Shard>, Response> {
+        cur.shards.get(engine as usize).ok_or_else(|| {
+            err_resp(
+                ErrorCode::UnknownEngine,
+                format!("engine {engine} (server holds {})", cur.shards.len()),
+            )
+        })
     }
 
     fn pagerank(&mut self, engine: u16, params: QueryParams) -> Response {
