@@ -7,10 +7,10 @@ use super::{
 use crate::algebra::Algebra;
 use crate::config::PcpmConfig;
 use crate::error::{PcpmError, SnapshotError};
-use crate::format::{BinFormat, BinFormatKind, CompactFormat, DeltaFormat, WideFormat};
+use crate::format::{BinFormatKind, CompactFormat, DeltaFormat, WideFormat};
 use crate::kernel::KernelKind;
 use crate::png::EdgeView;
-use crate::snapshot::Snapshot;
+use crate::snapshot::{DataplaneState, Snapshot};
 use pcpm_graph::{Csr, EdgeWeights};
 use std::path::Path;
 use std::sync::Arc;
@@ -210,7 +210,7 @@ impl<'g, A: Algebra> EngineBuilder<'g, A> {
         // first update (which hands the engine an Arc).
         let source = self.shared.map(|arc| EngineSource {
             graph: Arc::clone(arc),
-            weights: self.weights.map(|w| w.as_slice().to_vec()),
+            weights: self.weights.map(|w| Arc::new(w.as_slice().to_vec())),
         });
         Ok(Engine {
             num_edges: Some(self.graph.num_edges()),
@@ -304,19 +304,25 @@ impl<A: Algebra> SnapshotEngineBuilder<A> {
     }
 
     /// Rehydrates the engine: one engine-owned pool (when threads are
-    /// pinned), a PCPM backend adopting the snapshot's PNG and bins,
+    /// pinned), a PCPM backend sharing the snapshot's layout (the PNG
+    /// and the bins, by `Arc`) beside an update stream of its own,
     /// and a build recipe matching the snapshot's configuration — so
     /// [`Engine::update`] and a later [`Engine::save_snapshot`] work
     /// exactly as on a cold-built engine.
     pub fn build(self) -> Result<Engine<A>, PcpmError> {
         let load = self.load;
-        let (graph, weights, partition_bytes, png, bins) = self.snapshot.into_parts();
+        let Snapshot {
+            graph,
+            weights,
+            partition_bytes,
+            layout,
+        } = self.snapshot;
         let mut cfg = PcpmConfig::default().with_partition_bytes(partition_bytes as usize);
-        cfg.bin_format = bins.kind();
+        cfg.bin_format = layout.kind();
         cfg.threads = self.threads;
         cfg.kernel = self.kernel;
         cfg.validate()?;
-        if bins.is_weighted() != weights.is_some() {
+        if layout.bin_weights().is_some() != weights.is_some() {
             return Err(PcpmError::Snapshot(SnapshotError::Corrupt(
                 "bin weight stream disagrees with weighted flag",
             )));
@@ -324,14 +330,20 @@ impl<A: Algebra> SnapshotEngineBuilder<A> {
         let n = graph.num_nodes();
         let weighted = weights.is_some();
         let pool = build_pool(cfg.threads)?;
-        // The PNG and bins are adopted as-is; the update stream is
-        // scratch, allocated fresh at `|E'|`.
-        let num_updates = png.num_compressed_edges() as usize;
-        let (scatter, gather) = (ScatterKind::default(), GatherKind::default());
-        let backend: Box<dyn Backend<A>> = with_format!(bins.kind(), F => {
-            let bins = F::import_state(bins, num_updates);
-            Box::new(PcpmBackend::<A, F>::new(png, bins, load, cfg.kernel, scatter, gather, None))
-        });
+        // The layout is shared as-is; only the update stream is this
+        // engine's, allocated fresh at `|E'|`.
+        let (scatter, gather, kernel) = (ScatterKind::default(), GatherKind::default(), cfg.kernel);
+        let backend: Box<dyn Backend<A>> = match layout {
+            DataplaneState::Wide(l) => Box::new(PcpmBackend::<A, WideFormat>::new(
+                l, load, kernel, scatter, gather, None,
+            )),
+            DataplaneState::Compact(l) => Box::new(PcpmBackend::<A, CompactFormat>::new(
+                l, load, kernel, scatter, gather, None,
+            )),
+            DataplaneState::Delta(l) => Box::new(PcpmBackend::<A, DeltaFormat>::new(
+                l, load, kernel, scatter, gather, None,
+            )),
+        };
         Ok(Engine {
             num_edges: Some(graph.num_edges()),
             partition_nodes: cfg.partition_nodes(),

@@ -78,7 +78,7 @@ fn pool_diagnostics() -> (u64, u64) {
 pub(super) struct EngineSource {
     pub(super) graph: Arc<Csr>,
     /// CSR-order edge weights, when the engine is weighted.
-    pub(super) weights: Option<Vec<f32>>,
+    pub(super) weights: Option<Arc<Vec<f32>>>,
 }
 
 /// Everything needed to re-run `prepare` for a built-in backend.
@@ -220,7 +220,9 @@ impl<A: Algebra> Engine<A> {
     /// The CSR-order edge weights the engine was prepared with, when
     /// retained alongside the graph.
     pub fn weights(&self) -> Option<&[f32]> {
-        self.source.as_ref().and_then(|s| s.weights.as_deref())
+        self.source
+            .as_ref()
+            .and_then(|s| s.weights.as_deref().map(Vec::as_slice))
     }
 
     /// Runs `op` on the engine-owned thread pool (inline when no
@@ -380,8 +382,11 @@ impl<A: Algebra> Engine<A> {
     /// rebuild keeps the partition size derived at build, so an update
     /// never changes the layout.
     ///
-    /// The old dataplane is released before its replacement is prepared,
-    /// so the two are never resident together. Should that preparation
+    /// The engine drops its handle on the old layout before the
+    /// replacement is prepared, so the two are resident together only
+    /// while something else still shares the old one: a [`Snapshot`]
+    /// taken from this engine, or an engine rehydrated from one (a
+    /// serving epoch that readers still answer from). Should that preparation
     /// fail, the error is returned and every round fails with
     /// [`PcpmError::BadConfig`] until an update rebuilds the engine.
     /// Engines wrapping an external backend ([`Engine::from_backend`])
@@ -465,7 +470,7 @@ impl<A: Algebra> Engine<A> {
         // engine built from a borrowed graph.
         self.source = Some(EngineSource {
             graph: Arc::clone(graph),
-            weights: weights.map(<[f32]>::to_vec),
+            weights: weights.map(|w| Arc::new(w.to_vec())),
         });
         Ok(UpdateOutcome::Rebuilt)
     }
@@ -512,11 +517,12 @@ impl<A: Algebra> Engine<A> {
     }
 
     /// Exports the engine's prepared state as a [`Snapshot`] (graph,
-    /// weights, PNG layout, bins). Requires a PCPM dataplane and a
+    /// weights, PNG layout, bins), sharing all of them with the engine:
+    /// nothing is copied. Requires a PCPM dataplane and a
     /// retained graph — engines wrapping external backends return
     /// [`SnapshotError::Unsupported`].
     pub fn snapshot(&self) -> Result<Snapshot, PcpmError> {
-        let state = self.backend.snapshot_state().ok_or(PcpmError::Snapshot(
+        let layout = self.backend.snapshot_state().ok_or(PcpmError::Snapshot(
             SnapshotError::Unsupported("only the PCPM dataplane can be snapshotted"),
         ))?;
         let source =
@@ -526,14 +532,14 @@ impl<A: Algebra> Engine<A> {
                     "the engine does not retain its graph; build through \
                  Engine::builder_shared (or update/load it) to enable snapshotting",
                 )))?;
-        let partition_bytes =
-            u64::from(state.png.src_parts().partition_size()) * crate::config::VALUE_BYTES as u64;
-        Ok(Snapshot::from_state(
-            Arc::clone(&source.graph),
-            source.weights.clone(),
+        let partition_bytes = u64::from(layout.png().src_parts().partition_size())
+            * crate::config::VALUE_BYTES as u64;
+        Ok(Snapshot {
+            graph: Arc::clone(&source.graph),
+            weights: source.weights.clone(),
             partition_bytes,
-            state,
-        ))
+            layout,
+        })
     }
 
     /// Serializes the engine's prepared state to `path` (the

@@ -4,11 +4,13 @@ use super::{Backend, BackendMetrics, PrepareSpec};
 use crate::algebra::Algebra;
 use crate::config::PcpmConfig;
 use crate::error::PcpmError;
-use crate::format::{dest_compression, BinFormat, BinFormatKind, WideFormat, BRANCHY_NEEDS_WIDE};
+use crate::format::{
+    dest_compression, BinFormat, BinFormatKind, Layout, WideFormat, BRANCHY_NEEDS_WIDE,
+};
 use crate::gather::{apply_share, with_lanes, Applied, Epilogue, MAX_LANES};
 use crate::kernel::KernelKind;
 use crate::partition::Partitioner;
-use crate::png::{EdgeView, Png};
+use crate::png::EdgeView;
 use crate::pr::PhaseTimings;
 use crate::scatter::{csr_scatter, png_scatter, png_scatter_rows};
 use crate::snapshot::DataplaneState;
@@ -46,15 +48,19 @@ pub enum GatherKind {
 /// phase variants at build time).
 ///
 /// The PNG and the destination (and weight) streams are immutable from
-/// build to drop: an edge-set change rebuilds the dataplane
-/// ([`Engine::update`](super::Engine::update)). A round may end in the
+/// build to drop — the [`Layout`], shared by `Arc` with every snapshot
+/// of it and every engine rehydrated from one — and an edge-set change
+/// builds a new one ([`Engine::update`](super::Engine::update)). The
+/// update stream and the batch rows are this backend's own. A round may
+/// end in the
 /// caller's [`Epilogue`], run by the gather over each destination
 /// partition as it completes (Algorithm 4's in-partition apply); its
 /// wall-clock share is reported as [`PhaseTimings::apply`] and taken out
 /// of `gather`, so the phases still add up to the round.
 pub struct PcpmBackend<A: Algebra, F: BinFormat = WideFormat> {
-    png: Png,
-    bins: F::Bins<A::T>,
+    layout: Arc<Layout<F>>,
+    /// The update stream of a solo pass, `|E'|`.
+    updates: Vec<A::T>,
     /// The update rows of the widest pass since the last solo round,
     /// `|E'| × W`; a narrower pass uses their head.
     rows: Vec<A::T>,
@@ -101,26 +107,24 @@ impl<A: Algebra, F: BinFormat> Backend<A> for PcpmBackend<A, F> {
     }
 
     fn metrics(&self) -> BackendMetrics {
-        let dest_stream_bytes = F::dest_stream_bytes(&self.bins);
-        let rows = (self.rows.capacity() * std::mem::size_of::<A::T>()) as u64;
+        let (png, dest) = (&self.layout.png, &self.layout.dest);
+        let dest_stream_bytes = F::stream_bytes(dest);
+        let scratch = self.updates.len() + self.rows.capacity();
         BackendMetrics {
             name: "pcpm",
             preprocess: self.preprocess,
-            aux_memory_bytes: F::aux_memory_bytes(&self.bins) + rows,
-            compression_ratio: Some(self.png.compression_ratio()),
+            aux_memory_bytes: F::memory_bytes(dest)
+                + (scratch * std::mem::size_of::<A::T>()) as u64,
+            compression_ratio: Some(png.compression_ratio()),
             bin_format: Some(F::KIND.name()),
-            bin_compression: Some(dest_compression(
-                self.png.num_raw_edges(),
-                dest_stream_bytes,
-            )),
+            bin_compression: Some(dest_compression(png.num_raw_edges(), dest_stream_bytes)),
             dest_stream_bytes: Some(dest_stream_bytes),
             kernel: Some(self.kernel.name()),
         }
     }
 
     fn snapshot_state(&self) -> Option<DataplaneState> {
-        let bins = F::export_state(&self.bins);
-        Some(DataplaneState::new(self.png.clone(), bins))
+        Some(F::share(Arc::clone(&self.layout)))
     }
 }
 
@@ -152,33 +156,35 @@ impl<A: Algebra, F: BinFormat> PcpmBackend<A, F> {
         let dst_parts = Partitioner::new(view.num_dst(), q)?;
         let t0 = crate::telemetry::stopwatch();
         let _span = crate::telemetry::span("prepare");
-        let (png, bins) = F::build_layout(view, src_parts, dst_parts, weights);
+        let layout = Arc::new(F::build_layout(view, src_parts, dst_parts, weights));
         let preprocess = t0.elapsed();
         Ok(Self::new(
-            png, bins, preprocess, cfg.kernel, scatter, gather, graph,
+            layout, preprocess, cfg.kernel, scatter, gather, graph,
         ))
     }
 
-    /// Adopts a built or loaded layout as-is, resolving `kernel` for it;
-    /// `preprocess` is what the layout cost this process.
+    /// Adopts a built or shared layout as-is, beside a fresh update
+    /// stream, resolving `kernel` for it; `preprocess` is what the layout
+    /// cost this process.
     pub(super) fn new(
-        png: Png,
-        bins: F::Bins<A::T>,
+        layout: Arc<Layout<F>>,
         preprocess: Duration,
         kernel: KernelKind,
         scatter: ScatterKind,
         gather: GatherKind,
         graph: Option<Arc<Csr>>,
     ) -> Self {
+        let png = &layout.png;
         let kernel = kernel.resolve(
             F::KIND,
             png.num_raw_edges(),
             png.src_parts().num_partitions(),
             png.dst_parts().num_partitions(),
         );
+        let updates = vec![A::T::default(); png.num_compressed_edges() as usize];
         Self {
-            png,
-            bins,
+            layout,
+            updates,
             rows: Vec::new(),
             preprocess,
             kernel,
@@ -231,26 +237,27 @@ impl<A: Algebra, F: BinFormat> PcpmBackend<A, F> {
 
     /// One pass of at most [`MAX_LANES`] queries: the scatter, then the
     /// gather with the epilogue of these queries. A 1-wide pass scatters
-    /// into the bins' own update stream, a wider one into the kept rows.
+    /// into the update stream, a wider one into the kept rows.
     fn pass(
         &mut self,
         xs: &[&[A::T]],
         ys: &mut [&mut [A::T]],
         epilogue: Option<Epilogue<'_, A::T>>,
     ) -> Result<(PhaseTimings, Vec<f64>), PcpmError> {
-        let slots = self.png.num_compressed_edges() as usize * xs.len();
+        let png = &self.layout.png;
+        let slots = png.num_compressed_edges() as usize * xs.len();
         let t0 = crate::telemetry::stopwatch();
         {
             let _span = crate::telemetry::span("scatter");
             if let [x] = xs {
-                let updates = F::updates_mut(&mut self.bins);
+                let updates = &mut self.updates;
                 match self.scatter {
-                    ScatterKind::Png => png_scatter(&self.png, x, updates),
+                    ScatterKind::Png => png_scatter(png, x, updates),
                     ScatterKind::CsrTraversal => {
                         let g = self.graph.as_deref().ok_or(PcpmError::BadConfig(
                             "CsrTraversal scatter requires the original graph",
                         ))?;
-                        csr_scatter(EdgeView::from_csr(g), &self.png, x, updates);
+                        csr_scatter(EdgeView::from_csr(g), png, x, updates);
                     }
                 }
             } else {
@@ -261,7 +268,7 @@ impl<A: Algebra, F: BinFormat> PcpmBackend<A, F> {
                 }
                 let rows = &mut self.rows[..slots];
                 with_lanes!(xs.len(), W => png_scatter_rows::<_, W>(
-                    &self.png,
+                    png,
                     xs.try_into().expect("one input per lane"),
                     rows.as_chunks_mut().0,
                 ));
@@ -278,8 +285,8 @@ impl<A: Algebra, F: BinFormat> PcpmBackend<A, F> {
                 GatherKind::Branchy => KernelKind::Scalar,
                 GatherKind::BranchAvoiding => self.kernel,
             };
-            let (png, bins) = (&self.png, &self.bins);
-            F::gather_with::<A>(png, bins, rows, ys, kernel, self.gather, epilogue)
+            let (dest, own) = (&self.layout.dest, &self.updates);
+            F::gather_with::<A>(png, dest, own, rows, ys, kernel, self.gather, epilogue)
         };
         Ok(self.record_pass(scatter_t, t1.elapsed(), applied))
     }
@@ -297,7 +304,8 @@ impl<A: Algebra, F: BinFormat> PcpmBackend<A, F> {
         gather_wall: Duration,
         (totals, busy): Applied,
     ) -> (PhaseTimings, Vec<f64>) {
-        let k_dst = self.png.dst_parts().num_partitions();
+        let png = &self.layout.png;
+        let k_dst = png.dst_parts().num_partitions();
         let apply = apply_share(busy, k_dst as usize, gather_wall);
         let timings = PhaseTimings {
             scatter,
@@ -309,10 +317,10 @@ impl<A: Algebra, F: BinFormat> PcpmBackend<A, F> {
             let gather_ns = timings.gather.as_nanos() as u64;
             tm.add_scatter_ns(scatter.as_nanos() as u64);
             tm.add_gather_ns(gather_ns);
-            tm.add_dest_stream_bytes_read(F::dest_stream_bytes(&self.bins));
+            tm.add_dest_stream_bytes_read(F::stream_bytes(&self.layout.dest));
             tm.add_bins_decoded(u64::from(k_dst));
             if F::KIND == BinFormatKind::Delta {
-                tm.add_varint_decodes(self.png.num_raw_edges());
+                tm.add_varint_decodes(png.num_raw_edges());
             }
             match self.kernel {
                 KernelKind::Unrolled => tm.add_gather_unrolled_ns(gather_ns),
@@ -357,7 +365,7 @@ mod tests {
             pcpm.step_many(&xs, &mut outs[..width]).unwrap();
             pcpm.metrics().aux_memory_bytes
         };
-        let rows = pcpm.png.num_compressed_edges() * 4;
+        let rows = pcpm.layout.png.num_compressed_edges() * 4;
         let wide = round(&mut pcpm, 8);
         assert!(wide >= bins_only + 8 * rows);
         // A narrower round keeps what the wider one grew.

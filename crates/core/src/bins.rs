@@ -24,20 +24,26 @@
 //! and the fixed-width encoders of [`crate::format`]; this module only
 //! keeps the storage type and its memory accounting.
 
-/// The statically pre-allocated message bins for one PNG layout, one
-/// `U` per destination ID.
+/// A destination stream with one update stream beside it: the bins of a
+/// standalone scatter and gather ([`BinFormat::Bins`]). An engine keeps
+/// the two apart: the stream is the immutable half it shares in a
+/// [`Layout`](crate::format::Layout), the update stream its own scratch.
 ///
-/// Generic over the update scalar `T`: PageRank uses `f32`, the algebra
-/// layer (connected components, BFS levels) uses integer labels. The
-/// destination-ID stream and optional weights are scalar-independent.
-/// Construct through the format axis (`WideFormat::build`, or the engine
-/// builder's `.bin_format(..)`); only the [`BinSpace`] (`u32`) and
-/// [`CompactBinSpace`](crate::compact::CompactBinSpace) (`u16`)
-/// instantiations have a format.
-#[derive(Clone, Debug)]
-pub struct FixedBins<U, T = f32> {
+/// [`BinFormat::Bins`]: crate::format::BinFormat::Bins
+#[derive(Debug)]
+pub struct Bins<D, T = f32> {
+    /// The destination stream, its offsets and its weights.
+    pub dest: D,
     /// Update values, source-partition-major (`|E'|` entries).
     pub updates: Vec<T>,
+}
+
+/// The destination-ID bins of one PNG layout, one `U` per destination
+/// ID: the storage of both fixed-width formats. Scalar-independent, and
+/// never edited after the build. Construct through the format axis
+/// (`WideFormat::build_layout`, or the engine builder's `.bin_format(..)`).
+#[derive(Debug)]
+pub struct FixedBins<U> {
     /// Destination IDs with MSB demarcation, source-partition-major
     /// (`|E|` entries). Written once at construction.
     pub dest_ids: Vec<U>,
@@ -45,14 +51,15 @@ pub struct FixedBins<U, T = f32> {
     pub weights: Option<Vec<f32>>,
 }
 
-/// The wide bins: 32-bit global destination IDs (§3.2).
-pub type BinSpace<T = f32> = FixedBins<u32, T>;
+/// The wide bins: 32-bit global destination IDs (§3.2), with an update
+/// stream of `T`.
+pub type BinSpace<T = f32> = Bins<FixedBins<u32>, T>;
 
-impl<U, T> FixedBins<U, T> {
-    /// Heap bytes held by the bins (for the communication accounting).
+impl<U> FixedBins<U> {
+    /// Heap bytes held by the destination stream and the weights (for
+    /// the communication accounting).
     pub fn memory_bytes(&self) -> u64 {
-        (self.updates.len() * std::mem::size_of::<T>()
-            + self.dest_ids.len() * std::mem::size_of::<U>()
+        (self.dest_ids.len() * std::mem::size_of::<U>()
             + self.weights.as_ref().map_or(0, |w| w.len() * 4)) as u64
     }
 }
@@ -99,7 +106,7 @@ mod tests {
         let lo = (base + part.did_off[p as usize]) as usize;
         let hi = (base + part.did_off[p as usize + 1]) as usize;
         let mut msgs: Vec<Vec<u32>> = Vec::new();
-        for &id in &bins.dest_ids[lo..hi] {
+        for &id in &bins.dest.dest_ids[lo..hi] {
             if id & MSB_FLAG != 0 {
                 msgs.push(vec![id & ID_MASK]);
             } else {
@@ -176,7 +183,7 @@ mod tests {
         let parts = Partitioner::new(4, 2).unwrap();
         let png = Png::build(EdgeView::from_csr(&g), parts, parts);
         let bins = build(&g, &png, Some(&w));
-        let bw = bins.weights.as_ref().unwrap();
+        let bw = bins.dest.weights.as_ref().unwrap();
         // For every bin entry, the weight must match the (masked src->dst) edge.
         for s in parts.iter() {
             let part = png.part(s);
@@ -186,8 +193,10 @@ mod tests {
                 let hi = base + part.did_off[p as usize + 1] as usize;
                 let rows = part.row(p);
                 let mut row_idx = 0usize;
-                for (offset, (&id, &weight)) in
-                    bins.dest_ids[lo..hi].iter().zip(&bw[lo..hi]).enumerate()
+                for (offset, (&id, &weight)) in bins.dest.dest_ids[lo..hi]
+                    .iter()
+                    .zip(&bw[lo..hi])
+                    .enumerate()
                 {
                     if id & MSB_FLAG != 0 && offset != 0 {
                         row_idx += 1;
@@ -205,15 +214,16 @@ mod tests {
     fn unweighted_bins_have_no_weights() {
         let (g, png) = setup(3);
         let bins = build(&g, &png, None);
-        assert!(bins.weights.is_none());
+        assert!(bins.dest.weights.is_none());
         assert_eq!(bins.updates.len() as u64, png.num_compressed_edges());
-        assert_eq!(bins.dest_ids.len() as u64, g.num_edges());
+        assert_eq!(bins.dest.dest_ids.len() as u64, g.num_edges());
     }
 
     #[test]
     fn memory_accounting() {
         let (g, png) = setup(3);
         let bins = build(&g, &png, None);
-        assert_eq!(bins.memory_bytes(), (8 * 4 + 10 * 4) as u64);
+        assert_eq!(bins.dest.memory_bytes(), (10 * 4) as u64);
+        assert_eq!(bins.updates.len(), 8);
     }
 }

@@ -28,7 +28,7 @@ pub const ID_MASK16: u16 = 0x7FFF;
 pub const MAX_COMPACT_PARTITION: u32 = 1 << 15;
 
 /// Message bins with 16-bit partition-local destination IDs.
-pub type CompactBinSpace<T = f32> = crate::bins::FixedBins<u16, T>;
+pub type CompactBinSpace<T = f32> = crate::bins::Bins<crate::bins::FixedBins<u16>, T>;
 
 #[cfg(test)]
 mod tests {

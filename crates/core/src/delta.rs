@@ -36,21 +36,19 @@
 //! `seg_off` per destination bin); the update and weight streams reuse
 //! the shared layouts.
 
-use crate::format::{BinScalar, DeltaFormat};
+use crate::format::DeltaFormat;
 use crate::gather::{EntrySink, Group, Segment, SegmentDecode, GROUP};
 use crate::kernel::prefetch;
 use crate::png::{Png, RunEncoder};
 
-/// Message bins with a delta-encoded split-stream destination stream.
+/// Destination bins as a delta-encoded split stream: scalar-independent,
+/// and never edited after the build.
 ///
 /// Construct through [`DeltaFormat`] (or the
 /// engine builder's `.bin_format(BinFormatKind::Delta)`); the fields are
 /// internal because the byte geometry must stay consistent with the PNG.
-#[derive(Clone, Debug)]
-pub struct DeltaPackedBins<T = f32> {
-    /// Update values, source-partition-major (`|E'|` entries) — the
-    /// same layout as every other format.
-    pub updates: Vec<T>,
+#[derive(Debug)]
+pub struct DeltaPackedBins {
     /// The destination stream, source-partition-major, then [`SLACK`]
     /// zero bytes.
     pub(crate) dest_bytes: Vec<u8>,
@@ -253,16 +251,12 @@ impl RunEncoder for DeltaFormat {
     }
 }
 
-impl<T: BinScalar> DeltaPackedBins<T> {
-    /// Heap bytes held by the bins (updates + byte stream + offsets +
-    /// weights).
+impl DeltaPackedBins {
+    /// Heap bytes held by the bins (byte stream + offsets + weights).
     pub fn memory_bytes(&self) -> u64 {
         let offsets =
             (self.byte_region.len() + self.seg_off.iter().map(Vec::len).sum::<usize>()) * 8;
-        (self.updates.len() * std::mem::size_of::<T>()
-            + self.dest_bytes.len()
-            + offsets
-            + self.weights.as_ref().map_or(0, |w| w.len() * 4)) as u64
+        (self.dest_bytes.len() + offsets + self.weights.as_ref().map_or(0, |w| w.len() * 4)) as u64
     }
 
     /// Bytes of the destination stream alone (control and values).
@@ -339,7 +333,7 @@ fn segment_is_consistent(bytes: &[u8], len: usize, n: usize, msgs: u64, nodes: u
 
 /// The split stream decodes without a data-dependent branch (see the
 /// module doc), a group at a time.
-impl<T: BinScalar> SegmentDecode for DeltaPackedBins<T> {
+impl SegmentDecode for DeltaPackedBins {
     #[inline(always)]
     fn decode(&self, seg: &Segment, sink: &mut impl EntrySink) {
         sink.groups(seg.raw.len(), Groups::new(self.segment(seg), seg.raw.len()));
@@ -529,6 +523,7 @@ mod tests {
         let png = setup(&g, 512);
         let wide = WideFormat::build::<f32>(EdgeView::from_csr(&g), &png, None);
         let delta = DeltaFormat::build::<f32>(EdgeView::from_csr(&g), &png, None);
+        let (wide, delta) = (&wide.dest, &delta.dest);
         assert!(delta.dest_stream_bytes() < wide.dest_ids.len() as u64 * 4 / 2);
         assert!(delta.memory_bytes() < wide.memory_bytes());
         assert!(delta.memory_bytes() > 0);
@@ -561,7 +556,7 @@ mod tests {
         let g = Csr::from_edges(0, &[]).unwrap();
         let png = setup(&g, 4);
         let bins = DeltaFormat::build::<f32>(EdgeView::from_csr(&g), &png, None);
-        assert_eq!(bins.dest_stream_bytes(), 0);
+        assert_eq!(bins.dest.dest_stream_bytes(), 0);
         let mut y: Vec<f32> = vec![];
         DeltaFormat::gather_from::<PlusF32>(&png, &bins, &mut y, KernelKind::Unrolled);
     }

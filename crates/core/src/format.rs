@@ -32,14 +32,16 @@
 
 use crate::algebra::Algebra;
 use crate::backend::GatherKind;
-use crate::bins::FixedBins;
+use crate::bins::{Bins, FixedBins};
 use crate::delta::DeltaPackedBins;
 use crate::error::PcpmError;
 use crate::gather::{gather_any, Applied, EntrySink, Epilogue, Segment, SegmentDecode, MAX_LANES};
 use crate::kernel::{prefetch, KernelKind};
 use crate::partition::Partitioner;
 use crate::png::{build_layout, EdgeView, Png, RunEncoder};
-use crate::snapshot::BinStateInner;
+use crate::snapshot::DataplaneState;
+use std::borrow::{Borrow, BorrowMut};
+use std::sync::Arc;
 
 /// Scalars that may flow through the update bins: every
 /// [`Algebra::T`](crate::algebra::Algebra) satisfies this.
@@ -109,9 +111,21 @@ impl std::str::FromStr for BinFormatKind {
 /// [`CompactFormat`], [`DeltaFormat`]); the engine picks one statically
 /// (`PcpmBackend<A, F>`) or dispatches at runtime from
 /// [`BinFormatKind`].
-pub trait BinFormat: Send + Sync + 'static {
-    /// The bin storage built over a PNG, generic over the update scalar.
-    type Bins<T: BinScalar>: Send + Sync + Clone + std::fmt::Debug;
+pub trait BinFormat: Sized + Send + Sync + 'static {
+    /// The destination stream of this encoding with its offsets and the
+    /// bin-order weights: scalar-independent, and never edited after the
+    /// build, so a [`Layout`] shares it.
+    type Dest: Send + Sync + std::fmt::Debug;
+
+    /// Bins for a standalone scatter and gather: always
+    /// [`Bins<Self::Dest, T>`](Bins), the destination stream beside one
+    /// update stream of `T`. The bounds are how generic code reaches the
+    /// two halves.
+    type Bins<T: BinScalar>: Send
+        + Sync
+        + std::fmt::Debug
+        + From<Bins<Self::Dest, T>>
+        + BorrowMut<Bins<Self::Dest, T>>;
 
     /// The runtime tag of this format.
     const KIND: BinFormatKind;
@@ -126,46 +140,50 @@ pub trait BinFormat: Send + Sync + 'static {
         Ok(())
     }
 
-    /// The engine's build: the PNG over `view` and the bins over it, in
-    /// parallel over source partitions, from one count walk and one fill
-    /// walk of each (see [`crate::png`]). `weights` are CSR-order edge
-    /// weights.
-    fn build_layout<T: BinScalar>(
+    /// The engine's build: the PNG over `view` and the destination stream
+    /// over it, in parallel over source partitions, from one count walk
+    /// and one fill walk of each (see [`crate::png`]). `weights` are
+    /// CSR-order edge weights.
+    fn build_layout(
         view: EdgeView<'_>,
         src_parts: Partitioner,
         dst_parts: Partitioner,
         weights: Option<&[f32]>,
-    ) -> (Png, Self::Bins<T>);
+    ) -> Layout<Self>;
 
     /// The bins for `png`, the layout of `view`: the walks of
     /// [`BinFormat::build_layout`] under `png`'s partitioners, their PNG
-    /// dropped.
+    /// dropped, and a zeroed update stream.
     fn build<T: BinScalar>(
         view: EdgeView<'_>,
         png: &Png,
         weights: Option<&[f32]>,
     ) -> Self::Bins<T> {
         let (src_parts, dst_parts) = (*png.src_parts(), *png.dst_parts());
-        Self::build_layout(view, src_parts, dst_parts, weights).1
+        let Layout { png, dest } = Self::build_layout(view, src_parts, dst_parts, weights);
+        let updates = vec![T::default(); png.num_compressed_edges() as usize];
+        Bins { dest, updates }.into()
     }
 
     /// One scatter round: writes `x` into the update stream. The update
-    /// layout is format-independent, so this defaults to the shared PNG
-    /// scatter (Algorithm 3).
+    /// layout is format-independent: the shared PNG scatter
+    /// (Algorithm 3).
     fn scatter_into<T: BinScalar>(png: &Png, x: &[T], bins: &mut Self::Bins<T>) {
         crate::scatter::png_scatter(png, x, Self::updates_mut(bins));
     }
 
-    /// Every gather of this format; the three methods below are its
-    /// no-epilogue cases. Solo over the bins' own update stream when
-    /// `rows` is `None` (then `variant` picks Algorithm 4's or
-    /// Algorithm 2's pointer step); otherwise over `(rows, W)`, the
-    /// `|E'| × W` update rows of one pass of `W ≤ 8` queries, lane `q`
-    /// into `ys[q]`.
+    /// Every gather of this format over its destination stream `dest`;
+    /// the three methods below are its no-epilogue cases. Solo over the
+    /// update stream `own` when `rows` is `None` (then `variant` picks
+    /// Algorithm 4's or Algorithm 2's pointer step); otherwise over
+    /// `(rows, W)`, the `|E'| × W` update rows of one pass of `W ≤ 8`
+    /// queries, lane `q` into `ys[q]`.
     /// `epilogue` runs over each destination partition as it completes.
+    #[allow(clippy::too_many_arguments)]
     fn gather_with<A: Algebra>(
         png: &Png,
-        bins: &Self::Bins<A::T>,
+        dest: &Self::Dest,
+        own: &[A::T],
         rows: Option<(&[A::T], usize)>,
         ys: &mut [&mut [A::T]],
         kernel: KernelKind,
@@ -184,8 +202,9 @@ pub trait BinFormat: Send + Sync + 'static {
         y: &mut [A::T],
         kernel: KernelKind,
     ) {
+        let Bins { dest, updates } = bins.borrow();
         let variant = GatherKind::BranchAvoiding;
-        Self::gather_with::<A>(png, bins, None, &mut [y], kernel, variant, None);
+        Self::gather_with::<A>(png, dest, updates, None, &mut [y], kernel, variant, None);
     }
 
     /// One multi-query gather round (the SpMM inner loop): decodes each
@@ -211,6 +230,7 @@ pub trait BinFormat: Send + Sync + 'static {
         for us in updates {
             assert_eq!(us.len(), slots, "update stream length");
         }
+        let Bins { dest, updates: own } = bins.borrow();
         let variant = GatherKind::BranchAvoiding;
         let mut rows = Vec::new();
         for (updates, ys) in updates.chunks(MAX_LANES).zip(ys.chunks_mut(MAX_LANES)) {
@@ -219,7 +239,7 @@ pub trait BinFormat: Send + Sync + 'static {
                 rows.extend(updates.iter().map(|us| us[i]));
             }
             let rows = Some((&rows[..], updates.len()));
-            Self::gather_with::<A>(png, bins, rows, ys, kernel, variant, None);
+            Self::gather_with::<A>(png, dest, own, rows, ys, kernel, variant, None);
         }
     }
 
@@ -233,37 +253,61 @@ pub trait BinFormat: Send + Sync + 'static {
         if Self::KIND != BinFormatKind::Wide {
             return Err(PcpmError::BadConfig(BRANCHY_NEEDS_WIDE));
         }
+        let Bins { dest, updates } = bins.borrow();
         let (kernel, variant) = (KernelKind::Scalar, GatherKind::Branchy);
-        Self::gather_with::<A>(png, bins, None, &mut [y], kernel, variant, None);
+        Self::gather_with::<A>(png, dest, updates, None, &mut [y], kernel, variant, None);
         Ok(())
     }
 
-    /// Mutable access to the update stream (the CSR-traversal scatter
-    /// ablation writes it directly).
-    fn updates_mut<T: BinScalar>(bins: &mut Self::Bins<T>) -> &mut [T];
+    /// Mutable access to the update stream.
+    fn updates_mut<T: BinScalar>(bins: &mut Self::Bins<T>) -> &mut [T] {
+        let Bins { updates, .. } = bins.borrow_mut();
+        updates
+    }
 
     /// Heap bytes held by the bins (updates + destination stream +
     /// offsets + weights).
-    fn aux_memory_bytes<T: BinScalar>(bins: &Self::Bins<T>) -> u64;
+    fn aux_memory_bytes<T: BinScalar>(bins: &Self::Bins<T>) -> u64 {
+        let Bins { dest, updates } = bins.borrow();
+        Self::memory_bytes(dest) + std::mem::size_of_val(&updates[..]) as u64
+    }
 
     /// Bytes of the destination-ID stream alone (the term the encodings
     /// compete on; the wide format spends `4·|E|`).
-    fn dest_stream_bytes<T: BinScalar>(bins: &Self::Bins<T>) -> u64;
+    fn dest_stream_bytes<T: BinScalar>(bins: &Self::Bins<T>) -> u64 {
+        let Bins { dest, .. } = bins.borrow();
+        Self::stream_bytes(dest)
+    }
 
-    /// Clones the serializable part of the bins (destination stream +
-    /// optional weight stream) for the engine-snapshot writer; the
-    /// update stream is scratch and excluded.
-    fn export_state<T: BinScalar>(bins: &Self::Bins<T>) -> crate::snapshot::BinState;
+    /// [`BinFormat::dest_stream_bytes`] of a bare destination stream.
+    fn stream_bytes(dest: &Self::Dest) -> u64;
 
-    /// The inverse of [`BinFormat::export_state`], around a fresh update
-    /// stream of `num_updates` slots. Panics on another format's state.
-    fn import_state<T: BinScalar>(
-        state: crate::snapshot::BinState,
-        num_updates: usize,
-    ) -> Self::Bins<T>;
+    /// Heap bytes held by a destination stream (offsets and weights
+    /// included).
+    fn memory_bytes(dest: &Self::Dest) -> u64;
+
+    /// Wraps a shared layout of this format as the format-erased state
+    /// a [`Snapshot`](crate::Snapshot) holds; nothing is copied.
+    fn share(layout: Arc<Layout<Self>>) -> DataplaneState;
 }
 
-const FOREIGN_STATE: &str = "bin state exported by another format";
+/// The immutable half of one PCPM dataplane: the PNG and `F`'s
+/// destination stream with its bin-order weights, from one build walk
+/// ([`BinFormat::build_layout`]) and never edited after. Engines,
+/// snapshots and serving epochs share one behind an `Arc`; each engine
+/// keeps only its own update stream beside it.
+#[derive(Debug)]
+pub struct Layout<F: BinFormat> {
+    pub(crate) png: Png,
+    pub(crate) dest: F::Dest,
+}
+
+impl<F: BinFormat> Layout<F> {
+    /// The partition-node graph.
+    pub fn png(&self) -> &Png {
+        &self.png
+    }
+}
 
 /// Why a non-wide format refuses the branchy gather.
 pub(crate) const BRANCHY_NEEDS_WIDE: &str =
@@ -307,11 +351,8 @@ pub(crate) trait FixedDestEncode:
     /// message)`.
     fn decode(self, p_base: u32) -> (usize, bool);
 
-    /// Wraps a destination stream as this format's snapshot state.
-    fn export_state(dest_ids: Vec<Self>, weights: Option<Vec<f32>>) -> crate::snapshot::BinState;
-
-    /// Unwraps this format's snapshot state; `None` for another's.
-    fn import_state(state: BinStateInner) -> Option<(Vec<Self>, Option<Vec<f32>>)>;
+    /// The format-erased state of a layout of this format.
+    fn share(layout: Arc<Layout<FixedFormat<Self>>>) -> DataplaneState;
 }
 
 impl FixedDestEncode for u32 {
@@ -332,15 +373,8 @@ impl FixedDestEncode for u32 {
         )
     }
 
-    fn export_state(dest_ids: Vec<u32>, weights: Option<Vec<f32>>) -> crate::snapshot::BinState {
-        crate::snapshot::BinState::wide(dest_ids, weights)
-    }
-
-    fn import_state(state: BinStateInner) -> Option<(Vec<u32>, Option<Vec<f32>>)> {
-        match state {
-            BinStateInner::Wide { dest_ids, weights } => Some((dest_ids, weights)),
-            _ => None,
-        }
+    fn share(layout: Arc<Layout<WideFormat>>) -> DataplaneState {
+        DataplaneState::Wide(layout)
     }
 }
 
@@ -361,29 +395,22 @@ impl FixedDestEncode for u16 {
         ((self & crate::compact::ID_MASK16) as usize, self >> 15 != 0)
     }
 
-    fn export_state(dest_ids: Vec<u16>, weights: Option<Vec<f32>>) -> crate::snapshot::BinState {
-        crate::snapshot::BinState::compact(dest_ids, weights)
-    }
-
-    fn import_state(state: BinStateInner) -> Option<(Vec<u16>, Option<Vec<f32>>)> {
-        match state {
-            BinStateInner::Compact { dest_ids, weights } => Some((dest_ids, weights)),
-            _ => None,
-        }
+    fn share(layout: Arc<Layout<CompactFormat>>) -> DataplaneState {
+        DataplaneState::Compact(layout)
     }
 }
 
 /// A fixed-width destination stream decodes unit by unit.
-impl<U: FixedDestEncode> SegmentDecode for [U] {
+impl<U: FixedDestEncode> SegmentDecode for FixedBins<U> {
     #[inline(always)]
     fn decode(&self, seg: &Segment, sink: &mut impl EntrySink) {
         let p_base = seg.p_base;
-        sink.units(&self[seg.raw.clone()], |id: U| id.decode(p_base));
+        sink.units(&self.dest_ids[seg.raw.clone()], |id: U| id.decode(p_base));
     }
 
     #[inline(always)]
     fn prefetch(&self, seg: &Segment) {
-        prefetch(&self[seg.raw.start..]);
+        prefetch(&self.dest_ids[seg.raw.start..]);
     }
 }
 
@@ -411,6 +438,7 @@ impl<U: FixedDestEncode> RunEncoder for FixedFormat<U> {
 /// A fixed-width format: one `U` per raw edge. Implements [`BinFormat`]
 /// for the two unit types the crate encodes — use it through the
 /// [`WideFormat`] and [`CompactFormat`] aliases.
+#[derive(Debug)]
 pub struct FixedFormat<U>(std::marker::PhantomData<U>);
 
 /// 32-bit global destination IDs (the paper's §3.2 layout).
@@ -420,7 +448,8 @@ pub type WideFormat = FixedFormat<u32>;
 pub type CompactFormat = FixedFormat<u16>;
 
 impl<U: FixedDestEncode> BinFormat for FixedFormat<U> {
-    type Bins<T: BinScalar> = FixedBins<U, T>;
+    type Dest = FixedBins<U>;
+    type Bins<T: BinScalar> = Bins<FixedBins<U>, T>;
 
     const KIND: BinFormatKind = U::KIND;
 
@@ -433,12 +462,12 @@ impl<U: FixedDestEncode> BinFormat for FixedFormat<U> {
         Ok(())
     }
 
-    fn build_layout<T: BinScalar>(
+    fn build_layout(
         view: EdgeView<'_>,
         src_parts: Partitioner,
         dst_parts: Partitioner,
         edge_weights: Option<&[f32]>,
-    ) -> (Png, FixedBins<U, T>) {
+    ) -> Layout<Self> {
         let q = dst_parts.partition_size();
         assert!(
             q <= U::MAX_PARTITION,
@@ -446,136 +475,97 @@ impl<U: FixedDestEncode> BinFormat for FixedFormat<U> {
             U::KIND,
             U::MAX_PARTITION
         );
-        let lay = build_layout::<Self>(view, src_parts, dst_parts, edge_weights);
-        let bins = FixedBins {
-            updates: vec![T::default(); lay.png.num_compressed_edges() as usize],
-            dest_ids: lay.dest,
-            weights: lay.weights,
+        let built = build_layout::<Self>(view, src_parts, dst_parts, edge_weights);
+        let dest = FixedBins {
+            dest_ids: built.dest,
+            weights: built.weights,
         };
-        (lay.png, bins)
+        Layout {
+            png: built.png,
+            dest,
+        }
     }
 
     fn gather_with<A: Algebra>(
         png: &Png,
-        bins: &FixedBins<U, A::T>,
+        dest: &FixedBins<U>,
+        own: &[A::T],
         rows: Option<(&[A::T], usize)>,
         ys: &mut [&mut [A::T]],
         kernel: KernelKind,
         variant: GatherKind,
         epilogue: Option<Epilogue<'_, A::T>>,
     ) -> Applied {
-        let (dest, weights, own) = (&bins.dest_ids[..], bins.weights.as_deref(), &bins.updates);
+        let weights = dest.weights.as_deref();
         gather_any::<A, _>(png, dest, weights, own, rows, ys, kernel, variant, epilogue)
     }
 
-    fn updates_mut<T: BinScalar>(bins: &mut FixedBins<U, T>) -> &mut [T] {
-        &mut bins.updates
+    fn stream_bytes(dest: &FixedBins<U>) -> u64 {
+        (dest.dest_ids.len() * std::mem::size_of::<U>()) as u64
     }
 
-    fn aux_memory_bytes<T: BinScalar>(bins: &FixedBins<U, T>) -> u64 {
-        bins.memory_bytes()
+    fn memory_bytes(dest: &FixedBins<U>) -> u64 {
+        dest.memory_bytes()
     }
 
-    fn dest_stream_bytes<T: BinScalar>(bins: &FixedBins<U, T>) -> u64 {
-        (bins.dest_ids.len() * std::mem::size_of::<U>()) as u64
-    }
-
-    fn export_state<T: BinScalar>(bins: &FixedBins<U, T>) -> crate::snapshot::BinState {
-        U::export_state(bins.dest_ids.clone(), bins.weights.clone())
-    }
-
-    fn import_state<T: BinScalar>(
-        state: crate::snapshot::BinState,
-        num_updates: usize,
-    ) -> FixedBins<U, T> {
-        let (dest_ids, weights) = U::import_state(state.0).expect(FOREIGN_STATE);
-        FixedBins {
-            updates: vec![T::default(); num_updates],
-            dest_ids,
-            weights,
-        }
+    fn share(layout: Arc<Layout<Self>>) -> DataplaneState {
+        U::share(layout)
     }
 }
 
 /// Delta-encoded split-stream destination IDs (see [`crate::delta`]).
+#[derive(Debug)]
 pub struct DeltaFormat;
 
 impl BinFormat for DeltaFormat {
-    type Bins<T: BinScalar> = DeltaPackedBins<T>;
+    type Dest = DeltaPackedBins;
+    type Bins<T: BinScalar> = Bins<DeltaPackedBins, T>;
 
     const KIND: BinFormatKind = BinFormatKind::Delta;
 
-    fn build_layout<T: BinScalar>(
+    fn build_layout(
         view: EdgeView<'_>,
         src_parts: Partitioner,
         dst_parts: Partitioner,
         weights: Option<&[f32]>,
-    ) -> (Png, DeltaPackedBins<T>) {
-        let lay = build_layout::<Self>(view, src_parts, dst_parts, weights);
-        let bins = DeltaPackedBins {
-            updates: vec![T::default(); lay.png.num_compressed_edges() as usize],
-            dest_bytes: lay.dest,
-            byte_region: lay.dest_region,
-            seg_off: lay.seg_off,
-            weights: lay.weights,
+    ) -> Layout<Self> {
+        let built = build_layout::<Self>(view, src_parts, dst_parts, weights);
+        let dest = DeltaPackedBins {
+            dest_bytes: built.dest,
+            byte_region: built.dest_region,
+            seg_off: built.seg_off,
+            weights: built.weights,
         };
-        (lay.png, bins)
+        Layout {
+            png: built.png,
+            dest,
+        }
     }
 
     fn gather_with<A: Algebra>(
         png: &Png,
-        bins: &DeltaPackedBins<A::T>,
+        dest: &DeltaPackedBins,
+        own: &[A::T],
         rows: Option<(&[A::T], usize)>,
         ys: &mut [&mut [A::T]],
         kernel: KernelKind,
         variant: GatherKind,
         epilogue: Option<Epilogue<'_, A::T>>,
     ) -> Applied {
-        let (weights, own) = (bins.weights.as_deref(), &bins.updates);
-        gather_any::<A, _>(png, bins, weights, own, rows, ys, kernel, variant, epilogue)
+        let weights = dest.weights.as_deref();
+        gather_any::<A, _>(png, dest, weights, own, rows, ys, kernel, variant, epilogue)
     }
 
-    fn updates_mut<T: BinScalar>(bins: &mut DeltaPackedBins<T>) -> &mut [T] {
-        &mut bins.updates
+    fn stream_bytes(dest: &DeltaPackedBins) -> u64 {
+        dest.dest_stream_bytes()
     }
 
-    fn aux_memory_bytes<T: BinScalar>(bins: &DeltaPackedBins<T>) -> u64 {
-        bins.memory_bytes()
+    fn memory_bytes(dest: &DeltaPackedBins) -> u64 {
+        dest.memory_bytes()
     }
 
-    fn dest_stream_bytes<T: BinScalar>(bins: &DeltaPackedBins<T>) -> u64 {
-        bins.dest_stream_bytes()
-    }
-
-    fn export_state<T: BinScalar>(bins: &DeltaPackedBins<T>) -> crate::snapshot::BinState {
-        crate::snapshot::BinState::delta(
-            bins.dest_bytes.clone(),
-            bins.byte_region.clone(),
-            bins.seg_off.clone(),
-            bins.weights.clone(),
-        )
-    }
-
-    fn import_state<T: BinScalar>(
-        state: crate::snapshot::BinState,
-        num_updates: usize,
-    ) -> DeltaPackedBins<T> {
-        let BinStateInner::Delta {
-            dest_bytes,
-            byte_region,
-            seg_off,
-            weights,
-        } = state.0
-        else {
-            panic!("{FOREIGN_STATE}");
-        };
-        DeltaPackedBins {
-            updates: vec![T::default(); num_updates],
-            dest_bytes,
-            byte_region,
-            seg_off,
-            weights,
-        }
+    fn share(layout: Arc<Layout<Self>>) -> DataplaneState {
+        DataplaneState::Delta(layout)
     }
 }
 
@@ -651,9 +641,9 @@ mod tests {
             let wide = WideFormat::build::<f32>(view, &png, None);
             let compact = CompactFormat::build::<f32>(view, &png, None);
             let delta = DeltaFormat::build::<f32>(view, &png, None);
-            let want = decode_all(&png, &wide.dest_ids[..]);
-            assert_eq!(want, decode_all(&png, &compact.dest_ids[..]), "q={q}");
-            assert_eq!(want, decode_all(&png, &delta), "q={q}");
+            let want = decode_all(&png, &wide.dest);
+            assert_eq!(want, decode_all(&png, &compact.dest), "q={q}");
+            assert_eq!(want, decode_all(&png, &delta.dest), "q={q}");
             // The messages are the PNG's rows: one per compressed edge,
             // one decoded entry per raw edge.
             let msgs: usize = want.iter().map(Vec::len).sum();
@@ -675,7 +665,7 @@ mod tests {
         let c = CompactFormat::dest_stream_bytes(&compact);
         let d = DeltaFormat::dest_stream_bytes(&delta);
         assert_eq!(c * 2, w);
-        assert!(compact.memory_bytes() < wide.memory_bytes());
+        assert!(compact.dest.memory_bytes() < wide.dest.memory_bytes());
         assert!(d < c, "delta ({d}) must beat compact ({c})");
         assert!(dest_compression(g.num_edges(), d) > 2.0);
     }

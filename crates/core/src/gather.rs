@@ -824,8 +824,11 @@ mod tests {
         };
         let mut outs: Vec<&mut [A::T]> = ys.iter_mut().map(Vec::as_mut_slice).collect();
         let variant = GatherKind::BranchAvoiding;
-        let applied =
-            F::gather_with::<A>(png, bins, rows, &mut outs, kernel, variant, Some(epilogue));
+        let crate::bins::Bins { dest, updates } = std::borrow::Borrow::borrow(bins);
+        let epilogue = Some(epilogue);
+        let applied = F::gather_with::<A>(
+            png, dest, updates, rows, &mut outs, kernel, variant, epilogue,
+        );
         let mut seen = seen.into_inner().unwrap();
         seen.sort_by_key(|r| r.start);
         let parts = png.dst_parts();

@@ -138,7 +138,7 @@ impl BipartitePart {
 
 /// The full PNG layout: one [`BipartitePart`] per source partition plus
 /// global bin-region prefix sums.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Png {
     src_parts: Partitioner,
     dst_parts: Partitioner,
@@ -345,7 +345,7 @@ impl RunEncoder for () {
 }
 
 /// A PNG and one format's destination stream over it.
-pub(crate) struct Layout<U> {
+pub(crate) struct Built<U> {
     pub(crate) png: Png,
     /// Source-partition-major, then [`RunEncoder::SLACK`] zeroed units.
     pub(crate) dest: Vec<U>,
@@ -365,7 +365,7 @@ pub(crate) fn build_layout<E: RunEncoder>(
     src_parts: Partitioner,
     dst_parts: Partitioner,
     edge_weights: Option<&[f32]>,
-) -> Layout<E::Unit> {
+) -> Built<E::Unit> {
     // A one-unit-per-edge stream, the build's largest allocation, is
     // claimed before the walks allocate anything. Claimed after, the
     // PNG's parts (allocated partly on the submitting thread, which works
@@ -417,7 +417,7 @@ pub(crate) fn build_layout<E: RunEncoder>(
         })
         .collect();
     let (parts, seg_off) = filled.into_iter().unzip();
-    Layout {
+    Built {
         png: Png::from_parts(src_parts, dst_parts, parts),
         dest,
         dest_region,

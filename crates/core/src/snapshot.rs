@@ -64,8 +64,9 @@
 //! compressed edges, and every decoded offset lies in its partition.
 //!
 //! The *update* stream is deliberately **not** serialized: it is scratch
-//! memory overwritten by every scatter, so the loader allocates it fresh
-//! (zero-filled) at `|E'|` entries.
+//! memory overwritten by every scatter, so each engine built from a
+//! snapshot allocates its own (zero-filled) at `|E'|` entries beside the
+//! layout it shares.
 //!
 //! # Guarantees
 //!
@@ -78,8 +79,10 @@
 //!   each map to a distinct [`SnapshotError`] variant; no snapshot input
 //!   can panic the loader.
 
+use crate::bins::FixedBins;
+use crate::delta::DeltaPackedBins;
 use crate::error::SnapshotError;
-use crate::format::BinFormatKind;
+use crate::format::{BinFormatKind, CompactFormat, DeltaFormat, Layout, WideFormat};
 use crate::png::{BipartitePart, Png};
 use crate::Partitioner;
 use pcpm_graph::{io as gio, Csr};
@@ -99,117 +102,73 @@ const HEADER_LEN: usize = 20;
 /// Conventional file extension for snapshot files (`graph.pcpmc`).
 pub const SNAPSHOT_EXTENSION: &str = "pcpmc";
 
-/// The serializable state of one bin format: destination stream plus the
-/// optional bin-order weight stream. Opaque — produced by the dataplane
-/// export hooks and consumed by the loader.
+/// A built layout of any format, shared: what a [`Snapshot`] holds and
+/// what a snapshotable backend exports
+/// ([`Backend::snapshot_state`](crate::Backend::snapshot_state)).
+/// Cloning clones the `Arc`, never the layout.
 #[derive(Clone, Debug)]
-pub struct BinState(pub(crate) BinStateInner);
-
-#[derive(Clone, Debug)]
-pub(crate) enum BinStateInner {
-    Wide {
-        dest_ids: Vec<u32>,
-        weights: Option<Vec<f32>>,
-    },
-    Compact {
-        dest_ids: Vec<u16>,
-        weights: Option<Vec<f32>>,
-    },
-    Delta {
-        dest_bytes: Vec<u8>,
-        byte_region: Vec<u64>,
-        seg_off: Vec<Vec<u64>>,
-        weights: Option<Vec<f32>>,
-    },
-}
-
-impl BinState {
-    pub(crate) fn wide(dest_ids: Vec<u32>, weights: Option<Vec<f32>>) -> Self {
-        Self(BinStateInner::Wide { dest_ids, weights })
-    }
-
-    pub(crate) fn compact(dest_ids: Vec<u16>, weights: Option<Vec<f32>>) -> Self {
-        Self(BinStateInner::Compact { dest_ids, weights })
-    }
-
-    pub(crate) fn delta(
-        dest_bytes: Vec<u8>,
-        byte_region: Vec<u64>,
-        seg_off: Vec<Vec<u64>>,
-        weights: Option<Vec<f32>>,
-    ) -> Self {
-        Self(BinStateInner::Delta {
-            dest_bytes,
-            byte_region,
-            seg_off,
-            weights,
-        })
-    }
-
-    /// The format this state belongs to.
-    pub fn kind(&self) -> BinFormatKind {
-        match &self.0 {
-            BinStateInner::Wide { .. } => BinFormatKind::Wide,
-            BinStateInner::Compact { .. } => BinFormatKind::Compact,
-            BinStateInner::Delta { .. } => BinFormatKind::Delta,
-        }
-    }
-
-    /// Whether a bin-order weight stream is present.
-    pub fn is_weighted(&self) -> bool {
-        match &self.0 {
-            BinStateInner::Wide { weights, .. }
-            | BinStateInner::Compact { weights, .. }
-            | BinStateInner::Delta { weights, .. } => weights.is_some(),
-        }
-    }
-}
-
-/// Everything a snapshotable backend exports: the PNG layout plus the
-/// format's [`BinState`]. Opaque to external [`Backend`](crate::Backend)
-/// implementations (their default `snapshot_state` returns `None`).
-#[derive(Clone, Debug)]
-pub struct DataplaneState {
-    pub(crate) png: Png,
-    pub(crate) bins: BinState,
+pub enum DataplaneState {
+    /// A [`WideFormat`] layout.
+    Wide(Arc<Layout<WideFormat>>),
+    /// A [`CompactFormat`] layout.
+    Compact(Arc<Layout<CompactFormat>>),
+    /// A [`DeltaFormat`] layout.
+    Delta(Arc<Layout<DeltaFormat>>),
 }
 
 impl DataplaneState {
-    pub(crate) fn new(png: Png, bins: BinState) -> Self {
-        Self { png, bins }
-    }
-}
-
-/// A decoded engine snapshot: graph, weights, PNG and bins, ready to be
-/// rehydrated into an [`Engine`](crate::Engine) without running
-/// `prepare`.
-#[derive(Clone, Debug)]
-pub struct Snapshot {
-    graph: Arc<Csr>,
-    /// CSR-order edge weights (what rebuilds consume).
-    weights: Option<Vec<f32>>,
-    partition_bytes: u64,
-    png: Png,
-    bins: BinState,
-}
-
-impl Snapshot {
-    /// Assembles a snapshot from live engine state (the save path).
-    pub(crate) fn from_state(
-        graph: Arc<Csr>,
-        weights: Option<Vec<f32>>,
-        partition_bytes: u64,
-        state: DataplaneState,
-    ) -> Self {
-        Self {
-            graph,
-            weights,
-            partition_bytes,
-            png: state.png,
-            bins: state.bins,
+    /// The format of the layout.
+    pub fn kind(&self) -> BinFormatKind {
+        match self {
+            DataplaneState::Wide(_) => BinFormatKind::Wide,
+            DataplaneState::Compact(_) => BinFormatKind::Compact,
+            DataplaneState::Delta(_) => BinFormatKind::Delta,
         }
     }
 
+    /// The layout's PNG.
+    pub fn png(&self) -> &Png {
+        match self {
+            DataplaneState::Wide(l) => l.png(),
+            DataplaneState::Compact(l) => l.png(),
+            DataplaneState::Delta(l) => l.png(),
+        }
+    }
+
+    /// The bin-order weight stream, when the layout is weighted.
+    pub(crate) fn bin_weights(&self) -> Option<&[f32]> {
+        match self {
+            DataplaneState::Wide(l) => l.dest.weights.as_deref(),
+            DataplaneState::Compact(l) => l.dest.weights.as_deref(),
+            DataplaneState::Delta(l) => l.dest.weights.as_deref(),
+        }
+    }
+
+    /// Whether `self` and `other` are one layout, not two equal ones.
+    pub fn ptr_eq(&self, other: &DataplaneState) -> bool {
+        match (self, other) {
+            (DataplaneState::Wide(a), DataplaneState::Wide(b)) => Arc::ptr_eq(a, b),
+            (DataplaneState::Compact(a), DataplaneState::Compact(b)) => Arc::ptr_eq(a, b),
+            (DataplaneState::Delta(a), DataplaneState::Delta(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+}
+
+/// A decoded engine snapshot: graph, weights and the shared layout,
+/// ready to be rehydrated into an [`Engine`](crate::Engine) without
+/// running `prepare`. A clone shares all three.
+#[derive(Clone, Debug)]
+pub struct Snapshot {
+    pub(crate) graph: Arc<Csr>,
+    /// CSR-order edge weights (what rebuilds consume).
+    pub(crate) weights: Option<Arc<Vec<f32>>>,
+    /// q·4: the partition size the layout was built with.
+    pub(crate) partition_bytes: u64,
+    pub(crate) layout: DataplaneState,
+}
+
+impl Snapshot {
     /// The snapshotted graph.
     pub fn graph(&self) -> &Arc<Csr> {
         &self.graph
@@ -217,7 +176,7 @@ impl Snapshot {
 
     /// CSR-order edge weights, when the engine was weighted.
     pub fn weights(&self) -> Option<&[f32]> {
-        self.weights.as_deref()
+        self.weights.as_deref().map(Vec::as_slice)
     }
 
     /// Whether the dataplane carries edge weights.
@@ -227,23 +186,19 @@ impl Snapshot {
 
     /// The physical bin format of the stored dataplane.
     pub fn bin_format(&self) -> BinFormatKind {
-        self.bins.kind()
+        self.layout.kind()
+    }
+
+    /// The layout: the PNG and the bins, shared with every engine built
+    /// from this snapshot.
+    pub fn layout(&self) -> &DataplaneState {
+        &self.layout
     }
 
     /// The partition size the dataplane was built with, in bytes (q·4):
     /// the budget's, or the halving of it the engine build derived.
     pub fn partition_bytes(&self) -> usize {
         self.partition_bytes as usize
-    }
-
-    pub(crate) fn into_parts(self) -> (Arc<Csr>, Option<Vec<f32>>, u64, Png, BinState) {
-        (
-            self.graph,
-            self.weights,
-            self.partition_bytes,
-            self.png,
-            self.bins,
-        )
     }
 
     /// Rejects the snapshot unless it was built under the caller's
@@ -311,13 +266,14 @@ impl Snapshot {
         }
 
         // PNG section.
-        let src = self.png.src_parts();
-        let dst = self.png.dst_parts();
+        let png = self.layout.png();
+        let src = png.src_parts();
+        let dst = png.dst_parts();
         out.extend_from_slice(&src.partition_size().to_le_bytes());
         out.extend_from_slice(&dst.partition_size().to_le_bytes());
         out.extend_from_slice(&src.num_partitions().to_le_bytes());
         out.extend_from_slice(&dst.num_partitions().to_le_bytes());
-        for part in (0..src.num_partitions()).map(|s| self.png.part(s)) {
+        for part in (0..src.num_partitions()).map(|s| png.part(s)) {
             gio::put_le(&mut out, &part.upd_off, u64::to_le_bytes);
             gio::put_le(&mut out, &part.did_off, u64::to_le_bytes);
             put_len(&mut out, part.sources.len());
@@ -326,35 +282,28 @@ impl Snapshot {
 
         // Bins section.
         out.push(format_tag(self.bin_format()));
-        let weights = match &self.bins.0 {
-            BinStateInner::Wide { dest_ids, weights } => {
-                put_len(&mut out, dest_ids.len());
-                gio::put_le(&mut out, dest_ids, u32::to_le_bytes);
-                weights
+        match &self.layout {
+            DataplaneState::Wide(l) => {
+                put_len(&mut out, l.dest.dest_ids.len());
+                gio::put_le(&mut out, &l.dest.dest_ids, u32::to_le_bytes);
             }
-            BinStateInner::Compact { dest_ids, weights } => {
-                put_len(&mut out, dest_ids.len());
-                gio::put_le(&mut out, dest_ids, u16::to_le_bytes);
-                weights
+            DataplaneState::Compact(l) => {
+                put_len(&mut out, l.dest.dest_ids.len());
+                gio::put_le(&mut out, &l.dest.dest_ids, u16::to_le_bytes);
             }
-            BinStateInner::Delta {
-                dest_bytes,
-                byte_region,
-                seg_off,
-                weights,
-            } => {
+            DataplaneState::Delta(l) => {
+                let d = &l.dest;
                 // The stream without the decoder's slack.
-                let stream = &dest_bytes[..delta_stream_len(byte_region)];
+                let stream = &d.dest_bytes[..delta_stream_len(&d.byte_region)];
                 put_len(&mut out, stream.len());
                 out.extend_from_slice(stream);
-                gio::put_le(&mut out, byte_region, u64::to_le_bytes);
-                for offs in seg_off {
+                gio::put_le(&mut out, &d.byte_region, u64::to_le_bytes);
+                for offs in &d.seg_off {
                     gio::put_le(&mut out, offs, u64::to_le_bytes);
                 }
-                weights
             }
-        };
-        if let Some(w) = weights {
+        }
+        if let Some(w) = self.layout.bin_weights() {
             put_len(&mut out, w.len());
             gio::put_le(&mut out, w, f32::to_le_bytes);
         }
@@ -369,24 +318,20 @@ impl Snapshot {
     /// writes after the header.
     fn payload_len(&self) -> usize {
         let blob = |len: usize| 8 + len;
-        let k_dst = self.png.dst_parts().num_partitions() as usize;
-        let png: usize = (0..self.png.src_parts().num_partitions())
-            .map(|s| 2 * (k_dst + 1) * 8 + blob(self.png.part(s).sources.len() * 4))
+        let png = self.layout.png();
+        let k_dst = png.dst_parts().num_partitions() as usize;
+        let png_len: usize = (0..png.src_parts().num_partitions())
+            .map(|s| 2 * (k_dst + 1) * 8 + blob(png.part(s).sources.len() * 4))
             .sum();
-        let (dest, weights) = match &self.bins.0 {
-            BinStateInner::Wide { dest_ids, weights } => (blob(dest_ids.len() * 4), weights),
-            BinStateInner::Compact { dest_ids, weights } => (blob(dest_ids.len() * 2), weights),
-            BinStateInner::Delta {
-                byte_region,
-                seg_off,
-                weights,
-                ..
-            } => (
-                blob(delta_stream_len(byte_region))
-                    + byte_region.len() * 8
-                    + seg_off.iter().map(|o| o.len() * 8).sum::<usize>(),
-                weights,
-            ),
+        let dest = match &self.layout {
+            DataplaneState::Wide(l) => blob(l.dest.dest_ids.len() * 4),
+            DataplaneState::Compact(l) => blob(l.dest.dest_ids.len() * 2),
+            DataplaneState::Delta(l) => {
+                let d = &l.dest;
+                blob(delta_stream_len(&d.byte_region))
+                    + d.byte_region.len() * 8
+                    + d.seg_off.iter().map(|o| o.len() * 8).sum::<usize>()
+            }
         };
         16 + blob(gio::encoded_len(&self.graph))
             + self
@@ -394,10 +339,10 @@ impl Snapshot {
                 .as_ref()
                 .map_or(0, |w| blob(gio::weights_encoded_len(w.len())))
             + 16
-            + png
+            + png_len
             + 1
             + dest
-            + weights.as_ref().map_or(0, |w| blob(w.len() * 4))
+            + self.layout.bin_weights().map_or(0, |w| blob(w.len() * 4))
     }
 
     /// Decodes and fully validates a snapshot blob.
@@ -585,10 +530,10 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
         .map_err(|_| SnapshotError::Corrupt("invalid graph section"))?;
     let weights = if weighted {
         let blob = r.counted(1, "truncated weights section")?;
-        Some(
+        Some(Arc::new(
             gio::weights_from_bytes(blob, Some(graph.num_edges()))
                 .map_err(|_| SnapshotError::Corrupt("invalid weights section"))?,
-        )
+        ))
     } else {
         None
     };
@@ -658,14 +603,15 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
         return Err(SnapshotError::Corrupt("bins tag disagrees with header"));
     }
     let raw_edges = png.num_raw_edges() as usize;
-    let bins = match format {
+    let layout = match format {
         BinFormatKind::Wide => {
             let dest_ids = r.counted_words("truncated wide bins", u32::from_le_bytes)?;
             if dest_ids.len() != raw_edges {
                 return Err(SnapshotError::Corrupt("wide dest stream length mismatch"));
             }
             let weights = read_bin_weights(&mut r, weighted, raw_edges)?;
-            BinState::wide(dest_ids, weights)
+            let dest = FixedBins { dest_ids, weights };
+            DataplaneState::Wide(Arc::new(Layout { png, dest }))
         }
         BinFormatKind::Compact => {
             let dest_ids = r.counted_words("truncated compact bins", u16::from_le_bytes)?;
@@ -675,7 +621,8 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
                 ));
             }
             let weights = read_bin_weights(&mut r, weighted, raw_edges)?;
-            BinState::compact(dest_ids, weights)
+            let dest = FixedBins { dest_ids, weights };
+            DataplaneState::Compact(Arc::new(Layout { png, dest }))
         }
         BinFormatKind::Delta => {
             let raw = r.counted(1, "truncated delta bins")?;
@@ -701,7 +648,13 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
                 return Err(SnapshotError::Corrupt("inconsistent delta segment"));
             }
             let weights = read_bin_weights(&mut r, weighted, raw_edges)?;
-            BinState::delta(dest_bytes, byte_region, seg_off, weights)
+            let dest = DeltaPackedBins {
+                dest_bytes,
+                byte_region,
+                seg_off,
+                weights,
+            };
+            DataplaneState::Delta(Arc::new(Layout { png, dest }))
         }
     };
     r.done("trailing bytes after bins section")?;
@@ -710,8 +663,7 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
         graph: Arc::new(graph),
         weights,
         partition_bytes,
-        png,
-        bins,
+        layout,
     })
 }
 
@@ -817,20 +769,27 @@ mod tests {
         assert!(Snapshot::from_bytes(&bytes[..12]).is_err());
     }
 
+    /// The delta layout of a freshly decoded snapshot, which nothing
+    /// else shares yet.
+    fn delta_layout(snap: &mut Snapshot) -> &mut Layout<DeltaFormat> {
+        let DataplaneState::Delta(layout) = &mut snap.layout else {
+            unreachable!("a delta snapshot");
+        };
+        Arc::get_mut(layout).expect("a decoded layout is not shared")
+    }
+
     /// Rewrites the first non-empty segment of a valid delta snapshot
     /// with `edit`, given the stream, the segment's offset and its first
     /// value's, and re-serializes it, so the checksum holds.
     fn edited_delta(edit: impl Fn(&mut [u8], usize, usize)) -> Vec<u8> {
         let mut snap = Snapshot::from_bytes(&snapshot_bytes(BinFormatKind::Delta)).unwrap();
-        let did_off = snap.png.part(0).did_off.clone();
-        let BinStateInner::Delta {
+        let layout = delta_layout(&mut snap);
+        let did_off = layout.png.part(0).did_off.clone();
+        let DeltaPackedBins {
             dest_bytes,
             seg_off,
             ..
-        } = &mut snap.bins.0
-        else {
-            unreachable!("a delta snapshot");
-        };
+        } = &mut layout.dest;
         // Region 0 starts at byte 0.
         let p = (0..did_off.len() - 1)
             .find(|&p| did_off[p + 1] > did_off[p])
@@ -857,14 +816,11 @@ mod tests {
         // A trailing byte that no control group sizes, in the last
         // segment, with every offset still tiling the stream.
         let mut snap = Snapshot::from_bytes(&snapshot_bytes(BinFormatKind::Delta)).unwrap();
-        let BinStateInner::Delta {
+        let DeltaPackedBins {
             byte_region,
             seg_off,
             ..
-        } = &mut snap.bins.0
-        else {
-            unreachable!("a delta snapshot");
-        };
+        } = &mut delta_layout(&mut snap).dest;
         *byte_region.last_mut().unwrap() += 1;
         *seg_off.last_mut().unwrap().last_mut().unwrap() += 1;
         assert_eq!(Snapshot::from_bytes(&snap.to_bytes()).map(|_| ()), corrupt);

@@ -14,20 +14,23 @@
 //!   (nanoseconds); all query work happens against the clone, so an
 //!   in-flight reader is never blocked by a publication and never sees
 //!   a half-applied batch.
-//! - Each **worker** owns a per-epoch cache of rehydrated engines (one
-//!   per algebra it has been asked for). When it observes a new epoch it
-//!   drops the cache and rebuilds lazily from the published snapshot —
-//!   an O(E) copy per worker per epoch, amortized across every query the
-//!   worker serves at that epoch.
+//! - A snapshot holds its graph and its **layout** (the PNG and the
+//!   bins, immutable) by `Arc`, so one copy of each serves a whole
+//!   epoch. Each **worker** keeps a per-epoch cache of engines, one per
+//!   algebra it has been asked for, each sharing the published layout
+//!   and owning only its update stream: rehydrating one copies nothing
+//!   O(E). When a worker observes a new epoch it drops the cache,
+//!   releasing the old epoch, and rebuilds lazily.
 //! - The single **writer thread** owns a private engine per served
 //!   graph, and no graph of its own: the current graph is the published
 //!   snapshot's. An update request flows [`merge`] (the published graph
 //!   and the batch into the next graph) → [`Engine::update`] (a
-//!   dataplane rebuild) → `Engine::snapshot()` → publish
+//!   dataplane rebuild, the one O(E) build of the epoch) →
+//!   `Engine::snapshot()`, which shares the new layout → publish
 //!   `Arc::new(ServingState { epoch: e+1, .. })`. Readers at epoch `e`
 //!   finish unperturbed; the next query on each worker picks up `e+1`.
 //!   A failed update publishes nothing and keeps nothing: the writer
-//!   drops that engine and rebuilds it from the published snapshot on
+//!   drops that engine and rehydrates it from the published snapshot on
 //!   the next update.
 //!
 //! Because snapshot rehydration is bit-exact (PR 5 invariant) and the
@@ -462,8 +465,8 @@ fn apply_update(
         Ok(m) => m,
         Err(e) => return stream_err(e),
     };
-    // The engine is built from the published snapshot the first time
-    // this shard is written, and again after a failed update.
+    // The engine shares the published layout the first time this shard
+    // is written, and again after a failed update.
     let mut engine = match engines[idx].take() {
         Some(engine) => engine,
         None => match SnapshotEngineBuilder::<PlusF32>::from_snapshot(
@@ -1045,7 +1048,7 @@ impl Worker {
 }
 
 /// Builds (or reuses) the worker's cached engine for one algebra,
-/// rehydrated from the published snapshot.
+/// sharing the published snapshot's layout.
 fn cached_engine<'a, A: Algebra>(
     slot: &'a mut Option<Engine<A>>,
     snapshot: &Snapshot,

@@ -91,7 +91,7 @@ proptest! {
                 let hi = base + part.did_off[p as usize + 1] as usize;
                 let rows = part.row(p);
                 let mut row_idx = usize::MAX;
-                for &raw in &bins.dest_ids[lo..hi] {
+                for &raw in &bins.dest.dest_ids[lo..hi] {
                     if raw & pcpm::core::MSB_FLAG != 0 {
                         row_idx = row_idx.wrapping_add(1);
                     }

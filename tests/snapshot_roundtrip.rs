@@ -5,7 +5,7 @@
 //! tested); the loaded engine keeps the full contract (update,
 //! re-snapshot, reports).
 
-use pcpm::core::algebra::PlusF32;
+use pcpm::core::algebra::{MinLevel, PlusF32};
 use pcpm::core::pagerank::pagerank_with_unified_engine;
 use pcpm::core::update::UpdateOutcome;
 use pcpm::prelude::*;
@@ -171,6 +171,45 @@ fn loaded_engine_updates_and_resnapshots() {
         fresh.step(&x, &mut yc).unwrap();
         assert_eq!(ya, yb, "format {format}");
         assert_eq!(ya, yc, "format {format}");
+    }
+}
+
+/// One layout per epoch: `Engine::snapshot()`, `Snapshot::clone()` and
+/// an engine rehydrated from a snapshot — of any algebra — all share the
+/// layout (the PNG and the bins) the engine built, and the graph; only
+/// an update builds another.
+#[test]
+fn snapshots_and_rehydrated_engines_share_one_layout() {
+    let g = Arc::new(pcpm::graph::gen::rmat(&RmatConfig::graph500(8, 6, 31)).unwrap());
+    for format in format_matrix() {
+        let mut built = Engine::<PlusF32>::builder_shared(&g)
+            .config(cfg_for(format, None))
+            .build()
+            .unwrap();
+        let snap = built.snapshot().unwrap();
+        let again = built.snapshot().unwrap();
+        assert!(again.layout().ptr_eq(snap.layout()), "{format}: snapshot");
+        let clone = snap.clone();
+        assert!(clone.layout().ptr_eq(snap.layout()), "{format}: clone");
+        assert!(Arc::ptr_eq(clone.graph(), snap.graph()), "{format}: graph");
+        let levels = SnapshotEngineBuilder::<MinLevel>::from_snapshot(clone, Default::default())
+            .threads(2)
+            .build()
+            .unwrap();
+        let rehydrated = levels.snapshot().unwrap();
+        assert!(
+            rehydrated.layout().ptr_eq(snap.layout()),
+            "{format}: engine"
+        );
+
+        let mut edges: Vec<(u32, u32)> = g.edges().collect();
+        let removed = edges.remove(0);
+        let g2 = Arc::new(Csr::from_edges(g.num_nodes(), &edges).unwrap());
+        let batch = UpdateBatch::from_parts(vec![], vec![removed]);
+        built.update(&g2, None, &batch).unwrap();
+        let next = built.snapshot().unwrap();
+        assert!(!next.layout().ptr_eq(snap.layout()), "{format}: update");
+        assert!(levels.snapshot().unwrap().layout().ptr_eq(snap.layout()));
     }
 }
 
