@@ -8,7 +8,7 @@ use super::{
 use crate::algebra::{Algebra, PlusF32};
 use crate::config::PcpmConfig;
 use crate::error::{PcpmError, SnapshotError};
-use crate::gather::{apply_parts, apply_share, ApplyFn, Epilogue, MAX_LANES};
+use crate::gather::{apply_parts, apply_share, ApplyFn, Epilogue};
 use crate::partition::Partitioner;
 use crate::pr::PhaseTimings;
 use crate::snapshot::Snapshot;
@@ -217,14 +217,6 @@ impl<A: Algebra> Engine<A> {
         self.source.as_ref().map(|s| &s.graph)
     }
 
-    /// The CSR-order edge weights the engine was prepared with, when
-    /// retained alongside the graph.
-    pub fn weights(&self) -> Option<&[f32]> {
-        self.source
-            .as_ref()
-            .and_then(|s| s.weights.as_deref().map(Vec::as_slice))
-    }
-
     /// Runs `op` on the engine-owned thread pool (inline when no
     /// explicit thread count was configured), lending it mutable access
     /// to the engine. The algorithm drivers wrap their whole iteration
@@ -257,6 +249,9 @@ impl<A: Algebra> Engine<A> {
         };
         let tm = crate::telemetry::counters();
         let jobs0 = tm.is_enabled().then(rayon::diagnostics::jobs_dispatched);
+        // The backend says how many scans a batch takes: `⌈Q / 8⌉` on the
+        // batched dataplane, `Q` where each query is a round of its own.
+        let passes = queries.map_or(1, |q| self.backend.scans(q));
         let backend = &mut *self.backend;
         let (t, out) = match &self.pool {
             Some(pool) => pool.install(|| run(backend))?,
@@ -265,9 +260,6 @@ impl<A: Algebra> Engine<A> {
         if let Some(jobs0) = jobs0 {
             tm.add_pool_jobs_dispatched((rayon::diagnostics::jobs_dispatched() - jobs0) as u64);
         }
-        // A batch runs as passes of at most `MAX_LANES` queries, each one
-        // scan of the bin streams.
-        let passes = queries.map_or(1, |q| q.div_ceil(MAX_LANES));
         if let Some(q) = queries {
             tm.add_batched_passes(passes as u64);
             tm.add_batched_queries(q as u64);

@@ -193,6 +193,14 @@ pub trait Backend<A: Algebra>: Send {
         Ok((timings, totals))
     }
 
+    /// Scans of the dataplane a batch of `queries` runs: what
+    /// [`ExecutionReport::steps`] counts for it. The default
+    /// [`Backend::step_many`] runs a round per query, so one scan each;
+    /// the PCPM dataplane scans its bins once per pass of up to eight.
+    fn scans(&self, queries: usize) -> usize {
+        queries
+    }
+
     /// Static facts about the prepared state.
     fn metrics(&self) -> BackendMetrics;
 
@@ -308,8 +316,10 @@ pub struct ExecutionReport {
     /// constructed (`rayon::diagnostics`).
     pub pool_jobs_dispatched: u64,
     /// Multi-query passes executed through [`Engine::step_many`]: a
-    /// batch of `Q` queries is `⌈Q / 8⌉` passes of at most eight. Each
-    /// counts once in [`Self::steps`] however many queries it carried.
+    /// batch of `Q` queries is `⌈Q / 8⌉` passes of at most eight on the
+    /// PCPM dataplane, and `Q` where each query runs a round of its own
+    /// (an ablation, another backend: [`Backend::scans`]). Each counts
+    /// once in [`Self::steps`] however many queries it carried.
     pub batch_passes: usize,
     /// Query vectors served by those batched passes.
     pub batch_queries: usize,
@@ -366,17 +376,5 @@ impl ExecutionReport {
     /// `Q` when every pass carries a full batch.
     pub fn batch_amortization(&self) -> f64 {
         self.queries_served() as f64 / self.steps.max(1) as f64
-    }
-
-    /// DestID-stream bytes scanned per query answered — the per-batch
-    /// amortization stat: batching `Q` queries divides this by `Q`
-    /// while `dest_stream_total_bytes` stays flat.
-    pub fn dest_stream_bytes_per_query(&self) -> Option<f64> {
-        let total = self.dest_stream_total_bytes()?;
-        let queries = self.queries_served();
-        if queries == 0 {
-            return None;
-        }
-        Some(total as f64 / queries as f64)
     }
 }

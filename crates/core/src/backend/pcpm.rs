@@ -106,6 +106,10 @@ impl<A: Algebra, F: BinFormat> Backend<A> for PcpmBackend<A, F> {
         self.round(xs, ys, Some(epilogue))
     }
 
+    fn scans(&self, queries: usize) -> usize {
+        queries.div_ceil(self.lanes())
+    }
+
     fn metrics(&self) -> BackendMetrics {
         let (png, dest) = (&self.layout.png, &self.layout.dest);
         let dest_stream_bytes = F::stream_bytes(dest);
@@ -221,8 +225,7 @@ impl<A: Algebra, F: BinFormat> PcpmBackend<A, F> {
             self.rows = Vec::new();
             return self.pass(xs, ys, epilogue);
         }
-        let batched = self.scatter == ScatterKind::Png && self.gather == GatherKind::BranchAvoiding;
-        let lanes = if batched { MAX_LANES } else { 1 };
+        let lanes = self.lanes();
         let mut epilogues = epilogue.map(|e| e.split(lanes));
         let mut timings = PhaseTimings::default();
         let mut totals = Vec::with_capacity(xs.len());
@@ -233,6 +236,17 @@ impl<A: Algebra, F: BinFormat> PcpmBackend<A, F> {
             totals.extend(pass_totals);
         }
         Ok((timings, totals))
+    }
+
+    /// Queries one pass carries: [`MAX_LANES`], or one on an ablation,
+    /// which has no batched kernel.
+    fn lanes(&self) -> usize {
+        let batched = self.scatter == ScatterKind::Png && self.gather == GatherKind::BranchAvoiding;
+        if batched {
+            MAX_LANES
+        } else {
+            1
+        }
     }
 
     /// One pass of at most [`MAX_LANES`] queries: the scatter, then the

@@ -33,14 +33,14 @@
 //! | `varint_decodes` | delta values decoded, one per raw edge (delta format only) | one add per gather pass |
 //! | `scatter_ns` / `gather_ns` | wall-clock of the two PCPM phases | one add per pass |
 //! | `pool_jobs_dispatched` | rayon-shim jobs dispatched while inside `Engine::step` | one add per step |
-//! | `batched_passes` | multi-query (SpMM) passes executed, at most 8 queries each | one add per `Engine::step_many` (`⌈Q / 8⌉`) |
+//! | `batched_passes` | scans a multi-query batch ran: SpMM passes of at most 8 queries, or one per query where the backend has no batched kernel | one add per `Engine::step_many` (`Backend::scans`: `⌈Q / 8⌉`, or `Q`) |
 //! | `batched_queries` | query vectors served by those passes | one add per `Engine::step_many` (`Q`) |
 //! | `gather_scalar_ns` / `gather_unrolled_ns` | gather wall-clock split by the kernel variant that ran | one add per pass |
 //! | `sparse_rounds` | fixed-point rounds pushed along the adjacency instead of gathered: they read no bin, so none of the counters above moves for them | one add per pushed round |
 //! | `pushed_edges` | out-edges those rounds added along, summed over their queries | one add per pushed round |
 //!
-//! The batched pair is the amortization measurement: a batch of `Q`
-//! runs as `⌈Q / 8⌉` passes, and each records `dest_stream_bytes_read`
+//! The batched pair is the amortization measurement: on the PCPM
+//! dataplane a batch of `Q` runs as `⌈Q / 8⌉` passes, and each records `dest_stream_bytes_read`
 //! **once** however many query vectors (at most eight) it carries, so
 //! `dest_stream_bytes_read / batched_passes` staying flat as
 //! `batched_queries / batched_passes` grows to 8 is the multi-query win

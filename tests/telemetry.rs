@@ -8,7 +8,7 @@
 
 use pcpm::core::algebra::PlusF32;
 use pcpm::core::telemetry;
-use pcpm::core::BinFormatKind;
+use pcpm::core::{BackendKind, BinFormatKind, GatherKind, ScatterKind};
 use pcpm::prelude::*;
 
 static REGISTRY: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -89,6 +89,69 @@ fn counters_record_all_formats_and_disabled_path_stays_silent() {
             assert!(snap.varint_decodes > 0, "delta pays a varint per edge");
         } else {
             assert_eq!(snap.varint_decodes, 0, "{format} decodes no varints");
+        }
+    }
+}
+
+/// The report and the counters count the same scans: for every backend,
+/// format and ablation, a batch of 1, 3 or 9 queries adds to
+/// `ExecutionReport`'s totals exactly what it adds to the telemetry,
+/// ablations included, which scan the bins once per query.
+#[test]
+fn every_report_total_equals_its_telemetry_counter() {
+    let _guard = lock_registry();
+    let graph = std::sync::Arc::new(test_graph());
+    let n = graph.num_nodes() as usize;
+    let tm = telemetry::counters();
+    let (png, csr) = (ScatterKind::Png, ScatterKind::CsrTraversal);
+    let (avoiding, branchy) = (GatherKind::BranchAvoiding, GatherKind::Branchy);
+    let mut variants = vec![(BackendKind::Pull, BinFormatKind::Wide, png, avoiding)];
+    for format in BinFormatKind::ALL {
+        variants.push((BackendKind::Pcpm, format, png, avoiding));
+        variants.push((BackendKind::Pcpm, format, csr, avoiding));
+    }
+    variants.push((BackendKind::Pcpm, BinFormatKind::Wide, png, branchy));
+    for (backend, format, scatter, gather) in variants {
+        let mut engine = Engine::<PlusF32>::builder_shared(&graph)
+            .config(cfg(format))
+            .backend(backend)
+            .scatter(scatter)
+            .gather(gather)
+            .build()
+            .unwrap();
+        let batched = backend == BackendKind::Pcpm && (scatter, gather) == (png, avoiding);
+        for width in [1usize, 3, 9] {
+            let label = format!("{backend:?} {format} {scatter:?} {gather:?} Q={width}");
+            let xs: Vec<Vec<f32>> = (0..width).map(|q| vec![q as f32; n]).collect();
+            let x_refs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
+            let mut ys = vec![vec![0.0f32; n]; width];
+            let mut y_refs: Vec<&mut [f32]> = ys.iter_mut().map(Vec::as_mut_slice).collect();
+            let before = engine.report();
+            tm.set_enabled(true);
+            tm.reset();
+            engine.step_many(&x_refs, &mut y_refs).unwrap();
+            tm.set_enabled(false);
+            let snap = tm.snapshot();
+            let after = engine.report();
+            let scans = after.steps - before.steps;
+            let bytes = |r: &ExecutionReport| r.dest_stream_total_bytes().unwrap_or(0);
+            assert_eq!(
+                snap.dest_stream_bytes_read,
+                bytes(&after) - bytes(&before),
+                "{label}"
+            );
+            let passes = after.batch_passes - before.batch_passes;
+            assert_eq!(snap.batched_passes, passes as u64, "{label}");
+            assert_eq!(passes, scans, "{label}");
+            let queries = after.batch_queries - before.batch_queries;
+            assert_eq!(snap.batched_queries, queries as u64, "{label}");
+            assert_eq!(queries, width, "{label}");
+            let want = if batched { width.div_ceil(8) } else { width };
+            assert_eq!(scans, want, "{label}");
+            if backend == BackendKind::Pcpm {
+                let decoded = scans as u64 * u64::from(after.partitions);
+                assert_eq!(snap.bins_decoded, decoded, "{label}");
+            }
         }
     }
 }
