@@ -16,7 +16,9 @@
 //! allocation happens, so a corrupt length prefix cannot OOM the peer.
 //! A version the server does not understand earns a typed
 //! [`Response::Error`] with [`ErrorCode::UnsupportedVersion`] rather
-//! than a dropped connection.
+//! than a dropped connection, and a query whose whole-vector reply
+//! would exceed the cap ([`vector_reply_frame_bytes`]) one with
+//! [`ErrorCode::Unsupported`], before it is solved.
 //!
 //! # Request kinds
 //!
@@ -91,6 +93,14 @@ pub const PROTOCOL_VERSION: u16 = 2;
 /// Upper bound on a frame body; larger length prefixes are rejected
 /// before allocation.
 pub const MAX_FRAME_BYTES: usize = 1 << 26; // 64 MiB
+
+/// Bytes of the frame body a whole-vector reply over `nodes` nodes
+/// takes: the version and kind, then the largest such payload's
+/// (`ranks`) 17 bytes before the vector and 4 per node. Nothing over
+/// [`MAX_FRAME_BYTES`] can be sent.
+pub fn vector_reply_frame_bytes(nodes: u32) -> usize {
+    3 + 17 + 4 * nodes as usize
+}
 
 /// Latency-histogram bucket count: bucket `i` holds requests that took
 /// less than `2^i` microseconds; the last bucket absorbs the rest.

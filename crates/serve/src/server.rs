@@ -19,8 +19,9 @@
 //!   epoch. Each **worker** keeps a per-epoch cache of engines, one per
 //!   algebra it has been asked for, each sharing the published layout
 //!   and owning only its update stream: rehydrating one copies nothing
-//!   O(E). When a worker observes a new epoch it drops the cache,
-//!   releasing the old epoch, and rebuilds lazily.
+//!   O(E). When a worker observes a new epoch — on its next request, or
+//!   within a poll interval when idle — it drops the cache, releasing
+//!   the old epoch, and rebuilds lazily.
 //! - The single **writer thread** owns a private engine per served
 //!   graph, and no graph of its own: the current graph is the published
 //!   snapshot's. An update request flows [`merge`] (the published graph
@@ -40,8 +41,8 @@
 
 use crate::metrics::Metrics;
 use crate::proto::{
-    read_frame, send_response, EngineInfo, ErrorCode, QueryParams, RawFrame, Request, Response,
-    ServerStats, UpdateReply, PROTOCOL_VERSION,
+    read_frame, send_response, vector_reply_frame_bytes, EngineInfo, ErrorCode, QueryParams,
+    RawFrame, Request, Response, ServerStats, UpdateReply, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use pcpm_algos::{
     bfs_levels_with_engine, personalized_pagerank_many_with_unified_engine, sssp_with_engine,
@@ -319,10 +320,15 @@ impl Server {
                 ppr_batcher: Arc::clone(&ppr_batcher),
                 threads: config.threads,
             };
+            let worker = Worker {
+                ctx,
+                cache_epoch: 0,
+                caches: Vec::new(),
+            };
             workers.push(
                 thread::Builder::new()
                     .name(format!("pcpm-serve-worker-{w}"))
-                    .spawn(move || worker_loop(ctx))?,
+                    .spawn(move || worker_loop(worker))?,
             );
         }
         drop(update_tx);
@@ -656,12 +662,7 @@ struct Worker {
     caches: Vec<AlgCache>,
 }
 
-fn worker_loop(ctx: WorkerCtx) {
-    let mut worker = Worker {
-        cache_epoch: 0,
-        caches: Vec::new(),
-        ctx,
-    };
+fn worker_loop(mut worker: Worker) {
     loop {
         // Holding the queue lock only around the timed recv keeps
         // sibling workers runnable.
@@ -681,6 +682,7 @@ fn worker_loop(ctx: WorkerCtx) {
                 if worker.ctx.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
+                worker.current();
             }
             Err(mpsc::RecvTimeoutError::Disconnected) => return,
         }
@@ -691,8 +693,12 @@ impl Worker {
     fn handle_connection(&mut self, mut stream: TcpStream) {
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+        let shutdown = Arc::clone(&self.ctx.shutdown);
         loop {
-            let frame = match read_frame_idle(&mut stream, &self.ctx.shutdown) {
+            let idle = &mut || {
+                self.current();
+            };
+            let frame = match read_frame_idle(&mut stream, &shutdown, idle) {
                 Ok(Some(f)) => f,
                 Ok(None) => return,
                 Err(e) => {
@@ -745,7 +751,9 @@ impl Worker {
     }
 
     /// The published state, cloned out from under the lock; worker
-    /// caches are invalidated when the epoch moved.
+    /// caches are invalidated when the epoch moved. An idle worker calls
+    /// this every poll interval, so a cache never pins an epoch that is
+    /// no longer served.
     fn current(&mut self) -> Arc<ServingState> {
         let cur = Arc::clone(&lock_recover(&self.ctx.state));
         if self.caches.len() != cur.shards.len() {
@@ -822,6 +830,9 @@ impl Worker {
             Ok(s) => s,
             Err(r) => return r,
         };
+        if let Err(r) = check_reply_size(shard.snapshot.graph().num_nodes()) {
+            return r;
+        }
         let cfg = query_cfg(&shard.snapshot, &params);
         let graph = Arc::clone(shard.snapshot.graph());
         let weights = match shard.snapshot.weights() {
@@ -899,11 +910,15 @@ impl Worker {
                 return;
             }
         };
-        if shard.snapshot.is_weighted() {
-            let r = err_resp(
+        let refused = if shard.snapshot.is_weighted() {
+            Err(err_resp(
                 ErrorCode::Unsupported,
                 "personalized pagerank serves unweighted engines only",
-            );
+            ))
+        } else {
+            check_reply_size(shard.snapshot.graph().num_nodes())
+        };
+        if let Err(r) = refused {
             for p in batch {
                 let _ = p.reply.send(r.clone());
             }
@@ -980,6 +995,9 @@ impl Worker {
                 "bfs serves unweighted engines only (weighted bins would bias the levels)",
             );
         }
+        if let Err(r) = check_reply_size(shard.snapshot.graph().num_nodes()) {
+            return r;
+        }
         let graph = Arc::clone(shard.snapshot.graph());
         let threads = self.ctx.threads;
         let eng = match cached_engine(
@@ -1010,6 +1028,9 @@ impl Worker {
                 ErrorCode::Unsupported,
                 "sssp needs a weighted snapshot (build-cache over a weighted .mtx)",
             );
+        }
+        if let Err(r) = check_reply_size(shard.snapshot.graph().num_nodes()) {
+            return r;
         }
         let graph = Arc::clone(shard.snapshot.graph());
         let threads = self.ctx.threads;
@@ -1045,6 +1066,23 @@ impl Worker {
             Err(_) => err_resp(ErrorCode::ShuttingDown, "writer dropped the request"),
         }
     }
+}
+
+/// Refuses, before the solve, a whole-vector reply over `nodes` nodes
+/// that no frame can carry: solved anyway, it could not be sent, and the
+/// client would see the connection drop instead of an error.
+fn check_reply_size(nodes: u32) -> Result<(), Response> {
+    let bytes = vector_reply_frame_bytes(nodes);
+    if bytes > MAX_FRAME_BYTES {
+        return Err(err_resp(
+            ErrorCode::Unsupported,
+            format!(
+                "a reply over {nodes} nodes takes {bytes} bytes, \
+                 over the {MAX_FRAME_BYTES}-byte frame cap"
+            ),
+        ));
+    }
+    Ok(())
 }
 
 /// Builds (or reuses) the worker's cached engine for one algebra,
@@ -1116,9 +1154,14 @@ fn stream_err(e: StreamError) -> Response {
 }
 
 /// Reads one frame, idling politely: a `WouldBlock` before the first
-/// byte of a frame re-checks the shutdown flag; a stall *inside* a
-/// frame keeps retrying briefly, then gives up on the connection.
-fn read_frame_idle(stream: &mut TcpStream, shutdown: &AtomicBool) -> io::Result<Option<RawFrame>> {
+/// byte of a frame re-checks the shutdown flag and runs `idle`; a stall
+/// *inside* a frame keeps retrying briefly, then gives up on the
+/// connection.
+fn read_frame_idle(
+    stream: &mut TcpStream,
+    shutdown: &AtomicBool,
+    idle: &mut dyn FnMut(),
+) -> io::Result<Option<RawFrame>> {
     let mut first = [0u8; 1];
     loop {
         match stream.read(&mut first) {
@@ -1131,6 +1174,7 @@ fn read_frame_idle(stream: &mut TcpStream, shutdown: &AtomicBool) -> io::Result<
                     // Idle connection during drain: close it.
                     return Ok(None);
                 }
+                idle();
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
@@ -1148,7 +1192,7 @@ fn read_frame_idle(stream: &mut TcpStream, shutdown: &AtomicBool) -> io::Result<
     Read::read_exact(&mut reader, &mut rest)?;
     framed.extend_from_slice(&rest);
     let body_len = u32::from_le_bytes([framed[0], framed[1], framed[2], framed[3]]) as usize;
-    if !(3..=crate::proto::MAX_FRAME_BYTES).contains(&body_len) {
+    if !(3..=MAX_FRAME_BYTES).contains(&body_len) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("bad frame length {body_len}"),
@@ -1195,7 +1239,108 @@ impl Read for RetryReader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcpm_core::snapshot::DataplaneState;
     use pcpm_graph::gen::erdos_renyi;
+
+    #[test]
+    fn a_reply_over_the_frame_cap_is_refused_before_the_solve() {
+        // The bound is the frame body the largest vector reply encodes to.
+        let ranks = Response::Ranks {
+            epoch: 3,
+            iterations: 7,
+            converged: true,
+            scores: vec![0.5; 5],
+        };
+        assert_eq!(
+            vector_reply_frame_bytes(5),
+            3 + ranks.encode_payload().len()
+        );
+        let largest = ((MAX_FRAME_BYTES - 20) / 4) as u32;
+        assert_eq!(vector_reply_frame_bytes(largest), MAX_FRAME_BYTES);
+        assert!(check_reply_size(largest).is_ok());
+        match check_reply_size(largest + 1) {
+            Err(Response::Error {
+                code: ErrorCode::Unsupported,
+                message,
+            }) => {
+                let bytes = vector_reply_frame_bytes(largest + 1).to_string();
+                assert!(message.contains(&bytes), "{message}");
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_idle_worker_lets_go_of_the_epoch_it_served() {
+        let graph = Arc::new(erdos_renyi(64, 256, 3).unwrap());
+        let cfg = PcpmConfig::default().with_partition_bytes(64);
+        let engine = Engine::<PlusF32>::builder_shared(&graph)
+            .config(cfg)
+            .build()
+            .unwrap();
+        let snapshot = engine.snapshot().unwrap();
+        drop(engine);
+        let DataplaneState::Wide(layout) = snapshot.layout() else {
+            unreachable!("a wide snapshot");
+        };
+        let epoch0 = Arc::downgrade(layout);
+        let state = Arc::new(Mutex::new(Arc::new(ServingState {
+            epoch: 0,
+            shards: vec![Arc::new(Shard {
+                snapshot,
+                label: "g".into(),
+                load: Duration::ZERO,
+            })],
+        })));
+        // No connection ever arrives, but the queue stays open.
+        let (_conn_tx, conn_rx) = mpsc::channel();
+        let (update_tx, _update_rx) = mpsc::channel();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let mut worker = Worker {
+            ctx: WorkerCtx {
+                conn_rx: Arc::new(Mutex::new(conn_rx)),
+                state: Arc::clone(&state),
+                metrics: Arc::new(Metrics::new()),
+                shutdown: Arc::clone(&shutdown),
+                update_tx,
+                ppr_batcher: Arc::default(),
+                threads: None,
+            },
+            cache_epoch: 0,
+            caches: Vec::new(),
+        };
+        let params = QueryParams::default();
+        let served = worker.pagerank(0, params);
+        assert!(
+            matches!(served, Response::Ranks { epoch: 0, .. }),
+            "{served:?}"
+        );
+
+        let absent = (1..64u32)
+            .find(|&t| graph.neighbors(0).binary_search(&t).is_err())
+            .unwrap();
+        let batch = UpdateBatch::from_parts(vec![(0, absent)], vec![]);
+        let mut engines = vec![None];
+        let updated = apply_update(&state, &mut engines, 0, batch, &Metrics::new());
+        assert!(matches!(updated, Response::Updated(_)), "{updated:?}");
+        assert!(
+            epoch0.strong_count() > 0,
+            "the worker's engine still shares the epoch-0 layout"
+        );
+
+        let idle = thread::spawn(move || worker_loop(worker));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while epoch0.strong_count() > 0 && Instant::now() < deadline {
+            thread::sleep(POLL_INTERVAL / 5);
+        }
+        let released = epoch0.strong_count() == 0;
+        shutdown.store(true, Ordering::SeqCst);
+        idle.join().unwrap();
+        assert!(
+            released,
+            "an idle worker keeps no epoch it no longer serves"
+        );
+    }
 
     #[test]
     fn a_failed_update_leaves_no_trace() {

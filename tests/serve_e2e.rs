@@ -427,9 +427,16 @@ fn metrics_endpoint_serves_prometheus_text() {
     }
     let pr_before = metric_value(&before, "pcpm_requests_total{kind=\"pagerank\"}");
 
-    // Traffic: two pageranks and one typed error.
+    // Traffic: two pageranks and one typed error. The second runs 2 000
+    // iterations with no tolerance: well over the 1 ms slow threshold in
+    // a release build too, where 20 iterations on 1 500 nodes may not be.
     client.pagerank(0, &params(&cfg)).unwrap();
-    client.pagerank(0, &params(&cfg)).unwrap();
+    let slow = QueryParams {
+        iterations: 2000,
+        tolerance: None,
+        ..params(&cfg)
+    };
+    client.pagerank(0, &slow).unwrap();
     client.pagerank(9, &params(&cfg)).unwrap_err();
 
     let after = scrape(maddr);
@@ -456,8 +463,8 @@ fn metrics_endpoint_serves_prometheus_text() {
     let pr_row = &stats.queries[2];
     assert_eq!(pr_row.count, 3);
     assert!(pr_row.exec_us_total > 0);
-    // A 20-iteration pagerank on 1500 nodes takes well over the 1 ms
-    // slow threshold, so the ring must have captured it.
+    // The 2 000-iteration pagerank took over the 1 ms slow threshold, so
+    // the ring must have captured it.
     assert!(stats.slow_queries.iter().any(|s| s.kind == 2));
     let human = stats.render_human();
     assert!(human.contains("pagerank"));
