@@ -15,8 +15,10 @@
 //!
 //! All integers little-endian. The file is `header ‖ payload`; the
 //! checksum covers the payload only, so header corruption is caught by
-//! the magic/version checks and payload corruption by the checksum
-//! before any structural decoding happens.
+//! the magic/version checks and payload corruption by the checksum. The
+//! loader streams the payload through a small buffer, checksumming it as
+//! it decodes, and reports a payload whose checksum disagrees as a
+//! checksum mismatch, whatever else it found wrong.
 //!
 //! The checksum is [`pcpm_graph::io::checksum64`]: FNV-1a 64 over
 //! little-endian 8-byte words. With `h = 0xcbf29ce484222325` and
@@ -86,6 +88,7 @@ use crate::format::{BinFormatKind, CompactFormat, DeltaFormat, Layout, WideForma
 use crate::png::{BipartitePart, Png};
 use crate::Partitioner;
 use pcpm_graph::{io as gio, Csr};
+use std::io::Read;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -347,30 +350,9 @@ impl Snapshot {
 
     /// Decodes and fully validates a snapshot blob.
     pub fn from_bytes(data: &[u8]) -> Result<Self, SnapshotError> {
-        if data.len() < HEADER_LEN {
-            return Err(if data.starts_with(&SNAPSHOT_MAGIC[..data.len().min(8)]) {
-                SnapshotError::Corrupt("truncated header")
-            } else {
-                SnapshotError::BadMagic
-            });
-        }
-        if &data[..8] != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let version = u32::from_le_bytes(data[8..12].try_into().expect("sliced"));
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion {
-                found: version,
-                supported: SNAPSHOT_VERSION,
-            });
-        }
-        let stored = u64::from_le_bytes(data[12..HEADER_LEN].try_into().expect("sliced"));
+        let stored = check_header(data)?;
         let payload = &data[HEADER_LEN..];
-        let computed = gio::checksum64(payload);
-        if stored != computed {
-            return Err(SnapshotError::ChecksumMismatch { stored, computed });
-        }
-        decode_payload(payload)
+        decode(Reader::new(payload, payload.len() as u64, CHUNK), stored)
     }
 
     /// Writes the snapshot to `path`, returning the file size in bytes.
@@ -390,10 +372,19 @@ impl Snapshot {
         Ok(bytes.len() as u64)
     }
 
-    /// Reads and validates a snapshot from `path`.
+    /// Reads and validates a snapshot from `path`, streaming the file
+    /// through a small buffer: the load never holds the file whole, only
+    /// what it decodes.
     pub fn load<P: AsRef<Path>>(path: P) -> Result<Self, SnapshotError> {
-        let data = std::fs::read(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
-        Self::from_bytes(&data)
+        let mut file = std::fs::File::open(path).map_err(io_err)?;
+        let len = file.metadata().map_err(io_err)?.len();
+        let mut head = Vec::with_capacity(HEADER_LEN);
+        (&mut file)
+            .take(HEADER_LEN as u64)
+            .read_to_end(&mut head)
+            .map_err(io_err)?;
+        let stored = check_header(&head)?;
+        decode(Reader::new(file, len - HEADER_LEN as u64, CHUNK), stored)
     }
 }
 
@@ -424,53 +415,157 @@ fn delta_stream_len(byte_region: &[u64]) -> usize {
     byte_region.last().map_or(0, |&t| t as usize)
 }
 
-/// Bounds-checked little-endian reader over the payload: every decode
-/// failure is a typed [`SnapshotError::Corrupt`], never a panic.
-struct Reader<'a> {
-    data: &'a [u8],
+fn io_err(e: std::io::Error) -> SnapshotError {
+    SnapshotError::Io(e.to_string())
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], SnapshotError> {
-        if self.data.len() < n {
+/// Checks the magic and the version of a snapshot that starts with
+/// `head`, and returns the stored checksum.
+fn check_header(head: &[u8]) -> Result<u64, SnapshotError> {
+    let Some(head) = head.first_chunk::<HEADER_LEN>() else {
+        return Err(if head.starts_with(&SNAPSHOT_MAGIC[..head.len().min(8)]) {
+            SnapshotError::Corrupt("truncated header")
+        } else {
+            SnapshotError::BadMagic
+        });
+    };
+    if &head[..8] != SNAPSHOT_MAGIC {
+        return Err(SnapshotError::BadMagic);
+    }
+    let version = u32::from_le_bytes(head[8..12].try_into().expect("sliced"));
+    if version != SNAPSHOT_VERSION {
+        return Err(SnapshotError::UnsupportedVersion {
+            found: version,
+            supported: SNAPSHOT_VERSION,
+        });
+    }
+    Ok(u64::from_le_bytes(head[12..].try_into().expect("sliced")))
+}
+
+/// Decodes the payload `r` streams and checks it against the `stored`
+/// checksum. A payload whose checksum disagrees is a
+/// [`SnapshotError::ChecksumMismatch`] whatever else is wrong with it,
+/// as though the checksum had been checked first.
+fn decode<R: Read>(mut r: Reader<R>, stored: u64) -> Result<Snapshot, SnapshotError> {
+    let decoded = decode_payload(&mut r);
+    let computed = r.finish()?;
+    if stored != computed {
+        return Err(SnapshotError::ChecksumMismatch { stored, computed });
+    }
+    decoded
+}
+
+/// Bytes the [`Reader`] pulls from its source at a time.
+const CHUNK: usize = 1 << 18;
+
+/// Bounds-checked little-endian reader over a payload of known length,
+/// pulled from `src` a chunk at a time and checksummed on the way in:
+/// every decode failure is a typed [`SnapshotError::Corrupt`], never a
+/// panic, and nothing is allocated for a section the payload is too
+/// short to hold.
+struct Reader<R> {
+    src: R,
+    /// Pulled bytes; `buf[at..end]` are not yet decoded.
+    buf: Box<[u8]>,
+    at: usize,
+    end: usize,
+    /// Payload bytes still in `src`.
+    left: u64,
+    sum: gio::Checksum64,
+}
+
+impl<R: Read> Reader<R> {
+    /// A reader of the `len`-byte payload in `src`, pulled `chunk` bytes
+    /// at a time; `chunk` holds the widest fixed field (20 bytes).
+    fn new(src: R, len: u64, chunk: usize) -> Self {
+        Self {
+            src,
+            buf: vec![0; chunk].into_boxed_slice(),
+            at: 0,
+            end: 0,
+            left: len,
+            sum: gio::Checksum64::default(),
+        }
+    }
+
+    /// Payload bytes not yet decoded.
+    fn remaining(&self) -> u64 {
+        (self.end - self.at) as u64 + self.left
+    }
+
+    /// Moves the undecoded bytes to the front and pulls the next chunk
+    /// of the payload in behind them.
+    fn pull(&mut self) -> Result<(), SnapshotError> {
+        self.buf.copy_within(self.at..self.end, 0);
+        self.end -= self.at;
+        self.at = 0;
+        let room = (self.buf.len() - self.end) as u64;
+        let fresh = &mut self.buf[self.end..self.end + room.min(self.left) as usize];
+        self.src.read_exact(fresh).map_err(io_err)?;
+        self.sum.update(fresh);
+        self.left -= fresh.len() as u64;
+        self.end += fresh.len();
+        Ok(())
+    }
+
+    /// Fails with `what` unless `n` more bytes remain.
+    fn need(&self, n: usize, what: &'static str) -> Result<(), SnapshotError> {
+        if (n as u64) > self.remaining() {
             return Err(SnapshotError::Corrupt(what));
         }
-        let (head, rest) = self.data.split_at(n);
-        self.data = rest;
-        Ok(head)
+        Ok(())
+    }
+
+    fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], SnapshotError> {
+        self.need(N, what)?;
+        if self.end - self.at < N {
+            self.pull()?;
+        }
+        let out = self.buf[self.at..self.at + N].try_into().expect("sized");
+        self.at += N;
+        Ok(out)
     }
 
     fn u8(&mut self, what: &'static str) -> Result<u8, SnapshotError> {
-        Ok(self.take(1, what)?[0])
+        Ok(self.array::<1>(what)?[0])
     }
 
     fn u32(&mut self, what: &'static str) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(
-            self.take(4, what)?.try_into().expect("sized"),
-        ))
+        Ok(u32::from_le_bytes(self.array(what)?))
     }
 
     fn u64(&mut self, what: &'static str) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("sized"),
-        ))
+        Ok(u64::from_le_bytes(self.array(what)?))
     }
 
-    /// Reads a `u64` count followed by that many `elem_bytes`-sized
-    /// items, guarding the multiplication against overflow.
-    fn counted(
+    /// Reads a `u64` count or byte length, which must fit in memory.
+    fn len(&mut self, what: &'static str) -> Result<usize, SnapshotError> {
+        usize::try_from(self.u64(what)?).map_err(|_| SnapshotError::Corrupt(what))
+    }
+
+    /// Reads `n` bytes followed, in the result, by `slack` zero bytes.
+    fn bytes(
         &mut self,
-        elem_bytes: usize,
+        n: usize,
+        slack: usize,
         what: &'static str,
-    ) -> Result<&'a [u8], SnapshotError> {
-        let n = self.u64(what)?;
-        let bytes = (n as usize)
-            .checked_mul(elem_bytes)
-            .ok_or(SnapshotError::Corrupt("section size overflow"))?;
-        self.take(bytes, what)
+    ) -> Result<Vec<u8>, SnapshotError> {
+        self.need(n, what)?;
+        let mut out = vec![0; n + slack];
+        let mut done = 0;
+        while done < n {
+            if self.at == self.end {
+                self.pull()?;
+            }
+            let k = (self.end - self.at).min(n - done);
+            out[done..done + k].copy_from_slice(&self.buf[self.at..self.at + k]);
+            self.at += k;
+            done += k;
+        }
+        Ok(out)
     }
 
-    /// Reads `n` little-endian `W`-byte words in one slice decode.
+    /// Reads `n` little-endian `W`-byte words.
     fn words<T, const W: usize>(
         &mut self,
         n: usize,
@@ -480,7 +575,21 @@ impl<'a> Reader<'a> {
         let bytes = n
             .checked_mul(W)
             .ok_or(SnapshotError::Corrupt("section size overflow"))?;
-        Ok(gio::get_le(self.take(bytes, what)?, from_le))
+        self.need(bytes, what)?;
+        let mut out = Vec::with_capacity(n);
+        while out.len() < n {
+            if self.end - self.at < W {
+                self.pull()?;
+            }
+            let k = ((self.end - self.at) / W).min(n - out.len());
+            let raw = &self.buf[self.at..self.at + k * W];
+            out.extend(
+                raw.chunks_exact(W)
+                    .map(|c| from_le(c.try_into().expect("chunks_exact yields W bytes"))),
+            );
+            self.at += k * W;
+        }
+        Ok(out)
     }
 
     /// Reads a `u64` count followed by that many little-endian `W`-byte
@@ -490,15 +599,25 @@ impl<'a> Reader<'a> {
         what: &'static str,
         from_le: impl Fn([u8; W]) -> T,
     ) -> Result<Vec<T>, SnapshotError> {
-        Ok(gio::get_le(self.counted(W, what)?, from_le))
+        let n = self.len(what)?;
+        self.words(n, what, from_le)
     }
 
     fn done(&self, what: &'static str) -> Result<(), SnapshotError> {
-        if self.data.is_empty() {
+        if self.remaining() == 0 {
             Ok(())
         } else {
             Err(SnapshotError::Corrupt(what))
         }
+    }
+
+    /// Pulls the rest of the payload and returns the checksum of all of it.
+    fn finish(mut self) -> Result<u64, SnapshotError> {
+        while self.left > 0 {
+            self.at = self.end;
+            self.pull()?;
+        }
+        Ok(self.sum.finish())
     }
 }
 
@@ -514,8 +633,7 @@ fn check_offsets(offs: &[u64], total: u64, what: &'static str) -> Result<(), Sna
     Ok(())
 }
 
-fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
-    let mut r = Reader { data: payload };
+fn decode_payload<R: Read>(r: &mut Reader<R>) -> Result<Snapshot, SnapshotError> {
     let partition_bytes = r.u64("truncated config")?;
     let format = format_from_tag(r.u8("truncated config")?)?;
     let weighted = match r.u8("truncated config")? {
@@ -523,17 +641,32 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
         1 => true,
         _ => return Err(SnapshotError::Corrupt("bad weighted flag")),
     };
-    r.take(6, "truncated config")?;
+    r.array::<6>("truncated config")?;
 
-    let graph_bytes = r.counted(1, "truncated graph section")?;
-    let graph = gio::from_bytes(graph_bytes)
-        .map_err(|_| SnapshotError::Corrupt("invalid graph section"))?;
+    let invalid = |_| SnapshotError::Corrupt("invalid graph section");
+    let blob = r.len("truncated graph section")?;
+    let head = r.array("truncated graph section")?;
+    let (n, m, body) = gio::graph_header(&head).map_err(invalid)?;
+    if blob != gio::GRAPH_HEADER_LEN + body {
+        return Err(SnapshotError::Corrupt("invalid graph section"));
+    }
+    let offsets = r.words(
+        n as usize + 1,
+        "truncated graph section",
+        u64::from_le_bytes,
+    )?;
+    let targets = r.words(m as usize, "truncated graph section", u32::from_le_bytes)?;
+    let graph = Csr::from_parts(n, offsets, targets).map_err(invalid)?;
     let weights = if weighted {
-        let blob = r.counted(1, "truncated weights section")?;
-        Some(Arc::new(
-            gio::weights_from_bytes(blob, Some(graph.num_edges()))
-                .map_err(|_| SnapshotError::Corrupt("invalid weights section"))?,
-        ))
+        let invalid = |_| SnapshotError::Corrupt("invalid weights section");
+        let blob = r.len("truncated weights section")?;
+        let head = r.array("truncated weights section")?;
+        let m = gio::weights_header(&head, Some(graph.num_edges())).map_err(invalid)?;
+        if blob as u64 != gio::WEIGHTS_HEADER_LEN as u64 + m * 4 {
+            return Err(SnapshotError::Corrupt("invalid weights section"));
+        }
+        let weights = r.words(m as usize, "truncated weights section", f32::from_le_bytes)?;
+        Some(Arc::new(weights))
     } else {
         None
     };
@@ -609,7 +742,7 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
             if dest_ids.len() != raw_edges {
                 return Err(SnapshotError::Corrupt("wide dest stream length mismatch"));
             }
-            let weights = read_bin_weights(&mut r, weighted, raw_edges)?;
+            let weights = read_bin_weights(r, weighted, raw_edges)?;
             let dest = FixedBins { dest_ids, weights };
             DataplaneState::Wide(Arc::new(Layout { png, dest }))
         }
@@ -620,19 +753,19 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
                     "compact dest stream length mismatch",
                 ));
             }
-            let weights = read_bin_weights(&mut r, weighted, raw_edges)?;
+            let weights = read_bin_weights(r, weighted, raw_edges)?;
             let dest = FixedBins { dest_ids, weights };
             DataplaneState::Compact(Arc::new(Layout { png, dest }))
         }
         BinFormatKind::Delta => {
-            let raw = r.counted(1, "truncated delta bins")?;
-            let dest_bytes = [raw, &[0; crate::delta::SLACK]].concat();
+            let raw_len = r.len("truncated delta bins")?;
+            let dest_bytes = r.bytes(raw_len, crate::delta::SLACK, "truncated delta bins")?;
             let byte_region = r.words(
                 k_src as usize + 1,
                 "truncated delta regions",
                 u64::from_le_bytes,
             )?;
-            check_offsets(&byte_region, raw.len() as u64, "inconsistent delta regions")?;
+            check_offsets(&byte_region, raw_len as u64, "inconsistent delta regions")?;
             let mut seg_off = Vec::with_capacity(k_src as usize);
             for s in 0..k_src as usize {
                 let offs = r.words(
@@ -647,7 +780,7 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
             if !crate::delta::is_consistent(&png, &dest_bytes, &byte_region, &seg_off) {
                 return Err(SnapshotError::Corrupt("inconsistent delta segment"));
             }
-            let weights = read_bin_weights(&mut r, weighted, raw_edges)?;
+            let weights = read_bin_weights(r, weighted, raw_edges)?;
             let dest = DeltaPackedBins {
                 dest_bytes,
                 byte_region,
@@ -667,8 +800,8 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
     })
 }
 
-fn read_bin_weights(
-    r: &mut Reader<'_>,
+fn read_bin_weights<R: Read>(
+    r: &mut Reader<R>,
     weighted: bool,
     raw_edges: usize,
 ) -> Result<Option<Vec<f32>>, SnapshotError> {
@@ -694,22 +827,31 @@ mod tests {
     use pcpm_graph::gen::{rmat, RmatConfig};
 
     fn snapshot_bytes(format: BinFormatKind) -> Vec<u8> {
+        weighted_snapshot_bytes(format, false)
+    }
+
+    fn weighted_snapshot_bytes(format: BinFormatKind, weighted: bool) -> Vec<u8> {
         let g = Arc::new(rmat(&RmatConfig::graph500(8, 6, 19)).unwrap());
-        let engine = Engine::<PlusF32>::builder_shared(&g)
+        let weights = pcpm_graph::EdgeWeights::random(&g, 5);
+        let mut builder = Engine::<PlusF32>::builder_shared(&g)
             .partition_bytes(64 * 4)
-            .bin_format(format)
-            .build()
-            .unwrap();
-        engine.snapshot().unwrap().to_bytes()
+            .bin_format(format);
+        if weighted {
+            builder = builder.weights(&weights);
+        }
+        builder.build().unwrap().snapshot().unwrap().to_bytes()
     }
 
     #[test]
     fn codec_round_trips_every_format() {
-        for format in BinFormatKind::ALL {
-            let bytes = snapshot_bytes(format);
+        for (format, weighted) in BinFormatKind::ALL
+            .into_iter()
+            .flat_map(|f| [(f, false), (f, true)])
+        {
+            let bytes = weighted_snapshot_bytes(format, weighted);
             let snap = Snapshot::from_bytes(&bytes).unwrap();
             assert_eq!(snap.bin_format(), format);
-            assert!(!snap.is_weighted());
+            assert_eq!(snap.is_weighted(), weighted);
             assert_eq!(snap.partition_bytes(), 64 * 4);
             assert_eq!(snap.graph().num_nodes(), 256);
             // Round trip through the codec is byte-stable.
@@ -718,9 +860,15 @@ mod tests {
                 &PcpmConfig::default()
                     .with_partition_bytes(64 * 4)
                     .with_bin_format(format),
-                Some(false),
+                Some(weighted),
             )
             .unwrap();
+            // Pulled through a 29-byte buffer, every section and most
+            // words straddle a pull: the same snapshot comes out.
+            let payload = &bytes[HEADER_LEN..];
+            let stored = check_header(&bytes).unwrap();
+            let small = decode(Reader::new(payload, payload.len() as u64, 29), stored);
+            assert_eq!(small.unwrap().to_bytes(), bytes, "format {format}");
         }
     }
 

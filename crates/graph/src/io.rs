@@ -119,29 +119,36 @@ fn u64_at(data: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(data[at..at + 8].try_into().expect("length checked above"))
 }
 
-/// Deserializes a CSR from the binary format, revalidating all invariants.
-pub fn from_bytes(data: &[u8]) -> Result<Csr, GraphError> {
-    const HEADER: usize = MAGIC.len() + 12;
-    if data.len() < HEADER {
-        return Err(GraphError::CorruptBinary("truncated header"));
-    }
-    if &data[..MAGIC.len()] != MAGIC {
+/// Bytes of the binary format before the offsets: the magic, `n` and `m`.
+pub const GRAPH_HEADER_LEN: usize = MAGIC.len() + 12;
+
+/// Checks a binary-format header and returns the node count `n`, the
+/// edge count `m` and the byte length of the offsets and targets that
+/// must follow it.
+pub fn graph_header(head: &[u8; GRAPH_HEADER_LEN]) -> Result<(u32, u64, usize), GraphError> {
+    if &head[..MAGIC.len()] != MAGIC {
         return Err(GraphError::CorruptBinary("bad magic"));
     }
-    let n = u32::from_le_bytes(data[8..12].try_into().expect("length checked above"));
-    let m = u64_at(data, 12);
-    let offsets_len = (n as usize + 1)
+    let n = u32::from_le_bytes(head[8..12].try_into().expect("sized by the array"));
+    let m = u64_at(head, 12);
+    let body = (n as usize + 1)
         .checked_mul(8)
+        .zip((m as usize).checked_mul(4))
+        .and_then(|(offsets, targets)| offsets.checked_add(targets))
         .ok_or(GraphError::CorruptBinary("size overflow"))?;
-    let need = (m as usize)
-        .checked_mul(4)
-        .and_then(|x| x.checked_add(offsets_len))
-        .ok_or(GraphError::CorruptBinary("size overflow"))?;
-    let body = &data[HEADER..];
+    Ok((n, m, body))
+}
+
+/// Deserializes a CSR from the binary format, revalidating all invariants.
+pub fn from_bytes(data: &[u8]) -> Result<Csr, GraphError> {
+    let (head, body) = data
+        .split_first_chunk::<GRAPH_HEADER_LEN>()
+        .ok_or(GraphError::CorruptBinary("truncated header"))?;
+    let (n, _, need) = graph_header(head)?;
     if body.len() != need {
         return Err(GraphError::CorruptBinary("payload size mismatch"));
     }
-    let (offsets, targets) = body.split_at(offsets_len);
+    let (offsets, targets) = body.split_at((n as usize + 1) * 8);
     Csr::from_parts(
         n,
         get_le(offsets, u64::from_le_bytes),
@@ -162,22 +169,74 @@ pub fn from_bytes(data: &[u8]) -> Result<Csr, GraphError> {
 /// bytes lets it cover multi-hundred-megabyte snapshot payloads at
 /// memory speed. It guards the engine-snapshot cache
 /// (`pcpm_core::snapshot`) and the update-batch frame, rejecting
-/// corrupted or truncated input before any structural decoding happens.
+/// corrupted or truncated input.
 pub fn checksum64(data: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let step = |h: u64, w: u64| (h ^ w).wrapping_mul(PRIME);
-    let mut words = data.chunks_exact(8);
-    let mut h = words.by_ref().fold(OFFSET, |h, c| {
-        step(h, u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-    });
-    let tail = words.remainder();
-    if !tail.is_empty() {
-        let mut last = [0u8; 8];
-        last[..tail.len()].copy_from_slice(tail);
-        h = step(h, u64::from_le_bytes(last));
+    let mut sum = Checksum64::default();
+    sum.update(data);
+    sum.finish()
+}
+
+/// [`checksum64`] of data that arrives in pieces: after any sequence of
+/// [`Checksum64::update`] calls, [`Checksum64::finish`] is the checksum
+/// of their concatenation.
+#[derive(Clone, Debug)]
+pub struct Checksum64 {
+    h: u64,
+    len: u64,
+    /// The bytes of a word not yet complete.
+    tail: [u8; 8],
+    tail_len: usize,
+}
+
+impl Default for Checksum64 {
+    fn default() -> Self {
+        Self {
+            h: 0xcbf2_9ce4_8422_2325,
+            len: 0,
+            tail: [0; 8],
+            tail_len: 0,
+        }
     }
-    step(h, data.len() as u64)
+}
+
+impl Checksum64 {
+    fn step(h: u64, w: u64) -> u64 {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    }
+
+    /// Folds in the next piece of the data.
+    pub fn update(&mut self, mut data: &[u8]) {
+        self.len += data.len() as u64;
+        if self.tail_len > 0 {
+            let k = (8 - self.tail_len).min(data.len());
+            self.tail[self.tail_len..self.tail_len + k].copy_from_slice(&data[..k]);
+            self.tail_len += k;
+            data = &data[k..];
+            if self.tail_len < 8 {
+                return;
+            }
+            self.h = Self::step(self.h, u64::from_le_bytes(self.tail));
+            self.tail_len = 0;
+        }
+        let mut words = data.chunks_exact(8);
+        self.h = words.by_ref().fold(self.h, |h, c| {
+            Self::step(h, u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+        });
+        let rest = words.remainder();
+        self.tail[..rest.len()].copy_from_slice(rest);
+        self.tail_len = rest.len();
+    }
+
+    /// The checksum of everything folded in so far.
+    pub fn finish(&self) -> u64 {
+        let mut h = self.h;
+        if self.tail_len > 0 {
+            let mut last = [0u8; 8];
+            last[..self.tail_len].copy_from_slice(&self.tail[..self.tail_len]);
+            h = Self::step(h, u64::from_le_bytes(last));
+        }
+        Self::step(h, self.len)
+    }
 }
 
 /// Magic bytes identifying the binary edge-weight format ("PCPMWT", v1).
@@ -197,24 +256,34 @@ pub fn weights_encode_into(weights: &[f32], buf: &mut Vec<u8>) {
     put_le(buf, weights, f32::to_le_bytes);
 }
 
+/// Bytes of an edge-weight blob before the weights: the magic and the count.
+pub const WEIGHTS_HEADER_LEN: usize = WEIGHTS_MAGIC.len() + 8;
+
+/// Checks an edge-weight blob's header against (when given) the edge
+/// count of the graph the weights must be parallel to, and returns the
+/// weight count.
+pub fn weights_header(
+    head: &[u8; WEIGHTS_HEADER_LEN],
+    expect_edges: Option<u64>,
+) -> Result<u64, GraphError> {
+    if &head[..WEIGHTS_MAGIC.len()] != WEIGHTS_MAGIC {
+        return Err(GraphError::CorruptBinary("bad weights magic"));
+    }
+    let m = u64_at(head, WEIGHTS_MAGIC.len());
+    if expect_edges.is_some_and(|want| m != want) {
+        return Err(GraphError::CorruptBinary("weight count mismatch"));
+    }
+    Ok(m)
+}
+
 /// Deserializes an edge-weight blob written by [`weights_encode_into`],
 /// validating the magic, the count and (when given) the edge count of
 /// the graph the weights must be parallel to.
 pub fn weights_from_bytes(data: &[u8], expect_edges: Option<u64>) -> Result<Vec<f32>, GraphError> {
-    const HEADER: usize = WEIGHTS_MAGIC.len() + 8;
-    if data.len() < HEADER {
-        return Err(GraphError::CorruptBinary("truncated weights header"));
-    }
-    if &data[..WEIGHTS_MAGIC.len()] != WEIGHTS_MAGIC {
-        return Err(GraphError::CorruptBinary("bad weights magic"));
-    }
-    let m = u64_at(data, WEIGHTS_MAGIC.len());
-    if let Some(want) = expect_edges {
-        if m != want {
-            return Err(GraphError::CorruptBinary("weight count mismatch"));
-        }
-    }
-    let body = &data[HEADER..];
+    let (head, body) = data
+        .split_first_chunk::<WEIGHTS_HEADER_LEN>()
+        .ok_or(GraphError::CorruptBinary("truncated weights header"))?;
+    let m = weights_header(head, expect_edges)?;
     if body.len()
         != (m as usize)
             .checked_mul(4)
@@ -327,6 +396,15 @@ mod tests {
         assert_eq!(a, 0xcfe0_9b78_2ec0_e6ab);
         assert_ne!(a, checksum64(b"pcpm snapshot payloae"));
         assert_ne!(checksum64(b"ab"), checksum64(b"ba"));
+        // Fed in pieces of any lengths, the sum is the whole input's.
+        let data = b"pcpm snapshot payload";
+        for cuts in [[0, 0], [1, 2], [3, 11], [8, 16], [7, 20], [21, 21]] {
+            let mut sum = Checksum64::default();
+            sum.update(&data[..cuts[0]]);
+            sum.update(&data[cuts[0]..cuts[1]]);
+            sum.update(&data[cuts[1]..]);
+            assert_eq!(sum.finish(), a, "cut at {cuts:?}");
+        }
     }
 
     #[test]
