@@ -302,13 +302,6 @@ pub struct Layout<F: BinFormat> {
     pub(crate) dest: F::Dest,
 }
 
-impl<F: BinFormat> Layout<F> {
-    /// The partition-node graph.
-    pub fn png(&self) -> &Png {
-        &self.png
-    }
-}
-
 /// Why a non-wide format refuses the branchy gather.
 pub(crate) const BRANCHY_NEEDS_WIDE: &str =
     "the branchy gather ablation requires the wide bin format";

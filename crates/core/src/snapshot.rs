@@ -121,7 +121,7 @@ pub enum DataplaneState {
 
 impl DataplaneState {
     /// The format of the layout.
-    pub fn kind(&self) -> BinFormatKind {
+    pub(crate) fn kind(&self) -> BinFormatKind {
         match self {
             DataplaneState::Wide(_) => BinFormatKind::Wide,
             DataplaneState::Compact(_) => BinFormatKind::Compact,
@@ -130,11 +130,11 @@ impl DataplaneState {
     }
 
     /// The layout's PNG.
-    pub fn png(&self) -> &Png {
+    pub(crate) fn png(&self) -> &Png {
         match self {
-            DataplaneState::Wide(l) => l.png(),
-            DataplaneState::Compact(l) => l.png(),
-            DataplaneState::Delta(l) => l.png(),
+            DataplaneState::Wide(l) => &l.png,
+            DataplaneState::Compact(l) => &l.png,
+            DataplaneState::Delta(l) => &l.png,
         }
     }
 
